@@ -26,10 +26,11 @@
 //!    program's reference bit-for-bit (scale management is semantically
 //!    transparent); `NoiseSimExec` and `CkksExec` must agree with the
 //!    reference — and pairwise with each other — within a tolerance
-//!    scaled to the program's dynamic range; and the DAG-parallel
-//!    `ParCkksExec` must reproduce `CkksExec`'s decrypted outputs
-//!    *bit-for-bit* (the parallel walk, fusion and hoisting are all
-//!    byte-transparent by design).
+//!    scaled to the program's dynamic range; and `CkksExec` with four
+//!    runners and fusion on must reproduce the decrypted outputs of its
+//!    own plain walk (one runner on the calling thread, no fusion — the
+//!    run the static memory, span and noise bounds are checked on)
+//!    *bit-for-bit*: walk width and fusion are byte-transparent by design.
 //!
 //! Anything that trips becomes a [`Divergence`] with a stable
 //! [`Divergence::label`] the shrinker uses to preserve failure identity
@@ -41,9 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use fhe_analysis::{analyze, AnalysisCx, IntervalDomain, MagnitudeSource, NoiseDomain};
 use fhe_baselines::{EvaCompiler, HecateCompiler};
 use fhe_ir::{passes, CompileParams, Op, Program, ScaleCompiler, ScheduledProgram, ValueId};
-use fhe_runtime::executor::{
-    max_abs_diff, CkksExec, Executor, NoiseSimExec, ParCkksExec, PlainExec,
-};
+use fhe_runtime::executor::{max_abs_diff, CkksExec, Executor, NoiseSimExec, PlainExec};
 use fhe_runtime::{plain, ExecOptions, ParOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -631,16 +630,16 @@ fn check_executors(
         executors.push((
             "ckks",
             Box::new(CkksExec {
-                options: backend.clone(),
+                options: ParOptions::plain_walk(backend.clone()),
             }),
             tol,
         ));
-        // The DAG-parallel executor at the same backend options: checked
-        // against the reference like the others, and bit-for-bit against
-        // the serial backend below.
+        // The same executor gone wide and fused: checked against the
+        // reference like the others, and bit-for-bit against the plain
+        // walk below.
         executors.push((
             "ckks-par",
-            Box::new(ParCkksExec {
+            Box::new(CkksExec {
                 options: ParOptions {
                     exec: backend,
                     workers: 4,
@@ -690,16 +689,15 @@ fn check_executors(
         if exec_name == "ckks" {
             ckks_bits = Some(to_bits(&run.outputs));
         }
-        // Parallel walk, fusion and hoisting must be byte-transparent:
-        // the parallel backend reproduces the serial backend exactly, not
-        // merely within tolerance.
+        // Walk width and fusion must be byte-transparent: the wide run
+        // reproduces the plain walk exactly, not merely within tolerance.
         if exec_name == "ckks-par" {
-            if let Some(serial) = &ckks_bits {
-                if *serial != to_bits(&run.outputs) {
+            if let Some(plain_walk) = &ckks_bits {
+                if *plain_walk != to_bits(&run.outputs) {
                     divs.push(Divergence {
                         kind: DivergenceKind::OutputMismatch,
                         stage: format!("{compiler}:ckks~ckks-par:bits"),
-                        detail: "parallel executor diverges bitwise from serial backend".into(),
+                        detail: "four fused runners diverge bitwise from the plain walk".into(),
                     });
                 }
             }

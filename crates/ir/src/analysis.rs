@@ -1,7 +1,12 @@
 //! Dataflow analyses over IR programs: multiplicative depth, liveness, and
-//! level estimation used by the allocation-ordering heuristic (§6.1).
+//! level estimation used by the allocation-ordering heuristic (§6.1), plus
+//! the two rules of the runtime's buffer discipline — where a value is
+//! freed and which rotations share a hoisted decomposition — that the
+//! dependence graph, the memory model and the executor must agree on.
 
-use crate::op::Op;
+use std::collections::HashMap;
+
+use crate::op::{Op, ValueId};
 use crate::program::Program;
 use crate::{CompileParams, Frac};
 
@@ -43,6 +48,48 @@ pub fn live(program: &Program) -> Vec<bool> {
         }
     }
     live
+}
+
+/// The op whose completion frees each value under the runtime's last-use
+/// freeing: the value's last live user in schedule order. `None` for
+/// program outputs (pinned until decryption) and for values no live op
+/// reads.
+pub fn free_points(program: &Program, live: &[bool]) -> Vec<Option<ValueId>> {
+    let mut free_at = vec![None; program.num_ops()];
+    for id in program.ids().filter(|id| live[id.index()]) {
+        for operand in program.op(id).operands() {
+            free_at[operand.index()] = Some(id);
+        }
+    }
+    for &o in program.outputs() {
+        free_at[o.index()] = None;
+    }
+    free_at
+}
+
+/// The rotation groups the runtime hoists, keyed by source: two or more
+/// live cipher rotations of one ciphertext share a single key-switch
+/// decomposition, computed — with every member's output — when the first
+/// member in schedule order (the leader) executes. Members are listed in
+/// schedule order with their steps. Empty when `hoist` is off.
+pub fn rotation_groups(
+    program: &Program,
+    live: &[bool],
+    hoist: bool,
+) -> HashMap<ValueId, Vec<(ValueId, i64)>> {
+    let mut groups: HashMap<ValueId, Vec<(ValueId, i64)>> = HashMap::new();
+    if !hoist {
+        return groups;
+    }
+    for id in program.ids() {
+        if let Op::Rotate(a, k) = program.op(id) {
+            if live[id.index()] && program.is_cipher(id) {
+                groups.entry(*a).or_default().push((id, *k));
+            }
+        }
+    }
+    groups.retain(|_, group| group.len() >= 2);
+    groups
 }
 
 /// The §6.1 pre-allocation level estimate `1 + depth · ω` for every value —
@@ -93,7 +140,6 @@ pub fn use_counts(program: &Program) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::builder::Builder;
-    use crate::op::ValueId;
 
     fn fig2a() -> (Program, [ValueId; 7]) {
         let b = Builder::new("fig2a", 8);
@@ -146,6 +192,31 @@ mod tests {
         let l = live(&p);
         assert!(l[0] && l[1]);
         assert!(!l[dead_id.index()]);
+    }
+
+    #[test]
+    fn free_points_and_rotation_groups_follow_the_runtime_discipline() {
+        let b = Builder::new("rots", 8);
+        let x = b.input("x");
+        let (r1, r2) = (x.clone().rotate(1), x.clone().rotate(2));
+        let dead = x.clone().rotate(3).id();
+        let sum = r1.clone() + r2.clone();
+        let (x, r1, r2, out) = (x.id(), r1.id(), r2.id(), sum.id());
+        let p = b.finish(vec![sum]);
+        let l = live(&p);
+        let free = free_points(&p, &l);
+        assert_eq!(
+            free[x.index()],
+            Some(r2),
+            "last live reader, not the dead one"
+        );
+        assert_eq!(free[r1.index()], Some(out));
+        assert_eq!(free[out.index()], None, "outputs are pinned");
+        assert_eq!(free[dead.index()], None);
+        let groups = rotation_groups(&p, &l, true);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[&x], vec![(r1, 1), (r2, 2)], "dead member excluded");
+        assert!(rotation_groups(&p, &l, false).is_empty());
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! is an ancestor of the op that frees it, so *any* topological-order-
 //! respecting parallel execution observes the free after the last read.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::cost::{CostModel, OpClass};
-use crate::op::{Op, ValueId};
+use crate::op::ValueId;
 use crate::schedule::{ScaleMap, ScheduledProgram};
 
 /// The kind of a dependence edge.
@@ -216,23 +217,16 @@ impl DepGraph {
             }
         }
 
-        // Last live user of every value (the op whose completion frees the
-        // value's buffer); outputs are pinned and never freed.
-        let mut last_use: Vec<Option<ValueId>> = vec![None; n_vals];
+        // Free points (the op whose completion frees a value's buffer) and
+        // the readers each must wait for.
+        let free_at = crate::analysis::free_points(program, &live);
         let mut users: Vec<Vec<ValueId>> = vec![Vec::new(); n_vals];
         for &DepNode { id, .. } in &nodes {
             for a in program.op(id).operands() {
-                if node_of[a.index()].is_some() {
-                    last_use[a.index()] = Some(id);
-                    if users[a.index()].last() != Some(&id) {
-                        users[a.index()].push(id);
-                    }
+                if users[a.index()].last() != Some(&id) {
+                    users[a.index()].push(id);
                 }
             }
-        }
-        let mut free_at = last_use.clone();
-        for &o in program.outputs() {
-            free_at[o.index()] = None; // pinned
         }
 
         // Anti dependences: every other reader of a ciphertext must finish
@@ -252,27 +246,14 @@ impl DepGraph {
             }
         }
 
-        // Output dependences: a hoisted rotation group (≥2 live cipher
-        // rotations of one source) materializes every member's output when
-        // the leader executes; later members are ordered after it.
-        if hoist_rotations {
-            let mut groups: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
-            for &DepNode { id, .. } in &nodes {
-                if let Op::Rotate(a, _) = program.op(id) {
-                    if program.is_cipher(id) {
-                        groups.entry(*a).or_default().push(id);
-                    }
-                }
-            }
-            for group in groups.values() {
-                if group.len() < 2 {
-                    continue;
-                }
-                let leader = node_of[group[0].index()].expect("leader is live");
-                for &m in &group[1..] {
-                    let mi = node_of[m.index()].expect("member is live");
-                    add_edge(&mut preds, &mut succs, leader, mi, DepKind::Output);
-                }
+        // Output dependences: a hoisted rotation group materializes every
+        // member's output when the leader executes; later members are
+        // ordered after it.
+        for group in crate::analysis::rotation_groups(program, &live, hoist_rotations).values() {
+            let leader = node_of[group[0].0.index()].expect("leader is live");
+            for &(m, _) in &group[1..] {
+                let mi = node_of[m.index()].expect("member is live");
+                add_edge(&mut preds, &mut succs, leader, mi, DepKind::Output);
             }
         }
 
@@ -531,7 +512,7 @@ impl DepGraph {
 #[derive(Debug, Clone)]
 pub struct DepConsumer {
     indeg: Vec<usize>,
-    ready: Vec<usize>,
+    ready: BinaryHeap<Reverse<usize>>,
     remaining: usize,
 }
 
@@ -541,7 +522,10 @@ impl DepConsumer {
         let indeg: Vec<usize> = (0..graph.nodes().len())
             .map(|i| graph.preds(i).len())
             .collect();
-        let ready = (0..indeg.len()).filter(|&i| indeg[i] == 0).collect();
+        let ready = (0..indeg.len())
+            .filter(|&i| indeg[i] == 0)
+            .map(Reverse)
+            .collect();
         DepConsumer {
             remaining: indeg.len(),
             indeg,
@@ -549,11 +533,11 @@ impl DepConsumer {
         }
     }
 
-    /// Takes one ready node (lowest schedule order last — the frontier is
-    /// LIFO, which keeps runners near the schedule's locality), or `None`
-    /// when nothing is currently runnable.
+    /// Takes the ready node earliest in the schedule, or `None` when
+    /// nothing is currently runnable. Node order is a topological order, so
+    /// a single consumer retires the nodes exactly in schedule order.
     pub fn pop_ready(&mut self) -> Option<usize> {
-        self.ready.pop()
+        self.ready.pop().map(|Reverse(node)| node)
     }
 
     /// Retires a node whose execution finished, decrementing successor
@@ -570,7 +554,7 @@ impl DepConsumer {
                 .checked_sub(1)
                 .expect("node completed at most once");
             if self.indeg[s] == 0 {
-                self.ready.push(s);
+                self.ready.push(Reverse(s));
             }
         }
     }
@@ -600,6 +584,7 @@ pub fn analyze(
 mod tests {
     use super::*;
     use crate::builder::Builder;
+    use crate::op::Op;
     use crate::params::CompileParams;
     use crate::program::Program;
     use crate::schedule::InputSpec;
@@ -787,16 +772,19 @@ mod tests {
         let mut consumer = DepConsumer::new(&g);
         assert_eq!(consumer.remaining(), g.nodes().len());
         let mut done = vec![false; g.nodes().len()];
+        let mut order = Vec::new();
         while let Some(node) = consumer.pop_ready() {
             // Every dependence retired before its dependent runs.
             for &(p, _) in g.preds(node) {
                 assert!(done[p], "pred of node {node} not yet complete");
             }
             done[node] = true;
+            order.push(node);
             consumer.complete(&g, node);
         }
         assert!(consumer.is_done());
-        assert!(done.iter().all(|&d| d), "every node retired");
+        // A single consumer is the serial schedule walk.
+        assert_eq!(order, (0..g.nodes().len()).collect::<Vec<_>>());
     }
 
     #[test]

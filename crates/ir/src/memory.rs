@@ -8,8 +8,6 @@
 //! converted at the end; key material is counted from the closed forms
 //! (`SecretKey`/`KswKey` byte sizes in `fhe-ckks`).
 
-use std::collections::HashMap;
-
 use crate::op::{Op, ValueId};
 use crate::schedule::{ScaleMap, ScheduledProgram};
 
@@ -54,11 +52,12 @@ pub struct MemoryEstimate {
 
 /// Computes a static peak-memory bound for a scheduled program.
 ///
-/// The walk visits ops in schedule order, materializes each result into a
-/// live set, adds a per-op transient bound for the pooled temporaries the
-/// backend checks out (key-switch digit decompositions dominate), records
-/// the high-water mark, and frees each ciphertext after its last use —
-/// exactly the discipline of the encrypted executor. `poly_degree` is the
+/// The walk starts with every live input encrypted, visits ops in schedule
+/// order, materializes each result into a live set, adds a per-op
+/// transient bound for the pooled temporaries the backend checks out
+/// (key-switch digit decompositions dominate), records the high-water
+/// mark, and frees each ciphertext after its last use — exactly the
+/// discipline of the encrypted executor. `poly_degree` is the
 /// backend's `N` (the runtime requires `N = 2 × slots`); `hoist_rotations`
 /// must match the execution-side setting, since hoisting a rotation group
 /// makes every member's output live at the first member.
@@ -72,38 +71,20 @@ pub fn estimate_memory(
     let live = crate::analysis::live(program);
     let limb_bytes = (poly_degree * 8) as u64;
 
-    // Last schedule position at which each value is consumed; outputs are
-    // pinned (never freed).
-    let mut last_use: Vec<usize> = vec![0; program.num_ops()];
-    for id in program.ids() {
-        if !live[id.index()] {
-            continue;
-        }
-        for a in program.op(id).operands() {
-            last_use[a.index()] = id.index();
-        }
-    }
-    for &o in program.outputs() {
-        last_use[o.index()] = usize::MAX;
-    }
-
-    // Rotation groups the runtime hoists: ≥2 live cipher rotations of one
-    // source share a decomposition, and all outputs materialize when the
-    // first member executes.
-    let mut groups: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
-    if hoist_rotations {
-        for id in program.ids() {
-            if let Op::Rotate(a, _) = program.op(id) {
-                if live[id.index()] && program.is_cipher(id) {
-                    groups.entry(*a).or_default().push(id);
-                }
-            }
-        }
-        groups.retain(|_, g| g.len() >= 2);
-    }
+    let free_at = crate::analysis::free_points(program, &live);
+    // All of a hoisted group's outputs materialize when its first member
+    // executes.
+    let groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
     let mut pending: Vec<bool> = vec![false; program.num_ops()];
 
-    let mut live_limbs: u64 = 0;
+    // The executor encrypts every live input before the first op, wherever
+    // the schedule declares it.
+    let mut live_limbs: u64 = program
+        .inputs()
+        .iter()
+        .filter(|id| live[id.index()])
+        .map(|&id| 2 * u64::from(map.level(id)))
+        .sum();
     let mut poly_peak: u64 = 0;
     let mut peak_op = None;
     for id in program.ids() {
@@ -118,24 +99,28 @@ pub fn estimate_memory(
         let ksw = l * (l + 1) + 2 * (l + 1) + 2 * l;
         let (result_limbs, transient) = match program.op(id) {
             _ if pending[id.index()] => (0, 0),
+            Op::Input { .. } => (0, 0),
             Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => (2 * l, ksw),
             Op::Rotate(a, _) => match groups.get(a) {
                 Some(group) => {
                     // First member: every group output materializes now,
                     // and the shared + permuted decompositions coexist.
-                    for &m in group {
+                    for &(m, _) in group {
                         if m != id {
                             pending[m.index()] = true;
                         }
                     }
-                    let outputs: u64 = group.iter().map(|&m| 2 * u64::from(map.level(m))).sum();
+                    let outputs: u64 = group
+                        .iter()
+                        .map(|&(m, _)| 2 * u64::from(map.level(m)))
+                        .sum();
                     (outputs, 2 * l * (l + 1) + 2 * (l + 1) + l)
                 }
                 None => (2 * l, ksw),
             },
             Op::Rescale(_) | Op::ModSwitch(_) => (2 * l, 4),
-            // Input (encrypt), add/sub/neg, plain mul, upscale: one pooled
-            // (or adopted) result, no key switch.
+            // Add/sub/neg, plain mul, upscale: one pooled result, no key
+            // switch.
             _ => (2 * l, 0),
         };
         live_limbs += result_limbs;
@@ -150,7 +135,7 @@ pub fn estimate_memory(
                 continue; // squares consume one ciphertext twice
             }
             prev = Some(a);
-            if program.is_cipher(a) && live[a.index()] && last_use[a.index()] == id.index() {
+            if program.is_cipher(a) && free_at[a.index()] == Some(id) {
                 live_limbs -= 2 * u64::from(map.level(a));
             }
         }

@@ -1,9 +1,15 @@
-//! Real encrypted execution of scheduled programs on the `fhe-ckks`
-//! backend, with wall-clock timing — the ground truth behind the latency
-//! and error experiments.
+//! The encrypted executor: real RNS-CKKS execution of scheduled programs on
+//! the `fhe-ckks` backend, with wall-clock timing — the ground truth behind
+//! the latency and error experiments.
+//!
+//! There is one way to run a schedule: [`execute_parallel_with_keys`] walks
+//! its dependence DAG with `k` runners, and at `k = 1` that walk *is* the
+//! serial schedule walk. Every other entry point is that function plus key
+//! generation ([`SessionKeys`]) or fixed walk settings
+//! ([`ParOptions::plain_walk`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -11,16 +17,24 @@ use rand::SeedableRng;
 
 use fhe_ckks::{
     decrypt, encrypt_symmetric, Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys,
-    KeyCache, KeyGenerator, PolyPool, RelinKey, SecretKey,
+    KeyCache, KeyGenerator, PolyPool, Pool, RelinKey, SecretKey,
 };
-use fhe_ir::{CostModel, Op, OpClass, ScaleMap, ScheduleError, ScheduledProgram, ValueId};
+use fhe_ir::{
+    CostModel, DepConsumer, DepGraph, FusionPlan, Op, OpClass, ScheduleError, ScheduledProgram,
+    ValueId,
+};
 
-use crate::executor::MemStats;
+use crate::executor::{max_abs_diff, MemStats};
 use crate::plain;
 
 /// Domain separator so the lazy key cache's per-element RNG streams never
-/// collide with the main keygen/encryption stream at the same seed.
-pub(crate) const KEY_CACHE_SEED_TWEAK: u64 = 0x517C_C1B7_2722_0A95;
+/// collide with the keygen stream at the same seed.
+const KEY_CACHE_SEED_TWEAK: u64 = 0x517C_C1B7_2722_0A95;
+
+/// Domain separator deriving the input-encryption stream of [`execute`] /
+/// [`execute_parallel`] from `options.seed`, so it never replays the keygen
+/// stream's randomness.
+const ENC_SEED_TWEAK: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// How the executor provisions Galois keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,13 +62,14 @@ impl Default for KeyPolicy {
     }
 }
 
-/// Options for encrypted execution.
+/// Backend options for encrypted execution.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Polynomial degree `N` of the backend. The program's slot count must
     /// equal `N/2` so rotations wrap identically.
     pub poly_degree: usize,
-    /// RNG seed for key generation and encryption randomness.
+    /// RNG seed for key generation. The entry points that take no
+    /// `enc_seed` derive their encryption seed from it.
     pub seed: u64,
     /// Worker threads for the backend's per-limb fan-out (see
     /// [`CkksParams::threads`]): `0` = auto-detect, `1` = serial. Results
@@ -83,15 +98,15 @@ impl Default for ExecOptions {
 
 /// Reusable per-session key material: one context, secret/relin/Galois
 /// keys and (under a lazy policy) a key cache, generated once and shared
-/// by any number of [`execute_with_keys`] /
-/// [`execute_parallel_with_keys`](crate::par_exec::execute_parallel_with_keys)
+/// by any number of [`execute_with_keys`] / [`execute_parallel_with_keys`]
 /// calls. This is what a serving layer amortizes across requests — the
 /// context's NTT tables and the keygen RNG work are paid once per session
 /// shape instead of once per request.
 ///
-/// The RNG stream is the same as [`execute`]'s prologue (keygen from
-/// `options.seed`, key cache from `seed ^ KEY_CACHE_SEED_TWEAK`), so a
-/// session's keys are a pure function of `(options, shape)`.
+/// Keygen draws from a stream seeded with `options.seed` and the lazy key
+/// cache from `seed ^ KEY_CACHE_SEED_TWEAK`, so a session's keys are a pure
+/// function of `(options, shape)`. Encryption draws from neither: every
+/// execution seeds its own stream (`enc_seed`).
 #[derive(Debug, Clone)]
 pub struct SessionKeys {
     ctx: Arc<CkksContext>,
@@ -181,40 +196,42 @@ impl SessionKeys {
         &self.ctx
     }
 
-    /// The session's secret key (encryption + decryption).
-    pub fn secret_key(&self) -> &SecretKey {
-        &self.sk
-    }
-
-    /// Shared handle to the relinearization key.
-    pub fn relin_handle(&self) -> Arc<RelinKey> {
-        self.relin.clone()
-    }
-
-    /// Shared handle to the static Galois key set.
-    pub fn galois_handle(&self) -> Arc<GaloisKeys> {
-        self.galois.clone()
-    }
-
-    /// Shared handle to the lazy key cache, if the policy was
-    /// [`KeyPolicy::Lazy`].
-    pub fn cache_handle(&self) -> Option<Arc<KeyCache>> {
-        self.cache.clone()
-    }
-
     /// The lazy Galois-key cache, if the policy was [`KeyPolicy::Lazy`].
     pub fn key_cache(&self) -> Option<&KeyCache> {
         self.cache.as_deref()
     }
 
-    /// Bytes of the always-resident key material (secret + relin key).
-    pub fn fixed_key_bytes(&self) -> u64 {
-        self.fixed_key_bytes
-    }
-
-    /// Bytes of the static Galois key set (zero under a lazy policy).
-    pub fn static_key_bytes(&self) -> u64 {
-        self.static_key_bytes
+    /// Total memory picture at one instant: the evaluator's pool-tracked
+    /// polynomial bytes plus the fixed key material (secret + relin) plus
+    /// Galois keys (cached bytes under a lazy policy, the whole static set
+    /// under an eager one). Encoder scratch is invisible here and in the
+    /// static model alike, so the static bound stays comparable.
+    fn mem_snapshot(&self, ev: &Evaluator<'_>) -> MemStats {
+        let p = ev.pool_stats();
+        let (kh, km, ke, kb, kp) = match ev.key_cache() {
+            Some(c) => {
+                let s = c.stats();
+                (
+                    s.hits,
+                    s.misses,
+                    s.evictions,
+                    s.bytes as u64,
+                    s.peak_bytes as u64,
+                )
+            }
+            None => (0, 0, 0, self.static_key_bytes, self.static_key_bytes),
+        };
+        MemStats {
+            peak_bytes: p.peak_bytes + self.fixed_key_bytes + kp,
+            live_bytes: p.live_bytes + self.fixed_key_bytes + kb,
+            allocations: p.misses + p.adopted,
+            pool_hits: p.hits,
+            pool_misses: p.misses,
+            key_hits: kh,
+            key_misses: km,
+            key_evictions: ke,
+            key_bytes_peak: kp,
+        }
     }
 }
 
@@ -231,6 +248,47 @@ pub fn rotation_steps(program: &fhe_ir::Program) -> Vec<i64> {
         .collect()
 }
 
+/// Options for encrypted execution: the backend configuration plus how the
+/// schedule's dependence DAG is walked.
+#[derive(Debug, Clone)]
+pub struct ParOptions {
+    /// Backend configuration (degree, seed, key policy, per-limb threads,
+    /// rotation hoisting).
+    pub exec: ExecOptions,
+    /// Op-level runners walking the DAG: `0` = auto (the global pool's
+    /// worker count), `1` = the serial schedule walk on the calling
+    /// thread. Results are bit-identical for every value.
+    pub workers: usize,
+    /// Execute fusible mul→rescale pairs as one fused mul·relin·rescale
+    /// kernel. Bit-identical either way; fusion skips materializing the
+    /// full-level product.
+    pub fusion: bool,
+}
+
+impl Default for ParOptions {
+    fn default() -> Self {
+        ParOptions {
+            exec: ExecOptions::default(),
+            workers: 0,
+            fusion: true,
+        }
+    }
+}
+
+impl ParOptions {
+    /// The plain walk every per-op measurement assumes: one runner on the
+    /// calling thread retiring ops in schedule order, one kernel call per
+    /// op (no fusion). This is what [`execute`] and [`execute_with_keys`]
+    /// run.
+    pub fn plain_walk(exec: ExecOptions) -> Self {
+        ParOptions {
+            exec,
+            workers: 1,
+            fusion: false,
+        }
+    }
+}
+
 /// Result of an encrypted execution.
 #[derive(Debug, Clone)]
 pub struct ExecReport {
@@ -238,115 +296,154 @@ pub struct ExecReport {
     pub outputs: Vec<Vec<f64>>,
     /// Plaintext reference outputs.
     pub reference: Vec<Vec<f64>>,
-    /// Wall-clock time spent in homomorphic operations (excludes key
-    /// generation, encryption and decryption).
+    /// Wall-clock time of the homomorphic phase: the prologue (input
+    /// encryption) plus the DAG walk.
     pub op_time: Duration,
-    /// End-to-end time including keygen/encrypt/decrypt.
+    /// Wall-clock time of the DAG walk alone — the measured `T(k)` the
+    /// depgraph's prediction is validated against.
+    pub walk_time: Duration,
+    /// End-to-end time including encrypt/decrypt and, for the entry points
+    /// that generate keys, keygen.
     pub total_time: Duration,
-    /// Number of homomorphic ops executed.
+    /// Number of homomorphic ops executed (input encryptions included).
     pub ops_executed: usize,
-    /// Wall time and op count per Table 3 op class (fresh encryptions are
-    /// counted in [`ExecReport::ops_executed`] but have no class).
+    /// Wall time and op count per Table 3 op class, summed across runners
+    /// (with several runners the durations sum past `op_time`; fresh
+    /// encryptions have no class). A fused mul·relin·rescale charges its
+    /// whole latency to the mul's class and counts the rescale with zero
+    /// duration; a hoisted rotation group charges its leader.
     pub per_class: Vec<(OpClass, Duration, usize)>,
-    /// Whole-run memory counters (pool + key material).
+    /// Whole-run memory counters (pool + key material); exact under
+    /// contention thanks to the pool's atomic accounting.
     pub mem: MemStats,
-    /// Per-op-class memory counters (summed deltas; byte peaks are the
-    /// high-water mark at the end of any op of the class).
-    pub per_class_mem: Vec<(OpClass, MemStats)>,
+    /// Per-node wall latency `(op, duration)` in retirement order — the
+    /// measured per-op costs a virtual-time replay of the walk uses.
+    pub node_times: Vec<(ValueId, Duration)>,
+    /// Runners the walk used after resolving `workers = 0`.
+    pub workers: usize,
+    /// mul→rescale pairs executed fused.
+    pub fused: usize,
+    /// Hoisted rotation groups executed at their leader.
+    pub hoisted_groups: usize,
+    /// Read/free and group-writer orderings the safety proof discharged
+    /// before the walk started.
+    pub safety_obligations: usize,
 }
+
+/// The report under the name `benchmark/` imports it by.
+pub type ParReport = ExecReport;
 
 impl ExecReport {
     /// Maximum absolute slot error vs the reference.
     pub fn max_abs_error(&self) -> f64 {
-        self.outputs
-            .iter()
-            .zip(&self.reference)
-            .flat_map(|(o, r)| o.iter().zip(r).map(|(a, b)| (a - b).abs()))
-            .fold(0.0, f64::max)
+        max_abs_diff(&self.outputs, &self.reference)
     }
 }
 
-/// Executes a scheduled program under real RNS-CKKS encryption.
+/// Executes a scheduled program under real RNS-CKKS encryption as the
+/// plain walk ([`ParOptions::plain_walk`]), generating fresh keys first.
 ///
 /// # Errors
 ///
-/// Returns the schedule's validation errors if it is illegal.
+/// As [`execute_parallel`].
 ///
 /// # Panics
 ///
-/// Panics if the program's slot count differs from `poly_degree / 2` or the
-/// schedule's rescaling factor differs from 60 bits (the backend's chain
-/// prime size is chosen to match the schedule's `R`).
+/// As [`execute_parallel`].
 pub fn execute(
     scheduled: &ScheduledProgram,
     inputs: &HashMap<String, Vec<f64>>,
     options: &ExecOptions,
 ) -> Result<ExecReport, Vec<ScheduleError>> {
-    let map = scheduled.validate()?;
-    let program = &scheduled.program;
-    assert_eq!(
-        program.slots(),
-        options.poly_degree / 2,
-        "program slots must match N/2 for rotation semantics"
-    );
-
-    let t_total = Instant::now();
-    let ckks_params = CkksParams {
-        poly_degree: options.poly_degree,
-        max_level: map.max_level() as usize,
-        modulus_bits: scheduled.params.rescale_bits,
-        special_bits: scheduled.params.rescale_bits.min(60) + 1,
-        error_std: 3.2,
-        threads: options.threads,
-    };
-    let ctx = CkksContext::new(ckks_params);
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let kg = KeyGenerator::new(&ctx, &mut rng);
-    let sk = kg.secret_key();
-    let relin = kg.relin_key(&mut rng);
-    let (galois, cache) = match &options.keys {
-        KeyPolicy::Lazy { budget_bytes } => {
-            let cache = KeyCache::new(
-                kg.secret_key(),
-                options.seed ^ KEY_CACHE_SEED_TWEAK,
-                *budget_bytes,
-            );
-            (GaloisKeys::default(), Some(cache))
-        }
-        KeyPolicy::EagerProgram => (kg.galois_keys(rotation_steps(program), &mut rng), None),
-        KeyPolicy::EagerSet(steps) => (kg.galois_keys(steps.iter().copied(), &mut rng), None),
-    };
-    let static_key_bytes = galois.byte_size() as u64;
-    let fixed_key_bytes = (sk.byte_size() + relin.byte_size()) as u64;
-    let mut ev = Evaluator::new(&ctx, Some(relin), galois);
-    if let Some(cache) = cache {
-        ev = ev.with_key_cache(cache);
-    }
-    run_schedule(
-        scheduled,
-        &map,
-        inputs,
-        options.rotation_hoisting,
-        &ev,
-        &ctx,
-        &sk,
-        &mut rng,
-        fixed_key_bytes,
-        static_key_bytes,
-        t_total,
-    )
+    execute_parallel(scheduled, inputs, &ParOptions::plain_walk(options.clone()))
 }
 
-/// Executes a scheduled program against pre-generated [`SessionKeys`],
-/// optionally drawing limb buffers from a shared [`PolyPool`] — the
-/// request path of a serving layer: compile once, generate keys once per
-/// session, execute many times.
+/// [`execute_parallel_with_keys`] as the plain walk
+/// ([`ParOptions::plain_walk`]); same contract otherwise.
 ///
-/// Encryption randomness comes from `enc_seed` alone (keygen randomness
-/// was consumed when the keys were generated), so a request's output bytes
-/// are a pure function of `(schedule, inputs, keys, enc_seed)` — byte
-/// identical whether requests run serially or interleaved with other
-/// sessions.
+/// # Errors
+///
+/// As [`execute_parallel_with_keys`].
+///
+/// # Panics
+///
+/// As [`execute_parallel_with_keys`].
+pub fn execute_with_keys(
+    scheduled: &ScheduledProgram,
+    inputs: &HashMap<String, Vec<f64>>,
+    options: &ExecOptions,
+    keys: &SessionKeys,
+    pool: Option<Arc<PolyPool>>,
+    enc_seed: u64,
+) -> Result<ExecReport, Vec<ScheduleError>> {
+    let options = ParOptions::plain_walk(options.clone());
+    execute_parallel_with_keys(scheduled, inputs, &options, keys, pool, enc_seed)
+}
+
+/// Executes a scheduled program under real RNS-CKKS encryption with
+/// `options.workers` runners: generates keys sized for the schedule
+/// ([`SessionKeys::for_schedule`]), then runs
+/// [`execute_parallel_with_keys`] with an encryption seed derived from
+/// `options.exec.seed`. Outputs are byte-identical for every worker count
+/// and fusion setting (at one `rotation_hoisting` setting).
+///
+/// # Errors
+///
+/// Returns the schedule's validation errors if it is illegal, or a
+/// [`ScheduleError::MissingKey`] if a rotation lacks its Galois key under
+/// an eager key policy.
+///
+/// # Panics
+///
+/// Panics if the program's slot count differs from `poly_degree / 2`, an
+/// input binding is missing, or the parallel-safety proof fails.
+pub fn execute_parallel(
+    scheduled: &ScheduledProgram,
+    inputs: &HashMap<String, Vec<f64>>,
+    options: &ParOptions,
+) -> Result<ExecReport, Vec<ScheduleError>> {
+    let t_total = Instant::now();
+    let keys = SessionKeys::for_schedule(scheduled, &options.exec)?;
+    let enc_seed = options.exec.seed ^ ENC_SEED_TWEAK;
+    let mut report = execute_parallel_with_keys(scheduled, inputs, options, &keys, None, enc_seed)?;
+    report.total_time = t_total.elapsed();
+    Ok(report)
+}
+
+/// The encrypted executor: runs a scheduled program against pre-generated
+/// [`SessionKeys`], optionally drawing limb buffers from a shared
+/// [`PolyPool`] — the request path of a serving layer: compile once,
+/// generate keys once per session, execute many times.
+///
+/// The schedule's dependence DAG ([`DepGraph`], with the anti edges from
+/// pool freeing and the output edges from rotation hoisting) is consumed
+/// by `options.workers` runners on the process-wide [`Pool`]; each pops the
+/// ready op earliest in the schedule from a shared [`DepConsumer`], runs
+/// it against one shared [`Evaluator`] and retires it, unlocking its
+/// successors. One runner therefore walks the schedule in order on the
+/// calling thread. Three invariants make any width sound and bit-exact:
+///
+/// 1. **Safety is proven, not assumed.** [`fhe_analysis::parallel::check`]
+///    runs over the very DAG about to be consumed; the DAG's anti/output
+///    edges discharge exactly its obligations, so the assertion guards
+///    against the graph builder and the freeing discipline diverging.
+/// 2. **Randomness is confined to the prologue.** Inputs are encrypted
+///    from `enc_seed` alone, in schedule order, before the first op (keygen
+///    randomness was consumed when the keys were generated; lazily
+///    generated Galois keys come from per-element streams). Every
+///    homomorphic op is a deterministic function of its operand bytes, so
+///    a request's output bytes are a pure function of `(schedule, inputs,
+///    keys, enc_seed)` — identical at every width, and whether requests run
+///    serially or interleaved with other sessions.
+/// 3. **Fusion never changes bytes.** A cipher×cipher mul whose sole
+///    consumer is its rescale runs as one [`Evaluator::mul_rescale`]
+///    kernel, bit-identical to the mul→rescale sequence; fusion only
+///    deletes the intermediate ciphertext and one scheduling round-trip.
+///
+/// A hoisted rotation group (`options.exec.rotation_hoisting`) executes at
+/// its leader, sharing one key-switch decomposition across the group. That
+/// reorders the key-switch arithmetic, so hoisting on and off differ in
+/// low-order bits — at every width alike.
 ///
 /// The report's [`MemStats`] counters (`allocations`, `pool_*`, `key_*`)
 /// are **deltas** over this call; byte figures (`peak_bytes`,
@@ -358,26 +455,33 @@ pub fn execute(
 ///
 /// # Errors
 ///
-/// Returns the schedule's validation errors if it is illegal.
+/// Returns the schedule's validation errors if it is illegal, or a
+/// [`ScheduleError::MissingKey`] if a rotation lacks its Galois key under
+/// an eager key policy.
 ///
 /// # Panics
 ///
 /// Panics if the program's slot count differs from the session context's
 /// `N/2`, the schedule needs more levels than the context provides, its
-/// rescaling factor differs from the context's chain-prime size, or an
-/// input binding is missing.
-pub fn execute_with_keys(
+/// rescaling factor differs from the context's chain-prime size, an input
+/// binding is missing, or the parallel-safety proof finds an unordered
+/// hazard in the DAG; a backend assertion inside an op (operand scales the
+/// validator equates but an inexact upscale drifts apart) propagates at
+/// every width. Every other `expect` below states the dependence edge that
+/// makes it unreachable.
+pub fn execute_parallel_with_keys(
     scheduled: &ScheduledProgram,
     inputs: &HashMap<String, Vec<f64>>,
-    options: &ExecOptions,
+    options: &ParOptions,
     keys: &SessionKeys,
     pool: Option<Arc<PolyPool>>,
     enc_seed: u64,
 ) -> Result<ExecReport, Vec<ScheduleError>> {
     let map = scheduled.validate()?;
-    let ctx = &keys.ctx;
+    let program = &scheduled.program;
+    let ctx = &*keys.ctx;
     assert_eq!(
-        scheduled.program.slots(),
+        program.slots(),
         ctx.degree() / 2,
         "program slots must match the session context's N/2"
     );
@@ -388,8 +492,8 @@ pub fn execute_with_keys(
         ctx.max_level()
     );
     assert_eq!(
-        scheduled.params.rescale_bits as usize,
-        ctx.params().modulus_bits as usize,
+        scheduled.params.rescale_bits,
+        ctx.params().modulus_bits,
         "schedule rescale bits must match the session context's chain primes"
     );
 
@@ -401,269 +505,153 @@ pub fn execute_with_keys(
     if let Some(pool) = pool {
         ev = ev.with_pool(pool);
     }
-    let mut rng = StdRng::seed_from_u64(enc_seed);
-    run_schedule(
-        scheduled,
-        &map,
-        inputs,
-        options.rotation_hoisting,
-        &ev,
-        ctx,
-        &keys.sk,
-        &mut rng,
-        keys.fixed_key_bytes,
-        keys.static_key_bytes,
-        t_total,
-    )
-}
+    let ev = &ev;
+    let start_mem = keys.mem_snapshot(ev);
 
-/// The shared post-keygen body of [`execute`] and [`execute_with_keys`]:
-/// walks the schedule serially against an already-constructed evaluator,
-/// with `rng` supplying encryption randomness in schedule order.
-#[allow(clippy::too_many_arguments)]
-fn run_schedule(
-    scheduled: &ScheduledProgram,
-    map: &ScaleMap,
-    inputs: &HashMap<String, Vec<f64>>,
-    rotation_hoisting: bool,
-    ev: &Evaluator<'_>,
-    ctx: &CkksContext,
-    sk: &SecretKey,
-    rng: &mut StdRng,
-    fixed_key_bytes: u64,
-    static_key_bytes: u64,
-    t_total: Instant,
-) -> Result<ExecReport, Vec<ScheduleError>> {
-    let program = &scheduled.program;
-    // Plaintext sub-values are evaluated in the clear and encoded on demand.
-    let slots = program.slots();
+    // The DAG the walk consumes, and the proof that consuming it in any
+    // topological order is race-free under the freeing discipline.
+    let hoisting = options.exec.rotation_hoisting;
+    let graph = DepGraph::build(scheduled, &map, &CostModel::paper_table3(), hoisting);
+    let safety = fhe_analysis::parallel::check(scheduled, &graph, hoisting);
+    assert!(
+        safety.race_free(),
+        "schedule failed the parallel-safety proof: {:?}",
+        safety.violations
+    );
     let live = fhe_ir::analysis::live(program);
-    let mut plain_vals: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
-    let mut cipher_vals: Vec<Option<Ciphertext>> = vec![None; program.num_ops()];
-    let waterline = 2f64.powi(scheduled.params.waterline_bits as i32);
+    let rotation_groups = fhe_ir::analysis::rotation_groups(program, &live, hoisting);
 
-    // Rotations of the same ciphertext share one hoisted key-switch
-    // decomposition: group them up front, compute the whole group when its
-    // first member executes, and hand out the rest from a side table.
-    let mut rotation_groups: HashMap<ValueId, Vec<(ValueId, i64)>> = HashMap::new();
-    for id in program.ids() {
-        if let Op::Rotate(a, k) = program.op(id) {
-            if live[id.index()] && program.is_cipher(id) {
-                rotation_groups.entry(*a).or_default().push((id, *k));
-            }
-        }
-    }
-    rotation_groups.retain(|_, group| group.len() >= 2);
-    if !rotation_hoisting {
-        rotation_groups.clear();
-    }
-    let mut hoisted_results: HashMap<ValueId, Ciphertext> = HashMap::new();
-
-    // Last-use positions drive eager freeing: a ciphertext whose final
-    // consumer has executed is recycled into the pool. Outputs stay live
-    // until decryption.
-    let mut last_use: Vec<usize> = vec![0; program.num_ops()];
-    let mut is_output = vec![false; program.num_ops()];
-    for &o in program.outputs() {
-        is_output[o.index()] = true;
-    }
-    for id in program.ids() {
-        if !live[id.index()] {
-            continue;
-        }
-        for a in program.op(id).operands() {
-            last_use[a.index()] = id.index();
-        }
-    }
-
-    let mut op_time = Duration::ZERO;
-    let mut ops_executed = 0usize;
-    let mut by_class: [(Duration, usize); OpClass::ALL.len()] =
-        [(Duration::ZERO, 0); OpClass::ALL.len()];
-    let mut by_class_mem: [MemStats; OpClass::ALL.len()] =
-        [MemStats::default(); OpClass::ALL.len()];
-    let start_mem = mem_snapshot(ev, fixed_key_bytes, static_key_bytes);
-    let mut prev_mem = start_mem;
-    let mut input_iter = scheduled.inputs.iter();
-
-    for id in program.ids() {
-        if !live[id.index()] {
-            if matches!(program.op(id), Op::Input { .. }) {
-                let _ = input_iter.next();
-            }
-            continue;
-        }
-        if program.is_plain(id) {
-            let v = match program.op(id) {
-                Op::Const { value } => value.to_vec(slots),
-                Op::Add(a, b) => bin(&plain_vals, *a, *b, |x, y| x + y),
-                Op::Sub(a, b) => bin(&plain_vals, *a, *b, |x, y| x - y),
-                Op::Mul(a, b) => bin(&plain_vals, *a, *b, |x, y| x * y),
-                Op::Neg(a) => get(&plain_vals, *a).iter().map(|x| -x).collect(),
-                Op::Rotate(a, k) => plain::rotate(get(&plain_vals, *a), *k),
-                other => unreachable!("plain {other:?}"),
-            };
-            plain_vals[id.index()] = Some(v);
-            continue;
-        }
-
-        let t0 = Instant::now();
-        let ct = match program.op(id) {
-            Op::Input { name } => {
-                let spec = input_iter.next().expect("input specs match inputs");
-                let data = inputs
-                    .get(name)
-                    .unwrap_or_else(|| panic!("missing input binding `{name}`"));
-                let scale = 2f64.powf(spec.scale_bits.to_f64());
-                let pt = ev.encoder().encode(data, scale, spec.level as usize);
-                let ct = encrypt_symmetric(ctx, sk, &pt, rng);
-                // Fresh encryptions allocate outside the pool; adopt their
-                // limbs so live/peak accounting covers them.
-                ev.pool().adopt(2 * ct.level);
-                ct
-            }
-            Op::Add(a, b) | Op::Sub(a, b) => {
-                let sub = matches!(program.op(id), Op::Sub(..));
-                match (program.is_cipher(*a), program.is_cipher(*b)) {
-                    (true, true) => {
-                        let ca = cref(&cipher_vals, *a);
-                        let cb = cref(&cipher_vals, *b);
-                        if sub {
-                            ev.sub(ca, cb)
-                        } else {
-                            ev.add(ca, cb)
-                        }
-                    }
-                    (true, false) => {
-                        let ca = cref(&cipher_vals, *a);
-                        let pv = get(&plain_vals, *b);
-                        let pv: Vec<f64> = if sub {
-                            pv.iter().map(|x| -x).collect()
-                        } else {
-                            pv.clone()
-                        };
-                        let pt = ev.encoder().encode(&pv, ca.scale, ca.level);
-                        ev.add_plain(ca, &pt)
-                    }
-                    (false, true) => {
-                        // plain ± cipher: a + b, or a − b = (−b) + a. The
-                        // negated temporary goes straight back to the pool.
-                        let cb = cref(&cipher_vals, *b);
-                        let pv = get(&plain_vals, *a);
-                        if sub {
-                            let neg = ev.neg(cb);
-                            let pt = ev.encoder().encode(pv, neg.scale, neg.level);
-                            let out = ev.add_plain(&neg, &pt);
-                            ev.recycle_ct(neg);
-                            out
-                        } else {
-                            let pt = ev.encoder().encode(pv, cb.scale, cb.level);
-                            ev.add_plain(cb, &pt)
-                        }
-                    }
-                    (false, false) => unreachable!(),
-                }
-            }
-            Op::Mul(a, b) => match (program.is_cipher(*a), program.is_cipher(*b)) {
-                (true, true) => ev.mul(cref(&cipher_vals, *a), cref(&cipher_vals, *b)),
-                (true, false) | (false, true) => {
-                    let (c, p) = if program.is_cipher(*a) {
-                        (*a, *b)
-                    } else {
-                        (*b, *a)
-                    };
-                    let cc = cref(&cipher_vals, c);
-                    let pt = ev
-                        .encoder()
-                        .encode(get(&plain_vals, p), waterline, cc.level);
-                    ev.mul_plain(cc, &pt)
-                }
-                (false, false) => unreachable!(),
-            },
-            Op::Neg(a) => ev.neg(cref(&cipher_vals, *a)),
-            Op::Rotate(a, k) => {
-                if let Some(ct) = hoisted_results.remove(&id) {
-                    ct
-                } else if let Some(group) = rotation_groups.get(a) {
-                    let ca = cref(&cipher_vals, *a);
-                    let steps: Vec<i64> = group.iter().map(|&(_, s)| s).collect();
-                    match ev.try_rotate_hoisted(ca, &steps) {
-                        Ok(outs) => {
-                            let mut mine = None;
-                            for (&(gid, _), out) in group.iter().zip(outs) {
-                                if gid == id {
-                                    mine = Some(out);
-                                } else {
-                                    hoisted_results.insert(gid, out);
-                                }
-                            }
-                            mine.expect("group contains the current op")
-                        }
-                        Err(e) => {
-                            return Err(vec![ScheduleError::MissingKey {
-                                op: id,
-                                steps: e.steps.unwrap_or(*k),
-                            }])
-                        }
-                    }
-                } else {
-                    match ev.try_rotate(cref(&cipher_vals, *a), *k) {
-                        Ok(ct) => ct,
-                        Err(_) => {
-                            return Err(vec![ScheduleError::MissingKey { op: id, steps: *k }])
-                        }
-                    }
-                }
-            }
-            Op::Rescale(a) => ev.rescale(cref(&cipher_vals, *a)),
-            Op::ModSwitch(a) => ev.mod_switch(cref(&cipher_vals, *a)),
-            Op::Upscale(a, delta) => ev.upscale(cref(&cipher_vals, *a), 2f64.powf(delta.to_f64())),
-            Op::Const { .. } => unreachable!("consts are plain"),
-        };
-        let elapsed = t0.elapsed();
-        op_time += elapsed;
-        ops_executed += 1;
-        debug_assert_eq!(
-            ct.level as u32,
-            map.level(id),
-            "backend level tracks schedule"
-        );
-        cipher_vals[id.index()] = Some(ct);
-        // Recycle operands whose last consumer just ran (a squared operand
-        // appears twice but is freed once).
-        let mut seen = None;
-        for a in program.op(id).operands() {
-            if seen == Some(a) {
+    // Fusion plan, demoted per pair unless the DAG confirms the rescale
+    // depends on nothing but its mul (so completing the mul is the only
+    // event that can make it ready, and the fused result is in place by
+    // then). A full DAG always confirms a planned pair; the check guards
+    // against the graph builder growing new edge kinds.
+    let mut rescale_of: Vec<Option<ValueId>> = vec![None; program.num_ops()];
+    let mut fused = 0usize;
+    if options.fusion {
+        for &(m, r) in FusionPlan::plan(scheduled).pairs() {
+            let (Some(mn), Some(rn)) = (graph.node(m), graph.node(r)) else {
                 continue;
-            }
-            seen = Some(a);
-            if program.is_cipher(a) && last_use[a.index()] == id.index() && !is_output[a.index()] {
-                if let Some(dead) = cipher_vals[a.index()].take() {
-                    ev.recycle_ct(dead);
-                }
+            };
+            if graph.preds(rn).iter().all(|&(p, _)| p == mn) {
+                rescale_of[m.index()] = Some(r);
+                fused += 1;
             }
         }
-        let cur = mem_snapshot(ev, fixed_key_bytes, static_key_bytes);
-        if let Some(class) = CostModel::classify(program, id) {
-            let slot = OpClass::ALL
-                .iter()
-                .position(|c| *c == class)
-                .expect("class in ALL");
-            by_class[slot].0 += elapsed;
-            by_class[slot].1 += 1;
-            let m = &mut by_class_mem[slot];
-            m.allocations += cur.allocations - prev_mem.allocations;
-            m.pool_hits += cur.pool_hits - prev_mem.pool_hits;
-            m.pool_misses += cur.pool_misses - prev_mem.pool_misses;
-            m.key_hits += cur.key_hits - prev_mem.key_hits;
-            m.key_misses += cur.key_misses - prev_mem.key_misses;
-            m.key_evictions += cur.key_evictions - prev_mem.key_evictions;
-            m.peak_bytes = m.peak_bytes.max(cur.live_bytes);
-            m.live_bytes = cur.live_bytes;
-            m.key_bytes_peak = m.key_bytes_peak.max(cur.key_bytes_peak);
-        }
-        prev_mem = cur;
     }
+
+    // Prologue: plaintext sub-values are evaluated in the clear (and
+    // encoded on demand by the ops that use them), and every live input is
+    // encrypted, consuming the seeded RNG in schedule order.
+    let slots = program.slots();
+    let mut rng = StdRng::seed_from_u64(enc_seed);
+    let mut plain_vals: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
+    let mut cipher_slots: Vec<RwLock<Option<Ciphertext>>> =
+        (0..program.num_ops()).map(|_| RwLock::new(None)).collect();
+    let t_ops = Instant::now();
+    for id in program.ids() {
+        if !live[id.index()] || program.is_cipher(id) {
+            continue;
+        }
+        let v = match program.op(id) {
+            Op::Const { value } => value.to_vec(slots),
+            Op::Add(a, b) => bin(&plain_vals, *a, *b, |x, y| x + y),
+            Op::Sub(a, b) => bin(&plain_vals, *a, *b, |x, y| x - y),
+            Op::Mul(a, b) => bin(&plain_vals, *a, *b, |x, y| x * y),
+            Op::Neg(a) => get(&plain_vals, *a).iter().map(|x| -x).collect(),
+            Op::Rotate(a, k) => plain::rotate(get(&plain_vals, *a), *k),
+            // INVARIANT: inputs are cipher and scale management applies
+            // to cipher values only (`validate` rejects it on plain ones).
+            other => unreachable!("plain {other:?}"),
+        };
+        plain_vals[id.index()] = Some(v);
+    }
+    let mut encrypted_inputs = 0usize;
+    // `validate` checked there is one spec per declared input.
+    for (&id, spec) in program.inputs().iter().zip(&scheduled.inputs) {
+        if !live[id.index()] {
+            continue;
+        }
+        let Op::Input { name } = program.op(id) else {
+            unreachable!("`Program::inputs` lists input ops");
+        };
+        let data = inputs
+            .get(name)
+            .unwrap_or_else(|| panic!("missing input binding `{name}`"));
+        let scale = 2f64.powf(spec.scale_bits.to_f64());
+        let pt = ev.encoder().encode(data, scale, spec.level as usize);
+        let ct = encrypt_symmetric(ctx, &keys.sk, &pt, &mut rng);
+        // Fresh encryptions allocate outside the pool; adopt their limbs
+        // so live/peak accounting covers them.
+        ev.pool().adopt(2 * ct.level);
+        *cipher_slots[id.index()].get_mut().expect(SLOT_LOCK) = Some(ct);
+        encrypted_inputs += 1;
+    }
+
+    // The walk. Runners share the frontier under one mutex; the condvar
+    // wakes idle runners whenever a completion readies new nodes.
+    let workers = if options.workers == 0 {
+        Pool::global().workers().max(1)
+    } else {
+        options.workers
+    };
+    let cx = RunCx {
+        program,
+        map: &map,
+        graph: &graph,
+        ev,
+        plain_vals: &plain_vals,
+        cipher_slots: &cipher_slots,
+        rotation_groups: &rotation_groups,
+        rescale_of: &rescale_of,
+        waterline: 2f64.powi(scheduled.params.waterline_bits as i32),
+    };
+    let walk = Mutex::new(Walk {
+        consumer: DepConsumer::new(&graph),
+        error: None,
+        node_times: Vec::new(),
+    });
+    let ready_cv = Condvar::new();
+    let runner = |_worker: usize| {
+        let _halt = HaltOnUnwind(&walk, &ready_cv);
+        loop {
+            let node = {
+                let mut w = walk.lock().expect(WALK_LOCK);
+                loop {
+                    if w.error.is_some() || w.consumer.is_done() {
+                        return;
+                    }
+                    if let Some(n) = w.consumer.pop_ready() {
+                        break n;
+                    }
+                    w = ready_cv.wait(w).expect(WALK_LOCK);
+                }
+            };
+            let result = cx.run_node(graph.nodes()[node].id);
+            let mut w = walk.lock().expect(WALK_LOCK);
+            match result {
+                Ok(elapsed) => {
+                    w.node_times.extend(elapsed.map(|d| (node, d)));
+                    w.consumer.complete(&graph, node);
+                }
+                Err(e) => w.error = Some(e),
+            }
+            drop(w);
+            ready_cv.notify_all();
+        }
+    };
+    let t_walk = Instant::now();
+    Pool::global().run(workers, workers, &runner);
+    let walk_time = t_walk.elapsed();
+    let op_time = t_ops.elapsed();
+
+    let walk = walk.into_inner().expect(WALK_LOCK);
+    if let Some(e) = walk.error {
+        return Err(e);
+    }
+    // INVARIANT: a runner returns only on an error (handled above) or with
+    // the frontier drained, and the DAG is acyclic, so nothing is left.
+    assert!(walk.consumer.is_done(), "walk retired every node");
 
     let outputs = program
         .outputs()
@@ -674,90 +662,283 @@ fn run_schedule(
             if program.is_plain(o) {
                 return get(&plain_vals, o).clone();
             }
-            let ct = cipher_vals[o.index()].as_ref().expect("output evaluated");
-            let mut v = ev.encoder().decode(&decrypt(ctx, sk, ct));
+            let mut v = ev.encoder().decode(&decrypt(ctx, &keys.sk, &cx.cipher(o)));
             v.truncate(slots);
             v
         })
         .collect();
-    let reference = plain::execute(program, inputs);
     let per_class = OpClass::ALL
         .iter()
-        .zip(by_class)
-        .filter(|(_, (_, n))| *n > 0)
-        .map(|(&c, (d, n))| (c, d, n))
+        .filter_map(|&class| {
+            let times: Vec<Duration> = walk
+                .node_times
+                .iter()
+                .filter(|&&(n, _)| graph.nodes()[n].class == Some(class))
+                .map(|&(_, d)| d)
+                .collect();
+            (!times.is_empty()).then(|| (class, times.iter().sum(), times.len()))
+        })
         .collect();
-    let per_class_mem = OpClass::ALL
-        .iter()
-        .zip(by_class_mem)
-        .zip(by_class.iter())
-        .filter(|(_, t)| t.1 > 0)
-        .map(|((&c, m), _)| (c, m))
-        .collect();
-    let mem = mem_snapshot(ev, fixed_key_bytes, static_key_bytes).delta_since(&start_mem);
     Ok(ExecReport {
         outputs,
-        reference,
+        reference: plain::execute(program, inputs),
         op_time,
+        walk_time,
         total_time: t_total.elapsed(),
-        ops_executed,
+        ops_executed: encrypted_inputs + walk.node_times.len(),
         per_class,
-        mem,
-        per_class_mem,
+        mem: keys.mem_snapshot(ev).delta_since(&start_mem),
+        node_times: walk
+            .node_times
+            .iter()
+            .map(|&(n, d)| (graph.nodes()[n].id, d))
+            .collect(),
+        workers,
+        fused,
+        hoisted_groups: rotation_groups.len(),
+        safety_obligations: safety.obligations,
     })
 }
 
-fn cref(vals: &[Option<Ciphertext>], id: ValueId) -> &Ciphertext {
-    vals[id.index()].as_ref().expect("cipher operand evaluated")
-}
+/// The walk mutex is held only around frontier bookkeeping, whose one
+/// panic (`DepConsumer::complete` on a node retired twice) is itself a
+/// broken invariant — short of that, no runner observes it poisoned.
+const WALK_LOCK: &str = "walk lock is never poisoned";
 
-/// Total memory picture at one instant: pool-tracked polynomial bytes plus
-/// the fixed key material (secret + relin) plus Galois keys (cached bytes
-/// under a lazy policy, the whole static set under an eager one). Encoder
-/// scratch is invisible here and in the static model alike, so the static
-/// bound stays comparable.
-pub(crate) fn mem_snapshot(
-    ev: &Evaluator<'_>,
-    fixed_key_bytes: u64,
-    static_key_bytes: u64,
-) -> MemStats {
-    let p = ev.pool_stats();
-    let (kh, km, ke, kb, kp) = match ev.key_cache() {
-        Some(c) => {
-            let s = c.stats();
-            (
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.bytes as u64,
-                s.peak_bytes as u64,
-            )
+/// Stops the walk when its runner unwinds (a backend assertion on a
+/// schedule the validator accepted), so the siblings parked on the condvar
+/// exit and `Pool::run` can re-raise the panic instead of waiting forever.
+struct HaltOnUnwind<'a>(&'a Mutex<Walk>, &'a Condvar);
+
+impl Drop for HaltOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut w = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            // Never read: the panic outranks it.
+            w.error.get_or_insert_with(Vec::new);
+            drop(w);
+            self.1.notify_all();
         }
-        None => (0, 0, 0, static_key_bytes, static_key_bytes),
-    };
-    MemStats {
-        peak_bytes: p.peak_bytes + fixed_key_bytes + kp,
-        live_bytes: p.live_bytes + fixed_key_bytes + kb,
-        allocations: p.misses + p.adopted,
-        pool_hits: p.hits,
-        pool_misses: p.misses,
-        key_hits: kh,
-        key_misses: km,
-        key_evictions: ke,
-        key_bytes_peak: kp,
     }
 }
 
-pub(crate) fn get(vals: &[Option<Vec<f64>>], id: ValueId) -> &Vec<f64> {
+/// The walk's shared state: the frontier, the first error any runner hit
+/// (runners drain and exit once it is set), and the latency of every
+/// executed cipher op by node, in retirement order.
+struct Walk {
+    consumer: DepConsumer,
+    error: Option<Vec<ScheduleError>>,
+    node_times: Vec<(usize, Duration)>,
+}
+
+/// A cipher operand borrowed from its slot for the duration of one op.
+struct Operand<'a>(RwLockReadGuard<'a, Option<Ciphertext>>);
+
+impl std::ops::Deref for Operand<'_> {
+    type Target = Ciphertext;
+
+    fn deref(&self) -> &Ciphertext {
+        // INVARIANT: the true edge from the operand's producer orders its
+        // store before this read, and the anti edges order this read
+        // before the op that frees the operand.
+        self.0.as_ref().expect("cipher operand evaluated")
+    }
+}
+
+/// Everything a runner needs to execute one DAG node, borrowed from the
+/// walk's shared state.
+struct RunCx<'a, 'c> {
+    program: &'a fhe_ir::Program,
+    map: &'a fhe_ir::ScaleMap,
+    graph: &'a DepGraph,
+    ev: &'a Evaluator<'c>,
+    plain_vals: &'a [Option<Vec<f64>>],
+    cipher_slots: &'a [RwLock<Option<Ciphertext>>],
+    rotation_groups: &'a HashMap<ValueId, Vec<(ValueId, i64)>>,
+    rescale_of: &'a [Option<ValueId>],
+    waterline: f64,
+}
+
+/// Slot locks are written only by [`RunCx::store`] and
+/// [`RunCx::recycle_operands`], whose write guards span one assignment —
+/// no code that can panic — and a panicking reader does not poison an
+/// `RwLock`.
+const SLOT_LOCK: &str = "slot lock is never poisoned";
+
+impl RunCx<'_, '_> {
+    fn cipher(&self, id: ValueId) -> Operand<'_> {
+        Operand(self.cipher_slots[id.index()].read().expect(SLOT_LOCK))
+    }
+
+    fn store(&self, id: ValueId, ct: Ciphertext) {
+        debug_assert_eq!(
+            ct.level as u32,
+            self.map.level(id),
+            "backend level tracks schedule"
+        );
+        *self.cipher_slots[id.index()].write().expect(SLOT_LOCK) = Some(ct);
+    }
+
+    /// Recycles the operands `id` is the free point of into the pool.
+    /// Sound at any width because the anti edges order every other reader
+    /// of such an operand before `id`. (An operand with no ciphertext in
+    /// its slot — a plain value, a fused mul's product — has nothing to
+    /// recycle.)
+    fn recycle_operands(&self, id: ValueId) {
+        let mut seen = None;
+        for a in self.program.op(id).operands() {
+            // A squared operand appears twice but is freed once.
+            if seen == Some(a) || self.graph.free_at(a) != Some(id) {
+                continue;
+            }
+            seen = Some(a);
+            let dead = self.cipher_slots[a.index()]
+                .write()
+                .expect(SLOT_LOCK)
+                .take();
+            if let Some(dead) = dead {
+                self.ev.recycle_ct(dead);
+            }
+        }
+    }
+
+    /// Executes the op behind one DAG node — the only place cipher ops are
+    /// dispatched to the [`Evaluator`] — and returns its wall latency.
+    /// Plain ops and inputs were evaluated in the prologue and retire for
+    /// free (`None`); a rescale fused into its mul and the non-leader
+    /// members of a hoisted rotation group find their value already stored
+    /// and retire with zero latency.
+    fn run_node(&self, id: ValueId) -> Result<Option<Duration>, Vec<ScheduleError>> {
+        let (program, ev) = (self.program, self.ev);
+        if program.is_plain(id) || matches!(program.op(id), Op::Input { .. }) {
+            return Ok(None);
+        }
+        // INVARIANT: only a node's own execution, its fusing mul (its one
+        // predecessor) or its group leader (an output-edge predecessor)
+        // stores its value, so a value in place means the work is done.
+        if self.cipher_slots[id.index()]
+            .read()
+            .expect(SLOT_LOCK)
+            .is_some()
+        {
+            self.recycle_operands(id);
+            return Ok(Some(Duration::ZERO));
+        }
+        let missing_key = |steps| vec![ScheduleError::MissingKey { op: id, steps }];
+
+        let t0 = Instant::now();
+        let (store_id, ct) = match program.op(id) {
+            Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => {
+                let (ca, cb) = (self.cipher(*a), self.cipher(*b));
+                match self.rescale_of[id.index()] {
+                    // Fused mul·relin·rescale: the result lands under the
+                    // rescale's id; the mul's full-level product never
+                    // exists.
+                    Some(r) => (r, ev.mul_rescale(&ca, &cb)),
+                    None => (id, ev.mul(&ca, &cb)),
+                }
+            }
+            Op::Mul(a, b) => {
+                let (c, p) = if program.is_cipher(*a) {
+                    (*a, *b)
+                } else {
+                    (*b, *a)
+                };
+                let cc = self.cipher(c);
+                let pt = ev
+                    .encoder()
+                    .encode(get(self.plain_vals, p), self.waterline, cc.level);
+                (id, ev.mul_plain(&cc, &pt))
+            }
+            Op::Add(a, b) | Op::Sub(a, b) => {
+                let sub = matches!(program.op(id), Op::Sub(..));
+                let out = match (program.is_cipher(*a), program.is_cipher(*b)) {
+                    (true, true) => {
+                        let (ca, cb) = (self.cipher(*a), self.cipher(*b));
+                        if sub {
+                            ev.sub(&ca, &cb)
+                        } else {
+                            ev.add(&ca, &cb)
+                        }
+                    }
+                    (true, false) => {
+                        let ca = self.cipher(*a);
+                        let pv = get(self.plain_vals, *b);
+                        let pt = if sub {
+                            let neg: Vec<f64> = pv.iter().map(|x| -x).collect();
+                            ev.encoder().encode(&neg, ca.scale, ca.level)
+                        } else {
+                            ev.encoder().encode(pv, ca.scale, ca.level)
+                        };
+                        ev.add_plain(&ca, &pt)
+                    }
+                    (false, true) => {
+                        // plain ± cipher: a + b, or a − b = (−b) + a. The
+                        // negated temporary goes straight back to the pool.
+                        let cb = self.cipher(*b);
+                        let pv = get(self.plain_vals, *a);
+                        if sub {
+                            let neg = ev.neg(&cb);
+                            let pt = ev.encoder().encode(pv, neg.scale, neg.level);
+                            let out = ev.add_plain(&neg, &pt);
+                            ev.recycle_ct(neg);
+                            out
+                        } else {
+                            let pt = ev.encoder().encode(pv, cb.scale, cb.level);
+                            ev.add_plain(&cb, &pt)
+                        }
+                    }
+                    (false, false) => unreachable!("a cipher op has a cipher operand"),
+                };
+                (id, out)
+            }
+            Op::Neg(a) => (id, ev.neg(&self.cipher(*a))),
+            Op::Rotate(a, k) => {
+                let ca = self.cipher(*a);
+                let out = match self.rotation_groups.get(a) {
+                    // The group's leader computes every member off one
+                    // shared decomposition and stores the siblings' values.
+                    Some(group) => {
+                        // INVARIANT: the output edges order every other
+                        // member after the leader, and those find their
+                        // value in place above.
+                        debug_assert_eq!(group[0].0, id, "only the leader rotates");
+                        let steps: Vec<i64> = group.iter().map(|&(_, s)| s).collect();
+                        let mut outs = ev
+                            .try_rotate_hoisted(&ca, &steps)
+                            .map_err(|e| missing_key(e.steps.unwrap_or(*k)))?
+                            .into_iter();
+                        // INVARIANT: one output per step, and a group has
+                        // at least two.
+                        let mine = outs.next().expect("one output per group member");
+                        for (&(member, _), out) in group[1..].iter().zip(outs) {
+                            self.store(member, out);
+                        }
+                        mine
+                    }
+                    None => ev.try_rotate(&ca, *k).map_err(|_| missing_key(*k))?,
+                };
+                (id, out)
+            }
+            Op::Rescale(a) => (id, ev.rescale(&self.cipher(*a))),
+            Op::ModSwitch(a) => (id, ev.mod_switch(&self.cipher(*a))),
+            Op::Upscale(a, delta) => (id, ev.upscale(&self.cipher(*a), 2f64.powf(delta.to_f64()))),
+            Op::Const { .. } | Op::Input { .. } => unreachable!("retired above"),
+        };
+        let elapsed = t0.elapsed();
+        self.store(store_id, ct);
+        self.recycle_operands(id);
+        Ok(Some(elapsed))
+    }
+}
+
+fn get(vals: &[Option<Vec<f64>>], id: ValueId) -> &Vec<f64> {
+    // INVARIANT: plain values are computed in the prologue in schedule
+    // order, before any op reads them.
     vals[id.index()].as_ref().expect("plain operand evaluated")
 }
 
-pub(crate) fn bin(
-    vals: &[Option<Vec<f64>>],
-    a: ValueId,
-    b: ValueId,
-    f: impl Fn(f64, f64) -> f64,
-) -> Vec<f64> {
+fn bin(vals: &[Option<Vec<f64>>], a: ValueId, b: ValueId, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
     get(vals, a)
         .iter()
         .zip(get(vals, b))
@@ -947,5 +1128,219 @@ mod tests {
             "err {}",
             report.max_abs_error()
         );
+    }
+
+    fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        outputs
+            .iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    fn fig2a() -> ScheduledProgram {
+        let slots = 128;
+        let b = Builder::new("fig2a", slots);
+        let x = b.input("x");
+        let y = b.input("y");
+        let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
+        let p = b.finish(vec![q]);
+        reserve_core::compile(&p, &Options::new(30))
+            .unwrap()
+            .scheduled
+    }
+
+    #[test]
+    fn every_width_is_bit_identical_to_the_plain_walk() {
+        let s = fig2a();
+        let xs: Vec<f64> = (0..128).map(|i| ((i % 5) as f64 - 2.0) * 0.3).collect();
+        let ys: Vec<f64> = (0..128).map(|i| ((i % 7) as f64) * 0.1).collect();
+        let binds = inputs(&[("x", xs), ("y", ys)]);
+        let serial = execute(&s, &binds, &opts()).unwrap();
+        for workers in [1usize, 2, 3, 8] {
+            let par = execute_parallel(
+                &s,
+                &binds,
+                &ParOptions {
+                    exec: opts(),
+                    workers,
+                    fusion: true,
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                bits(&par.outputs),
+                bits(&serial.outputs),
+                "workers = {workers}"
+            );
+            assert_eq!(par.ops_executed, serial.ops_executed);
+            assert!(par.fused > 0, "fig2a has fusible mul→rescale chains");
+            assert!(par.safety_obligations > 0);
+        }
+    }
+
+    #[test]
+    fn fusion_toggle_does_not_change_bytes() {
+        let s = fig2a();
+        let binds = inputs(&[("x", vec![0.5; 128]), ("y", vec![0.25; 128])]);
+        let mk = |fusion| ParOptions {
+            exec: opts(),
+            workers: 2,
+            fusion,
+        };
+        let on = execute_parallel(&s, &binds, &mk(true)).unwrap();
+        let off = execute_parallel(&s, &binds, &mk(false)).unwrap();
+        assert!(on.fused > 0);
+        assert_eq!(off.fused, 0);
+        assert_eq!(bits(&on.outputs), bits(&off.outputs));
+    }
+
+    #[test]
+    fn hoisted_rotation_groups_execute_at_the_leader() {
+        let slots = 128;
+        let b = Builder::new("rotgrp", slots);
+        let x = b.input("x");
+        let e = x.clone().rotate(1) + x.clone().rotate(2) + x.clone().rotate(3) + x;
+        let p = b.finish(vec![e]);
+        let mut options = Options::new(30);
+        options.params.output_reserve_bits = 2;
+        let s = reserve_core::compile(&p, &options).unwrap().scheduled;
+        let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.001).collect();
+        let binds = inputs(&[("x", xs)]);
+        let serial = execute(&s, &binds, &opts()).unwrap();
+        let par = execute_parallel(
+            &s,
+            &binds,
+            &ParOptions {
+                exec: opts(),
+                workers: 4,
+                fusion: true,
+            },
+        )
+        .unwrap();
+        assert!(par.hoisted_groups > 0);
+        assert_eq!(bits(&par.outputs), bits(&serial.outputs));
+    }
+
+    #[test]
+    fn missing_keys_surface_as_schedule_errors_not_panics() {
+        let slots = 128;
+        let b = Builder::new("missing", slots);
+        let x = b.input("x");
+        let e = x.clone().rotate(1) + x.clone().rotate(3) + x;
+        let p = b.finish(vec![e]);
+        let mut options = Options::new(30);
+        options.params.output_reserve_bits = 2;
+        let s = reserve_core::compile(&p, &options).unwrap().scheduled;
+        let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.001).collect();
+        let err = execute_parallel(
+            &s,
+            &inputs(&[("x", xs)]),
+            &ParOptions {
+                exec: ExecOptions {
+                    keys: KeyPolicy::EagerSet(vec![1]),
+                    ..opts()
+                },
+                workers: 4,
+                fusion: true,
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err[0], ScheduleError::MissingKey { steps: 3, .. }),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a pool job panicked")]
+    fn a_runner_panic_stops_the_walk_instead_of_stranding_its_siblings() {
+        // Legal to the validator, but the backend realizes the half-bit
+        // upscale as a multiply by 1, so the add's operand scales differ
+        // and the evaluator asserts — while the second runner is parked on
+        // the condvar with nothing ready.
+        let mut p = fhe_ir::Program::new("drift", 128);
+        let x = p.push(Op::Input { name: "x".into() });
+        let y = p.push(Op::Input { name: "y".into() });
+        let up = p.push(Op::Upscale(x, fhe_ir::Frac::ratio(1, 2)));
+        let sum = p.push(Op::Add(up, y));
+        p.set_outputs(vec![sum]);
+        let spec = |scale_bits| fhe_ir::InputSpec {
+            scale_bits,
+            level: 1,
+        };
+        let s = ScheduledProgram {
+            params: fhe_ir::CompileParams::new(30),
+            inputs: vec![spec(30.into()), spec(fhe_ir::Frac::ratio(61, 2))],
+            program: p,
+        };
+        let binds = inputs(&[("x", vec![0.5; 128]), ("y", vec![0.25; 128])]);
+        let options = ParOptions {
+            exec: opts(),
+            workers: 2,
+            fusion: true,
+        };
+        let _ = execute_parallel(&s, &binds, &options);
+    }
+
+    #[test]
+    fn session_keys_reuse_is_deterministic_across_widths() {
+        let s = fig2a();
+        let xs: Vec<f64> = (0..128).map(|i| ((i % 5) as f64 - 2.0) * 0.3).collect();
+        let ys: Vec<f64> = (0..128).map(|i| ((i % 7) as f64) * 0.1).collect();
+        let binds = inputs(&[("x", xs), ("y", ys)]);
+        let opts = opts();
+        let keys = SessionKeys::for_schedule(&s, &opts).unwrap();
+        let pool = Arc::new(PolyPool::new(opts.poly_degree));
+
+        // Same enc_seed → byte-identical, across repeats and widths.
+        let a = execute_with_keys(&s, &binds, &opts, &keys, None, 7).unwrap();
+        let b = execute_with_keys(&s, &binds, &opts, &keys, Some(pool.clone()), 7).unwrap();
+        assert_eq!(bits(&a.outputs), bits(&b.outputs), "shared pool is inert");
+        let par_opts = ParOptions {
+            exec: opts.clone(),
+            workers: 3,
+            fusion: true,
+        };
+        let c = execute_parallel_with_keys(&s, &binds, &par_opts, &keys, Some(pool.clone()), 7)
+            .unwrap();
+        assert_eq!(
+            bits(&a.outputs),
+            bits(&c.outputs),
+            "three fused runners match the plain walk"
+        );
+        assert!(a.max_abs_error() < 1e-2);
+
+        // A different enc_seed changes ciphertext noise but stays correct.
+        let d = execute_with_keys(&s, &binds, &opts, &keys, None, 8).unwrap();
+        assert_ne!(bits(&a.outputs), bits(&d.outputs));
+        assert!(d.max_abs_error() < 1e-2);
+
+        // Counter deltas over a shared pool: the second request's hits grow
+        // because it recycles buffers the first returned.
+        let stats = pool.stats();
+        assert_eq!(stats.hits, b.mem.pool_hits + c.mem.pool_hits);
+        assert!(c.mem.pool_hits > 0, "warm pool serves from the free list");
+    }
+
+    #[test]
+    fn walk_telemetry_covers_every_cipher_op() {
+        let s = fig2a();
+        let binds = inputs(&[("x", vec![0.5; 128]), ("y", vec![0.25; 128])]);
+        let par = execute_parallel(
+            &s,
+            &binds,
+            &ParOptions {
+                exec: opts(),
+                workers: 2,
+                fusion: true,
+            },
+        )
+        .unwrap();
+        let class_count: usize = par.per_class.iter().map(|&(_, _, n)| n).sum();
+        assert_eq!(par.node_times.len(), class_count);
+        assert!(par.walk_time <= par.op_time);
+        assert!(par.op_time <= par.total_time);
+        assert!(par.max_abs_error() < 1e-2);
+        assert!(par.mem.peak_bytes > 0);
     }
 }

@@ -14,9 +14,8 @@ use std::time::{Duration, Instant};
 
 use fhe_ir::{CostModel, OpClass, ScheduleError, ScheduledProgram};
 
-use crate::ckks_exec::{self, ExecOptions};
+use crate::ckks_exec::{self, ParOptions};
 use crate::noise_sim::{self, NoiseModel};
-use crate::par_exec::{self, ParOptions};
 use crate::plain;
 
 /// Memory counters of one execution (encrypted backend only; the
@@ -96,10 +95,6 @@ pub struct ExecTrace {
     pub per_class: Vec<(OpClass, Duration, usize)>,
     /// Whole-run memory counters (encrypted backend; zeros elsewhere).
     pub mem: MemStats,
-    /// Per-op-class memory counters: counter fields are summed deltas over
-    /// the class's ops, byte peaks are the high-water mark observed at the
-    /// end of any op of the class.
-    pub per_class_mem: Vec<(OpClass, MemStats)>,
 }
 
 /// Result of running a scheduled program through any [`Executor`].
@@ -275,12 +270,14 @@ impl Executor for NoiseSimExec {
     }
 }
 
-/// Real encrypted execution on the `fhe-ckks` backend, with per-op-class
-/// wall-clock timing.
+/// Real encrypted execution on the `fhe-ckks` backend
+/// ([`ckks_exec::execute_parallel`]), with per-op-class wall-clock timing.
+/// Outputs are byte-identical at every `workers` and `fusion` setting;
+/// [`ParOptions::plain_walk`] is the serial schedule walk.
 #[derive(Debug, Clone, Default)]
 pub struct CkksExec {
-    /// Backend configuration (polynomial degree, seed).
-    pub options: ExecOptions,
+    /// Backend + walk configuration.
+    pub options: ParOptions,
 }
 
 impl Executor for CkksExec {
@@ -293,7 +290,7 @@ impl Executor for CkksExec {
         scheduled: &ScheduledProgram,
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<Execution, Vec<ScheduleError>> {
-        let report = ckks_exec::execute(scheduled, inputs, &self.options)?;
+        let report = ckks_exec::execute_parallel(scheduled, inputs, &self.options)?;
         Ok(Execution {
             outputs: report.outputs,
             reference: report.reference,
@@ -303,46 +300,6 @@ impl Executor for CkksExec {
                 ops_executed: report.ops_executed,
                 per_class: report.per_class,
                 mem: report.mem,
-                per_class_mem: report.per_class_mem,
-            },
-        })
-    }
-}
-
-/// Real encrypted execution through the DAG-parallel executor
-/// ([`par_exec`]): op-level parallelism on the persistent work-stealing
-/// pool, with fused mul·relin·rescale and hoisted rotations. Outputs are
-/// byte-identical to [`CkksExec`] at the same backend options.
-#[derive(Debug, Clone, Default)]
-pub struct ParCkksExec {
-    /// Backend + walk configuration (workers, fusion toggle).
-    pub options: ParOptions,
-}
-
-impl Executor for ParCkksExec {
-    fn name(&self) -> &str {
-        "ckks-par"
-    }
-
-    fn execute(
-        &self,
-        scheduled: &ScheduledProgram,
-        inputs: &HashMap<String, Vec<f64>>,
-    ) -> Result<Execution, Vec<ScheduleError>> {
-        let report = par_exec::execute_parallel(scheduled, inputs, &self.options)?;
-        Ok(Execution {
-            outputs: report.outputs,
-            reference: report.reference,
-            trace: ExecTrace {
-                total_time: report.total_time,
-                op_time: report.op_time,
-                ops_executed: report.ops_executed,
-                per_class: report.per_class,
-                mem: report.mem,
-                // Per-class memory attribution diffs whole-pool snapshots
-                // between consecutive ops — meaningless under concurrent
-                // runners, so the parallel backend reports none.
-                per_class_mem: Vec::new(),
             },
         })
     }
@@ -359,6 +316,17 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect()
+    }
+
+    fn small_ckks() -> CkksExec {
+        CkksExec {
+            options: ParOptions::plain_walk(ckks_exec::ExecOptions {
+                poly_degree: 256,
+                seed: 3,
+                threads: 1,
+                ..ckks_exec::ExecOptions::default()
+            }),
+        }
     }
 
     fn fig2a_scheduled(slots: usize) -> ScheduledProgram {
@@ -404,14 +372,7 @@ mod tests {
         let executors: Vec<Box<dyn Executor>> = vec![
             Box::new(PlainExec),
             Box::new(NoiseSimExec::default()),
-            Box::new(CkksExec {
-                options: ExecOptions {
-                    poly_degree: 256,
-                    seed: 3,
-                    threads: 1,
-                    ..ExecOptions::default()
-                },
-            }),
+            Box::new(small_ckks()),
         ];
         for ex in &executors {
             let run = ex.execute(&s, &binds).unwrap();
@@ -424,76 +385,14 @@ mod tests {
     fn ckks_executor_times_per_class() {
         let s = fig2a_scheduled(128);
         let binds = inputs(&[("x", vec![0.5; 128]), ("y", vec![0.25; 128])]);
-        let run = CkksExec {
-            options: ExecOptions {
-                poly_degree: 256,
-                seed: 3,
-                threads: 1,
-                ..ExecOptions::default()
-            },
-        }
-        .execute(&s, &binds)
-        .unwrap();
+        let run = small_ckks().execute(&s, &binds).unwrap();
         let timed: Duration = run.trace.per_class.iter().map(|&(_, d, _)| d).sum();
         assert!(timed > Duration::ZERO);
         assert!(timed <= run.trace.op_time);
         // Memory accounting is live on the encrypted backend: a nonzero
-        // peak, recycled buffers producing pool hits, and per-class stats
-        // covering the timed classes.
+        // peak and recycled buffers producing pool hits.
         assert!(run.trace.mem.peak_bytes > 0);
         assert!(run.trace.mem.pool_hit_rate() > 0.0);
-        assert_eq!(run.trace.per_class_mem.len(), run.trace.per_class.len());
-    }
-
-    #[test]
-    fn per_class_mem_counters_sum_to_the_global_trace() {
-        // Rotate-heavy program: four distinct steps drive the lazy
-        // Galois-key cache, and the mul/rescale churn exercises the pool.
-        let b = Builder::new("rotsum", 64);
-        let x = b.input("x");
-        let y = b.input("y");
-        let mut acc = x.clone() * y.clone();
-        for k in [1i64, 2, 4, 8] {
-            acc = acc.rotate(k) + x.clone().rotate(-k) * y.clone();
-        }
-        let p = b.finish(vec![acc]);
-        let s = reserve_core::compile(&p, &Options::new(30))
-            .unwrap()
-            .scheduled;
-        let xs: Vec<f64> = (0..64).map(|i| ((i % 5) as f64 - 2.0) * 0.2).collect();
-        let ys: Vec<f64> = (0..64).map(|i| ((i % 3) as f64) * 0.3).collect();
-        let run = CkksExec {
-            options: ExecOptions {
-                poly_degree: 128,
-                seed: 9,
-                threads: 1,
-                ..ExecOptions::default()
-            },
-        }
-        .execute(&s, &inputs(&[("x", xs), ("y", ys)]))
-        .unwrap();
-        let t = &run.trace;
-        assert!(t
-            .per_class_mem
-            .iter()
-            .any(|&(c, m)| c == OpClass::Rotate && m.key_hits + m.key_misses > 0));
-        // Counter fields are deltas attributed to the executing op, so the
-        // per-class totals must reconstruct the whole-run counters exactly.
-        let sum = |f: fn(&MemStats) -> u64| t.per_class_mem.iter().map(|(_, m)| f(m)).sum::<u64>();
-        assert_eq!(sum(|m| m.pool_hits), t.mem.pool_hits);
-        assert_eq!(sum(|m| m.pool_misses), t.mem.pool_misses);
-        assert_eq!(sum(|m| m.key_hits), t.mem.key_hits);
-        assert_eq!(sum(|m| m.key_misses), t.mem.key_misses);
-        assert_eq!(sum(|m| m.key_evictions), t.mem.key_evictions);
-        // Fresh input encryptions adopt buffers outside any op class, so
-        // the global allocation count strictly exceeds the per-class sum.
-        assert!(sum(|m| m.allocations) < t.mem.allocations);
-        // Byte fields are high-water marks, bounded by the run's peak.
-        for &(class, m) in &t.per_class_mem {
-            assert!(m.peak_bytes <= t.mem.peak_bytes, "{class:?}");
-            assert!(m.live_bytes <= m.peak_bytes, "{class:?}");
-            assert!(m.key_bytes_peak <= t.mem.key_bytes_peak, "{class:?}");
-        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! # fhe-runtime — executors and estimators for scheduled programs
 //!
-//! Four ways to run or cost a compiled ([`fhe_ir::ScheduledProgram`])
-//! RNS-CKKS program:
+//! Three ways to run a compiled ([`fhe_ir::ScheduledProgram`]) RNS-CKKS
+//! program:
 //!
 //! - [`plain`]: exact plaintext reference execution (the semantics oracle);
 //! - [`noise_sim`]: plaintext execution with the scheme's scale-dependent
 //!   noise injected per op — drives the paper's error comparison (Fig. 7)
 //!   at a tiny fraction of encrypted cost;
 //! - [`ckks_exec`]: real encrypted execution on the `fhe-ckks` backend with
-//!   wall-clock timing;
+//!   wall-clock timing — one walker over the schedule's dependence DAG,
+//!   serial at one runner;
+//!
+//! two ways to cost one without running it:
+//!
 //! - [`estimate()`](estimate::estimate): static latency estimation under the Table 3 cost model
 //!   (drives Fig. 6 and Fig. 8);
 //! - [`error_est`]: closed-form worst-case error bounds (an ELASM-style
@@ -31,18 +35,16 @@ pub mod estimate;
 pub mod executor;
 pub mod microbench;
 pub mod noise_sim;
-pub mod par_exec;
 pub mod plain;
 
 pub use ckks_exec::{
-    execute as execute_encrypted, execute_with_keys, rotation_steps, ExecOptions, ExecReport,
-    KeyPolicy, SessionKeys,
+    execute as execute_encrypted, execute_parallel, execute_parallel_with_keys, execute_with_keys,
+    rotation_steps, ExecOptions, ExecReport, KeyPolicy, ParOptions, ParReport, SessionKeys,
 };
 pub use error_est::{estimate_error, select_waterline, ErrorEstimateOptions};
 pub use estimate::{estimate, LatencyBreakdown};
 pub use executor::{
     max_abs_diff, outputs_close, CkksExec, ExecTrace, Execution, Executor, MemStats, NoiseSimExec,
-    ParCkksExec, PlainExec,
+    PlainExec,
 };
 pub use noise_sim::{simulate, NoiseModel, NoisyRun};
-pub use par_exec::{execute_parallel, execute_parallel_with_keys, ParOptions, ParReport};

@@ -10,13 +10,12 @@
 //! cargo run --release --bin fhec -- program.fhe --run --workers 4
 //! ```
 //!
-//! `--run` executes the compiled schedule on the encrypted backend through
-//! the DAG-parallel executor (deterministic inputs derived from the input
-//! names, the fuzz harness's convention) and reports walk telemetry:
-//! runners, fused mul·relin·rescale pairs, hoisted rotation groups, and
-//! the parallel walk time. `--workers 0` (the default) sizes the walk to
-//! the host; `--workers 1` is the serial reference walk; `--no-fusion`
-//! disables the fused kernel. Outputs are bit-identical for every worker
+//! `--run` executes the compiled schedule on the encrypted backend
+//! (deterministic inputs derived from the input names, the fuzz harness's
+//! convention) and reports walk telemetry: runners, fused
+//! mul·relin·rescale pairs, hoisted rotation groups, and the walk time.
+//! `--workers 0` (the default) sizes the walk to the host; `--workers 1`
+//! is the serial executor; `--no-fusion` disables the fused kernel. Outputs are bit-identical for every worker
 //! count and fusion setting.
 
 use std::process::ExitCode;

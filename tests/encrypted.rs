@@ -4,17 +4,17 @@
 //! reference via the shared [`outputs_close`] diff helper.
 
 use fhe_reserve::prelude::*;
-use fhe_reserve::runtime::ExecOptions;
+use fhe_reserve::runtime::{ExecOptions, ParOptions};
 
 fn exec() -> CkksExec {
     // 256 slots = N/2 for N = 512: matches the Size::Test LeNet slot count.
     CkksExec {
-        options: ExecOptions {
+        options: ParOptions::plain_walk(ExecOptions {
             poly_degree: 256,
             seed: 99,
             threads: 1,
             ..ExecOptions::default()
-        },
+        }),
     }
 }
 
@@ -29,12 +29,12 @@ fn encrypted_sobel_matches_reference() {
     // An 8×8 image is 64 slots, so the backend degree is N = 128.
     let program = fhe_reserve::workloads::image::sobel(8);
     let ckks = CkksExec {
-        options: ExecOptions {
+        options: ParOptions::plain_walk(ExecOptions {
             poly_degree: 128,
             seed: 1,
             threads: 1,
             ..ExecOptions::default()
-        },
+        }),
     };
     let inputs = fhe_reserve::workloads::image::image_inputs(8, 5);
     let compiled = compile(&program, &with_output_reserve(30, 4)).unwrap();
@@ -105,12 +105,12 @@ fn encrypted_tiny_lenet_runs_all_eleven_levels() {
     // encrypted test in the suite.
     let compiled = compile(&program, &with_output_reserve(30, 4)).unwrap();
     let ckks = CkksExec {
-        options: ExecOptions {
+        options: ParOptions::plain_walk(ExecOptions {
             poly_degree: 256,
             seed: 4,
             threads: 1,
             ..ExecOptions::default()
-        },
+        }),
     };
     let run = ckks.execute(&compiled.scheduled, &inputs).unwrap();
     outputs_close(&run.outputs, &run.reference, 0.05)

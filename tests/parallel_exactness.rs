@@ -1,11 +1,15 @@
-//! Bit-exactness property suite for the DAG-parallel executor: for every
-//! worker count, with fusion and rotation hoisting on, the parallel
-//! backend must reproduce the serial encrypted backend's decrypted
-//! outputs *byte for byte* — not merely within noise tolerance.
+//! Bit-exactness property suite for the encrypted executor: at every
+//! worker count, with fusion on, it must reproduce the decrypted outputs
+//! of its own plain walk — one runner on the calling thread retiring ops
+//! in schedule order, one kernel call per op, so no concurrency to race —
+//! *byte for byte*, not merely within noise tolerance. Rotation hoisting
+//! is the one setting that is *not* byte-transparent (a shared
+//! decomposition reorders the key-switch arithmetic), so each comparison
+//! holds it fixed on both sides.
 //!
 //! This is the executable form of the executor's determinism argument:
-//! key generation and input encryption consume the seeded RNG in schedule
-//! order before the walk goes wide, lazily generated Galois keys come
+//! input encryption consumes the seeded RNG in schedule order before the
+//! walk starts, lazily generated Galois keys come
 //! from per-element RNG streams (generation order cannot matter), and
 //! every homomorphic op — including the fused mul·relin·rescale kernel —
 //! is a deterministic function of its operand bytes. Any nondeterminism a
@@ -18,10 +22,10 @@
 
 use fhe_fuzz::{generate, input_data, schedule_fits_backend, GenConfig, OpMix};
 use fhe_reserve::prelude::*;
-use fhe_reserve::runtime::{ExecOptions, ParCkksExec, ParOptions};
+use fhe_reserve::runtime::{execute_parallel, ExecOptions, ParOptions};
 use fhe_reserve::workloads;
 
-/// The widths the suite sweeps: serial walk, small, odd, and wider than
+/// The widths the suite sweeps: one runner, small, odd, and wider than
 /// the golden programs' max DAG width.
 const WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
@@ -32,13 +36,19 @@ fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn backend(slots: usize, seed: u64) -> ExecOptions {
+fn backend(slots: usize, seed: u64, rotation_hoisting: bool) -> ExecOptions {
     ExecOptions {
         poly_degree: slots * 2,
         seed,
         threads: 1,
+        rotation_hoisting,
         ..ExecOptions::default()
     }
+}
+
+/// The reference every case compares against.
+fn plain_walk(slots: usize, seed: u64, rotation_hoisting: bool) -> ParOptions {
+    ParOptions::plain_walk(backend(slots, seed, rotation_hoisting))
 }
 
 /// Compiles a workload with the smallest output reserve whose schedule
@@ -67,33 +77,28 @@ fn golden_workloads_are_bit_exact_at_every_width() {
         let Some(scheduled) = compile_fitting(&w) else {
             panic!("{}: no output reserve makes the schedule fit", w.name);
         };
-        let exec = backend(w.program.slots(), 0xB17_EAC7 ^ checked as u64);
-        let serial = CkksExec {
-            options: exec.clone(),
-        }
-        .execute(&scheduled, &w.inputs)
-        .unwrap_or_else(|e| panic!("{} serial: {e:?}", w.name));
-        outputs_close(&serial.outputs, &serial.reference, 5e-2)
-            .unwrap_or_else(|e| panic!("{} serial vs reference: {e}", w.name));
-        let want = bits(&serial.outputs);
+        let (slots, seed) = (w.program.slots(), 0xB17_EAC7 ^ checked as u64);
+        let plain = execute_parallel(&scheduled, &w.inputs, &plain_walk(slots, seed, true))
+            .unwrap_or_else(|e| panic!("{} plain walk: {e:?}", w.name));
+        outputs_close(&plain.outputs, &plain.reference, 5e-2)
+            .unwrap_or_else(|e| panic!("{} plain walk vs reference: {e}", w.name));
+        let want = bits(&plain.outputs);
         for workers in WIDTHS {
-            let par = ParCkksExec {
-                options: ParOptions {
-                    exec: exec.clone(),
-                    workers,
-                    fusion: true,
-                },
-            }
-            .execute(&scheduled, &w.inputs)
-            .unwrap_or_else(|e| panic!("{} parallel x{workers}: {e:?}", w.name));
+            let options = ParOptions {
+                exec: backend(slots, seed, true),
+                workers,
+                fusion: true,
+            };
+            let wide = execute_parallel(&scheduled, &w.inputs, &options)
+                .unwrap_or_else(|e| panic!("{} x{workers}: {e:?}", w.name));
             assert_eq!(
-                bits(&par.outputs),
+                bits(&wide.outputs),
                 want,
-                "{} diverges bitwise from serial at {workers} workers",
+                "{} diverges bitwise from the plain walk at {workers} workers",
                 w.name
             );
             assert_eq!(
-                par.trace.ops_executed, serial.trace.ops_executed,
+                wide.ops_executed, plain.ops_executed,
                 "{} op count at {workers} workers",
                 w.name
             );
@@ -130,28 +135,99 @@ fn rotate_heavy_fuzz_mix_is_bit_exact() {
         if !schedule_fits_backend(&compiled.scheduled, &inputs) {
             continue;
         }
-        let exec = backend(program.slots(), 0xF0_0D ^ seed);
-        let serial = fhe_reserve::runtime::execute_encrypted(&compiled.scheduled, &inputs, &exec)
-            .unwrap_or_else(|e| panic!("seed {seed} serial: {e:?}"));
-        let want = bits(&serial.outputs);
-        for workers in [3usize, 8] {
-            let par = fhe_reserve::runtime::execute_parallel(
-                &compiled.scheduled,
-                &inputs,
-                &ParOptions {
-                    exec: exec.clone(),
+        let (slots, enc) = (program.slots(), 0xF0_0D ^ seed);
+        // Fusion off and on with hoisted groups spread across runners,
+        // then fusion alone with every rotation on its own decomposition.
+        for (hoisting, wide) in [(true, &[(3, false), (8, true)][..]), (false, &[(2, true)])] {
+            let plain = plain_walk(slots, enc, hoisting);
+            let plain = execute_parallel(&compiled.scheduled, &inputs, &plain)
+                .unwrap_or_else(|e| panic!("seed {seed} plain walk: {e:?}"));
+            for &(workers, fusion) in wide {
+                let options = ParOptions {
+                    exec: backend(slots, enc, hoisting),
                     workers,
-                    fusion: true,
-                },
-            )
-            .unwrap_or_else(|e| panic!("seed {seed} parallel x{workers}: {e:?}"));
-            assert_eq!(
-                bits(&par.outputs),
-                want,
-                "seed {seed} diverges bitwise at {workers} workers"
-            );
+                    fusion,
+                };
+                let run = execute_parallel(&compiled.scheduled, &inputs, &options)
+                    .unwrap_or_else(|e| panic!("seed {seed} x{workers}: {e:?}"));
+                assert_eq!(
+                    bits(&run.outputs),
+                    bits(&plain.outputs),
+                    "seed {seed} diverges bitwise at {workers} workers \
+                     (fusion {fusion}, hoisting {hoisting})"
+                );
+            }
         }
         checked += 1;
     }
     assert!(checked >= 8, "only {checked} rotate-heavy programs fit");
+}
+
+#[test]
+fn late_and_dead_inputs_are_bit_exact_and_within_the_static_memory_bound() {
+    use fhe_reserve::ir::{estimate_memory, InputSpec, Op};
+
+    // The executor encrypts every live input before the first op, so the
+    // static memory model must charge `y` from the start although it is
+    // declared after the cipher ops on `x`: the peak is at the widest point
+    // of the fan-out, where `y`'s two level-12 polynomials outweigh the
+    // model's per-op slack. `unused` is never read: its spec is skipped and
+    // its binding never encrypted. Compilers drop dead inputs, so the
+    // schedule is written by hand.
+    let (slots, level) = (64, 12);
+    let mut p = Program::new("late-input", slots);
+    let x = p.push(Op::Input { name: "x".into() });
+    let mut acc = p.push(Op::Add(x, x));
+    let fan: Vec<_> = (0..6).map(|_| p.push(Op::Add(acc, x))).collect();
+    for part in fan {
+        acc = p.push(Op::Add(acc, part));
+    }
+    let y = p.push(Op::Input { name: "y".into() });
+    p.push(Op::Input {
+        name: "unused".into(),
+    });
+    let out = p.push(Op::Add(acc, y));
+    p.set_outputs(vec![out]);
+    let scheduled = ScheduledProgram {
+        params: CompileParams::new(30),
+        inputs: vec![
+            InputSpec {
+                scale_bits: Frac::from(30u32),
+                level,
+            };
+            3
+        ],
+        program: p,
+    };
+    let map = scheduled.validate().expect("a legal schedule");
+    let bound = estimate_memory(&scheduled, &map, 2 * slots, true);
+
+    let inputs = [("x", 0.5), ("y", 0.25)]
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), vec![v; slots]))
+        .collect();
+    let plain = execute_parallel(&scheduled, &inputs, &plain_walk(slots, 11, true)).unwrap();
+    outputs_close(&plain.outputs, &plain.reference, 1e-2).unwrap();
+    assert_eq!(plain.ops_executed, 2 + 14, "two encryptions, 14 cipher ops");
+    for workers in [1usize, 2, 8] {
+        let options = ParOptions {
+            exec: backend(slots, 11, true),
+            workers,
+            fusion: true,
+        };
+        let wide = execute_parallel(&scheduled, &inputs, &options).unwrap();
+        assert_eq!(
+            bits(&wide.outputs),
+            bits(&plain.outputs),
+            "{workers} workers"
+        );
+    }
+    // The bound is a statement about the schedule-order walk, with the
+    // hoisting setting it was computed for: the plain walk above.
+    assert!(
+        plain.mem.peak_bytes <= bound.peak_bytes,
+        "measured peak {} beats the static bound {}",
+        plain.mem.peak_bytes,
+        bound.peak_bytes
+    );
 }

@@ -17,7 +17,7 @@ use fhe_bench::standard_compilers;
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::{CompileParams, CostModel};
 use fhe_runtime::executor::{CkksExec, Executor};
-use fhe_runtime::{microbench, ExecOptions};
+use fhe_runtime::{microbench, ExecOptions, ParOptions};
 use fhe_workloads::{suite, Size};
 
 #[test]
@@ -59,13 +59,13 @@ fn span_work_and_measured_latency_agree_on_the_golden_suite() {
                     est.work_us
                 );
                 let run = CkksExec {
-                    options: ExecOptions {
+                    options: ParOptions::plain_walk(ExecOptions {
                         poly_degree: slots * 2,
                         seed: 5,
                         threads: 1,
                         rotation_hoisting: false,
                         ..ExecOptions::default()
-                    },
+                    }),
                 }
                 .execute(&compiled.scheduled, &w.inputs)
                 .unwrap_or_else(|e| panic!("{} on {}: {e:?}", compiler.name(), w.name));
