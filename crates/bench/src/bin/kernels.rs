@@ -2,7 +2,7 @@
 //! `u128 %` reference kernels they replaced (DESIGN.md § Kernel
 //! optimization).
 //!
-//! Three groups, each reported as latency plus speedup over its baseline:
+//! Four groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
 //!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
@@ -11,7 +11,15 @@
 //!   over a 60-bit prime: Harvey lazy butterflies vs the exact-reduction
 //!   reference transforms.
 //! - **fanout** — `RnsPoly::to_ntt`/`to_coeff` over a full modulus chain,
-//!   serial (`threads = 1`) vs auto-detected worker threads.
+//!   serial (`threads = 1`) vs the host's worker threads (at least 2, so
+//!   the row measures the fan-out even on a one-core host, where it can
+//!   only show its overhead).
+//! - **codec** — the float↔RNS boundary at `N = 2^13`, `L = 5`: float→RNS
+//!   conversion, `encode`, `decode`, against the forward NTT of the same
+//!   six limbs as the yardstick. An encode is one FFT, one conversion and
+//!   `L` NTTs, so it must cost a small multiple of the yardstick; the run
+//!   **fails** if `encode / yardstick` exceeds [`ENCODE_NTT_RATIO_MAX`] (a
+//!   ratio within one run, so it holds on any host).
 //!
 //! Kernels within a group are sampled round-robin (ref, fast, ref, fast,
 //! …) and scored by their per-kernel minimum, so background-load drift
@@ -22,13 +30,15 @@
 //! the measured numbers (committed as `BENCH_kernels.json` at the repo
 //! root for drift tracking).
 
+use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use fhe_bench::{json::Json, print_table, CliArgs};
 use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
 use fhe_ckks::poly::RnsPoly;
-use fhe_ckks::{CkksContext, CkksParams};
+use fhe_ckks::{CkksContext, CkksParams, Encoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,6 +61,11 @@ fn time_rotation_us(reps: usize, kernels: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     best
 }
 
+/// Ceiling on `encode / (forward NTT × (L+1) limbs)`. The arithmetic puts
+/// the ratio near 3; 78 was measured when the conversion ran a modular
+/// inversion per coefficient per limb.
+const ENCODE_NTT_RATIO_MAX: f64 = 6.0;
+
 struct Row {
     group: &'static str,
     name: String,
@@ -64,7 +79,7 @@ impl Row {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = CliArgs::parse();
     let reps = if args.fast { 5 } else { 25 };
     let mut rows: Vec<Row> = Vec::new();
@@ -172,7 +187,8 @@ fn main() {
         });
     }
 
-    // --- fanout: full-chain domain conversions, serial vs auto threads. ---
+    // --- fanout: full-chain domain conversions, serial vs fanned out. ---
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fanout_params = |threads: usize| CkksParams {
         poly_degree: 1 << 12,
         max_level: 6,
@@ -182,9 +198,9 @@ fn main() {
         threads,
     };
     let serial_ctx = CkksContext::new(fanout_params(1));
-    let auto_ctx = CkksContext::new(fanout_params(0));
+    let fanned_ctx = CkksContext::new(fanout_params(host_cores.max(2)));
     let mut p_serial = RnsPoly::uniform(&serial_ctx, 6, true, &mut rng);
-    let mut p_auto = RnsPoly::uniform(&auto_ctx, 6, true, &mut rng);
+    let mut p_fanned = RnsPoly::uniform(&fanned_ctx, 6, true, &mut rng);
     let best = time_rotation_us(
         reps,
         &mut [
@@ -193,12 +209,12 @@ fn main() {
                 p_serial.to_ntt(&serial_ctx);
             },
             &mut || {
-                p_auto.to_coeff(&auto_ctx);
-                p_auto.to_ntt(&auto_ctx);
+                p_fanned.to_coeff(&fanned_ctx);
+                p_fanned.to_ntt(&fanned_ctx);
             },
         ],
     );
-    let (serial_us, auto_us) = (best[0], best[1]);
+    let (serial_us, fanned_us) = (best[0], best[1]);
     rows.push(Row {
         group: "fanout",
         name: "to_coeff+to_ntt x7 limbs, threads=1".into(),
@@ -207,10 +223,77 @@ fn main() {
     });
     rows.push(Row {
         group: "fanout",
-        name: format!("to_coeff+to_ntt x7 limbs, threads={}", auto_ctx.threads()),
-        us: auto_us,
+        name: format!("to_coeff+to_ntt x7 limbs, threads={}", fanned_ctx.threads()),
+        us: fanned_us,
         baseline_us: serial_us,
     });
+
+    // --- codec: float↔RNS at N = 2^13, L = 5, against the NTT yardstick. ---
+    let codec_ctx = CkksContext::new(CkksParams {
+        poly_degree: 1 << 13,
+        max_level: 5,
+        modulus_bits: 60,
+        special_bits: 61,
+        error_std: 3.2,
+        threads: 1,
+    });
+    let encoder = Encoder::new(&codec_ctx);
+    let scale = 2f64.powi(40);
+    let values: Vec<f64> = (0..codec_ctx.slots())
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let coeffs: Vec<f64> = (0..codec_ctx.degree())
+        .map(|_| (rng.gen_range(-1.0..1.0) * scale).round())
+        .collect();
+    let pt_l1 = encoder.encode(&values, scale, 1);
+    let pt_l5 = encoder.encode(&values, scale, 5);
+    let mut ntt_limbs = RnsPoly::uniform(&codec_ctx, 5, true, &mut rng);
+    let best = time_rotation_us(
+        reps,
+        &mut [
+            // A forward NTT transforms whatever residues it is handed, so
+            // the same six limbs serve every round.
+            &mut || {
+                for i in 0..5 {
+                    codec_ctx.table(i).forward(ntt_limbs.limb_mut(i));
+                }
+                codec_ctx
+                    .special_table()
+                    .forward(ntt_limbs.special_limb_mut());
+            },
+            &mut || {
+                black_box(RnsPoly::from_real_coeffs(&codec_ctx, 5, true, &coeffs));
+            },
+            &mut || {
+                black_box(encoder.encode(&values, scale, 5));
+            },
+            &mut || {
+                black_box(encoder.decode(&pt_l1));
+            },
+            &mut || {
+                black_box(encoder.decode(&pt_l5));
+            },
+        ],
+    );
+    let yardstick_us = best[0];
+    let encode_ntt_ratio = best[2] / yardstick_us;
+    for (name, us) in [
+        "forward NTT 2^13 x 6 limbs (yardstick)",
+        "float->RNS 2^13 x 6 limbs",
+        "encode 2^13 L=5",
+        "decode 2^13 L=1",
+        "decode 2^13 L=5",
+    ]
+    .into_iter()
+    .zip(best)
+    {
+        rows.push(Row {
+            group: "codec",
+            name: name.into(),
+            us,
+            baseline_us: yardstick_us,
+        });
+    }
 
     println!("Kernel microbenchmarks (best of {reps} interleaved rounds, us).\n");
     let headers = ["group", "kernel", "us", "speedup"];
@@ -234,11 +317,16 @@ fn main() {
         .collect();
     let min_ntt = ntt_speedups.iter().fold(f64::INFINITY, |a, &b| a.min(b));
     println!("\nminimum NTT speedup over u128 % reference: {min_ntt:.2}x");
+    println!(
+        "encode / (forward NTT x 6 limbs): {encode_ntt_ratio:.2} (must not exceed {ENCODE_NTT_RATIO_MAX})"
+    );
     assert!(sink != 0, "benchmark sink consumed");
 
     args.emit_json(&Json::obj([
         ("table", Json::from("kernels")),
         ("reps", Json::from(reps)),
+        ("host_cores", Json::from(host_cores)),
+        ("encode_ntt_ratio", Json::from(encode_ntt_ratio)),
         (
             "rows",
             Json::Array(
@@ -255,4 +343,12 @@ fn main() {
             ),
         ),
     ]));
+    if encode_ntt_ratio > ENCODE_NTT_RATIO_MAX {
+        eprintln!(
+            "FAIL: an encode costs {encode_ntt_ratio:.1}x the forward NTT of its limbs (ceiling {ENCODE_NTT_RATIO_MAX}): \
+             the float->RNS conversion is doing more than arithmetic per coefficient"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

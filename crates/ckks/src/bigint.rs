@@ -7,6 +7,8 @@
 
 use std::cmp::Ordering;
 
+use crate::modular::Modulus;
+
 /// An arbitrary-precision unsigned integer (little-endian 64-bit limbs,
 /// no trailing zero limbs).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -108,9 +110,36 @@ impl BigUint {
         Ordering::Equal
     }
 
-    /// `self · 2` (used to compare against `Q/2` without division).
-    pub fn double(&self) -> BigUint {
-        self.mul_u64(2)
+    /// `self += other · m`, in place (no temporary product).
+    pub fn add_mul_u64(&mut self, other: &BigUint, m: u64) {
+        if self.limbs.len() < other.limbs.len() {
+            self.limbs.resize(other.limbs.len(), 0);
+        }
+        let mut carry = 0u128;
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            let o = other.limbs.get(i).copied().unwrap_or(0);
+            // (2^64−1)² + 2·(2^64−1) < 2^128: the sum cannot overflow.
+            let sum = o as u128 * m as u128 + *limb as u128 + carry;
+            *limb = sum as u64;
+            carry = sum >> 64;
+        }
+        if carry > 0 {
+            self.limbs.push(carry as u64);
+        }
+        self.trim();
+    }
+
+    /// `⌊self / 2⌋`.
+    pub fn halved(&self) -> BigUint {
+        let mut out = self.clone();
+        let mut carry = 0u64;
+        for limb in out.limbs.iter_mut().rev() {
+            let low = *limb & 1;
+            *limb = (*limb >> 1) | (carry << 63);
+            carry = low;
+        }
+        out.trim();
+        out
     }
 
     /// Lossy conversion to `f64` (exact for values < 2^53, correctly scaled
@@ -130,27 +159,39 @@ impl BigUint {
 /// `x ∈ (−Q/2, Q/2]` with those residues and returns it as `f64`.
 #[derive(Debug, Clone)]
 pub struct CrtReconstructor {
-    moduli: Vec<u64>,
+    /// The basis, Barrett constants precomputed once.
+    moduli: Vec<Modulus>,
     /// `Q̂ᵢ = Q / qᵢ` as big integers.
     q_hats: Vec<BigUint>,
     /// `(Q̂ᵢ)^{-1} mod qᵢ`.
     q_hat_invs: Vec<u64>,
     /// `Q = Π qᵢ`.
     q: BigUint,
+    /// `⌊Q/2⌋`: values above it center to negatives.
+    half_q: BigUint,
+}
+
+/// The accumulators [`CrtReconstructor::centered_f64`] works in. One
+/// scratch serves any number of coefficients (and any basis), so decoding a
+/// polynomial allocates per call, not per coefficient.
+#[derive(Debug, Default)]
+pub struct CrtScratch {
+    acc: BigUint,
+    neg: BigUint,
 }
 
 impl CrtReconstructor {
     /// Precomputes the CRT constants for a basis of pairwise-coprime primes.
     pub fn new(moduli: &[u64]) -> Self {
-        use crate::modular::Modulus;
         assert!(!moduli.is_empty(), "CRT basis must be non-empty");
         let mut q = BigUint::from_u64(1);
         for &m in moduli {
             q = q.mul_u64(m);
         }
+        let mods: Vec<Modulus> = moduli.iter().map(|&m| Modulus::new(m)).collect();
         let mut q_hats = Vec::with_capacity(moduli.len());
         let mut q_hat_invs = Vec::with_capacity(moduli.len());
-        for (i, &m) in moduli.iter().enumerate() {
+        for (i, &md) in mods.iter().enumerate() {
             let mut hat = BigUint::from_u64(1);
             for (j, &mj) in moduli.iter().enumerate() {
                 if i != j {
@@ -158,7 +199,6 @@ impl CrtReconstructor {
                 }
             }
             // Q̂ᵢ mod qᵢ by folding limb by limb.
-            let md = Modulus::new(m);
             let mut hat_mod = 0u64;
             for &l in hat.limbs.iter().rev() {
                 // hat_mod = hat_mod · 2^64 + l (mod m)
@@ -169,39 +209,45 @@ impl CrtReconstructor {
             q_hats.push(hat);
         }
         CrtReconstructor {
-            moduli: moduli.to_vec(),
+            moduli: mods,
             q_hats,
             q_hat_invs,
+            half_q: q.halved(),
             q,
         }
     }
 
-    /// Reconstructs the centered value of the residue vector.
+    /// Reconstructs the centered value of one residue vector (`residues`
+    /// yields `x mod qᵢ` in basis order). The arithmetic is exact; only the
+    /// final conversion of the big integer to `f64` rounds. Everything that
+    /// depends on the basis alone — each modulus's Barrett constants among
+    /// it — was computed by [`CrtReconstructor::new`], and the big-integer
+    /// accumulators live in `scratch`.
     ///
     /// # Panics
     ///
-    /// Panics if `residues.len()` differs from the basis size.
-    pub fn centered_f64(&self, residues: &[u64]) -> f64 {
-        use crate::modular::Modulus;
-        assert_eq!(residues.len(), self.moduli.len());
-        let mut acc = BigUint::zero();
-        for ((&r, &m), (hat, &hat_inv)) in residues
-            .iter()
-            .zip(&self.moduli)
-            .zip(self.q_hats.iter().zip(&self.q_hat_invs))
-        {
-            let md = Modulus::new(m);
-            let t = md.mul(md.reduce(r), hat_inv);
-            acc.add_assign(&hat.mul_u64(t));
+    /// Panics if the number of residues differs from the basis size.
+    pub fn centered_f64(
+        &self,
+        residues: impl IntoIterator<Item = u64>,
+        scratch: &mut CrtScratch,
+    ) -> f64 {
+        let CrtScratch { acc, neg } = scratch;
+        acc.limbs.clear();
+        let mut residues = residues.into_iter();
+        for ((&md, hat), &hat_inv) in self.moduli.iter().zip(&self.q_hats).zip(&self.q_hat_invs) {
+            let r = residues.next().expect("one residue per basis prime");
+            acc.add_mul_u64(hat, md.mul(md.reduce(r), hat_inv));
         }
+        assert!(residues.next().is_none(), "one residue per basis prime");
         // acc < Σ qᵢ·Q̂ᵢ = k·Q with k = basis size; reduce by subtraction.
         while acc.cmp_big(&self.q) != Ordering::Less {
             acc.sub_assign(&self.q);
         }
-        // Center into (−Q/2, Q/2].
-        if acc.double().cmp_big(&self.q) == Ordering::Greater {
-            let mut neg = self.q.clone();
-            neg.sub_assign(&acc);
+        // Center into (−Q/2, Q/2]: 2·acc > Q iff acc > ⌊Q/2⌋.
+        if acc.cmp_big(&self.half_q) == Ordering::Greater {
+            neg.limbs.clone_from(&self.q.limbs);
+            neg.sub_assign(acc);
             -neg.to_f64()
         } else {
             acc.to_f64()
@@ -251,7 +297,7 @@ mod tests {
                 .iter()
                 .map(|&m| x.rem_euclid(m as i64) as u64)
                 .collect();
-            let got = crt.centered_f64(&residues);
+            let got = crt.centered_f64(residues, &mut CrtScratch::default());
             assert_eq!(got, x as f64, "x = {x}");
         }
     }
@@ -268,8 +314,11 @@ mod tests {
                 .map(|&m| x.rem_euclid(m as i64) as u64)
                 .collect()
         };
-        assert_eq!(crt.centered_f64(&r(71)), 71.0);
-        assert_eq!(crt.centered_f64(&r(72)), 72.0 - q as f64);
+        // One scratch across calls: the accumulators carry nothing over.
+        let mut scratch = CrtScratch::default();
+        assert_eq!(crt.centered_f64(r(72), &mut scratch), 72.0 - q as f64);
+        assert_eq!(crt.centered_f64(r(71), &mut scratch), 71.0);
+        assert_eq!(crt.centered_f64(r(0), &mut scratch), 0.0);
     }
 
     #[test]
@@ -281,6 +330,9 @@ mod tests {
             .iter()
             .map(|&m| x.rem_euclid(m as i64) as u64)
             .collect();
-        assert_eq!(crt.centered_f64(&residues), x as f64);
+        assert_eq!(
+            crt.centered_f64(residues, &mut CrtScratch::default()),
+            x as f64
+        );
     }
 }

@@ -6,6 +6,7 @@ use crate::context::CkksContext;
 use crate::encoding::Plaintext;
 use crate::keys::{PublicKey, SecretKey};
 use crate::poly::RnsPoly;
+use crate::pool::PolyPool;
 
 /// An RLWE ciphertext `(c0, c1)` with its CKKS metadata: decrypts to
 /// `c0 + c1·s ≈ m` where `m` encodes the slot values at `scale`.
@@ -35,26 +36,51 @@ pub fn encrypt_symmetric(
     pt: &Plaintext,
     rng: &mut impl Rng,
 ) -> Ciphertext {
-    let l = pt.level;
-    let a = {
-        let mut a = RnsPoly::uniform(ctx, ctx.max_level(), true, rng);
-        a.drop_to_level(l);
-        a
-    };
-    let mut s = sk.s.clone();
-    s.drop_to_level(l);
+    encrypt_symmetric_impl(ctx, sk, pt.poly.clone(), pt.scale, rng, None)
+}
+
+/// [`encrypt_symmetric`] for a plaintext encoded out of `pool`
+/// ([`crate::Encoder::encode_in`]): the body polynomial takes over the
+/// plaintext's buffers and the mask is checked out of `pool`, so the
+/// ciphertext holds exactly `2 · level` pooled limbs and nothing else was
+/// checked out on the way. Same bytes as [`encrypt_symmetric`].
+pub fn encrypt_symmetric_in(
+    pool: &PolyPool,
+    ctx: &CkksContext,
+    sk: &SecretKey,
+    pt: Plaintext,
+    rng: &mut impl Rng,
+) -> Ciphertext {
+    encrypt_symmetric_impl(ctx, sk, pt.poly, pt.scale, rng, Some(pool))
+}
+
+/// Encrypts the message polynomial `c0` (NTT domain) in place.
+fn encrypt_symmetric_impl(
+    ctx: &CkksContext,
+    sk: &SecretKey,
+    mut c0: RnsPoly,
+    scale: f64,
+    rng: &mut impl Rng,
+    pool: Option<&PolyPool>,
+) -> Ciphertext {
+    let l = c0.level();
+    let a = RnsPoly::uniform_prefix_in(pool, ctx, l, rng);
     let mut e = RnsPoly::gaussian(ctx, l, false, rng);
     e.to_ntt(ctx);
-    // c0 = −a·s + e + m.
-    let mut c0 = a.mul(ctx, &s);
-    c0.neg_assign(ctx);
-    c0.add_assign(ctx, &e);
-    c0.add_assign(ctx, &pt.poly);
+    // c0 = m + e − a·s, against the first `l` limbs of the full-basis
+    // secret (every step is exact mod qᵢ, so the order is free).
+    for i in 0..l {
+        let q = ctx.moduli()[i];
+        let rest = a.limb(i).iter().zip(sk.s.limb(i)).zip(e.limb(i));
+        for (c, ((&a, &s), &e)) in c0.limb_mut(i).iter_mut().zip(rest) {
+            *c = q.sub(q.add(*c, e), q.mul(a, s));
+        }
+    }
     Ciphertext {
         c0,
         c1: a,
         level: l,
-        scale: pt.scale,
+        scale,
     }
 }
 

@@ -1,7 +1,7 @@
 //! The RNS-CKKS context: modulus chain, NTT tables, and CRT constants.
 
 use crate::bigint::CrtReconstructor;
-use crate::modular::Modulus;
+use crate::modular::{Modulus, Pow2Table};
 use crate::ntt::NttTable;
 use crate::primes::ntt_primes;
 
@@ -68,6 +68,9 @@ pub struct CkksContext {
     special: Modulus,
     tables: Vec<NttTable>,
     special_table: NttTable,
+    /// Float→residue reduction tables, one per chain modulus.
+    pow2: Vec<Pow2Table>,
+    special_pow2: Pow2Table,
     /// CRT reconstructors for each level `1..=L` (index `l-1`).
     crt: Vec<CrtReconstructor>,
     /// `(q_j^{-1} mod q_i, Shoup companion)` for rescaling from level `j+1`
@@ -101,6 +104,7 @@ impl CkksContext {
         let special_m = Modulus::new(special);
         let tables = moduli.iter().map(|&m| NttTable::new(m, n)).collect();
         let special_table = NttTable::new(special_m, n);
+        let pow2 = moduli.iter().map(|&m| Pow2Table::new(m)).collect();
         let crt = (1..=params.max_level)
             .map(|l| CrtReconstructor::new(&chain[..l]))
             .collect();
@@ -127,6 +131,8 @@ impl CkksContext {
             special: special_m,
             tables,
             special_table,
+            pow2,
+            special_pow2: Pow2Table::new(special_m),
             crt,
             rescale_inv,
             special_inv,
@@ -172,6 +178,16 @@ impl CkksContext {
     /// NTT table for the special prime.
     pub fn special_table(&self) -> &NttTable {
         &self.special_table
+    }
+
+    /// Float→residue reduction table of chain modulus `i`.
+    pub fn pow2(&self, i: usize) -> &Pow2Table {
+        &self.pow2[i]
+    }
+
+    /// Float→residue reduction table of the special prime.
+    pub fn special_pow2(&self) -> &Pow2Table {
+        &self.special_pow2
     }
 
     /// CRT reconstructor for level `l` (basis `q_0..q_{l-1}`).

@@ -8,9 +8,10 @@
 //! *negacyclic* DFT: twisting coefficients by `ζ^k` reduces it to a
 //! standard size-`N` FFT.
 
-use crate::bigint::CrtReconstructor;
+use crate::bigint::CrtScratch;
 use crate::context::CkksContext;
 use crate::poly::RnsPoly;
+use crate::pool::PolyPool;
 
 /// Minimal complex number (kept local: only the encoder needs it).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -157,9 +158,34 @@ impl<'c> Encoder<'c> {
     ///
     /// # Panics
     ///
-    /// Panics if more than `N/2` values are supplied or the scale is not
-    /// positive/finite.
+    /// Panics if more than `N/2` values are supplied, the scale is not
+    /// positive/finite, or a value is NaN or infinite (or so large that
+    /// `value · scale` overflows `f64`) — callers holding untrusted slot
+    /// data check it first, as the encrypted executor's prologue does.
     pub fn encode(&self, values: &[f64], scale: f64, level: usize) -> Plaintext {
+        self.encode_impl(values, scale, level, None)
+    }
+
+    /// [`Encoder::encode`] with the plaintext's limb buffers checked out of
+    /// `pool`; return them with [`RnsPoly::recycle`] once the plaintext is
+    /// spent.
+    pub fn encode_in(
+        &self,
+        pool: &PolyPool,
+        values: &[f64],
+        scale: f64,
+        level: usize,
+    ) -> Plaintext {
+        self.encode_impl(values, scale, level, Some(pool))
+    }
+
+    fn encode_impl(
+        &self,
+        values: &[f64],
+        scale: f64,
+        level: usize,
+        pool: Option<&PolyPool>,
+    ) -> Plaintext {
         assert!(values.len() <= self.slots(), "too many slot values");
         assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
         let n = self.ctx.degree();
@@ -177,7 +203,7 @@ impl<'c> Encoder<'c> {
             .enumerate()
             .map(|(k, &t)| t.mul(self.twist[k].conj()).re * scale)
             .collect();
-        let mut poly = RnsPoly::from_real_coeffs(self.ctx, level, false, &coeffs);
+        let mut poly = RnsPoly::from_real_coeffs_in(pool, self.ctx, level, false, &coeffs);
         poly.to_ntt(self.ctx);
         Plaintext { poly, scale, level }
     }
@@ -190,10 +216,13 @@ impl<'c> Encoder<'c> {
         let n = self.ctx.degree();
         let mut poly = pt.poly.clone();
         poly.to_coeff(self.ctx);
-        let crt: &CrtReconstructor = self.ctx.crt(poly.level());
+        let level = poly.level();
+        let crt = self.ctx.crt(level);
+        let mut scratch = CrtScratch::default();
         let mut twisted = vec![Complex::default(); n];
         for (k, t) in twisted.iter_mut().enumerate() {
-            let c = crt.centered_f64(&poly.coeff_residues(k));
+            let residues = (0..level).map(|i| poly.limb(i)[k]);
+            let c = crt.centered_f64(residues, &mut scratch);
             *t = self.twist[k].mul(Complex::new(c, 0.0));
         }
         fft(&mut twisted, false);

@@ -236,8 +236,10 @@ impl<'c> Evaluator<'c> {
 
     /// Convenience: encodes `values` to match `a` and adds.
     pub fn add_plain_values(&self, a: &Ciphertext, values: &[f64]) -> Ciphertext {
-        let p = self.encoder.encode(values, a.scale, a.level);
-        self.add_plain(a, &p)
+        let p = self.encoder.encode_in(&self.pool, values, a.scale, a.level);
+        let out = self.add_plain(a, &p);
+        p.poly.recycle(&self.pool);
+        out
     }
 
     /// cipher × plain; the result scale is the product of scales.
@@ -252,8 +254,10 @@ impl<'c> Evaluator<'c> {
 
     /// Convenience: encodes `values` at `scale` and multiplies.
     pub fn mul_plain_values(&self, a: &Ciphertext, values: &[f64], scale: f64) -> Ciphertext {
-        let p = self.encoder.encode(values, scale, a.level);
-        self.mul_plain(a, &p)
+        let p = self.encoder.encode_in(&self.pool, values, scale, a.level);
+        let out = self.mul_plain(a, &p);
+        p.poly.recycle(&self.pool);
+        out
     }
 
     /// cipher × cipher with relinearization (equal levels; scales multiply).
@@ -409,17 +413,17 @@ impl<'c> Evaluator<'c> {
             "upscale factor must be >= 1"
         );
         let m = factor.round().max(1.0);
-        let mut out = self.clone_ct(a);
-        if m > 1.0 && m < 2f64.powi(53) {
-            out.c0.mul_scalar_assign(self.ctx, m as u64);
-            out.c1.mul_scalar_assign(self.ctx, m as u64);
-            out.scale = a.scale * m;
-        } else if m > 1.0 {
+        if m >= 2f64.powi(53) {
             // Factors beyond u64 range keep the encoded-identity path;
             // at ≥ 2^53 its relative rounding error is below f64 epsilon.
             let ones = vec![1.0; self.ctx.slots()];
-            let p = self.encoder.encode(&ones, factor, a.level);
-            return self.mul_plain(a, &p);
+            return self.mul_plain_values(a, &ones, factor);
+        }
+        let mut out = self.clone_ct(a);
+        if m > 1.0 {
+            out.c0.mul_scalar_assign(self.ctx, m as u64);
+            out.c1.mul_scalar_assign(self.ctx, m as u64);
+            out.scale = a.scale * m;
         }
         out
     }

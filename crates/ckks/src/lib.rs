@@ -61,7 +61,7 @@ pub mod primes;
 pub mod security;
 pub mod serialize;
 
-pub use cipher::{decrypt, encrypt_public, encrypt_symmetric, Ciphertext};
+pub use cipher::{decrypt, encrypt_public, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
 pub use context::{CkksContext, CkksParams};
 pub use encoding::{Encoder, Plaintext};
 pub use eval::{Evaluator, MissingKeyError};

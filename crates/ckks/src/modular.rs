@@ -219,40 +219,101 @@ impl Modulus {
             a as i64
         }
     }
+}
 
-    /// Reduces an `f64` (|x| possibly ≫ 2^64, e.g. a coefficient scaled by
-    /// 2^80) into `[0, q)`, exactly: the mantissa and binary exponent are
-    /// read straight out of the IEEE-754 bit pattern (`f64::to_bits`), so
-    /// powers of two, subnormals and fractional values all reduce without
-    /// any floating-point rounding.
-    pub fn reduce_f64(self, x: f64) -> u64 {
+/// An integer-valued `f64` taken apart once: `±mant · 2^shift` with
+/// `mant < 2^53`, and `shift = 0` whenever the magnitude is below 2^53 — so
+/// the same split serves every modulus of an RNS basis
+/// ([`Pow2Table::reduce_split`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitF64 {
+    mant: u64,
+    shift: u16,
+    neg: bool,
+}
+
+impl SplitF64 {
+    /// Largest `shift` a finite `f64` carries: `f64::MAX = (2^53 − 1) · 2^971`.
+    const MAX_SHIFT: usize = 971;
+
+    /// Rounds `x` to the nearest integer (ties away from zero, as
+    /// [`f64::round`]) and splits it. Exact: the mantissa and binary exponent
+    /// are read straight out of the IEEE-754 bit pattern, and an integer
+    /// below 2^53 has its trailing zero bits shifted out rather than
+    /// divided out modulo anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN or infinite.
+    #[inline]
+    pub fn round(x: f64) -> Self {
         assert!(x.is_finite(), "cannot reduce non-finite value");
-        if x == 0.0 {
-            return 0;
-        }
-        // |x| = mant · 2^exp exactly, with mant an integer < 2^53.
-        let bits = x.abs().to_bits();
+        let bits = x.round().to_bits();
+        let neg = bits >> 63 == 1;
         let raw_exp = ((bits >> 52) & 0x7FF) as i32;
-        let frac = bits & ((1u64 << 52) - 1);
-        let (mant, exp) = if raw_exp == 0 {
-            // Subnormal: frac · 2^(1 − 1023 − 52).
-            (frac, -1074)
+        let (mant, shift) = if raw_exp == 0 {
+            // ±0: a rounded value is never subnormal.
+            (0, 0)
         } else {
-            // Normal: (2^52 + frac) · 2^(raw − 1023 − 52).
-            (frac | (1u64 << 52), raw_exp - 1075)
+            // |round(x)| = mant · 2^exp with mant in [2^52, 2^53); being an
+            // integer ≥ 1, exp ≥ −52 and the bits shifted out are zeros.
+            let mant = (bits & ((1u64 << 52) - 1)) | (1u64 << 52);
+            let exp = raw_exp - 1075;
+            if exp < 0 {
+                (mant >> -exp, 0)
+            } else {
+                (mant, exp as u16)
+            }
         };
-        let mant_mod = self.reduce(mant);
-        let two_exp = if exp >= 0 {
-            self.pow(2, exp as u64)
-        } else {
-            self.inv(self.pow(2, (-exp) as u64))
-        };
-        let mag = self.mul(mant_mod, two_exp);
-        if x < 0.0 {
-            self.neg(mag)
+        SplitF64 { mant, shift, neg }
+    }
+}
+
+/// The float→residue reduction of one modulus: `2^k mod q` for every shift
+/// a [`SplitF64`] can carry, built by doubling when the context is, so that
+/// reducing a coefficient never exponentiates or inverts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pow2Table {
+    m: Modulus,
+    pow2: Vec<u64>,
+}
+
+impl Pow2Table {
+    /// The table of `m`.
+    pub fn new(m: Modulus) -> Self {
+        let pow2 = std::iter::successors(Some(m.reduce(1)), |&p| Some(m.add(p, p)))
+            .take(SplitF64::MAX_SHIFT + 1)
+            .collect();
+        Pow2Table { m, pow2 }
+    }
+
+    /// Reduces the integer `s` into `[0, q)`, exactly: one Barrett
+    /// [`Modulus::reduce`] of the mantissa, plus — only for magnitudes of
+    /// 2^53 and up — one product with the tabulated `2^shift mod q`.
+    #[inline]
+    pub fn reduce_split(&self, s: SplitF64) -> u64 {
+        let m = self.m;
+        let mut mag = m.reduce(s.mant);
+        if s.shift != 0 {
+            mag = m.mul(mag, self.pow2[usize::from(s.shift)]);
+        }
+        if s.neg {
+            m.neg(mag)
         } else {
             mag
         }
+    }
+
+    /// Reduces `round(x)` into `[0, q)`, exactly, for any finite `x`
+    /// (|x| possibly ≫ 2^64, e.g. a coefficient scaled by 2^80): shorthand
+    /// for [`Pow2Table::reduce_split`] of [`SplitF64::round`]. A caller with
+    /// several moduli splits once and reduces per modulus instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN or infinite.
+    pub fn reduce_f64(&self, x: f64) -> u64 {
+        self.reduce_split(SplitF64::round(x))
     }
 }
 
@@ -400,6 +461,7 @@ mod tests {
     #[test]
     fn reduce_f64_matches_integer_reduction() {
         let m = Modulus::new(Q);
+        let t = Pow2Table::new(m);
         for &x in &[
             0.0,
             1.0,
@@ -409,7 +471,7 @@ mod tests {
             2f64.powi(80),
             -2f64.powi(75),
         ] {
-            let r = m.reduce_f64(x);
+            let r = t.reduce_f64(x);
             if x.abs() < 2f64.powi(53) {
                 assert_eq!(r, m.reduce_i64(x as i64), "x = {x}");
             }
@@ -417,52 +479,54 @@ mod tests {
         }
         // 2^80 mod q computed independently.
         let expect = m.pow(2, 80);
-        assert_eq!(m.reduce_f64(2f64.powi(80)), expect);
-        assert_eq!(m.reduce_f64(-(2f64.powi(80))), m.neg(expect));
-    }
-
-    #[test]
-    fn reduce_f64_fractional_scale() {
+        assert_eq!(t.reduce_f64(2f64.powi(80)), expect);
+        assert_eq!(t.reduce_f64(-(2f64.powi(80))), m.neg(expect));
         // 1.5 · 2^61 is representable; check against exact integer math.
-        let m = Modulus::new(Q);
-        let x = 3.0 * 2f64.powi(60);
         let expect = m.mul(3, m.pow(2, 60));
-        assert_eq!(m.reduce_f64(x), expect);
+        assert_eq!(t.reduce_f64(3.0 * 2f64.powi(60)), expect);
     }
 
     #[test]
     fn reduce_f64_power_of_two_boundaries() {
-        // Exact powers of two across the whole exponent range: the old
-        // log2-based exponent extraction was fragile exactly here.
+        // Exact powers of two up to the largest finite exponent: the shift
+        // out of the mantissa (k < 52), the hand-over to the table (52, 53)
+        // and the table's last entry (2^1023 = 2^52 · 2^971).
         let m = Modulus::new(Q);
-        for k in [-80i32, -62, -1, 0, 1, 52, 53, 61, 62, 80, 500, 1023] {
+        let t = Pow2Table::new(m);
+        for k in [0i32, 1, 51, 52, 53, 61, 62, 80, 500, 1023] {
             let x = 2f64.powi(k);
-            let expect = if k >= 0 {
-                m.pow(2, k as u64)
-            } else {
-                m.inv(m.pow(2, (-k) as u64))
-            };
-            assert_eq!(m.reduce_f64(x), expect, "2^{k}");
-            assert_eq!(m.reduce_f64(-x), m.neg(expect), "-2^{k}");
+            let expect = m.pow(2, k as u64);
+            assert_eq!(t.reduce_f64(x), expect, "2^{k}");
+            assert_eq!(t.reduce_f64(-x), m.neg(expect), "-2^{k}");
+        }
+        assert_eq!(
+            t.reduce_f64(f64::MAX),
+            m.mul(m.reduce((1 << 53) - 1), m.pow(2, 971))
+        );
+    }
+
+    #[test]
+    fn reduce_f64_rounds_to_the_nearest_integer_first() {
+        let m = Modulus::new(Q);
+        let t = Pow2Table::new(m);
+        for (x, expect) in [
+            (0.4, 0),
+            (0.5, 1),
+            (-0.5, Q - 1),
+            (2.5, 3),
+            (-0.0, 0),
+            (2f64.powi(-80), 0),
+            (f64::from_bits(1), 0), // smallest subnormal
+            (2f64.powi(51) + 0.5, m.reduce((1 << 51) + 1)),
+        ] {
+            assert_eq!(t.reduce_f64(x), expect, "x = {x:e}");
         }
     }
 
     #[test]
-    fn reduce_f64_subnormal_and_tiny() {
-        let m = Modulus::new(Q);
-        // Smallest positive subnormal: 2^-1074.
-        let tiny = f64::from_bits(1);
-        let expect = m.inv(m.pow(2, 1074));
-        assert_eq!(m.reduce_f64(tiny), expect);
-        // A general subnormal: 5 · 2^-1074.
-        let sub = f64::from_bits(5);
-        assert_eq!(m.reduce_f64(sub), m.mul(5, expect));
-        // Smallest positive normal: 2^-1022.
-        assert_eq!(
-            m.reduce_f64(f64::MIN_POSITIVE),
-            m.inv(m.pow(2, 1022)),
-            "2^-1022"
-        );
+    #[should_panic(expected = "non-finite")]
+    fn reduce_f64_rejects_nan() {
+        Pow2Table::new(Modulus::new(Q)).reduce_f64(f64::NAN);
     }
 
     #[test]

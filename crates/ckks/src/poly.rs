@@ -3,7 +3,7 @@
 use rand::Rng;
 
 use crate::context::CkksContext;
-use crate::modular::Modulus;
+use crate::modular::{Modulus, SplitF64};
 use crate::ntt::NttTable;
 use crate::par;
 use crate::pool::PolyPool;
@@ -177,23 +177,58 @@ impl RnsPoly {
         p
     }
 
-    /// Builds a polynomial from real coefficients (rounded; magnitudes may
-    /// exceed `2^63`), in coefficient domain.
+    /// Builds a polynomial from real coefficients, in coefficient domain.
+    /// Each coefficient is rounded to the nearest integer and reduced
+    /// exactly; magnitudes may exceed `2^63` (anything finite goes).
+    ///
+    /// The work per coefficient is arithmetic only: one
+    /// [`SplitF64::round`], then per limb one Barrett reduction — plus, for
+    /// magnitudes of 2^53 and up, one product with a power of two from the
+    /// context's [`crate::modular::Pow2Table`]. No exponentiation or
+    /// inversion, and one allocation per call (the split coefficients).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coefficient is NaN or infinite.
     pub fn from_real_coeffs(
         ctx: &CkksContext,
         level: usize,
         special: bool,
         coeffs: &[f64],
     ) -> Self {
+        Self::from_real_coeffs_in(None, ctx, level, special, coeffs)
+    }
+
+    /// [`RnsPoly::from_real_coeffs`] with the limb buffers checked out of
+    /// `pool` when given.
+    pub(crate) fn from_real_coeffs_in(
+        pool: Option<&PolyPool>,
+        ctx: &CkksContext,
+        level: usize,
+        special: bool,
+        coeffs: &[f64],
+    ) -> Self {
         assert_eq!(coeffs.len(), ctx.degree());
-        let mut p = RnsPoly::zero(ctx, level, special, false);
-        for idx in 0..p.limbs.len() {
-            let m = p.modulus_of(ctx, idx);
-            for (slot, &c) in p.limbs[idx].iter_mut().zip(coeffs) {
-                *slot = m.reduce_f64(c.round());
+        assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
+        let split: Vec<SplitF64> = coeffs.iter().map(|&c| SplitF64::round(c)).collect();
+        let count = level + usize::from(special);
+        let mut limbs = raw_limbs(ctx, pool, count);
+        for (idx, limb) in limbs.iter_mut().enumerate() {
+            let pow2 = if special && idx == count - 1 {
+                ctx.special_pow2()
+            } else {
+                ctx.pow2(idx)
+            };
+            for (slot, &s) in limb.iter_mut().zip(&split) {
+                *slot = pow2.reduce_split(s);
             }
         }
-        p
+        RnsPoly {
+            level,
+            special,
+            ntt: false,
+            limbs,
+        }
     }
 
     /// Uniformly random polynomial over the basis (NTT domain — uniform in
@@ -207,6 +242,44 @@ impl RnsPoly {
             }
         }
         p
+    }
+
+    /// The first `level` chain limbs of a uniform draw over the full
+    /// extended basis `Q_L·P` (NTT domain): what [`RnsPoly::uniform`] at
+    /// `(max_level, special)` followed by [`RnsPoly::drop_to_level`] yields,
+    /// draw for draw, without holding the limbs that would be dropped. Limb
+    /// buffers come from `pool` when given.
+    pub(crate) fn uniform_prefix_in(
+        pool: Option<&PolyPool>,
+        ctx: &CkksContext,
+        level: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
+        let mut limbs = raw_limbs(ctx, pool, level);
+        let basis = ctx.moduli().iter().copied().chain([ctx.special()]);
+        for (idx, m) in basis.enumerate() {
+            match limbs.get_mut(idx) {
+                Some(limb) => {
+                    for slot in limb.iter_mut() {
+                        *slot = rng.gen_range(0..m.value());
+                    }
+                }
+                // Drawn and discarded: the stream ends where the full-basis
+                // draw leaves it.
+                None => {
+                    for _ in 0..ctx.degree() {
+                        rng.gen_range(0..m.value());
+                    }
+                }
+            }
+        }
+        RnsPoly {
+            level,
+            special: false,
+            ntt: true,
+            limbs,
+        }
     }
 
     /// Random ternary polynomial (coefficients in {−1, 0, 1}), coefficient
@@ -584,12 +657,17 @@ impl RnsPoly {
             self.to_ntt(ctx);
         }
     }
+}
 
-    /// The exact residues of coefficient `k` across the chain limbs
-    /// (coefficient domain required).
-    pub fn coeff_residues(&self, k: usize) -> Vec<u64> {
-        assert!(!self.ntt, "need coefficient domain");
-        self.limbs[..self.level].iter().map(|l| l[k]).collect()
+/// `count` limb buffers of unspecified contents, for a caller that
+/// overwrites every slot: checked out of `pool`, or freshly allocated.
+fn raw_limbs(ctx: &CkksContext, pool: Option<&PolyPool>, count: usize) -> Vec<Vec<u64>> {
+    match pool {
+        Some(pool) => {
+            assert_eq!(pool.degree(), ctx.degree(), "pool sized for this context");
+            pool.take_raw(count)
+        }
+        None => vec![vec![0u64; ctx.degree()]; count],
     }
 }
 

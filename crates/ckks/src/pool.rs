@@ -65,8 +65,8 @@ fn home_shard() -> usize {
 }
 
 /// Counters describing a [`PolyPool`]'s traffic. Byte figures cover only
-/// pool-managed buffers (checked-out or adopted); key material and encoder
-/// scratch are accounted separately by the runtime.
+/// checked-out buffers; key material and encoder scratch are accounted
+/// separately by the runtime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Checkouts served from the free list.
@@ -75,9 +75,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to the free list.
     pub returns: u64,
-    /// Foreign buffers adopted into the live accounting (e.g. fresh
-    /// encryptions produced outside the pool).
-    pub adopted: u64,
     /// Bytes currently checked out (live polynomials).
     pub live_bytes: u64,
     /// High-water mark of [`PoolStats::live_bytes`].
@@ -105,7 +102,6 @@ struct StatCells {
     hits: AtomicU64,
     misses: AtomicU64,
     returns: AtomicU64,
-    adopted: AtomicU64,
     live_bytes: AtomicU64,
     peak_bytes: AtomicU64,
     free_bytes: AtomicU64,
@@ -202,7 +198,7 @@ impl PolyPool {
         }
         let returned = kept.len() as u64;
         // Live bytes saturate rather than wrap if a caller returns more
-        // than it checked out or adopted (mirrors the serial accounting).
+        // than it checked out (a buffer allocated elsewhere).
         let _ = self
             .stats
             .live_bytes
@@ -219,18 +215,6 @@ impl PolyPool {
                 .expect("pool shard lock")
                 .append(&mut kept);
         }
-    }
-
-    /// Registers `limbs` buffers created outside the pool (e.g. a fresh
-    /// encryption) as live, so that recycling them later balances the
-    /// accounting and peak bytes cover all polynomial memory.
-    pub fn adopt(&self, limbs: usize) {
-        let bytes = (limbs * self.degree * 8) as u64;
-        self.stats
-            .adopted
-            .fetch_add(limbs as u64, Ordering::Relaxed);
-        let live = self.stats.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.stats.peak_bytes.fetch_max(live, Ordering::Relaxed);
     }
 
     /// Total buffers currently parked across all shards. Scans every
@@ -253,7 +237,6 @@ impl PolyPool {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             returns: self.stats.returns.load(Ordering::Relaxed),
-            adopted: self.stats.adopted.load(Ordering::Relaxed),
             live_bytes: self.stats.live_bytes.load(Ordering::Relaxed),
             peak_bytes: self.stats.peak_bytes.load(Ordering::Relaxed),
             free_bytes: self.stats.free_bytes.load(Ordering::Relaxed),
@@ -297,23 +280,23 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_high_water_and_adoption() {
+    fn peak_tracks_the_high_water_mark() {
         let pool = PolyPool::new(8);
         let a = pool.take_zeroed(2);
-        pool.adopt(3);
+        let b = pool.take_raw(3);
         assert_eq!(pool.stats().live_bytes, 5 * 64);
         assert_eq!(pool.stats().peak_bytes, 5 * 64);
         pool.put(a);
-        // Adopted bytes stay live until their buffers are put back.
         assert_eq!(pool.stats().live_bytes, 3 * 64);
         assert_eq!(pool.stats().peak_bytes, 5 * 64);
-        assert_eq!(pool.stats().adopted, 3);
+        pool.put(b);
+        assert_eq!(pool.stats().live_bytes, 0);
     }
 
     #[test]
     fn wrong_length_buffers_are_dropped_not_pooled() {
         let pool = PolyPool::new(8);
-        pool.adopt(1);
+        drop(pool.take_raw(1));
         pool.put([vec![0u64; 4]]);
         let s = pool.stats();
         assert_eq!(s.returns, 0);

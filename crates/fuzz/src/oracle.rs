@@ -813,56 +813,91 @@ fn check_span_bound(
 
     type CalibrationCache = Mutex<HashMap<(usize, u32, usize), fhe_ir::CostModel>>;
     static CACHE: OnceLock<CalibrationCache> = OnceLock::new();
-    let model = {
-        let mut cache = CACHE
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("calibration cache poisoned");
-        cache
-            .entry((slots, rescale_bits, levels))
-            .or_insert_with(|| {
-                fhe_runtime::microbench::calibrate_backend(slots, rescale_bits, levels, 3, 0xCA1B)
-            })
-            .clone()
-    };
-
-    let graph = fhe_ir::DepGraph::build(scheduled, &map, &model, true);
-    let est = graph.estimate();
+    let key = (slots, rescale_bits, levels);
 
     // Credit for hoisted rotation groups: every non-leader member runs on
     // a shared decomposition, so its real cost can undercut the calibrated
     // lone-rotation cost by up to the full rotation latency.
     let program = &scheduled.program;
     let live = fhe_ir::analysis::live(program);
-    let mut group_sizes: HashMap<ValueId, (usize, f64)> = HashMap::new();
-    for id in program.ids() {
-        if live[id.index()] && program.is_cipher(id) {
-            if let Op::Rotate(a, _) = program.op(id) {
-                let e = group_sizes.entry(*a).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += model.at_level(OpClass::Rotate, map.level(id));
+    let hoist_credit_us = |model: &fhe_ir::CostModel| -> f64 {
+        let mut group_sizes: HashMap<ValueId, (usize, f64)> = HashMap::new();
+        for id in program.ids() {
+            if live[id.index()] && program.is_cipher(id) {
+                if let Op::Rotate(a, _) = program.op(id) {
+                    let e = group_sizes.entry(*a).or_insert((0, 0.0));
+                    e.0 += 1;
+                    e.1 += model.at_level(OpClass::Rotate, map.level(id));
+                }
             }
         }
-    }
-    let hoist_credit_us: f64 = group_sizes
-        .values()
-        .filter(|&&(n, _)| n >= 2)
-        .map(|&(n, total)| total * (n - 1) as f64 / n as f64)
-        .sum();
+        group_sizes
+            .values()
+            .filter(|&&(n, _)| n >= 2)
+            .map(|&(n, total)| total * (n - 1) as f64 / n as f64)
+            .sum()
+    };
 
+    // The calibration times microsecond ops, so one preemption while it
+    // runs (another test thread on a one-core host) inflates a cell several
+    // times over, and the cached model with it. Noise only ever adds time,
+    // so each cell is the minimum of three calibrations; and a failed check
+    // drops the cached model, recalibrates and compares again — only a
+    // bound that fails three models is reported.
+    let calibrate = |seed: u64| {
+        let tabulated = levels.max(2);
+        let runs: Vec<fhe_ir::CostModel> = (0..3)
+            .map(|i| {
+                fhe_runtime::microbench::calibrate_backend(
+                    slots,
+                    rescale_bits,
+                    tabulated,
+                    1,
+                    seed + i,
+                )
+            })
+            .collect();
+        fhe_ir::CostModel::from_rows(OpClass::ALL.iter().map(|&class| {
+            let cell = |level| {
+                runs.iter()
+                    .map(|m| m.at_level(class, level))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            (class, (1..=tabulated as u32).map(cell).collect())
+        }))
+    };
     let measured_us = op_time.as_secs_f64() * 1e6;
-    let allowed = measured_us * cfg.span_margin + hoist_credit_us + 200.0;
-    if est.span_us > allowed {
-        divs.push(Divergence {
-            kind: DivergenceKind::SpanBound,
-            stage: format!("{compiler}:measured"),
-            detail: format!(
-                "calibrated span {:.1}us exceeds measured single-thread latency {:.1}us \
-                 (margin x{:.2} + hoist credit {:.1}us)",
-                est.span_us, measured_us, cfg.span_margin, hoist_credit_us
-            ),
-        });
+    let mut failure = String::new();
+    for attempt in 0..3 {
+        let model = CACHE
+            .get_or_init(|| Mutex::new(HashMap::new()))
+            .lock()
+            .expect("calibration cache poisoned")
+            .entry(key)
+            .or_insert_with(|| calibrate(0xCA1B + 3 * attempt))
+            .clone();
+        let est = fhe_ir::DepGraph::build(scheduled, &map, &model, true).estimate();
+        let credit_us = hoist_credit_us(&model);
+        if est.span_us <= measured_us * cfg.span_margin + credit_us + 200.0 {
+            return;
+        }
+        failure = format!(
+            "calibrated span {:.1}us exceeds measured single-thread latency {:.1}us \
+             (margin x{:.2} + hoist credit {:.1}us)",
+            est.span_us, measured_us, cfg.span_margin, credit_us
+        );
+        CACHE
+            .get()
+            .expect("initialized above")
+            .lock()
+            .expect("calibration cache poisoned")
+            .remove(&key);
     }
+    divs.push(Divergence {
+        kind: DivergenceKind::SpanBound,
+        stage: format!("{compiler}:measured"),
+        detail: failure,
+    });
 }
 
 /// The static noise estimate — the noise domain fed with the interval

@@ -55,7 +55,8 @@ pub struct MemoryEstimate {
 /// The walk starts with every live input encrypted, visits ops in schedule
 /// order, materializes each result into a live set, adds a per-op
 /// transient bound for the pooled temporaries the backend checks out
-/// (key-switch digit decompositions dominate), records the high-water
+/// (key-switch digit decompositions dominate; a plain operand's on-demand
+/// plaintext counts), records the high-water
 /// mark, and frees each ciphertext after its last use — exactly the
 /// discipline of the encrypted executor. `poly_degree` is the
 /// backend's `N` (the runtime requires `N = 2 × slots`); `hoist_rotations`
@@ -119,8 +120,13 @@ pub fn estimate_memory(
                 None => (2 * l, ksw),
             },
             Op::Rescale(_) | Op::ModSwitch(_) => (2 * l, 4),
-            // Add/sub/neg, plain mul, upscale: one pooled result, no key
-            // switch.
+            // plain − cipher: the negated copy beside the plaintext.
+            Op::Sub(a, _) if program.is_plain(*a) => (2 * l, 3 * l),
+            // One pooled result, no key switch; a plain operand is encoded
+            // on demand into `l` pooled limbs (so is the identity an upscale
+            // by 2^53 or more multiplies by) and returned when the op ends.
+            Op::Upscale(_, delta) if delta.to_f64() >= 53.0 => (2 * l, l),
+            op if op.operands().any(|a| program.is_plain(a)) => (2 * l, l),
             _ => (2 * l, 0),
         };
         live_limbs += result_limbs;

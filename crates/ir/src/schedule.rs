@@ -152,6 +152,15 @@ pub enum ScheduleError {
         /// The rotation step whose key was unavailable.
         steps: i64,
     },
+    /// An input binding the backend cannot encode: slot `slot` holds a NaN
+    /// or an infinity, or lies past the program's slot count. Found by the
+    /// encrypted executor before anything is encrypted.
+    InvalidInput {
+        /// The input's name.
+        name: String,
+        /// Index of the first offending value.
+        slot: usize,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -197,6 +206,12 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::MissingKey { op, steps } => {
                 write!(f, "missing Galois key for rotation by {steps} at {op}")
+            }
+            ScheduleError::InvalidInput { name, slot } => {
+                write!(
+                    f,
+                    "input `{name}`: slot {slot} is not finite or lies past the program's slots"
+                )
             }
         }
     }

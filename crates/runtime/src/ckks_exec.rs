@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fhe_ckks::{
-    decrypt, encrypt_symmetric, Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys,
+    decrypt, encrypt_symmetric_in, Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys,
     KeyCache, KeyGenerator, PolyPool, Pool, RelinKey, SecretKey,
 };
 use fhe_ir::{
@@ -204,8 +204,8 @@ impl SessionKeys {
     /// Total memory picture at one instant: the evaluator's pool-tracked
     /// polynomial bytes plus the fixed key material (secret + relin) plus
     /// Galois keys (cached bytes under a lazy policy, the whole static set
-    /// under an eager one). Encoder scratch is invisible here and in the
-    /// static model alike, so the static bound stays comparable.
+    /// under an eager one). The encoder's FFT scratch is invisible here and
+    /// in the static model alike, so the static bound stays comparable.
     fn mem_snapshot(&self, ev: &Evaluator<'_>) -> MemStats {
         let p = ev.pool_stats();
         let (kh, km, ke, kb, kp) = match ev.key_cache() {
@@ -224,7 +224,7 @@ impl SessionKeys {
         MemStats {
             peak_bytes: p.peak_bytes + self.fixed_key_bytes + kp,
             live_bytes: p.live_bytes + self.fixed_key_bytes + kb,
-            allocations: p.misses + p.adopted,
+            allocations: p.misses,
             pool_hits: p.hits,
             pool_misses: p.misses,
             key_hits: kh,
@@ -389,9 +389,10 @@ pub fn execute_with_keys(
 ///
 /// # Errors
 ///
-/// Returns the schedule's validation errors if it is illegal, or a
-/// [`ScheduleError::MissingKey`] if a rotation lacks its Galois key under
-/// an eager key policy.
+/// Returns the schedule's validation errors if it is illegal, a
+/// [`ScheduleError::InvalidInput`] per input binding that cannot be encoded,
+/// or a [`ScheduleError::MissingKey`] if a rotation lacks its Galois key
+/// under an eager key policy.
 ///
 /// # Panics
 ///
@@ -445,6 +446,13 @@ pub fn execute_parallel(
 /// reorders the key-switch arithmetic, so hoisting on and off differ in
 /// low-order bits — at every width alike.
 ///
+/// Every polynomial the request holds — input encryptions, the plaintext
+/// an op encodes on demand, results, temporaries — is checked out of the
+/// pool and returned to it: inputs and intermediates at their last use, a
+/// plaintext after its op, whatever is left (the outputs) once decrypted.
+/// A request therefore hands back exactly what it took, and a shared pool's
+/// free list stops growing once it has held the largest working set.
+///
 /// The report's [`MemStats`] counters (`allocations`, `pool_*`, `key_*`)
 /// are **deltas** over this call; byte figures (`peak_bytes`,
 /// `live_bytes`, `key_bytes_peak`) are absolute high-water/end values of
@@ -455,9 +463,12 @@ pub fn execute_parallel(
 ///
 /// # Errors
 ///
-/// Returns the schedule's validation errors if it is illegal, or a
-/// [`ScheduleError::MissingKey`] if a rotation lacks its Galois key under
-/// an eager key policy.
+/// Returns the schedule's validation errors if it is illegal; a
+/// [`ScheduleError::InvalidInput`] for every input binding with a NaN or
+/// infinite slot or more values than the program has slots — checked before
+/// anything is encrypted, so a client's bad data is its own error and not a
+/// backend assertion; or a [`ScheduleError::MissingKey`] if a rotation lacks
+/// its Galois key under an eager key policy.
 ///
 /// # Panics
 ///
@@ -566,8 +577,9 @@ pub fn execute_parallel_with_keys(
         };
         plain_vals[id.index()] = Some(v);
     }
-    let mut encrypted_inputs = 0usize;
     // `validate` checked there is one spec per declared input.
+    let mut bound = Vec::new();
+    let mut invalid = Vec::new();
     for (&id, spec) in program.inputs().iter().zip(&scheduled.inputs) {
         if !live[id.index()] {
             continue;
@@ -578,14 +590,30 @@ pub fn execute_parallel_with_keys(
         let data = inputs
             .get(name)
             .unwrap_or_else(|| panic!("missing input binding `{name}`"));
+        let bad_slot = data
+            .iter()
+            .position(|v| !v.is_finite())
+            .or((data.len() > slots).then_some(slots));
+        match bad_slot {
+            Some(slot) => invalid.push(ScheduleError::InvalidInput {
+                name: name.clone(),
+                slot,
+            }),
+            None => bound.push((id, spec, data)),
+        }
+    }
+    if !invalid.is_empty() {
+        return Err(invalid);
+    }
+    let encrypted_inputs = bound.len();
+    let pool = ev.pool();
+    for (id, spec, data) in bound {
         let scale = 2f64.powf(spec.scale_bits.to_f64());
-        let pt = ev.encoder().encode(data, scale, spec.level as usize);
-        let ct = encrypt_symmetric(ctx, &keys.sk, &pt, &mut rng);
-        // Fresh encryptions allocate outside the pool; adopt their limbs
-        // so live/peak accounting covers them.
-        ev.pool().adopt(2 * ct.level);
+        let pt = ev
+            .encoder()
+            .encode_in(pool, data, scale, spec.level as usize);
+        let ct = encrypt_symmetric_in(pool, ctx, &keys.sk, pt, &mut rng);
         *cipher_slots[id.index()].get_mut().expect(SLOT_LOCK) = Some(ct);
-        encrypted_inputs += 1;
     }
 
     // The walk. Runners share the frontier under one mutex; the condvar
@@ -646,7 +674,17 @@ pub fn execute_parallel_with_keys(
     let op_time = t_ops.elapsed();
 
     let walk = walk.into_inner().expect(WALK_LOCK);
+    // What the request still holds when it ends — its outputs, or on an
+    // error every value computed so far — goes back to the pool.
+    let release = |slots: Vec<RwLock<Option<Ciphertext>>>| {
+        for slot in slots {
+            if let Some(ct) = slot.into_inner().expect(SLOT_LOCK) {
+                ev.recycle_ct(ct);
+            }
+        }
+    };
     if let Some(e) = walk.error {
+        release(cipher_slots);
         return Err(e);
     }
     // INVARIANT: a runner returns only on an error (handled above) or with
@@ -667,6 +705,7 @@ pub fn execute_parallel_with_keys(
             v
         })
         .collect();
+    release(cipher_slots);
     let per_class = OpClass::ALL
         .iter()
         .filter_map(|&class| {
@@ -845,10 +884,8 @@ impl RunCx<'_, '_> {
                     (*b, *a)
                 };
                 let cc = self.cipher(c);
-                let pt = ev
-                    .encoder()
-                    .encode(get(self.plain_vals, p), self.waterline, cc.level);
-                (id, ev.mul_plain(&cc, &pt))
+                let pv = get(self.plain_vals, p);
+                (id, ev.mul_plain_values(&cc, pv, self.waterline))
             }
             Op::Add(a, b) | Op::Sub(a, b) => {
                 let sub = matches!(program.op(id), Op::Sub(..));
@@ -864,13 +901,12 @@ impl RunCx<'_, '_> {
                     (true, false) => {
                         let ca = self.cipher(*a);
                         let pv = get(self.plain_vals, *b);
-                        let pt = if sub {
+                        if sub {
                             let neg: Vec<f64> = pv.iter().map(|x| -x).collect();
-                            ev.encoder().encode(&neg, ca.scale, ca.level)
+                            ev.add_plain_values(&ca, &neg)
                         } else {
-                            ev.encoder().encode(pv, ca.scale, ca.level)
-                        };
-                        ev.add_plain(&ca, &pt)
+                            ev.add_plain_values(&ca, pv)
+                        }
                     }
                     (false, true) => {
                         // plain ± cipher: a + b, or a − b = (−b) + a. The
@@ -879,13 +915,11 @@ impl RunCx<'_, '_> {
                         let pv = get(self.plain_vals, *a);
                         if sub {
                             let neg = ev.neg(&cb);
-                            let pt = ev.encoder().encode(pv, neg.scale, neg.level);
-                            let out = ev.add_plain(&neg, &pt);
+                            let out = ev.add_plain_values(&neg, pv);
                             ev.recycle_ct(neg);
                             out
                         } else {
-                            let pt = ev.encoder().encode(pv, cb.scale, cb.level);
-                            ev.add_plain(&cb, &pt)
+                            ev.add_plain_values(&cb, pv)
                         }
                     }
                     (false, false) => unreachable!("a cipher op has a cipher operand"),

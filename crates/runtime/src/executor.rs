@@ -20,17 +20,17 @@ use crate::plain;
 
 /// Memory counters of one execution (encrypted backend only; the
 /// plaintext backends report zeros). Byte figures cover the backend's
-/// polynomial pool (live ciphertexts + pooled temporaries + adopted
-/// encryptions) plus key material; encoder scratch is excluded on both the
-/// measured and the static side, so the compiler's static bound remains
-/// comparable.
+/// polynomial pool (live ciphertexts, on-demand plaintexts, pooled
+/// temporaries) plus key material; the encoder's FFT scratch is excluded on
+/// both the measured and the static side, so the compiler's static bound
+/// remains comparable.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemStats {
     /// High-water mark of polynomial + key bytes.
     pub peak_bytes: u64,
     /// Polynomial + key bytes live at the end of the window.
     pub live_bytes: u64,
-    /// Fresh limb-buffer allocations (pool misses + adopted encryptions).
+    /// Fresh limb-buffer allocations (pool misses).
     pub allocations: u64,
     /// Pool checkouts served from the free list.
     pub pool_hits: u64,

@@ -47,7 +47,11 @@ pub enum ServeError {
     Parse(String),
     /// The compiler rejected the program.
     Compile(CompileError),
-    /// The schedule failed validation at execution time.
+    /// The executor refused the request before running it: the schedule
+    /// failed validation, or an input binding cannot be encoded — a NaN or
+    /// infinite slot, or more values than slots
+    /// ([`ScheduleError::InvalidInput`]). The request's own fault and
+    /// nothing else's: the session is not quarantined.
     Schedule(Vec<ScheduleError>),
     /// A stage of the request pipeline (parse, compile, key generation
     /// or execution) panicked. The offending session is quarantined; the
@@ -76,7 +80,8 @@ impl fmt::Display for ServeError {
             ServeError::Parse(msg) => write!(f, "program text does not parse: {msg}"),
             ServeError::Compile(err) => write!(f, "compilation failed: {err}"),
             ServeError::Schedule(errs) => {
-                write!(f, "schedule invalid ({} errors)", errs.len())
+                write!(f, "schedule invalid ({} errors)", errs.len())?;
+                errs.first().map_or(Ok(()), |e| write!(f, ": {e}"))
             }
             ServeError::ExecutorPanic(msg) => write!(f, "executor panicked: {msg}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),

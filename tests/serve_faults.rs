@@ -3,7 +3,8 @@
 //! back as a structured [`ServeError::ExecutorPanic`], quarantine **only
 //! its own session**, and leave the shared compile cache and polynomial
 //! pools serving every other session — no poisoned mutexes, stable
-//! [`ServeStats`].
+//! [`ServeStats`]. A request whose *data* is bad — a NaN slot — is not a
+//! panic at all: it is refused with a typed error and its session serves on.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -191,4 +192,58 @@ fn keygen_panic_from_client_params_is_caught_at_the_boundary() {
         .expect("worker survives a pre-execution panic");
     outputs_close(&ok.outputs, &ok.reference, 1e-2).expect("accurate");
     server.shutdown();
+}
+
+#[test]
+fn a_non_finite_input_slot_is_a_typed_error_not_a_quarantine() {
+    let (program, params, slots) = corpus_case();
+    let server = FheServer::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let session = server.create_session(options(0x0BAD_DA7A, slots * 2));
+    let request = |inputs| Request {
+        session,
+        program: program.clone(),
+        params,
+        compiler: "reserve".into(),
+        inputs,
+        deadline: None,
+    };
+    let with_slot = |slot: usize, value: f64| {
+        let mut inputs = good_inputs(slots);
+        inputs.get_mut("x0").unwrap()[slot] = value;
+        inputs
+    };
+    let mut too_long = good_inputs(slots);
+    too_long.get_mut("x0").unwrap().push(0.0);
+
+    for (inputs, bad_slot) in [
+        (with_slot(3, f64::NAN), 3),
+        (with_slot(slots - 1, f64::NEG_INFINITY), slots - 1),
+        (too_long, slots),
+    ] {
+        match server.call(request(inputs)) {
+            Err(ServeError::Schedule(errs)) => assert_eq!(
+                errs,
+                [fhe_ir::ScheduleError::InvalidInput {
+                    name: "x0".into(),
+                    slot: bad_slot,
+                }]
+            ),
+            other => panic!("expected a schedule error for slot {bad_slot}, got {other:?}"),
+        }
+        // The offending session is not quarantined: its next well-formed
+        // request is served.
+        let ok = server
+            .call(request(good_inputs(slots)))
+            .expect("session survives its own bad input");
+        outputs_close(&ok.outputs, &ok.reference, 1e-2).expect("accurate");
+    }
+
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.failed), (6, 3));
+    assert!(!stats.sessions[0].quarantined);
+    // Refused before anything was encrypted: nothing is checked out.
+    assert_eq!(server.shared_pool(slots * 2).stats().live_bytes, 0);
 }

@@ -8,6 +8,10 @@
 //! sessions reconstructs the global pool counters; and each session's
 //! lazy key cache is touched only by its own requests, so its counters
 //! equal that session's summed per-request key traffic.
+//!
+//! And the pool is a closed system: a request checks out of it every
+//! polynomial it holds and returns every one, so serving more requests
+//! never grows the free list.
 
 use std::collections::HashMap;
 
@@ -138,4 +142,50 @@ fn serve_stats_reconcile_with_per_request_trace_deltas() {
     assert_eq!(stats.cache.misses, 1);
     assert_eq!(stats.cache.hits, (SESSIONS * REQUESTS - 1) as u64);
     assert!(stats.peak_bytes() > 0);
+}
+
+#[test]
+fn the_pool_free_list_stops_growing_once_warm() {
+    let server = FheServer::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let text = rotsum_text();
+    let session = server.create_session(ParOptions {
+        exec: ExecOptions {
+            poly_degree: SLOTS * 2,
+            seed: 0x57A7_6000,
+            threads: 1,
+            ..ExecOptions::default()
+        },
+        workers: 1,
+        fusion: true,
+    });
+    let serve = |count: usize| {
+        for i in 0..count {
+            server
+                .call(Request {
+                    session,
+                    program: text.clone(),
+                    params: CompileParams::new(30),
+                    compiler: "reserve".into(),
+                    inputs: inputs_for(0, i),
+                    deadline: None,
+                })
+                .expect("request succeeds");
+        }
+        let pool = server.shared_pool(SLOTS * 2);
+        let stats = pool.stats();
+        assert_eq!(stats.live_bytes, 0, "an idle pool has nothing checked out");
+        (stats.free_bytes, pool.parked_buffers())
+    };
+    serve(5); // warm-up: the first requests stock the free list
+    let after_20 = serve(20);
+    let after_220 = serve(200);
+    assert_eq!(
+        after_220, after_20,
+        "(free bytes, parked buffers) after 200 more requests: each request \
+         must return to the pool exactly what it took"
+    );
+    assert_eq!(after_20.0, (after_20.1 * SLOTS * 2 * 8) as u64);
 }
