@@ -9,7 +9,7 @@
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::diag::{Finding, Severity, TvVerdict};
 use fhe_ir::pipeline::{Pass, PassCx, PassError, PassIr, PassKind};
-use fhe_ir::{MemoryModelConfig, Program};
+use fhe_ir::Program;
 
 use crate::lint::{lint_scheduled, LintOptions};
 use crate::parallel;
@@ -65,9 +65,8 @@ impl Pass for LintPass {
 /// Never fails the pipeline: the profile is informative and a safety
 /// violation is surfaced as an `F008` error finding (the parallel form of
 /// the premature-free lint) for the fuzz oracle and the lint CLI to gate
-/// on. The hoisting discipline follows the [`MemoryModelConfig`] artifact
-/// if an earlier pass stored one, matching what the memory model and the
-/// runtime will do.
+/// on. The graph is built with rotation hoisting on, matching the compile
+/// report's memory model and the runtime's default.
 #[derive(Debug, Clone, Default)]
 pub struct DepGraphPass;
 
@@ -86,12 +85,7 @@ impl Pass for DepGraphPass {
             cx.note("skipped: schedule does not validate");
             return Ok(PassIr::Scheduled(scheduled));
         };
-        let hoist = cx
-            .get::<MemoryModelConfig>()
-            .cloned()
-            .unwrap_or_default()
-            .hoist_rotations;
-        let graph = DepGraph::build(&scheduled, &map, &cx.cost_model, hoist);
+        let graph = DepGraph::build(&scheduled, &map, &cx.cost_model, true);
         let est = graph.estimate();
         cx.note(format!(
             "work {:.1}us, span {:.1}us, parallelism {:.2}x, max width {}",
@@ -100,7 +94,7 @@ impl Pass for DepGraphPass {
             est.parallelism(),
             est.max_width
         ));
-        let safety = parallel::check(&scheduled, &graph, hoist);
+        let safety = parallel::check(&scheduled, &graph, true);
         if safety.race_free() {
             cx.note(format!(
                 "parallel-safety: proved race-free ({} obligation(s), {} freed value(s))",

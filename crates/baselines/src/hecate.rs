@@ -35,8 +35,6 @@ pub struct HecateOptions {
     pub patience: usize,
     /// RNG seed (exploration is randomized but reproducible).
     pub seed: u64,
-    /// Maximum per-edge upscale choice explored (in `W/2` quanta).
-    pub max_choice: u8,
 }
 
 impl Default for HecateOptions {
@@ -45,7 +43,6 @@ impl Default for HecateOptions {
             max_iterations: 20_000,
             patience: 2_000,
             seed: 0x4845_4341,
-            max_choice: ForwardPlan::MAX_CHOICE,
         }
     }
 }
@@ -119,7 +116,7 @@ impl Pass for ExplorePass {
                     break;
                 }
                 let p = points[rng.gen_range(0..points.len())];
-                candidate.edge[p] = rng.gen_range(0..=options.max_choice);
+                candidate.edge[p] = rng.gen_range(0..=ForwardPlan::MAX_CHOICE);
             }
             if candidate == best_plan {
                 iterations += 1;
@@ -230,7 +227,6 @@ mod tests {
             max_iterations: iters,
             patience: iters,
             seed: 7,
-            max_choice: ForwardPlan::MAX_CHOICE,
         }
     }
 

@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fhe_bench::json::Json;
+use fhe_bench::json::{json_number, Json};
 use fhe_bench::print_table;
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::{CompileParams, Op, Program, ScheduledProgram};
@@ -144,20 +144,6 @@ fn row_json(row: &Row) -> Json {
             Json::from(row.report.total_time.as_secs_f64() * 1e6),
         ),
     ])
-}
-
-/// Pulls `"key":<number>` out of a flat JSON record (the committed
-/// baseline) without a full parser.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {

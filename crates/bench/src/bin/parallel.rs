@@ -38,52 +38,14 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fhe_bench::json::Json;
+use fhe_bench::json::{json_number, Json};
 use fhe_bench::print_table;
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::pipeline::ScaleCompiler;
-use fhe_ir::{CompileParams, CostModel, Op, ScheduledProgram};
+use fhe_ir::{CompileParams, CostModel, ScheduledProgram};
 use fhe_runtime::{execute_parallel, plain, ExecOptions, KeyPolicy, ParOptions, ParReport};
 use fhe_workloads::{suite, Size, Workload};
 use reserve_core::ReserveCompiler;
-
-/// Whether every live cipher value's magnitude fits the slack between its
-/// scheduled scale and its level's modulus budget (`|v|·2^scale < Q_l/2`)
-/// — the condition under which the backend's decryption is guaranteed
-/// accurate (the fuzz oracle's criterion, restated here because `fhe-fuzz`
-/// depends on this crate).
-fn schedule_fits_backend(scheduled: &ScheduledProgram, inputs: &HashMap<String, Vec<f64>>) -> bool {
-    let Ok(map) = scheduled.validate() else {
-        return false;
-    };
-    let program = &scheduled.program;
-    let mut all = program.clone();
-    all.set_outputs(program.ids().collect());
-    let vals = plain::execute(&all, inputs);
-    let rescale = f64::from(scheduled.params.rescale_bits);
-    let live = fhe_ir::analysis::live(program);
-    for (id, slots) in program.ids().zip(&vals) {
-        if !live[id.index()] || !program.is_cipher(id) {
-            continue;
-        }
-        if let Op::Upscale(_, delta) = program.op(id) {
-            let factor = 2f64.powf(delta.to_f64());
-            if factor < 2f64.powi(53) && (factor.round() - factor).abs() / factor > 1e-8 {
-                return false;
-            }
-        }
-        let mag = slots.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if mag == 0.0 {
-            continue;
-        }
-        let scale = map.scale_bits(id).to_f64();
-        let budget = f64::from(map.level(id)) * rescale;
-        if mag.log2() + scale > budget - 1.0 {
-            return false;
-        }
-    }
-    true
-}
 
 /// Runner counts the acceptance sweep covers.
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -152,7 +114,7 @@ fn compile_fitting(w: &Workload) -> ScheduledProgram {
             let Ok(compiled) = ReserveCompiler::full().compile(&w.program, &params) else {
                 continue;
             };
-            if schedule_fits_backend(&compiled.scheduled, &w.inputs) {
+            if plain::schedule_fits_backend(&compiled.scheduled, &w.inputs) {
                 return compiled.scheduled;
             }
         }
@@ -221,13 +183,11 @@ fn node_costs(graph: &DepGraph, reports: &[ParReport]) -> Vec<f64> {
 /// neighbours (clamped at the ends). Classes the program never executes
 /// keep the paper's Table 3 row — their nodes do not exist in the graph.
 fn calibrate(scheduled: &ScheduledProgram, graph: &DepGraph, costs: &[f64]) -> CostModel {
-    let program = &scheduled.program;
     let map = scheduled.validate().expect("schedule validates");
     let mut samples: HashMap<(usize, u32), (f64, usize)> = HashMap::new();
     let mut class_of: HashMap<usize, fhe_ir::OpClass> = HashMap::new();
     for (node, &us) in graph.nodes().iter().zip(costs) {
-        let (Some(class), Some(level)) =
-            (node.class, CostModel::charge_level(program, node.id, &map))
+        let (Some(class), Some(level)) = (node.class, CostModel::charge_level(node.id, &map))
         else {
             continue;
         };
@@ -378,20 +338,6 @@ fn workload_json(r: &WorkloadResult) -> Json {
         ("hoisted_groups", Json::from(r.hoisted_groups)),
         ("safety_obligations", Json::from(r.safety_obligations)),
     ])
-}
-
-/// Pulls `"key":<number>` out of a flat JSON record (the committed
-/// baseline) without a full parser.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn bench_workload(w: &Workload, cores: usize) -> WorkloadResult {

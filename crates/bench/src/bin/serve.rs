@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fhe_bench::json::Json;
+use fhe_bench::json::{json_number, Json};
 use fhe_bench::print_table;
 use fhe_ir::{text, CompileParams};
 use fhe_runtime::{ExecOptions, KeyPolicy, ParOptions};
@@ -196,19 +196,6 @@ struct SweepRow {
     p99_us: f64,
     peak_bytes: u64,
     cache_hit_rate: f64,
-}
-
-/// Pulls `"key":<number>` out of a flat JSON record without a parser.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {

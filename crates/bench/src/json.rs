@@ -118,6 +118,20 @@ impl fmt::Display for Json {
     }
 }
 
+/// Pulls `"key":<number>` out of a flat JSON record (a committed
+/// `BENCH_*.json` baseline) without a full parser.
+pub fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)? + needle.len();
+    let rest = &text[at..];
+    let end = rest
+        .find(|c: char| {
+            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
+        })
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

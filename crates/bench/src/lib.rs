@@ -48,7 +48,6 @@ pub fn standard_compilers(hecate_budget: usize) -> Vec<Box<dyn ScaleCompiler>> {
                 max_iterations: hecate_budget,
                 patience: hecate_budget / 4 + 50,
                 seed: 0xCA7,
-                ..HecateOptions::default()
             },
         }),
         Box::new(ReserveCompiler::full()),

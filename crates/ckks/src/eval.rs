@@ -94,15 +94,9 @@ impl<'c> Evaluator<'c> {
         }
     }
 
-    /// Attaches a lazy Galois-key cache consulted when a rotation's key is
-    /// absent from the static set.
-    pub fn with_key_cache(self, cache: KeyCache) -> Self {
-        self.with_key_cache_handle(Arc::new(cache))
-    }
-
-    /// Attaches a *shared* lazy Galois-key cache (see
-    /// [`Evaluator::with_key_cache`]); the cache and its stats outlive this
-    /// evaluator.
+    /// Attaches a shared lazy Galois-key cache, consulted when a rotation's
+    /// key is absent from the static set; the cache and its stats outlive
+    /// this evaluator.
     pub fn with_key_cache_handle(mut self, cache: Arc<KeyCache>) -> Self {
         self.cache = Some(cache);
         self

@@ -312,11 +312,6 @@ impl KeyCache {
         self.budget
     }
 
-    /// Heap bytes of the retained secret-key handle.
-    pub fn secret_key_bytes(&self) -> usize {
-        self.sk.byte_size()
-    }
-
     /// A snapshot of the cache's counters.
     pub fn stats(&self) -> KeyCacheStats {
         self.inner.lock().expect("key cache lock").stats

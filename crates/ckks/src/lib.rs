@@ -59,7 +59,6 @@ pub mod poly;
 pub mod pool;
 pub mod primes;
 pub mod security;
-pub mod serialize;
 
 pub use cipher::{decrypt, encrypt_public, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
 pub use context::{CkksContext, CkksParams};

@@ -10,7 +10,7 @@
 //! Jobs now run on a process-wide persistent [`Pool`]: workers park on a
 //! condvar, keep per-worker deques, and steal from their siblings, so
 //! dispatching a batch costs a queue push and a wake instead of a spawn —
-//! and batches whose estimated work falls below [`PARALLEL_CUTOFF_NS`]
+//! and batches whose estimated work falls below `PARALLEL_CUTOFF_NS` (16 µs)
 //! stay inline, which fixes the small-size regression outright.
 //!
 //! Every job is deterministic and writes only its own item, so results

@@ -507,7 +507,8 @@ impl RnsPoly {
     }
 
     /// Exact RNS rescale: divides by the last chain prime `q_{l-1}` with
-    /// rounding, dropping one level. Input and output in NTT domain.
+    /// rounding, dropping one level. Input and output in NTT domain; the
+    /// dropped limb's buffer goes back to `pool`.
     ///
     /// Computes `(x − [x]_{q_last}) · q_last^{-1} mod q_i` per remaining limb.
     ///
@@ -515,17 +516,7 @@ impl RnsPoly {
     ///
     /// Panics if the poly is at level 1, carries the special limb, or is in
     /// coefficient domain.
-    pub fn rescale_last(&mut self, ctx: &CkksContext) {
-        self.rescale_last_impl(ctx, None);
-    }
-
-    /// [`RnsPoly::rescale_last`] with the dropped limb buffer returned to
-    /// `pool` instead of freed.
     pub fn rescale_last_in(&mut self, ctx: &CkksContext, pool: &PolyPool) {
-        self.rescale_last_impl(ctx, Some(pool));
-    }
-
-    fn rescale_last_impl(&mut self, ctx: &CkksContext, pool: Option<&PolyPool>) {
         assert!(self.level >= 2, "cannot rescale below level 1");
         assert!(!self.special, "rescale before dropping the special limb");
         assert!(self.ntt, "ciphertext polys live in NTT domain");
@@ -558,29 +549,18 @@ impl RnsPoly {
                 }
             });
         }
-        if let Some(pool) = pool {
-            pool.put([last]);
-        }
+        pool.put([last]);
         self.level = j;
     }
 
     /// Divides by the special prime `P` with rounding, dropping the special
-    /// limb (the final step of key switching). Input NTT, output NTT.
+    /// limb (the final step of key switching). Input NTT, output NTT; the
+    /// dropped limb's buffer goes back to `pool`.
     ///
     /// # Panics
     ///
     /// Panics if the poly lacks the special limb or is in coefficient domain.
-    pub fn rescale_special(&mut self, ctx: &CkksContext) {
-        self.rescale_special_impl(ctx, None);
-    }
-
-    /// [`RnsPoly::rescale_special`] with the dropped limb buffer returned
-    /// to `pool` instead of freed.
     pub fn rescale_special_in(&mut self, ctx: &CkksContext, pool: &PolyPool) {
-        self.rescale_special_impl(ctx, Some(pool));
-    }
-
-    fn rescale_special_impl(&mut self, ctx: &CkksContext, pool: Option<&PolyPool>) {
         assert!(self.special, "no special limb to drop");
         assert!(self.ntt, "ciphertext polys live in NTT domain");
         let mut last = self.limbs.pop().expect("limb");
@@ -607,9 +587,7 @@ impl RnsPoly {
                 }
             });
         }
-        if let Some(pool) = pool {
-            pool.put([last]);
-        }
+        pool.put([last]);
         self.special = false;
     }
 
@@ -770,7 +748,7 @@ mod tests {
             .collect();
         let mut p = RnsPoly::from_real_coeffs(&ctx, 2, false, &coeffs);
         p.to_ntt(&ctx);
-        p.rescale_last(&ctx);
+        p.rescale_last_in(&ctx, &PolyPool::new(ctx.degree()));
         p.to_coeff(&ctx);
         assert_eq!(p.level(), 1);
         let got = ctx.moduli()[0].center(p.limb(0)[0]);

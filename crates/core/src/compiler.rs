@@ -65,27 +65,6 @@ pub enum OrderingStrategy {
     ReverseTopological,
 }
 
-/// Latency-vs-working-set preference, recorded in the compile report's
-/// static memory estimate and honored by the encrypted runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkingSet {
-    /// Favor latency: the runtime may hoist rotation groups, sharing one
-    /// key-switch decomposition at the cost of holding every group output
-    /// live at once (default).
-    #[default]
-    Latency,
-    /// Favor a compact working set: rotation hoisting is disabled, so the
-    /// static peak (and the runtime's measured peak) stays lower.
-    Compact,
-}
-
-impl WorkingSet {
-    /// Whether rotation-group hoisting is permitted under this preference.
-    pub fn hoist_rotations(self) -> bool {
-        matches!(self, WorkingSet::Latency)
-    }
-}
-
 /// Options for [`compile`].
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -95,12 +74,8 @@ pub struct Options {
     pub cost_model: CostModel,
     /// Ablation mode.
     pub mode: Mode,
-    /// Run CSE/DCE before scale management (both baselines do).
-    pub cleanup: bool,
     /// Allocation-order strategy (ablation of §6.1).
     pub ordering: OrderingStrategy,
-    /// Latency-vs-working-set preference for the memory model.
-    pub working_set: WorkingSet,
 }
 
 impl Options {
@@ -110,9 +85,7 @@ impl Options {
             params: CompileParams::new(waterline_bits),
             cost_model: CostModel::paper_table3(),
             mode: Mode::Full,
-            cleanup: true,
             ordering: OrderingStrategy::CostPriority,
-            working_set: WorkingSet::default(),
         }
     }
 
@@ -254,11 +227,8 @@ impl Pass for HoistPass {
 
 /// Builds the reserve pipeline for `options` (without running it).
 fn pipeline_for(options: &Options) -> PassManager {
-    let mut pm = PassManager::new();
-    if options.cleanup {
-        pm = pm.with(CleanupPass);
-    }
-    pm = pm
+    let mut pm = PassManager::new()
+        .with(CleanupPass)
         .with(OrderPass {
             strategy: options.ordering,
         })
@@ -273,7 +243,7 @@ fn pipeline_for(options: &Options) -> PassManager {
     pm
 }
 
-/// Op count entering scale management (i.e. after cleanup, if it ran).
+/// Op count entering scale management (i.e. after cleanup).
 fn ops_entering_scale_management(trace: &PipelineTrace, fallback: usize) -> usize {
     trace.pass("order").map_or(fallback, |r| r.ops_before)
 }
@@ -289,9 +259,6 @@ pub fn compile(program: &Program, options: &Options) -> Result<Compiled, Compile
     let label = options.mode.label();
     let t_total = Instant::now();
     let mut cx = PassCx::new(options.params, options.cost_model.clone());
-    cx.put(fhe_ir::MemoryModelConfig {
-        hoist_rotations: options.working_set.hoist_rotations(),
-    });
     let (ir, trace) = pipeline_for(options)
         .with(DepGraphPass)
         .with(LintPass::default())
@@ -323,12 +290,8 @@ pub struct ReserveCompiler {
     pub mode: Mode,
     /// Latency model used for ordering and hoisting decisions.
     pub cost_model: CostModel,
-    /// Run CSE/DCE before scale management.
-    pub cleanup: bool,
     /// Allocation-order strategy.
     pub ordering: OrderingStrategy,
-    /// Latency-vs-working-set preference for the memory model.
-    pub working_set: WorkingSet,
 }
 
 impl ReserveCompiler {
@@ -342,9 +305,7 @@ impl ReserveCompiler {
         ReserveCompiler {
             mode,
             cost_model: CostModel::paper_table3(),
-            cleanup: true,
             ordering: OrderingStrategy::CostPriority,
-            working_set: WorkingSet::default(),
         }
     }
 
@@ -353,9 +314,7 @@ impl ReserveCompiler {
             params: *params,
             cost_model: self.cost_model.clone(),
             mode: self.mode,
-            cleanup: self.cleanup,
             ordering: self.ordering,
-            working_set: self.working_set,
         }
     }
 }
@@ -552,21 +511,5 @@ mod ordering_ablation_tests {
                 assert!(reserve >= fhe_ir::Frac::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn no_cleanup_option_respected() {
-        let b = Builder::new("dup", 8);
-        let x = b.input("x");
-        let a = x.clone() * x.clone();
-        let c = x.clone() * x.clone();
-        let out_expr = a + c;
-        let p = b.finish(vec![out_expr]);
-        let mut options = Options::new(20);
-        options.cleanup = false;
-        let out = compile(&p, &options).unwrap();
-        // Duplicate squares survive without CSE.
-        assert!(out.report.ops_before == p.num_ops());
-        out.scheduled.validate().unwrap();
     }
 }

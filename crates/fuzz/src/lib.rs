@@ -11,7 +11,7 @@
 //! * [`oracle`] — the differential harness: all compilers × all
 //!   executors, schedule type-system invariants, metamorphic
 //!   pass-preservation, textual round-trip;
-//! * [`shrink`] — greedy minimizer preserving the failure label;
+//! * [`mod@shrink`] — greedy minimizer preserving the failure label;
 //! * [`corpus`] — textual reproducers (committed under `tests/corpus/`)
 //!   that replay from the file alone.
 //!
@@ -25,10 +25,10 @@ pub mod oracle;
 pub mod shrink;
 
 pub use corpus::{load_dir, parse_case, render_case, write_case, CorpusCase};
+pub use fhe_runtime::plain::schedule_fits_backend;
 pub use gen::{generate, GenConfig, OpMix};
 pub use oracle::{
-    check_program, compilers, input_data, schedule_fits_backend, structural_diff, Divergence,
-    DivergenceKind, OracleConfig,
+    check_program, compilers, input_data, structural_diff, Divergence, DivergenceKind, OracleConfig,
 };
 pub use shrink::shrink;
 

@@ -227,16 +227,13 @@ impl CostModel {
     /// level (== result level); `rescale`/`modswitch` are charged at their
     /// *result* level, matching the paper's Fig. 2 cost accounting (a
     /// level-2→1 rescale is charged as a "Lv. 1 Rescale").
-    pub fn charge_level(_program: &Program, id: ValueId, scales: &ScaleMap) -> Option<u32> {
+    pub fn charge_level(id: ValueId, scales: &ScaleMap) -> Option<u32> {
         scales.try_level(id)
     }
 
     /// Latency (µs) of op `id` under the derived `scales`.
     pub fn op_cost(&self, program: &Program, id: ValueId, scales: &ScaleMap) -> f64 {
-        match (
-            Self::classify(program, id),
-            Self::charge_level(program, id, scales),
-        ) {
+        match (Self::classify(program, id), Self::charge_level(id, scales)) {
             (Some(class), Some(level)) => self.at_level(class, level),
             _ => 0.0,
         }

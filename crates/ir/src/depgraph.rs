@@ -105,26 +105,6 @@ impl ParallelismEstimate {
             1.0
         }
     }
-
-    /// Speedup of the `k`-worker schedule over one worker, from the
-    /// profile's largest tabulated width at or below `k`.
-    pub fn speedup_at(&self, k: usize) -> f64 {
-        let t1 = match self.t_of_k.first() {
-            Some(&(_, t)) if t > 0.0 => t,
-            _ => return 1.0,
-        };
-        let tk = self
-            .t_of_k
-            .iter()
-            .filter(|&&(w, _)| w <= k)
-            .map(|&(_, t)| t)
-            .fold(t1, f64::min);
-        if tk > 0.0 {
-            t1 / tk
-        } else {
-            1.0
-        }
-    }
 }
 
 /// The dependence DAG of a scheduled program. Node order (ascending

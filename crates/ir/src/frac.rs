@@ -75,19 +75,9 @@ impl Frac {
         self.den
     }
 
-    /// Whether this value is an exact integer.
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// Whether the value is zero.
     pub fn is_zero(self) -> bool {
         self.num == 0
-    }
-
-    /// Whether the value is strictly negative.
-    pub fn is_negative(self) -> bool {
-        self.num < 0
     }
 
     /// Ceiling, `⌈x⌉`.

@@ -44,7 +44,6 @@ mod builder;
 pub mod cost;
 pub mod depgraph;
 pub mod diag;
-pub mod dsl;
 pub mod fold;
 mod frac;
 pub mod fusion;
@@ -63,7 +62,7 @@ pub use depgraph::{DepConsumer, DepGraph, DepKind, DepNode, ParallelismEstimate}
 pub use diag::{Finding, Severity, TvVerdict};
 pub use frac::Frac;
 pub use fusion::{BlockedFusion, Blocker, FusionPlan};
-pub use memory::{estimate_memory, MemoryEstimate, MemoryModelConfig};
+pub use memory::{estimate_memory, MemoryEstimate};
 pub use op::{ConstValue, Op, OperandIter, ValueId};
 pub use params::CompileParams;
 pub use pipeline::{

@@ -15,24 +15,6 @@ use crate::schedule::{ScaleMap, ScheduledProgram};
 /// not model individually (automorphism double-buffers, rescale scratch).
 const OP_MARGIN_LIMBS: u64 = 16;
 
-/// Pipeline artifact configuring the static memory model (set by the
-/// reserve compiler's working-set knob; defaults apply elsewhere).
-#[derive(Debug, Clone, Copy)]
-pub struct MemoryModelConfig {
-    /// Whether the runtime may hoist rotation groups (shares one key-switch
-    /// decomposition across rotations of the same ciphertext — faster, but
-    /// the whole group's outputs are live at once).
-    pub hoist_rotations: bool,
-}
-
-impl Default for MemoryModelConfig {
-    fn default() -> Self {
-        MemoryModelConfig {
-            hoist_rotations: true,
-        }
-    }
-}
-
 /// Static per-program memory bound (see [`estimate_memory`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemoryEstimate {

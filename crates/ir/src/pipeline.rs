@@ -630,18 +630,11 @@ pub fn finish_compiled(
         }
     };
     let estimated_latency_us = cx.cost_model.program_cost(&scheduled.program, &map);
-    let mem_cfg = cx
-        .get::<crate::memory::MemoryModelConfig>()
-        .copied()
-        .unwrap_or_default();
-    let memory = crate::memory::estimate_memory(
-        &scheduled,
-        &map,
-        2 * scheduled.program.slots(),
-        mem_cfg.hoist_rotations,
-    );
-    let parallelism =
-        crate::depgraph::analyze(&scheduled, &map, &cx.cost_model, mem_cfg.hoist_rotations);
+    // The report's static bounds assume rotation hoisting, the runtime's
+    // default (`ExecOptions::rotation_hoisting`).
+    let memory =
+        crate::memory::estimate_memory(&scheduled, &map, 2 * scheduled.program.slots(), true);
+    let parallelism = crate::depgraph::analyze(&scheduled, &map, &cx.cost_model, true);
     let report = CompileReport {
         compiler,
         scale_management_time: trace.scale_management_time(),

@@ -213,11 +213,6 @@ impl<'a> ProgramEditor<'a> {
             .unwrap_or_else(|| panic!("source value {old} has no mapping yet"))
     }
 
-    /// Returns the mapping for `old` if one exists.
-    pub fn try_map(&self, old: ValueId) -> Option<ValueId> {
-        self.mapping.get(&old).copied()
-    }
-
     /// Overrides the mapping of source value `old` to destination `new`
     /// (used to route subsequent uses through inserted scale management).
     pub fn set_mapping(&mut self, old: ValueId, new: ValueId) {

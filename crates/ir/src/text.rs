@@ -169,7 +169,10 @@ impl<'a> Parser<'a> {
             .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
             .unwrap_or(self.rest.len());
         let (num, r) = self.rest.split_at(end);
-        match num.parse() {
+        match num.parse::<f64>() {
+            // `str::parse` rounds an out-of-range literal (`1e999`) to ±∞,
+            // which no plaintext can encode.
+            Ok(v) if !v.is_finite() => self.err(format!("constant `{num}` is not finite")),
             Ok(v) => {
                 self.rest = r;
                 Ok(v)
@@ -472,6 +475,20 @@ mod tests {
             err.to_string(),
             format!("parse error on line 3: {}", err.message)
         );
+    }
+
+    #[test]
+    fn rejects_overflowing_constants() {
+        // `1e999` parses to +∞; scalar and vector constants both refuse it,
+        // pointing at the literal.
+        let scalar = "program t(slots=4) {\n  %0 = const 1e999\n  return %0\n}\n";
+        let err = parse(scalar).unwrap_err();
+        assert_eq!((err.line, err.column), (2, 14));
+        assert!(err.message.contains("not finite"), "{}", err.message);
+        let vector = "program t(slots=4) {\n  %0 = const [1, -1e999]\n  return %0\n}\n";
+        let err = parse(vector).unwrap_err();
+        assert_eq!((err.line, err.column), (2, 18));
+        assert!(err.message.contains("not finite"), "{}", err.message);
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub struct ExecOptions {
     pub keys: KeyPolicy,
     /// Share one key-switch decomposition across rotations of the same
     /// ciphertext (faster, but the whole group's outputs are live at
-    /// once). Disable to minimize the working set — must match the
-    /// compiler's `WorkingSet` knob for the static memory bound to apply.
+    /// once). Disable to minimize the working set; the compile report's
+    /// static memory bound is computed with it on
+    /// ([`fhe_ir::estimate_memory`] takes the setting explicitly).
     pub rotation_hoisting: bool,
 }
 

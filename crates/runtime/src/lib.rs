@@ -11,14 +11,11 @@
 //!   wall-clock timing — one walker over the schedule's dependence DAG,
 //!   serial at one runner;
 //!
-//! two ways to cost one without running it:
-//!
-//! - [`estimate()`](estimate::estimate): static latency estimation under the Table 3 cost model
-//!   (drives Fig. 6 and Fig. 8);
-//! - [`error_est`]: closed-form worst-case error bounds (an ELASM-style
-//!   extension beyond the paper);
-//!
-//! plus [`microbench`], which measures this repo's own Table 3.
+//! one way to bound its error without running it — [`error_est`]:
+//! closed-form worst-case error bounds (an ELASM-style extension beyond the
+//! paper; static *latency* is [`fhe_ir::CostModel::program_cost`], which
+//! every [`fhe_ir::CompileReport`] already carries) — plus [`microbench`],
+//! which measures this repo's own Table 3.
 //!
 //! The three executors are unified behind the [`Executor`] trait
 //! ([`executor`]): each returns the same [`Execution`] artifact (outputs +
@@ -31,7 +28,6 @@
 
 pub mod ckks_exec;
 pub mod error_est;
-pub mod estimate;
 pub mod executor;
 pub mod microbench;
 pub mod noise_sim;
@@ -42,7 +38,6 @@ pub use ckks_exec::{
     rotation_steps, ExecOptions, ExecReport, KeyPolicy, ParOptions, ParReport, SessionKeys,
 };
 pub use error_est::{estimate_error, select_waterline, ErrorEstimateOptions};
-pub use estimate::{estimate, LatencyBreakdown};
 pub use executor::{
     max_abs_diff, outputs_close, CkksExec, ExecTrace, Execution, Executor, MemStats, NoiseSimExec,
     PlainExec,

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use fhe_ir::{Op, Program, ValueId};
+use fhe_ir::{Op, Program, ScheduledProgram, ValueId};
 
 /// Executes `program` on named input vectors (each padded/truncated to the
 /// slot count).
@@ -68,6 +68,60 @@ pub fn rotate(a: &[f64], k: i64) -> Vec<f64> {
     (0..n)
         .map(|i| a[((i + k).rem_euclid(n)) as usize])
         .collect()
+}
+
+/// Whether every live cipher value's magnitude fits the slack between its
+/// scheduled scale and its level's modulus budget (`|v|·2^scale < Q_l/2`).
+/// The type system only guarantees encrypted correctness under this
+/// condition; EVA and Hecate never receive the magnitude-derived output
+/// reserve (they ignore `output_reserve_bits`), so a schedule can be
+/// well-typed yet wrap in the real backend. Such runs are skipped, not
+/// flagged — they are outside the guarantee, not a divergence.
+///
+/// # Panics
+///
+/// Panics if an input binding is missing (as [`execute`] does).
+pub fn schedule_fits_backend(
+    scheduled: &ScheduledProgram,
+    inputs: &HashMap<String, Vec<f64>>,
+) -> bool {
+    let Ok(map) = scheduled.validate() else {
+        return false;
+    };
+    let program = &scheduled.program;
+    let mut all = program.clone();
+    all.set_outputs(program.ids().collect());
+    let vals = execute(&all, inputs);
+    let rescale = f64::from(scheduled.params.rescale_bits);
+    let live = fhe_ir::analysis::live(program);
+    for (id, slots) in program.ids().zip(&vals) {
+        if !live[id.index()] || !program.is_cipher(id) {
+            continue;
+        }
+        // The backend realizes an upscale as an exact integer scalar
+        // multiply, so a factor far from any integer (a small
+        // fractional-bit delta like 2^(1/2)) drifts the actual scale away
+        // from the scheduled one — unrealizable in an integer plaintext
+        // ring, and outside the encrypted-correctness guarantee.
+        if let Op::Upscale(_, delta) = program.op(id) {
+            let factor = 2f64.powf(delta.to_f64());
+            if factor < 2f64.powi(53) && (factor.round() - factor).abs() / factor > 1e-8 {
+                return false;
+            }
+        }
+        let mag = slots.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        if mag == 0.0 {
+            continue;
+        }
+        let scale = map.scale_bits(id).to_f64();
+        let budget = f64::from(map.level(id)) * rescale;
+        // One bit covers the `< Q/2` half plus the chain primes sitting
+        // fractionally below 2^rescale.
+        if mag.log2() + scale > budget - 1.0 {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

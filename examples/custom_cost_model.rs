@@ -41,14 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let with_paper = fhe_reserve::compiler::compile(&program, &paper_opts)?;
     let with_measured = fhe_reserve::compiler::compile(&program, &calibrated_opts)?;
 
-    let paper_est = |s: &ScheduledProgram| {
-        runtime::estimate(s, &CostModel::paper_table3())
-            .unwrap()
-            .total_us
-            / 1000.0
+    let est_ms = |s: &ScheduledProgram, model: &CostModel| {
+        model.program_cost(&s.program, &s.validate().unwrap()) / 1000.0
     };
-    let measured_est =
-        |s: &ScheduledProgram| runtime::estimate(s, &calibrated).unwrap().total_us / 1000.0;
+    let paper = CostModel::paper_table3();
 
     println!(
         "\nplan under paper cost model:      {} ops, {} hoists",
@@ -60,15 +56,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "\nestimated latency (paper model):      {:.1} ms vs {:.1} ms",
-        paper_est(&with_paper.scheduled),
-        paper_est(&with_measured.scheduled)
+        est_ms(&with_paper.scheduled, &paper),
+        est_ms(&with_measured.scheduled, &paper)
     );
     println!(
         "estimated latency (calibrated model): {:.1} ms vs {:.1} ms",
-        measured_est(&with_paper.scheduled),
-        measured_est(&with_measured.scheduled)
+        est_ms(&with_paper.scheduled, &calibrated),
+        est_ms(&with_measured.scheduled, &calibrated)
     );
     println!("\n(the calibrated-model plan should never be worse under its own model)");
-    assert!(measured_est(&with_measured.scheduled) <= measured_est(&with_paper.scheduled) * 1.05);
+    assert!(
+        est_ms(&with_measured.scheduled, &calibrated)
+            <= est_ms(&with_paper.scheduled, &calibrated) * 1.05
+    );
     Ok(())
 }

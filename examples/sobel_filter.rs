@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_iterations: 1500,
             patience: 500,
             seed: 1,
-            max_choice: baselines::ForwardPlan::MAX_CHOICE,
         },
     )?;
     // This work: reserve analysis.

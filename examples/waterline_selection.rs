@@ -34,12 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &ErrorEstimateOptions::default(),
     )
     .expect("some waterline meets the target");
-    let est = runtime::estimate(&scheduled, &CostModel::paper_table3()).unwrap();
+    let map = scheduled.validate().unwrap();
     println!(
         "selected waterline 2^{waterline} for target 2^{target}: \
          level {}, estimated {:.1} ms",
-        scheduled.validate().unwrap().max_level(),
-        est.total_us / 1000.0
+        map.max_level(),
+        CostModel::paper_table3().program_cost(&scheduled.program, &map) / 1000.0
     );
 
     // Confirm under real encryption.

@@ -93,11 +93,6 @@ pub struct FileReport {
 }
 
 impl FileReport {
-    /// Total findings across all targets.
-    pub fn num_findings(&self) -> usize {
-        self.targets.iter().map(|t| t.findings.len()).sum()
-    }
-
     /// True when any file- or target-level error occurred.
     pub fn has_error(&self) -> bool {
         self.error.is_some() || self.targets.iter().any(|t| t.error.is_some())

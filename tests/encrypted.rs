@@ -77,7 +77,6 @@ fn encrypted_execution_agrees_across_compilers() {
                 max_iterations: 60,
                 patience: 60,
                 seed: 2,
-                ..HecateOptions::default()
             },
         }),
         Box::new(ReserveCompiler::full()),

@@ -20,7 +20,6 @@ fn compilers() -> Vec<Box<dyn ScaleCompiler>> {
                 max_iterations: 300,
                 patience: 300,
                 seed: 11,
-                ..HecateOptions::default()
             },
         }),
         Box::new(ReserveCompiler::full()),

@@ -18,10 +18,8 @@ fn fig2a() -> fhe_ir::Program {
 }
 
 fn cost_hundreds(s: &ScheduledProgram) -> f64 {
-    runtime::estimate(s, &CostModel::paper_table3())
-        .unwrap()
-        .total_us
-        / 100.0
+    let map = s.validate().unwrap();
+    CostModel::paper_table3().program_cost(&s.program, &map) / 100.0
 }
 
 #[test]
@@ -62,7 +60,6 @@ fn fig2_cost_story() {
             max_iterations: 2000,
             patience: 2000,
             seed: 5,
-            max_choice: baselines::ForwardPlan::MAX_CHOICE,
         },
     )
     .unwrap();

@@ -33,7 +33,6 @@ fn compilers() -> Vec<Box<dyn ScaleCompiler>> {
                 max_iterations: 200,
                 patience: 200,
                 seed: 7,
-                ..HecateOptions::default()
             },
         }),
         Box::new(ReserveCompiler::full()),

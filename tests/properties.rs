@@ -189,7 +189,6 @@ fn baselines_are_sound_on_random_programs() {
                 max_iterations: 20,
                 patience: 20,
                 seed: 9,
-                max_choice: baselines::ForwardPlan::MAX_CHOICE,
             },
         )
         .expect("Hecate compiles");

@@ -3,10 +3,14 @@
 //! back as a structured [`ServeError::ExecutorPanic`], quarantine **only
 //! its own session**, and leave the shared compile cache and polynomial
 //! pools serving every other session — no poisoned mutexes, stable
-//! [`ServeStats`]. A request whose *data* is bad — a NaN slot — is not a
-//! panic at all: it is refused with a typed error and its session serves on.
+//! [`ServeStats`]. A request whose *data* is bad — a NaN slot, or a constant
+//! in the program text that overflows `f64` — is not a panic at all: it is
+//! refused with a typed error and its session serves on. Fast-fail admission
+//! ([`FheServer::try_submit`]) refuses a request on a full queue without
+//! consuming anything of its session.
 
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use fhe_fuzz::corpus::parse_case;
@@ -246,4 +250,146 @@ fn a_non_finite_input_slot_is_a_typed_error_not_a_quarantine() {
     assert!(!stats.sessions[0].quarantined);
     // Refused before anything was encrypted: nothing is checked out.
     assert_eq!(server.shared_pool(slots * 2).stats().live_bytes, 0);
+}
+
+#[test]
+fn an_overflowing_constant_is_a_parse_error_not_a_quarantine() {
+    // `1e999` is a well-formed literal that `str::parse::<f64>` rounds to
+    // +∞. The parser must refuse it: past the parser it compiles, and the
+    // encoder panics on it ("cannot reduce non-finite value"), which
+    // quarantines the session.
+    let server = FheServer::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let session = server.create_session(options(0x1E999, 16));
+    let request = |constant: &str| Request {
+        session,
+        program: format!(
+            "program t(slots=8) {{\n  %0 = input \"x\"\n  %1 = const {constant}\n  \
+             %2 = mul %0, %1\n  return %2\n}}\n"
+        ),
+        params: fhe_ir::CompileParams::new(30),
+        compiler: "reserve".into(),
+        inputs: [("x".to_string(), vec![0.25; 8])].into_iter().collect(),
+        deadline: None,
+    };
+    for constant in ["1e999", "[0.5, -1e999]"] {
+        match server.call(request(constant)) {
+            Err(ServeError::Parse(msg)) => {
+                assert!(
+                    msg.contains("line 3") && msg.contains("not finite"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected a parse error for `{constant}`, got {other:?}"),
+        }
+        let ok = server
+            .call(request("0.5"))
+            .expect("session survives its own bad program text");
+        outputs_close(&ok.outputs, &ok.reference, 1e-2).expect("accurate");
+    }
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.failed), (4, 2));
+    assert!(!stats.sessions[0].quarantined);
+}
+
+/// The reserve compiler under the service's cache key, held at a gate: it
+/// announces that it holds the single-flight claim, then compiles only once
+/// released.
+struct GatedCompiler {
+    inner: reserve_core::ReserveCompiler,
+    claimed: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl fhe_ir::ScaleCompiler for GatedCompiler {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn compile(
+        &self,
+        program: &fhe_ir::Program,
+        params: &fhe_ir::CompileParams,
+    ) -> Result<fhe_ir::Compiled, fhe_ir::CompileError> {
+        self.claimed.send(()).expect("test is listening");
+        self.release.recv().expect("test releases the gate");
+        self.inner.compile(program, params)
+    }
+}
+
+#[test]
+fn try_submit_on_a_full_queue_is_overloaded_and_claims_no_sequence_number() {
+    const CAPACITY: usize = 2;
+    let (program, params, slots) = corpus_case();
+    let server = FheServer::new(ServerConfig {
+        workers: 1,
+        queue_capacity: CAPACITY,
+        ..ServerConfig::default()
+    });
+    let session = server.create_session(options(0xF011, slots * 2));
+    let request = || Request {
+        session,
+        program: program.clone(),
+        params,
+        compiler: "reserve".into(),
+        inputs: good_inputs(slots),
+        deadline: None,
+    };
+
+    let (claimed_tx, claimed) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        // Owned by this closure, so a failed assertion below drops it and
+        // the gate thread unblocks instead of hanging the scope's join.
+        let release = release;
+        // Hold the single-flight compile claim on the request's cache key,
+        // so the only worker blocks inside the first request it dequeues
+        // until the gate opens: no sleeps, no timing.
+        scope.spawn(|| {
+            let gated = GatedCompiler {
+                inner: reserve_core::ReserveCompiler::full(),
+                claimed: claimed_tx,
+                release: release_rx,
+            };
+            let source = text::parse(&program).expect("corpus case parses");
+            server
+                .cache()
+                .get_or_compile(&source, &params, &gated)
+                .expect("gated compile succeeds");
+        });
+        claimed.recv().expect("claim is held");
+
+        // 1 + CAPACITY blocking submits: the last returns only once the
+        // worker has dequeued the first, so the queue now holds exactly
+        // CAPACITY tickets and the worker is parked at the gate.
+        let tickets: Vec<_> = (0..=CAPACITY)
+            .map(|_| server.submit(request()).expect("accepted"))
+            .collect();
+        match server.try_submit(request()) {
+            Err(ServeError::Overloaded { queued, capacity }) => {
+                assert_eq!((queued, capacity), (CAPACITY, CAPACITY));
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+
+        release.send(()).expect("gate thread is waiting");
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let served = ticket.wait().expect("queued request is served");
+            assert_eq!(served.seq, i as u64);
+            assert!(served.cache_hit, "served from the gated compile");
+        }
+    });
+
+    // The queue has drained: fast-fail admission accepts again, and the
+    // refused request consumed no sequence number.
+    let after = server
+        .try_submit(request())
+        .expect("accepted once the queue drained")
+        .wait()
+        .expect("served");
+    assert_eq!(after.seq, CAPACITY as u64 + 1);
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.failed), (CAPACITY as u64 + 2, 0));
 }

@@ -16,7 +16,6 @@ fn compilers() -> Vec<Box<dyn ScaleCompiler>> {
                 max_iterations: 100,
                 patience: 100,
                 seed: 11,
-                ..HecateOptions::default()
             },
         }),
         Box::new(ReserveCompiler::full()),
