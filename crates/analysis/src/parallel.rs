@@ -5,19 +5,20 @@
 //! and recycles buffers through a pool; a DAG-parallel executor (the
 //! ROADMAP's work-stealing item) must therefore prove, per schedule, that
 //! executing ops in *any* order compatible with the dependence DAG cannot
-//! read a freed buffer or leave two writers of one pooled buffer
-//! unordered. [`check`] is that proof, in the translation-validation
-//! style: it re-derives the hazards from the program text — independently
-//! of how `fhe_ir::depgraph` inserted its anti/output edges — and verifies
-//! the DAG orders every one of them:
+//! read a freed buffer or read a hoisted group's shared decomposition
+//! before its leader wrote it. [`check`] is that proof, in the
+//! translation-validation style: it re-derives the hazards from the program
+//! text — independently of how `fhe_ir::depgraph` inserted its anti/output
+//! edges — and verifies the DAG orders every one of them:
 //!
 //! 1. **read-before-free** — for every live cipher value `v` with free op
 //!    `f` (its last live use; outputs are pinned and never freed), every
 //!    other reader of `v` must be a strict ancestor of `f` in the DAG, so
 //!    `v`'s buffer cannot be recycled while a reader is in flight.
-//! 2. **ordered group writers** — members of a hoisted rotation group all
-//!    write buffers materialized at the group leader's execution, so every
-//!    member must be a descendant of the leader.
+//! 2. **group members follow their writer** — members of a hoisted
+//!    rotation group all read the key-switch decomposition the group
+//!    leader writes when it executes, so every member must be a descendant
+//!    of the leader.
 //!
 //! Writers that share a pooled buffer through recycling (free → checkout)
 //! need no per-pair proof: the pool hands a buffer out only after its
@@ -49,9 +50,9 @@ pub enum Violation {
         free_op: ValueId,
     },
     /// A hoisted rotation-group member is not ordered after its leader,
-    /// leaving two writers of the group's buffers unordered.
+    /// leaving the group's decomposition read before it is written.
     UnorderedGroupWriter {
-        /// The group leader (first member, which materializes all outputs).
+        /// The group leader (first member, which writes the decomposition).
         leader: ValueId,
         /// The unordered member.
         member: ValueId,

@@ -2,7 +2,7 @@
 //! `u128 %` reference kernels they replaced (DESIGN.md § Kernel
 //! optimization).
 //!
-//! Four groups, each reported as latency plus speedup over its baseline:
+//! Five groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
 //!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
@@ -20,6 +20,12 @@
 //!   `L` NTTs, so it must cost a small multiple of the yardstick; the run
 //!   **fails** if `encode / yardstick` exceeds [`ENCODE_NTT_RATIO_MAX`] (a
 //!   ratio within one run, so it holds on any host).
+//! - **keyswitch** — the key-switched ops at `N = 2^13`, `L = 5`: a lone
+//!   rotate, a 4-step hoisted rotate and a cipher×cipher mul, against the
+//!   same yardstick. Two ratios within the run are gated: a hoisted group
+//!   must beat its rotations done one by one
+//!   ([`HOISTED4_ROTATE_RATIO_MAX`]), and a rotate must not cost more than
+//!   a mul ([`ROTATE_MUL_RATIO_MAX`] — Table 3's order).
 //!
 //! Kernels within a group are sampled round-robin (ref, fast, ref, fast,
 //! …) and scored by their per-kernel minimum, so background-load drift
@@ -38,7 +44,7 @@ use fhe_bench::{json::Json, print_table, CliArgs};
 use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
 use fhe_ckks::poly::RnsPoly;
-use fhe_ckks::{CkksContext, CkksParams, Encoder};
+use fhe_ckks::{encrypt_symmetric, CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,6 +71,17 @@ fn time_rotation_us(reps: usize, kernels: &mut [&mut dyn FnMut()]) -> Vec<f64> {
 /// the ratio near 3; 78 was measured when the conversion ran a modular
 /// inversion per coefficient per limb.
 const ENCODE_NTT_RATIO_MAX: f64 = 6.0;
+
+/// Ceiling on `hoisted4 / (4 × rotate)`. A group pays the decomposition
+/// (`l + l²` NTTs) once and `2(l+1)` NTTs plus the inner product per step,
+/// which puts the ratio near 0.65 at `l = 5`; 0.92 was measured when every
+/// step redid the digits' forward NTTs.
+const HOISTED4_ROTATE_RATIO_MAX: f64 = 0.75;
+
+/// Ceiling on `rotate / mul`: Table 3 has a rotate at 0.85–0.88× a
+/// cipher×cipher mul at every level; 1.16 was measured when automorphisms
+/// round-tripped through the coefficient domain.
+const ROTATE_MUL_RATIO_MAX: f64 = 1.05;
 
 struct Row {
     group: &'static str,
@@ -295,6 +312,49 @@ fn main() -> ExitCode {
         });
     }
 
+    // --- keyswitch: rotate, hoisted rotate, mul at N = 2^13, L = 5. ---
+    let kg = KeyGenerator::new(&codec_ctx, &mut rng);
+    let hoisted_steps = [1i64, 2, 4, 8];
+    let ev = Evaluator::new(
+        &codec_ctx,
+        Some(kg.relin_key(&mut rng)),
+        kg.galois_keys(hoisted_steps, &mut rng),
+    );
+    let sk = kg.secret_key();
+    let (ct, ct2) = (
+        encrypt_symmetric(&codec_ctx, &sk, &pt_l5, &mut rng),
+        encrypt_symmetric(&codec_ctx, &sk, &pt_l5, &mut rng),
+    );
+    // Results go back to the evaluator's pool, as the executor returns
+    // them: the rows time the arithmetic, not the allocator.
+    let best = time_rotation_us(
+        reps,
+        &mut [
+            &mut || ev.recycle_ct(black_box(ev.rotate(&ct, 1))),
+            &mut || {
+                for out in black_box(ev.rotate_hoisted(&ct, &hoisted_steps)) {
+                    ev.recycle_ct(out);
+                }
+            },
+            &mut || ev.recycle_ct(black_box(ev.mul(&ct, &ct2))),
+        ],
+    );
+    let (rotate_us, hoisted4_us, mul_us) = (best[0], best[1], best[2]);
+    let hoisted4_rotate_ratio = hoisted4_us / (4.0 * rotate_us);
+    let rotate_mul_ratio = rotate_us / mul_us;
+    for (name, us) in [
+        ("rotate 2^13 L=5", rotate_us),
+        ("rotate hoisted x4 2^13 L=5", hoisted4_us),
+        ("mul cipher x cipher 2^13 L=5", mul_us),
+    ] {
+        rows.push(Row {
+            group: "keyswitch",
+            name: name.into(),
+            us,
+            baseline_us: yardstick_us,
+        });
+    }
+
     println!("Kernel microbenchmarks (best of {reps} interleaved rounds, us).\n");
     let headers = ["group", "kernel", "us", "speedup"];
     let table: Vec<Vec<String>> = rows
@@ -320,6 +380,10 @@ fn main() -> ExitCode {
     println!(
         "encode / (forward NTT x 6 limbs): {encode_ntt_ratio:.2} (must not exceed {ENCODE_NTT_RATIO_MAX})"
     );
+    println!(
+        "hoisted x4 / (4 x rotate): {hoisted4_rotate_ratio:.2} (must not exceed {HOISTED4_ROTATE_RATIO_MAX})"
+    );
+    println!("rotate / mul: {rotate_mul_ratio:.2} (must not exceed {ROTATE_MUL_RATIO_MAX})");
     assert!(sink != 0, "benchmark sink consumed");
 
     args.emit_json(&Json::obj([
@@ -327,6 +391,8 @@ fn main() -> ExitCode {
         ("reps", Json::from(reps)),
         ("host_cores", Json::from(host_cores)),
         ("encode_ntt_ratio", Json::from(encode_ntt_ratio)),
+        ("hoisted4_rotate_ratio", Json::from(hoisted4_rotate_ratio)),
+        ("rotate_mul_ratio", Json::from(rotate_mul_ratio)),
         (
             "rows",
             Json::Array(
@@ -347,6 +413,20 @@ fn main() -> ExitCode {
         eprintln!(
             "FAIL: an encode costs {encode_ntt_ratio:.1}x the forward NTT of its limbs (ceiling {ENCODE_NTT_RATIO_MAX}): \
              the float->RNS conversion is doing more than arithmetic per coefficient"
+        );
+        return ExitCode::FAILURE;
+    }
+    if hoisted4_rotate_ratio > HOISTED4_ROTATE_RATIO_MAX {
+        eprintln!(
+            "FAIL: 4 hoisted rotations cost {hoisted4_rotate_ratio:.2}x four lone ones (ceiling {HOISTED4_ROTATE_RATIO_MAX}): \
+             a group is not sharing its decomposition"
+        );
+        return ExitCode::FAILURE;
+    }
+    if rotate_mul_ratio > ROTATE_MUL_RATIO_MAX {
+        eprintln!(
+            "FAIL: a rotate costs {rotate_mul_ratio:.2}x a cipher x cipher mul (ceiling {ROTATE_MUL_RATIO_MAX}): \
+             Table 3 has it below; the Galois path is doing more than a key switch"
         );
         return ExitCode::FAILURE;
     }

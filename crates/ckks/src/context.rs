@@ -1,5 +1,8 @@
 //! The RNS-CKKS context: modulus chain, NTT tables, and CRT constants.
 
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
+
 use crate::bigint::CrtReconstructor;
 use crate::modular::{Modulus, Pow2Table};
 use crate::ntt::NttTable;
@@ -80,6 +83,9 @@ pub struct CkksContext {
     special_inv: Vec<(u64, u64)>,
     /// Resolved worker-thread count (≥ 1); see [`CkksParams::threads`].
     threads: usize,
+    /// NTT-domain index table per Galois element, built on first use (see
+    /// [`CkksContext::galois_permutation`]).
+    galois_perms: RwLock<HashMap<usize, Arc<[u32]>>>,
 }
 
 impl CkksContext {
@@ -137,6 +143,7 @@ impl CkksContext {
             rescale_inv,
             special_inv,
             threads,
+            galois_perms: RwLock::new(HashMap::new()),
         }
     }
 
@@ -209,6 +216,40 @@ impl CkksContext {
     /// Worker threads for per-limb fan-out (resolved; always ≥ 1).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The index table of the Galois automorphism `X ↦ X^g` on an NTT-form
+    /// limb: `out[i] = in[table[i]]`.
+    ///
+    /// The forward transform leaves `p(ψ^(2·bitrev(i)+1))` at index `i`, and
+    /// `(σ_g p)(ψ^e) = p(ψ^(e·g))`, so the automorphism only moves evaluation
+    /// points: `table[i] = bitrev(((2·bitrev(i)+1)·g mod 2N − 1) / 2)`. The
+    /// table depends on `N` and `g` alone — one serves every limb of every
+    /// prime — and is built on first use and kept (`4·N` bytes per element)
+    /// for every evaluator sharing this context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even (not a Galois element of the ring).
+    pub fn galois_permutation(&self, g: usize) -> Arc<[u32]> {
+        assert!(g % 2 == 1, "Galois element must be odd");
+        let lock = "no code that can panic runs under the table lock";
+        if let Some(table) = self.galois_perms.read().expect(lock).get(&g) {
+            return table.clone();
+        }
+        let n = self.degree();
+        let log_n = n.trailing_zeros();
+        let bitrev = |i: usize| i.reverse_bits() >> (usize::BITS - log_n);
+        let table: Arc<[u32]> = (0..n)
+            .map(|i| bitrev((((2 * bitrev(i) + 1) * g) % (2 * n) - 1) / 2) as u32)
+            .collect();
+        // Racing builders compute the same table; the first insert wins.
+        self.galois_perms
+            .write()
+            .expect(lock)
+            .entry(g)
+            .or_insert(table)
+            .clone()
     }
 
     /// The exact product of the first `l` chain primes, as `f64` (this is

@@ -275,8 +275,10 @@ impl<'c> Evaluator<'c> {
         a.c1.mul_acc(ctx, &b.c0, &mut d1);
         let mut d2 = a.c1.clone_in(pool);
         d2.mul_assign(ctx, &b.c1);
-        let (k0, k1) = self.key_switch(&d2, &relin.0);
+        let digits = self.decompose(&d2);
         d2.recycle(pool);
+        let (k0, k1) = self.inner_product(&digits, &relin.0, None);
+        self.recycle_decomposition(digits);
         d0.add_assign(ctx, &k0);
         k0.recycle(pool);
         d1.add_assign(ctx, &k1);
@@ -325,7 +327,9 @@ impl<'c> Evaluator<'c> {
     }
 
     /// Rotates the slot vector by `steps`, reporting a missing Galois key
-    /// as a [`MissingKeyError`] instead of panicking.
+    /// as a [`MissingKeyError`] instead of panicking. A lone rotation is a
+    /// hoisted group of one: the same decomposition, the same per-step
+    /// arithmetic, the same bytes.
     ///
     /// # Errors
     ///
@@ -336,28 +340,49 @@ impl<'c> Evaluator<'c> {
         if g == 1 {
             return Ok(self.clone_ct(a));
         }
-        self.with_galois_key(g, Some(steps), |key| self.apply_galois(a, g, key))
+        self.galois_lone(a, g, Some(steps))
     }
 
-    /// The shared automorphism + key-switch body of rotation and
-    /// conjugation, with all temporaries drawn from the pool.
-    fn apply_galois(&self, a: &Ciphertext, g: usize, key: &KswKey) -> Ciphertext {
-        let ctx = self.ctx;
-        let pool = &self.pool;
-        let mut c0 = a.c0.clone_in(pool);
-        c0.automorphism_in(ctx, g, pool);
-        let mut c1 = a.c1.clone_in(pool);
-        c1.automorphism_in(ctx, g, pool);
-        let (k0, k1) = self.key_switch(&c1, key);
-        c1.recycle(pool);
-        c0.add_assign(ctx, &k0);
-        k0.recycle(pool);
-        Ciphertext {
-            c0,
-            c1: k1,
-            level: a.level,
-            scale: a.scale,
-        }
+    /// Decomposes `a`, applies one Galois element, and returns the digits
+    /// to the pool — on success and on a missing key alike.
+    fn galois_lone(
+        &self,
+        a: &Ciphertext,
+        g: usize,
+        steps: Option<i64>,
+    ) -> Result<Ciphertext, MissingKeyError> {
+        let digits = self.decompose(&a.c1);
+        let out = self.apply_galois(a, &digits, g, steps);
+        self.recycle_decomposition(digits);
+        out
+    }
+
+    /// The Galois automorphism `σ_g` of a ciphertext whose `c1` digits are
+    /// `digits`: `(σ_g(c0) + k0, k1)` with `(k0, k1)` the key switch of
+    /// `σ_g(c1)`. Both automorphisms are index-table gathers — `c0`'s into
+    /// the result, `c1`'s fused into the inner product's reads.
+    fn apply_galois(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposition,
+        g: usize,
+        steps: Option<i64>,
+    ) -> Result<Ciphertext, MissingKeyError> {
+        assert_eq!(digits.level(), a.level, "digits of this ciphertext");
+        let (ctx, pool) = (self.ctx, &*self.pool);
+        self.with_galois_key(g, steps, |key| {
+            let perm = ctx.galois_permutation(g);
+            let (k0, c1) = self.inner_product(digits, key, Some(&perm));
+            let mut c0 = a.c0.automorphism_in(Some(pool), ctx, g);
+            c0.add_assign(ctx, &k0);
+            k0.recycle(pool);
+            Ciphertext {
+                c0,
+                c1,
+                level: a.level,
+                scale: a.scale,
+            }
+        })
     }
 
     /// `rescale`: divides the scale by the dropped prime (`≈ R`), level −1.
@@ -422,84 +447,121 @@ impl<'c> Evaluator<'c> {
         out
     }
 
-    /// RNS-decomposes `d` (NTT, level `l`) into per-limb polynomials lifted
-    /// to the extended basis `Q_l·P`, in coefficient domain — the shared
-    /// front half of every key switch.
-    fn decompose_lifted(&self, d: &RnsPoly) -> Vec<RnsPoly> {
-        let ctx = self.ctx;
-        let pool = &self.pool;
+    /// RNS-decomposes `d` (NTT, level `l`) into its `l` digits over the
+    /// extended basis `Q_l·P`, in NTT form — the front half of every key
+    /// switch, and the only place one is computed. Digit `j` is the lift of
+    /// `d mod q_j`: `l` inverse NTTs bring `d` to coefficients, each digit
+    /// reduces limb `j` into the other `l` moduli and transforms those
+    /// forward (`l²` NTTs in all), and its own limb `j` *is* `d`'s limb `j`,
+    /// copied as it stands.
+    fn decompose(&self, d: &RnsPoly) -> Decomposition {
+        let (ctx, pool) = (self.ctx, &*self.pool);
+        assert!(d.is_ntt() && !d.has_special(), "a ciphertext polynomial");
         let l = d.level();
         let mut dc = d.clone_in(pool);
         dc.to_coeff(ctx);
-        let out = {
+        let digits = {
             let dc = &dc;
-            // Each digit's lifted polynomial is built independently; fan the
-            // digits across the worker threads. Every limb of every digit is
-            // fully overwritten below, so raw (unzeroed) checkouts suffice.
-            let est = par::cost::POINTWISE * (ctx.degree() * (l + 1)) as u64;
+            // Digits are built independently, so they fan out across the
+            // worker threads; every limb of every digit is overwritten.
+            let est = par::cost::NTT * (ctx.degree() * l) as u64;
             par::map_range(ctx.threads(), est, l, |j| {
-                let mut lifted = RnsPoly::zero_in(pool, ctx, l, true, false);
+                let mut digit = RnsPoly::raw_in(pool, ctx, l, true, true);
+                let src = dc.limb(j);
                 for i in 0..l {
-                    let m = ctx.moduli()[i];
-                    let dst = lifted.limb_mut(i);
-                    for (d, &src) in dst.iter_mut().zip(dc.limb(j)) {
-                        *d = m.reduce(src);
+                    let dst = digit.limb_mut(i);
+                    if i == j {
+                        dst.copy_from_slice(d.limb(j));
+                        continue;
                     }
+                    let m = ctx.moduli()[i];
+                    for (x, &v) in dst.iter_mut().zip(src) {
+                        *x = m.reduce(v);
+                    }
+                    ctx.table(i).forward(dst);
                 }
                 let p = ctx.special();
-                let dst = lifted.special_limb_mut();
-                for (d, &src) in dst.iter_mut().zip(dc.limb(j)) {
-                    *d = p.reduce(src);
+                let dst = digit.special_limb_mut();
+                for (x, &v) in dst.iter_mut().zip(src) {
+                    *x = p.reduce(v);
                 }
-                lifted
+                ctx.special_table().forward(dst);
+                digit
             })
         };
         dc.recycle(pool);
-        out
+        Decomposition { digits }
     }
 
-    /// The back half of a key switch: NTT the (possibly permuted) lifted
-    /// decomposition, inner-product with the key, and divide by `P`.
-    /// Consumes the decomposition so each digit transforms in place, and
-    /// multiplies against the full-basis key polynomials directly — no
-    /// per-digit clone or [`RnsPoly::restrict_for_keyswitch`] copy.
-    fn key_switch_lifted(
+    /// The back half of every key switch, and the only digit × key inner
+    /// product: given the digits of `d` and a key for source secret `t`,
+    /// returns `(k0, k1)` with `k0 + k1·s ≈ σ(d)·t` at `d`'s level, where
+    /// `σ` is the automorphism whose index table is `perm` (`None` for
+    /// relinearization). Accumulates over `Q_l·P`
+    /// ([`RnsPoly::key_switch_dot`]) and divides by `P`.
+    fn inner_product(
         &self,
-        mut lifted: Vec<RnsPoly>,
-        l: usize,
+        digits: &Decomposition,
         key: &KswKey,
+        perm: Option<&[u32]>,
     ) -> (RnsPoly, RnsPoly) {
-        let ctx = self.ctx;
-        let pool = &self.pool;
-        let mut acc0 = RnsPoly::zero_in(pool, ctx, l, true, true);
-        let mut acc1 = RnsPoly::zero_in(pool, ctx, l, true, true);
-        for (j, t) in lifted.iter_mut().enumerate() {
-            t.to_ntt(ctx);
-            t.mul_acc_restricted(ctx, &key.k0[j], &mut acc0);
-            t.mul_acc_restricted(ctx, &key.k1[j], &mut acc1);
-        }
-        for t in lifted {
-            t.recycle(pool);
-        }
-        acc0.rescale_special_in(ctx, pool);
-        acc1.rescale_special_in(ctx, pool);
-        (acc0, acc1)
+        let (ctx, pool) = (self.ctx, &*self.pool);
+        let (mut k0, mut k1) =
+            RnsPoly::key_switch_dot(pool, ctx, &digits.digits, &key.k0, &key.k1, perm);
+        k0.rescale_special_in(ctx, pool);
+        k1.rescale_special_in(ctx, pool);
+        (k0, k1)
     }
 
-    /// The special-prime key switch: given `d` (NTT, level `l`) and a key
-    /// for source secret `t`, returns `(k0, k1)` with
-    /// `k0 + k1·s ≈ d·t` at level `l`.
-    fn key_switch(&self, d: &RnsPoly, key: &KswKey) -> (RnsPoly, RnsPoly) {
-        let lifted = self.decompose_lifted(d);
-        self.key_switch_lifted(lifted, d.level(), key)
+    /// Decomposes `a`'s `c1` for any number of
+    /// [`Evaluator::try_rotate_decomposed`] calls — the shared half of a
+    /// hoisted rotation group (SEAL-style): the inverse and forward NTTs of
+    /// the decomposition are paid once, and each rotation is then a gather
+    /// plus the key inner product. The digits are checked out of the pool;
+    /// hand them back with [`Evaluator::recycle_decomposition`].
+    pub fn decompose_for_rotations(&self, a: &Ciphertext) -> Decomposition {
+        self.decompose(&a.c1)
     }
 
-    /// Computes several rotations of one ciphertext with a *hoisted* key
-    /// switch (SEAL-style): the expensive RNS decomposition of `c1` is done
-    /// once and shared; each rotation only permutes the decomposed
-    /// polynomials and runs the key inner product. Saves the per-rotation
-    /// inverse NTT + reduction work — a win for convolution kernels that
-    /// rotate the same ciphertext many times.
+    /// Rotates `a` by `steps` off a decomposition of its `c1`
+    /// ([`Evaluator::decompose_for_rotations`]). Bit-identical to
+    /// [`Evaluator::try_rotate`], which is this on a decomposition of its
+    /// own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MissingKeyError`] when the needed key is neither in the
+    /// static set nor derivable from an attached [`KeyCache`]; nothing
+    /// stays checked out of the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` is not at `a`'s level.
+    pub fn try_rotate_decomposed(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposition,
+        steps: i64,
+    ) -> Result<Ciphertext, MissingKeyError> {
+        let g = rotation_to_galois(self.ctx, steps);
+        if g == 1 {
+            return Ok(self.clone_ct(a));
+        }
+        self.apply_galois(a, digits, g, Some(steps))
+    }
+
+    /// Returns a decomposition's limb buffers to the pool.
+    pub fn recycle_decomposition(&self, digits: Decomposition) {
+        for digit in digits.digits {
+            digit.recycle(&self.pool);
+        }
+    }
+
+    /// Computes several rotations of one ciphertext off one shared
+    /// decomposition ([`Evaluator::decompose_for_rotations`]); output `i`
+    /// is bit-identical to `rotate(a, steps[i])`. A win wherever one
+    /// ciphertext is rotated many times (convolutions, matrix–vector
+    /// products).
     ///
     /// # Panics
     ///
@@ -517,60 +579,42 @@ impl<'c> Evaluator<'c> {
     ///
     /// Returns [`MissingKeyError`] for the first rotation step whose key is
     /// neither in the static set nor derivable from an attached
-    /// [`KeyCache`]; already-computed rotations are discarded.
+    /// [`KeyCache`]; the rotations already computed go back to the pool
+    /// with the digits.
     pub fn try_rotate_hoisted(
         &self,
         a: &Ciphertext,
         steps: &[i64],
     ) -> Result<Vec<Ciphertext>, MissingKeyError> {
-        let ctx = self.ctx;
-        let pool = &self.pool;
-        let l = a.level;
-        let lifted = self.decompose_lifted(&a.c1);
+        let digits = self.decompose_for_rotations(a);
         let mut out = Vec::with_capacity(steps.len());
-        for &step in steps {
-            let g = rotation_to_galois(ctx, step);
-            if g == 1 {
-                out.push(self.clone_ct(a));
-                continue;
-            }
-            let rotated = self.with_galois_key(g, Some(step), |key| {
-                // Decomposition commutes with the automorphism (both are
-                // coefficient-wise), so permute the shared lifted polys.
-                let permuted: Vec<RnsPoly> = lifted
-                    .iter()
-                    .map(|lp| {
-                        let mut t = lp.clone_in(pool);
-                        t.automorphism_in(ctx, g, pool);
-                        t
-                    })
-                    .collect();
-                let (k0, k1) = self.key_switch_lifted(permuted, l, key);
-                let mut c0 = a.c0.clone_in(pool);
-                c0.automorphism_in(ctx, g, pool);
-                c0.add_assign(ctx, &k0);
-                k0.recycle(pool);
-                Ciphertext {
-                    c0,
-                    c1: k1,
-                    level: l,
-                    scale: a.scale,
-                }
-            });
-            match rotated {
-                Ok(ct) => out.push(ct),
-                Err(e) => {
-                    for lp in lifted {
-                        lp.recycle(pool);
-                    }
-                    return Err(e);
-                }
+        let all = steps.iter().try_for_each(|&step| {
+            out.push(self.try_rotate_decomposed(a, &digits, step)?);
+            Ok(())
+        });
+        self.recycle_decomposition(digits);
+        match all {
+            Ok(()) => Ok(out),
+            Err(e) => {
+                out.into_iter().for_each(|ct| self.recycle_ct(ct));
+                Err(e)
             }
         }
-        for lp in lifted {
-            lp.recycle(pool);
-        }
-        Ok(out)
+    }
+}
+
+/// The key-switch digits of one ciphertext polynomial
+/// ([`Evaluator::decompose_for_rotations`]): `l` polynomials over `Q_l·P`
+/// in NTT form, `l·(l+1)` pooled limbs in all.
+#[derive(Debug)]
+pub struct Decomposition {
+    digits: Vec<RnsPoly>,
+}
+
+impl Decomposition {
+    /// The level of the polynomial that was decomposed.
+    pub fn level(&self) -> usize {
+        self.digits.len()
     }
 }
 
@@ -870,13 +914,12 @@ impl<'c> Evaluator<'c> {
     /// Returns [`MissingKeyError`] when the conjugation key is neither in
     /// the static set nor derivable from an attached [`KeyCache`].
     pub fn try_conjugate(&self, a: &Ciphertext) -> Result<Ciphertext, MissingKeyError> {
-        let g = 2 * self.ctx.degree() - 1;
-        self.with_galois_key(g, None, |key| self.apply_galois(a, g, key))
+        self.galois_lone(a, 2 * self.ctx.degree() - 1, None)
     }
 }
 
 #[cfg(test)]
-mod hoisted_rotation_tests {
+mod key_switch_tests {
     use super::*;
     use crate::cipher::{decrypt, encrypt_symmetric};
     use crate::context::{CkksContext, CkksParams};
@@ -884,44 +927,160 @@ mod hoisted_rotation_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn hoisted_rotations_match_individual_rotations() {
-        let ctx = CkksContext::new(CkksParams {
+    fn ctx() -> CkksContext {
+        CkksContext::new(CkksParams {
             poly_degree: 256,
             max_level: 2,
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
             threads: 1,
-        });
+        })
+    }
+
+    fn encrypted(ctx: &CkksContext, kg: &KeyGenerator<'_>, rng: &mut StdRng) -> Ciphertext {
+        let values: Vec<f64> = (0..ctx.slots()).map(|i| (i % 13) as f64 * 0.1).collect();
+        let pt = Encoder::new(ctx).encode(&values, 2f64.powi(40), 2);
+        encrypt_symmetric(ctx, &kg.secret_key(), &pt, rng)
+    }
+
+    fn assert_same_limbs(got: &Ciphertext, want: &Ciphertext, what: &str) {
+        assert_eq!((got.level, got.scale), (want.level, want.scale), "{what}");
+        assert_eq!(got.c0, want.c0, "{what}: c0");
+        assert_eq!(got.c1, want.c1, "{what}: c1");
+    }
+
+    /// The key switch of `σ_g(d)` written out term by term on allocating
+    /// reference kernels: every digit lifted and transformed whole (its own
+    /// limb included), permuted by the coefficient-domain automorphism, and
+    /// accumulated with one eager reduction per product.
+    fn key_switch_reference(
+        ctx: &CkksContext,
+        d: &RnsPoly,
+        key: &KswKey,
+        g: usize,
+    ) -> (RnsPoly, RnsPoly) {
+        let l = d.level();
+        let mut coeffs = d.clone();
+        coeffs.to_coeff(ctx);
+        let mut acc0 = RnsPoly::zero(ctx, l, true, true);
+        let mut acc1 = RnsPoly::zero(ctx, l, true, true);
+        for j in 0..l {
+            let mut digit = RnsPoly::zero(ctx, l, true, false);
+            for i in 0..=l {
+                let m = if i == l {
+                    ctx.special()
+                } else {
+                    ctx.moduli()[i]
+                };
+                let dst = if i == l {
+                    digit.special_limb_mut()
+                } else {
+                    digit.limb_mut(i)
+                };
+                for (x, &v) in dst.iter_mut().zip(coeffs.limb(j)) {
+                    *x = m.reduce(v);
+                }
+            }
+            digit.to_ntt(ctx);
+            digit.automorphism_reference(ctx, g);
+            digit.mul_acc_restricted(ctx, &key.k0[j], &mut acc0);
+            digit.mul_acc_restricted(ctx, &key.k1[j], &mut acc1);
+        }
+        let scratch = PolyPool::new(ctx.degree());
+        acc0.rescale_special_in(ctx, &scratch);
+        acc1.rescale_special_in(ctx, &scratch);
+        (acc0, acc1)
+    }
+
+    #[test]
+    fn hoisted_rotations_equal_individual_rotations_limb_for_limb() {
+        let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(11);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let sk = kg.secret_key();
-        let steps = [0i64, 1, 3, 7];
+        let steps = [0i64, 1, 3, 7, -1];
         let gk = kg.galois_keys(steps, &mut rng);
         let ev = Evaluator::new(&ctx, None, gk);
-        let values: Vec<f64> = (0..ctx.slots()).map(|i| (i % 13) as f64 * 0.1).collect();
-        let ct = encrypt_symmetric(
-            &ctx,
-            &sk,
-            &ev.encoder().encode(&values, 2f64.powi(40), 2),
-            &mut rng,
-        );
+        let ct = encrypted(&ctx, &kg, &mut rng);
         let hoisted = ev.rotate_hoisted(&ct, &steps);
-        for (k, h) in steps.iter().zip(&hoisted) {
-            let individual = ev.rotate(&ct, *k);
-            let dh = ev.encoder().decode(&decrypt(&ctx, &sk, h));
-            let di = ev.encoder().decode(&decrypt(&ctx, &sk, &individual));
-            for i in 0..16 {
-                assert!(
-                    (dh[i] - di[i]).abs() < 1e-3,
-                    "step {k} slot {i}: hoisted {} vs individual {}",
-                    dh[i],
-                    di[i]
-                );
-                let expect = values[(i + k.rem_euclid(ctx.slots() as i64) as usize) % ctx.slots()];
-                assert!((dh[i] - expect).abs() < 1e-2);
+        assert_eq!(hoisted.len(), steps.len());
+        let slots = ctx.slots();
+        for (&k, h) in steps.iter().zip(&hoisted) {
+            assert_same_limbs(h, &ev.rotate(&ct, k), &format!("step {k}"));
+            let got = ev.encoder().decode(&decrypt(&ctx, &sk, h));
+            for (i, slot) in got.iter().enumerate().take(16) {
+                let from = (i + k.rem_euclid(slots as i64) as usize) % slots;
+                let want = (from % 13) as f64 * 0.1;
+                assert!((slot - want).abs() < 1e-2, "step {k} slot {i}: {slot}");
             }
         }
+    }
+
+    #[test]
+    fn galois_and_relinearization_match_the_eager_oracle() {
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(12);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let gk = kg.galois_keys_with_conjugation([3i64], &mut rng);
+        let relin = kg.relin_key(&mut rng);
+        let ev = Evaluator::new(&ctx, Some(relin.clone()), gk.clone());
+        let (a, b) = (
+            encrypted(&ctx, &kg, &mut rng),
+            encrypted(&ctx, &kg, &mut rng),
+        );
+
+        // Rotation and conjugation: (σ(c0) + k0, k1).
+        let conj = 2 * ctx.degree() - 1;
+        for (g, got) in [
+            (rotation_to_galois(&ctx, 3), ev.rotate(&a, 3)),
+            (conj, ev.conjugate(&a)),
+        ] {
+            let (k0, k1) = key_switch_reference(&ctx, &a.c1, gk.get(g).expect("key"), g);
+            let mut c0 = a.c0.clone();
+            c0.automorphism_reference(&ctx, g);
+            c0.add_assign(&ctx, &k0);
+            let want = Ciphertext {
+                c0,
+                c1: k1,
+                level: a.level,
+                scale: a.scale,
+            };
+            assert_same_limbs(&got, &want, &format!("element {g}"));
+        }
+
+        // Relinearization: (d0 + k0, d1 + k1) with the identity permutation.
+        let (k0, k1) = key_switch_reference(&ctx, &a.c1.mul(&ctx, &b.c1), &relin.0, 1);
+        let mut c0 = a.c0.mul(&ctx, &b.c0);
+        c0.add_assign(&ctx, &k0);
+        let mut c1 = a.c0.mul(&ctx, &b.c1);
+        c1.add_assign(&ctx, &a.c1.mul(&ctx, &b.c0));
+        c1.add_assign(&ctx, &k1);
+        let want = Ciphertext {
+            c0,
+            c1,
+            level: a.level,
+            scale: a.scale * b.scale,
+        };
+        assert_same_limbs(&ev.mul(&a, &b), &want, "mul");
+    }
+
+    #[test]
+    fn a_missing_key_mid_group_returns_every_buffer_to_the_pool() {
+        // Only step 1 has a key: the group fails at step 3, after one
+        // rotation was computed. That rotation, the digits and the failed
+        // step's temporaries must all be back in the pool (the input was
+        // encrypted outside it).
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(13);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let ev = Evaluator::new(&ctx, None, kg.galois_keys([1i64], &mut rng));
+        let ct = encrypted(&ctx, &kg, &mut rng);
+        let err = ev.try_rotate_hoisted(&ct, &[1, 3]).unwrap_err();
+        assert_eq!(err.steps, Some(3));
+        assert_eq!(ev.pool_stats().live_bytes, 0, "group");
+        assert!(ev.try_rotate(&ct, 3).is_err());
+        assert!(ev.try_conjugate(&ct).is_err());
+        assert_eq!(ev.pool_stats().live_bytes, 0, "lone rotation, conjugation");
     }
 }

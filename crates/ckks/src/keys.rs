@@ -7,6 +7,8 @@
 //! components, and dividing by `P` then yields an encryption of `d·t` with
 //! only additive noise `≈ Σ_j q_j·e_j / P`.
 
+use std::sync::Arc;
+
 use rand::{Rng, SeedableRng};
 
 use crate::context::CkksContext;
@@ -164,8 +166,7 @@ impl<'c> KeyGenerator<'c> {
                 continue;
             }
             // Key switches s(X^g) to s.
-            let mut sg = self.sk.s.clone();
-            sg.automorphism(self.ctx, g);
+            let sg = self.sk.s.automorphism(self.ctx, g);
             keys.insert(g, self.ksw_key(&sg, &mut rng));
         }
         GaloisKeys { keys }
@@ -183,8 +184,7 @@ impl<'c> KeyGenerator<'c> {
         let mut keys = self.galois_keys(steps, rng);
         let g = 2 * self.ctx.degree() - 1;
         keys.keys.entry(g).or_insert_with(|| {
-            let mut sg = self.sk.s.clone();
-            sg.automorphism(self.ctx, g);
+            let sg = self.sk.s.automorphism(self.ctx, g);
             self.ksw_key(&sg, rng)
         });
         keys
@@ -252,7 +252,9 @@ pub struct KeyCacheStats {
 }
 
 struct CacheEntry {
-    key: KswKey,
+    /// Shared with the lookups still using it: evicting an entry drops the
+    /// cache's handle, and the key lives on until the last user is done.
+    key: Arc<KswKey>,
     /// Monotonic last-use tick for LRU eviction.
     tick: u64,
 }
@@ -338,26 +340,43 @@ impl KeyCache {
     /// Runs `f` with the key for Galois element `g`, generating (and
     /// caching) it on first use. Never fails: any odd element can be
     /// derived from the secret-key handle.
+    ///
+    /// The cache lock covers the lookup only — `f` (a whole key switch)
+    /// runs outside it on a shared handle, so concurrent rotations of one
+    /// session do not serialize here. [`KeyCacheStats::bytes`] counts
+    /// cache-resident keys; an evicted key still in use is not counted.
     pub fn with_key<R>(&self, ctx: &CkksContext, g: usize, f: impl FnOnce(&KswKey) -> R) -> R {
+        let key = self.key(ctx, g);
+        f(&key)
+    }
+
+    /// Looks up (or generates and caches) the key for `g` under the lock.
+    /// Generation stays under it: that is the single-flight that keeps two
+    /// racing misses from generating one key twice.
+    fn key(&self, ctx: &CkksContext, g: usize) -> Arc<KswKey> {
         let mut inner = self.inner.lock().expect("key cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.entries.get_mut(&g) {
             entry.tick = tick;
+            let key = entry.key.clone();
             inner.stats.hits += 1;
-            // Mutex-guarded borrow: run `f` under the lock.
-            let entry = inner.entries.get(&g).expect("just updated");
-            return f(&entry.key);
+            return key;
         }
         inner.stats.misses += 1;
         // Order-independent derivation: the same (seed, g) always produces
         // the same key, so eviction and regeneration are bit-transparent.
         let mut rng = rand::rngs::StdRng::seed_from_u64(splitmix64(self.seed ^ g as u64));
-        let mut sg = self.sk.s.clone();
-        sg.automorphism(ctx, g);
-        let key = generate_ksw(ctx, &self.sk.s, &sg, &mut rng);
+        let sg = self.sk.s.automorphism(ctx, g);
+        let key = Arc::new(generate_ksw(ctx, &self.sk.s, &sg, &mut rng));
         inner.stats.bytes += key.byte_size();
-        inner.entries.insert(g, CacheEntry { key, tick });
+        inner.entries.insert(
+            g,
+            CacheEntry {
+                key: key.clone(),
+                tick,
+            },
+        );
         if let Some(budget) = self.budget {
             while inner.stats.bytes > budget && inner.entries.len() > 1 {
                 let victim = inner
@@ -373,8 +392,7 @@ impl KeyCache {
             }
         }
         inner.stats.peak_bytes = inner.stats.peak_bytes.max(inner.stats.bytes);
-        let entry = inner.entries.get(&g).expect("just inserted");
-        f(&entry.key)
+        key
     }
 }
 
@@ -488,6 +506,42 @@ mod tests {
         assert!(!cache.contains(g), "tiny budget keeps only the newest key");
         let again = cache.with_key(&ctx, g, KswKey::clone);
         assert_eq!(first, again, "per-element seeding is order-independent");
+    }
+
+    #[test]
+    fn a_key_in_use_does_not_hold_the_cache_lock() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(24);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let cache = KeyCache::new(kg.secret_key(), 0xFEED, None);
+        let g = |k: i64| rotation_to_galois(&ctx, k);
+        let (parked_tx, parked_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let finished = std::thread::scope(|scope| {
+            // One key switch parks inside `f` ...
+            let (cache, ctx) = (&cache, &ctx);
+            scope.spawn(move || {
+                cache.with_key(ctx, g(1), |_| {
+                    parked_tx.send(()).expect("main is listening");
+                    release_rx.recv().expect("main releases");
+                });
+            });
+            parked_rx.recv().expect("first lookup reaches f");
+            // ... while another element's lookup and a stats read complete.
+            scope.spawn(move || {
+                cache.with_key(ctx, g(2), |_| ());
+                done_tx.send(cache.stats()).expect("main is listening");
+            });
+            let finished = done_rx.recv_timeout(Duration::from_secs(20));
+            release_tx.send(()).expect("first lookup is parked");
+            finished
+        });
+        let stats = finished.expect("a second lookup waited for the first one's f");
+        assert_eq!((stats.misses, stats.hits), (2, 0));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod security;
 pub use cipher::{decrypt, encrypt_public, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
 pub use context::{CkksContext, CkksParams};
 pub use encoding::{Encoder, Plaintext};
-pub use eval::{Evaluator, MissingKeyError};
+pub use eval::{Decomposition, Evaluator, MissingKeyError};
 pub use keys::{
     rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, PublicKey, RelinKey,
     SecretKey,

@@ -177,6 +177,18 @@ impl Modulus {
         }
     }
 
+    /// How many products of two residues a `u128` accumulator holds before
+    /// it must be reduced ([`Modulus::reduce_u128`]): a residue is below
+    /// `2^b` for `b` the bit length of `q`, so `2^(128 − 2b)` products —
+    /// plus the reduced carry-over of the previous window — stay below
+    /// `2^128`. 16 at the `q < 2^62` ceiling; unbounded in practice for the
+    /// 45–50-bit primes of the test contexts.
+    #[inline]
+    pub fn lazy_window(self) -> usize {
+        let bits = u64::BITS - self.q.leading_zeros();
+        1 << (128 - 2 * bits).min(usize::BITS - 1)
+    }
+
     /// Reduces a signed value into `[0, q)`.
     #[inline]
     pub fn reduce_i64(self, a: i64) -> u64 {

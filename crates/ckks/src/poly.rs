@@ -60,6 +60,25 @@ impl RnsPoly {
         }
     }
 
+    /// A polynomial of unspecified contents over pooled limb buffers, for a
+    /// caller that overwrites every coefficient of every limb — what
+    /// [`RnsPoly::zero_in`] is without the zeroing pass.
+    pub(crate) fn raw_in(
+        pool: &PolyPool,
+        ctx: &CkksContext,
+        level: usize,
+        special: bool,
+        ntt: bool,
+    ) -> Self {
+        assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
+        RnsPoly {
+            level,
+            special,
+            ntt,
+            limbs: raw_limbs(ctx, Some(pool), level + usize::from(special)),
+        }
+    }
+
     /// A deep copy whose limb buffers come from `pool`.
     pub fn clone_in(&self, pool: &PolyPool) -> Self {
         let mut limbs = pool.take_raw(self.limbs.len());
@@ -443,8 +462,10 @@ impl RnsPoly {
     /// Like [`RnsPoly::mul_acc`], with `key` a full-basis key polynomial
     /// (all `L` chain limbs plus `P`): `self`'s chain limbs pair with
     /// `key`'s first limbs and `self`'s special limb with `key`'s last.
-    /// This lets key switching skip the per-digit
-    /// [`RnsPoly::restrict_for_keyswitch`] clone of every key polynomial.
+    ///
+    /// One digit × key term of a key switch, reduced eagerly — the oracle
+    /// the evaluator's lazy inner product (`key_switch_dot`) is tested
+    /// against.
     pub fn mul_acc_restricted(&self, ctx: &CkksContext, key: &RnsPoly, acc: &mut RnsPoly) {
         self.check_compatible(acc);
         assert!(
@@ -572,12 +593,17 @@ impl RnsPoly {
             let est = par::cost::NTT * ctx.degree() as u64;
             par::for_each_with_scratch(ctx.threads(), est, &mut self.limbs, |i, limb, corr| {
                 let mi = ctx.moduli()[i];
+                // The centered lift of `v` is `v − P` above `P/2`: reduce `v`
+                // and take `P mod q_i` off, a select instead of a branch on
+                // a coin flip.
+                let p_mod = mi.reduce(p.value());
                 corr.clear();
                 corr.extend(last.iter().map(|&v| {
+                    let r = mi.reduce(v);
                     if v > half {
-                        mi.sub(0, mi.reduce(p.value() - v))
+                        mi.sub(r, p_mod)
                     } else {
-                        mi.reduce(v)
+                        r
                     }
                 }));
                 ctx.table(i).forward(corr);
@@ -591,34 +617,57 @@ impl RnsPoly {
         self.special = false;
     }
 
-    /// Applies the Galois automorphism `X ↦ X^g` (odd `g`), in coefficient
-    /// domain internally; preserves the input domain.
-    pub fn automorphism(&mut self, ctx: &CkksContext, g: usize) {
-        self.automorphism_impl(ctx, g, None);
+    /// The Galois automorphism `X ↦ X^g` (odd `g`) of an NTT-form
+    /// polynomial. In the evaluation domain it only moves evaluation points,
+    /// so every limb is one gather through the context's index table
+    /// ([`CkksContext::galois_permutation`]) — no transform, no arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the polynomial is in coefficient domain or `g` is even.
+    pub fn automorphism(&self, ctx: &CkksContext, g: usize) -> RnsPoly {
+        self.automorphism_in(None, ctx, g)
     }
 
-    /// [`RnsPoly::automorphism`] with the per-limb target buffers checked
-    /// out of `pool` and the replaced source buffers returned to it.
-    pub fn automorphism_in(&mut self, ctx: &CkksContext, g: usize, pool: &PolyPool) {
-        self.automorphism_impl(ctx, g, Some(pool));
+    /// [`RnsPoly::automorphism`] with the result's limb buffers checked out
+    /// of `pool` when given.
+    pub(crate) fn automorphism_in(
+        &self,
+        pool: Option<&PolyPool>,
+        ctx: &CkksContext,
+        g: usize,
+    ) -> RnsPoly {
+        assert!(self.ntt, "the index table permutes NTT-form limbs");
+        let perm = ctx.galois_permutation(g);
+        // A permutation writes every slot, so raw buffers are safe.
+        let mut limbs = raw_limbs(ctx, pool, self.limbs.len());
+        for (dst, src) in limbs.iter_mut().zip(&self.limbs) {
+            for (d, &from) in dst.iter_mut().zip(perm.iter()) {
+                *d = src[from as usize];
+            }
+        }
+        RnsPoly {
+            level: self.level,
+            special: self.special,
+            ntt: true,
+            limbs,
+        }
     }
 
-    fn automorphism_impl(&mut self, ctx: &CkksContext, g: usize, pool: Option<&PolyPool>) {
+    /// `X ↦ X^g` by its definition on coefficients (`X^i ↦ ±X^(i·g mod N)`),
+    /// round-tripping an NTT-form input through the coefficient domain —
+    /// the oracle [`RnsPoly::automorphism`] is tested against.
+    pub fn automorphism_reference(&mut self, ctx: &CkksContext, g: usize) {
         let n = ctx.degree();
         assert!(g % 2 == 1, "Galois element must be odd");
         let was_ntt = self.ntt;
         self.to_coeff(ctx);
         for idx in 0..self.limbs.len() {
             let m = self.modulus_of(ctx, idx);
-            let src = &self.limbs[idx];
             // For odd g the map i ↦ (i·g mod 2N) folded into 0..N is a
-            // bijection, so every slot of `dst` is written exactly once and
-            // an unzeroed pooled buffer is safe.
-            let mut dst = match pool {
-                Some(p) => p.take_raw(1).pop().expect("one buffer"),
-                None => vec![0u64; n],
-            };
-            for (i, &coeff) in src.iter().enumerate() {
+            // bijection, so every slot of `dst` is written exactly once.
+            let mut dst = vec![0u64; n];
+            for (i, &coeff) in self.limbs[idx].iter().enumerate() {
                 let target = (i * g) % (2 * n);
                 if target < n {
                     dst[target] = coeff;
@@ -626,14 +675,105 @@ impl RnsPoly {
                     dst[target - n] = m.neg(coeff);
                 }
             }
-            let old = std::mem::replace(&mut self.limbs[idx], dst);
-            if let Some(p) = pool {
-                p.put([old]);
-            }
+            self.limbs[idx] = dst;
         }
         if was_ntt {
             self.to_ntt(ctx);
         }
+    }
+
+    /// The inner product of a key switch: `(Σ_j σ(d_j) ∘ k0_j, Σ_j σ(d_j) ∘
+    /// k1_j)` over the extended basis `Q_l·P`, where `d_j` are the `l`
+    /// NTT-form digits of a level-`l` polynomial, `k0`/`k1` the key's
+    /// full-basis polynomials and `σ` the Galois automorphism whose index
+    /// table is `perm` (`None` = identity, i.e. relinearization).
+    ///
+    /// Each output limb is walked in [`DOT_CHUNK`]-coefficient chunks whose
+    /// two accumulators stay in `u128`: a term is one gathered read of the
+    /// digit (the automorphism is never materialized) and two widening
+    /// products, and a Barrett reduction happens once per
+    /// [`Modulus::lazy_window`] terms instead of once per term.
+    pub(crate) fn key_switch_dot(
+        pool: &PolyPool,
+        ctx: &CkksContext,
+        digits: &[RnsPoly],
+        k0: &[RnsPoly],
+        k1: &[RnsPoly],
+        perm: Option<&[u32]>,
+    ) -> (RnsPoly, RnsPoly) {
+        let (l, n) = (digits.len(), ctx.degree());
+        assert!(k0.len() >= l && k1.len() >= l, "one key pair per digit");
+        for d in digits {
+            assert!(
+                d.ntt && d.special && d.level == l,
+                "digits of a level-l poly"
+            );
+        }
+        for k in k0[..l].iter().chain(&k1[..l]) {
+            assert!(
+                k.ntt && k.special && k.level == ctx.max_level(),
+                "key polys carry the full basis"
+            );
+        }
+        assert!(perm.is_none_or(|p| p.len() == n), "index table sized for N");
+        let mut out0 = RnsPoly::raw_in(pool, ctx, l, true, true);
+        let mut out1 = RnsPoly::raw_in(pool, ctx, l, true, true);
+        let mut pairs: Vec<_> = out0.limbs.iter_mut().zip(&mut out1.limbs).collect();
+        let est = par::cost::POINTWISE * (2 * l * n) as u64;
+        par::for_each(ctx.threads(), est, &mut pairs, |idx, (o0, o1)| {
+            let m = Self::modulus_at(ctx, true, l + 1, idx);
+            // The digits' limb `idx` pairs with the key's limb `idx`, and
+            // their special limb (index `l`) with the key's last.
+            let key_idx = if idx == l { ctx.max_level() } else { idx };
+            let window = m.lazy_window();
+            // One coefficient's `k0` and `k1` sums, side by side.
+            let mut acc = [[0u128; 2]; DOT_CHUNK];
+            for base in (0..n).step_by(DOT_CHUNK) {
+                let span = base..n.min(base + DOT_CHUNK);
+                let acc = &mut acc[..span.len()];
+                acc.fill([0; 2]);
+                for (j, digit) in digits.iter().enumerate() {
+                    if j > 0 && j % window == 0 {
+                        for a in acc.iter_mut().flatten() {
+                            *a = u128::from(m.reduce_u128(*a));
+                        }
+                    }
+                    let x = &digit.limbs[idx];
+                    let (y0, y1) = (
+                        &k0[j].limbs[key_idx][span.clone()],
+                        &k1[j].limbs[key_idx][span.clone()],
+                    );
+                    match perm {
+                        Some(perm) => {
+                            let gathered = perm[span.clone()].iter().map(|&from| x[from as usize]);
+                            mul_acc_wide(acc, gathered, y0, y1);
+                        }
+                        None => mul_acc_wide(acc, x[span.clone()].iter().copied(), y0, y1),
+                    }
+                }
+                let outs = o0[span.clone()].iter_mut().zip(&mut o1[span]);
+                for ((o0, o1), a) in outs.zip(acc.iter()) {
+                    *o0 = m.reduce_u128(a[0]);
+                    *o1 = m.reduce_u128(a[1]);
+                }
+            }
+        });
+        drop(pairs);
+        (out0, out1)
+    }
+}
+
+/// Coefficients per chunk of [`RnsPoly::key_switch_dot`]: its `u128`
+/// accumulator pairs (8 KiB) stay in L1 across the digits of a chunk.
+const DOT_CHUNK: usize = 256;
+
+/// `acc[i] += [x_i · y0_i, x_i · y1_i]`, unreduced. The caller keeps the
+/// term count within [`Modulus::lazy_window`].
+#[inline]
+fn mul_acc_wide(acc: &mut [[u128; 2]], xs: impl Iterator<Item = u64>, y0: &[u64], y1: &[u64]) {
+    for ((a, x), (&y0, &y1)) in acc.iter_mut().zip(xs).zip(y0.iter().zip(y1)) {
+        a[0] += u128::from(x) * u128::from(y0);
+        a[1] += u128::from(x) * u128::from(y1);
     }
 }
 
@@ -760,18 +900,13 @@ mod tests {
         let ctx = tiny_ctx();
         let mut rng = StdRng::seed_from_u64(3);
         let p = RnsPoly::uniform(&ctx, 2, false, &mut rng);
-        let mut q = p.clone();
-        q.automorphism(&ctx, 1);
-        assert_eq!(q, p);
+        assert_eq!(p.automorphism(&ctx, 1), p);
         // g · g⁻¹ ≡ 1 (mod 2N): applying both returns the original.
         let n2 = 2 * ctx.degree();
         let g = 5usize;
         // Find inverse of 5 mod 128.
         let g_inv = (1..n2).step_by(2).find(|&h| (g * h) % n2 == 1).unwrap();
-        let mut r = p.clone();
-        r.automorphism(&ctx, g);
-        r.automorphism(&ctx, g_inv);
-        assert_eq!(r, p);
+        assert_eq!(p.automorphism(&ctx, g).automorphism(&ctx, g_inv), p);
     }
 
     #[test]
@@ -779,17 +914,108 @@ mod tests {
         let ctx = tiny_ctx();
         let n = ctx.degree();
         // p = X^(N−1); X ↦ X^3 gives X^(3N−3) = X^(2N) · X^(N−3) = X^(N−3)
-        // (X^N ≡ −1 twice cancels) — check sign bookkeeping.
+        // (X^N ≡ −1 twice cancels) — check sign bookkeeping, on the oracle
+        // and through the index table.
         let mut coeffs = vec![0i64; n];
         coeffs[n - 1] = 1;
         let mut p = RnsPoly::from_signed_coeffs(&ctx, 1, false, &coeffs);
-        p.automorphism(&ctx, 3);
+        let mut via_table = p.clone();
+        via_table.to_ntt(&ctx);
+        let mut via_table = via_table.automorphism(&ctx, 3);
+        via_table.to_coeff(&ctx);
+        p.automorphism_reference(&ctx, 3);
+        assert_eq!(via_table, p);
         let m = ctx.moduli()[0];
         for (i, &c) in p.limb(0).iter().enumerate() {
             if i == n - 3 {
                 assert_eq!(c, 1, "X^(N−3) coefficient");
             } else {
                 assert_eq!(m.center(c), 0, "coefficient {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_tables_match_the_coefficient_domain_oracle() {
+        // Every limb including the special one, for the rotation elements of
+        // ±{1, 2, 3, 7, slots−1} and the conjugation element, at a toy, a
+        // serving and a benchmark ring size.
+        for (log_n, level) in [(6u32, 3usize), (11, 2), (13, 2)] {
+            let ctx = CkksContext::new(CkksParams {
+                poly_degree: 1 << log_n,
+                max_level: level,
+                modulus_bits: 40,
+                special_bits: 41,
+                error_std: 3.2,
+                threads: 1,
+            });
+            let mut rng = StdRng::seed_from_u64(u64::from(log_n));
+            let p = RnsPoly::uniform(&ctx, level, true, &mut rng);
+            let slots = ctx.slots() as i64;
+            let mut elements: Vec<usize> = [1, 2, 3, 7, slots - 1]
+                .into_iter()
+                .flat_map(|k| [k, -k])
+                .map(|k| crate::keys::rotation_to_galois(&ctx, k))
+                .collect();
+            elements.push(2 * ctx.degree() - 1);
+            for g in elements {
+                let mut want = p.clone();
+                want.automorphism_reference(&ctx, g);
+                let got = p.automorphism(&ctx, g);
+                for idx in 0..=level {
+                    assert_eq!(
+                        got.limbs[idx], want.limbs[idx],
+                        "N = 2^{log_n}, g = {g}, limb {idx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_switch_dot_matches_the_eager_oracle_across_the_lazy_window() {
+        // The largest primes `Modulus::new` admits (half of a 61-bit chain
+        // lies above 2^61) hold 16 products per window; 18 digits need two.
+        // Checked with and without a permutation, at the full level and
+        // below it (where digits pair with a prefix of the key's limbs).
+        let ctx = CkksContext::new(CkksParams {
+            poly_degree: 64,
+            max_level: 18,
+            modulus_bits: 61,
+            special_bits: 61,
+            error_std: 3.2,
+            threads: 1,
+        });
+        let widest = ctx.moduli().iter().map(|m| m.value()).max().unwrap();
+        assert!(widest > 1 << 61 && Modulus::new(widest).lazy_window() == 16);
+        let pool = PolyPool::new(ctx.degree());
+        let mut rng = StdRng::seed_from_u64(18);
+        let key = |rng: &mut StdRng| -> Vec<RnsPoly> {
+            (0..18)
+                .map(|_| RnsPoly::uniform(&ctx, 18, true, rng))
+                .collect()
+        };
+        let (k0, k1) = (key(&mut rng), key(&mut rng));
+        let g = crate::keys::rotation_to_galois(&ctx, 3);
+        let perm = ctx.galois_permutation(g);
+        for l in [18usize, 17, 3] {
+            let digits: Vec<RnsPoly> = (0..l)
+                .map(|_| RnsPoly::uniform(&ctx, l, true, &mut rng))
+                .collect();
+            for perm in [None, Some(&*perm)] {
+                let (got0, got1) = RnsPoly::key_switch_dot(&pool, &ctx, &digits, &k0, &k1, perm);
+                let mut want0 = RnsPoly::zero(&ctx, l, true, true);
+                let mut want1 = RnsPoly::zero(&ctx, l, true, true);
+                for (j, d) in digits.iter().enumerate() {
+                    let d = match perm {
+                        Some(_) => d.automorphism(&ctx, g),
+                        None => d.clone(),
+                    };
+                    d.mul_acc_restricted(&ctx, &k0[j], &mut want0);
+                    d.mul_acc_restricted(&ctx, &k1[j], &mut want1);
+                }
+                assert_eq!(got0, want0, "k0, level {l}, permuted {}", perm.is_some());
+                assert_eq!(got1, want1, "k1, level {l}, permuted {}", perm.is_some());
             }
         }
     }

@@ -69,9 +69,9 @@ pub fn free_points(program: &Program, live: &[bool]) -> Vec<Option<ValueId>> {
 
 /// The rotation groups the runtime hoists, keyed by source: two or more
 /// live cipher rotations of one ciphertext share a single key-switch
-/// decomposition, computed — with every member's output — when the first
-/// member in schedule order (the leader) executes. Members are listed in
-/// schedule order with their steps. Empty when `hoist` is off.
+/// decomposition, computed when the first member in schedule order (the
+/// leader) executes and read by every member's own step. Members are
+/// listed in schedule order with their steps. Empty when `hoist` is off.
 pub fn rotation_groups(
     program: &Program,
     live: &[bool],

@@ -39,8 +39,10 @@ pub enum DepKind {
     /// Write-after-read: the op performing a value's last use returns its
     /// buffer to the pool, and must therefore run after every other reader.
     Anti,
-    /// Write-after-write: members of a hoisted rotation group share the
-    /// decomposition the group leader writes, so they are ordered after it.
+    /// A hoisted rotation group's leader writes the key-switch
+    /// decomposition every other member reads, so they are ordered after
+    /// it: a dependence through the group's shared output, not through a
+    /// value of the program.
     Output,
 }
 
@@ -226,9 +228,9 @@ impl DepGraph {
             }
         }
 
-        // Output dependences: a hoisted rotation group materializes every
-        // member's output when the leader executes; later members are
-        // ordered after it.
+        // Output dependences: a hoisted rotation group's leader publishes
+        // the decomposition its later members read; they are ordered after
+        // it.
         for group in crate::analysis::rotation_groups(program, &live, hoist_rotations).values() {
             let leader = node_of[group[0].0.index()].expect("leader is live");
             for &(m, _) in &group[1..] {

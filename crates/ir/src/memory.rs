@@ -12,7 +12,7 @@ use crate::op::{Op, ValueId};
 use crate::schedule::{ScaleMap, ScheduledProgram};
 
 /// Flat per-op slack, in limbs, covering small transients the walk does
-/// not model individually (automorphism double-buffers, rescale scratch).
+/// not model individually.
 const OP_MARGIN_LIMBS: u64 = 16;
 
 /// Static per-program memory bound (see [`estimate_memory`]).
@@ -42,8 +42,9 @@ pub struct MemoryEstimate {
 /// mark, and frees each ciphertext after its last use — exactly the
 /// discipline of the encrypted executor. `poly_degree` is the
 /// backend's `N` (the runtime requires `N = 2 × slots`); `hoist_rotations`
-/// must match the execution-side setting, since hoisting a rotation group
-/// makes every member's output live at the first member.
+/// must match the execution-side setting, since a hoisted rotation group
+/// keeps its shared digit decomposition live from its first member to its
+/// last.
 pub fn estimate_memory(
     scheduled: &ScheduledProgram,
     map: &ScaleMap,
@@ -55,10 +56,7 @@ pub fn estimate_memory(
     let limb_bytes = (poly_degree * 8) as u64;
 
     let free_at = crate::analysis::free_points(program, &live);
-    // All of a hoisted group's outputs materialize when its first member
-    // executes.
     let groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
-    let mut pending: Vec<bool> = vec![false; program.num_ops()];
 
     // The executor encrypts every live input before the first op, wherever
     // the schedule declares it.
@@ -79,28 +77,26 @@ pub fn estimate_memory(
         // backend: a relinearizing multiply or key-switched rotation holds
         // the lifted digit decomposition (`l` digits × `l+1` limbs), two
         // special-basis accumulators, and two scratch polynomials at once.
-        let ksw = l * (l + 1) + 2 * (l + 1) + 2 * l;
+        let digits = l * (l + 1);
+        let ksw = digits + 2 * (l + 1) + 2 * l;
+        // A hoisted group's digits are checked out by its first member and
+        // returned by its last; in between they are live like a value.
+        let group = match program.op(id) {
+            Op::Rotate(a, _) => groups.get(a),
+            _ => None,
+        };
+        if group.is_some_and(|g| g[0].0 == id) {
+            live_limbs += digits;
+        }
         let (result_limbs, transient) = match program.op(id) {
-            _ if pending[id.index()] => (0, 0),
             Op::Input { .. } => (0, 0),
             Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => (2 * l, ksw),
-            Op::Rotate(a, _) => match groups.get(a) {
-                Some(group) => {
-                    // First member: every group output materializes now,
-                    // and the shared + permuted decompositions coexist.
-                    for &(m, _) in group {
-                        if m != id {
-                            pending[m.index()] = true;
-                        }
-                    }
-                    let outputs: u64 = group
-                        .iter()
-                        .map(|&(m, _)| 2 * u64::from(map.level(m)))
-                        .sum();
-                    (outputs, 2 * l * (l + 1) + 2 * (l + 1) + l)
-                }
-                None => (2 * l, ksw),
-            },
+            // A group member holds its own output and its step's two
+            // special-basis accumulators (then the rotated `c0` beside the
+            // switched pair); the leader's coefficient-domain copy of the
+            // source is gone before its output exists.
+            Op::Rotate(..) if group.is_some() => (2 * l, l + 2),
+            Op::Rotate(..) => (2 * l, ksw),
             Op::Rescale(_) | Op::ModSwitch(_) => (2 * l, 4),
             // plain − cipher: the negated copy beside the plaintext.
             Op::Sub(a, _) if program.is_plain(*a) => (2 * l, 3 * l),
@@ -116,6 +112,9 @@ pub fn estimate_memory(
         if op_peak > poly_peak {
             poly_peak = op_peak;
             peak_op = Some(id);
+        }
+        if group.is_some_and(|g| g[g.len() - 1].0 == id) {
+            live_limbs -= digits;
         }
         let mut prev = None;
         for a in program.op(id).operands() {
@@ -229,22 +228,36 @@ mod tests {
     }
 
     #[test]
-    fn hoisting_raises_the_static_peak() {
-        let build = || {
-            let b = Builder::new("rots", 8);
-            let x = b.input("x");
-            let e = x.clone().rotate(1) + x.clone().rotate(2) + x.clone().rotate(3) + x.rotate(4);
-            b.finish(vec![e])
-        };
-        let s = scheduled(build());
+    fn a_hoisted_groups_digits_stay_live_from_its_leader_to_its_last_member() {
+        // Two rotations of `x` with a fan-out on `y` between them: the peak
+        // is in the fan-out, where hoisting holds the group's `l·(l+1)`
+        // digit limbs and per-rotation decomposition holds nothing.
+        let (level, n) = (3u64, 16u64);
+        let b = Builder::new("rots", 8);
+        let (x, y) = (b.input("x"), b.input("y"));
+        let first = x.clone().rotate(1);
+        let parts: Vec<_> = (0..6).map(|_| y.clone() + y.clone()).collect();
+        let sum = parts.into_iter().reduce(|a, c| a + c).expect("nonempty");
+        let e = first + x.rotate(2) + sum;
+        let mut s = scheduled(b.finish(vec![e]));
+        for spec in &mut s.inputs {
+            spec.level = level as u32;
+        }
         let map = s.validate().expect("valid");
-        let hoisted = estimate_memory(&s, &map, 16, true);
-        let compact = estimate_memory(&s, &map, 16, false);
+        let hoisted = estimate_memory(&s, &map, n as usize, true);
+        let compact = estimate_memory(&s, &map, n as usize, false);
+        assert_eq!(hoisted.peak_op, compact.peak_op, "both peak in the fan-out");
         assert!(
-            hoisted.poly_peak_bytes > compact.poly_peak_bytes,
-            "hoisted {} vs compact {}",
-            hoisted.poly_peak_bytes,
-            compact.poly_peak_bytes
+            !matches!(
+                s.program.op(hoisted.peak_op.expect("a peak")),
+                Op::Rotate(..)
+            ),
+            "the peak is between the group's members"
+        );
+        assert_eq!(
+            hoisted.poly_peak_bytes - compact.poly_peak_bytes,
+            level * (level + 1) * n * 8,
+            "the digits, and nothing else, separate the two settings"
         );
         // Key bytes are policy-independent.
         assert_eq!(hoisted.key_bytes, compact.key_bytes);

@@ -9,6 +9,7 @@
 //! ([`ParOptions::plain_walk`]).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
@@ -16,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fhe_ckks::{
-    decrypt, encrypt_symmetric_in, Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys,
-    KeyCache, KeyGenerator, PolyPool, Pool, RelinKey, SecretKey,
+    decrypt, encrypt_symmetric_in, Ciphertext, CkksContext, CkksParams, Decomposition, Evaluator,
+    GaloisKeys, KeyCache, KeyGenerator, PolyPool, Pool, RelinKey, SecretKey,
 };
 use fhe_ir::{
     CostModel, DepConsumer, DepGraph, FusionPlan, Op, OpClass, ScheduleError, ScheduledProgram,
@@ -78,10 +79,12 @@ pub struct ExecOptions {
     /// Galois-key provisioning policy.
     pub keys: KeyPolicy,
     /// Share one key-switch decomposition across rotations of the same
-    /// ciphertext (faster, but the whole group's outputs are live at
-    /// once). Disable to minimize the working set; the compile report's
-    /// static memory bound is computed with it on
-    /// ([`fhe_ir::estimate_memory`] takes the setting explicitly).
+    /// ciphertext: faster, but the group's `l·(l+1)` digit limbs stay live
+    /// from its first member to its last. Outputs are byte-identical either
+    /// way — this only trades time for memory. Disable to minimize the
+    /// working set; the compile report's static memory bound is computed
+    /// with it on ([`fhe_ir::estimate_memory`] takes the setting
+    /// explicitly).
     pub rotation_hoisting: bool,
 }
 
@@ -312,7 +315,8 @@ pub struct ExecReport {
     /// (with several runners the durations sum past `op_time`; fresh
     /// encryptions have no class). A fused mul·relin·rescale charges its
     /// whole latency to the mul's class and counts the rescale with zero
-    /// duration; a hoisted rotation group charges its leader.
+    /// duration; every member of a hoisted rotation group reports its own
+    /// step, the leader's including the shared decomposition.
     pub per_class: Vec<(OpClass, Duration, usize)>,
     /// Whole-run memory counters (pool + key material); exact under
     /// contention thanks to the pool's atomic accounting.
@@ -324,7 +328,8 @@ pub struct ExecReport {
     pub workers: usize,
     /// mul→rescale pairs executed fused.
     pub fused: usize,
-    /// Hoisted rotation groups executed at their leader.
+    /// Hoisted rotation groups: sets of rotations that shared one
+    /// decomposition.
     pub hoisted_groups: usize,
     /// Read/free and group-writer orderings the safety proof discharged
     /// before the walk started.
@@ -385,8 +390,8 @@ pub fn execute_with_keys(
 /// `options.workers` runners: generates keys sized for the schedule
 /// ([`SessionKeys::for_schedule`]), then runs
 /// [`execute_parallel_with_keys`] with an encryption seed derived from
-/// `options.exec.seed`. Outputs are byte-identical for every worker count
-/// and fusion setting (at one `rotation_hoisting` setting).
+/// `options.exec.seed`. Outputs are byte-identical for every worker count,
+/// fusion setting and `rotation_hoisting` setting.
 ///
 /// # Errors
 ///
@@ -423,7 +428,7 @@ pub fn execute_parallel(
 /// ready op earliest in the schedule from a shared [`DepConsumer`], runs
 /// it against one shared [`Evaluator`] and retires it, unlocking its
 /// successors. One runner therefore walks the schedule in order on the
-/// calling thread. Three invariants make any width sound and bit-exact:
+/// calling thread. Four invariants make any width sound and bit-exact:
 ///
 /// 1. **Safety is proven, not assumed.** [`fhe_analysis::parallel::check`]
 ///    runs over the very DAG about to be consumed; the DAG's anti/output
@@ -442,10 +447,13 @@ pub fn execute_parallel(
 ///    kernel, bit-identical to the mul→rescale sequence; fusion only
 ///    deletes the intermediate ciphertext and one scheduling round-trip.
 ///
-/// A hoisted rotation group (`options.exec.rotation_hoisting`) executes at
-/// its leader, sharing one key-switch decomposition across the group. That
-/// reorders the key-switch arithmetic, so hoisting on and off differ in
-/// low-order bits — at every width alike.
+/// 4. **Hoisting never changes bytes.** The leader of a hoisted rotation
+///    group (`options.exec.rotation_hoisting`) decomposes the source once
+///    and publishes the digits; every member — the leader included — is its
+///    own DAG node and applies its own step to them wherever a runner picks
+///    it up, and the member that retires last returns the digits to the
+///    pool. A lone rotation runs the same arithmetic on a decomposition of
+///    its own, so hoisting on and off are byte-identical.
 ///
 /// Every polynomial the request holds — input encryptions, the plaintext
 /// an op encodes on demand, results, temporaries — is checked out of the
@@ -531,7 +539,11 @@ pub fn execute_parallel_with_keys(
         safety.violations
     );
     let live = fhe_ir::analysis::live(program);
-    let rotation_groups = fhe_ir::analysis::rotation_groups(program, &live, hoisting);
+    let hoist_groups: HashMap<ValueId, HoistGroup> =
+        fhe_ir::analysis::rotation_groups(program, &live, hoisting)
+            .into_iter()
+            .map(|(source, members)| (source, HoistGroup::new(&members)))
+            .collect();
 
     // Fusion plan, demoted per pair unless the DAG confirms the rescale
     // depends on nothing but its mul (so completing the mul is the only
@@ -631,7 +643,7 @@ pub fn execute_parallel_with_keys(
         ev,
         plain_vals: &plain_vals,
         cipher_slots: &cipher_slots,
-        rotation_groups: &rotation_groups,
+        hoist_groups: &hoist_groups,
         rescale_of: &rescale_of,
         waterline: 2f64.powi(scheduled.params.waterline_bits as i32),
     };
@@ -676,7 +688,8 @@ pub fn execute_parallel_with_keys(
 
     let walk = walk.into_inner().expect(WALK_LOCK);
     // What the request still holds when it ends — its outputs, or on an
-    // error every value computed so far — goes back to the pool.
+    // error every value computed so far and the digits of every group the
+    // error cut short — goes back to the pool.
     let release = |slots: Vec<RwLock<Option<Ciphertext>>>| {
         for slot in slots {
             if let Some(ct) = slot.into_inner().expect(SLOT_LOCK) {
@@ -686,6 +699,11 @@ pub fn execute_parallel_with_keys(
     };
     if let Some(e) = walk.error {
         release(cipher_slots);
+        for group in hoist_groups.into_values() {
+            if let Some(digits) = group.digits.into_inner().expect(SLOT_LOCK) {
+                ev.recycle_decomposition(digits);
+            }
+        }
         return Err(e);
     }
     // INVARIANT: a runner returns only on an error (handled above) or with
@@ -735,7 +753,7 @@ pub fn execute_parallel_with_keys(
             .collect(),
         workers,
         fused,
-        hoisted_groups: rotation_groups.len(),
+        hoisted_groups: hoist_groups.len(),
         safety_obligations: safety.obligations,
     })
 }
@@ -794,15 +812,38 @@ struct RunCx<'a, 'c> {
     ev: &'a Evaluator<'c>,
     plain_vals: &'a [Option<Vec<f64>>],
     cipher_slots: &'a [RwLock<Option<Ciphertext>>],
-    rotation_groups: &'a HashMap<ValueId, Vec<(ValueId, i64)>>,
+    hoist_groups: &'a HashMap<ValueId, HoistGroup>,
     rescale_of: &'a [Option<ValueId>],
     waterline: f64,
 }
 
-/// Slot locks are written only by [`RunCx::store`] and
-/// [`RunCx::recycle_operands`], whose write guards span one assignment —
-/// no code that can panic — and a panicking reader does not poison an
-/// `RwLock`.
+/// One hoisted rotation group's shared state, keyed by the group's source
+/// ciphertext in [`RunCx::hoist_groups`].
+struct HoistGroup {
+    /// The first member in schedule order, which decomposes the source.
+    leader: ValueId,
+    /// The source's key-switch digits, from the leader's publication until
+    /// the last member retires.
+    digits: RwLock<Option<Decomposition>>,
+    /// Members that have not retired yet; whoever brings it to zero returns
+    /// the digits to the pool.
+    remaining: AtomicUsize,
+}
+
+impl HoistGroup {
+    fn new(members: &[(ValueId, i64)]) -> Self {
+        HoistGroup {
+            leader: members[0].0,
+            digits: RwLock::new(None),
+            remaining: AtomicUsize::new(members.len()),
+        }
+    }
+}
+
+/// Slot locks — a value's, a group's digits — are written only by
+/// [`RunCx::store`], [`RunCx::recycle_operands`] and [`RunCx::rotate_in_group`],
+/// whose write guards span one assignment — no code that can panic — and a
+/// panicking reader does not poison an `RwLock`.
 const SLOT_LOCK: &str = "slot lock is never poisoned";
 
 impl RunCx<'_, '_> {
@@ -842,20 +883,51 @@ impl RunCx<'_, '_> {
         }
     }
 
+    /// One member's share of a hoisted rotation group: the leader first
+    /// decomposes the source and publishes the digits, every member applies
+    /// its own step to them, and the member that retires last returns them
+    /// to the pool. (A member that fails leaves that to the end-of-walk
+    /// release, the walk being over.)
+    fn rotate_in_group(
+        &self,
+        group: &HoistGroup,
+        id: ValueId,
+        source: &Ciphertext,
+        steps: i64,
+    ) -> Result<Ciphertext, fhe_ckks::MissingKeyError> {
+        let ev = self.ev;
+        if group.leader == id {
+            let digits = ev.decompose_for_rotations(source);
+            *group.digits.write().expect(SLOT_LOCK) = Some(digits);
+        }
+        let out = {
+            let digits = group.digits.read().expect(SLOT_LOCK);
+            // INVARIANT: the output edges order every member after the
+            // leader, which published above, and the digits are taken only
+            // by the last member to get past this read.
+            let digits = digits.as_ref().expect("leader published the digits");
+            ev.try_rotate_decomposed(source, digits, steps)?
+        };
+        if group.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let digits = group.digits.write().expect(SLOT_LOCK).take();
+            ev.recycle_decomposition(digits.expect("taken once, by the last member"));
+        }
+        Ok(out)
+    }
+
     /// Executes the op behind one DAG node — the only place cipher ops are
     /// dispatched to the [`Evaluator`] — and returns its wall latency.
     /// Plain ops and inputs were evaluated in the prologue and retire for
-    /// free (`None`); a rescale fused into its mul and the non-leader
-    /// members of a hoisted rotation group find their value already stored
-    /// and retire with zero latency.
+    /// free (`None`); a rescale fused into its mul finds its value already
+    /// stored and retires with zero latency.
     fn run_node(&self, id: ValueId) -> Result<Option<Duration>, Vec<ScheduleError>> {
         let (program, ev) = (self.program, self.ev);
         if program.is_plain(id) || matches!(program.op(id), Op::Input { .. }) {
             return Ok(None);
         }
-        // INVARIANT: only a node's own execution, its fusing mul (its one
-        // predecessor) or its group leader (an output-edge predecessor)
-        // stores its value, so a value in place means the work is done.
+        // INVARIANT: only a node's own execution or its fusing mul (its one
+        // predecessor) stores its value, so a value in place means the work
+        // is done.
         if self.cipher_slots[id.index()]
             .read()
             .expect(SLOT_LOCK)
@@ -930,30 +1002,11 @@ impl RunCx<'_, '_> {
             Op::Neg(a) => (id, ev.neg(&self.cipher(*a))),
             Op::Rotate(a, k) => {
                 let ca = self.cipher(*a);
-                let out = match self.rotation_groups.get(a) {
-                    // The group's leader computes every member off one
-                    // shared decomposition and stores the siblings' values.
-                    Some(group) => {
-                        // INVARIANT: the output edges order every other
-                        // member after the leader, and those find their
-                        // value in place above.
-                        debug_assert_eq!(group[0].0, id, "only the leader rotates");
-                        let steps: Vec<i64> = group.iter().map(|&(_, s)| s).collect();
-                        let mut outs = ev
-                            .try_rotate_hoisted(&ca, &steps)
-                            .map_err(|e| missing_key(e.steps.unwrap_or(*k)))?
-                            .into_iter();
-                        // INVARIANT: one output per step, and a group has
-                        // at least two.
-                        let mine = outs.next().expect("one output per group member");
-                        for (&(member, _), out) in group[1..].iter().zip(outs) {
-                            self.store(member, out);
-                        }
-                        mine
-                    }
-                    None => ev.try_rotate(&ca, *k).map_err(|_| missing_key(*k))?,
+                let out = match self.hoist_groups.get(a) {
+                    Some(group) => self.rotate_in_group(group, id, &ca, *k),
+                    None => ev.try_rotate(&ca, *k),
                 };
-                (id, out)
+                (id, out.map_err(|_| missing_key(*k))?)
             }
             Op::Rescale(a) => (id, ev.rescale(&self.cipher(*a))),
             Op::ModSwitch(a) => (id, ev.mod_switch(&self.cipher(*a))),
@@ -1229,61 +1282,99 @@ mod tests {
         assert_eq!(bits(&on.outputs), bits(&off.outputs));
     }
 
-    #[test]
-    fn hoisted_rotation_groups_execute_at_the_leader() {
+    /// `x` rotated by each of `steps`, summed with `x`: one hoist group.
+    fn rotation_group(steps: &[i64]) -> (ScheduledProgram, HashMap<String, Vec<f64>>) {
         let slots = 128;
         let b = Builder::new("rotgrp", slots);
         let x = b.input("x");
-        let e = x.clone().rotate(1) + x.clone().rotate(2) + x.clone().rotate(3) + x;
+        let e = steps
+            .iter()
+            .fold(x.clone(), |acc, &k| acc + x.clone().rotate(k));
         let p = b.finish(vec![e]);
         let mut options = Options::new(30);
         options.params.output_reserve_bits = 2;
         let s = reserve_core::compile(&p, &options).unwrap().scheduled;
         let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.001).collect();
-        let binds = inputs(&[("x", xs)]);
-        let serial = execute(&s, &binds, &opts()).unwrap();
-        let par = execute_parallel(
-            &s,
-            &binds,
-            &ParOptions {
-                exec: opts(),
-                workers: 4,
-                fusion: true,
-            },
-        )
-        .unwrap();
-        assert!(par.hoisted_groups > 0);
-        assert_eq!(bits(&par.outputs), bits(&serial.outputs));
+        (s, inputs(&[("x", xs)]))
     }
 
     #[test]
-    fn missing_keys_surface_as_schedule_errors_not_panics() {
-        let slots = 128;
-        let b = Builder::new("missing", slots);
-        let x = b.input("x");
-        let e = x.clone().rotate(1) + x.clone().rotate(3) + x;
-        let p = b.finish(vec![e]);
-        let mut options = Options::new(30);
-        options.params.output_reserve_bits = 2;
-        let s = reserve_core::compile(&p, &options).unwrap().scheduled;
-        let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.001).collect();
-        let err = execute_parallel(
-            &s,
-            &inputs(&[("x", xs)]),
-            &ParOptions {
+    fn hoisted_group_members_run_as_their_own_nodes() {
+        let (s, binds) = rotation_group(&[1, 2, 3]);
+        let members: Vec<ValueId> = (s.program.ids())
+            .filter(|&id| matches!(s.program.op(id), Op::Rotate(..)))
+            .collect();
+        assert_eq!(members.len(), 3);
+        let keys = SessionKeys::for_schedule(&s, &opts()).unwrap();
+        let pool = Arc::new(PolyPool::new(opts().poly_degree));
+        let run = |workers, rotation_hoisting| {
+            let options = ParOptions {
                 exec: ExecOptions {
-                    keys: KeyPolicy::EagerSet(vec![1]),
+                    rotation_hoisting,
                     ..opts()
                 },
-                workers: 4,
+                workers,
                 fusion: true,
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err[0], ScheduleError::MissingKey { steps: 3, .. }),
-            "got {err:?}"
-        );
+            };
+            let pool = Some(pool.clone());
+            execute_parallel_with_keys(&s, &binds, &options, &keys, pool, 7).unwrap()
+        };
+        let serial = run(1, true);
+        for workers in [1usize, 2, 8] {
+            let par = run(workers, true);
+            for &m in &members {
+                let time = par.node_times.iter().find(|&&(id, _)| id == m);
+                let &(_, time) = time.expect("every member is timed");
+                assert!(time > Duration::ZERO, "{m} did no work at x{workers}");
+            }
+            assert_eq!(bits(&par.outputs), bits(&serial.outputs), "x{workers}");
+            assert_eq!(par.hoisted_groups, 1);
+            let rotates = par.per_class.iter().find(|c| c.0 == OpClass::Rotate);
+            assert_eq!(rotates.expect("rotations ran").2, members.len());
+            // Everything went back, so the digits were released exactly
+            // once (a second release would saturate below a later run's
+            // checkouts and show there).
+            assert_eq!(pool.stats().live_bytes, 0, "x{workers}");
+        }
+        let lone = run(2, false);
+        assert_eq!(lone.hoisted_groups, 0);
+        assert_eq!(bits(&lone.outputs), bits(&serial.outputs), "hoisting off");
+    }
+
+    #[test]
+    fn missing_keys_surface_as_schedule_errors_and_leak_nothing() {
+        // The group's second member lacks its key: a structured error, not
+        // a panic, and the first member's output, the group's digits and
+        // the encrypted input all go back to a shared pool.
+        let (s, binds) = rotation_group(&[1, 3]);
+        let exec = ExecOptions {
+            keys: KeyPolicy::EagerSet(vec![1]),
+            ..opts()
+        };
+        let keys = SessionKeys::for_schedule(&s, &exec).unwrap();
+        let pool = Arc::new(PolyPool::new(exec.poly_degree));
+        for (workers, rotation_hoisting) in [(1, true), (4, true), (4, false)] {
+            let options = ParOptions {
+                exec: ExecOptions {
+                    rotation_hoisting,
+                    ..exec.clone()
+                },
+                workers,
+                fusion: true,
+            };
+            let pool_handle = Some(pool.clone());
+            let err = execute_parallel_with_keys(&s, &binds, &options, &keys, pool_handle, 7)
+                .unwrap_err();
+            assert!(
+                matches!(err[0], ScheduleError::MissingKey { steps: 3, .. }),
+                "got {err:?}"
+            );
+            assert_eq!(
+                pool.stats().live_bytes,
+                0,
+                "x{workers}, hoisting {rotation_hoisting}"
+            );
+        }
     }
 
     #[test]

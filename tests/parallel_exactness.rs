@@ -3,9 +3,8 @@
 //! of its own plain walk — one runner on the calling thread retiring ops
 //! in schedule order, one kernel call per op, so no concurrency to race —
 //! *byte for byte*, not merely within noise tolerance. Rotation hoisting
-//! is the one setting that is *not* byte-transparent (a shared
-//! decomposition reorders the key-switch arithmetic), so each comparison
-//! holds it fixed on both sides.
+//! is byte-transparent too (a lone rotation is a hoisted group of one), so
+//! one plain walk is the reference for both of its settings.
 //!
 //! This is the executable form of the executor's determinism argument:
 //! input encryption consumes the seeded RNG in schedule order before the
@@ -46,9 +45,10 @@ fn backend(slots: usize, seed: u64, rotation_hoisting: bool) -> ExecOptions {
     }
 }
 
-/// The reference every case compares against.
-fn plain_walk(slots: usize, seed: u64, rotation_hoisting: bool) -> ParOptions {
-    ParOptions::plain_walk(backend(slots, seed, rotation_hoisting))
+/// The reference every case compares against, whatever its own hoisting
+/// setting.
+fn plain_walk(slots: usize, seed: u64) -> ParOptions {
+    ParOptions::plain_walk(backend(slots, seed, true))
 }
 
 /// Compiles a workload with the smallest output reserve whose schedule
@@ -78,7 +78,7 @@ fn golden_workloads_are_bit_exact_at_every_width() {
             panic!("{}: no output reserve makes the schedule fit", w.name);
         };
         let (slots, seed) = (w.program.slots(), 0xB17_EAC7 ^ checked as u64);
-        let plain = execute_parallel(&scheduled, &w.inputs, &plain_walk(slots, seed, true))
+        let plain = execute_parallel(&scheduled, &w.inputs, &plain_walk(slots, seed))
             .unwrap_or_else(|e| panic!("{} plain walk: {e:?}", w.name));
         outputs_close(&plain.outputs, &plain.reference, 5e-2)
             .unwrap_or_else(|e| panic!("{} plain walk vs reference: {e}", w.name));
@@ -136,27 +136,31 @@ fn rotate_heavy_fuzz_mix_is_bit_exact() {
             continue;
         }
         let (slots, enc) = (program.slots(), 0xF0_0D ^ seed);
-        // Fusion off and on with hoisted groups spread across runners,
-        // then fusion alone with every rotation on its own decomposition.
-        for (hoisting, wide) in [(true, &[(3, false), (8, true)][..]), (false, &[(2, true)])] {
-            let plain = plain_walk(slots, enc, hoisting);
-            let plain = execute_parallel(&compiled.scheduled, &inputs, &plain)
-                .unwrap_or_else(|e| panic!("seed {seed} plain walk: {e:?}"));
-            for &(workers, fusion) in wide {
-                let options = ParOptions {
-                    exec: backend(slots, enc, hoisting),
-                    workers,
-                    fusion,
-                };
-                let run = execute_parallel(&compiled.scheduled, &inputs, &options)
-                    .unwrap_or_else(|e| panic!("seed {seed} x{workers}: {e:?}"));
-                assert_eq!(
-                    bits(&run.outputs),
-                    bits(&plain.outputs),
-                    "seed {seed} diverges bitwise at {workers} workers \
-                     (fusion {fusion}, hoisting {hoisting})"
-                );
-            }
+        // One reference — the hoisted plain walk — for fusion off and on
+        // with hoisted groups spread across runners, and for every
+        // rotation on its own decomposition, serial and wide.
+        let plain = plain_walk(slots, enc);
+        let plain = execute_parallel(&compiled.scheduled, &inputs, &plain)
+            .unwrap_or_else(|e| panic!("seed {seed} plain walk: {e:?}"));
+        for (hoisting, workers, fusion) in [
+            (true, 3, false),
+            (true, 8, true),
+            (false, 1, false),
+            (false, 2, true),
+        ] {
+            let options = ParOptions {
+                exec: backend(slots, enc, hoisting),
+                workers,
+                fusion,
+            };
+            let run = execute_parallel(&compiled.scheduled, &inputs, &options)
+                .unwrap_or_else(|e| panic!("seed {seed} x{workers}: {e:?}"));
+            assert_eq!(
+                bits(&run.outputs),
+                bits(&plain.outputs),
+                "seed {seed} diverges bitwise at {workers} workers \
+                 (fusion {fusion}, hoisting {hoisting})"
+            );
         }
         checked += 1;
     }
@@ -206,7 +210,7 @@ fn late_and_dead_inputs_are_bit_exact_and_within_the_static_memory_bound() {
         .into_iter()
         .map(|(name, v)| (name.to_string(), vec![v; slots]))
         .collect();
-    let plain = execute_parallel(&scheduled, &inputs, &plain_walk(slots, 11, true)).unwrap();
+    let plain = execute_parallel(&scheduled, &inputs, &plain_walk(slots, 11)).unwrap();
     outputs_close(&plain.outputs, &plain.reference, 1e-2).unwrap();
     assert_eq!(plain.ops_executed, 2 + 14, "two encryptions, 14 cipher ops");
     for workers in [1usize, 2, 8] {
