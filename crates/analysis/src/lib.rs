@@ -47,6 +47,6 @@ pub use interval::{Interval, IntervalDomain};
 pub use lint::{explain, lint_scheduled, registry, LintInfo, LintOptions};
 pub use noise::{MagnitudeSource, NoiseDomain};
 pub use parallel::{SafetyReport, Violation};
-pub use passes::{DepGraphPass, LintPass, TranslationValidatePass};
+pub use passes::{with_verification, DepGraphPass, LintPass, TranslationValidatePass};
 pub use render::{render_finding, render_parse_error, SourceMap};
 pub use tv::{validate, TvMismatch, TvReport};

@@ -98,24 +98,58 @@ impl SafetyReport {
     }
 }
 
-/// Ancestor sets over the DAG as bitsets: `anc[i]` holds `j` iff node `j`
-/// is a strict ancestor of node `i`. Nodes are in topological order by
-/// construction, so one forward sweep suffices.
-fn ancestors(graph: &DepGraph) -> Vec<Vec<u64>> {
-    let n = graph.nodes().len();
-    let words = n.div_ceil(64);
-    let mut anc = vec![vec![0u64; words]; n];
-    for i in 0..n {
-        let mut row = vec![0u64; words];
-        for &(p, _) in graph.preds(i) {
-            row[p / 64] |= 1 << (p % 64);
-            for (w, &bits) in anc[p].iter().enumerate() {
-                row[w] |= bits;
+/// Answers "is node `a` a strict ancestor of node `d`?" over the DAG, one
+/// query at a time and without materialising ancestor sets.
+struct Ancestry<'g> {
+    graph: &'g DepGraph,
+    /// `seen[i] == walk` marks node `i` as visited by the current walk.
+    seen: Vec<usize>,
+    walk: usize,
+    stack: Vec<usize>,
+}
+
+impl<'g> Ancestry<'g> {
+    fn new(graph: &'g DepGraph) -> Self {
+        Ancestry {
+            graph,
+            seen: vec![0; graph.nodes().len()],
+            walk: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    fn is_ancestor(&mut self, a: usize, d: usize) -> bool {
+        let graph = self.graph;
+        // A direct edge answers at once; it is looked up from the endpoint
+        // with fewer edges, which bounds all such lookups of one `check` by
+        // the edge count (a reader has ≤ 2 operands, a member one leader).
+        // Every obligation over a `DepGraph::build` graph ends here.
+        let direct = if graph.succs(a).len() < graph.preds(d).len() {
+            graph.succs(a).iter().any(|&(s, _)| s == d)
+        } else {
+            graph.preds(d).iter().any(|&(p, _)| p == a)
+        };
+        if direct {
+            return true;
+        }
+        // Otherwise walk backward from `d`. Node order is topological, so a
+        // path from `a` only passes through nodes above `a`.
+        self.walk += 1;
+        self.stack.clear();
+        self.stack.push(d);
+        while let Some(i) = self.stack.pop() {
+            for &(p, _) in graph.preds(i) {
+                if p == a {
+                    return true;
+                }
+                if p > a && self.seen[p] != self.walk {
+                    self.seen[p] = self.walk;
+                    self.stack.push(p);
+                }
             }
         }
-        anc[i] = row;
+        false
     }
-    anc
 }
 
 /// Proves `scheduled` race-free under `graph` (normally
@@ -123,16 +157,47 @@ fn ancestors(graph: &DepGraph) -> Vec<Vec<u64>> {
 /// to see the hazards the anti/output edges repair). `hoist_rotations`
 /// must match the runtime setting: it decides whether group-writer
 /// obligations exist at all.
+///
+/// The obligations come from the program text alone; the graph is only
+/// asked whether it orders each pair. Violations are listed in schedule
+/// order: read-after-free by value then reader, then group writers by
+/// leader then member.
 pub fn check(
     scheduled: &ScheduledProgram,
     graph: &DepGraph,
     hoist_rotations: bool,
 ) -> SafetyReport {
     let program = &scheduled.program;
-    let anc = ancestors(graph);
-    let is_anc = |a: usize, d: usize| anc[d][a / 64] & (1 << (a % 64)) != 0;
-
+    let mut ancestry = Ancestry::new(graph);
     let mut report = SafetyReport::default();
+
+    // The live readers of every value in schedule order (an op naming a
+    // value twice reads it once), and the live cipher rotations of every
+    // source, grouped in schedule order of their first member — the
+    // hoisted groups, re-derived here to mirror the memory model.
+    let mut readers: Vec<Vec<ValueId>> = vec![Vec::new(); program.num_ops()];
+    let mut group_of: Vec<Option<usize>> = vec![None; program.num_ops()];
+    let mut groups: Vec<Vec<ValueId>> = Vec::new();
+    for id in program.ids() {
+        if graph.node(id).is_none() {
+            continue;
+        }
+        for a in program.op(id).operands() {
+            if readers[a.index()].last() != Some(&id) {
+                readers[a.index()].push(id);
+            }
+        }
+        match program.op(id) {
+            Op::Rotate(a, _) if program.is_cipher(id) => {
+                let group = *group_of[a.index()].get_or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[group].push(id);
+            }
+            _ => {}
+        }
+    }
 
     // Obligation 1: every reader of a freed ciphertext precedes the free.
     for id in program.ids() {
@@ -144,15 +209,10 @@ pub fn check(
         };
         report.freed_values += 1;
         let free_node = graph.node(free_op).expect("freeing op is live");
-        for reader in program.ids() {
-            let Some(reader_node) = graph.node(reader) else {
-                continue;
-            };
-            if reader == free_op || !program.op(reader).operands().any(|a| a == id) {
-                continue;
-            }
+        for &reader in readers[id.index()].iter().filter(|&&r| r != free_op) {
+            let reader_node = graph.node(reader).expect("readers are live");
             report.obligations += 1;
-            if !is_anc(reader_node, free_node) {
+            if !ancestry.is_ancestor(reader_node, free_node) {
                 report.violations.push(Violation::ReadAfterFree {
                     value: id,
                     reader,
@@ -162,30 +222,16 @@ pub fn check(
         }
     }
 
-    // Obligation 2: hoisted rotation-group members follow their leader.
-    // Re-derive the groups from the program text (≥ 2 live cipher
-    // rotations of one source), mirroring the memory model.
-    let mut groups: std::collections::HashMap<ValueId, Vec<ValueId>> =
-        std::collections::HashMap::new();
-    for id in program.ids() {
-        if graph.node(id).is_none() || !program.is_cipher(id) {
-            continue;
-        }
-        if let Op::Rotate(a, _) = program.op(id) {
-            groups.entry(*a).or_default().push(id);
-        }
-    }
+    // Obligation 2: hoisted rotation-group members follow their leader (a
+    // lone rotation is not hoisted and owes nothing).
     if hoist_rotations {
-        for group in groups.values() {
-            if group.len() < 2 {
-                continue;
-            }
+        for group in &groups {
             let leader = group[0];
             let leader_node = graph.node(leader).expect("leader is live");
             for &member in &group[1..] {
                 let member_node = graph.node(member).expect("member is live");
                 report.obligations += 1;
-                if !is_anc(leader_node, member_node) {
+                if !ancestry.is_ancestor(leader_node, member_node) {
                     report
                         .violations
                         .push(Violation::UnorderedGroupWriter { leader, member });
@@ -253,6 +299,51 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::ReadAfterFree { .. })));
+    }
+
+    #[test]
+    fn violations_come_in_schedule_order_on_every_call() {
+        // Ten hoist groups whose leaders run in the reverse of their
+        // sources' order, so "by leader" and "by source" differ.
+        let b = Builder::new("groups", 8);
+        let sources: Vec<_> = (0..10).map(|i| b.input(format!("y{i}"))).collect();
+        let sum = sources
+            .iter()
+            .rev()
+            .flat_map(|y| (1..=3).map(|k| y.clone().rotate(k)))
+            .reduce(|a, c| a + c)
+            .expect("nonempty");
+        let s = scheduled(b.finish(vec![sum]));
+        let map = s.validate().expect("valid");
+        let g = DepGraph::build_true_deps(&s, &map, &CostModel::paper_table3());
+        let report = check(&s, &g, true);
+        assert_eq!(report.violations, check(&s, &g, true).violations);
+        let groups: Vec<(ValueId, ValueId)> = report
+            .violations
+            .iter()
+            .filter_map(|v| match v {
+                Violation::UnorderedGroupWriter { leader, member } => Some((*leader, *member)),
+                Violation::ReadAfterFree { .. } => None,
+            })
+            .collect();
+        assert_eq!(groups.len(), 20, "two members per group: {groups:?}");
+        assert!(groups.windows(2).all(|w| w[0] < w[1]), "{groups:?}");
+    }
+
+    #[test]
+    fn an_indirect_path_discharges_an_obligation() {
+        // x is read by r, then freed by (r + r) - x, which r reaches only
+        // through the add: the true-deps graph has no edge between the two.
+        let b = Builder::new("indirect", 8);
+        let x = b.input("x");
+        let r = x.clone().rotate(1);
+        let e = (r.clone() + r) - x;
+        let s = scheduled(b.finish(vec![e]));
+        let map = s.validate().expect("valid");
+        let g = DepGraph::build_true_deps(&s, &map, &CostModel::paper_table3());
+        let report = check(&s, &g, true);
+        assert_eq!(report.obligations, 1);
+        assert!(report.race_free(), "{:?}", report.violations);
     }
 
     #[test]

@@ -2,18 +2,29 @@
 //! [`TranslationValidatePass`] plug the analyses into any compiler's
 //! [`PassManager`] sequence, recording findings, the parallelism profile,
 //! and the TV verdict in the shared [`PassCx`] so they surface in the
-//! uniform `CompileReport`.
-//!
-//! [`PassManager`]: fhe_ir::pipeline::PassManager
+//! uniform `CompileReport`. [`with_verification`] appends the three in the
+//! order every compiler runs them.
 
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::diag::{Finding, Severity, TvVerdict};
-use fhe_ir::pipeline::{Pass, PassCx, PassError, PassIr, PassKind};
+use fhe_ir::pipeline::{Pass, PassCx, PassError, PassIr, PassKind, PassManager};
 use fhe_ir::Program;
 
 use crate::lint::{lint_scheduled, LintOptions};
 use crate::parallel;
 use crate::tv;
+
+/// Appends the verification tail every compiler ends its pipeline with:
+/// [`DepGraphPass`], [`LintPass`] under default options, and
+/// [`TranslationValidatePass`] against `source`, the program the pipeline
+/// is about to compile. What runs after scale management is decided here,
+/// once, for the reserve compiler, EVA and Hecate alike.
+pub fn with_verification(pipeline: PassManager, source: &Program) -> PassManager {
+    pipeline
+        .with(DepGraphPass)
+        .with(LintPass::default())
+        .with(TranslationValidatePass::new(source.clone()))
+}
 
 /// Lints the scheduled program and records findings in the context.
 ///
@@ -59,8 +70,10 @@ impl Pass for LintPass {
 }
 
 /// Builds the dependence DAG of the schedule, notes its work/span/width
-/// profile, and proves the schedule race-free for topological-order
-/// parallel execution via [`parallel::check`].
+/// profile and leaves it in the context as a
+/// [`ParallelismEstimate`](fhe_ir::depgraph::ParallelismEstimate) artifact
+/// (the `CompileReport`'s `parallelism`), and proves the schedule race-free
+/// for topological-order parallel execution via [`parallel::check`].
 ///
 /// Never fails the pipeline: the profile is informative and a safety
 /// violation is surfaced as an `F008` error finding (the parallel form of
@@ -94,6 +107,7 @@ impl Pass for DepGraphPass {
             est.parallelism(),
             est.max_width
         ));
+        cx.put(est);
         let safety = parallel::check(&scheduled, &graph, true);
         if safety.race_free() {
             cx.note(format!(
@@ -178,7 +192,6 @@ impl Pass for TranslationValidatePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fhe_ir::pipeline::PassManager;
     use fhe_ir::{Builder, CompileParams, CostModel, Frac, InputSpec, Op, ScheduledProgram};
 
     fn source() -> Program {
@@ -244,6 +257,10 @@ mod tests {
         let mut pm = PassManager::new().with(DepGraphPass);
         let (_, trace) = pm.run(PassIr::Scheduled(schedule(false)), &mut cx).unwrap();
         assert!(cx.findings().is_empty(), "{:?}", cx.findings());
+        let est = cx
+            .get::<fhe_ir::ParallelismEstimate>()
+            .expect("the profile is left for `finish_compiled`");
+        assert!(est.work_us > 0.0 && est.span_us > 0.0, "{est:?}");
         let notes = &trace.pass("depgraph").unwrap().notes;
         assert!(notes[0].starts_with("work "), "{notes:?}");
         assert!(

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use fhe_analysis::{DepGraphPass, LintPass, TranslationValidatePass};
+use fhe_analysis::with_verification;
 use fhe_ir::pipeline::{
     finish_compiled, CleanupPass, CompileError, Compiled, Pass, PassCx, PassError, PassIr,
     PassManager, ScaleCompiler,
@@ -42,12 +42,8 @@ impl Pass for LegalizePass {
 pub fn compile(program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
     let t_total = Instant::now();
     let mut cx = PassCx::new(*params, CostModel::paper_table3());
-    let (ir, trace) = PassManager::new()
-        .with(CleanupPass)
-        .with(LegalizePass)
-        .with(DepGraphPass)
-        .with(LintPass::default())
-        .with(TranslationValidatePass::new(program.clone()))
+    let pipeline = PassManager::new().with(CleanupPass).with(LegalizePass);
+    let (ir, trace) = with_verification(pipeline, program)
         .run(PassIr::Source(program.clone()), &mut cx)
         .map_err(|e| CompileError::in_compiler(NAME, e))?;
     let scheduled = ir

@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use fhe_analysis::{DepGraphPass, LintPass, TranslationValidatePass};
+use fhe_analysis::with_verification;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,14 +159,10 @@ pub fn compile(
 ) -> Result<Compiled, CompileError> {
     let t_total = Instant::now();
     let mut cx = PassCx::new(*params, CostModel::paper_table3());
-    let (ir, trace) = PassManager::new()
-        .with(CleanupPass)
-        .with(ExplorePass {
-            options: options.clone(),
-        })
-        .with(DepGraphPass)
-        .with(LintPass::default())
-        .with(TranslationValidatePass::new(program.clone()))
+    let pipeline = PassManager::new().with(CleanupPass).with(ExplorePass {
+        options: options.clone(),
+    });
+    let (ir, trace) = with_verification(pipeline, program)
         .run(PassIr::Source(program.clone()), &mut cx)
         .map_err(|e| CompileError::in_compiler(NAME, e))?;
     let scheduled = ir

@@ -10,8 +10,8 @@
 //! op's wall latency (`ParReport::node_times`). Those samples calibrate a
 //! per-class per-level [`CostModel`] (the same shape as Table 3), and the
 //! depgraph built from that model yields the *prediction* `t_of_k(k)`.
-//! The *measured* `T(k)` replays the actual per-node latencies through a
-//! greedy critical-path list schedule with `k` workers over the same DAG
+//! The *measured* `T(k)` replays the actual per-node latencies through
+//! the same list scheduler ([`DepGraph::list_schedule`]) over the same DAG
 //! — virtual time, so the number is honest on any host, including the
 //! single-core CI container (`"mode": "virtual"` in the JSON; real
 //! wall-clock walk times are reported alongside for every `k` the host
@@ -225,63 +225,6 @@ fn calibrate(scheduled: &ScheduledProgram, graph: &DepGraph, costs: &[f64]) -> C
     CostModel::from_rows(rows)
 }
 
-/// Greedy critical-path list schedule of the DAG with `k` workers and the
-/// given per-node costs (µs) — the same algorithm as
-/// [`DepGraph::t_of_k`], parameterized by measured costs instead of the
-/// model's. With `k = nodes` it degenerates to the span.
-fn replay(graph: &DepGraph, costs: &[f64], k: usize) -> f64 {
-    let n = graph.nodes().len();
-    if n == 0 {
-        return 0.0;
-    }
-    let k = k.max(1);
-    let mut bottom = vec![0.0f64; n];
-    for i in (0..n).rev() {
-        let below = graph
-            .succs(i)
-            .iter()
-            .map(|&(s, _)| bottom[s])
-            .fold(0.0, f64::max);
-        bottom[i] = below + costs[i];
-    }
-    let mut indeg: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
-    let mut ready_time = vec![0.0f64; n];
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut workers = vec![0.0f64; k.min(n)];
-    let mut makespan = 0.0f64;
-    for _ in 0..n {
-        let (w, &wt) = workers
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("k >= 1");
-        let pick = ready
-            .iter()
-            .enumerate()
-            .min_by(|&(_, &a), &(_, &b)| {
-                let (ra, rb) = (ready_time[a].max(wt), ready_time[b].max(wt));
-                ra.total_cmp(&rb)
-                    .then(bottom[b].total_cmp(&bottom[a]))
-                    .then(a.cmp(&b))
-            })
-            .map(|(slot, _)| slot)
-            .expect("ready nonempty while nodes remain");
-        let node = ready.swap_remove(pick);
-        let start = ready_time[node].max(wt);
-        let fin = start + costs[node];
-        workers[w] = fin;
-        makespan = makespan.max(fin);
-        for &(s, _) in graph.succs(node) {
-            ready_time[s] = ready_time[s].max(fin);
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    makespan
-}
-
 struct WorkloadResult {
     name: &'static str,
     slots: usize,
@@ -358,7 +301,7 @@ fn bench_workload(w: &Workload, cores: usize) -> WorkloadResult {
     let costs = node_costs(&probe, &baselines);
     let model = calibrate(&scheduled, &probe, &costs);
     let graph = DepGraph::build(&scheduled, &map, &model, false);
-    let span_us = replay(&graph, &costs, graph.nodes().len());
+    let span_us = graph.list_schedule(&costs, graph.nodes().len());
 
     // Fused + hoisted runs: per-node latencies with the mul·relin·rescale
     // kernel charged at the mul and hoist groups at their leader.
@@ -375,8 +318,8 @@ fn bench_workload(w: &Workload, cores: usize) -> WorkloadResult {
     let mut wall_us = Vec::new();
     for &k in &WORKER_SWEEP {
         predicted.push(graph.t_of_k(k));
-        measured.push(replay(&graph, &costs, k));
-        fused_t.push(replay(&graph_h, &costs_f, k));
+        measured.push(graph.list_schedule(&costs, k));
+        fused_t.push(graph_h.list_schedule(&costs_f, k));
         // Real wall-clock walk, only meaningful when the host has the
         // cores (k = 1 re-runs serially; skip to keep the bench fast).
         wall_us.push((k > 1 && cores >= k).then(|| {

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use fhe_analysis::{DepGraphPass, LintPass, TranslationValidatePass};
+use fhe_analysis::with_verification;
 use fhe_ir::pipeline::{
     finish_compiled, CleanupPass, CompileError, CompileReport, Compiled as UnifiedCompiled, Pass,
     PassCx, PassError, PassIr, PassKind, PassManager, PipelineTrace, ScaleCompiler,
@@ -259,10 +259,7 @@ pub fn compile(program: &Program, options: &Options) -> Result<Compiled, Compile
     let label = options.mode.label();
     let t_total = Instant::now();
     let mut cx = PassCx::new(options.params, options.cost_model.clone());
-    let (ir, trace) = pipeline_for(options)
-        .with(DepGraphPass)
-        .with(LintPass::default())
-        .with(TranslationValidatePass::new(program.clone()))
+    let (ir, trace) = with_verification(pipeline_for(options), program)
         .run(PassIr::Source(program.clone()), &mut cx)
         .map_err(|e| CompileError::in_compiler(label, e))?;
     let scheduled = ir

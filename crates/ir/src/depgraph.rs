@@ -31,6 +31,30 @@ use crate::cost::{CostModel, OpClass};
 use crate::op::ValueId;
 use crate::schedule::{ScaleMap, ScheduledProgram};
 
+/// A time in µs ordered by [`f64::total_cmp`], so that it can key a heap.
+#[derive(Debug, Clone, Copy)]
+struct Us(f64);
+
+impl PartialEq for Us {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Us {}
+
+impl PartialOrd for Us {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Us {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// The kind of a dependence edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
@@ -177,25 +201,27 @@ impl DepGraph {
         let n = nodes.len();
         let mut preds: Vec<Vec<(usize, DepKind)>> = vec![Vec::new(); n];
         let mut succs: Vec<Vec<(usize, DepKind)>> = vec![Vec::new(); n];
+        // Each kind of edge recognises its own duplicates in O(1) at the
+        // point of insertion (ops are at most binary), so no edge list is
+        // ever scanned: a value with thousands of readers costs its edges.
         let add_edge = |preds: &mut Vec<Vec<(usize, DepKind)>>,
                         succs: &mut Vec<Vec<(usize, DepKind)>>,
                         from: usize,
                         to: usize,
                         kind: DepKind| {
-            if from == to || succs[from].iter().any(|&(t, k)| t == to && k == kind) {
-                return;
-            }
             succs[from].push((to, kind));
             preds[to].push((from, kind));
         };
 
-        // True dependences: operand → user, between live nodes.
-        for &DepNode { id, .. } in &nodes {
-            let to = node_of[id.index()].expect("node exists");
-            for a in program.op(id).operands() {
-                if let Some(from) = node_of[a.index()] {
+        // True dependences: operand → user, between live nodes. The one
+        // duplicate is an op naming the same operand twice.
+        for (to, node) in nodes.iter().enumerate() {
+            let mut prev = None;
+            for a in program.op(node.id).operands() {
+                if let Some(from) = node_of[a.index()].filter(|_| prev != Some(a)) {
                     add_edge(&mut preds, &mut succs, from, to, DepKind::True);
                 }
+                prev = Some(a);
             }
         }
 
@@ -213,6 +239,9 @@ impl DepGraph {
 
         // Anti dependences: every other reader of a ciphertext must finish
         // before the op that frees it (write-after-read on the pool slot).
+        // A reader has at most two operands, so at most two anti edges
+        // leave it, back to back in its successor list: the one duplicate —
+        // both operands freed at the same op — repeats the edge just added.
         for id in program.ids() {
             if !hazard_edges || !program.is_cipher(id) {
                 continue;
@@ -222,7 +251,9 @@ impl DepGraph {
                 for &u in &users[id.index()] {
                     if u != f {
                         let ui = node_of[u.index()].expect("user is live");
-                        add_edge(&mut preds, &mut succs, ui, fi, DepKind::Anti);
+                        if succs[ui].last() != Some(&(fi, DepKind::Anti)) {
+                            add_edge(&mut preds, &mut succs, ui, fi, DepKind::Anti);
+                        }
                     }
                 }
             }
@@ -230,7 +261,7 @@ impl DepGraph {
 
         // Output dependences: a hoisted rotation group's leader publishes
         // the decomposition its later members read; they are ordered after
-        // it.
+        // it. A rotation belongs to one group, so these never repeat.
         for group in crate::analysis::rotation_groups(program, &live, hoist_rotations).values() {
             let leader = node_of[group[0].0.index()].expect("leader is live");
             for &(m, _) in &group[1..] {
@@ -354,55 +385,96 @@ impl DepGraph {
     /// (µs). `T(1)` equals [`DepGraph::work_us`]; `T(k)` is nonincreasing
     /// in `k` and bounded below by [`DepGraph::span_us`].
     pub fn t_of_k(&self, k: usize) -> f64 {
-        let k = k.max(1);
-        let n = self.nodes.len();
-        if n == 0 {
-            return 0.0;
-        }
-        // Priority: bottom level (longest path to an exit, own cost
-        // included) — the classic critical-path heuristic.
-        let mut bottom = vec![0.0f64; n];
-        for i in (0..n).rev() {
+        self.list_schedule(&self.costs(), k)
+    }
+
+    /// Latency (µs) of the same list schedule when node `i` takes
+    /// `costs[i]` µs (nonnegative, indexed like [`DepGraph::nodes`]) —
+    /// [`DepGraph::t_of_k`] with measured latencies in place of the
+    /// model's. With `k ≥ nodes` it degenerates to the span.
+    ///
+    /// Each step takes the worker that frees first and gives it, among the
+    /// ready nodes, the one startable earliest; then the one of highest
+    /// bottom level (longest path to an exit, own cost included — the
+    /// classic critical-path priority); then the earliest in the schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `costs` has one entry per node.
+    pub fn list_schedule(&self, costs: &[f64], k: usize) -> f64 {
+        assert_eq!(costs.len(), self.nodes.len(), "one cost per node");
+        self.schedule(costs, &self.bottom_levels(costs), k)
+    }
+
+    fn costs(&self) -> Vec<f64> {
+        self.nodes.iter().map(|n| n.cost_us).collect()
+    }
+
+    /// Longest path from each node to an exit, its own cost included.
+    fn bottom_levels(&self, costs: &[f64]) -> Vec<f64> {
+        let mut bottom = vec![0.0f64; costs.len()];
+        for i in (0..costs.len()).rev() {
             let below = self.succs[i]
                 .iter()
                 .map(|&(s, _)| bottom[s])
                 .fold(0.0, f64::max);
-            bottom[i] = below + self.nodes[i].cost_us;
+            bottom[i] = below + costs[i];
         }
+        bottom
+    }
+
+    /// The list schedule behind [`DepGraph::list_schedule`], in
+    /// O((n + e) log n): three heaps instead of a scan of the ready list
+    /// and of the workers per node.
+    ///
+    /// A ready node is *available* once its ready time is at or before the
+    /// free time of the worker being served, and *pending* until then.
+    /// Every available node is startable at the worker's time exactly, so
+    /// among them the rule above reduces to (bottom ↓, index ↑); when none
+    /// is available, every pending node starts at its own ready time and
+    /// the rule reads (ready time ↑, bottom ↓, index ↑). Costs are
+    /// nonnegative, so the earliest worker time never decreases and an
+    /// available node stays available: each node moves pending → available
+    /// at most once, and the pick is the one a full scan would make.
+    fn schedule(&self, costs: &[f64], bottom: &[f64], k: usize) -> f64 {
+        let n = self.nodes.len();
+        // A worker beyond the n-th would never leave time zero.
+        let mut workers: BinaryHeap<Reverse<Us>> = (0..k.clamp(1, n.max(1)))
+            .map(|_| Reverse(Us(0.0)))
+            .collect();
         let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut ready_time = vec![0.0f64; n];
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut workers = vec![0.0f64; k];
+        let mut pending: BinaryHeap<Reverse<(Us, Reverse<Us>, usize)>> = (0..n)
+            .filter(|&i| indeg[i] == 0)
+            .map(|i| Reverse((Us(0.0), Reverse(Us(bottom[i])), i)))
+            .collect();
+        let mut available: BinaryHeap<(Us, Reverse<usize>)> = BinaryHeap::new();
         let mut makespan = 0.0f64;
         for _ in 0..n {
-            let (w, &wt) = workers
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .expect("k >= 1");
-            // Among ready nodes, prefer those startable at the worker's
-            // free time; then highest bottom level; then schedule order.
-            let pick = ready
-                .iter()
-                .enumerate()
-                .min_by(|&(_, &a), &(_, &b)| {
-                    let (ra, rb) = (ready_time[a].max(wt), ready_time[b].max(wt));
-                    ra.total_cmp(&rb)
-                        .then(bottom[b].total_cmp(&bottom[a]))
-                        .then(a.cmp(&b))
-                })
-                .map(|(slot, _)| slot)
-                .expect("ready nonempty while nodes remain");
-            let node = ready.swap_remove(pick);
-            let start = ready_time[node].max(wt);
-            let fin = start + self.nodes[node].cost_us;
-            workers[w] = fin;
+            let Reverse(Us(wt)) = workers.pop().expect("k >= 1");
+            while let Some(&Reverse((Us(ready), Reverse(level), i))) = pending.peek() {
+                if ready > wt {
+                    break;
+                }
+                pending.pop();
+                available.push((level, Reverse(i)));
+            }
+            let node = match available.pop() {
+                Some((_, Reverse(i))) => i,
+                None => {
+                    let Reverse((_, _, i)) =
+                        pending.pop().expect("ready nonempty while nodes remain");
+                    i
+                }
+            };
+            let fin = ready_time[node].max(wt) + costs[node];
+            workers.push(Reverse(Us(fin)));
             makespan = makespan.max(fin);
             for &(s, _) in &self.succs[node] {
                 ready_time[s] = ready_time[s].max(fin);
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    ready.push(s);
+                    pending.push(Reverse((Us(ready_time[s]), Reverse(Us(bottom[s])), s)));
                 }
             }
         }
@@ -415,10 +487,12 @@ impl DepGraph {
         let work_us = self.work_us();
         let span_us = self.span_us();
         let max_width = self.max_width();
-        let mut t_of_k = vec![(1, self.t_of_k(1))];
+        let costs = self.costs();
+        let bottom = self.bottom_levels(&costs);
+        let mut t_of_k = vec![(1, self.schedule(&costs, &bottom, 1))];
         let mut k = 2;
         while k / 2 < max_width {
-            t_of_k.push((k, self.t_of_k(k)));
+            t_of_k.push((k, self.schedule(&costs, &bottom, k)));
             k *= 2;
         }
         ParallelismEstimate {
@@ -674,6 +748,50 @@ mod tests {
         assert!(anti.contains(&r1) && anti.contains(&r2), "{anti:?}");
         // Outputs are pinned.
         assert_eq!(g.free_at(out), None);
+    }
+
+    #[test]
+    fn an_edge_proposed_twice_is_added_once() {
+        // u reads x and y, and f frees both: the anti edge u → f is
+        // proposed once per value. d names f twice.
+        let mut p = Program::new("t", 8);
+        let x = p.push(Op::Input { name: "x".into() });
+        let y = p.push(Op::Input { name: "y".into() });
+        let u = p.push(Op::Add(x, y));
+        let f = p.push(Op::Sub(x, y));
+        let d = p.push(Op::Add(f, f));
+        let out = p.push(Op::Add(u, d));
+        p.set_outputs(vec![out]);
+        let g = graph(p);
+        let node = |id| g.node(id).unwrap();
+        assert_eq!(
+            g.succs(node(u)),
+            [(node(out), DepKind::True), (node(f), DepKind::Anti)]
+        );
+        assert_eq!(g.preds(node(d)), [(node(f), DepKind::True)]);
+        assert_eq!(
+            g.preds(node(f)),
+            [
+                (node(x), DepKind::True),
+                (node(y), DepKind::True),
+                (node(u), DepKind::Anti)
+            ]
+        );
+    }
+
+    #[test]
+    fn list_schedule_takes_costs_other_than_the_models() {
+        // Two independent rotations and their sum: with one worker the
+        // latencies add up, with two the rotations overlap.
+        let b = Builder::new("t", 8);
+        let x = b.input("x");
+        let y = b.input("y");
+        let p = b.finish(vec![x.rotate(1) + y.rotate(2)]);
+        let g = graph(p);
+        let costs = [0.0, 0.0, 5.0, 3.0, 1.0];
+        assert_eq!(g.list_schedule(&costs, 1), 9.0);
+        assert_eq!(g.list_schedule(&costs, 2), 6.0);
+        assert_eq!(g.list_schedule(&costs, 64), 6.0);
     }
 
     #[test]

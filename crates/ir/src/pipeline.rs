@@ -539,7 +539,8 @@ pub struct CompileReport {
     /// dominates every measured execution peak.
     pub memory: crate::memory::MemoryEstimate,
     /// Static parallelism profile of the schedule's dependence DAG:
-    /// work/span, maximum width, and the `T(k)` latency-at-width curve.
+    /// work/span, maximum width, and the `T(k)` latency-at-width curve —
+    /// the depgraph pass's artifact, or the default when none ran.
     /// The fuzz oracle asserts span ≤ work and that a single-threaded
     /// measured run dominates the calibrated span.
     pub parallelism: crate::depgraph::ParallelismEstimate,
@@ -634,7 +635,12 @@ pub fn finish_compiled(
     // default (`ExecOptions::rotation_hoisting`).
     let memory =
         crate::memory::estimate_memory(&scheduled, &map, 2 * scheduled.program.slots(), true);
-    let parallelism = crate::depgraph::analyze(&scheduled, &map, &cx.cost_model, true);
+    // The profile is the depgraph pass's, computed once per compile; like
+    // the TV verdict, a pipeline that ran no such pass reports the default.
+    let parallelism = cx
+        .get::<crate::depgraph::ParallelismEstimate>()
+        .cloned()
+        .unwrap_or_default();
     let report = CompileReport {
         compiler,
         scale_management_time: trace.scale_management_time(),

@@ -1,0 +1,52 @@
+//! Scaling gate for the compile pipeline's verification tail, on the
+//! paper-size LeNet-5 (11 664 ops in, a 9 411-op schedule out).
+//!
+//! The dependence analysis — DAG, work/span/`T(k)` profile, race-freedom
+//! proof — must cost what its input costs: no more than twice the scale
+//! management it verifies. With a ready-list scan per scheduled node and an
+//! ancestor bitset it cost 27 × (release; > 10 × in a debug build). And a
+//! compile must account for its own time: the report's `total_time` has to
+//! cover the wall measured around `compile`, which it did to 63 % while the
+//! profile was computed a second time after the clock was read.
+//!
+//! Both gates compare two walls of one process, so the host's speed cancels;
+//! each takes the best of three compiles, so one preemption does not decide.
+
+use std::time::{Duration, Instant};
+
+use fhe_ir::{CompileParams, ScaleCompiler};
+use fhe_workloads::lenet::{self, LenetConfig};
+use reserve_core::ReserveCompiler;
+
+#[test]
+fn lenet5_analysis_costs_what_its_input_costs_and_the_report_accounts_for_the_compile() {
+    let program = lenet::build(&LenetConfig::lenet5());
+    let params = CompileParams::new(30);
+    let (mut depgraph, mut scale_management) = (Duration::MAX, Duration::MAX);
+    let mut covered = 0.0f64;
+    for _ in 0..3 {
+        let t = Instant::now();
+        let compiled = ReserveCompiler::full()
+            .compile(&program, &params)
+            .expect("LeNet-5 compiles");
+        let wall = t.elapsed();
+        let report = &compiled.report;
+        let pass = report.trace.pass("depgraph").expect("the pass ran");
+        depgraph = depgraph.min(pass.wall);
+        scale_management = scale_management.min(report.scale_management_time);
+        covered = covered.max(report.total_time.as_secs_f64() / wall.as_secs_f64());
+    }
+    println!(
+        "depgraph {depgraph:?}, scale management {scale_management:?}, total_time covers {:.1} %",
+        covered * 100.0
+    );
+    assert!(
+        depgraph <= 2 * scale_management,
+        "depgraph pass {depgraph:?} vs scale management {scale_management:?}"
+    );
+    assert!(
+        covered >= 0.95,
+        "total_time covers {:.1} % of the compile's wall",
+        covered * 100.0
+    );
+}
