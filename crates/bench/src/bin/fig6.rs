@@ -5,8 +5,9 @@
 //! additionally writes every series point with its full compile report.
 
 use fhe_bench::{
-    compile_all, hecate_budget, json::Json, print_table, report_json, standard_compilers, CliArgs,
+    compile_all, hecate_budget, print_table, report_json, standard_compilers, CliArgs,
 };
+use fhe_ir::json::Json;
 
 fn main() {
     let args = CliArgs::parse();

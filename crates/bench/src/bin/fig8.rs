@@ -10,9 +10,8 @@
 //!
 //! `--json <path>` writes every (waterline, benchmark, mode) compile report.
 
-use fhe_bench::{
-    ablation_compilers, compile_all, geomean, json::Json, print_table, report_json, CliArgs,
-};
+use fhe_bench::{ablation_compilers, compile_all, geomean, print_table, report_json, CliArgs};
+use fhe_ir::json::Json;
 
 fn main() {
     let args = CliArgs::parse();

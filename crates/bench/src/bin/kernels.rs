@@ -40,11 +40,12 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fhe_bench::{json::Json, print_table, CliArgs};
+use fhe_bench::{gate, print_table, CliArgs};
 use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
 use fhe_ckks::poly::RnsPoly;
 use fhe_ckks::{encrypt_symmetric, CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
+use fhe_ir::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -409,26 +410,27 @@ fn main() -> ExitCode {
             ),
         ),
     ]));
-    if encode_ntt_ratio > ENCODE_NTT_RATIO_MAX {
-        eprintln!(
-            "FAIL: an encode costs {encode_ntt_ratio:.1}x the forward NTT of its limbs (ceiling {ENCODE_NTT_RATIO_MAX}): \
-             the float->RNS conversion is doing more than arithmetic per coefficient"
-        );
-        return ExitCode::FAILURE;
-    }
-    if hoisted4_rotate_ratio > HOISTED4_ROTATE_RATIO_MAX {
-        eprintln!(
-            "FAIL: 4 hoisted rotations cost {hoisted4_rotate_ratio:.2}x four lone ones (ceiling {HOISTED4_ROTATE_RATIO_MAX}): \
-             a group is not sharing its decomposition"
-        );
-        return ExitCode::FAILURE;
-    }
-    if rotate_mul_ratio > ROTATE_MUL_RATIO_MAX {
-        eprintln!(
-            "FAIL: a rotate costs {rotate_mul_ratio:.2}x a cipher x cipher mul (ceiling {ROTATE_MUL_RATIO_MAX}): \
-             Table 3 has it below; the Galois path is doing more than a key switch"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    gate(&[
+        (
+            encode_ntt_ratio <= ENCODE_NTT_RATIO_MAX,
+            format!(
+                "an encode costs {encode_ntt_ratio:.1}x the forward NTT of its limbs (ceiling {ENCODE_NTT_RATIO_MAX}): \
+                 the float->RNS conversion is doing more than arithmetic per coefficient"
+            ),
+        ),
+        (
+            hoisted4_rotate_ratio <= HOISTED4_ROTATE_RATIO_MAX,
+            format!(
+                "4 hoisted rotations cost {hoisted4_rotate_ratio:.2}x four lone ones (ceiling {HOISTED4_ROTATE_RATIO_MAX}): \
+                 a group is not sharing its decomposition"
+            ),
+        ),
+        (
+            rotate_mul_ratio <= ROTATE_MUL_RATIO_MAX,
+            format!(
+                "a rotate costs {rotate_mul_ratio:.2}x a cipher x cipher mul (ceiling {ROTATE_MUL_RATIO_MAX}): \
+                 Table 3 has it below; the Galois path is doing more than a key switch"
+            ),
+        ),
+    ])
 }

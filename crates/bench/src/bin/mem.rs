@@ -23,65 +23,15 @@
 //! — the CI `mem-smoke` gate.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fhe_bench::json::{json_number, Json};
-use fhe_bench::print_table;
+use fhe_bench::{keys, print_table, CliArgs};
+use fhe_ir::json::Json;
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::{CompileParams, Op, Program, ScheduledProgram};
 use fhe_runtime::{execute_encrypted, ExecOptions, ExecReport, KeyPolicy};
 use fhe_workloads::{suite, Size};
 use reserve_core::ReserveCompiler;
-
-struct Args {
-    fast: bool,
-    json: Option<PathBuf>,
-    check_baseline: Option<PathBuf>,
-    workload: Option<String>,
-    budget_keys: usize,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        fast: false,
-        json: None,
-        check_baseline: None,
-        workload: None,
-        budget_keys: 4,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(a) = iter.next() {
-        let value = |iter: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires an argument");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--fast" => args.fast = true,
-            "--json" => args.json = Some(value(&mut iter, "--json").into()),
-            "--check-baseline" => {
-                args.check_baseline = Some(value(&mut iter, "--check-baseline").into())
-            }
-            "--workload" => args.workload = Some(value(&mut iter, "--workload")),
-            "--budget" => {
-                args.budget_keys = value(&mut iter, "--budget").parse().unwrap_or_else(|_| {
-                    eprintln!("--budget takes a key count");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!(
-                    "unknown flag `{other}` (supported: --fast, --json <path>, \
-                     --check-baseline <path>, --workload <name>, --budget <keys>)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// Distinct Galois-key classes a program rotates by (`steps % slots != 0`,
 /// deduplicated by residue class).
@@ -147,9 +97,15 @@ fn row_json(row: &Row) -> Json {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = CliArgs::parse_gated(&["--workload <name>", "--budget <keys>"]);
+    let budget_keys: usize = args.value("--budget").map_or(4, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--budget takes a key count");
+            std::process::exit(2);
+        })
+    });
     let size = if args.fast { Size::Test } else { Size::Paper };
-    let workload = match &args.workload {
+    let workload = match args.value("--workload") {
         Some(name) => suite(size)
             .into_iter()
             .find(|w| w.name.eq_ignore_ascii_case(name))
@@ -190,7 +146,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let budget_keys = args.budget_keys;
     let n = slots * 2;
     let level = compiled.report.max_level as usize;
     let one_key = 2 * level * (level + 1) * n * 8;
@@ -278,7 +233,7 @@ fn main() -> ExitCode {
         "peak reduction lazy-budget vs eager-pow2: {reduction:.2}x (latency {latency_ratio:.2}x)"
     );
 
-    let json = Json::obj([
+    args.emit_json(&Json::obj([
         ("workload", Json::from(workload.name)),
         ("slots", Json::from(slots)),
         ("poly_degree", Json::from(n)),
@@ -300,41 +255,32 @@ fn main() -> ExitCode {
         ("reduction_vs_eager_pow2", Json::from(reduction)),
         ("latency_ratio_vs_eager_pow2", Json::from(latency_ratio)),
         (
-            "lazy_budget_peak_bytes",
+            keys::LAZY_BUDGET_PEAK_BYTES,
             Json::from(budgeted.report.mem.peak_bytes as usize),
         ),
         (
             "pool_hit_rate",
             Json::from(budgeted.report.mem.pool_hit_rate()),
         ),
-    ]);
-    if let Some(path) = &args.json {
-        std::fs::write(path, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-    }
+    ]));
 
-    if let Some(baseline_path) = &args.check_baseline {
-        let committed = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", baseline_path.display()));
-        let committed_peak = json_number(&committed, "lazy_budget_peak_bytes")
-            .expect("baseline has lazy_budget_peak_bytes");
+    args.gate_on_baseline(keys::LAZY_BUDGET_PEAK_BYTES, |committed_peak| {
         let peak = budgeted.report.mem.peak_bytes as f64;
-        if budgeted.report.mem.pool_hit_rate() <= 0.0 {
-            eprintln!("FAIL: pool hit rate is zero — the arena is not recycling");
-            return ExitCode::FAILURE;
-        }
-        if peak > committed_peak * 1.2 {
-            eprintln!(
-                "FAIL: lazy-budget peak {peak:.0} B regressed >20% over committed {committed_peak:.0} B"
-            );
-            return ExitCode::FAILURE;
-        }
-        if reduction < 2.0 {
-            eprintln!("FAIL: peak reduction {reduction:.2}x fell below the promised 2x");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("baseline check passed");
-    }
-    ExitCode::SUCCESS
+        vec![
+            (
+                budgeted.report.mem.pool_hit_rate() > 0.0,
+                "pool hit rate is zero — the arena is not recycling".to_string(),
+            ),
+            (
+                peak <= committed_peak * 1.2,
+                format!(
+                    "lazy-budget peak {peak:.0} B regressed >20% over committed {committed_peak:.0} B"
+                ),
+            ),
+            (
+                reduction >= 2.0,
+                format!("peak reduction {reduction:.2}x fell below the promised 2x"),
+            ),
+        ]
+    })
 }

@@ -29,53 +29,14 @@
 //! deliberately not gated.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fhe_bench::json::{json_number, Json};
-use fhe_bench::print_table;
+use fhe_bench::{keys, print_table, CliArgs};
+use fhe_ir::json::Json;
 use fhe_ir::{text, CompileParams};
 use fhe_runtime::{ExecOptions, KeyPolicy, ParOptions};
 use fhe_serve::{FheServer, Request, ServerConfig};
-
-struct Args {
-    fast: bool,
-    json: Option<PathBuf>,
-    check_baseline: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        fast: false,
-        json: None,
-        check_baseline: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(a) = iter.next() {
-        let value = |iter: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires an argument");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--fast" => args.fast = true,
-            "--json" => args.json = Some(value(&mut iter, "--json").into()),
-            "--check-baseline" => {
-                args.check_baseline = Some(value(&mut iter, "--check-baseline").into())
-            }
-            other => {
-                eprintln!(
-                    "unknown flag `{other}` (supported: --fast, --json <path>, \
-                     --check-baseline <path>)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 fn fig2a_text(slots: usize) -> String {
     let b = fhe_ir::Builder::new("fig2a", slots);
@@ -199,7 +160,7 @@ struct SweepRow {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = CliArgs::parse_gated(&[]);
     let (slots, repeats, per_session) = if args.fast { (128, 6, 4) } else { (512, 16, 8) };
     let program = fig2a_text(slots);
     eprintln!("fig2a, {slots} slots (N = {})", slots * 2);
@@ -316,14 +277,14 @@ fn main() -> ExitCode {
     );
 
     let failed_total = failed_base + sweep_failed;
-    let json = Json::obj([
+    args.emit_json(&Json::obj([
         ("workload", Json::from("fig2a")),
         ("slots", Json::from(slots)),
         ("poly_degree", Json::from(slots * 2)),
         ("cold_requests", Json::from(repeats)),
         ("cold_rps_hecate", Json::from(hecate.cold_rps)),
         ("warm_rps_hecate", Json::from(hecate.warm_rps)),
-        ("warm_over_cold", Json::from(warm_over_cold)),
+        (keys::WARM_OVER_COLD, Json::from(warm_over_cold)),
         ("cold_rps_reserve", Json::from(reserve.cold_rps)),
         ("warm_rps_reserve", Json::from(reserve.warm_rps)),
         ("warm_over_cold_reserve", Json::from(reserve.ratio())),
@@ -349,37 +310,23 @@ fn main() -> ExitCode {
                     .collect(),
             ),
         ),
-    ]);
-    if let Some(path) = &args.json {
-        std::fs::write(path, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-    }
+    ]));
 
-    if let Some(baseline_path) = &args.check_baseline {
-        let committed = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", baseline_path.display()));
-        let committed_ratio =
-            json_number(&committed, "warm_over_cold").expect("baseline has warm_over_cold");
-        if committed_ratio < 5.0 {
-            eprintln!(
-                "FAIL: committed baseline ratio {committed_ratio:.2}x is below the 5x promise"
-            );
-            return ExitCode::FAILURE;
-        }
-        if warm_over_cold < 5.0 {
-            eprintln!("FAIL: warm throughput {warm_over_cold:.2}x cold fell below the promised 5x");
-            return ExitCode::FAILURE;
-        }
-        if warm_hit_rate < 0.9 {
-            eprintln!("FAIL: warm cache hit rate {warm_hit_rate:.2} below 0.9");
-            return ExitCode::FAILURE;
-        }
-        if failed_total > 0 {
-            eprintln!("FAIL: {failed_total} requests failed");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("baseline check passed");
-    }
-    ExitCode::SUCCESS
+    args.gate_on_baseline(keys::WARM_OVER_COLD, |committed_ratio| {
+        vec![
+            (
+                committed_ratio >= 5.0,
+                format!("committed baseline ratio {committed_ratio:.2}x is below the 5x promise"),
+            ),
+            (
+                warm_over_cold >= 5.0,
+                format!("warm throughput {warm_over_cold:.2}x cold fell below the promised 5x"),
+            ),
+            (
+                warm_hit_rate >= 0.9,
+                format!("warm cache hit rate {warm_hit_rate:.2} below 0.9"),
+            ),
+            (failed_total == 0, format!("{failed_total} requests failed")),
+        ]
+    })
 }

@@ -7,8 +7,9 @@
 //! grows with level, and `mul cc ≫ rotate ≫ rescale ≫ mul cp ≫ adds ≫
 //! modswitch`, as in the paper. `--json <path>` writes the measured matrix.
 
-use fhe_bench::{json::Json, print_table, standard_compilers, CliArgs};
+use fhe_bench::{print_table, standard_compilers, CliArgs};
 use fhe_ckks::CkksParams;
+use fhe_ir::json::Json;
 use fhe_ir::CostModel;
 use fhe_runtime::microbench;
 use fhe_workloads::Size;

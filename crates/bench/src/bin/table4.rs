@@ -5,9 +5,10 @@
 //! `--json <path>` writes every compile report including per-pass traces.
 
 use fhe_bench::{
-    compile_all, diagnostics_cell, fmt_ms, geomean, hecate_budget, json::Json, print_table,
-    report_json, standard_compilers, CliArgs,
+    compile_all, diagnostics_cell, fmt_ms, geomean, hecate_budget, print_table, report_json,
+    standard_compilers, CliArgs,
 };
+use fhe_ir::json::Json;
 
 fn main() {
     let args = CliArgs::parse();

@@ -21,21 +21,31 @@
 //! and never dispatch on a concrete compiler, so adding a scale-management
 //! strategy to the comparison is one [`standard_compilers`] entry.
 //! `fig6`/`fig8`/`table3`/`table4` additionally accept `--json <path>` and
-//! emit their [`CompileReport`]/trace fields machine-readably ([`json`]).
+//! emit their [`CompileReport`]/trace fields machine-readably
+//! ([`fhe_ir::json`]).
+//!
+//! Three more binaries measure what the paper does not and the repository's
+//! `benchmark/` harness does not either: `kernels` (hot paths against the
+//! reference kernels they replaced), `mem` (peak working set per Galois-key
+//! policy) and `serve` (cold vs warm compile cache, sessions sweep). They
+//! share this crate's front end — [`CliArgs`], [`Baseline`], [`gate`] — and
+//! are the only ones that gate: `kernels` on ratios within its run, `mem`
+//! and `serve` against a committed `BENCH_*.json` record
+//! (`--check-baseline`). Wall-clock claims about the executor live in
+//! `benchmark/`, not here.
 
 #![warn(missing_docs)]
 
-pub mod json;
-
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::Duration;
 
 use fhe_baselines::{EvaCompiler, HecateCompiler, HecateOptions};
+use fhe_ir::json::{self, Json};
 use fhe_ir::pipeline::{CompileReport, Compiled, ScaleCompiler};
-use fhe_ir::{CompileParams, CostModel, Program};
+use fhe_ir::{CompileParams, Program};
 use fhe_workloads::{suite, Size, Workload};
 use reserve_core::{Mode, ReserveCompiler};
-
-use crate::json::Json;
 
 /// The paper's three-way comparison — EVA, Hecate (with the given
 /// exploration budget), and this work — in table order. By convention EVA
@@ -102,7 +112,7 @@ pub fn hecate_budget(args: &CliArgs, ops: usize) -> usize {
     }
 }
 
-/// Minimal CLI parsing shared by the harness binaries.
+/// The one CLI front end of the harness binaries.
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
     /// Run reduced-size benchmarks / budgets.
@@ -110,32 +120,69 @@ pub struct CliArgs {
     /// Use paper-scale CKKS parameters where applicable (`table3`).
     pub paper: bool,
     /// Also write the results as JSON to this path.
-    pub json: Option<std::path::PathBuf>,
+    pub json: Option<PathBuf>,
+    /// Gate the run against this committed record (`mem`, `serve`).
+    pub check_baseline: Option<PathBuf>,
+    /// Values of the flags the binary declared itself, in command-line order.
+    extra: Vec<(String, String)>,
 }
 
 impl CliArgs {
-    /// Parses `--fast` / `--paper` / `--json <path>` from `std::env::args`.
+    /// Parses the table and figure binaries' flags from `std::env::args`;
+    /// anything else exits 2.
     pub fn parse() -> Self {
-        let mut args = CliArgs::default();
-        let mut iter = std::env::args().skip(1);
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--fast" => args.fast = true,
-                "--paper" => args.paper = true,
-                "--json" => match iter.next() {
-                    Some(path) => args.json = Some(path.into()),
-                    None => {
-                        eprintln!("--json requires a path argument");
-                        std::process::exit(2);
-                    }
-                },
-                other => {
-                    eprintln!("unknown flag `{other}` (supported: --fast, --paper, --json <path>)");
-                    std::process::exit(2);
+        Self::parse_or_exit(&["--fast", "--paper", "--json <path>"])
+    }
+
+    /// Parses a gated binary's flags from `std::env::args`: the three below
+    /// and the value-taking flags it declares in `extra`, each spelled as
+    /// its usage (`"--budget <keys>"`) and read back with
+    /// [`CliArgs::value`]; anything else exits 2.
+    pub fn parse_gated(extra: &[&str]) -> Self {
+        let shared = ["--fast", "--json <path>", "--check-baseline <path>"];
+        Self::parse_or_exit(&[&shared, extra].concat())
+    }
+
+    fn parse_or_exit(usage: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1), usage).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse_from(mut args: impl Iterator<Item = String>, usage: &[&str]) -> Result<Self, String> {
+        let mut parsed = CliArgs::default();
+        while let Some(flag) = args.next() {
+            if !usage
+                .iter()
+                .any(|u| u.split(' ').next() == Some(flag.as_str()))
+            {
+                let supported = usage.join(", ");
+                return Err(format!("unknown flag `{flag}` (supported: {supported})"));
+            }
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("{flag} requires an argument"))
+            };
+            match flag.as_str() {
+                "--fast" => parsed.fast = true,
+                "--paper" => parsed.paper = true,
+                "--json" => parsed.json = Some(value()?.into()),
+                "--check-baseline" => parsed.check_baseline = Some(value()?.into()),
+                _ => {
+                    let value = value()?;
+                    parsed.extra.push((flag, value));
                 }
             }
         }
-        args
+        Ok(parsed)
+    }
+
+    /// The value given for a flag the binary declared through
+    /// [`CliArgs::parse_gated`] (the last, if it was repeated).
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let given = self.extra.iter().rev().find(|(f, _)| f == flag);
+        given.map(|(_, v)| v.as_str())
     }
 
     /// Writes `value` to the `--json` path, if one was given.
@@ -150,6 +197,102 @@ impl CliArgs {
             eprintln!("wrote {}", path.display());
         }
     }
+
+    /// The `--check-baseline` gate: hands `conditions` the number the
+    /// committed record holds under top-level `key` and [`gate`]s on what it
+    /// returns. Succeeds without the flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the file and the key, if the record cannot be read, is
+    /// not JSON, or holds no number there.
+    pub fn gate_on_baseline(
+        &self,
+        key: &str,
+        conditions: impl FnOnce(f64) -> Vec<(bool, String)>,
+    ) -> ExitCode {
+        let Some(path) = &self.check_baseline else {
+            return ExitCode::SUCCESS;
+        };
+        let committed = Baseline::read(path)
+            .and_then(|b| b.number(key))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let code = gate(&conditions(committed));
+        if code == ExitCode::SUCCESS {
+            eprintln!("baseline check passed");
+        }
+        code
+    }
+}
+
+/// Top-level keys of the committed `BENCH_*.json` records that a gate reads
+/// back — shared by the binaries that write them and
+/// `tests/bench_baselines.rs`, so a renamed key cannot leave a gate reading
+/// nothing.
+pub mod keys {
+    /// `BENCH_mem.json`: peak bytes under the budgeted lazy key policy.
+    pub const LAZY_BUDGET_PEAK_BYTES: &str = "lazy_budget_peak_bytes";
+    /// `BENCH_serve.json`: warm over cold throughput under Hecate.
+    pub const WARM_OVER_COLD: &str = "warm_over_cold";
+}
+
+/// A committed result record (`BENCH_*.json`), parsed.
+#[derive(Debug, Clone)]
+pub struct Baseline {
+    path: PathBuf,
+    doc: Json,
+}
+
+impl Baseline {
+    /// Reads and parses the record at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Names the file if it cannot be read or is not JSON.
+    pub fn read(path: &Path) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        Self::parse(path, &text)
+    }
+
+    /// Parses `text` as the record stored at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Names the file if `text` is not JSON.
+    pub fn parse(path: &Path, text: &str) -> Result<Self, String> {
+        let doc = json::parse(text).map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok(Baseline {
+            path: path.to_path_buf(),
+            doc,
+        })
+    }
+
+    /// The number under the record's top-level `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the file and the key if the record's top level has no number
+    /// there.
+    pub fn number(&self, key: &str) -> Result<f64, String> {
+        self.doc.get(key).and_then(Json::as_f64).ok_or_else(|| {
+            format!(
+                "{}: no number under top-level key \"{key}\"",
+                self.path.display()
+            )
+        })
+    }
+}
+
+/// Prints a `FAIL: …` line for every condition that does not hold and
+/// yields the process's exit code: success only if all of them do.
+pub fn gate(conditions: &[(bool, String)]) -> ExitCode {
+    let mut code = ExitCode::SUCCESS;
+    for (_, failure) in conditions.iter().filter(|(holds, _)| !holds) {
+        eprintln!("FAIL: {failure}");
+        code = ExitCode::FAILURE;
+    }
+    code
 }
 
 /// A [`CompileReport`]'s lint findings and translation-validation verdict
@@ -323,14 +466,88 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len().max(1) as f64).exp()
 }
 
-/// The static cost model every harness scores with.
-pub fn cost_model() -> CostModel {
-    CostModel::paper_table3()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str], usage: &[&str]) -> Result<CliArgs, String> {
+        CliArgs::parse_from(args.iter().map(|a| a.to_string()), usage)
+    }
+
+    #[test]
+    fn each_binary_kind_accepts_its_own_flags_and_no_others() {
+        let paper = ["--fast", "--paper", "--json <path>"];
+        let a = parse(&["--fast", "--paper", "--json", "out.json"], &paper).unwrap();
+        assert!(a.fast && a.paper && a.check_baseline.is_none());
+        assert_eq!(a.json.as_deref(), Some(Path::new("out.json")));
+        let err = parse(&["--check-baseline", "b.json"], &paper).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag `--check-baseline` (supported: --fast, --paper, --json <path>)"
+        );
+
+        let mem = [
+            "--fast",
+            "--json <path>",
+            "--check-baseline <path>",
+            "--workload <name>",
+            "--budget <keys>",
+        ];
+        let given = [
+            "--budget",
+            "2",
+            "--check-baseline",
+            "b.json",
+            "--budget",
+            "3",
+        ];
+        let a = parse(&given, &mem).unwrap();
+        assert_eq!(a.check_baseline.as_deref(), Some(Path::new("b.json")));
+        assert_eq!(a.value("--budget"), Some("3"), "the last one wins");
+        assert_eq!(a.value("--workload"), None);
+        assert_eq!(
+            parse(&["--paper"], &mem).unwrap_err(),
+            "unknown flag `--paper` (supported: --fast, --json <path>, \
+             --check-baseline <path>, --workload <name>, --budget <keys>)"
+        );
+        assert!(
+            parse(&["--workload", "PR"], &mem[..3]).is_err(),
+            "undeclared"
+        );
+        assert_eq!(
+            parse(&["--fast", "--workload"], &mem).unwrap_err(),
+            "--workload requires an argument"
+        );
+    }
+
+    #[test]
+    fn baseline_numbers_come_from_the_top_level_and_errors_name_file_and_key() {
+        let path = Path::new("BENCH_x.json");
+        let b = Baseline::parse(path, r#"{"rows": [{"peak": 1}], "peak": 2, "name": "x"}"#)
+            .expect("parses");
+        assert_eq!(b.number("peak"), Ok(2.0));
+        for key in ["rows", "name", "absent"] {
+            let err = b.number(key).unwrap_err();
+            assert!(err.contains("BENCH_x.json") && err.contains(key), "{err}");
+        }
+        let err = Baseline::parse(path, "{").unwrap_err();
+        assert!(err.contains("BENCH_x.json"), "{err}");
+        let err = Baseline::read(Path::new("/nonexistent/BENCH_y.json")).unwrap_err();
+        assert!(err.contains("BENCH_y.json"), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_if_any_condition_does_not_hold() {
+        assert_eq!(gate(&[]), ExitCode::SUCCESS);
+        assert_eq!(
+            gate(&[(true, "a".into()), (true, "b".into())]),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(
+            gate(&[(true, "a".into()), (false, "b".into())]),
+            ExitCode::FAILURE
+        );
+    }
 
     #[test]
     fn geomean_of_equal_values() {

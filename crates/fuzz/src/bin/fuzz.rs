@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fhe_bench::json::Json;
 use fhe_fuzz::{check_program, corpus, generate, shrink, GenConfig, OpMix, OracleConfig};
+use fhe_ir::json::Json;
 use fhe_ir::CompileParams;
 
 struct Args {
@@ -123,7 +123,9 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let mut programs = 0u64;
     let mut ops_total = 0usize;
-    let mut ckks_runs = 0u64;
+    let mut ckks_seeds = 0u64;
+    let mut ckks_schedules_run = 0u64;
+    let mut ckks_schedules_skipped = 0u64;
     let mut findings: Vec<Json> = Vec::new();
     let mut divergent_seeds = 0u64;
 
@@ -131,13 +133,14 @@ fn main() -> ExitCode {
         let mut cfg = args.oracle_cfg.clone();
         cfg.run_ckks =
             args.oracle_cfg.run_ckks && (seed - args.seed).is_multiple_of(args.ckks_every.max(1));
-        if cfg.run_ckks {
-            ckks_runs += 1;
-        }
+        ckks_seeds += u64::from(cfg.run_ckks);
         let program = generate(seed, &args.gen_cfg);
         programs += 1;
         ops_total += program.num_ops();
-        let divergences = check_program(&program, &cfg);
+        let run = check_program(&program, &cfg);
+        ckks_schedules_run += run.ckks_schedules_run;
+        ckks_schedules_skipped += run.ckks_schedules_skipped;
+        let divergences = run.divergences;
         if divergences.is_empty() {
             continue;
         }
@@ -151,7 +154,7 @@ fn main() -> ExitCode {
         let reproducer = if args.no_shrink {
             program.clone()
         } else {
-            shrink(&program, &label, &|p| check_program(p, &cfg))
+            shrink(&program, &label, &|p| check_program(p, &cfg).divergences)
         };
         let stem = format!("seed_{seed}_{}", label.replace([':', '~', '/'], "_"));
         match corpus::write_case(
@@ -178,7 +181,10 @@ fn main() -> ExitCode {
     if !args.quiet {
         println!(
             "fuzz: {programs} programs ({ops_total} ops) in {elapsed:.1}s, \
-             {ckks_runs} encrypted runs, {divergent_seeds} divergent seed(s)"
+             {ckks_seeds} seeds with the encrypted column on: \
+             {ckks_schedules_run} schedules encrypted, \
+             {ckks_schedules_skipped} skipped as not fitting the backend; \
+             {divergent_seeds} divergent seed(s)"
         );
     }
     if let Some(path) = &args.json {
@@ -187,7 +193,12 @@ fn main() -> ExitCode {
             ("count", Json::from(args.count as f64)),
             ("programs", Json::from(programs as f64)),
             ("ops", Json::from(ops_total)),
-            ("ckks_runs", Json::from(ckks_runs as f64)),
+            ("ckks_seeds", Json::from(ckks_seeds as f64)),
+            ("ckks_schedules_run", Json::from(ckks_schedules_run as f64)),
+            (
+                "ckks_schedules_skipped",
+                Json::from(ckks_schedules_skipped as f64),
+            ),
             ("divergent_seeds", Json::from(divergent_seeds as f64)),
             ("elapsed_s", Json::from(elapsed)),
             (

@@ -28,7 +28,8 @@ pub use corpus::{load_dir, parse_case, render_case, write_case, CorpusCase};
 pub use fhe_runtime::plain::schedule_fits_backend;
 pub use gen::{generate, GenConfig, OpMix};
 pub use oracle::{
-    check_program, compilers, input_data, structural_diff, Divergence, DivergenceKind, OracleConfig,
+    check_program, compilers, input_data, structural_diff, Divergence, DivergenceKind,
+    OracleConfig, OracleRun,
 };
 pub use shrink::shrink;
 
@@ -41,15 +42,22 @@ pub struct SeedResult {
     pub program: fhe_ir::Program,
     /// Every divergence the oracle found (empty = clean).
     pub divergences: Vec<Divergence>,
+    /// Schedules executed under encryption ([`OracleRun::ckks_schedules_run`]).
+    pub ckks_schedules_run: u64,
+    /// Schedules the encrypted column skipped as not fitting the backend
+    /// ([`OracleRun::ckks_schedules_skipped`]).
+    pub ckks_schedules_skipped: u64,
 }
 
 /// Generates the program for `seed` and runs the full oracle on it.
 pub fn run_seed(seed: u64, gen_cfg: &GenConfig, oracle_cfg: &OracleConfig) -> SeedResult {
     let program = generate(seed, gen_cfg);
-    let divergences = check_program(&program, oracle_cfg);
+    let run = check_program(&program, oracle_cfg);
     SeedResult {
         seed,
         program,
-        divergences,
+        divergences: run.divergences,
+        ckks_schedules_run: run.ckks_schedules_run,
+        ckks_schedules_skipped: run.ckks_schedules_skipped,
     }
 }

@@ -118,6 +118,22 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// What one [`check_program`] run found, and how much of the encrypted
+/// column it covered: with [`OracleConfig::run_ckks`] set, every schedule
+/// that reaches the executors is counted in exactly one of the two
+/// `ckks_schedules_*` fields.
+#[derive(Debug, Clone, Default)]
+pub struct OracleRun {
+    /// Every divergence found (empty = the program is clean).
+    pub divergences: Vec<Divergence>,
+    /// Schedules (one per compiler) executed under encryption.
+    pub ckks_schedules_run: u64,
+    /// Schedules the encrypted column skipped because
+    /// [`plain::schedule_fits_backend`] said they do not fit — outside the
+    /// guarantee, not a divergence, and not evidence either.
+    pub ckks_schedules_skipped: u64,
+}
+
 /// Oracle configuration.
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
@@ -245,11 +261,13 @@ fn value_magnitude(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> f64
 }
 
 /// Checks one program against every compiler and executor; returns every
-/// divergence found (empty = the program is clean).
-pub fn check_program(program: &Program, cfg: &OracleConfig) -> Vec<Divergence> {
-    let mut divs = Vec::new();
+/// divergence found and the encrypted column's coverage, summed over the
+/// compilers.
+pub fn check_program(program: &Program, cfg: &OracleConfig) -> OracleRun {
+    let mut run = OracleRun::default();
+    let divs = &mut run.divergences;
 
-    check_roundtrip(program, &mut divs);
+    check_roundtrip(program, divs);
 
     let inputs = input_data(program);
     let reference = match catching(|| plain::execute(program, &inputs)) {
@@ -260,7 +278,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Vec<Divergence> {
                 stage: "plain:source".into(),
                 detail: e,
             });
-            return divs;
+            return run;
         }
     };
 
@@ -271,7 +289,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Vec<Divergence> {
             stage: "generator".into(),
             detail: "program evaluates to non-finite values".into(),
         });
-        return divs;
+        return run;
     }
     let tol = cfg.rel_tol * (1.0 + magnitude);
 
@@ -287,9 +305,10 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Vec<Divergence> {
     let magnitude_bits = (1.0 + magnitude).log2().ceil() as u32 + 1;
     params.output_reserve_bits = params.output_reserve_bits.max(magnitude_bits);
 
-    check_metamorphic(program, &inputs, &reference, &mut divs);
+    check_metamorphic(program, &inputs, &reference, divs);
 
     for (name, compiler) in compilers(cfg) {
+        let divs = &mut run.divergences;
         let compiled = match catching(|| compiler.compile(program, &params)) {
             Err(payload) => {
                 divs.push(Divergence {
@@ -309,12 +328,12 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Vec<Divergence> {
             }
             Ok(Ok(c)) => c,
         };
-        check_schedule_invariants(&compiled.scheduled, &params, name, &mut divs);
-        check_translation_validation(program, &compiled, name, &mut divs);
+        check_schedule_invariants(&compiled.scheduled, &params, name, divs);
+        check_translation_validation(program, &compiled, name, divs);
         if cfg.check_span_bound {
-            check_parallelism_profile(&compiled.report, name, &mut divs);
+            check_parallelism_profile(&compiled.report, name, divs);
         }
-        let magnitudes = check_interval_bounds(&compiled.scheduled, &inputs, name, &mut divs);
+        let magnitudes = check_interval_bounds(&compiled.scheduled, &inputs, name, divs);
         check_executors(
             &compiled.scheduled,
             &inputs,
@@ -324,10 +343,10 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Vec<Divergence> {
             tol,
             name,
             cfg,
-            &mut divs,
+            &mut run,
         );
     }
-    divs
+    run
 }
 
 /// Independently re-proves the schedule bisimulates the source, and checks
@@ -561,15 +580,18 @@ fn check_executors(
     tol: f64,
     compiler: &str,
     cfg: &OracleConfig,
-    divs: &mut Vec<Divergence>,
+    run: &mut OracleRun,
 ) {
     let mut noisy_outputs: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
     let mut executors: Vec<(&str, Box<dyn Executor>, f64)> = vec![
         ("plain", Box::new(PlainExec), 0.0),
         ("noise-sim", Box::new(NoiseSimExec::default()), tol),
     ];
-    if cfg.run_ckks && catching(|| plain::schedule_fits_backend(scheduled, inputs)).unwrap_or(false)
-    {
+    let encrypt = cfg.run_ckks
+        && catching(|| plain::schedule_fits_backend(scheduled, inputs)).unwrap_or(false);
+    run.ckks_schedules_run += u64::from(encrypt);
+    run.ckks_schedules_skipped += u64::from(cfg.run_ckks && !encrypt);
+    if encrypt {
         let backend = ExecOptions {
             poly_degree: scheduled.program.slots() * 2,
             seed: cfg.ckks_seed,
@@ -598,6 +620,7 @@ fn check_executors(
             tol,
         ));
     }
+    let divs = &mut run.divergences;
     let mut ckks_bits: Option<Vec<Vec<u64>>> = None;
     let to_bits = |outs: &[Vec<f64>]| -> Vec<Vec<u64>> {
         outs.iter()
@@ -954,8 +977,13 @@ mod tests {
         };
         for seed in 100..110 {
             let p = generate(seed, &cfg);
-            let divs = check_program(&p, &oracle);
-            assert!(divs.is_empty(), "seed {seed}: {divs:?}");
+            let run = check_program(&p, &oracle);
+            assert!(run.divergences.is_empty(), "seed {seed}: {run:?}");
+            assert_eq!(
+                (run.ckks_schedules_run, run.ckks_schedules_skipped),
+                (0, 0),
+                "run_ckks is off: nothing is counted"
+            );
         }
     }
 
@@ -971,7 +999,7 @@ mod tests {
         let oracle = OracleConfig::default();
         for seed in 300..303 {
             let p = generate(seed, &cfg);
-            let divs = check_program(&p, &oracle);
+            let divs = check_program(&p, &oracle).divergences;
             assert!(divs.is_empty(), "seed {seed}: {divs:?}");
         }
     }

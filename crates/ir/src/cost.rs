@@ -9,6 +9,7 @@
 //! like `5/3`); costs are linearly interpolated between integer levels and
 //! linearly extrapolated beyond the table using the last segment's slope.
 
+use crate::json::{self, Json};
 use crate::op::{Op, ValueId};
 use crate::program::Program;
 use crate::schedule::ScaleMap;
@@ -118,31 +119,34 @@ impl CostModel {
     ///
     /// # Errors
     ///
-    /// Rejects malformed JSON, unknown row names, rows with fewer than two
-    /// levels, and non-positive or non-finite latencies.
+    /// Rejects malformed JSON, unknown row names, a row named twice, rows
+    /// with fewer than two levels, and non-positive or non-finite latencies.
     pub fn from_bench_json(text: &str) -> Result<Self, String> {
-        let doc = mini_json::parse(text)?;
+        let doc = json::parse(text)?;
         let ops = doc
             .get("ops")
-            .and_then(mini_json::Value::as_arr)
+            .and_then(Json::as_array)
             .ok_or_else(|| "missing \"ops\" array".to_string())?;
-        let mut rows = Vec::new();
+        let mut rows: Vec<(OpClass, Vec<f64>)> = Vec::new();
         for entry in ops {
             let name = entry
                 .get("op")
-                .and_then(mini_json::Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| "op entry missing \"op\" name".to_string())?;
             let class = *OpClass::ALL
                 .iter()
                 .find(|c| c.name() == name)
                 .ok_or_else(|| format!("unknown Table 3 row {name:?}"))?;
+            if rows.iter().any(|(c, _)| *c == class) {
+                return Err(format!("row {name:?} appears twice"));
+            }
             let lat: Vec<f64> = entry
                 .get("latency_us")
-                .and_then(mini_json::Value::as_arr)
+                .and_then(Json::as_array)
                 .ok_or_else(|| format!("row {name:?} missing \"latency_us\" array"))?
                 .iter()
                 .map(|v| {
-                    v.as_num()
+                    v.as_f64()
                         .ok_or_else(|| format!("row {name:?} has a non-numeric latency"))
                 })
                 .collect::<Result<_, _>>()?;
@@ -257,232 +261,6 @@ impl Default for CostModel {
     }
 }
 
-/// Minimal JSON reader for calibration records. Kept private to this crate
-/// (the workspace's `fhe-bench` serializer is write-only, and `fhe-ir`
-/// cannot depend on it): a recursive-descent parser covering the full JSON
-/// grammar minus surrogate-pair escapes, which the bench records never
-/// emit.
-mod mini_json {
-    pub(super) enum Value {
-        Null,
-        Bool(#[allow(dead_code)] bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(super) fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_num(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-    }
-
-    pub(super) fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.at));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        at: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.at).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.at += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.at += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", c as char, self.at))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.lit("true", Value::Bool(true)),
-                Some(b'f') => self.lit("false", Value::Bool(false)),
-                Some(b'n') => self.lit("null", Value::Null),
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".to_string()),
-            }
-        }
-
-        fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.at..].starts_with(word.as_bytes()) {
-                self.at += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.at))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.at += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.eat(b':')?;
-                self.skip_ws();
-                fields.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b'}') => {
-                        self.at += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.at += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b']') => {
-                        self.at += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    Some(b'"') => {
-                        self.at += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.at += 1;
-                        let esc = self
-                            .peek()
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.at += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.at..self.at + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .and_then(char::from_u32)
-                                    .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?;
-                                self.at += 4;
-                                out.push(hex);
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.at)),
-                        }
-                    }
-                    Some(_) => {
-                        let start = self.at;
-                        while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                            self.at += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.bytes[start..self.at])
-                                .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                        );
-                    }
-                    None => return Err("unterminated string".to_string()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.at;
-            while matches!(
-                self.peek(),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.at += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.at])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,6 +348,16 @@ mod tests {
         assert!(CostModel::from_bench_json(short).is_err());
         let negative = r#"{"ops": [{"op": "cipher + plain", "latency_us": [1.0, -2.0]}]}"#;
         assert!(CostModel::from_bench_json(negative).is_err());
+        // `from_rows` lets the last row of a class win; a record that names
+        // one twice is refused, not silently resolved.
+        let twice = r#"{"ops": [{"op": "cipher + plain", "latency_us": [1.0, 2.0]},
+                                {"op": "cipher x plain", "latency_us": [3.0, 4.0]},
+                                {"op": "cipher + plain", "latency_us": [5.0, 6.0]}]}"#;
+        let err = CostModel::from_bench_json(twice).unwrap_err();
+        assert!(
+            err.contains("cipher + plain") && err.contains("twice"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod diag;
 pub mod fold;
 mod frac;
 pub mod fusion;
+pub mod json;
 pub mod memory;
 mod op;
 mod params;

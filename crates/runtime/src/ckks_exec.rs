@@ -322,7 +322,7 @@ pub struct ExecReport {
     /// contention thanks to the pool's atomic accounting.
     pub mem: MemStats,
     /// Per-node wall latency `(op, duration)` in retirement order — the
-    /// measured per-op costs a virtual-time replay of the walk uses.
+    /// samples `per_class` sums, one per executed op.
     pub node_times: Vec<(ValueId, Duration)>,
     /// Runners the walk used after resolving `workers = 0`.
     pub workers: usize,

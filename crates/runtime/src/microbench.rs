@@ -84,23 +84,16 @@ pub fn measure(params: CkksParams, levels: usize, reps: usize, seed: u64) -> Vec
     rows
 }
 
-/// Measures the backend under `params` and returns a [`CostModel`]
-/// calibrated to *this machine*, replacing the paper's Table 3 numbers.
+/// [`measure`]s the backend and returns a [`CostModel`] calibrated to *this
+/// machine*, replacing the paper's Table 3 numbers, with parameters derived
+/// exactly like [`crate::ckks_exec`] derives them for a scheduled program:
+/// `N = 2 × slots`, modulus = the schedule's rescale bits, serial execution.
 ///
-/// This is what makes static span/work predictions comparable to measured
-/// single-threaded latency (the fuzz oracle's span-bound check and the
-/// golden-workload parallelism tests): the paper model describes a
-/// different machine at `N = 2^15`, while the fuzzer and tests run tiny
-/// rings where the cost ratios differ.
-pub fn calibrate(params: CkksParams, levels: usize, reps: usize, seed: u64) -> CostModel {
-    CostModel::from_rows(measure(params, levels, reps, seed))
-}
-
-/// [`calibrate`] with parameters derived exactly like
-/// [`crate::ckks_exec`] derives them for a scheduled program: `N = 2 ×
-/// slots`, modulus = the schedule's rescale bits, serial execution. Use
-/// this to compare static depgraph predictions against what
-/// [`crate::executor::CkksExec`] will actually measure.
+/// This is what makes static span/work predictions comparable to what
+/// [`crate::executor::CkksExec`] will actually measure single-threaded (the
+/// fuzz oracle's span-bound check and the golden-workload parallelism
+/// tests): the paper model describes a different machine at `N = 2^15`,
+/// while the fuzzer and tests run tiny rings where the cost ratios differ.
 pub fn calibrate_backend(
     slots: usize,
     rescale_bits: u32,
@@ -119,7 +112,7 @@ pub fn calibrate_backend(
         error_std: 3.2,
         threads: 1,
     };
-    calibrate(params, levels, reps, seed)
+    CostModel::from_rows(measure(params, levels, reps, seed))
 }
 
 #[cfg(test)]
@@ -157,15 +150,7 @@ mod tests {
 
     #[test]
     fn calibrate_yields_a_usable_cost_model() {
-        let params = CkksParams {
-            poly_degree: 1 << 10,
-            max_level: 3,
-            modulus_bits: 40,
-            special_bits: 41,
-            error_std: 3.2,
-            threads: 1,
-        };
-        let model = calibrate(params, 2, 1, 7);
+        let model = calibrate_backend(1 << 9, 40, 2, 1, 7);
         for &class in OpClass::ALL.iter() {
             for level in 1..=2usize {
                 let us = model.at_level(class, level as u32);

@@ -36,9 +36,9 @@ use fhe_analysis::{
     SourceMap,
 };
 use fhe_baselines::{EvaCompiler, HecateCompiler};
-use fhe_bench::json::Json;
 use fhe_fuzz::corpus;
 use fhe_ir::diag::{Finding, Severity};
+use fhe_ir::json::Json;
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::{text, Frac, InputSpec, Op, Program, ScheduledProgram};
 use reserve_core::ReserveCompiler;

@@ -27,7 +27,7 @@ fn corpus_replays_clean() {
             params: case.params,
             ..OracleConfig::default()
         };
-        let divs = fhe_fuzz::check_program(&case.program, &cfg);
+        let divs = fhe_fuzz::check_program(&case.program, &cfg).divergences;
         for d in &divs {
             failures.push(format!(
                 "{}: [{}] {}",
@@ -48,21 +48,41 @@ fn corpus_replays_clean() {
 /// every-commit version of the CI fuzz job. 40 seeds keeps this under a
 /// few seconds while still exercising every compiler × executor pair,
 /// the metamorphic checks and the textual round-trip.
+///
+/// "Clean" must also say how much was encrypted: the oracle skips the
+/// encrypted column for a schedule that does not fit the backend, so the
+/// sweep counts both outcomes. A clean seed compiled under every compiler,
+/// so each of its schedules reached the executors and is in exactly one of
+/// the two counts.
 #[test]
 fn bounded_random_sweep_is_clean() {
     let gen_cfg = GenConfig::default();
     let oracle_cfg = OracleConfig::default();
+    assert!(oracle_cfg.run_ckks, "the sweep covers the encrypted column");
+    let columns = fhe_fuzz::compilers(&oracle_cfg).len() as u64;
     let mut divergent = Vec::new();
+    let mut encrypted = 0;
     for seed in 0..40 {
         let result = run_seed(seed, &gen_cfg, &oracle_cfg);
         if !result.divergences.is_empty() {
             let labels: Vec<String> = result.divergences.iter().map(|d| d.label()).collect();
             divergent.push(format!("seed {seed}: {}", labels.join(", ")));
+            continue;
         }
+        assert_eq!(
+            result.ckks_schedules_run + result.ckks_schedules_skipped,
+            columns,
+            "seed {seed}: a schedule was neither encrypted nor counted as skipped"
+        );
+        encrypted += result.ckks_schedules_run;
     }
     assert!(
         divergent.is_empty(),
         "divergent seeds:\n{}",
         divergent.join("\n")
+    );
+    assert!(
+        encrypted > 0,
+        "no schedule of 40 seeds ran under encryption"
     );
 }
