@@ -13,8 +13,8 @@
 //! - pluggable domains: slot-magnitude [`interval`]s (proving
 //!   `m·x_max < Q` statically or pinpointing the op where overflow becomes
 //!   possible), scale/level/reserve tracking via the validator's
-//!   [`ScaleMap`](fhe_ir::ScaleMap), and a [`noise`] budget domain
-//!   generalizing `fhe_runtime::error_est`;
+//!   [`ScaleMap`](fhe_ir::ScaleMap), and a [`noise`] budget domain — the
+//!   workspace's one static error bound, with waterline selection on top;
 //! - a [`lint`] engine walking domain results into rustc-style diagnostics
 //!   (`F001 possible-overflow` … `F005 over-provisioned-modulus`) rendered
 //!   with carets into the textual IR by [`render`];
@@ -45,7 +45,7 @@ pub mod tv;
 pub use domain::{analyze, AbstractDomain, AnalysisCx};
 pub use interval::{Interval, IntervalDomain};
 pub use lint::{explain, lint_scheduled, registry, LintInfo, LintOptions};
-pub use noise::{MagnitudeSource, NoiseDomain};
+pub use noise::{select_waterline, MagnitudeSource, NoiseDomain};
 pub use parallel::{SafetyReport, Violation};
 pub use passes::{with_verification, DepGraphPass, LintPass, TranslationValidatePass};
 pub use render::{render_finding, render_parse_error, SourceMap};

@@ -1,19 +1,40 @@
 //! The noise-budget domain: a per-value worst-case message-domain error
-//! bound for scheduled programs.
+//! bound for scheduled programs — the one static error estimate of the
+//! workspace (the other error provenance is the runtime's noise-injection
+//! simulator, which perturbs exactly the ops [`adds_noise`] names).
 //!
-//! This is the abstract-interpretation generalization of
-//! `fhe_runtime::error_est` (which now delegates here): every noisy
-//! operation — fresh encryption, relinearization, rotation key switching,
-//! rescale rounding — contributes `B / m` of message-domain error for a
-//! ciphertext at scale `m`, and multiplication amplifies operand errors by
-//! the operands' magnitudes. Magnitudes can be a single global `x_max`
-//! (the original `error_est` behaviour) or per-value bounds from the
-//! [`interval`](crate::interval) domain, which the fuzz oracle uses to get
-//! a bound it then checks dominates every observed encrypted error.
+//! An extension beyond the paper, in the direction of its ELASM follow-up:
+//! every noisy operation — fresh encryption, relinearization, rotation key
+//! switching, rescale rounding — contributes `B / m` of message-domain
+//! error for a ciphertext at scale `m`, and multiplication amplifies
+//! operand errors by the operands' magnitudes. Magnitudes can be a single
+//! global `x_max` (Table 1's assumption, the [`Default`]) or per-value
+//! bounds from the [`interval`](crate::interval) domain, which the fuzz
+//! oracle uses to get a bound it then checks dominates every observed
+//! encrypted error. [`NoiseDomain::output_bounds`] is the closed-form error
+//! signal of a schedule; [`select_waterline`] turns it into the
+//! accuracy/latency trade-off the paper's Figs. 6 and 7 sweep by hand.
 
-use fhe_ir::{Op, ValueId};
+use fhe_ir::{Op, Program, ScheduleError, ScheduledProgram, ValueId};
 
-use crate::domain::{AbstractDomain, AnalysisCx};
+use crate::domain::{analyze, AbstractDomain, AnalysisCx};
+
+/// log₂ of the integer-domain noise magnitude `B` one noisy operation adds,
+/// shared by the static bound and the simulator's default model. With
+/// `N = 2^15` and σ = 3.2 this is ≈ 16–18 bits.
+pub const DEFAULT_NOISE_BITS: f64 = 16.0;
+
+/// Whether op `id` adds noise of its own (beyond what its operands carry):
+/// fresh encryption, relinearization after cipher×cipher, the rotation's
+/// key switch, rescale rounding — on ciphertexts only.
+pub fn adds_noise(program: &Program, id: ValueId) -> bool {
+    program.is_cipher(id)
+        && match program.op(id) {
+            Op::Input { .. } | Op::Rotate(..) | Op::Rescale(_) => true,
+            Op::Mul(a, b) => program.is_cipher(*a) && program.is_cipher(*b),
+            _ => false,
+        }
+}
 
 /// Where the `|x|` factors of the multiplication error rule come from.
 #[derive(Debug, Clone)]
@@ -39,13 +60,38 @@ impl MagnitudeSource {
 #[derive(Debug, Clone)]
 pub struct NoiseDomain {
     /// log₂ of the per-operation noise magnitude `B` (the runtime's
-    /// `NoiseModel::noise_bits`; 16 by default there).
+    /// `NoiseModel::noise_bits`; both default to [`DEFAULT_NOISE_BITS`]).
     pub noise_bits: f64,
     /// Operand-magnitude bounds for the multiplication rule.
     pub magnitudes: MagnitudeSource,
 }
 
+impl Default for NoiseDomain {
+    /// The default noise magnitude under Table 1's `x_max = 1`.
+    fn default() -> Self {
+        NoiseDomain {
+            noise_bits: DEFAULT_NOISE_BITS,
+            magnitudes: MagnitudeSource::Global(1.0),
+        }
+    }
+}
+
 impl NoiseDomain {
+    /// The worst-case absolute error of each program output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the schedule's validation errors if it is illegal.
+    pub fn output_bounds(
+        &self,
+        scheduled: &ScheduledProgram,
+    ) -> Result<Vec<f64>, Vec<ScheduleError>> {
+        let map = scheduled.validate()?;
+        let program = &scheduled.program;
+        let err = analyze(self, &AnalysisCx::scheduled(program, &map));
+        Ok(program.outputs().iter().map(|&o| err[o.index()]).collect())
+    }
+
     /// Per-op message-domain noise `B / 2^scale` for ciphertext `id`.
     fn op_noise(&self, cx: &AnalysisCx<'_>, id: ValueId) -> f64 {
         let map = cx
@@ -63,55 +109,114 @@ impl AbstractDomain for NoiseDomain {
         if p.is_plain(id) {
             return 0.0;
         }
-        match p.op(id) {
-            Op::Input { .. } => self.op_noise(cx, id),
-            Op::Const { .. } => 0.0,
+        let carried = match p.op(id) {
+            Op::Input { .. } | Op::Const { .. } => 0.0,
             Op::Add(..) | Op::Sub(..) => args[0] + args[1],
             Op::Mul(a, b) => {
-                // |x·y − x̂·ŷ| ≤ |x|·e_y + |y|·e_x + e_x·e_y, plus
-                // relinearization noise for cipher×cipher products.
+                // |x·y − x̂·ŷ| ≤ |x|·e_y + |y|·e_x + e_x·e_y.
                 let (ma, mb) = (self.magnitudes.of(*a), self.magnitudes.of(*b));
-                let base = ma * args[1] + mb * args[0] + args[0] * args[1];
-                let relin = if p.is_cipher(*a) && p.is_cipher(*b) {
-                    self.op_noise(cx, id)
-                } else {
-                    0.0
-                };
-                base + relin
+                ma * args[1] + mb * args[0] + args[0] * args[1]
             }
-            Op::Neg(_) => args[0],
-            Op::Rotate(..) | Op::Rescale(_) => args[0] + self.op_noise(cx, id),
-            Op::ModSwitch(_) | Op::Upscale(..) => args[0],
+            Op::Neg(_) | Op::Rotate(..) | Op::Rescale(_) | Op::ModSwitch(_) | Op::Upscale(..) => {
+                args[0]
+            }
+        };
+        if adds_noise(p, id) {
+            carried + self.op_noise(cx, id)
+        } else {
+            carried
         }
     }
+}
+
+/// Selects the smallest waterline (⇒ cheapest program) whose static error
+/// bound under `domain` meets `target_log2_error`, compiling each candidate
+/// with the given closure (return `None` for waterlines that fail to
+/// compile).
+///
+/// Smaller waterlines mean lower levels and latency but larger relative
+/// noise; this automates the accuracy/latency trade-off the paper's Figs. 6
+/// and 7 sweep by hand.
+pub fn select_waterline<F>(
+    candidates: impl IntoIterator<Item = u32>,
+    mut compile: F,
+    target_log2_error: f64,
+    domain: &NoiseDomain,
+) -> Option<(u32, ScheduledProgram)>
+where
+    F: FnMut(u32) -> Option<ScheduledProgram>,
+{
+    let mut sorted: Vec<u32> = candidates.into_iter().collect();
+    sorted.sort_unstable();
+    for waterline in sorted {
+        let Some(scheduled) = compile(waterline) else {
+            continue;
+        };
+        let Ok(errors) = domain.output_bounds(&scheduled) else {
+            continue;
+        };
+        let worst = errors.iter().fold(0.0f64, |a, &b| a.max(b));
+        if worst.max(f64::MIN_POSITIVE).log2() <= target_log2_error {
+            return Some((waterline, scheduled));
+        }
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::analyze;
-    use fhe_ir::{CompileParams, Frac, InputSpec, Op as IrOp, Program, ScheduledProgram};
+    use fhe_ir::{CompileParams, Frac, InputSpec, Op as IrOp};
 
-    fn one_mul_schedule() -> ScheduledProgram {
+    /// `x·y` with both inputs encrypted at the waterline.
+    fn one_mul_schedule(waterline: u32) -> ScheduledProgram {
         let mut p = Program::new("n", 4);
         let x = p.push(IrOp::Input { name: "x".into() });
         let y = p.push(IrOp::Input { name: "y".into() });
         let m = p.push(IrOp::Mul(x, y));
         p.set_outputs(vec![m]);
         let spec = InputSpec {
-            scale_bits: Frac::from(40),
+            scale_bits: Frac::from(waterline),
             level: 2,
         };
         ScheduledProgram {
             program: p,
-            params: CompileParams::new(20),
+            params: CompileParams::new(waterline),
             inputs: vec![spec, spec],
         }
     }
 
     #[test]
+    fn output_bounds_shrink_with_the_waterline() {
+        let bound = |w| NoiseDomain::default().output_bounds(&one_mul_schedule(w));
+        let (e20, e40) = (bound(20).unwrap()[0], bound(40).unwrap()[0]);
+        assert!(
+            e40 < e20 / 1e4,
+            "W=2^40 bound {e40:.3e} vs W=2^20 {e20:.3e}"
+        );
+        // An illegal schedule (an input without a spec) has no bound.
+        let mut illegal = one_mul_schedule(20);
+        illegal.inputs.pop();
+        assert!(NoiseDomain::default().output_bounds(&illegal).is_err());
+    }
+
+    #[test]
+    fn select_waterline_picks_the_smallest_that_meets_the_target() {
+        // Only every fifth waterline "compiles".
+        let compile = |w: u32| w.is_multiple_of(5).then(|| one_mul_schedule(w));
+        let domain = NoiseDomain::default();
+        // A loose target admits a small waterline; a strict one forces a
+        // larger waterline; an impossible one yields None.
+        let (loose, _) = select_waterline(15..=50, compile, -2.0, &domain).expect("feasible");
+        let (strict, s) = select_waterline(15..=50, compile, -20.0, &domain).expect("feasible");
+        assert_eq!((loose, strict), (20, 40));
+        assert!(domain.output_bounds(&s).unwrap()[0].log2() <= -20.0);
+        assert!(select_waterline(15..=50, compile, -200.0, &domain).is_none());
+    }
+
+    #[test]
     fn per_value_magnitudes_tighten_the_global_bound() {
-        let s = one_mul_schedule();
+        let s = one_mul_schedule(40);
         let map = s.validate().unwrap();
         let cx = AnalysisCx::scheduled(&s.program, &map);
         let global = NoiseDomain {

@@ -6,10 +6,11 @@
 //! 2. **Static error bounds**: the closed-form worst-case error estimate
 //!    (an ELASM-direction extension) next to the simulated error.
 
+use fhe_analysis::NoiseDomain;
 use fhe_bench::{print_table, CliArgs};
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::CompileParams;
-use fhe_runtime::{estimate_error, ErrorEstimateOptions, Executor, NoiseSimExec};
+use fhe_runtime::{simulate, NoiseModel};
 use reserve_core::{OrderingStrategy, ReserveCompiler};
 
 fn main() {
@@ -71,7 +72,6 @@ fn main() {
     println!(" changes which local optimum is found, so deltas can go either way)\n");
 
     println!("Ablation B: static error bound vs simulated error (log2, W = 2^{waterline}).\n");
-    let sim = NoiseSimExec::default();
     let headers = ["Benchmark", "Simulated", "Static bound", "Slack (bits)"];
     let mut rows = Vec::new();
     for w in &suite {
@@ -79,11 +79,11 @@ fn main() {
         let compiled = paper_compiler
             .compile(&w.program, &params)
             .expect("compiles");
-        let simulated = sim
-            .execute(&compiled.scheduled, &w.inputs)
+        let simulated = simulate(&compiled.scheduled, &w.inputs, &NoiseModel::default())
             .expect("validates")
             .log2_error();
-        let bound = estimate_error(&compiled.scheduled, &ErrorEstimateOptions::default())
+        let bound = NoiseDomain::default()
+            .output_bounds(&compiled.scheduled)
             .expect("validates")
             .iter()
             .fold(f64::MIN_POSITIVE, |a, &b| a.max(b))

@@ -7,12 +7,11 @@
 //! analysis does not unnecessarily minimize scales.
 
 use fhe_bench::{compile_all, hecate_budget, print_table, standard_compilers, CliArgs};
-use fhe_runtime::{Executor, NoiseSimExec};
+use fhe_runtime::{simulate, NoiseModel};
 
 fn main() {
     let args = CliArgs::parse();
     let suite = fhe_bench::selected_suite(&args);
-    let sim = NoiseSimExec::default();
     let names: Vec<String> = standard_compilers(1)
         .iter()
         .map(|c| c.name().to_string())
@@ -34,8 +33,7 @@ fn main() {
             let outs = compile_all(&standard_compilers(budget), &w.program, waterline);
             let mut row = vec![w.name.to_string()];
             for out in &outs {
-                let run = sim
-                    .execute(&out.scheduled, &w.inputs)
+                let run = simulate(&out.scheduled, &w.inputs, &NoiseModel::default())
                     .expect("schedules validate");
                 row.push(format!("{:.1}", run.log2_error()));
             }

@@ -41,6 +41,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use fhe_baselines::{EvaCompiler, HecateCompiler, HecateOptions};
+use fhe_ir::diag::Finding;
 use fhe_ir::json::{self, Json};
 use fhe_ir::pipeline::{CompileReport, Compiled, ScaleCompiler};
 use fhe_ir::{CompileParams, Program};
@@ -402,20 +403,7 @@ pub fn report_json(report: &CompileReport) -> Json {
         ),
         (
             "findings",
-            Json::Array(
-                report
-                    .findings
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("code", Json::from(f.code)),
-                            ("severity", Json::from(f.severity.label())),
-                            ("message", Json::from(f.message.as_str())),
-                            ("op", f.op.map_or(Json::Null, |o| Json::from(o.index()))),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Array(report.findings.iter().map(Finding::to_json).collect()),
         ),
         (
             "translation_validated",

@@ -12,10 +12,10 @@ use std::time::Instant;
 
 use fhe_analysis::with_verification;
 use fhe_ir::pipeline::{
-    finish_compiled, CleanupPass, CompileError, CompileReport, Compiled as UnifiedCompiled, Pass,
-    PassCx, PassError, PassIr, PassKind, PassManager, PipelineTrace, ScaleCompiler,
+    finish_compiled, CleanupPass, CompileError, Compiled, Pass, PassCx, PassError, PassIr,
+    PassKind, PassManager, PipelineTrace, ScaleCompiler,
 };
-use fhe_ir::{CompileParams, CostModel, Program, ScheduledProgram};
+use fhe_ir::{CompileParams, CostModel, Program};
 
 use crate::alloc::{allocate, ReserveSolution};
 use crate::hoist::hoist;
@@ -94,27 +94,6 @@ impl Options {
         Options {
             mode,
             ..Self::new(waterline_bits)
-        }
-    }
-}
-
-/// Output of the reserve compiler: the unified artifact plus the certified
-/// reserve solution for inspection and tests.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    /// The scheduled program (validates by construction).
-    pub scheduled: ScheduledProgram,
-    /// The certified reserve solution (for inspection/tests).
-    pub solution: ReserveSolution,
-    /// Compilation statistics, uniform across the workspace's compilers.
-    pub report: CompileReport,
-}
-
-impl From<Compiled> for UnifiedCompiled {
-    fn from(c: Compiled) -> Self {
-        UnifiedCompiled {
-            scheduled: c.scheduled,
-            report: c.report,
         }
     }
 }
@@ -265,16 +244,8 @@ pub fn compile(program: &Program, options: &Options) -> Result<Compiled, Compile
     let scheduled = ir
         .try_scheduled("finish")
         .map_err(|e| CompileError::in_compiler(label, e))?;
-    let solution = cx
-        .take::<ReserveSolution>()
-        .expect("alloc pass leaves its solution in the context");
     let ops_before = ops_entering_scale_management(&trace, program.num_ops());
-    let unified = finish_compiled(label, scheduled, trace, &cx, t_total.elapsed(), ops_before)?;
-    Ok(Compiled {
-        scheduled: unified.scheduled,
-        solution,
-        report: unified.report,
-    })
+    finish_compiled(label, scheduled, trace, &cx, t_total.elapsed(), ops_before)
 }
 
 /// The reserve compiler behind the workspace-wide [`ScaleCompiler`] trait.
@@ -321,12 +292,8 @@ impl ScaleCompiler for ReserveCompiler {
         self.mode.label()
     }
 
-    fn compile(
-        &self,
-        program: &Program,
-        params: &CompileParams,
-    ) -> Result<UnifiedCompiled, CompileError> {
-        compile(program, &self.options(params)).map(UnifiedCompiled::from)
+    fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
+        compile(program, &self.options(params))
     }
 }
 

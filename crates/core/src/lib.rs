@@ -49,7 +49,7 @@ pub mod placement;
 pub mod types;
 
 pub use alloc::{allocate, ReserveSolution};
-pub use compiler::{compile, Compiled, Mode, Options, OrderingStrategy, ReserveCompiler};
+pub use compiler::{compile, Mode, Options, OrderingStrategy, ReserveCompiler};
 pub use fhe_ir::pipeline::{CompileError, CompileReport, ScaleCompiler};
 pub use ordering::{allocation_order, naive_order, AllocationOrder};
 pub use placement::place;

@@ -22,15 +22,16 @@
 //!    actually observes on every value of every schedule, and — on every
 //!    encrypted run — the static noise estimate (interval magnitudes fed
 //!    into the noise domain) must dominate the observed error.
-//! 7. **Executor agreement** — `PlainExec` must reproduce the source
-//!    program's reference bit-for-bit (scale management is semantically
-//!    transparent); `NoiseSimExec` and `CkksExec` must agree with the
-//!    reference — and pairwise with each other — within a tolerance
-//!    scaled to the program's dynamic range; and `CkksExec` with four
-//!    runners and fusion on must reproduce the decrypted outputs of its
-//!    own plain walk (one runner on the calling thread, no fusion — the
-//!    run the static memory, span and noise bounds are checked on)
-//!    *bit-for-bit*: walk width and fusion are byte-transparent by design.
+//! 7. **Executor agreement** — the validated schedule, plain-executed,
+//!    must reproduce the source program's reference bit-for-bit (scale
+//!    management is semantically transparent); the noise simulator and the
+//!    encrypted executor must agree with the reference — and pairwise with
+//!    each other — within a tolerance scaled to the program's dynamic
+//!    range; and the encrypted executor with four runners and fusion on
+//!    must reproduce the decrypted outputs of its own plain walk (one
+//!    runner on the calling thread, no fusion — the run the static memory,
+//!    span and noise bounds are checked on) *bit-for-bit*: walk width and
+//!    fusion are byte-transparent by design.
 //!
 //! Anything that trips becomes a [`Divergence`] with a stable
 //! [`Divergence::label`] the shrinker uses to preserve failure identity
@@ -39,11 +40,15 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use fhe_analysis::noise::DEFAULT_NOISE_BITS;
 use fhe_analysis::{analyze, AnalysisCx, IntervalDomain, MagnitudeSource, NoiseDomain};
 use fhe_baselines::{EvaCompiler, HecateCompiler};
-use fhe_ir::{passes, CompileParams, Op, Program, ScaleCompiler, ScheduledProgram, ValueId};
-use fhe_runtime::executor::{max_abs_diff, CkksExec, Executor, NoiseSimExec, PlainExec};
-use fhe_runtime::{plain, ExecOptions, ParOptions};
+use fhe_ir::{
+    passes, CompileParams, Op, Program, ScaleCompiler, ScheduleError, ScheduledProgram, ValueId,
+};
+use fhe_runtime::{
+    execute_parallel, max_abs_diff, plain, simulate, ExecOptions, NoiseModel, ParOptions,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reserve_core::{Mode, ReserveCompiler};
@@ -252,9 +257,7 @@ pub fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// Largest `|slot|` over *every* value of the program (not just outputs):
 /// the dynamic range the noisy executors' tolerance must scale with.
 fn value_magnitude(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> f64 {
-    let mut all = program.clone();
-    all.set_outputs(program.ids().collect());
-    plain::execute(&all, inputs)
+    plain::values(program, inputs)
         .iter()
         .flatten()
         .fold(0.0f64, |m, v| m.max(v.abs()))
@@ -393,9 +396,7 @@ fn check_interval_bounds(
     let program = &scheduled.program;
     let intervals = analyze(&IntervalDomain::default(), &AnalysisCx::source(program));
     let magnitudes: Vec<f64> = intervals.iter().map(|iv| iv.magnitude()).collect();
-    let mut all = program.clone();
-    all.set_outputs(program.ids().collect());
-    let Ok(vals) = catching(|| plain::execute(&all, inputs)) else {
+    let Ok(vals) = catching(|| plain::values(program, inputs)) else {
         return magnitudes; // the executor checks report the panic
     };
     let live = fhe_ir::analysis::live(program);
@@ -570,6 +571,42 @@ fn check_schedule_invariants(
     }
 }
 
+/// One executor column: runs it, turning a panic or a rejected schedule
+/// into a divergence, and holds its outputs to within `allowed` of the
+/// reference. Returns the run when it is clean.
+fn run_column<T>(
+    stage: String,
+    allowed: f64,
+    reference: &[Vec<f64>],
+    divs: &mut Vec<Divergence>,
+    run: impl FnOnce() -> Result<T, Vec<ScheduleError>>,
+    outputs: impl Fn(&T) -> &[Vec<f64>],
+) -> Option<T> {
+    let (kind, detail) = match catching(run) {
+        Err(payload) => (DivergenceKind::Panic, payload),
+        Ok(Err(errs)) => {
+            let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
+            (DivergenceKind::ExecError, msgs.join("; "))
+        }
+        Ok(Ok(run)) => {
+            let worst = max_abs_diff(outputs(&run), reference);
+            if worst <= allowed {
+                return Some(run);
+            }
+            (
+                DivergenceKind::OutputMismatch,
+                format!("max |Δ| vs reference = {worst:.3e} > {allowed:.3e}"),
+            )
+        }
+    };
+    divs.push(Divergence {
+        kind,
+        stage,
+        detail,
+    });
+    None
+}
+
 #[allow(clippy::too_many_arguments)]
 fn check_executors(
     scheduled: &ScheduledProgram,
@@ -582,15 +619,34 @@ fn check_executors(
     cfg: &OracleConfig,
     run: &mut OracleRun,
 ) {
-    let mut noisy_outputs: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
-    let mut executors: Vec<(&str, Box<dyn Executor>, f64)> = vec![
-        ("plain", Box::new(PlainExec), 0.0),
-        ("noise-sim", Box::new(NoiseSimExec::default()), tol),
-    ];
     let encrypt = cfg.run_ckks
         && catching(|| plain::schedule_fits_backend(scheduled, inputs)).unwrap_or(false);
     run.ckks_schedules_run += u64::from(encrypt);
     run.ckks_schedules_skipped += u64::from(cfg.run_ckks && !encrypt);
+    let divs = &mut run.divergences;
+    let stage = |column: &str| format!("{compiler}:{column}");
+
+    // The exact column: only a schedule that validates is interpreted.
+    run_column(
+        stage("plain"),
+        0.0,
+        reference,
+        divs,
+        || {
+            scheduled.validate()?;
+            Ok(plain::execute(&scheduled.program, inputs))
+        },
+        |outputs| outputs,
+    );
+
+    let mut noisy_outputs: Vec<(&str, Vec<Vec<f64>>)> = Vec::new();
+    let sim = || simulate(scheduled, inputs, &NoiseModel::default());
+    if let Some(sim) = run_column(stage("noise-sim"), tol, reference, divs, sim, |r| {
+        &r.outputs
+    }) {
+        noisy_outputs.push(("noise-sim", sim.outputs));
+    }
+
     if encrypt {
         let backend = ExecOptions {
             poly_degree: scheduled.program.slots() * 2,
@@ -598,105 +654,39 @@ fn check_executors(
             threads: 1,
             ..ExecOptions::default()
         };
-        executors.push((
-            "ckks",
-            Box::new(CkksExec {
-                options: ParOptions::plain_walk(backend.clone()),
-            }),
+        let ckks = |options: ParOptions| move || execute_parallel(scheduled, inputs, &options);
+        let plain_walk = run_column(
+            stage("ckks"),
             tol,
-        ));
-        // The same executor gone wide and fused: checked against the
-        // reference like the others, and bit-for-bit against the plain
-        // walk below.
-        executors.push((
-            "ckks-par",
-            Box::new(CkksExec {
-                options: ParOptions {
-                    exec: backend,
-                    workers: 4,
-                    fusion: true,
-                },
-            }),
-            tol,
-        ));
-    }
-    let divs = &mut run.divergences;
-    let mut ckks_bits: Option<Vec<Vec<u64>>> = None;
-    let to_bits = |outs: &[Vec<f64>]| -> Vec<Vec<u64>> {
-        outs.iter()
-            .map(|v| v.iter().map(|x| x.to_bits()).collect())
-            .collect()
-    };
-    for (exec_name, executor, allowed) in executors {
-        let stage = format!("{compiler}:{exec_name}");
-        let run = match catching(|| executor.execute(scheduled, inputs)) {
-            Err(payload) => {
-                divs.push(Divergence {
-                    kind: DivergenceKind::Panic,
-                    stage,
-                    detail: payload,
-                });
-                continue;
-            }
-            Ok(Err(errs)) => {
-                let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-                divs.push(Divergence {
-                    kind: DivergenceKind::ExecError,
-                    stage,
-                    detail: msgs.join("; "),
-                });
-                continue;
-            }
-            Ok(Ok(run)) => run,
-        };
-        let worst = max_abs_diff(&run.outputs, reference);
-        if worst > allowed {
-            divs.push(Divergence {
-                kind: DivergenceKind::OutputMismatch,
-                stage,
-                detail: format!("max |Δ| vs reference = {worst:.3e} > {allowed:.3e}"),
-            });
-            continue;
-        }
-        if exec_name == "ckks" {
-            ckks_bits = Some(to_bits(&run.outputs));
-        }
-        // Walk width and fusion must be byte-transparent: the wide run
-        // reproduces the plain walk exactly, not merely within tolerance.
-        if exec_name == "ckks-par" {
-            if let Some(plain_walk) = &ckks_bits {
-                if *plain_walk != to_bits(&run.outputs) {
-                    divs.push(Divergence {
-                        kind: DivergenceKind::OutputMismatch,
-                        stage: format!("{compiler}:ckks~ckks-par:bits"),
-                        detail: "four fused runners diverge bitwise from the plain walk".into(),
-                    });
-                }
-            }
-        }
-        if exec_name == "ckks" {
+            reference,
+            divs,
+            ckks(ParOptions::plain_walk(backend.clone())),
+            |r| &r.outputs,
+        );
+        // The static bounds are checked on the plain walk.
+        if let Some(report) = &plain_walk {
             check_noise_bound(
                 scheduled,
                 magnitudes,
-                &run.outputs,
+                &report.outputs,
                 reference,
                 compiler,
                 cfg,
                 divs,
             );
             if cfg.check_span_bound {
-                check_span_bound(scheduled, run.trace.op_time, compiler, cfg, divs);
+                check_span_bound(scheduled, report.op_time, compiler, cfg, divs);
             }
             // The compiler's static working-set estimate must dominate the
             // peak the runtime's pool + key accounting actually measured
             // (both sides exclude encoder scratch).
-            if run.trace.mem.peak_bytes > static_mem.peak_bytes {
+            if report.mem.peak_bytes > static_mem.peak_bytes {
                 divs.push(Divergence {
                     kind: DivergenceKind::StaticBound,
-                    stage: format!("{compiler}:memory"),
+                    stage: stage("memory"),
                     detail: format!(
                         "measured peak {} bytes beats static bound {} bytes (poly {} + keys {})",
-                        run.trace.mem.peak_bytes,
+                        report.mem.peak_bytes,
                         static_mem.peak_bytes,
                         static_mem.poly_peak_bytes,
                         static_mem.key_bytes
@@ -704,9 +694,33 @@ fn check_executors(
                 });
             }
         }
-        if allowed > 0.0 {
-            noisy_outputs.push((exec_name.to_string(), run.outputs));
+        // The same executor gone wide and fused: checked against the
+        // reference like the others, and bit-for-bit against the plain
+        // walk — walk width and fusion must be byte-transparent.
+        let wide = ParOptions {
+            exec: backend,
+            workers: 4,
+            fusion: true,
+        };
+        let wide = run_column(stage("ckks-par"), tol, reference, divs, ckks(wide), |r| {
+            &r.outputs
+        });
+        let to_bits = |outs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            outs.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        if let (Some(plain_walk), Some(wide)) = (&plain_walk, &wide) {
+            if to_bits(&plain_walk.outputs) != to_bits(&wide.outputs) {
+                divs.push(Divergence {
+                    kind: DivergenceKind::OutputMismatch,
+                    stage: stage("ckks~ckks-par:bits"),
+                    detail: "four fused runners diverge bitwise from the plain walk".into(),
+                });
+            }
         }
+        noisy_outputs.extend(plain_walk.map(|r| ("ckks", r.outputs)));
+        noisy_outputs.extend(wide.map(|r| ("ckks-par", r.outputs)));
     }
     // Pairwise agreement between the noisy executors (each is within
     // `tol` of the reference, so demand `2·tol` of each other).
@@ -875,7 +889,6 @@ fn check_span_bound(
 /// The static noise estimate — the noise domain fed with the interval
 /// analysis's per-value magnitudes — must dominate the error the encrypted
 /// backend actually produced on every output.
-#[allow(clippy::too_many_arguments)]
 fn check_noise_bound(
     scheduled: &ScheduledProgram,
     magnitudes: &[f64],
@@ -885,15 +898,13 @@ fn check_noise_bound(
     cfg: &OracleConfig,
     divs: &mut Vec<Divergence>,
 ) {
-    let Ok(map) = scheduled.validate() else {
-        return; // invariant checks already flagged this
-    };
-    let model = fhe_runtime::NoiseModel::default();
     let domain = NoiseDomain {
-        noise_bits: model.noise_bits + cfg.static_noise_margin_bits,
+        noise_bits: DEFAULT_NOISE_BITS + cfg.static_noise_margin_bits,
         magnitudes: MagnitudeSource::PerValue(magnitudes.to_vec()),
     };
-    let bounds = analyze(&domain, &AnalysisCx::scheduled(&scheduled.program, &map));
+    let Ok(bounds) = domain.output_bounds(scheduled) else {
+        return; // invariant checks already flagged this
+    };
     // Both the plain reference and the backend's encode/decode pipeline run
     // in f64 and accumulate *different* roundings — up to ulp-scale
     // differences per op. Allow `num_ops` ulps of the largest intermediate
@@ -902,18 +913,12 @@ fn check_noise_bound(
     let fp_slop = magnitudes.iter().copied().fold(1.0f64, f64::max)
         * f64::EPSILON
         * scheduled.program.num_ops() as f64;
-    for (k, (&out_id, (got, want))) in scheduled
-        .program
-        .outputs()
-        .iter()
-        .zip(outputs.iter().zip(reference))
-        .enumerate()
-    {
+    for (k, (bound, (got, want))) in bounds.iter().zip(outputs.iter().zip(reference)).enumerate() {
         let observed = got
             .iter()
             .zip(want)
             .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-        let bound = bounds[out_id.index()] + fp_slop;
+        let bound = bound + fp_slop;
         if observed > bound {
             divs.push(Divergence {
                 kind: DivergenceKind::StaticBound,
@@ -928,15 +933,15 @@ fn check_noise_bound(
 }
 
 fn check_pairwise(
-    noisy_outputs: &[(String, Vec<Vec<f64>>)],
+    noisy_outputs: &[(&str, Vec<Vec<f64>>)],
     tol: f64,
     compiler: &str,
     divs: &mut Vec<Divergence>,
 ) {
     for i in 0..noisy_outputs.len() {
         for j in i + 1..noisy_outputs.len() {
-            let (ref a_name, ref a) = noisy_outputs[i];
-            let (ref b_name, ref b) = noisy_outputs[j];
+            let (a_name, a) = &noisy_outputs[i];
+            let (b_name, b) = &noisy_outputs[j];
             let worst = max_abs_diff(a, b);
             if worst > 2.0 * tol {
                 divs.push(Divergence {

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::json::Json;
 use crate::op::ValueId;
 
 /// How serious a finding is.
@@ -69,6 +70,18 @@ impl Finding {
     pub fn at(mut self, op: ValueId) -> Self {
         self.op = Some(op);
         self
+    }
+
+    /// The finding as the `{code, severity, message, op}` object every
+    /// machine-readable report carries (`op` is the anchor's index or
+    /// `null`).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("code", Json::from(self.code)),
+            ("severity", Json::from(self.severity.label())),
+            ("message", Json::from(self.message.as_str())),
+            ("op", self.op.map_or(Json::Null, |o| Json::from(o.index()))),
+        ])
     }
 }
 

@@ -301,6 +301,8 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.at..self.at + 4)
+                                // `from_str_radix` alone would take a sign.
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .and_then(char::from_u32)
@@ -397,6 +399,7 @@ mod tests {
             "\"\\x\"",
             "\"\\u12\"",
             "\"\\ud800\"",
+            "\"\\u+041\"",
             "tru",
             "nul",
             "1.2.3",

@@ -3,7 +3,7 @@
 //! Mirrors the runtime's allocation discipline — pooled temporaries per
 //! op, last-use freeing of dead ciphertexts, hoisted rotation groups —
 //! and produces a peak-bytes bound that must dominate every measured
-//! `ExecTrace` peak (the fuzz oracle asserts this). All polynomial
+//! `MemStats::peak_bytes` (the fuzz oracle asserts this). All polynomial
 //! figures are counted in *limbs* (one limb = `N × 8` bytes) and
 //! converted at the end; key material is counted from the closed forms
 //! (`SecretKey`/`KswKey` byte sizes in `fhe-ckks`).

@@ -25,8 +25,7 @@ use fhe_ir::{
     ValueId,
 };
 
-use crate::executor::{max_abs_diff, MemStats};
-use crate::plain;
+use crate::plain::{self, max_abs_diff};
 
 /// Domain separator so the lazy key cache's per-element RNG streams never
 /// collide with the keygen stream at the same seed.
@@ -289,6 +288,66 @@ impl ParOptions {
             exec,
             workers: 1,
             fusion: false,
+        }
+    }
+}
+
+/// Memory counters of one encrypted execution. Byte figures cover the
+/// backend's polynomial pool (live ciphertexts, on-demand plaintexts, pooled
+/// temporaries) plus key material; the encoder's FFT scratch is excluded on
+/// both the measured and the static side, so the compiler's static bound
+/// remains comparable.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MemStats {
+    /// High-water mark of polynomial + key bytes.
+    pub peak_bytes: u64,
+    /// Polynomial + key bytes live at the end of the window.
+    pub live_bytes: u64,
+    /// Fresh limb-buffer allocations (pool misses).
+    pub allocations: u64,
+    /// Pool checkouts served from the free list.
+    pub pool_hits: u64,
+    /// Pool checkouts that allocated.
+    pub pool_misses: u64,
+    /// Galois-key lookups served from the static set or cache.
+    pub key_hits: u64,
+    /// Galois-key lookups that generated a key on demand.
+    pub key_misses: u64,
+    /// Galois keys evicted under the cache's byte budget.
+    pub key_evictions: u64,
+    /// High-water mark of Galois-key bytes (cached or static set).
+    pub key_bytes_peak: u64,
+}
+
+impl MemStats {
+    /// Fraction of pool checkouts served from the free list (0 when idle).
+    pub fn pool_hit_rate(&self) -> f64 {
+        let total = self.pool_hits + self.pool_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.pool_hits as f64 / total as f64
+        }
+    }
+
+    /// The per-window view of a later snapshot against `start`: monotone
+    /// counters (`allocations`, `pool_*`, `key_hits/misses/evictions`)
+    /// become deltas, byte figures (`peak_bytes`, `live_bytes`,
+    /// `key_bytes_peak`) keep this snapshot's absolute values. This is how
+    /// a request executing against a shared pool/cache reports *its own*
+    /// traffic while the global counters stay exact — summing the deltas
+    /// of serially executed requests reconstructs the global counters.
+    pub fn delta_since(&self, start: &MemStats) -> MemStats {
+        MemStats {
+            peak_bytes: self.peak_bytes,
+            live_bytes: self.live_bytes,
+            allocations: self.allocations - start.allocations,
+            pool_hits: self.pool_hits - start.pool_hits,
+            pool_misses: self.pool_misses - start.pool_misses,
+            key_hits: self.key_hits - start.key_hits,
+            key_misses: self.key_misses - start.key_misses,
+            key_evictions: self.key_evictions - start.key_evictions,
+            key_bytes_peak: self.key_bytes_peak,
         }
     }
 }
@@ -564,32 +623,22 @@ pub fn execute_parallel_with_keys(
         }
     }
 
-    // Prologue: plaintext sub-values are evaluated in the clear (and
-    // encoded on demand by the ops that use them), and every live input is
-    // encrypted, consuming the seeded RNG in schedule order.
+    // Prologue: plaintext sub-values are evaluated in the clear by the one
+    // interpreter (and encoded on demand by the ops that use them) — a plain
+    // op has only plain operands and inputs are cipher, so the bindings are
+    // not read here — and every live input is encrypted, consuming the
+    // seeded RNG in schedule order.
     let slots = program.slots();
     let mut rng = StdRng::seed_from_u64(enc_seed);
-    let mut plain_vals: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
     let mut cipher_slots: Vec<RwLock<Option<Ciphertext>>> =
         (0..program.num_ops()).map(|_| RwLock::new(None)).collect();
     let t_ops = Instant::now();
-    for id in program.ids() {
-        if !live[id.index()] || program.is_cipher(id) {
-            continue;
-        }
-        let v = match program.op(id) {
-            Op::Const { value } => value.to_vec(slots),
-            Op::Add(a, b) => bin(&plain_vals, *a, *b, |x, y| x + y),
-            Op::Sub(a, b) => bin(&plain_vals, *a, *b, |x, y| x - y),
-            Op::Mul(a, b) => bin(&plain_vals, *a, *b, |x, y| x * y),
-            Op::Neg(a) => get(&plain_vals, *a).iter().map(|x| -x).collect(),
-            Op::Rotate(a, k) => plain::rotate(get(&plain_vals, *a), *k),
-            // INVARIANT: inputs are cipher and scale management applies
-            // to cipher values only (`validate` rejects it on plain ones).
-            other => unreachable!("plain {other:?}"),
-        };
-        plain_vals[id.index()] = Some(v);
-    }
+    let plain_vals = plain::interpret(
+        program,
+        inputs,
+        |id| live[id.index()] && program.is_plain(id),
+        |_, _| {},
+    );
     // `validate` checked there is one spec per declared input.
     let mut bound = Vec::new();
     let mut invalid = Vec::new();
@@ -1026,14 +1075,6 @@ fn get(vals: &[Option<Vec<f64>>], id: ValueId) -> &Vec<f64> {
     vals[id.index()].as_ref().expect("plain operand evaluated")
 }
 
-fn bin(vals: &[Option<Vec<f64>>], a: ValueId, b: ValueId, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-    get(vals, a)
-        .iter()
-        .zip(get(vals, b))
-        .map(|(&x, &y)| f(x, y))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1079,7 +1120,15 @@ mod tests {
             report.max_abs_error()
         );
         assert!(report.ops_executed > 5);
-        assert!(report.op_time > Duration::ZERO);
+        // The plain walk times every op on one thread, so the per-class
+        // times are a nonzero part of the homomorphic phase.
+        let timed: Duration = report.per_class.iter().map(|&(_, d, _)| d).sum();
+        assert!(timed > Duration::ZERO);
+        assert!(timed <= report.op_time);
+        // Memory accounting is live: a nonzero peak, and recycled buffers
+        // producing pool hits.
+        assert!(report.mem.peak_bytes > 0);
+        assert!(report.mem.pool_hit_rate() > 0.0);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub fn measure(params: CkksParams, levels: usize, reps: usize, seed: u64) -> Vec
 /// `N = 2 × slots`, modulus = the schedule's rescale bits, serial execution.
 ///
 /// This is what makes static span/work predictions comparable to what
-/// [`crate::executor::CkksExec`] will actually measure single-threaded (the
+/// [`crate::execute_encrypted`] will actually measure single-threaded (the
 /// fuzz oracle's span-bound check and the golden-workload parallelism
 /// tests): the paper model describes a different machine at `N = 2^15`,
 /// while the fuzzer and tests run tiny rings where the cost ratios differ.

@@ -9,13 +9,19 @@
 //! *increases* error). The simulator reads each value's exact scale from
 //! the validator and perturbs slots accordingly, which reproduces Fig. 7's
 //! error comparison at a tiny fraction of a real encrypted execution's cost.
+//!
+//! The values themselves come from the clear-value interpreter
+//! ([`plain`]); the simulator only hooks into it to perturb the results of
+//! the ops [`fhe_analysis::noise::adds_noise`] names — the same set the
+//! static bound ([`fhe_analysis::NoiseDomain`]) charges.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fhe_ir::{Op, ScheduleError, ScheduledProgram, ValueId};
+use fhe_analysis::noise::{adds_noise, DEFAULT_NOISE_BITS};
+use fhe_ir::{ScheduleError, ScheduledProgram};
 
 use crate::plain;
 
@@ -23,8 +29,8 @@ use crate::plain;
 #[derive(Debug, Clone, Copy)]
 pub struct NoiseModel {
     /// log₂ of the integer-domain noise magnitude added by fresh
-    /// encryption, relinearization, key switching and rescaling. With
-    /// `N = 2^15` and σ = 3.2 this is ≈ 16–18 bits.
+    /// encryption, relinearization, key switching and rescaling
+    /// ([`DEFAULT_NOISE_BITS`] by default, as in the static bound).
     pub noise_bits: f64,
     /// RNG seed.
     pub seed: u64,
@@ -33,7 +39,7 @@ pub struct NoiseModel {
 impl Default for NoiseModel {
     fn default() -> Self {
         NoiseModel {
-            noise_bits: 16.0,
+            noise_bits: DEFAULT_NOISE_BITS,
             seed: 0x5EED,
         }
     }
@@ -51,11 +57,7 @@ pub struct NoisyRun {
 impl NoisyRun {
     /// Maximum absolute slot error across all outputs.
     pub fn max_abs_error(&self) -> f64 {
-        self.outputs
-            .iter()
-            .zip(&self.reference)
-            .flat_map(|(o, r)| o.iter().zip(r).map(|(a, b)| (a - b).abs()))
-            .fold(0.0, f64::max)
+        plain::max_abs_diff(&self.outputs, &self.reference)
     }
 
     /// Root-mean-square slot error across all outputs.
@@ -89,79 +91,26 @@ pub fn simulate(
 ) -> Result<NoisyRun, Vec<ScheduleError>> {
     let map = scheduled.validate()?;
     let program = &scheduled.program;
-    let slots = program.slots();
     let mut rng = StdRng::seed_from_u64(model.seed);
     let live = fhe_ir::analysis::live(program);
     let noise_mag = 2f64.powf(model.noise_bits);
-
-    let mut values: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
-    let fetch = |values: &Vec<Option<Vec<f64>>>, id: ValueId| -> Vec<f64> {
-        values[id.index()].clone().expect("operand evaluated")
-    };
-
-    for id in program.ids() {
-        if !live[id.index()] {
-            continue;
-        }
-        let (mut result, noisy) = match program.op(id) {
-            Op::Input { name } => {
-                let data = inputs
-                    .get(name)
-                    .unwrap_or_else(|| panic!("missing input binding `{name}`"));
-                let v: Vec<f64> = (0..slots)
-                    .map(|i| data.get(i).copied().unwrap_or(0.0))
-                    .collect();
-                (v, true) // fresh encryption noise
+    let values = plain::interpret(
+        program,
+        inputs,
+        |id| live[id.index()],
+        |id, slots| {
+            if adds_noise(program, id) {
+                let err = noise_mag / 2f64.powf(map.scale_bits(id).to_f64());
+                for v in slots {
+                    *v += rng.gen_range(-1.0..1.0) * err;
+                }
             }
-            Op::Const { value } => (value.to_vec(slots), false),
-            Op::Add(a, b) => (
-                fetch(&values, *a)
-                    .iter()
-                    .zip(&fetch(&values, *b))
-                    .map(|(x, y)| x + y)
-                    .collect(),
-                false,
-            ),
-            Op::Sub(a, b) => (
-                fetch(&values, *a)
-                    .iter()
-                    .zip(&fetch(&values, *b))
-                    .map(|(x, y)| x - y)
-                    .collect(),
-                false,
-            ),
-            Op::Mul(a, b) => {
-                let prod: Vec<f64> = fetch(&values, *a)
-                    .iter()
-                    .zip(&fetch(&values, *b))
-                    .map(|(x, y)| x * y)
-                    .collect();
-                // Relinearization noise only for cipher×cipher.
-                let relin = program.is_cipher(*a) && program.is_cipher(*b);
-                (prod, relin)
-            }
-            Op::Neg(a) => (fetch(&values, *a).iter().map(|x| -x).collect(), false),
-            Op::Rotate(a, k) => (plain::rotate(&fetch(&values, *a), *k), true),
-            Op::Rescale(a) => (fetch(&values, *a), true),
-            Op::ModSwitch(a) | Op::Upscale(a, _) => (fetch(&values, *a), false),
-        };
-        if noisy && program.is_cipher(id) {
-            let scale = 2f64.powf(map.scale_bits(id).to_f64());
-            let err = noise_mag / scale;
-            for v in result.iter_mut() {
-                *v += rng.gen_range(-1.0..1.0) * err;
-            }
-        }
-        values[id.index()] = Some(result);
-    }
-
-    let outputs = program
-        .outputs()
-        .iter()
-        .map(|&o| values[o.index()].clone().expect("output evaluated"))
-        .collect();
-    let reference = plain::execute(program, inputs);
-    Ok(NoisyRun { outputs, reference })
+        },
+    );
+    Ok(NoisyRun {
+        outputs: plain::outputs_of(program, &values),
+        reference: plain::execute(program, inputs),
+    })
 }
 
 #[cfg(test)]
@@ -229,6 +178,29 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.max_abs_error(), 0.0);
+    }
+
+    #[test]
+    fn the_static_bound_dominates_the_simulation() {
+        let binds = inputs(&[("x", vec![0.5; 8]), ("y", vec![0.25; 8])]);
+        for waterline in [20, 30, 40] {
+            let s = fig2a_scheduled(waterline);
+            let est = fhe_analysis::NoiseDomain::default()
+                .output_bounds(&s)
+                .unwrap()[0];
+            let sim = simulate(&s, &binds, &NoiseModel::default())
+                .unwrap()
+                .max_abs_error();
+            assert!(
+                est >= sim,
+                "W={waterline}: static bound {est:.3e} below measured {sim:.3e}"
+            );
+            // The bound should not be absurdly loose (within ~4 orders).
+            assert!(
+                est < sim.max(f64::MIN_POSITIVE) * 1e4,
+                "W={waterline}: bound too loose"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,73 @@
-//! Reference plaintext executor: evaluates a program on clear `f64`
-//! vectors. Scale-management ops are value-identities, so the same executor
-//! runs both source programs and compiled schedules — compilation must not
-//! change program semantics, and tests assert exactly that.
+//! The clear-value interpreter: evaluates a program on clear `f64` vectors.
+//! Scale-management ops are value-identities, so the same interpreter runs
+//! both source programs and compiled schedules — compilation must not
+//! change program semantics, and tests assert exactly that. Every other
+//! component that needs slot values (the noise simulator, the encrypted
+//! executor's reference and plain sub-values, the fuzz oracle) gets them
+//! from the one walker here.
 
 use std::collections::HashMap;
 
 use fhe_ir::{Op, Program, ScheduledProgram, ValueId};
+
+/// The one place an [`Op`] is given `f64` slot semantics: walks `program`
+/// in schedule order and evaluates every op `select` picks, borrowing its
+/// operands from the values computed so far. `hook` sees — and may perturb —
+/// each result before it is stored. Returns the values indexed by
+/// [`ValueId::index`], `None` where `select` said no.
+///
+/// # Panics
+///
+/// Panics if a selected input has no binding, or a selected op reads an
+/// operand `select` skipped.
+pub(crate) fn interpret(
+    program: &Program,
+    inputs: &HashMap<String, Vec<f64>>,
+    select: impl Fn(ValueId) -> bool,
+    mut hook: impl FnMut(ValueId, &mut [f64]),
+) -> Vec<Option<Vec<f64>>> {
+    let slots = program.slots();
+    let mut values: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
+    for id in program.ids().filter(|&id| select(id)) {
+        let get = |a: ValueId| -> &[f64] {
+            values[a.index()]
+                .as_deref()
+                .expect("operand evaluated (schedule order)")
+        };
+        let mut result = match program.op(id) {
+            Op::Input { name } => {
+                let data = inputs
+                    .get(name)
+                    .unwrap_or_else(|| panic!("missing input binding `{name}`"));
+                (0..slots)
+                    .map(|i| data.get(i).copied().unwrap_or(0.0))
+                    .collect()
+            }
+            Op::Const { value } => value.to_vec(slots),
+            Op::Add(a, b) => binop(get(*a), get(*b), |x, y| x + y),
+            Op::Sub(a, b) => binop(get(*a), get(*b), |x, y| x - y),
+            Op::Mul(a, b) => binop(get(*a), get(*b), |x, y| x * y),
+            Op::Neg(a) => get(*a).iter().map(|x| -x).collect(),
+            Op::Rotate(a, k) => rotate(get(*a), *k),
+            // Scale management is a value identity; the result is its own
+            // vector because the hook may perturb it while the operand
+            // still has readers.
+            Op::Rescale(a) | Op::ModSwitch(a) | Op::Upscale(a, _) => get(*a).to_vec(),
+        };
+        hook(id, &mut result);
+        values[id.index()] = Some(result);
+    }
+    values
+}
+
+/// The program's outputs out of [`interpret`]'s values.
+pub(crate) fn outputs_of(program: &Program, values: &[Option<Vec<f64>>]) -> Vec<Vec<f64>> {
+    program
+        .outputs()
+        .iter()
+        .map(|&o| values[o.index()].clone().expect("output evaluated"))
+        .collect()
+}
 
 /// Executes `program` on named input vectors (each padded/truncated to the
 /// slot count).
@@ -16,44 +78,22 @@ use fhe_ir::{Op, Program, ScheduledProgram, ValueId};
 ///
 /// Panics if an input binding is missing.
 pub fn execute(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Vec<f64>> {
-    let slots = program.slots();
-    let mut values: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
     let live = fhe_ir::analysis::live(program);
+    let values = interpret(program, inputs, |id| live[id.index()], |_, _| {});
+    outputs_of(program, &values)
+}
 
-    let fetch = |values: &Vec<Option<Vec<f64>>>, id: ValueId| -> Vec<f64> {
-        values[id.index()]
-            .clone()
-            .expect("operand evaluated (topological order)")
-    };
-
-    for id in program.ids() {
-        if !live[id.index()] {
-            continue;
-        }
-        let result = match program.op(id) {
-            Op::Input { name } => {
-                let data = inputs
-                    .get(name)
-                    .unwrap_or_else(|| panic!("missing input binding `{name}`"));
-                (0..slots)
-                    .map(|i| data.get(i).copied().unwrap_or(0.0))
-                    .collect()
-            }
-            Op::Const { value } => value.to_vec(slots),
-            Op::Add(a, b) => binop(&fetch(&values, *a), &fetch(&values, *b), |x, y| x + y),
-            Op::Sub(a, b) => binop(&fetch(&values, *a), &fetch(&values, *b), |x, y| x - y),
-            Op::Mul(a, b) => binop(&fetch(&values, *a), &fetch(&values, *b), |x, y| x * y),
-            Op::Neg(a) => fetch(&values, *a).iter().map(|x| -x).collect(),
-            Op::Rotate(a, k) => rotate(&fetch(&values, *a), *k),
-            Op::Rescale(a) | Op::ModSwitch(a) | Op::Upscale(a, _) => fetch(&values, *a),
-        };
-        values[id.index()] = Some(result);
-    }
-
-    program
-        .outputs()
-        .iter()
-        .map(|&o| values[o.index()].clone().expect("output evaluated"))
+/// Every value of `program` on the given inputs, indexed by
+/// [`ValueId::index`] — dead ops included, so a caller can look at
+/// intermediates without rewriting the program's output list.
+///
+/// # Panics
+///
+/// Panics if an input binding is missing.
+pub fn values(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Vec<f64>> {
+    interpret(program, inputs, |_| true, |_, _| {})
+        .into_iter()
+        .map(|v| v.expect("every op was selected"))
         .collect()
 }
 
@@ -68,6 +108,41 @@ pub fn rotate(a: &[f64], k: i64) -> Vec<f64> {
     (0..n)
         .map(|i| a[((i + k).rem_euclid(n)) as usize])
         .collect()
+}
+
+/// Maximum absolute slot difference between two output sets.
+///
+/// # Panics
+///
+/// Panics if the two sets disagree in shape — that is itself a diff worth
+/// failing loudly on.
+pub fn max_abs_diff(actual: &[Vec<f64>], expected: &[Vec<f64>]) -> f64 {
+    assert_eq!(actual.len(), expected.len(), "output count mismatch");
+    actual
+        .iter()
+        .zip(expected)
+        .flat_map(|(a, e)| {
+            assert_eq!(a.len(), e.len(), "output width mismatch");
+            a.iter().zip(e).map(|(x, y)| (x - y).abs())
+        })
+        .fold(0.0, f64::max)
+}
+
+/// The shared encrypted/plain output-diff check: `Ok` when every slot of
+/// `actual` is within `tol` of `expected`.
+///
+/// # Errors
+///
+/// Returns a human-readable description of the worst offending slot.
+pub fn outputs_close(actual: &[Vec<f64>], expected: &[Vec<f64>], tol: f64) -> Result<(), String> {
+    let worst = max_abs_diff(actual, expected);
+    if worst <= tol {
+        Ok(())
+    } else {
+        Err(format!(
+            "outputs differ: max |Δ| = {worst:.3e} > tolerance {tol:.3e}"
+        ))
+    }
 }
 
 /// Whether every live cipher value's magnitude fits the slack between its
@@ -89,9 +164,7 @@ pub fn schedule_fits_backend(
         return false;
     };
     let program = &scheduled.program;
-    let mut all = program.clone();
-    all.set_outputs(program.ids().collect());
-    let vals = execute(&all, inputs);
+    let vals = values(program, inputs);
     let rescale = f64::from(scheduled.params.rescale_bits);
     let live = fhe_ir::analysis::live(program);
     for (id, slots) in program.ids().zip(&vals) {
@@ -184,6 +257,12 @@ mod tests {
         let p = b.finish(vec![s]);
         let out = execute(&p, &inputs(&[("x", vec![1.0])]));
         assert_eq!(out[0], vec![11.0, 20.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn diff_check_reports_the_gap() {
+        let err = outputs_close(&[vec![1.0, 2.0]], &[vec![1.0, 2.5]], 0.1).unwrap_err();
+        assert!(err.contains("5.000e-1"), "got: {err}");
     }
 
     #[test]

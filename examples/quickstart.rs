@@ -9,7 +9,6 @@
 use std::collections::HashMap;
 
 use fhe_reserve::prelude::*;
-use fhe_reserve::runtime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Write the paper's running example x³·(y² + y) with plain operators.
@@ -29,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    rescale/modswitch/upscale operations.
     let mut options = Options::new(30); // waterline 2^30
     options.params.output_reserve_bits = 4; // headroom for outputs up to 2^4
-    let compiled = fhe_reserve::compiler::compile(&program, &options)?;
+    let compiled = compile(&program, &options)?;
     println!(
         "compiled program:\n{}",
         fhe_reserve::ir::text::print(&compiled.scheduled.program)
@@ -53,21 +52,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4a. Reference run in the clear.
-    let reference = runtime::plain::execute(&compiled.scheduled.program, &inputs);
+    let reference = plain::execute(&compiled.scheduled.program, &inputs);
 
     // 4b. Noise simulation (fast, models CKKS noise).
-    let sim = runtime::simulate(&compiled.scheduled, &inputs, &NoiseModel::default()).unwrap();
+    let sim = simulate(&compiled.scheduled, &inputs, &NoiseModel::default()).unwrap();
     println!("noise-simulated max error: {:.3e}", sim.max_abs_error());
 
     // 4c. Real encrypted execution (N = 256 so N/2 slots match the program).
-    let report = runtime::execute_encrypted(
+    let report = execute_encrypted(
         &compiled.scheduled,
         &inputs,
-        &runtime::ExecOptions {
+        &ExecOptions {
             poly_degree: 2 * slots,
             seed: 42,
             threads: 1,
-            ..runtime::ExecOptions::default()
+            ..ExecOptions::default()
         },
     )
     .unwrap();

@@ -6,8 +6,9 @@
 //! cargo run --example waterline_selection --release
 //! ```
 
+use fhe_reserve::analysis::{select_waterline, NoiseDomain};
 use fhe_reserve::prelude::*;
-use fhe_reserve::runtime::{self, select_waterline, ErrorEstimateOptions};
+use fhe_reserve::runtime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let slots = 128;
@@ -27,13 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Require the worst-case output error below 2^-16.
     let target = -16.0;
-    let (waterline, scheduled) = select_waterline(
-        15..=55,
-        compile_at,
-        target,
-        &ErrorEstimateOptions::default(),
-    )
-    .expect("some waterline meets the target");
+    let (waterline, scheduled) =
+        select_waterline(15..=55, compile_at, target, &NoiseDomain::default())
+            .expect("some waterline meets the target");
     let map = scheduled.validate().unwrap();
     println!(
         "selected waterline 2^{waterline} for target 2^{target}: \

@@ -12,14 +12,16 @@
 //! - [`ir`] (`fhe-ir`) — programs, the builder DSL, passes, validator, cost
 //!   model;
 //! - [`analysis`] (`fhe-analysis`) — abstract interpretation, the `F001`…
-//!   `F005` lints, and translation validation (see also the `lint` binary);
+//!   `F005` lints, translation validation (see also the `lint` binary) and
+//!   the static error bound with waterline selection;
 //! - [`ckks`] (`fhe-ckks`) — the RNS-CKKS scheme;
 //! - [`compiler`] (`reserve-core`) — **the paper's contribution**: reserve
 //!   type system, backward reserve analysis, redistribution, rescale
 //!   placement and hoisting;
 //! - [`baselines`] (`fhe-baselines`) — EVA and Hecate;
-//! - [`runtime`] (`fhe-runtime`) — plaintext/noise-sim/encrypted executors
-//!   and latency estimation;
+//! - [`runtime`] (`fhe-runtime`) — the clear-value interpreter, the noise
+//!   simulator built on it and the encrypted executor, each returning its
+//!   own report;
 //! - [`workloads`] (`fhe-workloads`) — SF, HCD, LR, MR, PR, MLP, Lenet-5,
 //!   Lenet-C;
 //! - [`serve`] (`fhe-serve`) — the deployment front-end: compile cache,
@@ -70,7 +72,8 @@ pub mod prelude {
     pub use fhe_ir::pipeline::{CompileReport, Compiled, PipelineTrace, ScaleCompiler};
     pub use fhe_ir::{Builder, CompileParams, CostModel, Expr, Frac, Program, ScheduledProgram};
     pub use fhe_runtime::{
-        outputs_close, simulate, CkksExec, Execution, Executor, NoiseModel, NoiseSimExec, PlainExec,
+        execute_encrypted, outputs_close, plain, simulate, ExecOptions, ExecReport, NoiseModel,
+        NoisyRun,
     };
     pub use fhe_serve::{FheServer, Request, ServeError, ServerConfig};
     pub use fhe_workloads::{suite, Size, Workload};

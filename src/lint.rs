@@ -487,15 +487,6 @@ pub fn denied(deny: &[String], finding: &Finding) -> bool {
     })
 }
 
-fn finding_json(f: &Finding) -> Json {
-    Json::obj([
-        ("code", Json::from(f.code)),
-        ("severity", Json::from(f.severity.label())),
-        ("message", Json::from(f.message.as_str())),
-        ("op", f.op.map_or(Json::Null, |o| Json::from(o.index()))),
-    ])
-}
-
 /// Serializes the reports as the `--json` machine-readable form: an array
 /// of `{file, error, targets: [{target, error, translation_validated,
 /// findings}]}` objects.
@@ -526,7 +517,7 @@ pub fn reports_json(reports: &[FileReport]) -> Json {
                                         (
                                             "findings",
                                             Json::Array(
-                                                t.findings.iter().map(finding_json).collect(),
+                                                t.findings.iter().map(Finding::to_json).collect(),
                                             ),
                                         ),
                                     ])

@@ -1,20 +1,18 @@
 //! Real-encryption integration: compile benchmarks with each compiler and
-//! execute them on the `fhe-ckks` backend through the unified [`Executor`]
-//! interface, checking the decrypted outputs against the plaintext
-//! reference via the shared [`outputs_close`] diff helper.
+//! execute them on the `fhe-ckks` backend ([`execute_encrypted`], the plain
+//! walk), checking the decrypted outputs against the plaintext reference
+//! the report carries via the shared [`outputs_close`] diff helper.
 
 use fhe_reserve::prelude::*;
-use fhe_reserve::runtime::{ExecOptions, ParOptions};
 
-fn exec() -> CkksExec {
-    // 256 slots = N/2 for N = 512: matches the Size::Test LeNet slot count.
-    CkksExec {
-        options: ParOptions::plain_walk(ExecOptions {
-            poly_degree: 256,
-            seed: 99,
-            threads: 1,
-            ..ExecOptions::default()
-        }),
+/// The serial backend at `N = poly_degree` (the program must have `N/2`
+/// slots).
+fn backend(poly_degree: usize, seed: u64) -> ExecOptions {
+    ExecOptions {
+        poly_degree,
+        seed,
+        threads: 1,
+        ..ExecOptions::default()
     }
 }
 
@@ -28,17 +26,9 @@ fn with_output_reserve(waterline: u32, bits: u32) -> Options {
 fn encrypted_sobel_matches_reference() {
     // An 8×8 image is 64 slots, so the backend degree is N = 128.
     let program = fhe_reserve::workloads::image::sobel(8);
-    let ckks = CkksExec {
-        options: ParOptions::plain_walk(ExecOptions {
-            poly_degree: 128,
-            seed: 1,
-            threads: 1,
-            ..ExecOptions::default()
-        }),
-    };
     let inputs = fhe_reserve::workloads::image::image_inputs(8, 5);
     let compiled = compile(&program, &with_output_reserve(30, 4)).unwrap();
-    let run = ckks.execute(&compiled.scheduled, &inputs).unwrap();
+    let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(128, 1)).unwrap();
     outputs_close(&run.outputs, &run.reference, 1e-2)
         .unwrap_or_else(|e| panic!("sobel encrypted: {e}"));
 }
@@ -49,7 +39,7 @@ fn encrypted_linear_regression_trains() {
     let program = fhe_reserve::workloads::regression::linear(n, 2);
     let inputs = fhe_reserve::workloads::regression::linear_inputs(n, 21);
     let compiled = compile(&program, &with_output_reserve(35, 4)).unwrap();
-    let run = exec().execute(&compiled.scheduled, &inputs).unwrap();
+    let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 99)).unwrap();
     outputs_close(&run.outputs, &run.reference, 1e-2)
         .unwrap_or_else(|e| panic!("regression encrypted: {e}"));
     // The decrypted weight must match the plaintext-trained weight.
@@ -84,7 +74,7 @@ fn encrypted_execution_agrees_across_compilers() {
     let mut outs = Vec::new();
     for c in &compilers {
         let compiled = c.compile(&program, &params).unwrap();
-        let run = exec().execute(&compiled.scheduled, &inputs).unwrap();
+        let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 99)).unwrap();
         outputs_close(&run.outputs, &run.reference, 1e-2)
             .unwrap_or_else(|e| panic!("{}: {e}", c.name()));
         outs.push(run.outputs);
@@ -103,16 +93,50 @@ fn encrypted_tiny_lenet_runs_all_eleven_levels() {
     // Depth 11 with a large waterline keeps levels deep — the heaviest
     // encrypted test in the suite.
     let compiled = compile(&program, &with_output_reserve(30, 4)).unwrap();
-    let ckks = CkksExec {
-        options: ParOptions::plain_walk(ExecOptions {
-            poly_degree: 256,
-            seed: 4,
-            threads: 1,
-            ..ExecOptions::default()
-        }),
-    };
-    let run = ckks.execute(&compiled.scheduled, &inputs).unwrap();
+    let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 4)).unwrap();
     outputs_close(&run.outputs, &run.reference, 0.05)
         .unwrap_or_else(|e| panic!("lenet encrypted: {e}"));
-    assert!(run.trace.ops_executed > 100);
+    assert!(run.ops_executed > 100);
+}
+
+#[test]
+fn encrypted_run_evaluates_plain_sub_expressions_in_the_clear() {
+    // Every compiler's cleanup folds plain-only arithmetic into constants,
+    // so only a hand-written schedule makes the executor's prologue evaluate
+    // it: a rotated constant vector and a constant × constant product, each
+    // feeding a cipher op. (No other encrypted case has an `Op::Rotate` — or
+    // any arithmetic — on a plain value.)
+    use fhe_reserve::ir::{InputSpec, Op};
+    let slots = 64;
+    let ramp: Vec<f64> = (0..slots).map(|i| i as f64 / slots as f64).collect();
+    let mut p = Program::new("plain-subexpr", slots);
+    let x = p.push(Op::Input { name: "x".into() });
+    let c = p.push(Op::Const {
+        value: ramp.clone().into(),
+    });
+    let rotated = p.push(Op::Rotate(c, 3));
+    let half = p.push(Op::Const { value: 0.5.into() });
+    let product = p.push(Op::Mul(half, c));
+    let scaled = p.push(Op::Mul(x, rotated));
+    let sum = p.push(Op::Add(scaled, product));
+    p.set_outputs(vec![sum]);
+    let scheduled = ScheduledProgram {
+        program: p,
+        params: CompileParams::new(30),
+        inputs: vec![InputSpec {
+            scale_bits: 30.into(),
+            level: 2,
+        }],
+    };
+    scheduled.validate().expect("legal by hand");
+
+    let xs: Vec<f64> = (0..slots).map(|i| (i as f64 * 0.3).sin()).collect();
+    let inputs = [("x".to_string(), xs.clone())].into_iter().collect();
+    let run = execute_encrypted(&scheduled, &inputs, &backend(2 * slots, 6)).unwrap();
+    let expected: Vec<f64> = (0..slots)
+        .map(|i| xs[i] * ramp[(i + 3) % slots] + 0.5 * ramp[i])
+        .collect();
+    assert_eq!(run.reference, vec![expected], "the interpreter's answer");
+    outputs_close(&run.outputs, &run.reference, 1e-4)
+        .unwrap_or_else(|e| panic!("plain sub-expressions: {e}"));
 }

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 use fhe_bench::standard_compilers;
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::{CompileParams, CostModel};
-use fhe_runtime::executor::{CkksExec, Executor};
-use fhe_runtime::{microbench, ExecOptions, ParOptions};
+use fhe_runtime::{execute_encrypted, microbench, ExecOptions};
 use fhe_workloads::{suite, Size};
 
 #[test]
@@ -58,18 +57,16 @@ fn span_work_and_measured_latency_agree_on_the_golden_suite() {
                     est.span_us,
                     est.work_us
                 );
-                let run = CkksExec {
-                    options: ParOptions::plain_walk(ExecOptions {
-                        poly_degree: slots * 2,
-                        seed: 5,
-                        threads: 1,
-                        rotation_hoisting: false,
-                        ..ExecOptions::default()
-                    }),
-                }
-                .execute(&compiled.scheduled, &w.inputs)
-                .unwrap_or_else(|e| panic!("{} on {}: {e:?}", compiler.name(), w.name));
-                let measured_us = run.trace.op_time.as_secs_f64() * 1e6;
+                let backend = ExecOptions {
+                    poly_degree: slots * 2,
+                    seed: 5,
+                    threads: 1,
+                    rotation_hoisting: false,
+                    ..ExecOptions::default()
+                };
+                let run = execute_encrypted(&compiled.scheduled, &w.inputs, &backend)
+                    .unwrap_or_else(|e| panic!("{} on {}: {e:?}", compiler.name(), w.name));
+                let measured_us = run.op_time.as_secs_f64() * 1e6;
                 if est.work_us <= 1.15 * measured_us {
                     ok = true;
                     break;
