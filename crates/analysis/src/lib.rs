@@ -26,9 +26,10 @@
 //!   `fhe_ir::depgraph` — that any topological-order-respecting parallel
 //!   execution is race-free under the runtime's last-use freeing and pool
 //!   recycling; and
-//! - [`passes`] plugging all of it into the `fhe_ir::pipeline` so every
-//!   compiler's [`CompileReport`](fhe_ir::CompileReport) carries findings,
-//!   a TV verdict, and a parallelism profile.
+//! - [`passes`], the tail every compiler ends with, running all of it over
+//!   the finished schedule so every
+//!   [`CompileReport`](fhe_ir::CompileReport) carries findings, a TV
+//!   verdict, and a parallelism profile.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,6 +48,6 @@ pub use interval::{Interval, IntervalDomain};
 pub use lint::{explain, lint_scheduled, registry, LintInfo, LintOptions};
 pub use noise::{select_waterline, MagnitudeSource, NoiseDomain};
 pub use parallel::{SafetyReport, Violation};
-pub use passes::{with_verification, DepGraphPass, LintPass, TranslationValidatePass};
+pub use passes::finish_verified;
 pub use render::{render_finding, render_parse_error, SourceMap};
 pub use tv::{validate, TvMismatch, TvReport};

@@ -28,9 +28,9 @@
 //!
 //! A schedule that fails (for instance a DAG built from true dependences
 //! only, via [`fhe_ir::DepGraph::build_true_deps`]) yields one
-//! [`Violation`] per unordered hazard; `DepGraphPass` surfaces those as
-//! `F008` findings, since an unordered read/free pair is the parallel form
-//! of the premature-free lint.
+//! [`Violation`] per unordered hazard; the compile's `depgraph` phase
+//! surfaces those as `F008` findings, since an unordered read/free pair is
+//! the parallel form of the premature-free lint.
 
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::{Op, ScheduledProgram, ValueId};

@@ -1,198 +1,137 @@
-//! Pipeline integration: [`DepGraphPass`], [`LintPass`] and
-//! [`TranslationValidatePass`] plug the analyses into any compiler's
-//! [`PassManager`] sequence, recording findings, the parallelism profile,
-//! and the TV verdict in the shared [`PassCx`] so they surface in the
-//! uniform `CompileReport`. [`with_verification`] appends the three in the
-//! order every compiler runs them.
+//! The verification tail every compile ends with. [`finish_verified`] runs
+//! the analyses over a finished schedule as three recorded phases —
+//! `depgraph`, `lint`, `translation-validate` — leaving findings, the
+//! parallelism profile and the TV verdict in the compile's [`PassCx`], and
+//! assembles the uniform `Compiled` artifact from it.
 
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::diag::{Finding, Severity, TvVerdict};
-use fhe_ir::pipeline::{Pass, PassCx, PassError, PassIr, PassKind, PassManager};
-use fhe_ir::Program;
+use fhe_ir::pipeline::{diagnostics, CompileError, Compiled, PassCx, PassKind};
+use fhe_ir::{Program, ScaleMap, ScheduledProgram};
 
 use crate::lint::{lint_scheduled, LintOptions};
 use crate::parallel;
 use crate::tv;
 
-/// Appends the verification tail every compiler ends its pipeline with:
-/// [`DepGraphPass`], [`LintPass`] under default options, and
-/// [`TranslationValidatePass`] against `source`, the program the pipeline
-/// is about to compile. What runs after scale management is decided here,
-/// once, for the reserve compiler, EVA and Hecate alike.
-pub fn with_verification(pipeline: PassManager, source: &Program) -> PassManager {
-    pipeline
-        .with(DepGraphPass)
-        .with(LintPass::default())
-        .with(TranslationValidatePass::new(source.clone()))
-}
-
-/// Lints the scheduled program and records findings in the context.
+/// Ends a compile of `source` into `scheduled`: validates the schedule,
+/// profiles its dependence DAG, lints it under default options, proves it
+/// against `source`, and builds the [`Compiled`] artifact. What runs after
+/// scale management is decided here, once, for the reserve compiler, EVA
+/// and Hecate alike.
 ///
-/// Never fails the pipeline: an invalid schedule is the `validate` pass's
-/// job to reject, so this pass notes the skip and moves on.
-#[derive(Debug, Clone, Default)]
-pub struct LintPass {
-    /// Input-range assumptions for the magnitude analysis.
-    pub options: LintOptions,
-}
-
-impl LintPass {
-    /// A lint pass with the given options.
-    pub fn new(options: LintOptions) -> Self {
-        LintPass { options }
-    }
-}
-
-impl Pass for LintPass {
-    fn name(&self) -> &str {
-        "lint"
-    }
-
-    fn kind(&self) -> PassKind {
-        PassKind::Analysis
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let scheduled = ir.try_scheduled("lint")?;
-        match lint_scheduled(&scheduled, &self.options) {
-            Ok(findings) => {
-                if !findings.is_empty() {
-                    cx.note(format!("{} finding(s)", findings.len()));
-                }
-                for f in findings {
-                    cx.finding(f);
-                }
-            }
-            Err(_) => cx.note("skipped: schedule does not validate"),
+/// # Errors
+///
+/// Fails (as pass `"validate"`, before any analysis runs) when the schedule
+/// is illegal — a compiler bug, surfaced rather than panicked on so fuzzing
+/// can observe it.
+pub fn finish_verified(
+    cx: &mut PassCx,
+    source: &Program,
+    scheduled: ScheduledProgram,
+) -> Result<Compiled, CompileError> {
+    let map = scheduled
+        .validate()
+        .map_err(|errs| cx.error("validate", diagnostics(&errs)))?;
+    cx.record("depgraph", PassKind::Analysis, |cx| {
+        depgraph(cx, &scheduled, &map);
+        Ok(())
+    })?;
+    cx.record("lint", PassKind::Analysis, |cx| {
+        let findings =
+            lint_scheduled(&scheduled, &LintOptions::default()).map_err(|e| diagnostics(&e))?;
+        if !findings.is_empty() {
+            cx.note(format!("{} finding(s)", findings.len()));
         }
-        Ok(PassIr::Scheduled(scheduled))
-    }
+        findings.into_iter().for_each(|f| cx.finding(f));
+        Ok(())
+    })?;
+    cx.record("translation-validate", PassKind::Check, |cx| {
+        translation_validate(cx, source, &scheduled);
+        Ok(())
+    })?;
+    Ok(cx.finish(scheduled, &map))
 }
 
 /// Builds the dependence DAG of the schedule, notes its work/span/width
-/// profile and leaves it in the context as a
-/// [`ParallelismEstimate`](fhe_ir::depgraph::ParallelismEstimate) artifact
-/// (the `CompileReport`'s `parallelism`), and proves the schedule race-free
-/// for topological-order parallel execution via [`parallel::check`].
+/// profile and leaves it in [`PassCx::parallelism`], and proves the
+/// schedule race-free for topological-order parallel execution via
+/// [`parallel::check`].
 ///
-/// Never fails the pipeline: the profile is informative and a safety
+/// Never fails the compile: the profile is informative and a safety
 /// violation is surfaced as an `F008` error finding (the parallel form of
 /// the premature-free lint) for the fuzz oracle and the lint CLI to gate
 /// on. The graph is built with rotation hoisting on, matching the compile
 /// report's memory model and the runtime's default.
-#[derive(Debug, Clone, Default)]
-pub struct DepGraphPass;
-
-impl Pass for DepGraphPass {
-    fn name(&self) -> &str {
-        "depgraph"
-    }
-
-    fn kind(&self) -> PassKind {
-        PassKind::Analysis
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let scheduled = ir.try_scheduled("depgraph")?;
-        let Ok(map) = scheduled.validate() else {
-            cx.note("skipped: schedule does not validate");
-            return Ok(PassIr::Scheduled(scheduled));
-        };
-        let graph = DepGraph::build(&scheduled, &map, &cx.cost_model, true);
-        let est = graph.estimate();
+fn depgraph(cx: &mut PassCx, scheduled: &ScheduledProgram, map: &ScaleMap) {
+    let graph = DepGraph::build(scheduled, map, &cx.cost_model, true);
+    let est = graph.estimate();
+    cx.note(format!(
+        "work {:.1}us, span {:.1}us, parallelism {:.2}x, max width {}",
+        est.work_us,
+        est.span_us,
+        est.parallelism(),
+        est.max_width
+    ));
+    cx.parallelism = Some(est);
+    let safety = parallel::check(scheduled, &graph, true);
+    if safety.race_free() {
         cx.note(format!(
-            "work {:.1}us, span {:.1}us, parallelism {:.2}x, max width {}",
-            est.work_us,
-            est.span_us,
-            est.parallelism(),
-            est.max_width
+            "parallel-safety: proved race-free ({} obligation(s), {} freed value(s))",
+            safety.obligations, safety.freed_values
         ));
-        cx.put(est);
-        let safety = parallel::check(&scheduled, &graph, true);
-        if safety.race_free() {
-            cx.note(format!(
-                "parallel-safety: proved race-free ({} obligation(s), {} freed value(s))",
-                safety.obligations, safety.freed_values
-            ));
-        } else {
-            cx.note(format!(
-                "parallel-safety: {} unordered hazard(s)",
-                safety.violations.len()
-            ));
-            for v in &safety.violations {
-                let at = match v {
-                    parallel::Violation::ReadAfterFree { reader, .. } => *reader,
-                    parallel::Violation::UnorderedGroupWriter { member, .. } => *member,
-                };
-                cx.finding(
-                    Finding::new("F008", Severity::Error, format!("parallel hazard: {v}")).at(at),
-                );
-            }
+    } else {
+        cx.note(format!(
+            "parallel-safety: {} unordered hazard(s)",
+            safety.violations.len()
+        ));
+        for v in &safety.violations {
+            let at = match v {
+                parallel::Violation::ReadAfterFree { reader, .. } => *reader,
+                parallel::Violation::UnorderedGroupWriter { member, .. } => *member,
+            };
+            cx.finding(
+                Finding::new("F008", Severity::Error, format!("parallel hazard: {v}")).at(at),
+            );
         }
-        Ok(PassIr::Scheduled(scheduled))
     }
 }
 
 /// Proves the scheduled program bisimulates the source modulo scale
-/// management, storing a [`TvVerdict`] artifact and — on mismatch — an
-/// `F000` error finding.
+/// management, leaving a [`TvVerdict`] in [`PassCx::tv`] and — on mismatch
+/// — an `F000` error finding.
 ///
 /// A mismatch does *not* abort compilation: the verdict is recorded so the
 /// fuzz oracle can observe it as a divergence and the lint CLI can render
 /// it as a diagnostic.
-#[derive(Debug, Clone)]
-pub struct TranslationValidatePass {
-    source: Program,
-}
-
-impl TranslationValidatePass {
-    /// A TV pass checking against `source` (the pre-compilation program).
-    pub fn new(source: Program) -> Self {
-        TranslationValidatePass { source }
-    }
-}
-
-impl Pass for TranslationValidatePass {
-    fn name(&self) -> &str {
-        "translation-validate"
-    }
-
-    fn kind(&self) -> PassKind {
-        PassKind::Check
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let scheduled = ir.try_scheduled("translation-validate")?;
-        match tv::validate(&self.source, &scheduled) {
-            Ok(report) => {
-                cx.note(format!(
-                    "bisimulation: {} op(s) matched, {} scale-management op(s) stripped",
-                    report.matched, report.scale_management_ops
-                ));
-                cx.put(TvVerdict::pass());
-            }
-            Err(mismatch) => {
-                cx.note(format!("MISMATCH: {mismatch}"));
-                let mut finding = Finding::new(
-                    "F000",
-                    Severity::Error,
-                    format!("translation validation failed: {mismatch}"),
-                );
-                if let Some(op) = mismatch.scheduled_op {
-                    finding = finding.at(op);
-                }
-                cx.finding(finding);
-                cx.put(TvVerdict::fail(mismatch.to_string()));
-            }
+fn translation_validate(cx: &mut PassCx, source: &Program, scheduled: &ScheduledProgram) {
+    match tv::validate(source, scheduled) {
+        Ok(report) => {
+            cx.note(format!(
+                "bisimulation: {} op(s) matched, {} scale-management op(s) stripped",
+                report.matched, report.scale_management_ops
+            ));
+            cx.tv = Some(TvVerdict::pass());
         }
-        Ok(PassIr::Scheduled(scheduled))
+        Err(mismatch) => {
+            cx.note(format!("MISMATCH: {mismatch}"));
+            let mut finding = Finding::new(
+                "F000",
+                Severity::Error,
+                format!("translation validation failed: {mismatch}"),
+            );
+            if let Some(op) = mismatch.scheduled_op {
+                finding = finding.at(op);
+            }
+            cx.finding(finding);
+            cx.tv = Some(TvVerdict::fail(mismatch.to_string()));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fhe_ir::{Builder, CompileParams, CostModel, Frac, InputSpec, Op, ScheduledProgram};
+    use fhe_ir::{Builder, CompileParams, CostModel, Frac, InputSpec, Op};
 
     fn source() -> Program {
         let b = Builder::new("p", 4);
@@ -223,45 +162,37 @@ mod tests {
         }
     }
 
-    fn run(s: ScheduledProgram) -> (PassCx, fhe_ir::pipeline::PipelineTrace) {
-        let mut cx = PassCx::new(CompileParams::new(30), CostModel::paper_table3());
-        let mut pm = PassManager::new()
-            .with(LintPass::default())
-            .with(TranslationValidatePass::new(source()));
-        let (_, trace) = pm.run(PassIr::Scheduled(s), &mut cx).unwrap();
-        (cx, trace)
+    fn run(s: ScheduledProgram) -> (PassCx, Result<Compiled, CompileError>) {
+        let mut cx = PassCx::new("test", CostModel::paper_table3());
+        let out = finish_verified(&mut cx, &source(), s);
+        (cx, out)
     }
 
     #[test]
-    fn faithful_schedule_passes_both_passes() {
-        let (cx, trace) = run(schedule(false));
-        assert_eq!(cx.get::<TvVerdict>(), Some(&TvVerdict::pass()));
-        assert!(cx.findings().is_empty(), "{:?}", cx.findings());
-        let note = &trace.pass("translation-validate").unwrap().notes[0];
+    fn faithful_schedule_passes_every_phase() {
+        let report = run(schedule(false)).1.unwrap().report;
+        assert_eq!(report.translation_validated, Some(true));
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let note = &report.trace.pass("translation-validate").unwrap().notes[0];
         assert!(note.starts_with("bisimulation:"), "{note}");
     }
 
     #[test]
     fn mismatch_records_f000_without_aborting() {
-        let (cx, _) = run(schedule(true));
-        let v = cx.get::<TvVerdict>().unwrap();
-        assert!(!v.validated);
-        assert_eq!(cx.findings().len(), 1);
-        assert_eq!(cx.findings()[0].code, "F000");
-        assert_eq!(cx.findings()[0].severity, Severity::Error);
+        let report = run(schedule(true)).1.unwrap().report;
+        assert_eq!(report.translation_validated, Some(false));
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].code, "F000");
+        assert_eq!(report.findings[0].severity, Severity::Error);
     }
 
     #[test]
-    fn depgraph_pass_notes_the_profile_and_proves_safety() {
-        let mut cx = PassCx::new(CompileParams::new(30), CostModel::paper_table3());
-        let mut pm = PassManager::new().with(DepGraphPass);
-        let (_, trace) = pm.run(PassIr::Scheduled(schedule(false)), &mut cx).unwrap();
-        assert!(cx.findings().is_empty(), "{:?}", cx.findings());
-        let est = cx
-            .get::<fhe_ir::ParallelismEstimate>()
-            .expect("the profile is left for `finish_compiled`");
+    fn depgraph_phase_notes_the_profile_and_proves_safety() {
+        let report = run(schedule(false)).1.unwrap().report;
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let est = &report.parallelism;
         assert!(est.work_us > 0.0 && est.span_us > 0.0, "{est:?}");
-        let notes = &trace.pass("depgraph").unwrap().notes;
+        let notes = &report.trace.pass("depgraph").unwrap().notes;
         assert!(notes[0].starts_with("work "), "{notes:?}");
         assert!(
             notes.iter().any(|n| n.contains("proved race-free")),
@@ -270,8 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn depgraph_pass_skips_an_invalid_schedule() {
-        // Mismatched add scales: validation fails, the pass notes the skip.
+    fn an_invalid_schedule_is_rejected_as_validate_before_any_analysis_runs() {
+        // Mismatched add scales.
         let mut p = Program::new("bad", 4);
         let x = p.push(Op::Input { name: "x".into() });
         let m = p.push(Op::Mul(x, x));
@@ -285,10 +216,13 @@ mod tests {
                 level: 2,
             }],
         };
-        let mut cx = PassCx::new(CompileParams::new(30), CostModel::paper_table3());
-        let mut pm = PassManager::new().with(DepGraphPass);
-        let (_, trace) = pm.run(PassIr::Scheduled(s), &mut cx).unwrap();
-        let notes = &trace.pass("depgraph").unwrap().notes;
-        assert_eq!(notes[0], "skipped: schedule does not validate");
+        let (cx, out) = run(s);
+        let err = out.unwrap_err();
+        assert_eq!(
+            (err.compiler.as_str(), err.error.pass.as_str()),
+            ("test", "validate")
+        );
+        assert!(!err.error.diagnostics.is_empty());
+        assert!(cx.trace().passes.is_empty(), "{}", cx.trace().summary());
     }
 }

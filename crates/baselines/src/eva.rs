@@ -1,37 +1,14 @@
 //! The EVA baseline: conservative forward static scale analysis
 //! (Dathathri et al., PLDI'20, as summarized in the paper's §3.1).
 
-use std::time::Instant;
-
-use fhe_analysis::with_verification;
-use fhe_ir::pipeline::{
-    finish_compiled, CleanupPass, CompileError, Compiled, Pass, PassCx, PassError, PassIr,
-    PassManager, ScaleCompiler,
-};
+use fhe_analysis::finish_verified;
+use fhe_ir::pipeline::{CompileError, Compiled, PassCx, PassKind, ScaleCompiler};
 use fhe_ir::{CompileParams, CostModel, Program};
 
 use crate::forward::{legalize, ForwardPlan};
 
 /// EVA's label in the paper's tables.
 pub const NAME: &str = "EVA";
-
-/// Forward waterline legalization with the empty (all-lazy) plan.
-#[derive(Debug, Clone, Copy)]
-struct LegalizePass;
-
-impl Pass for LegalizePass {
-    fn name(&self) -> &str {
-        "legalize"
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let program = ir.try_source("legalize")?;
-        let scheduled = legalize(&program, &cx.params, &ForwardPlan::empty(program.num_ops()))
-            .map_err(|e| PassError::new("legalize", format!("{e:?}")))?;
-        cx.add_iterations(1);
-        Ok(PassIr::Scheduled(scheduled))
-    }
-}
 
 /// Compiles with EVA's waterline-driven forward analysis.
 ///
@@ -40,19 +17,16 @@ impl Pass for LegalizePass {
 /// Fails (in pass `"legalize"`) when the program's accumulated scale
 /// requires more levels than `params.max_level`.
 pub fn compile(program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
-    let t_total = Instant::now();
-    let mut cx = PassCx::new(*params, CostModel::paper_table3());
-    let pipeline = PassManager::new().with(CleanupPass).with(LegalizePass);
-    let (ir, trace) = with_verification(pipeline, program)
-        .run(PassIr::Source(program.clone()), &mut cx)
-        .map_err(|e| CompileError::in_compiler(NAME, e))?;
-    let scheduled = ir
-        .try_scheduled("finish")
-        .map_err(|e| CompileError::in_compiler(NAME, e))?;
-    let ops_before = trace
-        .pass("legalize")
-        .map_or(program.num_ops(), |r| r.ops_before);
-    finish_compiled(NAME, scheduled, trace, &cx, t_total.elapsed(), ops_before)
+    let mut cx = PassCx::new(NAME, CostModel::paper_table3());
+    let cleaned = cx.cleanup(program);
+    // Forward waterline legalization with the empty (all-lazy) plan.
+    let scheduled = cx.record("legalize", PassKind::ScaleManagement, |cx| {
+        cx.iterations += 1;
+        legalize(&cleaned, params, &ForwardPlan::empty(cleaned.num_ops()))
+            .map_err(|e| vec![format!("{e:?}")])
+    })?;
+    cx.rewrote_schedule(&scheduled);
+    finish_verified(&mut cx, program, scheduled)
 }
 
 /// EVA behind the workspace-wide [`ScaleCompiler`] trait.

@@ -9,16 +9,11 @@
 //! analysis derives statically — at the cost of thousands of legalize+score
 //! iterations, which is exactly the compile-time gap Table 4 measures.
 
-use std::time::Instant;
-
-use fhe_analysis::with_verification;
+use fhe_analysis::finish_verified;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fhe_ir::pipeline::{
-    finish_compiled, CleanupPass, CompileError, Compiled, Pass, PassCx, PassError, PassIr,
-    PassManager, ScaleCompiler,
-};
+use fhe_ir::pipeline::{CompileError, Compiled, PassCx, PassKind, ScaleCompiler};
 use fhe_ir::{passes, CompileParams, CostModel, Program, ScheduledProgram};
 
 use crate::forward::{legalize, ForwardPlan};
@@ -47,103 +42,94 @@ impl Default for HecateOptions {
     }
 }
 
-/// The hill-climbing search over [`ForwardPlan`]s, as one pipeline pass.
-#[derive(Debug, Clone)]
-struct ExplorePass {
-    options: HecateOptions,
-}
+/// The hill-climbing search over [`ForwardPlan`]s: the body of the
+/// `explore` phase. Fails when even the empty (EVA) plan does not legalize.
+fn explore(
+    cleaned: &Program,
+    params: &CompileParams,
+    options: &HecateOptions,
+    cx: &mut PassCx,
+) -> Result<ScheduledProgram, Vec<String>> {
+    let cost_model = &cx.cost_model;
 
-impl Pass for ExplorePass {
-    fn name(&self) -> &str {
-        "explore"
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let cleaned = ir.try_source("explore")?;
-        let options = &self.options;
-        let params = cx.params;
-        let cost_model = cx.cost_model.clone();
-
-        // Hecate runs its optimization passes (CSE, DCE) inside every
-        // explored iteration "to precisely reflect the explored performance"
-        // (§8.1) — that per-iteration weight is part of the compile-time gap
-        // Table 4 measures, so we reproduce it here.
-        let score = |s: &ScheduledProgram| -> f64 {
-            let cleaned = passes::cleanup(&s.program);
-            let candidate = if cleaned.inputs().len() == s.inputs.len() {
-                ScheduledProgram {
-                    program: cleaned,
-                    params: s.params,
-                    inputs: s.inputs.clone(),
-                }
-            } else {
-                s.clone() // cleanup dropped a dead input; score the original
-            };
-            match candidate.validate() {
-                Ok(map) => cost_model.program_cost(&candidate.program, &map),
-                Err(_) => f64::INFINITY,
+    // Hecate runs its optimization passes (CSE, DCE) inside every
+    // explored iteration "to precisely reflect the explored performance"
+    // (§8.1) — that per-iteration weight is part of the compile-time gap
+    // Table 4 measures, so we reproduce it here.
+    let score = |s: &ScheduledProgram| -> f64 {
+        let cleaned = passes::cleanup(&s.program);
+        let candidate = if cleaned.inputs().len() == s.inputs.len() {
+            ScheduledProgram {
+                program: cleaned,
+                params: s.params,
+                inputs: s.inputs.clone(),
             }
+        } else {
+            s.clone() // cleanup dropped a dead input; score the original
         };
+        match candidate.validate() {
+            Ok(map) => cost_model.program_cost(&candidate.program, &map),
+            Err(_) => f64::INFINITY,
+        }
+    };
 
-        // Candidate points: use edges carrying live ciphertext operands.
-        let live = fhe_ir::analysis::live(&cleaned);
-        let mut points: Vec<usize> = Vec::new();
-        for id in cleaned.ids() {
-            if !live[id.index()] || cleaned.is_plain(id) {
-                continue;
-            }
-            for (slot, operand) in cleaned.op(id).operands().enumerate() {
-                if cleaned.is_cipher(operand) {
-                    points.push(2 * id.index() + slot);
-                }
+    // Candidate points: use edges carrying live ciphertext operands.
+    let live = fhe_ir::analysis::live(cleaned);
+    let mut points: Vec<usize> = Vec::new();
+    for id in cleaned.ids() {
+        if !live[id.index()] || cleaned.is_plain(id) {
+            continue;
+        }
+        for (slot, operand) in cleaned.op(id).operands().enumerate() {
+            if cleaned.is_cipher(operand) {
+                points.push(2 * id.index() + slot);
             }
         }
-
-        let mut best_plan = ForwardPlan::empty(cleaned.num_ops());
-        let mut best = legalize(&cleaned, &params, &best_plan)
-            .map_err(|e| PassError::new("explore", format!("{e:?}")))?;
-        let mut best_cost = score(&best);
-        let mut iterations = 1usize;
-        let mut since_improvement = 0usize;
-        let mut rng = StdRng::seed_from_u64(options.seed);
-
-        while iterations < options.max_iterations && since_improvement < options.patience {
-            // Mutate 1–3 random points of the incumbent plan.
-            let mut candidate = best_plan.clone();
-            let mutations = rng.gen_range(1..=3usize);
-            for _ in 0..mutations {
-                if points.is_empty() {
-                    break;
-                }
-                let p = points[rng.gen_range(0..points.len())];
-                candidate.edge[p] = rng.gen_range(0..=ForwardPlan::MAX_CHOICE);
-            }
-            if candidate == best_plan {
-                iterations += 1;
-                since_improvement += 1;
-                continue;
-            }
-            iterations += 1;
-            match legalize(&cleaned, &params, &candidate) {
-                Ok(s) => {
-                    let c = score(&s);
-                    if c < best_cost {
-                        best_cost = c;
-                        best = s;
-                        best_plan = candidate;
-                        since_improvement = 0;
-                    } else {
-                        since_improvement += 1;
-                    }
-                }
-                Err(_) => since_improvement += 1,
-            }
-        }
-
-        cx.add_iterations(iterations);
-        cx.note(format!("{iterations} candidate plan(s) explored"));
-        Ok(PassIr::Scheduled(best))
     }
+
+    let mut best_plan = ForwardPlan::empty(cleaned.num_ops());
+    let mut best = legalize(cleaned, params, &best_plan).map_err(|e| vec![format!("{e:?}")])?;
+    let mut best_cost = score(&best);
+    let mut iterations = 1usize;
+    let mut since_improvement = 0usize;
+    let mut rng = StdRng::seed_from_u64(options.seed);
+
+    while iterations < options.max_iterations && since_improvement < options.patience {
+        // Mutate 1–3 random points of the incumbent plan.
+        let mut candidate = best_plan.clone();
+        let mutations = rng.gen_range(1..=3usize);
+        for _ in 0..mutations {
+            if points.is_empty() {
+                break;
+            }
+            let p = points[rng.gen_range(0..points.len())];
+            candidate.edge[p] = rng.gen_range(0..=ForwardPlan::MAX_CHOICE);
+        }
+        if candidate == best_plan {
+            iterations += 1;
+            since_improvement += 1;
+            continue;
+        }
+        iterations += 1;
+        match legalize(cleaned, params, &candidate) {
+            Ok(s) => {
+                let c = score(&s);
+                if c < best_cost {
+                    best_cost = c;
+                    best = s;
+                    best_plan = candidate;
+                    since_improvement = 0;
+                } else {
+                    since_improvement += 1;
+                }
+            }
+            Err(_) => since_improvement += 1,
+        }
+    }
+
+    cx.iterations += iterations;
+    cx.note(format!("{iterations} candidate plan(s) explored"));
+    Ok(best)
 }
 
 /// Compiles with Hecate-style hill-climbing exploration.
@@ -157,21 +143,13 @@ pub fn compile(
     params: &CompileParams,
     options: &HecateOptions,
 ) -> Result<Compiled, CompileError> {
-    let t_total = Instant::now();
-    let mut cx = PassCx::new(*params, CostModel::paper_table3());
-    let pipeline = PassManager::new().with(CleanupPass).with(ExplorePass {
-        options: options.clone(),
-    });
-    let (ir, trace) = with_verification(pipeline, program)
-        .run(PassIr::Source(program.clone()), &mut cx)
-        .map_err(|e| CompileError::in_compiler(NAME, e))?;
-    let scheduled = ir
-        .try_scheduled("finish")
-        .map_err(|e| CompileError::in_compiler(NAME, e))?;
-    let ops_before = trace
-        .pass("explore")
-        .map_or(program.num_ops(), |r| r.ops_before);
-    finish_compiled(NAME, scheduled, trace, &cx, t_total.elapsed(), ops_before)
+    let mut cx = PassCx::new(NAME, CostModel::paper_table3());
+    let cleaned = cx.cleanup(program);
+    let scheduled = cx.record("explore", PassKind::ScaleManagement, |cx| {
+        explore(&cleaned, params, options, cx)
+    })?;
+    cx.rewrote_schedule(&scheduled);
+    finish_verified(&mut cx, program, scheduled)
 }
 
 /// Hecate behind the workspace-wide [`ScaleCompiler`] trait.

@@ -9,9 +9,9 @@
 //!
 //! Both share the [`forward`] legalizer and emit [`fhe_ir::ScheduledProgram`]s
 //! checked by the same validator as the reserve compiler, so latency, error
-//! and compile-time comparisons are apples-to-apples. Both run on the
-//! workspace-wide instrumented pass pipeline ([`fhe_ir::pipeline`]) and are
-//! exposed behind the [`ScaleCompiler`] trait as [`EvaCompiler`] and
+//! and compile-time comparisons are apples-to-apples. Both record their
+//! phases through the workspace-wide compile context ([`fhe_ir::pipeline`])
+//! and are exposed behind the [`ScaleCompiler`] trait as [`EvaCompiler`] and
 //! [`HecateCompiler`], reporting the same [`CompileReport`] as the reserve
 //! compiler.
 //!

@@ -2,24 +2,19 @@
 //! type checking → placement → hoisting, with the paper's BA / RA / full
 //! ablation modes (§8.3).
 //!
-//! The driver is a [`PassManager`] pipeline (see [`fhe_ir::pipeline`]):
-//! each phase is a [`Pass`] and the per-phase timing that used to be
-//! hand-rolled `Instant` bookkeeping now falls out of the recorded
-//! [`PipelineTrace`]. [`ReserveCompiler`] exposes the whole thing behind
-//! the workspace-wide [`ScaleCompiler`] trait.
+//! [`compile`] is that sequence as one function over typed locals; each
+//! phase runs inside [`PassCx::record`] (see [`fhe_ir::pipeline`]), so the
+//! per-phase timing is the recorded `PipelineTrace`. [`ReserveCompiler`]
+//! exposes the whole thing behind the workspace-wide [`ScaleCompiler`]
+//! trait.
 
-use std::time::Instant;
-
-use fhe_analysis::with_verification;
-use fhe_ir::pipeline::{
-    finish_compiled, CleanupPass, CompileError, Compiled, Pass, PassCx, PassError, PassIr,
-    PassKind, PassManager, PipelineTrace, ScaleCompiler,
-};
+use fhe_analysis::finish_verified;
+use fhe_ir::pipeline::{diagnostics, CompileError, Compiled, PassCx, PassKind, ScaleCompiler};
 use fhe_ir::{CompileParams, CostModel, Program};
 
-use crate::alloc::{allocate, ReserveSolution};
+use crate::alloc::allocate;
 use crate::hoist::hoist;
-use crate::ordering::{allocation_order, naive_order, AllocationOrder};
+use crate::ordering::{allocation_order, naive_order};
 use crate::placement::place;
 use crate::types;
 
@@ -98,135 +93,6 @@ impl Options {
     }
 }
 
-/// §6.1 visit ordering: computes the [`AllocationOrder`] artifact.
-#[derive(Debug, Clone, Copy)]
-struct OrderPass {
-    strategy: OrderingStrategy,
-}
-
-impl Pass for OrderPass {
-    fn name(&self) -> &str {
-        "order"
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let order = match self.strategy {
-            OrderingStrategy::CostPriority => {
-                allocation_order(ir.program(), &cx.params, &cx.cost_model)
-            }
-            OrderingStrategy::ReverseTopological => naive_order(ir.program()),
-        };
-        cx.put(order);
-        Ok(ir)
-    }
-}
-
-/// Backward reserve allocation (§6), optionally with redistribution (§6.2).
-#[derive(Debug, Clone, Copy)]
-struct AllocPass {
-    redistribute: bool,
-}
-
-impl Pass for AllocPass {
-    fn name(&self) -> &str {
-        "alloc"
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let order = cx
-            .take::<AllocationOrder>()
-            .ok_or_else(|| PassError::new("alloc", "order pass did not run"))?;
-        let solution = allocate(ir.program(), &cx.params, &order, self.redistribute);
-        cx.add_iterations(1);
-        cx.put(solution);
-        Ok(ir)
-    }
-}
-
-/// §7 type checking of the reserve solution against the program.
-#[derive(Debug, Clone, Copy)]
-struct TypeCheckPass;
-
-impl Pass for TypeCheckPass {
-    fn name(&self) -> &str {
-        "typecheck"
-    }
-
-    fn kind(&self) -> PassKind {
-        PassKind::Check
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let solution = cx
-            .get::<ReserveSolution>()
-            .ok_or_else(|| PassError::new("typecheck", "alloc pass did not run"))?;
-        let errs = types::check(ir.program(), &cx.params, solution);
-        if !errs.is_empty() {
-            return Err(PassError::with_diagnostics("typecheck", &errs));
-        }
-        Ok(ir)
-    }
-}
-
-/// Materializes the certified solution as explicit scale-management ops.
-#[derive(Debug, Clone, Copy)]
-struct PlacePass;
-
-impl Pass for PlacePass {
-    fn name(&self) -> &str {
-        "place"
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let program = ir.try_source("place")?;
-        let solution = cx
-            .get::<ReserveSolution>()
-            .ok_or_else(|| PassError::new("place", "alloc pass did not run"))?;
-        Ok(PassIr::Scheduled(place(&program, &cx.params, solution)))
-    }
-}
-
-/// §6.3 rescale hoisting over the scheduled program.
-#[derive(Debug, Clone, Copy)]
-struct HoistPass;
-
-impl Pass for HoistPass {
-    fn name(&self) -> &str {
-        "hoist"
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let mut scheduled = ir.try_scheduled("hoist")?;
-        let n = hoist(&mut scheduled, &cx.cost_model);
-        cx.hoists += n;
-        cx.note(format!("{n} rescale(s) hoisted"));
-        Ok(PassIr::Scheduled(scheduled))
-    }
-}
-
-/// Builds the reserve pipeline for `options` (without running it).
-fn pipeline_for(options: &Options) -> PassManager {
-    let mut pm = PassManager::new()
-        .with(CleanupPass)
-        .with(OrderPass {
-            strategy: options.ordering,
-        })
-        .with(AllocPass {
-            redistribute: options.mode.redistribute(),
-        })
-        .with(TypeCheckPass)
-        .with(PlacePass);
-    if options.mode.hoist() {
-        pm = pm.with(HoistPass);
-    }
-    pm
-}
-
-/// Op count entering scale management (i.e. after cleanup).
-fn ops_entering_scale_management(trace: &PipelineTrace, fallback: usize) -> usize {
-    trace.pass("order").map_or(fallback, |r| r.ops_before)
-}
-
 /// Compiles a program with the reserve pipeline.
 ///
 /// # Errors
@@ -235,17 +101,54 @@ fn ops_entering_scale_management(trace: &PipelineTrace, fallback: usize) -> usiz
 /// given parameters (most commonly: multiplicative depth needs more than
 /// `params.max_level` levels).
 pub fn compile(program: &Program, options: &Options) -> Result<Compiled, CompileError> {
-    let label = options.mode.label();
-    let t_total = Instant::now();
-    let mut cx = PassCx::new(options.params, options.cost_model.clone());
-    let (ir, trace) = with_verification(pipeline_for(options), program)
-        .run(PassIr::Source(program.clone()), &mut cx)
-        .map_err(|e| CompileError::in_compiler(label, e))?;
-    let scheduled = ir
-        .try_scheduled("finish")
-        .map_err(|e| CompileError::in_compiler(label, e))?;
-    let ops_before = ops_entering_scale_management(&trace, program.num_ops());
-    finish_compiled(label, scheduled, trace, &cx, t_total.elapsed(), ops_before)
+    use PassKind::{Check, ScaleManagement};
+    let (params, mode) = (&options.params, options.mode);
+    let mut cx = PassCx::new(mode.label(), options.cost_model.clone());
+    // The cleaned program, order and solution die with this block: held
+    // through the verification tail they add ~2 MB to the peak of a LeNet-5
+    // compile (`lenet-compile` `peak_mem_mb` 102.5 against 100.5).
+    let mut scheduled = {
+        let cleaned = cx.cleanup(program);
+        // §6.1 visit ordering.
+        let order = cx.record("order", ScaleManagement, |cx| {
+            Ok(match options.ordering {
+                OrderingStrategy::CostPriority => {
+                    allocation_order(&cleaned, params, &cx.cost_model)
+                }
+                OrderingStrategy::ReverseTopological => naive_order(&cleaned),
+            })
+        })?;
+        // Backward reserve allocation (§6), with redistribution (§6.2) past BA.
+        let solution = cx.record("alloc", ScaleManagement, |cx| {
+            cx.iterations += 1;
+            Ok(allocate(&cleaned, params, &order, mode.redistribute()))
+        })?;
+        // §7 type checking of the reserve solution against the program.
+        cx.record("typecheck", Check, |_| {
+            let errs = types::check(&cleaned, params, &solution);
+            if errs.is_empty() {
+                Ok(())
+            } else {
+                Err(diagnostics(&errs))
+            }
+        })?;
+        // The certified solution as explicit scale-management ops.
+        cx.record("place", ScaleManagement, |_| {
+            Ok(place(&cleaned, params, &solution))
+        })?
+    };
+    cx.rewrote_schedule(&scheduled);
+    if mode.hoist() {
+        // §6.3 rescale hoisting over the scheduled program.
+        cx.record("hoist", ScaleManagement, |cx| {
+            let n = hoist(&mut scheduled, &cx.cost_model);
+            cx.hoists += n;
+            cx.note(format!("{n} rescale(s) hoisted"));
+            Ok(())
+        })?;
+        cx.rewrote_schedule(&scheduled);
+    }
+    finish_verified(&mut cx, program, scheduled)
 }
 
 /// The reserve compiler behind the workspace-wide [`ScaleCompiler`] trait.

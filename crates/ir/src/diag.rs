@@ -1,7 +1,7 @@
 //! Compiler diagnostics: lint findings and translation-validation verdicts.
 //!
-//! Analysis passes (see the `fhe-analysis` crate) attach [`Finding`]s to the
-//! running [`PassCx`](crate::pipeline::PassCx); the pipeline surfaces them in
+//! The analysis phases (see the `fhe-analysis` crate) attach [`Finding`]s to
+//! the compile's [`PassCx`](crate::pipeline::PassCx), which surfaces them in
 //! the [`CompileReport`](crate::pipeline::CompileReport) so every harness —
 //! the `lint` CLI, the benchmark tables, the fuzz oracle — sees the same
 //! diagnostics without re-running the analyses.
@@ -95,8 +95,9 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Result of the translation-validation pass, stored on the pass context's
-/// blackboard and surfaced in the compile report.
+/// Result of the translation-validation phase, left in
+/// [`PassCx::tv`](crate::pipeline::PassCx::tv) and surfaced in the compile
+/// report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TvVerdict {
     /// Whether the scheduled program was proven equal to the source modulo

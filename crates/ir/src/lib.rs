@@ -16,10 +16,10 @@
 //! - the RNS-CKKS legality validator ([`ScheduledProgram::validate`]), the
 //!   shared correctness oracle for compiled programs;
 //! - the latency [`CostModel`] seeded with the paper's Table 3; and
-//! - the instrumented [`pipeline`] every compiler is built on: a [`Pass`]
-//!   sequence run by a [`PassManager`] recording a [`PipelineTrace`], with
-//!   all compilers unified behind the [`ScaleCompiler`] trait producing a
-//!   uniform [`CompileReport`].
+//! - the instrumented [`pipeline`] every compiler is built on: a compile
+//!   context ([`PassCx`]) recording each phase into a [`PipelineTrace`],
+//!   with all compilers unified behind the [`ScaleCompiler`] trait
+//!   producing a uniform [`CompileReport`].
 //!
 //! # Example
 //!
@@ -67,8 +67,8 @@ pub use memory::{estimate_memory, MemoryEstimate};
 pub use op::{ConstValue, Op, OperandIter, ValueId};
 pub use params::CompileParams;
 pub use pipeline::{
-    CompileError, CompileReport, Compiled, Pass, PassCx, PassError, PassIr, PassKind, PassManager,
-    PassRecord, PipelineTrace, ScaleCompiler,
+    CompileError, CompileReport, Compiled, PassCx, PassError, PassKind, PassRecord, PipelineTrace,
+    ScaleCompiler,
 };
 pub use program::{Program, ProgramEditor};
 pub use schedule::{InputSpec, ScaleMap, ScheduleError, ScheduledProgram};

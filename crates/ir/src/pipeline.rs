@@ -1,13 +1,13 @@
-//! The instrumented pass-pipeline architecture shared by every compiler.
+//! The instrumented compile context shared by every compiler.
 //!
 //! Every scale-management compiler in the workspace (the reserve compiler,
-//! EVA, Hecate) is a named sequence of [`Pass`]es executed by a
-//! [`PassManager`]. The manager records per-pass wall time, op-count and
-//! level deltas, and diagnostics into a [`PipelineTrace`], so each
-//! compiler's internal phases are observable without touching its
-//! algorithms — and so the paper's Table 4 columns (scale-management time
-//! vs total time) fall out of the trace instead of hand-rolled `Instant`
-//! bookkeeping.
+//! EVA, Hecate) is one straight-line function over typed locals. Each of
+//! its phases runs inside [`PassCx::record`], which times it and pushes a
+//! [`PassRecord`] — name, [`PassKind`], wall time, op-count and level
+//! deltas, notes — onto the [`PipelineTrace`] the context is building, so
+//! each compiler's internal phases are observable without touching its
+//! algorithms and the paper's Table 4 columns (scale-management time vs
+//! total time) fall out of the trace.
 //!
 //! The compilers themselves are unified behind [`ScaleCompiler`]: one trait
 //! method compiles a [`Program`] under [`CompileParams`] into a
@@ -18,104 +18,38 @@
 //!
 //! # Example
 //!
-//! A two-pass pipeline over closures:
+//! Two recorded phases, one rewriting the program and one analysing it:
 //!
 //! ```
-//! use fhe_ir::pipeline::{PassCx, PassIr, PassKind, PassManager};
-//! use fhe_ir::{passes, Builder, CompileParams, CostModel};
+//! use fhe_ir::pipeline::{PassCx, PassKind};
+//! use fhe_ir::{Builder, CostModel};
 //!
 //! let b = Builder::new("t", 4);
 //! let x = b.input("x");
 //! let p = b.finish(vec![x.clone() * x.clone() + x.clone() * x]);
 //!
-//! let mut cx = PassCx::new(CompileParams::new(20), CostModel::paper_table3());
-//! let mut pm = PassManager::new()
-//!     .with_fn("cleanup", PassKind::Cleanup, |ir, _cx| {
-//!         Ok(PassIr::Source(passes::cleanup(ir.program())))
-//!     })
-//!     .with_fn("count", PassKind::Analysis, |ir, cx| {
-//!         cx.note(format!("{} ops survive", ir.num_ops()));
-//!         Ok(ir)
-//!     });
-//! let (ir, trace) = pm.run(PassIr::Source(p), &mut cx).unwrap();
+//! let mut cx = PassCx::new("demo", CostModel::paper_table3());
+//! let cleaned = cx.cleanup(&p);
+//! cx.record("count", PassKind::Analysis, |cx| {
+//!     cx.note(format!("{} ops survive", cleaned.num_ops()));
+//!     Ok(())
+//! })
+//! .unwrap();
+//! let trace = cx.trace();
 //! assert_eq!(trace.passes.len(), 2);
 //! assert!(trace.passes[0].ops_after < trace.passes[0].ops_before);
-//! assert!(ir.num_ops() > 0);
+//! assert_eq!(trace.passes[1].notes, ["3 ops survive"]);
 //! ```
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
+use crate::depgraph::ParallelismEstimate;
 use crate::diag::{Finding, TvVerdict};
 use crate::params::CompileParams;
 use crate::program::Program;
-use crate::schedule::ScheduledProgram;
-
-/// The IR a pass consumes and produces: a source program before scale
-/// management, or a scheduled program after rescale placement.
-#[derive(Debug, Clone)]
-pub enum PassIr {
-    /// Arithmetic program without scale-management ops.
-    Source(Program),
-    /// Compiled program with scale management and input encodings.
-    Scheduled(ScheduledProgram),
-}
-
-impl PassIr {
-    /// The underlying program, whichever stage the IR is at.
-    pub fn program(&self) -> &Program {
-        match self {
-            PassIr::Source(p) => p,
-            PassIr::Scheduled(s) => &s.program,
-        }
-    }
-
-    /// Op count of the underlying program.
-    pub fn num_ops(&self) -> usize {
-        self.program().num_ops()
-    }
-
-    /// The maximum ciphertext level, once the IR is scheduled and legal.
-    pub fn max_level(&self) -> Option<u32> {
-        match self {
-            PassIr::Source(_) => None,
-            PassIr::Scheduled(s) => s.validate().ok().map(|m| m.max_level()),
-        }
-    }
-
-    /// Unwraps the source program, or errors in the named pass.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the IR has already been scheduled.
-    pub fn try_source(self, pass: &str) -> Result<Program, PassError> {
-        match self {
-            PassIr::Source(p) => Ok(p),
-            PassIr::Scheduled(_) => Err(PassError::new(
-                pass,
-                "expected a source program, found a scheduled program",
-            )),
-        }
-    }
-
-    /// Unwraps the scheduled program, or errors in the named pass.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the IR has not been scheduled yet.
-    pub fn try_scheduled(self, pass: &str) -> Result<ScheduledProgram, PassError> {
-        match self {
-            PassIr::Scheduled(s) => Ok(s),
-            PassIr::Source(_) => Err(PassError::new(
-                pass,
-                "expected a scheduled program, found a source program",
-            )),
-        }
-    }
-}
+use crate::schedule::{ScaleMap, ScheduledProgram};
 
 /// What a pass contributes to; drives the [`PipelineTrace`] time split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,24 +85,6 @@ pub struct PassError {
     pub diagnostics: Vec<String>,
 }
 
-impl PassError {
-    /// A single-diagnostic error.
-    pub fn new(pass: impl Into<String>, diagnostic: impl Into<String>) -> Self {
-        PassError {
-            pass: pass.into(),
-            diagnostics: vec![diagnostic.into()],
-        }
-    }
-
-    /// An error from a list of diagnostics (e.g. type errors).
-    pub fn with_diagnostics<D: fmt::Debug>(pass: impl Into<String>, errs: &[D]) -> Self {
-        PassError {
-            pass: pass.into(),
-            diagnostics: errs.iter().map(|e| format!("{e:?}")).collect(),
-        }
-    }
-}
-
 impl fmt::Display for PassError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -186,39 +102,132 @@ impl fmt::Display for PassError {
 
 impl std::error::Error for PassError {}
 
-/// Shared state threaded through a pipeline run: compilation parameters,
-/// the cost model, cross-pass artifacts, and instrumentation counters.
+/// One diagnostic line per error (e.g. type errors, validator errors), in
+/// the form a failing phase hands to [`PassCx::record`].
+pub fn diagnostics<D: fmt::Debug>(errs: &[D]) -> Vec<String> {
+    errs.iter().map(|e| format!("{e:?}")).collect()
+}
+
+/// The state of one compile: the cost model, instrumentation counters, and
+/// the [`PipelineTrace`] its phases are recorded into.
 #[derive(Debug)]
 pub struct PassCx {
-    /// RNS-CKKS compilation parameters (waterline, `R`, max level).
-    pub params: CompileParams,
-    /// Latency model passes may consult (ordering, hoisting, scoring).
+    /// Latency model phases may consult (ordering, hoisting, scoring).
     pub cost_model: CostModel,
     /// Candidate plans evaluated (Hecate's `# Iters`; 1 for direct
-    /// compilers). Passes add to it via [`PassCx::add_iterations`].
+    /// compilers).
     pub iterations: usize,
-    /// Rescale hoists applied (reserve pipeline; 0 elsewhere).
+    /// Rescale hoists applied (reserve compiler; 0 elsewhere).
     pub hoists: usize,
+    /// The schedule's dependence-DAG profile, set by the `depgraph` phase
+    /// and reported as [`CompileReport::parallelism`].
+    pub parallelism: Option<ParallelismEstimate>,
+    /// The translation-validation verdict, set by the
+    /// `translation-validate` phase and reported as
+    /// [`CompileReport::translation_validated`].
+    pub tv: Option<TvVerdict>,
+    compiler: String,
+    started: Instant,
+    // Shape of the IR as the last recorded phase left it.
+    ops: usize,
+    max_level: Option<u32>,
+    // Op count entering scale management (after cleanup).
+    ops_cleaned: usize,
+    trace: PipelineTrace,
     notes: Vec<String>,
     findings: Vec<Finding>,
-    artifacts: HashMap<TypeId, Box<dyn Any>>,
 }
 
 impl PassCx {
-    /// A fresh context with zeroed counters and an empty blackboard.
-    pub fn new(params: CompileParams, cost_model: CostModel) -> Self {
+    /// Starts a compile by `compiler` (its label in reports and errors):
+    /// zeroed counters, an empty trace, and the total-time clock running.
+    pub fn new(compiler: impl Into<String>, cost_model: CostModel) -> Self {
         PassCx {
-            params,
             cost_model,
             iterations: 0,
             hoists: 0,
+            parallelism: None,
+            tv: None,
+            compiler: compiler.into(),
+            started: Instant::now(),
+            ops: 0,
+            max_level: None,
+            ops_cleaned: 0,
+            trace: PipelineTrace::default(),
             notes: Vec::new(),
             findings: Vec::new(),
-            artifacts: HashMap::new(),
         }
     }
 
-    /// Attaches a diagnostic note to the currently running pass's record.
+    /// Runs one phase of the compile: times `phase` and pushes its
+    /// [`PassRecord`] under `name`, with the notes the phase attached. A
+    /// phase that rewrote the IR is followed by
+    /// [`PassCx::rewrote_schedule`]; otherwise the record shows the op
+    /// count and level unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The diagnostics `phase` fails with, as a [`CompileError`] naming this
+    /// compiler and `name`; nothing is recorded for a failed phase.
+    pub fn record<T>(
+        &mut self,
+        name: &str,
+        kind: PassKind,
+        phase: impl FnOnce(&mut PassCx) -> Result<T, Vec<String>>,
+    ) -> Result<T, CompileError> {
+        let t0 = Instant::now();
+        let out = phase(self);
+        let wall = t0.elapsed();
+        let out = out.map_err(|diagnostics| self.error(name, diagnostics))?;
+        self.push(name, kind, wall);
+        Ok(out)
+    }
+
+    fn push(&mut self, name: &str, kind: PassKind, wall: Duration) {
+        self.trace.passes.push(PassRecord {
+            name: name.to_string(),
+            kind,
+            wall,
+            ops_before: self.ops,
+            ops_after: self.ops,
+            max_level_before: self.max_level,
+            max_level_after: self.max_level,
+            notes: std::mem::take(&mut self.notes),
+        });
+    }
+
+    /// The phase just recorded left `scheduled` as the IR: its record and
+    /// every later one show this op count and — when the schedule is legal
+    /// — this maximum level. Costs one validator walk, outside the phase's
+    /// wall time.
+    pub fn rewrote_schedule(&mut self, scheduled: &ScheduledProgram) {
+        let max_level = scheduled.validate().ok().map(|m| m.max_level());
+        self.rewrote(scheduled.program.num_ops(), max_level);
+    }
+
+    fn rewrote(&mut self, ops: usize, max_level: Option<u32>) {
+        self.ops = ops;
+        self.max_level = max_level;
+        if let Some(last) = self.trace.passes.last_mut() {
+            last.ops_after = ops;
+            last.max_level_after = max_level;
+        }
+    }
+
+    /// The shared `cleanup` phase (CSE/DCE/folding to fixpoint) every
+    /// compiler runs before scale management, so op counts stay comparable
+    /// (§8.1). The cleaned program's op count is the report's `ops_before`.
+    pub fn cleanup(&mut self, program: &Program) -> Program {
+        self.ops = program.num_ops();
+        let t0 = Instant::now();
+        let cleaned = crate::passes::cleanup(program);
+        self.push("cleanup", PassKind::Cleanup, t0.elapsed());
+        self.ops_cleaned = cleaned.num_ops();
+        self.rewrote(self.ops_cleaned, None);
+        cleaned
+    }
+
+    /// Attaches a diagnostic note to the currently running phase's record.
     pub fn note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
     }
@@ -229,76 +238,50 @@ impl PassCx {
         self.findings.push(finding);
     }
 
-    /// Findings recorded so far across all passes.
-    pub fn findings(&self) -> &[Finding] {
-        &self.findings
+    /// The phases recorded so far.
+    pub fn trace(&self) -> &PipelineTrace {
+        &self.trace
     }
 
-    /// Counts candidate plans evaluated by the current pass.
-    pub fn add_iterations(&mut self, n: usize) {
-        self.iterations += n;
+    /// A failure of this compile in the phase `pass`.
+    pub fn error(&self, pass: &str, diagnostics: Vec<String>) -> CompileError {
+        CompileError {
+            compiler: self.compiler.clone(),
+            error: PassError {
+                pass: pass.to_string(),
+                diagnostics,
+            },
+        }
     }
 
-    /// Stores a cross-pass artifact, keyed by type (e.g. an allocation
-    /// order or a reserve solution). Replaces any previous value of `T`.
-    pub fn put<T: Any>(&mut self, artifact: T) {
-        self.artifacts.insert(TypeId::of::<T>(), Box::new(artifact));
-    }
-
-    /// Borrows a previously stored artifact.
-    pub fn get<T: Any>(&self) -> Option<&T> {
-        self.artifacts
-            .get(&TypeId::of::<T>())
-            .and_then(|a| a.downcast_ref())
-    }
-
-    /// Removes and returns a previously stored artifact.
-    pub fn take<T: Any>(&mut self) -> Option<T> {
-        self.artifacts
-            .remove(&TypeId::of::<T>())
-            .and_then(|a| a.downcast().ok())
-            .map(|b| *b)
-    }
-}
-
-/// One compiler phase: a named transformation over [`PassIr`].
-pub trait Pass {
-    /// The pass's name as shown in traces (e.g. `"alloc"`, `"hoist"`).
-    fn name(&self) -> &str;
-
-    /// What the pass's time is attributed to.
-    fn kind(&self) -> PassKind {
-        PassKind::ScaleManagement
-    }
-
-    /// Runs the pass.
-    ///
-    /// # Errors
-    ///
-    /// Implementations fail with a [`PassError`] naming themselves.
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError>;
-}
-
-struct FnPass<F> {
-    name: String,
-    kind: PassKind,
-    f: F,
-}
-
-impl<F> Pass for FnPass<F>
-where
-    F: FnMut(PassIr, &mut PassCx) -> Result<PassIr, PassError>,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> PassKind {
-        self.kind
-    }
-
-    fn run(&mut self, ir: PassIr, cx: &mut PassCx) -> Result<PassIr, PassError> {
-        (self.f)(ir, cx)
+    /// Assembles the uniform [`Compiled`] artifact, moving the trace and
+    /// the findings out of the context: derives the Table 4 columns from
+    /// the trace and the counters, and estimates latency under the
+    /// context's cost model. `map` is `scheduled`'s validation result.
+    pub fn finish(&mut self, scheduled: ScheduledProgram, map: &ScaleMap) -> Compiled {
+        let total_time = self.started.elapsed();
+        let trace = std::mem::take(&mut self.trace);
+        // The report's static bounds assume rotation hoisting, the runtime's
+        // default (`ExecOptions::rotation_hoisting`).
+        let memory =
+            crate::memory::estimate_memory(&scheduled, map, 2 * scheduled.program.slots(), true);
+        let report = CompileReport {
+            compiler: self.compiler.clone(),
+            scale_management_time: trace.scale_management_time(),
+            total_time,
+            iterations: self.iterations.max(1),
+            ops_before: self.ops_cleaned,
+            ops_after: scheduled.program.num_ops(),
+            hoists: self.hoists,
+            estimated_latency_us: self.cost_model.program_cost(&scheduled.program, map),
+            max_level: map.max_level(),
+            findings: std::mem::take(&mut self.findings),
+            translation_validated: self.tv.as_ref().map(|v| v.validated),
+            memory,
+            parallelism: self.parallelism.take().unwrap_or_default(),
+            trace,
+        };
+        Compiled { scheduled, report }
     }
 }
 
@@ -343,7 +326,8 @@ impl PassRecord {
     }
 }
 
-/// The instrumentation a [`PassManager`] run produces: one record per pass.
+/// The instrumentation one compile produces: one record per phase, in the
+/// order [`PassCx::record`] ran them.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineTrace {
     /// Executed passes, in order.
@@ -381,125 +365,6 @@ impl PipelineTrace {
     }
 }
 
-/// Executes a named sequence of passes, recording a [`PipelineTrace`].
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl fmt::Debug for PassManager {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
-        f.debug_struct("PassManager")
-            .field("passes", &names)
-            .finish()
-    }
-}
-
-impl PassManager {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a pass (builder style).
-    pub fn with(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends a closure as a pass (builder style).
-    pub fn with_fn(
-        self,
-        name: impl Into<String>,
-        kind: PassKind,
-        f: impl FnMut(PassIr, &mut PassCx) -> Result<PassIr, PassError> + 'static,
-    ) -> Self {
-        self.with(FnPass {
-            name: name.into(),
-            kind,
-            f,
-        })
-    }
-
-    /// Runs every pass in sequence, threading `cx` through, and returns the
-    /// final IR plus the per-pass trace.
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and returns) the first pass failure.
-    pub fn run(
-        &mut self,
-        mut ir: PassIr,
-        cx: &mut PassCx,
-    ) -> Result<(PassIr, PipelineTrace), PassError> {
-        let mut trace = PipelineTrace::default();
-        let mut level_before = ir.max_level();
-        for pass in &mut self.passes {
-            let ops_before = ir.num_ops();
-            cx.notes.clear();
-            let t0 = Instant::now();
-            ir = pass.run(ir, cx)?;
-            let wall = t0.elapsed();
-            let max_level_after = ir.max_level();
-            trace.passes.push(PassRecord {
-                name: pass.name().to_string(),
-                kind: pass.kind(),
-                wall,
-                ops_before,
-                ops_after: ir.num_ops(),
-                max_level_before: level_before,
-                max_level_after,
-                notes: std::mem::take(&mut cx.notes),
-            });
-            level_before = max_level_after;
-        }
-        Ok((ir, trace))
-    }
-}
-
-/// The shared cleanup pass (CSE/DCE/folding to fixpoint) every compiler
-/// runs before scale management, so op counts stay comparable (§8.1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CleanupPass;
-
-impl Pass for CleanupPass {
-    fn name(&self) -> &str {
-        "cleanup"
-    }
-
-    fn kind(&self) -> PassKind {
-        PassKind::Cleanup
-    }
-
-    fn run(&mut self, ir: PassIr, _cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let p = ir.try_source("cleanup")?;
-        Ok(PassIr::Source(crate::passes::cleanup(&p)))
-    }
-}
-
-/// Validates the scheduled program; fails with the validator's errors.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ValidatePass;
-
-impl Pass for ValidatePass {
-    fn name(&self) -> &str {
-        "validate"
-    }
-
-    fn kind(&self) -> PassKind {
-        PassKind::Check
-    }
-
-    fn run(&mut self, ir: PassIr, _cx: &mut PassCx) -> Result<PassIr, PassError> {
-        let s = ir.try_scheduled("validate")?;
-        if let Err(errs) = s.validate() {
-            return Err(PassError::with_diagnostics("validate", &errs));
-        }
-        Ok(PassIr::Scheduled(s))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Unified compiler artifacts.
 // ---------------------------------------------------------------------------
@@ -532,7 +397,8 @@ pub struct CompileReport {
     pub findings: Vec<Finding>,
     /// Translation-validation verdict: `Some(true)` when the scheduled
     /// program was proven equal to the source modulo scale management,
-    /// `Some(false)` on a mismatch, `None` when the pass did not run.
+    /// `Some(false)` on a mismatch, `None` when no translation validation
+    /// ran.
     pub translation_validated: Option<bool>,
     /// Static peak-memory bound of the scheduled program (assuming the
     /// runtime convention `N = 2 × slots`). The fuzz oracle asserts this
@@ -540,7 +406,7 @@ pub struct CompileReport {
     pub memory: crate::memory::MemoryEstimate,
     /// Static parallelism profile of the schedule's dependence DAG:
     /// work/span, maximum width, and the `T(k)` latency-at-width curve —
-    /// the depgraph pass's artifact, or the default when none ran.
+    /// the `depgraph` phase's, or the default when none ran.
     /// The fuzz oracle asserts span ≤ work and that a single-threaded
     /// measured run dominates the calibrated span.
     pub parallelism: crate::depgraph::ParallelismEstimate,
@@ -564,16 +430,6 @@ pub struct CompileError {
     pub compiler: String,
     /// The failing pass and its diagnostics.
     pub error: PassError,
-}
-
-impl CompileError {
-    /// Wraps a pass failure with the compiler's name.
-    pub fn in_compiler(compiler: impl Into<String>, error: PassError) -> Self {
-        CompileError {
-            compiler: compiler.into(),
-            error,
-        }
-    }
 }
 
 impl fmt::Display for CompileError {
@@ -604,62 +460,6 @@ pub trait ScaleCompiler {
     fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError>;
 }
 
-/// Assembles the uniform [`Compiled`] artifact from a finished pipeline:
-/// validates the schedule, derives the Table 4 columns from the trace and
-/// context counters, and estimates latency under the context's cost model.
-///
-/// # Errors
-///
-/// Fails (as pass `"validate"`) when the schedule is illegal — a compiler
-/// bug, surfaced rather than panicked on so fuzzing can observe it.
-pub fn finish_compiled(
-    compiler: impl Into<String>,
-    scheduled: ScheduledProgram,
-    trace: PipelineTrace,
-    cx: &PassCx,
-    total_time: Duration,
-    ops_before: usize,
-) -> Result<Compiled, CompileError> {
-    let compiler = compiler.into();
-    let map = match scheduled.validate() {
-        Ok(map) => map,
-        Err(errs) => {
-            return Err(CompileError::in_compiler(
-                compiler,
-                PassError::with_diagnostics("validate", &errs),
-            ))
-        }
-    };
-    let estimated_latency_us = cx.cost_model.program_cost(&scheduled.program, &map);
-    // The report's static bounds assume rotation hoisting, the runtime's
-    // default (`ExecOptions::rotation_hoisting`).
-    let memory =
-        crate::memory::estimate_memory(&scheduled, &map, 2 * scheduled.program.slots(), true);
-    // The profile is the depgraph pass's, computed once per compile; like
-    // the TV verdict, a pipeline that ran no such pass reports the default.
-    let parallelism = cx
-        .get::<crate::depgraph::ParallelismEstimate>()
-        .cloned()
-        .unwrap_or_default();
-    let report = CompileReport {
-        compiler,
-        scale_management_time: trace.scale_management_time(),
-        total_time,
-        iterations: cx.iterations.max(1),
-        ops_before,
-        ops_after: scheduled.program.num_ops(),
-        hoists: cx.hoists,
-        estimated_latency_us,
-        max_level: map.max_level(),
-        findings: cx.findings().to_vec(),
-        translation_validated: cx.get::<TvVerdict>().map(|v| v.validated),
-        memory,
-        parallelism,
-        trace,
-    };
-    Ok(Compiled { scheduled, report })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,60 +474,37 @@ mod tests {
     }
 
     fn cx() -> PassCx {
-        PassCx::new(CompileParams::new(20), CostModel::paper_table3())
+        PassCx::new("test", CostModel::paper_table3())
     }
 
     #[test]
-    fn manager_records_op_deltas_and_notes() {
+    fn recorder_records_op_deltas_and_notes() {
         let mut cx = cx();
-        let mut pm =
-            PassManager::new()
-                .with(CleanupPass)
-                .with_fn("tag", PassKind::Analysis, |ir, cx| {
-                    cx.note("hello");
-                    Ok(ir)
-                });
-        let (ir, trace) = pm.run(PassIr::Source(square_sum()), &mut cx).unwrap();
+        let cleaned = cx.cleanup(&square_sum());
+        cx.record("tag", PassKind::Analysis, |cx| {
+            cx.note("hello");
+            Ok(())
+        })
+        .unwrap();
+        let trace = cx.trace();
         assert_eq!(trace.passes.len(), 2);
         let cleanup = trace.pass("cleanup").unwrap();
         assert!(
             cleanup.ops_after < cleanup.ops_before,
             "CSE merged the squares"
         );
-        assert_eq!(trace.pass("tag").unwrap().notes, vec!["hello".to_string()]);
-        assert_eq!(ir.num_ops(), 3); // x, x·x, add
+        let tag = trace.pass("tag").unwrap();
+        assert_eq!(tag.notes, vec!["hello".to_string()]);
+        assert_eq!((tag.ops_before, tag.ops_after), (3, 3));
+        assert_eq!(cleaned.num_ops(), 3); // x, x·x, add
         assert!(trace.total_time() >= trace.scale_management_time());
     }
 
     #[test]
-    fn first_failing_pass_stops_the_pipeline() {
-        let mut cx = cx();
-        let mut pm = PassManager::new()
-            .with_fn("boom", PassKind::ScaleManagement, |_ir, _cx| {
-                Err(PassError::new("boom", "nope"))
-            })
-            .with_fn("unreached", PassKind::ScaleManagement, |ir, _cx| Ok(ir));
-        let err = pm.run(PassIr::Source(square_sum()), &mut cx).unwrap_err();
-        assert_eq!(err.pass, "boom");
-        assert_eq!(err.diagnostics, vec!["nope".to_string()]);
-    }
-
-    #[test]
-    fn blackboard_stores_and_takes_artifacts() {
-        #[derive(Debug, PartialEq)]
-        struct Order(Vec<u32>);
-        let mut cx = cx();
-        cx.put(Order(vec![3, 1, 2]));
-        assert_eq!(cx.get::<Order>(), Some(&Order(vec![3, 1, 2])));
-        assert_eq!(cx.take::<Order>(), Some(Order(vec![3, 1, 2])));
-        assert!(cx.get::<Order>().is_none());
-    }
-
-    #[test]
     fn trace_summary_is_deterministic_and_timeless() {
-        let mut pm = PassManager::new().with(CleanupPass);
-        let (_, trace) = pm.run(PassIr::Source(square_sum()), &mut cx()).unwrap();
-        let s = trace.summary();
+        let mut cx = cx();
+        cx.cleanup(&square_sum());
+        let s = cx.trace().summary();
         assert!(
             s.contains("cleanup [cleanup]: ops 4 -> 3, level - -> -"),
             "got: {s}"
@@ -736,12 +513,5 @@ mod tests {
             !s.contains("µs") && !s.contains("ms"),
             "summaries must omit wall time"
         );
-    }
-
-    #[test]
-    fn stage_mismatch_is_a_pass_error() {
-        let mut pm = PassManager::new().with(ValidatePass);
-        let err = pm.run(PassIr::Source(square_sum()), &mut cx()).unwrap_err();
-        assert_eq!(err.pass, "validate");
     }
 }

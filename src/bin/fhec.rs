@@ -20,8 +20,7 @@
 
 use std::process::ExitCode;
 
-use fhe_reserve::baselines;
-use fhe_reserve::ir::{text, CompileParams, ScheduledProgram};
+use fhe_reserve::ir::text;
 use fhe_reserve::prelude::*;
 use fhe_reserve::runtime::{execute_parallel, ExecOptions, ParOptions};
 
@@ -130,59 +129,40 @@ fn main() -> ExitCode {
         }
     };
 
-    let (scheduled, label, sm_time): (ScheduledProgram, &str, std::time::Duration) =
-        match cli.compiler.as_str() {
-            "eva" => match baselines::eva::compile(&program, &CompileParams::new(cli.waterline)) {
-                Ok(out) => (out.scheduled, "EVA", out.report.scale_management_time),
-                Err(e) => {
-                    eprintln!("EVA: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "hecate" => match baselines::hecate::compile(
-                &program,
-                &CompileParams::new(cli.waterline),
-                &baselines::HecateOptions::default(),
-            ) {
-                Ok(out) => (out.scheduled, "Hecate", out.report.scale_management_time),
-                Err(e) => {
-                    eprintln!("Hecate: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "reserve" => {
-                match fhe_reserve::compiler::compile(
-                    &program,
-                    &Options::with_mode(cli.waterline, cli.mode),
-                ) {
-                    Ok(out) => (out.scheduled, "reserve", out.report.scale_management_time),
-                    Err(e) => {
-                        eprintln!("reserve: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown compiler `{other}` (eva|hecate|reserve)");
-                return ExitCode::from(2);
+    let Some(registered) = fhe_reserve::serve::compiler_for(&cli.compiler) else {
+        eprintln!("unknown compiler `{}` (eva|hecate|reserve)", cli.compiler);
+        return ExitCode::from(2);
+    };
+    // The registry holds the full reserve compiler; `--mode` picks its ablation.
+    let reserve = registered.name() == Mode::Full.label();
+    let compiler: Box<dyn ScaleCompiler> = if reserve {
+        Box::new(ReserveCompiler::with_mode(cli.mode))
+    } else {
+        registered
+    };
+    let label = if reserve { "reserve" } else { compiler.name() };
+    let Compiled { scheduled, report } =
+        match compiler.compile(&program, &CompileParams::new(cli.waterline)) {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("{label}: {e}");
+                return ExitCode::FAILURE;
             }
         };
 
-    let map = scheduled.validate().expect("compiled schedules validate");
     if cli.emit == "text" || cli.emit == "both" {
         print!("{}", text::print(&scheduled.program));
     }
     if cli.emit == "stats" || cli.emit == "both" {
-        let cost = CostModel::paper_table3().program_cost(&scheduled.program, &map);
         let (rs, ms, us) = scheduled.scale_management_counts();
         eprintln!(
             "{label}: W=2^{} level={} ops={} rescale={rs} modswitch={ms} upscale={us} \
              est_latency={:.2}ms sm_time={:?}",
             cli.waterline,
-            map.max_level(),
+            report.max_level,
             scheduled.program.num_ops(),
-            cost / 1000.0,
-            sm_time,
+            report.estimated_latency_us / 1000.0,
+            report.scale_management_time,
         );
         for (i, spec) in scheduled.inputs.iter().enumerate() {
             eprintln!(

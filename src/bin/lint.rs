@@ -68,7 +68,7 @@ fn parse_args() -> Result<Cli, String> {
                 let value = args.next().ok_or("--compiler needs eva|hecate|reserve")?;
                 run.compilers = value.split(',').map(str::to_string).collect();
                 for name in &run.compilers {
-                    if !matches!(name.as_str(), "eva" | "hecate" | "reserve") {
+                    if fhe_reserve::serve::compiler_for(name).is_none() {
                         return Err(format!("unknown compiler `{name}` (eva|hecate|reserve)"));
                     }
                 }

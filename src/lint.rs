@@ -35,19 +35,18 @@ use fhe_analysis::{
     lint_scheduled, render_finding, render_parse_error, validate, IntervalDomain, LintOptions,
     SourceMap,
 };
-use fhe_baselines::{EvaCompiler, HecateCompiler};
 use fhe_fuzz::corpus;
 use fhe_ir::diag::{Finding, Severity};
 use fhe_ir::json::Json;
-use fhe_ir::pipeline::ScaleCompiler;
-use fhe_ir::{text, Frac, InputSpec, Op, Program, ScheduledProgram};
-use reserve_core::ReserveCompiler;
+use fhe_ir::pipeline::Compiled;
+use fhe_ir::{text, CompileParams, Frac, InputSpec, Op, Program, ScheduledProgram};
 
 /// Options for a lint run over files.
 #[derive(Debug, Clone)]
 pub struct LintRun {
-    /// Compilers scheduling compiled-mode files, by name
-    /// (`eva`/`hecate`/`reserve`), in report order.
+    /// Compilers scheduling compiled-mode files, by their
+    /// [`fhe_serve::compiler_for`] id (`eva`/`hecate`/`reserve`), in report
+    /// order.
     pub compilers: Vec<String>,
     /// Assumed input range `[-m, m]` for the magnitude analysis.
     pub input_magnitude: f64,
@@ -244,6 +243,16 @@ fn lint_scheduled_mode(
     }
 }
 
+/// Compiles `program` with the compiler registered under `name`; the error
+/// is the target-level message of a [`TargetReport`] / [`DepTarget`].
+fn compile_with(name: &str, program: &Program, params: &CompileParams) -> Result<Compiled, String> {
+    let compiler = fhe_serve::compiler_for(name)
+        .ok_or_else(|| fhe_serve::ServeError::UnknownCompiler(name.into()).to_string())?;
+    compiler
+        .compile(program, params)
+        .map_err(|e| format!("{name}: {e}"))
+}
+
 /// Compiles the source program with one compiler and lints the schedule.
 fn lint_compiled_mode(
     file: &str,
@@ -252,11 +261,6 @@ fn lint_compiled_mode(
     directives: &Directives,
     options: &LintOptions,
 ) -> TargetReport {
-    let compiler: Box<dyn ScaleCompiler> = match name {
-        "eva" => Box::new(EvaCompiler),
-        "hecate" => Box::new(HecateCompiler::default()),
-        _ => Box::new(ReserveCompiler::full()),
-    };
     let mut params = case.params;
     if !directives.has_explicit_reserve {
         params.output_reserve_bits = params.output_reserve_bits.max(required_output_reserve_bits(
@@ -264,15 +268,15 @@ fn lint_compiled_mode(
             &options.intervals,
         ));
     }
-    let compiled = match compiler.compile(&case.program, &params) {
+    let compiled = match compile_with(name, &case.program, &params) {
         Ok(c) => c,
-        Err(e) => {
+        Err(error) => {
             return TargetReport {
                 target: name.into(),
                 findings: Vec::new(),
                 translation_validated: None,
                 rendered: String::new(),
-                error: Some(format!("{name}: {e}")),
+                error: Some(error),
             }
         }
     };
@@ -451,22 +455,17 @@ pub fn depgraph_file(
     } else {
         run.compilers
             .iter()
-            .map(|name| {
-                let compiler: Box<dyn ScaleCompiler> = match name.as_str() {
-                    "eva" => Box::new(EvaCompiler),
-                    "hecate" => Box::new(HecateCompiler::default()),
-                    _ => Box::new(ReserveCompiler::full()),
-                };
-                match compiler.compile(&case.program, &case.params) {
+            .map(
+                |name| match compile_with(name, &case.program, &case.params) {
                     Ok(c) => analyze_schedule(name, &c.scheduled),
-                    Err(e) => DepTarget {
+                    Err(error) => DepTarget {
                         target: name.clone(),
                         estimate: None,
                         dot: None,
-                        error: Some(format!("{name}: {e}")),
+                        error: Some(error),
                     },
-                }
-            })
+                },
+            )
             .collect()
     };
     DepFileReport {
@@ -582,6 +581,30 @@ mod tests {
                 t.findings
             );
         }
+    }
+
+    #[test]
+    fn an_unknown_compiler_name_is_a_target_error_not_the_reserve_schedule() {
+        let src = "program q(slots=8) {\n  %0 = input \"x\"\n  %1 = mul %0, %0\n  return %1\n}\n";
+        let run = LintRun {
+            compilers: vec!["evaa".into(), "eva".into()],
+            ..LintRun::default()
+        };
+        let lint = lint_file("q.fhe", src, &run);
+        let model = fhe_ir::CostModel::paper_table3();
+        let dep = depgraph_file("q.fhe", src, &run, &model, false);
+        let errors = [
+            (&lint.targets[0].error, &lint.targets[1].error),
+            (&dep.targets[0].error, &dep.targets[1].error),
+        ];
+        for (unknown, known) in errors {
+            let unknown = unknown.as_deref().expect("`evaa` names no compiler");
+            assert!(unknown.contains("unknown compiler `evaa`"), "{unknown}");
+            assert_eq!(*known, None);
+        }
+        assert_eq!(lint.targets[0].translation_validated, None);
+        assert!(dep.targets[0].estimate.is_none());
+        assert!(lint.has_error());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Golden-file regression tests of the per-pass pipeline traces: the
 //! op-count/level deltas each compiler's passes report for the paper's
-//! worked example and two workloads must match the checked-in snapshots,
-//! asserting the pass-pipeline refactor stays behavior-preserving. If a
-//! compiler change legitimately alters a trace, regenerate with:
+//! worked example and two workloads must match the checked-in snapshots.
+//! If a compiler change legitimately alters a trace, regenerate with:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test golden_traces
@@ -91,4 +90,67 @@ fn mlp_trace_is_stable_under_all_compilers() {
 fn regression_trace_is_stable_under_all_compilers() {
     let program = fhe_reserve::workloads::regression::linear(64, 2);
     check("trace_regression_w30.txt", trace_all(&program, 30));
+}
+
+/// The three programs above, with the waterline their snapshot uses.
+fn golden_programs() -> [(Program, u32); 3] {
+    [
+        (fig2a(), 20),
+        (fhe_reserve::workloads::mlp::mlp(64, 4, 3), 30),
+        (fhe_reserve::workloads::regression::linear(64, 2), 30),
+    ]
+}
+
+fn pass_names(trace: &PipelineTrace) -> Vec<&str> {
+    trace.passes.iter().map(|r| r.name.as_str()).collect()
+}
+
+/// The snapshots pin `Mode::Full` only; BA and RA run the same phases
+/// without `hoist`, under the same names the harness looks up.
+#[test]
+fn ablation_modes_record_fulls_passes_minus_hoist() {
+    for (program, waterline) in golden_programs() {
+        let params = CompileParams::new(waterline);
+        let full = ReserveCompiler::full().compile(&program, &params).unwrap();
+        let mut expected = pass_names(&full.report.trace);
+        expected.retain(|&name| name != "hoist");
+        assert_eq!(expected.len() + 1, full.report.trace.passes.len());
+        for mode in [Mode::Ba, Mode::Ra] {
+            let out = ReserveCompiler::with_mode(mode)
+                .compile(&program, &params)
+                .unwrap();
+            assert_eq!(pass_names(&out.report.trace), expected, "{mode:?}");
+            assert_eq!(out.report.hoists, 0, "{mode:?}");
+        }
+    }
+}
+
+/// The report's Table 4 columns are the trace read back, for every
+/// compiler and ablation mode.
+#[test]
+fn report_columns_agree_with_the_trace() {
+    let mut all = compilers();
+    all.push(Box::new(ReserveCompiler::with_mode(Mode::Ba)));
+    all.push(Box::new(ReserveCompiler::with_mode(Mode::Ra)));
+    for (program, waterline) in golden_programs() {
+        for compiler in &all {
+            let report = compiler
+                .compile(&program, &CompileParams::new(waterline))
+                .expect("compiles")
+                .report;
+            let who = format!("{} on {}", compiler.name(), program.name());
+            let trace = &report.trace;
+            let cleanup = trace.pass("cleanup").expect("every compiler cleans up");
+            assert_eq!(report.ops_before, cleanup.ops_after, "{who}");
+            let last = trace.passes.last().unwrap();
+            assert_eq!(Some(report.max_level), last.max_level_after, "{who}");
+            let scale_management: std::time::Duration = trace
+                .passes
+                .iter()
+                .filter(|r| r.kind == fhe_reserve::ir::PassKind::ScaleManagement)
+                .map(|r| r.wall)
+                .sum();
+            assert_eq!(report.scale_management_time, scale_management, "{who}");
+        }
+    }
 }

@@ -282,3 +282,30 @@ fn input_named_and_editor_outputs() {
     let out = ed.finish_with_outputs(vec![ny]);
     assert_eq!(out.outputs(), &[ny]);
 }
+
+/// The failing pass's name is what the fuzz oracle's `Divergence` location
+/// and `ServeError` messages are built from.
+#[test]
+fn too_deep_a_program_fails_in_each_compilers_own_pass() {
+    let b = Builder::new("deep", 4);
+    let mut acc = b.input("x");
+    for _ in 0..8 {
+        acc = acc.clone() * acc;
+    }
+    let program = b.finish(vec![acc]);
+    let mut params = CompileParams::new(50);
+    params.max_level = 3;
+    let cases: [(Box<dyn ScaleCompiler>, &str); 5] = [
+        (Box::new(ReserveCompiler::with_mode(Mode::Ba)), "typecheck"),
+        (Box::new(ReserveCompiler::with_mode(Mode::Ra)), "typecheck"),
+        (Box::new(ReserveCompiler::full()), "typecheck"),
+        (Box::new(EvaCompiler), "legalize"),
+        (Box::new(HecateCompiler::with_budget(20)), "explore"),
+    ];
+    for (compiler, pass) in cases {
+        let err = compiler.compile(&program, &params).unwrap_err();
+        assert_eq!(err.compiler, compiler.name());
+        assert_eq!(err.error.pass, pass, "{err}");
+        assert!(!err.error.diagnostics.is_empty(), "{err}");
+    }
+}
