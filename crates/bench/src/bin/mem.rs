@@ -148,7 +148,7 @@ fn main() -> ExitCode {
 
     let n = slots * 2;
     let level = compiled.report.max_level as usize;
-    let one_key = 2 * level * (level + 1) * n * 8;
+    let one_key = fhe_ckks::ksw_key_limbs(level) * n * 8;
     let rows = [
         run_policy(
             &compiled.scheduled,

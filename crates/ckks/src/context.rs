@@ -22,7 +22,8 @@ pub struct CkksParams {
     pub max_level: usize,
     /// Size of each chain prime in bits (the nominal `log₂ R`).
     pub modulus_bits: u32,
-    /// Size of the key-switching special prime `P` in bits.
+    /// Size of each key-switching special prime in bits. A context builds
+    /// `α = ⌈L/3⌉` of them ([`special_prime_count`]); their product is `P`.
     pub special_bits: u32,
     /// Standard deviation of the RLWE error distribution.
     pub error_std: f64,
@@ -61,24 +62,82 @@ impl CkksParams {
     }
 }
 
+/// Most digits a key switch splits a polynomial into. The chain is cut into
+/// groups of `α = ⌈L/3⌉` consecutive primes, and keys are built over `α`
+/// special primes (hybrid key switching): three digits at the top level,
+/// fewer below it.
+const KEY_SWITCH_DIGITS: usize = 3;
+
+/// `α`, the number of special primes (and the primes per key-switch digit)
+/// of a chain of `max_level` primes: `⌈L/3⌉`. At `L ≤ 3` it is 1, one
+/// single-prime digit per chain prime.
+pub fn special_prime_count(max_level: usize) -> usize {
+    max_level.div_ceil(KEY_SWITCH_DIGITS)
+}
+
+/// Digits of a key switch at `level` under a chain of `max_level` primes:
+/// `⌈l/α⌉`. The last one is partial when `α` does not divide `l`.
+pub fn key_switch_digits(level: usize, max_level: usize) -> usize {
+    level.div_ceil(special_prime_count(max_level))
+}
+
+/// Limbs of a level-`l` key-switch decomposition: `⌈l/α⌉` digits over
+/// `Q_l·P`, `⌈l/α⌉·(l+α)` in all.
+pub fn decomposition_limbs(level: usize, max_level: usize) -> usize {
+    key_switch_digits(level, max_level) * (level + special_prime_count(max_level))
+}
+
+/// Limb polynomials of one key-switching key: a pair per digit over the
+/// full basis `Q_L·P`, `2·⌈L/α⌉·(L+α)` in all.
+pub fn ksw_key_limbs(max_level: usize) -> usize {
+    2 * decomposition_limbs(max_level, max_level)
+}
+
+/// The fast base conversion out of one key-switch digit (ModUp). The digit
+/// holds the chain primes `q_i`, `i ∈ [start, start + size)`, with product
+/// `Q_β`; a residue vector `d_i` over them is carried to any other modulus
+/// `m` as `Σ_i [d_i · q̂_i⁻¹]_{q_i} · q̂_i mod m`, where `q̂_i = Q_β / q_i`.
+/// That sum is `[d]_{Q_β} + u·Q_β` for some `0 ≤ u < size`; the key's
+/// `T_β ≡ 0 (mod q_i)` outside the digit and `Q_β ≡ 0` inside it, so the
+/// overflow `u·Q_β` vanishes from the key switch.
+#[derive(Debug)]
+pub(crate) struct DigitConversion {
+    /// The digit's first chain index.
+    pub(crate) start: usize,
+    /// `(q̂_i⁻¹ mod q_i, Shoup companion)` per member `i`.
+    pub(crate) hat_inv: Vec<(u64, u64)>,
+    /// `(q̂_i mod m, Shoup companion)` per member, indexed `[m][member]`
+    /// over the extended basis (chain primes, then the specials).
+    pub(crate) hat: Vec<Vec<(u64, u64)>>,
+}
+
 /// Precomputed state shared by keys, ciphertexts and the evaluator.
 #[derive(Debug)]
 pub struct CkksContext {
     params: CkksParams,
-    /// Chain moduli `q_0 .. q_{L-1}` (level `l` uses the first `l`).
-    moduli: Vec<Modulus>,
-    /// The key-switching special prime `P`.
-    special: Modulus,
+    /// The extended basis `Q_L·P`: chain moduli `q_0 .. q_{L-1}` (level `l`
+    /// uses the first `l`), then the `α` key-switching special primes.
+    basis: Vec<Modulus>,
+    /// NTT table per modulus of the extended basis.
     tables: Vec<NttTable>,
-    special_table: NttTable,
-    /// Float→residue reduction tables, one per chain modulus.
+    /// Float→residue reduction table per modulus of the extended basis.
     pow2: Vec<Pow2Table>,
-    special_pow2: Pow2Table,
     /// CRT reconstructors for each level `1..=L` (index `l-1`).
     crt: Vec<CrtReconstructor>,
     /// `(q_j^{-1} mod q_i, Shoup companion)` for rescaling from level `j+1`
     /// (index `[j][i]`, `i < j`).
     rescale_inv: Vec<Vec<(u64, u64)>>,
+    /// ModUp conversions, index `[β][size − 1]`: digit `β` in full and
+    /// truncated to every smaller size (the last digit below a level that
+    /// `α` does not divide).
+    mod_up: Vec<Vec<DigitConversion>>,
+    /// ModDown: `(p̂_j⁻¹ mod p_j, Shoup companion)` per special prime,
+    /// where `p̂_j = P / p_j`.
+    special_hat_inv: Vec<(u64, u64)>,
+    /// ModDown: `(p̂_j mod q_i, Shoup companion)`, index `[i][j]`.
+    special_hat: Vec<Vec<(u64, u64)>>,
+    /// ModDown: `P mod q_i`.
+    special_mod: Vec<u64>,
     /// `(P^{-1} mod q_i, Shoup companion)` for the key-switch scale-down.
     special_inv: Vec<(u64, u64)>,
     /// Resolved worker-thread count (≥ 1); see [`CkksParams::threads`].
@@ -89,7 +148,8 @@ pub struct CkksContext {
 }
 
 impl CkksContext {
-    /// Builds the context: generates the prime chain and all tables.
+    /// Builds the context: generates the prime chain, the
+    /// [`special_prime_count`] special primes and all tables.
     ///
     /// # Panics
     ///
@@ -97,35 +157,92 @@ impl CkksContext {
     /// zero levels, primes too small for the degree).
     pub fn new(params: CkksParams) -> Self {
         assert!(params.max_level >= 1, "need at least one level");
-        let n = params.poly_degree;
-        let chain = ntt_primes(params.modulus_bits, n, params.max_level);
-        // The special prime must be distinct from every chain prime; search
-        // a different nominal size if needed.
-        let special_candidates = ntt_primes(params.special_bits, n, params.max_level + 1);
-        let special = *special_candidates
+        let (n, big_l) = (params.poly_degree, params.max_level);
+        let alpha = special_prime_count(big_l);
+        let chain = ntt_primes(params.modulus_bits, n, big_l);
+        // The special primes must be distinct from every chain prime; of
+        // `L + α` candidates at most `L` are taken.
+        let specials: Vec<u64> = ntt_primes(params.special_bits, n, big_l + alpha)
+            .into_iter()
+            .filter(|p| !chain.contains(p))
+            .take(alpha)
+            .collect();
+        assert_eq!(specials.len(), alpha, "distinct special primes exist");
+        let basis: Vec<Modulus> = chain
             .iter()
-            .find(|p| !chain.contains(p))
-            .expect("distinct special prime exists");
-        let moduli: Vec<Modulus> = chain.iter().map(|&q| Modulus::new(q)).collect();
-        let special_m = Modulus::new(special);
-        let tables = moduli.iter().map(|&m| NttTable::new(m, n)).collect();
-        let special_table = NttTable::new(special_m, n);
-        let pow2 = moduli.iter().map(|&m| Pow2Table::new(m)).collect();
-        let crt = (1..=params.max_level)
+            .chain(&specials)
+            .map(|&q| Modulus::new(q))
+            .collect();
+        let tables = basis.iter().map(|&m| NttTable::new(m, n)).collect();
+        let pow2 = basis.iter().map(|&m| Pow2Table::new(m)).collect();
+        let crt = (1..=big_l)
             .map(|l| CrtReconstructor::new(&chain[..l]))
             .collect();
         let with_shoup = |m: Modulus, v: u64| -> (u64, u64) {
             let inv = m.inv(v);
             (inv, m.shoup(inv))
         };
-        let rescale_inv = (0..params.max_level)
-            .map(|j| {
-                (0..j)
-                    .map(|i| with_shoup(moduli[i], moduli[j].value()))
+        let shoup_pair = |m: Modulus, v: u64| (v, m.shoup(v));
+        // `Π values mod m`, skipping index `skip`.
+        let product_mod = |m: Modulus, values: &[u64], skip: usize| -> u64 {
+            values
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != skip)
+                .fold(m.reduce(1), |acc, (_, &v)| m.mul(acc, m.reduce(v)))
+        };
+        let rescale_inv = (0..big_l)
+            .map(|j| (0..j).map(|i| with_shoup(basis[i], chain[j])).collect())
+            .collect();
+        let mod_up = (0..big_l.div_ceil(alpha))
+            .map(|beta| {
+                let start = beta * alpha;
+                (1..=alpha.min(big_l - start))
+                    .map(|size| {
+                        let members = &chain[start..start + size];
+                        DigitConversion {
+                            start,
+                            hat_inv: (0..size)
+                                .map(|k| {
+                                    let qi = basis[start + k];
+                                    with_shoup(qi, product_mod(qi, members, k))
+                                })
+                                .collect(),
+                            hat: basis
+                                .iter()
+                                .map(|&m| {
+                                    (0..size)
+                                        .map(|k| shoup_pair(m, product_mod(m, members, k)))
+                                        .collect()
+                                })
+                                .collect(),
+                        }
+                    })
                     .collect()
             })
             .collect();
-        let special_inv = moduli.iter().map(|&m| with_shoup(m, special)).collect();
+        let special_hat_inv = (0..alpha)
+            .map(|j| {
+                let pj = basis[big_l + j];
+                with_shoup(pj, product_mod(pj, &specials, j))
+            })
+            .collect();
+        let special_hat = basis[..big_l]
+            .iter()
+            .map(|&m| {
+                (0..alpha)
+                    .map(|j| shoup_pair(m, product_mod(m, &specials, j)))
+                    .collect()
+            })
+            .collect();
+        let special_mod = basis[..big_l]
+            .iter()
+            .map(|&m| product_mod(m, &specials, alpha))
+            .collect();
+        let special_inv = basis[..big_l]
+            .iter()
+            .map(|&m| with_shoup(m, product_mod(m, &specials, alpha)))
+            .collect();
         let threads = if params.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -133,14 +250,15 @@ impl CkksContext {
         };
         CkksContext {
             params,
-            moduli,
-            special: special_m,
+            basis,
             tables,
-            special_table,
             pow2,
-            special_pow2: Pow2Table::new(special_m),
             crt,
             rescale_inv,
+            mod_up,
+            special_hat_inv,
+            special_hat,
+            special_mod,
             special_inv,
             threads,
             galois_perms: RwLock::new(HashMap::new()),
@@ -169,32 +287,63 @@ impl CkksContext {
 
     /// The chain moduli (`q_0..q_{L-1}`).
     pub fn moduli(&self) -> &[Modulus] {
-        &self.moduli
+        &self.basis[..self.params.max_level]
     }
 
-    /// The special prime `P`.
-    pub fn special(&self) -> Modulus {
-        self.special
+    /// The `α` key-switching special primes `p_0..p_{α-1}`, whose product
+    /// is `P` ([`special_prime_count`]).
+    pub fn specials(&self) -> &[Modulus] {
+        &self.basis[self.params.max_level..]
     }
 
-    /// NTT table for chain modulus `i`.
+    /// The extended basis `Q_L·P`: the chain moduli, then the specials.
+    pub fn basis(&self) -> &[Modulus] {
+        &self.basis
+    }
+
+    /// NTT table for modulus `i` of the extended basis ([`CkksContext::basis`]:
+    /// chain modulus `i` for `i < L`, special prime `i − L` above).
     pub fn table(&self, i: usize) -> &NttTable {
         &self.tables[i]
     }
 
-    /// NTT table for the special prime.
-    pub fn special_table(&self) -> &NttTable {
-        &self.special_table
-    }
-
-    /// Float→residue reduction table of chain modulus `i`.
+    /// Float→residue reduction table of modulus `i` of the extended basis.
     pub fn pow2(&self, i: usize) -> &Pow2Table {
         &self.pow2[i]
     }
 
-    /// Float→residue reduction table of the special prime.
-    pub fn special_pow2(&self) -> &Pow2Table {
-        &self.special_pow2
+    /// Index into [`CkksContext::basis`] of limb `idx` of a polynomial with
+    /// `level` chain limbs: the limbs past `level` are the specials, which
+    /// sit past all `L` chain primes in the basis.
+    #[inline]
+    pub(crate) fn basis_index(&self, level: usize, idx: usize) -> usize {
+        if idx < level {
+            idx
+        } else {
+            self.params.max_level + idx - level
+        }
+    }
+
+    /// The ModUp conversion of digit `beta` of a level-`level` polynomial.
+    pub(crate) fn digit_conversion(&self, level: usize, beta: usize) -> &DigitConversion {
+        let alpha = self.specials().len();
+        &self.mod_up[beta][alpha.min(level - beta * alpha) - 1]
+    }
+
+    /// `(p̂_j⁻¹ mod p_j, Shoup companion)` for special prime `j`
+    /// (`p̂_j = P / p_j`).
+    pub(crate) fn special_hat_inv(&self, j: usize) -> (u64, u64) {
+        self.special_hat_inv[j]
+    }
+
+    /// `(p̂_j mod q_i, Shoup companion)` for every special prime `j`.
+    pub(crate) fn special_hat(&self, i: usize) -> &[(u64, u64)] {
+        &self.special_hat[i]
+    }
+
+    /// `P mod q_i`.
+    pub(crate) fn special_mod(&self, i: usize) -> u64 {
+        self.special_mod[i]
     }
 
     /// CRT reconstructor for level `l` (basis `q_0..q_{l-1}`).
@@ -255,7 +404,7 @@ impl CkksContext {
     /// The exact product of the first `l` chain primes, as `f64` (this is
     /// the actual `Q` a level-`l` ciphertext lives under).
     pub fn modulus_f64(&self, l: usize) -> f64 {
-        self.moduli[..l].iter().map(|m| m.value() as f64).product()
+        self.basis[..l].iter().map(|m| m.value() as f64).product()
     }
 }
 
@@ -265,16 +414,77 @@ mod tests {
 
     #[test]
     fn context_builds_consistently() {
-        let ctx = CkksContext::new(CkksParams::insecure_test(3));
-        assert_eq!(ctx.moduli().len(), 3);
-        assert_eq!(ctx.slots(), 1 << 11);
-        // Chain primes distinct from each other and from P.
-        let mut all: Vec<u64> = ctx.moduli().iter().map(|m| m.value()).collect();
-        all.push(ctx.special().value());
-        let len = all.len();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), len);
+        for (levels, alpha) in [(3, 1), (4, 2), (9, 3), (10, 4)] {
+            let ctx = CkksContext::new(CkksParams::insecure_test(levels));
+            assert_eq!(ctx.moduli().len(), levels);
+            assert_eq!(ctx.specials().len(), alpha, "α = ⌈L/3⌉ at L = {levels}");
+            assert_eq!(ctx.slots(), 1 << 11);
+            // Chain primes distinct from each other and from the specials.
+            let mut all: Vec<u64> = ctx.basis().iter().map(|m| m.value()).collect();
+            let len = all.len();
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(all.len(), len);
+        }
+        // The same primes whether the special size equals the chain's or not.
+        let mut params = CkksParams::insecure_test(6);
+        params.special_bits = params.modulus_bits;
+        let ctx = CkksContext::new(params);
+        assert_eq!(ctx.specials().len(), 2);
+        assert!(ctx.specials().iter().all(|p| !ctx.moduli().contains(p)));
+    }
+
+    #[test]
+    fn key_switch_closed_forms() {
+        // (L, α, digits at L, key limb polynomials).
+        for (big_l, alpha, digits, key) in [
+            (1, 1, 1, 4),
+            (2, 1, 2, 12),
+            (3, 1, 3, 24),
+            (4, 2, 2, 24),
+            (5, 2, 3, 42),
+            (9, 3, 3, 72),
+            (10, 4, 3, 84),
+        ] {
+            assert_eq!(special_prime_count(big_l), alpha);
+            assert_eq!(key_switch_digits(big_l, big_l), digits);
+            assert_eq!(ksw_key_limbs(big_l), key);
+        }
+        // A partial last digit: l = 4 under α = 3 is digits {0,1,2} and {3}.
+        assert_eq!(key_switch_digits(4, 9), 2);
+        assert_eq!(decomposition_limbs(4, 9), 2 * 7);
+    }
+
+    #[test]
+    fn base_conversion_constants_are_inverses() {
+        let ctx = CkksContext::new(CkksParams::insecure_test(7));
+        let (big_l, alpha) = (7, 3);
+        let basis = ctx.basis();
+        for level in 1..=big_l {
+            for beta in 0..key_switch_digits(level, big_l) {
+                let conv = ctx.digit_conversion(level, beta);
+                let size = conv.hat_inv.len();
+                assert_eq!(conv.start, beta * alpha);
+                assert_eq!(size, alpha.min(level - beta * alpha));
+                for k in 0..size {
+                    let qi = basis[conv.start + k];
+                    let (inv, shoup) = conv.hat_inv[k];
+                    // q̂_i · q̂_i⁻¹ ≡ 1 (mod q_i), with q̂_i read off the table.
+                    assert_eq!(qi.mul(conv.hat[conv.start + k][k].0, inv), 1);
+                    assert_eq!(shoup, qi.shoup(inv));
+                }
+            }
+        }
+        for j in 0..alpha {
+            let pj = ctx.specials()[j];
+            let hat = ctx
+                .specials()
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != j)
+                .fold(1, |acc, (_, p)| pj.mul(acc, pj.reduce(p.value())));
+            assert_eq!(pj.mul(hat, ctx.special_hat_inv(j).0), 1);
+        }
     }
 
     #[test]
@@ -292,8 +502,18 @@ mod tests {
         for i in 0..3 {
             let qi = ctx.moduli()[i];
             let (inv, shoup) = ctx.special_inv(i);
-            assert_eq!(qi.mul(qi.reduce(ctx.special().value()), inv), 1);
+            assert_eq!(qi.mul(qi.reduce(ctx.specials()[0].value()), inv), 1);
             assert_eq!(shoup, qi.shoup(inv));
+        }
+        // With α = 2, `P^{-1}` inverts the product of both specials.
+        let ctx = CkksContext::new(CkksParams::insecure_test(5));
+        let [p0, p1] = [ctx.specials()[0].value(), ctx.specials()[1].value()];
+        for (i, &qi) in ctx.moduli().iter().enumerate() {
+            let p = qi.mul(qi.reduce(p0), qi.reduce(p1));
+            assert_eq!(qi.mul(p, ctx.special_inv(i).0), 1);
+            let hat: Vec<u64> = ctx.special_hat(i).iter().map(|h| h.0).collect();
+            assert_eq!(hat, [qi.reduce(p1), qi.reduce(p0)]);
+            assert_eq!(ctx.special_mod(i), p);
         }
     }
 

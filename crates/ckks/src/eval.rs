@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::cipher::Ciphertext;
-use crate::context::CkksContext;
+use crate::context::{key_switch_digits, CkksContext};
 use crate::encoding::{Encoder, Plaintext};
 use crate::keys::{rotation_to_galois, GaloisKeys, KeyCache, KswKey, RelinKey};
 use crate::par;
@@ -447,50 +447,75 @@ impl<'c> Evaluator<'c> {
         out
     }
 
-    /// RNS-decomposes `d` (NTT, level `l`) into its `l` digits over the
-    /// extended basis `Q_l·P`, in NTT form — the front half of every key
-    /// switch, and the only place one is computed. Digit `j` is the lift of
-    /// `d mod q_j`: `l` inverse NTTs bring `d` to coefficients, each digit
-    /// reduces limb `j` into the other `l` moduli and transforms those
-    /// forward (`l²` NTTs in all), and its own limb `j` *is* `d`'s limb `j`,
-    /// copied as it stands.
+    /// ModUp: decomposes `d` (NTT, level `l`) into its `⌈l/α⌉` digits over
+    /// the extended basis `Q_l·P`, in NTT form — the front half of every key
+    /// switch, and the only place one is computed. Digit `β` is the lift of
+    /// `d mod Q_β` (see the context's digit conversions): `l` inverse NTTs
+    /// bring `d` to coefficients, each residue is scaled by its `q̂_i⁻¹`, and
+    /// each digit carries its residues into the other moduli of `Q_l·P` (a
+    /// sum of at most `α` Shoup products) and transforms those forward —
+    /// `⌈l/α⌉·(l+α) − l` NTTs in all, because a digit's own limbs *are*
+    /// `d`'s and are copied as they stand. At `α = 1` digit `j` is limb `j`
+    /// reduced into every other modulus, `l²` NTTs.
     fn decompose(&self, d: &RnsPoly) -> Decomposition {
         let (ctx, pool) = (self.ctx, &*self.pool);
         assert!(d.is_ntt() && !d.has_special(), "a ciphertext polynomial");
-        let l = d.level();
+        let (l, n) = (d.level(), ctx.degree());
+        let alpha = ctx.specials().len();
+        let count = key_switch_digits(l, ctx.max_level());
         let mut dc = d.clone_in(pool);
         dc.to_coeff(ctx);
+        for beta in 0..count {
+            let conv = ctx.digit_conversion(l, beta);
+            // `q̂_i = 1` in a one-prime digit.
+            if conv.hat_inv.len() == 1 {
+                continue;
+            }
+            for (k, &(w, w_shoup)) in conv.hat_inv.iter().enumerate() {
+                let qi = ctx.moduli()[conv.start + k];
+                for x in dc.limb_mut(conv.start + k) {
+                    *x = qi.mul_shoup(*x, w, w_shoup);
+                }
+            }
+        }
         let digits = {
             let dc = &dc;
             // Digits are built independently, so they fan out across the
             // worker threads; every limb of every digit is overwritten.
-            let est = par::cost::NTT * (ctx.degree() * l) as u64;
-            par::map_range(ctx.threads(), est, l, |j| {
+            let est = par::cost::NTT * (n * (l + alpha)) as u64;
+            par::map_range(ctx.threads(), est, count, |beta| {
+                let conv = ctx.digit_conversion(l, beta);
+                let members = conv.start..conv.start + conv.hat_inv.len();
                 let mut digit = RnsPoly::raw_in(pool, ctx, l, true, true);
-                let src = dc.limb(j);
-                for i in 0..l {
-                    let dst = digit.limb_mut(i);
-                    if i == j {
-                        dst.copy_from_slice(d.limb(j));
+                for idx in 0..l + alpha {
+                    let dst = digit.limb_mut(idx);
+                    if members.contains(&idx) {
+                        dst.copy_from_slice(d.limb(idx));
                         continue;
                     }
-                    let m = ctx.moduli()[i];
-                    for (x, &v) in dst.iter_mut().zip(src) {
-                        *x = m.reduce(v);
+                    // One Shoup pass per member; at α = 1 the one pass
+                    // multiplies by `q̂ = 1`, a plain reduction.
+                    let b = ctx.basis_index(l, idx);
+                    let m = ctx.basis()[b];
+                    for (k, &(h, h_shoup)) in conv.hat[b].iter().enumerate() {
+                        let src = dc.limb(conv.start + k);
+                        if k == 0 {
+                            for (x, &v) in dst.iter_mut().zip(src) {
+                                *x = m.mul_shoup(v, h, h_shoup);
+                            }
+                        } else {
+                            for (x, &v) in dst.iter_mut().zip(src) {
+                                *x = m.add(*x, m.mul_shoup(v, h, h_shoup));
+                            }
+                        }
                     }
-                    ctx.table(i).forward(dst);
+                    ctx.table(b).forward(dst);
                 }
-                let p = ctx.special();
-                let dst = digit.special_limb_mut();
-                for (x, &v) in dst.iter_mut().zip(src) {
-                    *x = p.reduce(v);
-                }
-                ctx.special_table().forward(dst);
                 digit
             })
         };
         dc.recycle(pool);
-        Decomposition { digits }
+        Decomposition { level: l, digits }
     }
 
     /// The back half of every key switch, and the only digit × key inner
@@ -498,7 +523,8 @@ impl<'c> Evaluator<'c> {
     /// returns `(k0, k1)` with `k0 + k1·s ≈ σ(d)·t` at `d`'s level, where
     /// `σ` is the automorphism whose index table is `perm` (`None` for
     /// relinearization). Accumulates over `Q_l·P`
-    /// ([`RnsPoly::key_switch_dot`]) and divides by `P`.
+    /// ([`RnsPoly::key_switch_dot`]) and divides by `P` (ModDown,
+    /// [`RnsPoly::rescale_special_in`]).
     fn inner_product(
         &self,
         digits: &Decomposition,
@@ -604,17 +630,24 @@ impl<'c> Evaluator<'c> {
 }
 
 /// The key-switch digits of one ciphertext polynomial
-/// ([`Evaluator::decompose_for_rotations`]): `l` polynomials over `Q_l·P`
-/// in NTT form, `l·(l+1)` pooled limbs in all.
+/// ([`Evaluator::decompose_for_rotations`]): `⌈l/α⌉` polynomials over
+/// `Q_l·P` in NTT form, `⌈l/α⌉·(l+α)` pooled limbs in all
+/// ([`crate::decomposition_limbs`]).
 #[derive(Debug)]
 pub struct Decomposition {
+    level: usize,
     digits: Vec<RnsPoly>,
 }
 
 impl Decomposition {
     /// The level of the polynomial that was decomposed.
     pub fn level(&self) -> usize {
-        self.digits.len()
+        self.level
+    }
+
+    /// Heap bytes held by the digits.
+    pub fn byte_size(&self) -> usize {
+        self.digits.iter().map(RnsPoly::byte_size).sum()
     }
 }
 
@@ -922,15 +955,16 @@ impl<'c> Evaluator<'c> {
 mod key_switch_tests {
     use super::*;
     use crate::cipher::{decrypt, encrypt_symmetric};
-    use crate::context::{CkksContext, CkksParams};
+    use crate::context::{decomposition_limbs, CkksContext, CkksParams};
     use crate::keys::KeyGenerator;
+    use crate::modular::Modulus;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn ctx() -> CkksContext {
+    fn ctx(max_level: usize) -> CkksContext {
         CkksContext::new(CkksParams {
             poly_degree: 256,
-            max_level: 2,
+            max_level,
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
@@ -938,9 +972,14 @@ mod key_switch_tests {
         })
     }
 
-    fn encrypted(ctx: &CkksContext, kg: &KeyGenerator<'_>, rng: &mut StdRng) -> Ciphertext {
+    fn encrypted(
+        ctx: &CkksContext,
+        kg: &KeyGenerator<'_>,
+        level: usize,
+        rng: &mut StdRng,
+    ) -> Ciphertext {
         let values: Vec<f64> = (0..ctx.slots()).map(|i| (i % 13) as f64 * 0.1).collect();
-        let pt = Encoder::new(ctx).encode(&values, 2f64.powi(40), 2);
+        let pt = Encoder::new(ctx).encode(&values, 2f64.powi(40), level);
         encrypt_symmetric(ctx, &kg.secret_key(), &pt, rng)
     }
 
@@ -950,119 +989,180 @@ mod key_switch_tests {
         assert_eq!(got.c1, want.c1, "{what}: c1");
     }
 
+    /// `Π_{k ≠ skip} primes[k] mod m`, by the hardware `%`.
+    fn hat_mod(primes: &[u64], skip: usize, m: Modulus) -> u64 {
+        (0..primes.len())
+            .filter(|&k| k != skip)
+            .fold(1, |acc, k| m.mul_reference(acc, primes[k] % m.value()))
+    }
+
     /// The key switch of `σ_g(d)` written out term by term on allocating
-    /// reference kernels: every digit lifted and transformed whole (its own
-    /// limb included), permuted by the coefficient-domain automorphism, and
-    /// accumulated with one eager reduction per product.
+    /// reference kernels: every digit lifted by the fast base conversion
+    /// and transformed whole (its own limbs included), permuted by the
+    /// coefficient-domain automorphism, accumulated with one eager reduction
+    /// per product, and divided by `P` coefficient by coefficient. Every
+    /// conversion constant is rebuilt here from the primes.
     fn key_switch_reference(
         ctx: &CkksContext,
         d: &RnsPoly,
         key: &KswKey,
         g: usize,
     ) -> (RnsPoly, RnsPoly) {
-        let l = d.level();
+        let (l, n, alpha) = (d.level(), ctx.degree(), ctx.specials().len());
+        let basis: Vec<Modulus> = ctx.moduli()[..l]
+            .iter()
+            .chain(ctx.specials())
+            .copied()
+            .collect();
         let mut coeffs = d.clone();
         coeffs.to_coeff(ctx);
         let mut acc0 = RnsPoly::zero(ctx, l, true, true);
         let mut acc1 = RnsPoly::zero(ctx, l, true, true);
-        for j in 0..l {
+        for (beta, start) in (0..l).step_by(alpha).enumerate() {
+            let members: Vec<u64> = (start..l.min(start + alpha))
+                .map(|i| ctx.moduli()[i].value())
+                .collect();
             let mut digit = RnsPoly::zero(ctx, l, true, false);
-            for i in 0..=l {
-                let m = if i == l {
-                    ctx.special()
-                } else {
-                    ctx.moduli()[i]
-                };
-                let dst = if i == l {
-                    digit.special_limb_mut()
-                } else {
-                    digit.limb_mut(i)
-                };
-                for (x, &v) in dst.iter_mut().zip(coeffs.limb(j)) {
-                    *x = m.reduce(v);
+            for (idx, &m) in basis.iter().enumerate() {
+                // (q̂_k⁻¹ mod q_k, q̂_k mod m) per member k.
+                let consts: Vec<(u64, u64)> = (0..members.len())
+                    .map(|k| {
+                        let qk = ctx.moduli()[start + k];
+                        (qk.inv(hat_mod(&members, k, qk)), hat_mod(&members, k, m))
+                    })
+                    .collect();
+                for (c, x) in digit.limb_mut(idx).iter_mut().enumerate() {
+                    *x = consts.iter().enumerate().fold(0, |acc, (k, &(inv, hat))| {
+                        let qk = ctx.moduli()[start + k];
+                        let y = qk.mul_reference(coeffs.limb(start + k)[c], inv);
+                        (acc + m.mul_reference(y % m.value(), hat)) % m.value()
+                    });
                 }
             }
             digit.to_ntt(ctx);
             digit.automorphism_reference(ctx, g);
-            digit.mul_acc_restricted(ctx, &key.k0[j], &mut acc0);
-            digit.mul_acc_restricted(ctx, &key.k1[j], &mut acc1);
+            digit.mul_acc_restricted(ctx, &key.k0[beta], &mut acc0);
+            digit.mul_acc_restricted(ctx, &key.k1[beta], &mut acc1);
         }
-        let scratch = PolyPool::new(ctx.degree());
-        acc0.rescale_special_in(ctx, &scratch);
-        acc1.rescale_special_in(ctx, &scratch);
-        (acc0, acc1)
+        let specials: Vec<u64> = ctx.specials().iter().map(|p| p.value()).collect();
+        let mod_down = |acc: RnsPoly| {
+            let mut c = acc;
+            c.to_coeff(ctx);
+            let mut out = RnsPoly::zero(ctx, l, false, false);
+            for i in 0..l {
+                let qi = ctx.moduli()[i];
+                let p_inv = qi.inv(hat_mod(&specials, alpha, qi));
+                for k in 0..n {
+                    // x = Σ_j centered([c_j · p̂_j⁻¹]_{p_j}) · p̂_j, mod q_i.
+                    let x = (0..alpha).fold(0, |acc, j| {
+                        let pj = ctx.specials()[j];
+                        let y =
+                            pj.mul_reference(c.limb(l + j)[k], pj.inv(hat_mod(&specials, j, pj)));
+                        let centered = i128::from(pj.center(y)).rem_euclid(i128::from(qi.value()));
+                        (acc + qi.mul_reference(centered as u64, hat_mod(&specials, j, qi)))
+                            % qi.value()
+                    });
+                    let diff = (c.limb(i)[k] + qi.value() - x) % qi.value();
+                    out.limb_mut(i)[k] = qi.mul_reference(diff, p_inv);
+                }
+            }
+            out.to_ntt(ctx);
+            out
+        };
+        (mod_down(acc0), mod_down(acc1))
     }
 
     #[test]
     fn hoisted_rotations_equal_individual_rotations_limb_for_limb() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(11);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let sk = kg.secret_key();
-        let steps = [0i64, 1, 3, 7, -1];
-        let gk = kg.galois_keys(steps, &mut rng);
-        let ev = Evaluator::new(&ctx, None, gk);
-        let ct = encrypted(&ctx, &kg, &mut rng);
-        let hoisted = ev.rotate_hoisted(&ct, &steps);
-        assert_eq!(hoisted.len(), steps.len());
-        let slots = ctx.slots();
-        for (&k, h) in steps.iter().zip(&hoisted) {
-            assert_same_limbs(h, &ev.rotate(&ct, k), &format!("step {k}"));
-            let got = ev.encoder().decode(&decrypt(&ctx, &sk, h));
-            for (i, slot) in got.iter().enumerate().take(16) {
-                let from = (i + k.rem_euclid(slots as i64) as usize) % slots;
-                let want = (from % 13) as f64 * 0.1;
-                assert!((slot - want).abs() < 1e-2, "step {k} slot {i}: {slot}");
+        // α = 1, 2 and 3, at the top level and at a partial last digit.
+        for (big_l, level) in [(2, 2), (5, 5), (5, 3), (9, 9), (9, 7)] {
+            let ctx = ctx(big_l);
+            let mut rng = StdRng::seed_from_u64(11);
+            let kg = KeyGenerator::new(&ctx, &mut rng);
+            let sk = kg.secret_key();
+            let steps = [0i64, 1, 3, 7, -1];
+            let gk = kg.galois_keys(steps, &mut rng);
+            let ev = Evaluator::new(&ctx, None, gk);
+            let ct = encrypted(&ctx, &kg, level, &mut rng);
+            let hoisted = ev.rotate_hoisted(&ct, &steps);
+            assert_eq!(hoisted.len(), steps.len());
+            let slots = ctx.slots();
+            for (&k, h) in steps.iter().zip(&hoisted) {
+                let what = format!("L = {big_l}, level {level}, step {k}");
+                assert_same_limbs(h, &ev.rotate(&ct, k), &what);
+                let got = ev.encoder().decode(&decrypt(&ctx, &sk, h));
+                for (i, slot) in got.iter().enumerate().take(16) {
+                    let from = (i + k.rem_euclid(slots as i64) as usize) % slots;
+                    let want = (from % 13) as f64 * 0.1;
+                    assert!((slot - want).abs() < 1e-2, "{what}, slot {i}: {slot}");
+                }
             }
         }
     }
 
     #[test]
     fn galois_and_relinearization_match_the_eager_oracle() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(12);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let gk = kg.galois_keys_with_conjugation([3i64], &mut rng);
-        let relin = kg.relin_key(&mut rng);
-        let ev = Evaluator::new(&ctx, Some(relin.clone()), gk.clone());
-        let (a, b) = (
-            encrypted(&ctx, &kg, &mut rng),
-            encrypted(&ctx, &kg, &mut rng),
-        );
+        // α = 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, and every level below each top:
+        // every partial last digit the chain can produce.
+        for big_l in 1..=10 {
+            let ctx = ctx(big_l);
+            let mut rng = StdRng::seed_from_u64(12);
+            let kg = KeyGenerator::new(&ctx, &mut rng);
+            let gk = kg.galois_keys_with_conjugation([3i64], &mut rng);
+            let relin = kg.relin_key(&mut rng);
+            let ev = Evaluator::new(&ctx, Some(relin.clone()), gk.clone());
+            for level in 1..=big_l {
+                let what = |op: &str| format!("L = {big_l}, level {level}: {op}");
+                let (a, b) = (
+                    encrypted(&ctx, &kg, level, &mut rng),
+                    encrypted(&ctx, &kg, level, &mut rng),
+                );
+                let digits = ev.decompose_for_rotations(&a);
+                assert_eq!(digits.level(), level);
+                assert_eq!(
+                    digits.byte_size(),
+                    decomposition_limbs(level, big_l) * ctx.degree() * 8
+                );
+                ev.recycle_decomposition(digits);
 
-        // Rotation and conjugation: (σ(c0) + k0, k1).
-        let conj = 2 * ctx.degree() - 1;
-        for (g, got) in [
-            (rotation_to_galois(&ctx, 3), ev.rotate(&a, 3)),
-            (conj, ev.conjugate(&a)),
-        ] {
-            let (k0, k1) = key_switch_reference(&ctx, &a.c1, gk.get(g).expect("key"), g);
-            let mut c0 = a.c0.clone();
-            c0.automorphism_reference(&ctx, g);
-            c0.add_assign(&ctx, &k0);
-            let want = Ciphertext {
-                c0,
-                c1: k1,
-                level: a.level,
-                scale: a.scale,
-            };
-            assert_same_limbs(&got, &want, &format!("element {g}"));
+                // Rotation and conjugation: (σ(c0) + k0, k1), lone and hoisted.
+                let conj = 2 * ctx.degree() - 1;
+                let hoisted = ev.rotate_hoisted(&a, &[3]);
+                for (g, got) in [
+                    (rotation_to_galois(&ctx, 3), ev.rotate(&a, 3)),
+                    (rotation_to_galois(&ctx, 3), hoisted[0].clone()),
+                    (conj, ev.conjugate(&a)),
+                ] {
+                    let (k0, k1) = key_switch_reference(&ctx, &a.c1, gk.get(g).expect("key"), g);
+                    let mut c0 = a.c0.clone();
+                    c0.automorphism_reference(&ctx, g);
+                    c0.add_assign(&ctx, &k0);
+                    let want = Ciphertext {
+                        c0,
+                        c1: k1,
+                        level: a.level,
+                        scale: a.scale,
+                    };
+                    assert_same_limbs(&got, &want, &what(&format!("element {g}")));
+                }
+
+                // Relinearization: (d0 + k0, d1 + k1) with the identity
+                // permutation.
+                let (k0, k1) = key_switch_reference(&ctx, &a.c1.mul(&ctx, &b.c1), &relin.0, 1);
+                let mut c0 = a.c0.mul(&ctx, &b.c0);
+                c0.add_assign(&ctx, &k0);
+                let mut c1 = a.c0.mul(&ctx, &b.c1);
+                c1.add_assign(&ctx, &a.c1.mul(&ctx, &b.c0));
+                c1.add_assign(&ctx, &k1);
+                let want = Ciphertext {
+                    c0,
+                    c1,
+                    level: a.level,
+                    scale: a.scale * b.scale,
+                };
+                assert_same_limbs(&ev.mul(&a, &b), &want, &what("mul"));
+            }
         }
-
-        // Relinearization: (d0 + k0, d1 + k1) with the identity permutation.
-        let (k0, k1) = key_switch_reference(&ctx, &a.c1.mul(&ctx, &b.c1), &relin.0, 1);
-        let mut c0 = a.c0.mul(&ctx, &b.c0);
-        c0.add_assign(&ctx, &k0);
-        let mut c1 = a.c0.mul(&ctx, &b.c1);
-        c1.add_assign(&ctx, &a.c1.mul(&ctx, &b.c0));
-        c1.add_assign(&ctx, &k1);
-        let want = Ciphertext {
-            c0,
-            c1,
-            level: a.level,
-            scale: a.scale * b.scale,
-        };
-        assert_same_limbs(&ev.mul(&a, &b), &want, "mul");
     }
 
     #[test]
@@ -1071,11 +1171,11 @@ mod key_switch_tests {
         // rotation was computed. That rotation, the digits and the failed
         // step's temporaries must all be back in the pool (the input was
         // encrypted outside it).
-        let ctx = ctx();
+        let ctx = ctx(2);
         let mut rng = StdRng::seed_from_u64(13);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let ev = Evaluator::new(&ctx, None, kg.galois_keys([1i64], &mut rng));
-        let ct = encrypted(&ctx, &kg, &mut rng);
+        let ct = encrypted(&ctx, &kg, 2, &mut rng);
         let err = ev.try_rotate_hoisted(&ct, &[1, 3]).unwrap_err();
         assert_eq!(err.steps, Some(3));
         assert_eq!(ev.pool_stats().live_bytes, 0, "group");

@@ -1,17 +1,21 @@
 //! Key material: secret/public keys, relinearization and Galois keys.
 //!
-//! Key switching follows the special-prime RNS construction: for each chain
-//! limb `j`, the switching key encrypts `T_j · t(X)` over the extended
-//! modulus `Q·P`, where `T_j ≡ P·δ_{ij} (mod q_i)` and `T_j ≡ 0 (mod P)`.
-//! Decomposing a polynomial into its RNS residues, multiplying by the key
-//! components, and dividing by `P` then yields an encryption of `d·t` with
-//! only additive noise `≈ Σ_j q_j·e_j / P`.
+//! Key switching is hybrid (Han–Ki, CT-RSA 2020): the chain is cut into
+//! `⌈L/α⌉` digits of `α = ⌈L/3⌉` consecutive primes, with product `Q_β`, and
+//! keys live over the extended modulus `Q·P`, `P` the product of `α` special
+//! primes. For each digit `β` the switching key encrypts `T_β · t(X)`, where
+//! `T_β ≡ P (mod q_i)` for the digit's primes, `T_β ≡ 0` on every other chain
+//! prime and `T_β ≡ 0 (mod P)`. Lifting `d mod Q_β` to `Q_l·P` (ModUp),
+//! multiplying by the key components and dividing by `P` (ModDown) then
+//! yields an encryption of `d·t` with only additive noise
+//! `≈ Σ_β Q_β·e_β / P`. At `L ≤ 3`, `α = 1`: one single-prime digit per
+//! chain prime over one special prime.
 
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 
-use crate::context::CkksContext;
+use crate::context::{key_switch_digits, CkksContext};
 use crate::poly::RnsPoly;
 
 /// The secret key `s` (ternary), stored over the full basis `Q·P`, NTT.
@@ -34,8 +38,8 @@ pub struct PublicKey {
     pub(crate) p1: RnsPoly,
 }
 
-/// One key-switching key: per chain limb `j`, a pair over `Q·P` with
-/// `k0_j + k1_j·s = T_j·t + e_j`.
+/// One key-switching key: per digit `β`, a pair over `Q·P` with
+/// `k0_β + k1_β·s = T_β·t + e_β`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KswKey {
     pub(crate) k0: Vec<RnsPoly>,
@@ -44,7 +48,7 @@ pub struct KswKey {
 
 impl KswKey {
     /// Heap bytes held by the key polynomials
-    /// (`2 · L` digits × `L+1` limbs × `N` × 8).
+    /// (`2 · ⌈L/α⌉` digits × `L+α` limbs × `N` × 8, [`crate::ksw_key_limbs`]).
     pub fn byte_size(&self) -> usize {
         self.k0.iter().chain(&self.k1).map(RnsPoly::byte_size).sum()
     }
@@ -196,30 +200,30 @@ impl<'c> KeyGenerator<'c> {
 /// [`KeyCache`].
 fn generate_ksw(ctx: &CkksContext, s: &RnsPoly, t: &RnsPoly, rng: &mut impl Rng) -> KswKey {
     let l = ctx.max_level();
-    let p = ctx.special().value();
-    let mut k0 = Vec::with_capacity(l);
-    let mut k1 = Vec::with_capacity(l);
-    for j in 0..l {
+    let alpha = ctx.specials().len();
+    let digits = key_switch_digits(l, l);
+    let mut k0 = Vec::with_capacity(digits);
+    let mut k1 = Vec::with_capacity(digits);
+    for beta in 0..digits {
         let a = RnsPoly::uniform(ctx, l, true, rng);
         let mut e = RnsPoly::gaussian(ctx, l, true, rng);
         e.to_ntt(ctx);
-        // body = −a·s + e + T_j·t, where T_j has residue (P mod q_j) on
-        // limb j and 0 elsewhere (including the special limb).
+        // body = −a·s + e + T_β·t, where T_β has residue (P mod q_i) on the
+        // digit's limbs i and 0 elsewhere (including the special limbs).
         let mut body = a.mul(ctx, s);
         body.neg_assign(ctx);
         body.add_assign(ctx, &e);
-        let tj = {
-            let qj = ctx.moduli()[j];
-            let factor = qj.reduce(p);
-            let factor_shoup = qj.shoup(factor);
-            // Zero on all limbs except j, where it is (P mod q_j)·t.
-            let mut tj = RnsPoly::zero(ctx, l, true, true);
-            for (dst, &src) in tj.limb_mut(j).iter_mut().zip(t.limb(j)) {
-                *dst = qj.mul_shoup(src, factor, factor_shoup);
+        for i in beta * alpha..l.min((beta + 1) * alpha) {
+            let qi = ctx.moduli()[i];
+            let factor = ctx
+                .specials()
+                .iter()
+                .fold(qi.reduce(1), |acc, p| qi.mul(acc, qi.reduce(p.value())));
+            let factor_shoup = qi.shoup(factor);
+            for (dst, &src) in body.limb_mut(i).iter_mut().zip(t.limb(i)) {
+                *dst = qi.add(*dst, qi.mul_shoup(src, factor, factor_shoup));
             }
-            tj
-        };
-        body.add_assign(ctx, &tj);
+        }
         k0.push(body);
         k1.push(a);
     }
@@ -399,7 +403,7 @@ impl KeyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{CkksContext, CkksParams};
+    use crate::context::{ksw_key_limbs, CkksContext, CkksParams};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -456,7 +460,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let cache = KeyCache::new(kg.secret_key(), 0xFEED, None);
-        let one_key = 2 * ctx.max_level() * (ctx.max_level() + 1) * ctx.degree() * 8;
+        let one_key = ksw_key_limbs(ctx.max_level()) * ctx.degree() * 8;
         assert_eq!(cache.stats().bytes, 0);
         let g = rotation_to_galois(&ctx, 1);
         cache.with_key(&ctx, g, |_| ());
@@ -473,7 +477,7 @@ mod tests {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(22);
         let kg = KeyGenerator::new(&ctx, &mut rng);
-        let one_key = 2 * ctx.max_level() * (ctx.max_level() + 1) * ctx.degree() * 8;
+        let one_key = ksw_key_limbs(ctx.max_level()) * ctx.degree() * 8;
         let cache = KeyCache::new(kg.secret_key(), 0xFEED, Some(2 * one_key));
         let g = |k: i64| rotation_to_galois(&ctx, k);
         cache.with_key(&ctx, g(1), |_| ());
@@ -496,7 +500,7 @@ mod tests {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(23);
         let kg = KeyGenerator::new(&ctx, &mut rng);
-        let one_key = 2 * ctx.max_level() * (ctx.max_level() + 1) * ctx.degree() * 8;
+        let one_key = ksw_key_limbs(ctx.max_level()) * ctx.degree() * 8;
         // Budget below one key: every rotation regenerates, results must
         // not depend on the churn.
         let cache = KeyCache::new(kg.secret_key(), 0xFEED, Some(one_key / 2));

@@ -10,7 +10,8 @@
 //!   with exact RNS rescaling and Galois automorphisms;
 //! - canonical-embedding [`encoding`] of real slot vectors;
 //! - key generation ([`KeyGenerator`]) including relinearization and Galois keys
-//!   via special-prime key switching; and
+//!   via hybrid key switching: `⌈L/α⌉` digits over `α = ⌈L/3⌉` special
+//!   primes; and
 //! - an [`eval::Evaluator`] with every operation of the paper's Table 2:
 //!   add, sub, neg, mul (cipher/plain), rotate, `rescale`, `modswitch`,
 //!   `upscale`.
@@ -61,7 +62,10 @@ pub mod primes;
 pub mod security;
 
 pub use cipher::{decrypt, encrypt_public, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
-pub use context::{CkksContext, CkksParams};
+pub use context::{
+    decomposition_limbs, key_switch_digits, ksw_key_limbs, special_prime_count, CkksContext,
+    CkksParams,
+};
 pub use encoding::{Encoder, Plaintext};
 pub use eval::{Decomposition, Evaluator, MissingKeyError};
 pub use keys::{

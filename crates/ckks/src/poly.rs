@@ -10,7 +10,9 @@ use crate::pool::PolyPool;
 
 /// A polynomial in RNS form: one residue vector (length `N`) per active
 /// modulus. The active basis is the first `level` chain primes, optionally
-/// extended by the special prime `P` (used only inside key switching).
+/// extended by `P`, the product of the context's `α` special primes (used
+/// only inside key switching): limbs `0..level` are the chain's, and the
+/// `α` limbs after them the specials'.
 ///
 /// `ntt` records whether limbs are in the transform (evaluation) domain.
 /// Ciphertext polys are kept in NTT domain, like SEAL, so additions and
@@ -28,13 +30,11 @@ impl RnsPoly {
     /// The all-zero polynomial over the given basis and domain.
     pub fn zero(ctx: &CkksContext, level: usize, special: bool, ntt: bool) -> Self {
         assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
-        let n = ctx.degree();
-        let count = level + usize::from(special);
         RnsPoly {
             level,
             special,
             ntt,
-            limbs: vec![vec![0u64; n]; count],
+            limbs: vec![vec![0u64; ctx.degree()]; limb_count(ctx, level, special)],
         }
     }
 
@@ -51,12 +51,11 @@ impl RnsPoly {
     ) -> Self {
         assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
         assert_eq!(pool.degree(), ctx.degree(), "pool sized for this context");
-        let count = level + usize::from(special);
         RnsPoly {
             level,
             special,
             ntt,
-            limbs: pool.take_zeroed(count),
+            limbs: pool.take_zeroed(limb_count(ctx, level, special)),
         }
     }
 
@@ -75,7 +74,7 @@ impl RnsPoly {
             level,
             special,
             ntt,
-            limbs: raw_limbs(ctx, Some(pool), level + usize::from(special)),
+            limbs: raw_limbs(ctx, Some(pool), limb_count(ctx, level, special)),
         }
     }
 
@@ -108,7 +107,7 @@ impl RnsPoly {
         self.level
     }
 
-    /// Whether the special prime limb is attached.
+    /// Whether the special-prime limbs are attached.
     pub fn has_special(&self) -> bool {
         self.special
     }
@@ -118,63 +117,31 @@ impl RnsPoly {
         self.ntt
     }
 
-    /// The residues for chain limb `i`.
+    /// The residues for limb `i`: chain limb `i` below the level, special
+    /// limb `i − level` at and above it.
     pub fn limb(&self, i: usize) -> &[u64] {
         &self.limbs[i]
     }
 
-    /// Mutable access to the residues for chain limb `i`.
+    /// Mutable access to the residues for limb `i` (see [`RnsPoly::limb`]).
     pub fn limb_mut(&mut self, i: usize) -> &mut [u64] {
         &mut self.limbs[i]
     }
 
-    /// The special-prime limb.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the poly has no special limb.
-    pub fn special_limb(&self) -> &[u64] {
-        assert!(self.special);
-        self.limbs.last().expect("special limb present")
-    }
-
-    /// Mutable access to the special-prime limb.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the poly has no special limb.
-    pub fn special_limb_mut(&mut self) -> &mut [u64] {
-        assert!(self.special);
-        self.limbs.last_mut().expect("special limb present")
-    }
-
     fn modulus_of(&self, ctx: &CkksContext, idx: usize) -> Modulus {
-        if self.special && idx == self.limbs.len() - 1 {
-            ctx.special()
-        } else {
-            ctx.moduli()[idx]
-        }
+        Self::modulus_at(ctx, self.level, idx)
     }
 
-    /// Modulus for limb `idx` of a poly with `count` limbs, the last of
-    /// which is the special prime iff `special` — the borrow-free twin of
-    /// [`RnsPoly::modulus_of`] for use inside per-limb closures that hold
-    /// `&mut` on the limb storage.
-    fn modulus_at(ctx: &CkksContext, special: bool, count: usize, idx: usize) -> Modulus {
-        if special && idx == count - 1 {
-            ctx.special()
-        } else {
-            ctx.moduli()[idx]
-        }
+    /// Modulus for limb `idx` of a poly with `level` chain limbs — the
+    /// borrow-free twin of [`RnsPoly::modulus_of`] for use inside per-limb
+    /// closures that hold `&mut` on the limb storage.
+    fn modulus_at(ctx: &CkksContext, level: usize, idx: usize) -> Modulus {
+        ctx.basis()[ctx.basis_index(level, idx)]
     }
 
     /// NTT table for limb `idx`; companion of [`RnsPoly::modulus_at`].
-    fn table_at(ctx: &CkksContext, special: bool, count: usize, idx: usize) -> &NttTable {
-        if special && idx == count - 1 {
-            ctx.special_table()
-        } else {
-            ctx.table(idx)
-        }
+    fn table_at(ctx: &CkksContext, level: usize, idx: usize) -> &NttTable {
+        ctx.table(ctx.basis_index(level, idx))
     }
 
     /// Builds a polynomial from signed coefficients (applied to every active
@@ -230,14 +197,9 @@ impl RnsPoly {
         assert_eq!(coeffs.len(), ctx.degree());
         assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
         let split: Vec<SplitF64> = coeffs.iter().map(|&c| SplitF64::round(c)).collect();
-        let count = level + usize::from(special);
-        let mut limbs = raw_limbs(ctx, pool, count);
+        let mut limbs = raw_limbs(ctx, pool, limb_count(ctx, level, special));
         for (idx, limb) in limbs.iter_mut().enumerate() {
-            let pow2 = if special && idx == count - 1 {
-                ctx.special_pow2()
-            } else {
-                ctx.pow2(idx)
-            };
+            let pow2 = ctx.pow2(ctx.basis_index(level, idx));
             for (slot, &s) in limb.iter_mut().zip(&split) {
                 *slot = pow2.reduce_split(s);
             }
@@ -276,8 +238,7 @@ impl RnsPoly {
     ) -> Self {
         assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
         let mut limbs = raw_limbs(ctx, pool, level);
-        let basis = ctx.moduli().iter().copied().chain([ctx.special()]);
-        for (idx, m) in basis.enumerate() {
+        for (idx, m) in ctx.basis().iter().enumerate() {
             match limbs.get_mut(idx) {
                 Some(limb) => {
                     for slot in limb.iter_mut() {
@@ -329,10 +290,10 @@ impl RnsPoly {
         if self.ntt {
             return;
         }
-        let (special, count) = (self.special, self.limbs.len());
+        let level = self.level;
         let est = par::cost::NTT * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
-            Self::table_at(ctx, special, count, idx).forward(limb);
+            Self::table_at(ctx, level, idx).forward(limb);
         });
         self.ntt = true;
     }
@@ -343,10 +304,10 @@ impl RnsPoly {
         if !self.ntt {
             return;
         }
-        let (special, count) = (self.special, self.limbs.len());
+        let level = self.level;
         let est = par::cost::NTT * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
-            Self::table_at(ctx, special, count, idx).inverse(limb);
+            Self::table_at(ctx, level, idx).inverse(limb);
         });
         self.ntt = false;
     }
@@ -411,10 +372,10 @@ impl RnsPoly {
         self.check_compatible(other);
         assert!(self.ntt, "polynomial product requires NTT domain");
         let mut out = self.clone();
-        let (special, count) = (out.special, out.limbs.len());
+        let level = out.level;
         let est = par::cost::POINTWISE * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut out.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, special, count, idx);
+            let m = Self::modulus_at(ctx, level, idx);
             for (a, &b) in limb.iter_mut().zip(&other.limbs[idx]) {
                 *a = m.mul(*a, b);
             }
@@ -432,10 +393,10 @@ impl RnsPoly {
     pub fn mul_assign(&mut self, ctx: &CkksContext, other: &RnsPoly) {
         self.check_compatible(other);
         assert!(self.ntt, "polynomial product requires NTT domain");
-        let (special, count) = (self.special, self.limbs.len());
+        let level = self.level;
         let est = par::cost::POINTWISE * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, special, count, idx);
+            let m = Self::modulus_at(ctx, level, idx);
             for (a, &b) in limb.iter_mut().zip(&other.limbs[idx]) {
                 *a = m.mul(*a, b);
             }
@@ -449,10 +410,10 @@ impl RnsPoly {
         self.check_compatible(other);
         self.check_compatible(acc);
         assert!(self.ntt, "polynomial product requires NTT domain");
-        let (special, count) = (acc.special, acc.limbs.len());
+        let level = acc.level;
         let est = par::cost::POINTWISE * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, special, count, idx);
+            let m = Self::modulus_at(ctx, level, idx);
             for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(&other.limbs[idx]) {
                 *a = m.add(*a, m.mul(x, y));
             }
@@ -460,8 +421,9 @@ impl RnsPoly {
     }
 
     /// Like [`RnsPoly::mul_acc`], with `key` a full-basis key polynomial
-    /// (all `L` chain limbs plus `P`): `self`'s chain limbs pair with
-    /// `key`'s first limbs and `self`'s special limb with `key`'s last.
+    /// (all `L` chain limbs plus the `α` specials): `self`'s chain limbs
+    /// pair with `key`'s first limbs and `self`'s special limbs with `key`'s
+    /// last `α`.
     ///
     /// One digit × key term of a key switch, reduced eagerly — the oracle
     /// the evaluator's lazy inner product (`key_switch_dot`) is tested
@@ -478,15 +440,11 @@ impl RnsPoly {
         );
         assert_eq!(key.level, ctx.max_level(), "key polys carry the full basis");
         assert!(self.level <= key.level);
-        let (special, count) = (acc.special, acc.limbs.len());
+        let level = acc.level;
         let est = par::cost::POINTWISE * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, special, count, idx);
-            let key_limb = if special && idx == count - 1 {
-                key.limbs.last().expect("special limb")
-            } else {
-                &key.limbs[idx]
-            };
+            let m = Self::modulus_at(ctx, level, idx);
+            let key_limb = &key.limbs[ctx.basis_index(level, idx)];
             for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(key_limb) {
                 *a = m.add(*a, m.mul(x, y));
             }
@@ -494,7 +452,7 @@ impl RnsPoly {
     }
 
     /// Drops the basis down to `new_level` chain limbs (and drops the
-    /// special limb if present) **without** scaling — this is `modswitch`'s
+    /// special limbs if present) **without** scaling — this is `modswitch`'s
     /// core, and is also used to align key limbs with a ciphertext's basis.
     pub fn drop_to_level(&mut self, new_level: usize) {
         assert!(new_level >= 1 && new_level <= self.level);
@@ -513,12 +471,12 @@ impl RnsPoly {
     }
 
     /// Restricts a full-basis key polynomial to the first `level` chain
-    /// limbs plus the special limb (key polys always carry `P`).
+    /// limbs plus the special limbs (key polys always carry `P`).
     pub fn restrict_for_keyswitch(&self, level: usize) -> RnsPoly {
-        assert!(self.special, "key polynomials carry the special limb");
+        assert!(self.special, "key polynomials carry the special limbs");
         assert!(level <= self.level);
         let mut limbs: Vec<Vec<u64>> = self.limbs[..level].to_vec();
-        limbs.push(self.limbs.last().expect("special limb").clone());
+        limbs.extend_from_slice(&self.limbs[self.level..]);
         RnsPoly {
             level,
             special: true,
@@ -574,38 +532,63 @@ impl RnsPoly {
         self.level = j;
     }
 
-    /// Divides by the special prime `P` with rounding, dropping the special
-    /// limb (the final step of key switching). Input NTT, output NTT; the
-    /// dropped limb's buffer goes back to `pool`.
+    /// ModDown: divides by `P` with rounding, dropping the `α` special limbs
+    /// (the final step of key switching). Input NTT, output NTT; the
+    /// dropped limbs' buffers go back to `pool`.
+    ///
+    /// The special limbs go to coefficients (`α` inverse NTTs), and each
+    /// `c_j` becomes `ỹ_j = [c_j · p̂_j⁻¹]_{p_j}`, centered. `x = Σ_j ỹ_j·p̂_j`
+    /// is then `≡ c (mod P)` with `|x| ≤ α·P/2`; it is converted to every
+    /// chain limb, transformed forward (`l` NTTs) and `(c − x)·P⁻¹` taken.
+    /// At `α = 1` this is `c`'s centered lift, exactly.
     ///
     /// # Panics
     ///
-    /// Panics if the poly lacks the special limb or is in coefficient domain.
+    /// Panics if the poly lacks the special limbs or is in coefficient domain.
     pub fn rescale_special_in(&mut self, ctx: &CkksContext, pool: &PolyPool) {
-        assert!(self.special, "no special limb to drop");
+        assert!(self.special, "no special limbs to drop");
         assert!(self.ntt, "ciphertext polys live in NTT domain");
-        let mut last = self.limbs.pop().expect("limb");
-        ctx.special_table().inverse(&mut last);
-        let p = ctx.special();
-        let half = p.value() / 2;
+        let (l, big_l) = (self.level, ctx.max_level());
+        let specials = ctx.specials();
+        for (j, limb) in self.limbs[l..].iter_mut().enumerate() {
+            ctx.table(big_l + j).inverse(limb);
+            if specials.len() > 1 {
+                let (w, w_shoup) = ctx.special_hat_inv(j);
+                for x in limb.iter_mut() {
+                    *x = specials[j].mul_shoup(*x, w, w_shoup);
+                }
+            }
+        }
         {
-            let last = &last;
+            let (chain, lifted) = self.limbs.split_at_mut(l);
+            let lifted = &*lifted;
             let est = par::cost::NTT * ctx.degree() as u64;
-            par::for_each_with_scratch(ctx.threads(), est, &mut self.limbs, |i, limb, corr| {
-                let mi = ctx.moduli()[i];
-                // The centered lift of `v` is `v − P` above `P/2`: reduce `v`
-                // and take `P mod q_i` off, a select instead of a branch on
-                // a coin flip.
-                let p_mod = mi.reduce(p.value());
+            par::for_each_with_scratch(ctx.threads(), est, chain, |i, limb, corr| {
+                let (mi, p_mod) = (ctx.moduli()[i], ctx.special_mod(i));
                 corr.clear();
-                corr.extend(last.iter().map(|&v| {
-                    let r = mi.reduce(v);
-                    if v > half {
-                        mi.sub(r, p_mod)
+                // One Shoup pass per special prime. The centered lift of `ỹ_j`
+                // is `ỹ_j − p_j` above `p_j/2`, which takes `p_j·p̂_j = P` off
+                // its term: a select instead of a branch on a coin flip. At
+                // α = 1, `p̂ = 1` and the pass is `c`'s centered lift mod q_i.
+                let terms = lifted.iter().zip(ctx.special_hat(i)).zip(specials);
+                for (j, ((limb, &(h, h_shoup)), p)) in terms.enumerate() {
+                    let half = p.value() / 2;
+                    let term = |v: u64| {
+                        let t = mi.mul_shoup(v, h, h_shoup);
+                        if v > half {
+                            mi.sub(t, p_mod)
+                        } else {
+                            t
+                        }
+                    };
+                    if j == 0 {
+                        corr.extend(limb.iter().map(|&v| term(v)));
                     } else {
-                        r
+                        for (c, &v) in corr.iter_mut().zip(limb) {
+                            *c = mi.add(*c, term(v));
+                        }
                     }
-                }));
+                }
                 ctx.table(i).forward(corr);
                 let (inv, inv_shoup) = ctx.special_inv(i);
                 for (a, &c) in limb.iter_mut().zip(corr.iter()) {
@@ -613,7 +596,7 @@ impl RnsPoly {
                 }
             });
         }
-        pool.put([last]);
+        pool.put(self.limbs.drain(l..));
         self.special = false;
     }
 
@@ -682,8 +665,8 @@ impl RnsPoly {
         }
     }
 
-    /// The inner product of a key switch: `(Σ_j σ(d_j) ∘ k0_j, Σ_j σ(d_j) ∘
-    /// k1_j)` over the extended basis `Q_l·P`, where `d_j` are the `l`
+    /// The inner product of a key switch: `(Σ_β σ(d_β) ∘ k0_β, Σ_β σ(d_β) ∘
+    /// k1_β)` over the extended basis `Q_l·P`, where `d_β` are the `⌈l/α⌉`
     /// NTT-form digits of a level-`l` polynomial, `k0`/`k1` the key's
     /// full-basis polynomials and `σ` the Galois automorphism whose index
     /// table is `perm` (`None` = identity, i.e. relinearization).
@@ -691,8 +674,9 @@ impl RnsPoly {
     /// Each output limb is walked in [`DOT_CHUNK`]-coefficient chunks whose
     /// two accumulators stay in `u128`: a term is one gathered read of the
     /// digit (the automorphism is never materialized) and two widening
-    /// products, and a Barrett reduction happens once per
-    /// [`Modulus::lazy_window`] terms instead of once per term.
+    /// products, and a Barrett reduction happens once per output instead of
+    /// once per term — at most three digits always fit the
+    /// [`Modulus::lazy_window`].
     pub(crate) fn key_switch_dot(
         pool: &PolyPool,
         ctx: &CkksContext,
@@ -701,31 +685,38 @@ impl RnsPoly {
         k1: &[RnsPoly],
         perm: Option<&[u32]>,
     ) -> (RnsPoly, RnsPoly) {
-        let (l, n) = (digits.len(), ctx.degree());
-        assert!(k0.len() >= l && k1.len() >= l, "one key pair per digit");
+        let (terms, n) = (digits.len(), ctx.degree());
+        let l = digits.first().expect("at least one digit").level;
+        assert!(
+            k0.len() >= terms && k1.len() >= terms,
+            "one key pair per digit"
+        );
         for d in digits {
             assert!(
                 d.ntt && d.special && d.level == l,
                 "digits of a level-l poly"
             );
         }
-        for k in k0[..l].iter().chain(&k1[..l]) {
+        for k in k0[..terms].iter().chain(&k1[..terms]) {
             assert!(
                 k.ntt && k.special && k.level == ctx.max_level(),
                 "key polys carry the full basis"
             );
         }
+        assert!(
+            ctx.basis().iter().all(|m| terms <= m.lazy_window()),
+            "{terms} digits overflow a u128 accumulator"
+        );
         assert!(perm.is_none_or(|p| p.len() == n), "index table sized for N");
         let mut out0 = RnsPoly::raw_in(pool, ctx, l, true, true);
         let mut out1 = RnsPoly::raw_in(pool, ctx, l, true, true);
         let mut pairs: Vec<_> = out0.limbs.iter_mut().zip(&mut out1.limbs).collect();
-        let est = par::cost::POINTWISE * (2 * l * n) as u64;
+        let est = par::cost::POINTWISE * (2 * terms * n) as u64;
         par::for_each(ctx.threads(), est, &mut pairs, |idx, (o0, o1)| {
-            let m = Self::modulus_at(ctx, true, l + 1, idx);
-            // The digits' limb `idx` pairs with the key's limb `idx`, and
-            // their special limb (index `l`) with the key's last.
-            let key_idx = if idx == l { ctx.max_level() } else { idx };
-            let window = m.lazy_window();
+            let m = Self::modulus_at(ctx, l, idx);
+            // The digits' chain limb `idx` pairs with the key's limb `idx`,
+            // and their special limbs with the key's last `α`.
+            let key_idx = ctx.basis_index(l, idx);
             // One coefficient's `k0` and `k1` sums, side by side.
             let mut acc = [[0u128; 2]; DOT_CHUNK];
             for base in (0..n).step_by(DOT_CHUNK) {
@@ -733,11 +724,6 @@ impl RnsPoly {
                 let acc = &mut acc[..span.len()];
                 acc.fill([0; 2]);
                 for (j, digit) in digits.iter().enumerate() {
-                    if j > 0 && j % window == 0 {
-                        for a in acc.iter_mut().flatten() {
-                            *a = u128::from(m.reduce_u128(*a));
-                        }
-                    }
                     let x = &digit.limbs[idx];
                     let (y0, y1) = (
                         &k0[j].limbs[key_idx][span.clone()],
@@ -766,6 +752,12 @@ impl RnsPoly {
 /// Coefficients per chunk of [`RnsPoly::key_switch_dot`]: its `u128`
 /// accumulator pairs (8 KiB) stay in L1 across the digits of a chunk.
 const DOT_CHUNK: usize = 256;
+
+/// Limbs of a polynomial at `level`, extended by the `α` specials or not.
+#[inline]
+fn limb_count(ctx: &CkksContext, level: usize, special: bool) -> usize {
+    level + if special { ctx.specials().len() } else { 0 }
+}
 
 /// `acc[i] += [x_i · y0_i, x_i · y1_i]`, unreduced. The caller keeps the
 /// term count within [`Modulus::lazy_window`].
@@ -973,33 +965,34 @@ mod tests {
     }
 
     #[test]
-    fn key_switch_dot_matches_the_eager_oracle_across_the_lazy_window() {
-        // The largest primes `Modulus::new` admits (half of a 61-bit chain
-        // lies above 2^61) hold 16 products per window; 18 digits need two.
-        // Checked with and without a permutation, at the full level and
-        // below it (where digits pair with a prefix of the key's limbs).
+    fn key_switch_dot_matches_the_eager_oracle_with_grouped_digits() {
+        // L = 18 at 61-bit primes (the widest `Modulus::new` admits: half of
+        // the chain lies above 2^61), so α = 6 and keys hold three digit
+        // pairs. Checked with and without a permutation, at the full level
+        // and below it, where the digits pair with a prefix of the key's
+        // chain limbs and a partial last digit.
+        let big_l = 18;
         let ctx = CkksContext::new(CkksParams {
             poly_degree: 64,
-            max_level: 18,
+            max_level: big_l,
             modulus_bits: 61,
             special_bits: 61,
             error_std: 3.2,
             threads: 1,
         });
-        let widest = ctx.moduli().iter().map(|m| m.value()).max().unwrap();
-        assert!(widest > 1 << 61 && Modulus::new(widest).lazy_window() == 16);
+        assert_eq!(ctx.specials().len(), 6);
         let pool = PolyPool::new(ctx.degree());
         let mut rng = StdRng::seed_from_u64(18);
         let key = |rng: &mut StdRng| -> Vec<RnsPoly> {
-            (0..18)
-                .map(|_| RnsPoly::uniform(&ctx, 18, true, rng))
+            (0..3)
+                .map(|_| RnsPoly::uniform(&ctx, big_l, true, rng))
                 .collect()
         };
         let (k0, k1) = (key(&mut rng), key(&mut rng));
         let g = crate::keys::rotation_to_galois(&ctx, 3);
         let perm = ctx.galois_permutation(g);
-        for l in [18usize, 17, 3] {
-            let digits: Vec<RnsPoly> = (0..l)
+        for l in [18usize, 17, 7, 3, 1] {
+            let digits: Vec<RnsPoly> = (0..crate::context::key_switch_digits(l, big_l))
                 .map(|_| RnsPoly::uniform(&ctx, l, true, &mut rng))
                 .collect();
             for perm in [None, Some(&*perm)] {
@@ -1043,31 +1036,79 @@ mod tests {
         assert_eq!(before, after, "mul_acc reallocated limb storage");
     }
 
-    #[test]
-    fn mul_acc_restricted_matches_restrict_then_mul_acc() {
-        let ctx = tiny_ctx();
-        let mut rng = StdRng::seed_from_u64(8);
-        // Key poly on the full basis (all L chain limbs + P); operand and
-        // accumulator on a lower level plus the special limb.
-        let key = RnsPoly::uniform(&ctx, 3, true, &mut rng);
-        let x = RnsPoly::uniform(&ctx, 2, true, &mut rng);
-        let mut direct = RnsPoly::uniform(&ctx, 2, true, &mut rng);
-        let mut via_restrict = direct.clone();
-        x.mul_acc(&ctx, &key.restrict_for_keyswitch(2), &mut via_restrict);
-        x.mul_acc_restricted(&ctx, &key, &mut direct);
-        assert_eq!(direct, via_restrict);
+    /// The tiny context (α = 1) and one with two special primes.
+    fn key_switch_ctxs() -> [CkksContext; 2] {
+        let wide = CkksContext::new(CkksParams {
+            max_level: 6,
+            ..*tiny_ctx().params()
+        });
+        assert_eq!(wide.specials().len(), 2);
+        [tiny_ctx(), wide]
     }
 
     #[test]
-    fn restrict_keeps_special_limb() {
-        let ctx = tiny_ctx();
-        let mut rng = StdRng::seed_from_u64(4);
-        let p = RnsPoly::uniform(&ctx, 3, true, &mut rng);
-        let r = p.restrict_for_keyswitch(2);
-        assert_eq!(r.level(), 2);
-        assert!(r.has_special());
-        assert_eq!(r.special_limb(), p.special_limb());
-        assert_eq!(r.limb(1), p.limb(1));
+    fn mul_acc_restricted_matches_restrict_then_mul_acc() {
+        for ctx in key_switch_ctxs() {
+            let mut rng = StdRng::seed_from_u64(8);
+            // Key poly on the full basis (all L chain limbs + P); operand and
+            // accumulator on a lower level plus the special limbs.
+            let key = RnsPoly::uniform(&ctx, ctx.max_level(), true, &mut rng);
+            let x = RnsPoly::uniform(&ctx, 2, true, &mut rng);
+            let mut direct = RnsPoly::uniform(&ctx, 2, true, &mut rng);
+            let mut via_restrict = direct.clone();
+            x.mul_acc(&ctx, &key.restrict_for_keyswitch(2), &mut via_restrict);
+            x.mul_acc_restricted(&ctx, &key, &mut direct);
+            assert_eq!(direct, via_restrict);
+        }
+    }
+
+    #[test]
+    fn restrict_keeps_special_limbs() {
+        for ctx in key_switch_ctxs() {
+            let mut rng = StdRng::seed_from_u64(4);
+            let big_l = ctx.max_level();
+            let p = RnsPoly::uniform(&ctx, big_l, true, &mut rng);
+            let r = p.restrict_for_keyswitch(2);
+            assert_eq!(r.level(), 2);
+            assert!(r.has_special());
+            for j in 0..ctx.specials().len() {
+                assert_eq!(r.limb(2 + j), p.limb(big_l + j), "special {j}");
+            }
+            assert_eq!(r.limb(1), p.limb(1));
+        }
+    }
+
+    #[test]
+    fn mod_down_divides_by_the_product_of_the_specials() {
+        // A constant `P·v + r` over `Q_l·P` scales down to `v` (r < P/2
+        // rounds away), for α = 1 and α = 2, at the full level and below.
+        for ctx in key_switch_ctxs() {
+            let pool = PolyPool::new(ctx.degree());
+            let big_p: f64 = ctx.specials().iter().map(|p| p.value() as f64).product();
+            for l in [ctx.max_level(), 1] {
+                for v in [12345.0, -777.0] {
+                    let mut coeffs = vec![0.0; ctx.degree()];
+                    coeffs[0] = v * big_p + 0.3 * big_p;
+                    coeffs[5] = -v * big_p;
+                    let mut p = RnsPoly::from_real_coeffs(&ctx, l, true, &coeffs);
+                    p.to_ntt(&ctx);
+                    p.rescale_special_in(&ctx, &pool);
+                    assert!(!p.has_special());
+                    p.to_coeff(&ctx);
+                    let m = ctx.moduli()[0];
+                    // The centered lift rounds exactly at α = 1; a sum of
+                    // `α` centered terms may land one `P` off.
+                    let slack = i64::from(ctx.specials().len() > 1);
+                    let (got0, got5) = (m.center(p.limb(0)[0]), m.center(p.limb(0)[5]));
+                    assert!((got0 - v as i64).abs() <= slack, "level {l}: {got0} vs {v}");
+                    assert!(
+                        (got5 + v as i64).abs() <= slack,
+                        "level {l}: {got5} vs {}",
+                        -v
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! classical attacks): for each polynomial degree `N`, the maximum total
 //! modulus size `log₂(Q·P)` that keeps the scheme at a given security
 //! level. The paper's evaluation targets 128-bit security at `N = 2^15`
-//! (max 881 bits ⇒ up to 13 sixty-bit primes + the special prime).
+//! (max 881 bits). `P` counts: a chain of `L` primes carries
+//! `α = ⌈L/3⌉` special primes, so sixty-bit parameters stay within 881
+//! bits up to `L = 10` (600 + 240 bits), not the 13 a single special prime
+//! would allow — the price of three-digit key switching (DESIGN §5).
 //!
 //! These bounds are *guidance for experiments*, not a substitute for a real
 //! estimator run.
 
-use crate::context::CkksParams;
+use crate::context::{special_prime_count, CkksParams};
 
 /// Supported security targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,9 +50,11 @@ pub fn max_modulus_bits(n: usize, level: SecurityLevel) -> Option<u32> {
         .filter(|_| n >= 1024)
 }
 
-/// The total modulus size (`log₂(Q·P)` in bits) a parameter set uses.
+/// The total modulus size (`log₂(Q·P)` in bits) a parameter set uses:
+/// `L` chain primes and the `α` special primes of its key switching.
 pub fn total_modulus_bits(params: &CkksParams) -> u32 {
-    params.max_level as u32 * params.modulus_bits + params.special_bits
+    let alpha = special_prime_count(params.max_level) as u32;
+    params.max_level as u32 * params.modulus_bits + alpha * params.special_bits
 }
 
 /// Whether the parameter set meets the security target, or `None` when the
@@ -74,11 +79,33 @@ mod tests {
 
     #[test]
     fn paper_parameters_at_128_bits() {
-        // N = 2^15, R = 2^60: up to 13 chain primes + special stay ≤ 881.
-        let params = CkksParams::paper_eval(13);
+        // N = 2^15, R = 2^60: L = 10 carries α = 4 special primes, 840
+        // bits ≤ 881; L = 11 (also α = 4) needs 900. One special prime
+        // would have allowed L = 13 — the trade three-digit key switching
+        // makes.
+        let params = CkksParams::paper_eval(10);
+        assert_eq!(total_modulus_bits(&params), 840);
         assert_eq!(meets(&params, SecurityLevel::Bits128), Some(true));
-        let too_deep = CkksParams::paper_eval(15);
+        let too_deep = CkksParams::paper_eval(11);
+        assert_eq!(total_modulus_bits(&too_deep), 900);
         assert_eq!(meets(&too_deep, SecurityLevel::Bits128), Some(false));
+    }
+
+    #[test]
+    fn the_benchmark_shape_is_far_below_128_bits() {
+        // N = 8192, L = 9 at 60-bit chain and 61-bit special primes: 540 +
+        // 3·61 = 723 bits against a cap of 218.
+        let params = CkksParams {
+            poly_degree: 8192,
+            max_level: 9,
+            modulus_bits: 60,
+            special_bits: 61,
+            error_std: 3.2,
+            threads: 1,
+        };
+        assert_eq!(total_modulus_bits(&params), 723);
+        assert_eq!(max_modulus_bits(8192, SecurityLevel::Bits128), Some(218));
+        assert_eq!(meets(&params, SecurityLevel::Bits128), Some(false));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! and produces a peak-bytes bound that must dominate every measured
 //! `MemStats::peak_bytes` (the fuzz oracle asserts this). All polynomial
 //! figures are counted in *limbs* (one limb = `N × 8` bytes) and
-//! converted at the end; key material is counted from the closed forms
-//! (`SecretKey`/`KswKey` byte sizes in `fhe-ckks`).
+//! converted at the end; key material and key-switch digits are counted
+//! from the closed forms of hybrid key switching ([`ksw_key_limbs`],
+//! [`decomposition_limbs`]), which mirror `fhe-ckks`'s.
 
 use crate::op::{Op, ValueId};
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -14,6 +15,26 @@ use crate::schedule::{ScaleMap, ScheduledProgram};
 /// Flat per-op slack, in limbs, covering small transients the walk does
 /// not model individually.
 const OP_MARGIN_LIMBS: u64 = 16;
+
+/// `α`, the special primes of a chain of `L` primes: `⌈L/3⌉`.
+fn special_primes(max_level: u64) -> u64 {
+    max_level.div_ceil(3)
+}
+
+/// Limbs of a level-`l` key-switch decomposition under a chain of `L`
+/// primes: `⌈l/α⌉` digits over `Q_l·P`, `⌈l/α⌉·(l+α)` in all. The backend's
+/// `fhe_ckks::decomposition_limbs`; this crate does not depend on the
+/// backend, so `tests/key_switching.rs` holds the two to each other.
+pub fn decomposition_limbs(level: u64, max_level: u64) -> u64 {
+    let alpha = special_primes(max_level);
+    level.div_ceil(alpha) * (level + alpha)
+}
+
+/// Limb polynomials of one key-switching key: a pair per digit over the full
+/// basis `Q_L·P`, `2·⌈L/α⌉·(L+α)` — `fhe_ckks::ksw_key_limbs`.
+pub fn ksw_key_limbs(max_level: u64) -> u64 {
+    2 * decomposition_limbs(max_level, max_level)
+}
 
 /// Static per-program memory bound (see [`estimate_memory`]).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -54,6 +75,8 @@ pub fn estimate_memory(
     let program = &scheduled.program;
     let live = crate::analysis::live(program);
     let limb_bytes = (poly_degree * 8) as u64;
+    let big_l = u64::from(map.max_level());
+    let alpha = special_primes(big_l);
 
     let free_at = crate::analysis::free_points(program, &live);
     let groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
@@ -75,10 +98,11 @@ pub fn estimate_memory(
         let l = u64::from(map.level(id));
         // Per-op pooled transients, in limbs, over-approximating the
         // backend: a relinearizing multiply or key-switched rotation holds
-        // the lifted digit decomposition (`l` digits × `l+1` limbs), two
-        // special-basis accumulators, and two scratch polynomials at once.
-        let digits = l * (l + 1);
-        let ksw = digits + 2 * (l + 1) + 2 * l;
+        // the lifted digit decomposition (`⌈l/α⌉` digits × `l+α` limbs),
+        // two special-basis accumulators, and two scratch polynomials at
+        // once.
+        let digits = decomposition_limbs(l, big_l);
+        let ksw = digits + 2 * (l + alpha) + 2 * l;
         // A hoisted group's digits are checked out by its first member and
         // returned by its last; in between they are live like a value.
         let group = match program.op(id) {
@@ -95,7 +119,7 @@ pub fn estimate_memory(
             // special-basis accumulators (then the rotated `c0` beside the
             // switched pair); the leader's coefficient-domain copy of the
             // source is gone before its output exists.
-            Op::Rotate(..) if group.is_some() => (2 * l, l + 2),
+            Op::Rotate(..) if group.is_some() => (2 * l, l + 2 * alpha),
             Op::Rotate(..) => (2 * l, ksw),
             Op::Rescale(_) | Op::ModSwitch(_) => (2 * l, 4),
             // plain − cipher: the negated copy beside the plaintext.
@@ -146,9 +170,8 @@ pub fn estimate_memory(
     elements.dedup();
     let galois_keys = elements.len();
 
-    let big_l = u64::from(map.max_level());
-    let sk_bytes = (big_l + 1) * limb_bytes;
-    let one_key = 2 * big_l * (big_l + 1) * limb_bytes;
+    let sk_bytes = (big_l + alpha) * limb_bytes;
+    let one_key = ksw_key_limbs(big_l) * limb_bytes;
     let key_bytes = sk_bytes + one_key + galois_keys as u64 * one_key;
     let poly_peak_bytes = poly_peak * limb_bytes;
     MemoryEstimate {
@@ -231,7 +254,8 @@ mod tests {
     fn a_hoisted_groups_digits_stay_live_from_its_leader_to_its_last_member() {
         // Two rotations of `x` with a fan-out on `y` between them: the peak
         // is in the fan-out, where hoisting holds the group's `l·(l+1)`
-        // digit limbs and per-rotation decomposition holds nothing.
+        // digit limbs (α = 1 at L = 3) and per-rotation decomposition holds
+        // nothing.
         let (level, n) = (3u64, 16u64);
         let b = Builder::new("rots", 8);
         let (x, y) = (b.input("x"), b.input("y"));

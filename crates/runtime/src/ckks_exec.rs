@@ -78,7 +78,7 @@ pub struct ExecOptions {
     /// Galois-key provisioning policy.
     pub keys: KeyPolicy,
     /// Share one key-switch decomposition across rotations of the same
-    /// ciphertext: faster, but the group's `l·(l+1)` digit limbs stay live
+    /// ciphertext: faster, but the group's `⌈l/α⌉·(l+α)` digit limbs stay live
     /// from its first member to its last. Outputs are byte-identical either
     /// way — this only trades time for memory. Disable to minimize the
     /// working set; the compile report's static memory bound is computed
@@ -134,14 +134,11 @@ impl SessionKeys {
         modulus_bits: u32,
         rotation_steps: &[i64],
     ) -> SessionKeys {
-        let ctx = Arc::new(CkksContext::new(CkksParams {
-            poly_degree: options.poly_degree,
+        let ctx = Arc::new(CkksContext::new(backend_params(
+            options,
             max_level,
             modulus_bits,
-            special_bits: modulus_bits.min(60) + 1,
-            error_std: 3.2,
-            threads: options.threads,
-        }));
+        )));
         let mut rng = StdRng::seed_from_u64(options.seed);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let sk = kg.secret_key();
@@ -235,6 +232,20 @@ impl SessionKeys {
             key_evictions: ke,
             key_bytes_peak: kp,
         }
+    }
+}
+
+/// The backend parameters a session of this shape runs on: the options'
+/// degree and per-limb threads, `max_level` chain primes of `modulus_bits`,
+/// and special primes one bit wider (at most 61).
+pub fn backend_params(options: &ExecOptions, max_level: usize, modulus_bits: u32) -> CkksParams {
+    CkksParams {
+        poly_degree: options.poly_degree,
+        max_level,
+        modulus_bits,
+        special_bits: modulus_bits.min(60) + 1,
+        error_std: 3.2,
+        threads: options.threads,
     }
 }
 

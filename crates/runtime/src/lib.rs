@@ -28,9 +28,9 @@ pub mod noise_sim;
 pub mod plain;
 
 pub use ckks_exec::{
-    execute as execute_encrypted, execute_parallel, execute_parallel_with_keys, execute_with_keys,
-    rotation_steps, ExecOptions, ExecReport, KeyPolicy, MemStats, ParOptions, ParReport,
-    SessionKeys,
+    backend_params, execute as execute_encrypted, execute_parallel, execute_parallel_with_keys,
+    execute_with_keys, rotation_steps, ExecOptions, ExecReport, KeyPolicy, MemStats, ParOptions,
+    ParReport, SessionKeys,
 };
 pub use noise_sim::{simulate, NoiseModel, NoisyRun};
 pub use plain::{max_abs_diff, outputs_close};

@@ -16,13 +16,17 @@
 //! mul·relin·rescale pairs, hoisted rotation groups, and the walk time.
 //! `--workers 0` (the default) sizes the walk to the host; `--workers 1`
 //! is the serial executor; `--no-fusion` disables the fused kernel. Outputs are bit-identical for every worker
-//! count and fusion setting.
+//! count and fusion setting. It also prints the backend's total modulus
+//! `log₂(Q·P)` — the chain plus the key-switching special primes — and the
+//! security level it meets under the HE standard's table, if any.
 
 use std::process::ExitCode;
 
+use fhe_reserve::ckks::security::{self, SecurityLevel};
+use fhe_reserve::ckks::{special_prime_count, CkksParams};
 use fhe_reserve::ir::text;
 use fhe_reserve::prelude::*;
-use fhe_reserve::runtime::{execute_parallel, ExecOptions, ParOptions};
+use fhe_reserve::runtime::{backend_params, execute_parallel, ExecOptions, ParOptions};
 
 struct Cli {
     input: String,
@@ -106,6 +110,31 @@ fn parse_args() -> Result<Cli, String> {
     })
 }
 
+/// One line on the backend's total modulus and the security level it meets.
+fn security_line(params: &CkksParams) -> String {
+    let bits = security::total_modulus_bits(params);
+    let met = [
+        (SecurityLevel::Bits256, 256),
+        (SecurityLevel::Bits192, 192),
+        (SecurityLevel::Bits128, 128),
+    ]
+    .into_iter()
+    .find(|&(level, _)| security::meets(params, level) == Some(true));
+    let verdict = match met {
+        Some((_, level)) => format!("meets {level}-bit security"),
+        None => match security::max_modulus_bits(params.poly_degree, SecurityLevel::Bits128) {
+            Some(cap) => format!("below 128-bit security (cap {cap} bits)"),
+            None => "below 128-bit security (N below the standard's table)".to_string(),
+        },
+    };
+    format!(
+        "run: log2(Q·P) = {bits} bits (L = {} chain + α = {} special primes) at N = {}: {verdict}",
+        params.max_level,
+        special_prime_count(params.max_level),
+        params.poly_degree,
+    )
+}
+
 fn main() -> ExitCode {
     let cli = match parse_args() {
         Ok(c) => c,
@@ -183,6 +212,14 @@ fn main() -> ExitCode {
             workers: cli.workers,
             fusion: cli.fusion,
         };
+        eprintln!(
+            "{}",
+            security_line(&backend_params(
+                &options.exec,
+                report.max_level as usize,
+                scheduled.params.rescale_bits,
+            ))
+        );
         let report = match execute_parallel(&scheduled, &inputs, &options) {
             Ok(r) => r,
             Err(errors) => {

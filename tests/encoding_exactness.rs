@@ -106,13 +106,8 @@ fn float_to_rns_matches_a_big_integer_oracle() {
             // Both chain primes and the special prime.
             let poly = RnsPoly::from_real_coeffs(&ctx, 2, true, &coeffs);
             assert!(!poly.is_ntt());
-            let moduli = [ctx.moduli()[0], ctx.moduli()[1], ctx.special()];
-            for (limb, m) in moduli.iter().enumerate() {
-                let got = if limb == 2 {
-                    poly.special_limb()
-                } else {
-                    poly.limb(limb)
-                };
+            for (limb, m) in ctx.basis().iter().enumerate() {
+                let got = poly.limb(limb);
                 for (k, &x) in coeffs.iter().enumerate() {
                     assert_eq!(
                         got[k],
