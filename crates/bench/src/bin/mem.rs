@@ -15,12 +15,18 @@
 //!   front.
 //! - `lazy` — keys generated on first use, cached without bound.
 //! - `lazy-budget` — lazy with the cache capped at `--budget` keys' bytes
-//!   (default 4).
+//!   (default 4), a key being the program's largest: its Galois key of
+//!   the deepest level it rotates at.
+//!
+//! `eager-pow2` keys are full depth; the program's own keys reach only the
+//! deepest level each is used at, so the run also reports eager-program's
+//! key bytes against eager-pow2's.
 //!
 //! `--check-baseline BENCH_mem.json` re-runs and exits non-zero when the
 //! pool hit rate is zero, the lazy-budget peak regressed more than 20%
-//! over the committed record, or the headline reduction dropped below 2×
-//! — the CI `mem-smoke` gate.
+//! over the committed record, the headline reduction dropped below 2×, or
+//! eager-program's key bytes differ from the compile report's static
+//! `key_bytes` — the CI `mem-smoke` gate.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -28,7 +34,7 @@ use std::process::ExitCode;
 use fhe_bench::{keys, print_table, CliArgs};
 use fhe_ir::json::Json;
 use fhe_ir::pipeline::ScaleCompiler;
-use fhe_ir::{CompileParams, Op, Program, ScheduledProgram};
+use fhe_ir::{key_levels, CompileParams, Op, Program, ScheduledProgram};
 use fhe_runtime::{execute_encrypted, ExecOptions, ExecReport, KeyPolicy};
 use fhe_workloads::{suite, Size};
 use reserve_core::ReserveCompiler;
@@ -83,6 +89,7 @@ fn row_json(row: &Row) -> Json {
         ("peak_bytes", Json::from(m.peak_bytes as usize)),
         ("live_bytes_end", Json::from(m.live_bytes as usize)),
         ("key_bytes_peak", Json::from(m.key_bytes_peak as usize)),
+        ("key_bytes", Json::from(m.key_bytes as usize)),
         ("allocations", Json::from(m.allocations as usize)),
         ("pool_hit_rate", Json::from(m.pool_hit_rate())),
         ("key_hits", Json::from(m.key_hits as usize)),
@@ -147,8 +154,13 @@ fn main() -> ExitCode {
     }
 
     let n = slots * 2;
-    let level = compiled.report.max_level as usize;
-    let one_key = fhe_ckks::ksw_key_limbs(level) * n * 8;
+    let map = compiled
+        .scheduled
+        .validate()
+        .expect("a compiled schedule validates");
+    let levels = key_levels(&compiled.scheduled.program, &map);
+    let deepest = levels.galois.iter().map(|&(_, l)| l as usize).max();
+    let one_key = fhe_ckks::ksw_key_limbs(deepest.unwrap_or(0), map.max_level() as usize) * n * 8;
     let rows = [
         run_policy(
             &compiled.scheduled,
@@ -208,8 +220,7 @@ fn main() -> ExitCode {
     // only covers policies whose key set the model accounts for (the
     // program's own steps) — eager-pow2 deliberately over-provisions past
     // it; that gap is the point of the comparison.
-    let baseline = &rows[0];
-    let budgeted = &rows[3];
+    let (baseline, program, budgeted) = (&rows[0], &rows[1], &rows[3]);
     for row in &rows[1..] {
         assert!(
             row.report.mem.peak_bytes <= static_mem.peak_bytes,
@@ -231,6 +242,15 @@ fn main() -> ExitCode {
         budgeted.report.total_time.as_secs_f64() / baseline.report.total_time.as_secs_f64();
     eprintln!(
         "peak reduction lazy-budget vs eager-pow2: {reduction:.2}x (latency {latency_ratio:.2}x)"
+    );
+    let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+    let program_keys = program.report.mem.key_bytes;
+    let key_ratio = program_keys as f64 / baseline.report.mem.key_bytes as f64;
+    eprintln!(
+        "keys: eager-program {:.2} MiB (static model {:.2} MiB) vs eager-pow2 {:.2} MiB: {key_ratio:.2}x",
+        mib(program_keys),
+        mib(static_mem.key_bytes),
+        mib(baseline.report.mem.key_bytes),
     );
 
     args.emit_json(&Json::obj([
@@ -254,6 +274,7 @@ fn main() -> ExitCode {
         ("rows", Json::Array(rows.iter().map(row_json).collect())),
         ("reduction_vs_eager_pow2", Json::from(reduction)),
         ("latency_ratio_vs_eager_pow2", Json::from(latency_ratio)),
+        ("key_bytes_program_over_pow2", Json::from(key_ratio)),
         (
             keys::LAZY_BUDGET_PEAK_BYTES,
             Json::from(budgeted.report.mem.peak_bytes as usize),
@@ -280,6 +301,13 @@ fn main() -> ExitCode {
             (
                 reduction >= 2.0,
                 format!("peak reduction {reduction:.2}x fell below the promised 2x"),
+            ),
+            (
+                program_keys == static_mem.key_bytes,
+                format!(
+                    "eager-program holds {program_keys} B of keys, the static model says {} B",
+                    static_mem.key_bytes
+                ),
             ),
         ]
     })

@@ -64,7 +64,7 @@ fn encrypt_symmetric_impl(
     pool: Option<&PolyPool>,
 ) -> Ciphertext {
     let l = c0.level();
-    let a = RnsPoly::uniform_prefix_in(pool, ctx, l, rng);
+    let a = RnsPoly::uniform_prefix_in(pool, ctx, l, false, rng).expect("a ciphertext level");
     let mut e = RnsPoly::gaussian(ctx, l, false, rng);
     e.to_ntt(ctx);
     // c0 = m + e − a·s, against the first `l` limbs of the full-basis

@@ -87,10 +87,12 @@ pub fn decomposition_limbs(level: usize, max_level: usize) -> usize {
     key_switch_digits(level, max_level) * (level + special_prime_count(max_level))
 }
 
-/// Limb polynomials of one key-switching key: a pair per digit over the
-/// full basis `Q_L·P`, `2·⌈L/α⌉·(L+α)` in all.
-pub fn ksw_key_limbs(max_level: usize) -> usize {
-    2 * decomposition_limbs(max_level, max_level)
+/// Limb polynomials of one key-switching key of level `l_k` under a chain
+/// of `max_level` primes: a pair per digit a level-`l_k` key switch reads,
+/// over `Q_{l_k}·P`, `2·⌈l_k/α⌉·(l_k+α)` in all (`2·⌈L/α⌉·(L+α)` at full
+/// depth, 0 at level 0 — a key no op switches with).
+pub fn ksw_key_limbs(key_level: usize, max_level: usize) -> usize {
+    2 * decomposition_limbs(key_level, max_level)
 }
 
 /// The fast base conversion out of one key-switch digit (ModUp). The digit
@@ -448,11 +450,15 @@ mod tests {
         ] {
             assert_eq!(special_prime_count(big_l), alpha);
             assert_eq!(key_switch_digits(big_l, big_l), digits);
-            assert_eq!(ksw_key_limbs(big_l), key);
+            assert_eq!(ksw_key_limbs(big_l, big_l), key);
         }
         // A partial last digit: l = 4 under α = 3 is digits {0,1,2} and {3}.
         assert_eq!(key_switch_digits(4, 9), 2);
         assert_eq!(decomposition_limbs(4, 9), 2 * 7);
+        // Level-sized keys: `pr-deep`'s rotations at levels 3 and 5 of 9.
+        assert_eq!(ksw_key_limbs(5, 9), 32);
+        assert_eq!(ksw_key_limbs(3, 9), 12);
+        assert_eq!(ksw_key_limbs(0, 9), 0);
     }
 
     #[test]

@@ -19,28 +19,30 @@ use crate::pool::{PolyPool, PoolStats};
 /// 1e-4 keeps full discrimination.
 const SCALE_TOLERANCE: f64 = 1e-4;
 
-/// A rotation or conjugation needed a Galois key that is neither in the
-/// static key set nor derivable from a [`KeyCache`].
+/// A rotation or conjugation needed a Galois key that reaches its
+/// ciphertext's level and is neither in the static key set nor derivable
+/// from a [`KeyCache`] — absent, or generated for shallower ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MissingKeyError {
     /// The Galois element of the missing key.
     pub galois: usize,
     /// The rotation step that required it (`None` for conjugation).
     pub steps: Option<i64>,
+    /// The level the key had to reach.
+    pub level: usize,
 }
 
 impl std::fmt::Display for MissingKeyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (g, l) = (self.galois, self.level);
         match self.steps {
             Some(s) => write!(
                 f,
-                "missing Galois key for rotation {s} (element {})",
-                self.galois
+                "missing Galois key for rotation {s} at level {l} (element {g})"
             ),
             None => write!(
                 f,
-                "missing conjugation Galois key (element {})",
-                self.galois
+                "missing conjugation Galois key at level {l} (element {g})"
             ),
         }
     }
@@ -152,21 +154,26 @@ impl<'c> Evaluator<'c> {
         }
     }
 
-    /// Resolves the key for Galois element `g` (static set first, then the
-    /// cache) and runs `f` with it.
+    /// Resolves a key for Galois element `g` that reaches `level` (static
+    /// set first, then the cache) and runs `f` with it.
     fn with_galois_key<R>(
         &self,
         g: usize,
         steps: Option<i64>,
+        level: usize,
         f: impl FnOnce(&KswKey) -> R,
     ) -> Result<R, MissingKeyError> {
-        if let Some(key) = self.galois.get(g) {
+        if let Some(key) = self.galois.get(g).filter(|k| k.level() >= level) {
             return Ok(f(key));
         }
         if let Some(cache) = &self.cache {
-            return Ok(cache.with_key(self.ctx, g, f));
+            return Ok(cache.with_key(self.ctx, g, level, f));
         }
-        Err(MissingKeyError { galois: g, steps })
+        Err(MissingKeyError {
+            galois: g,
+            steps,
+            level,
+        })
     }
 
     /// The context.
@@ -258,13 +265,20 @@ impl<'c> Evaluator<'c> {
     ///
     /// # Panics
     ///
-    /// Panics if no relinearization key was provided.
+    /// Panics if no relinearization key was provided, or the one provided
+    /// does not reach the operands' level.
     pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         self.check_pair(a, b);
         let relin = self
             .relin
             .as_ref()
             .expect("relinearization key required for mul");
+        assert!(
+            relin.0.level >= a.level,
+            "the relinearization key reaches level {}, the operands are at {}",
+            relin.0.level,
+            a.level
+        );
         let ctx = self.ctx;
         let pool = &self.pool;
         let mut d0 = a.c0.clone_in(pool);
@@ -333,8 +347,9 @@ impl<'c> Evaluator<'c> {
     ///
     /// # Errors
     ///
-    /// Returns [`MissingKeyError`] when the needed key is neither in the
-    /// static set nor derivable from an attached [`KeyCache`].
+    /// Returns [`MissingKeyError`] when no key reaching `a`'s level is in
+    /// the static set (it lacks the element, or holds a shallower key) and
+    /// none is derivable from an attached [`KeyCache`].
     pub fn try_rotate(&self, a: &Ciphertext, steps: i64) -> Result<Ciphertext, MissingKeyError> {
         let g = rotation_to_galois(self.ctx, steps);
         if g == 1 {
@@ -370,7 +385,7 @@ impl<'c> Evaluator<'c> {
     ) -> Result<Ciphertext, MissingKeyError> {
         assert_eq!(digits.level(), a.level, "digits of this ciphertext");
         let (ctx, pool) = (self.ctx, &*self.pool);
-        self.with_galois_key(g, steps, |key| {
+        self.with_galois_key(g, steps, a.level, |key| {
             let perm = ctx.galois_permutation(g);
             let (k0, c1) = self.inner_product(digits, key, Some(&perm));
             let mut c0 = a.c0.automorphism_in(Some(pool), ctx, g);
@@ -1182,5 +1197,20 @@ mod key_switch_tests {
         assert!(ev.try_rotate(&ct, 3).is_err());
         assert!(ev.try_conjugate(&ct).is_err());
         assert_eq!(ev.pool_stats().live_bytes, 0, "lone rotation, conjugation");
+    }
+
+    #[test]
+    fn a_static_key_shallower_than_the_ciphertext_is_a_missing_key() {
+        let ctx = ctx(5);
+        let mut rng = StdRng::seed_from_u64(14);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let ev = Evaluator::new(&ctx, None, kg.galois_keys_at([(1i64, 3)], &mut rng));
+        let shallow = encrypted(&ctx, &kg, 3, &mut rng);
+        ev.recycle_ct(ev.try_rotate(&shallow, 1).expect("the key's own level"));
+        let deep = encrypted(&ctx, &kg, 4, &mut rng);
+        let err = ev.try_rotate(&deep, 1).unwrap_err();
+        assert_eq!((err.steps, err.level), (Some(1), 4));
+        assert!(ev.try_rotate_hoisted(&deep, &[1]).is_err());
+        assert_eq!(ev.pool_stats().live_bytes, 0);
     }
 }

@@ -11,7 +11,8 @@
 //! - canonical-embedding [`encoding`] of real slot vectors;
 //! - key generation ([`KeyGenerator`]) including relinearization and Galois keys
 //!   via hybrid key switching: `⌈L/α⌉` digits over `α = ⌈L/3⌉` special
-//!   primes; and
+//!   primes, each key sized to the deepest level it switches at ([`KswKey`]);
+//!   and
 //! - an [`eval::Evaluator`] with every operation of the paper's Table 2:
 //!   add, sub, neg, mul (cipher/plain), rotate, `rescale`, `modswitch`,
 //!   `upscale`.
@@ -69,8 +70,8 @@ pub use context::{
 pub use encoding::{Encoder, Plaintext};
 pub use eval::{Decomposition, Evaluator, MissingKeyError};
 pub use keys::{
-    rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, PublicKey, RelinKey,
-    SecretKey,
+    rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, KswKey, PublicKey,
+    RelinKey, SecretKey,
 };
 pub use par::Pool;
 pub use pool::{PolyPool, PoolStats};

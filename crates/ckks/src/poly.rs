@@ -225,28 +225,34 @@ impl RnsPoly {
         p
     }
 
-    /// The first `level` chain limbs of a uniform draw over the full
-    /// extended basis `Q_L·P` (NTT domain): what [`RnsPoly::uniform`] at
-    /// `(max_level, special)` followed by [`RnsPoly::drop_to_level`] yields,
-    /// draw for draw, without holding the limbs that would be dropped. Limb
-    /// buffers come from `pool` when given.
+    /// The first `level` chain limbs — and the specials' if `special` — of
+    /// a uniform draw over the full extended basis `Q_L·P` (NTT domain):
+    /// what [`RnsPoly::uniform`] at `(max_level, true)` restricted to that
+    /// basis yields, draw for draw, without holding the limbs it drops.
+    /// `level = 0` keeps nothing and returns `None`; the stream ends where
+    /// the full-basis draw leaves it either way. Limb buffers come from
+    /// `pool` when given.
     pub(crate) fn uniform_prefix_in(
         pool: Option<&PolyPool>,
         ctx: &CkksContext,
         level: usize,
+        special: bool,
         rng: &mut impl Rng,
-    ) -> Self {
-        assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
-        let mut limbs = raw_limbs(ctx, pool, level);
-        for (idx, m) in ctx.basis().iter().enumerate() {
-            match limbs.get_mut(idx) {
+    ) -> Option<Self> {
+        assert!(level <= ctx.max_level(), "level out of range");
+        let big_l = ctx.max_level();
+        let kept = (level >= 1).then(|| limb_count(ctx, level, special));
+        let mut limbs = raw_limbs(ctx, pool, kept.unwrap_or(0));
+        let mut dst = limbs.iter_mut();
+        for (b, m) in ctx.basis().iter().enumerate() {
+            let keep = kept.is_some() && (b < level || (special && b >= big_l));
+            match if keep { dst.next() } else { None } {
                 Some(limb) => {
                     for slot in limb.iter_mut() {
                         *slot = rng.gen_range(0..m.value());
                     }
                 }
-                // Drawn and discarded: the stream ends where the full-basis
-                // draw leaves it.
+                // Drawn and discarded.
                 None => {
                     for _ in 0..ctx.degree() {
                         rng.gen_range(0..m.value());
@@ -254,12 +260,12 @@ impl RnsPoly {
                 }
             }
         }
-        RnsPoly {
+        kept.map(|_| RnsPoly {
             level,
-            special: false,
+            special,
             ntt: true,
             limbs,
-        }
+        })
     }
 
     /// Random ternary polynomial (coefficients in {−1, 0, 1}), coefficient
@@ -272,16 +278,7 @@ impl RnsPoly {
     /// Random error polynomial with centered Gaussian coefficients of the
     /// context's standard deviation, coefficient domain.
     pub fn gaussian(ctx: &CkksContext, level: usize, special: bool, rng: &mut impl Rng) -> Self {
-        let std = ctx.params().error_std;
-        let coeffs: Vec<i64> = (0..ctx.degree())
-            .map(|_| {
-                // Box–Muller.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-                ((-2.0 * u1.ln()).sqrt() * u2.cos() * std).round() as i64
-            })
-            .collect();
-        Self::from_signed_coeffs(ctx, level, special, &coeffs)
+        Self::from_signed_coeffs(ctx, level, special, &gaussian_coeffs(ctx, rng))
     }
 
     /// Converts to NTT domain (no-op if already there). Limbs transform
@@ -420,10 +417,10 @@ impl RnsPoly {
         });
     }
 
-    /// Like [`RnsPoly::mul_acc`], with `key` a full-basis key polynomial
-    /// (all `L` chain limbs plus the `α` specials): `self`'s chain limbs
-    /// pair with `key`'s first limbs and `self`'s special limbs with `key`'s
-    /// last `α`.
+    /// Like [`RnsPoly::mul_acc`], with `key` a key polynomial over
+    /// `Q_{l_k}·P` for some `l_k` at or above `self`'s level: `self`'s chain
+    /// limbs pair with `key`'s first limbs and `self`'s special limbs with
+    /// `key`'s last `α`.
     ///
     /// One digit × key term of a key switch, reduced eagerly — the oracle
     /// the evaluator's lazy inner product (`key_switch_dot`) is tested
@@ -438,14 +435,16 @@ impl RnsPoly {
             self.special && key.special,
             "key switching runs on the extended basis"
         );
-        assert_eq!(key.level, ctx.max_level(), "key polys carry the full basis");
-        assert!(self.level <= key.level);
+        assert!(
+            self.level <= key.level,
+            "the key reaches the operand's level"
+        );
         let level = acc.level;
         let est = par::cost::POINTWISE * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
             let m = Self::modulus_at(ctx, level, idx);
-            let key_limb = &key.limbs[ctx.basis_index(level, idx)];
-            for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(key_limb) {
+            let k = &key.limbs[key_limb(level, key.level, idx)];
+            for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(k) {
                 *a = m.add(*a, m.mul(x, y));
             }
         });
@@ -470,7 +469,7 @@ impl RnsPoly {
         self.special = false;
     }
 
-    /// Restricts a full-basis key polynomial to the first `level` chain
+    /// Restricts a polynomial over `Q_l·P` to the first `level ≤ l` chain
     /// limbs plus the special limbs (key polys always carry `P`).
     pub fn restrict_for_keyswitch(&self, level: usize) -> RnsPoly {
         assert!(self.special, "key polynomials carry the special limbs");
@@ -667,9 +666,10 @@ impl RnsPoly {
 
     /// The inner product of a key switch: `(Σ_β σ(d_β) ∘ k0_β, Σ_β σ(d_β) ∘
     /// k1_β)` over the extended basis `Q_l·P`, where `d_β` are the `⌈l/α⌉`
-    /// NTT-form digits of a level-`l` polynomial, `k0`/`k1` the key's
-    /// full-basis polynomials and `σ` the Galois automorphism whose index
-    /// table is `perm` (`None` = identity, i.e. relinearization).
+    /// NTT-form digits of a level-`l` polynomial, `k0`/`k1` the polynomials
+    /// of a key of level `l_k ≥ l` (over `Q_{l_k}·P`, its special limbs
+    /// last) and `σ` the Galois automorphism whose index table is `perm`
+    /// (`None` = identity, i.e. relinearization).
     ///
     /// Each output limb is walked in [`DOT_CHUNK`]-coefficient chunks whose
     /// two accumulators stay in `u128`: a term is one gathered read of the
@@ -697,10 +697,11 @@ impl RnsPoly {
                 "digits of a level-l poly"
             );
         }
+        let key_level = k0[0].level;
         for k in k0[..terms].iter().chain(&k1[..terms]) {
             assert!(
-                k.ntt && k.special && k.level == ctx.max_level(),
-                "key polys carry the full basis"
+                k.ntt && k.special && k.level == key_level && key_level >= l,
+                "key polys over one basis Q_lk·P reaching the digits' level"
             );
         }
         assert!(
@@ -716,7 +717,7 @@ impl RnsPoly {
             let m = Self::modulus_at(ctx, l, idx);
             // The digits' chain limb `idx` pairs with the key's limb `idx`,
             // and their special limbs with the key's last `α`.
-            let key_idx = ctx.basis_index(l, idx);
+            let key_idx = key_limb(l, key_level, idx);
             // One coefficient's `k0` and `k1` sums, side by side.
             let mut acc = [[0u128; 2]; DOT_CHUNK];
             for base in (0..n).step_by(DOT_CHUNK) {
@@ -757,6 +758,32 @@ const DOT_CHUNK: usize = 256;
 #[inline]
 fn limb_count(ctx: &CkksContext, level: usize, special: bool) -> usize {
     level + if special { ctx.specials().len() } else { 0 }
+}
+
+/// `N` centered Gaussian coefficients of the context's standard deviation
+/// (Box–Muller): the draws behind [`RnsPoly::gaussian`], whatever basis the
+/// polynomial is then reduced into.
+pub(crate) fn gaussian_coeffs(ctx: &CkksContext, rng: &mut impl Rng) -> Vec<i64> {
+    let std = ctx.params().error_std;
+    (0..ctx.degree())
+        .map(|_| {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+            ((-2.0 * u1.ln()).sqrt() * u2.cos() * std).round() as i64
+        })
+        .collect()
+}
+
+/// Limb `idx` of a key-switch operand with `level` chain limbs, as an index
+/// into a key polynomial of `key_level ≥ level` chain limbs: the chain limbs
+/// pair up, and the operand's special limbs pair with the key's last `α`.
+#[inline]
+fn key_limb(level: usize, key_level: usize, idx: usize) -> usize {
+    if idx < level {
+        idx
+    } else {
+        key_level + idx - level
+    }
 }
 
 /// `acc[i] += [x_i · y0_i, x_i · y1_i]`, unreduced. The caller keeps the
@@ -991,8 +1018,9 @@ mod tests {
         let (k0, k1) = (key(&mut rng), key(&mut rng));
         let g = crate::keys::rotation_to_galois(&ctx, 3);
         let perm = ctx.galois_permutation(g);
+        let digits_at = |l| crate::context::key_switch_digits(l, big_l);
         for l in [18usize, 17, 7, 3, 1] {
-            let digits: Vec<RnsPoly> = (0..crate::context::key_switch_digits(l, big_l))
+            let digits: Vec<RnsPoly> = (0..digits_at(l))
                 .map(|_| RnsPoly::uniform(&ctx, l, true, &mut rng))
                 .collect();
             for perm in [None, Some(&*perm)] {
@@ -1009,6 +1037,25 @@ mod tests {
                 }
                 assert_eq!(got0, want0, "k0, level {l}, permuted {}", perm.is_some());
                 assert_eq!(got1, want1, "k1, level {l}, permuted {}", perm.is_some());
+                // A level-sized key — the digits and limbs a level-`l_k`
+                // switch reads — gives the same bytes for every `l_k ≥ l`.
+                for lk in [l, (l + 4).min(big_l)] {
+                    let sized = |k: &[RnsPoly]| -> Vec<RnsPoly> {
+                        k[..digits_at(lk)]
+                            .iter()
+                            .map(|p| p.restrict_for_keyswitch(lk))
+                            .collect()
+                    };
+                    let (s0, s1) = RnsPoly::key_switch_dot(
+                        &pool,
+                        &ctx,
+                        &digits,
+                        &sized(&k0),
+                        &sized(&k1),
+                        perm,
+                    );
+                    assert_eq!((&s0, &s1), (&got0, &got1), "level {l}, key level {lk}");
+                }
             }
         }
     }

@@ -63,7 +63,7 @@ pub use depgraph::{DepConsumer, DepGraph, DepKind, DepNode, ParallelismEstimate}
 pub use diag::{Finding, Severity, TvVerdict};
 pub use frac::Frac;
 pub use fusion::{BlockedFusion, Blocker, FusionPlan};
-pub use memory::{estimate_memory, MemoryEstimate};
+pub use memory::{estimate_memory, key_levels, KeyLevels, MemoryEstimate};
 pub use op::{ConstValue, Op, OperandIter, ValueId};
 pub use params::CompileParams;
 pub use pipeline::{

@@ -7,9 +7,14 @@
 //! figures are counted in *limbs* (one limb = `N × 8` bytes) and
 //! converted at the end; key material and key-switch digits are counted
 //! from the closed forms of hybrid key switching ([`ksw_key_limbs`],
-//! [`decomposition_limbs`]), which mirror `fhe-ckks`'s.
+//! [`decomposition_limbs`]), which mirror `fhe-ckks`'s. Each key is
+//! counted at the level [`key_levels`] reads off the schedule — the one the
+//! runtime generates it at.
+
+use std::collections::HashMap;
 
 use crate::op::{Op, ValueId};
+use crate::program::Program;
 use crate::schedule::{ScaleMap, ScheduledProgram};
 
 /// Flat per-op slack, in limbs, covering small transients the walk does
@@ -30,10 +35,55 @@ pub fn decomposition_limbs(level: u64, max_level: u64) -> u64 {
     level.div_ceil(alpha) * (level + alpha)
 }
 
-/// Limb polynomials of one key-switching key: a pair per digit over the full
-/// basis `Q_L·P`, `2·⌈L/α⌉·(L+α)` — `fhe_ckks::ksw_key_limbs`.
-pub fn ksw_key_limbs(max_level: u64) -> u64 {
-    2 * decomposition_limbs(max_level, max_level)
+/// Limb polynomials of one key-switching key of level `l_k`: a pair per
+/// digit a level-`l_k` switch reads, over `Q_{l_k}·P`, `2·⌈l_k/α⌉·(l_k+α)`
+/// (0 at level 0) — `fhe_ckks::ksw_key_limbs`.
+pub fn ksw_key_limbs(key_level: u64, max_level: u64) -> u64 {
+    2 * decomposition_limbs(key_level, max_level)
+}
+
+/// How deep each key-switching key of a schedule must reach: the level of
+/// the deepest op that switches with it ([`key_levels`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct KeyLevels {
+    /// One `(step, level)` per Galois element the program rotates by, in
+    /// order of the element's first rotation, whose step it carries. The
+    /// level is the deepest ciphertext rotation by the element — 0 if only
+    /// plaintext values rotate by it, a key that is drawn and dropped.
+    pub galois: Vec<(i64, u32)>,
+    /// The level of the deepest cipher × cipher multiply (0 if none).
+    pub relin: u32,
+}
+
+/// Reads off a validated schedule the level each key-switching key must
+/// reach: per Galois element, the deepest rotation by it; for
+/// relinearization, the deepest cipher × cipher multiply. Every scheduled
+/// op counts, live or not, and the elements come in the order the
+/// program's rotation steps first name them — so an eager keygen from this
+/// list draws its keys in the order it would for the plain step list.
+/// Steps that are multiples of the slot count rotate by the identity and
+/// need no key.
+pub fn key_levels(program: &Program, map: &ScaleMap) -> KeyLevels {
+    let slots = program.slots() as i64;
+    let mut levels = KeyLevels::default();
+    let mut index = HashMap::new();
+    for id in program.ids() {
+        let level = map.try_level(id).unwrap_or(0);
+        match program.op(id) {
+            Op::Rotate(_, k) if k.rem_euclid(slots) != 0 => {
+                let i = *index.entry(k.rem_euclid(slots)).or_insert_with(|| {
+                    levels.galois.push((*k, 0));
+                    levels.galois.len() - 1
+                });
+                levels.galois[i].1 = levels.galois[i].1.max(level);
+            }
+            Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => {
+                levels.relin = levels.relin.max(level);
+            }
+            _ => {}
+        }
+    }
+    levels
 }
 
 /// Static per-program memory bound (see [`estimate_memory`]).
@@ -44,9 +94,10 @@ pub struct MemoryEstimate {
     /// Peak bytes held in ciphertext polynomials and pooled temporaries.
     pub poly_peak_bytes: u64,
     /// Bytes of key material: secret key, relinearization key, and one
-    /// key-switching key per distinct Galois element the program rotates by.
+    /// key-switching key per distinct Galois element the program rotates a
+    /// ciphertext by, each at its [`key_levels`] level.
     pub key_bytes: u64,
-    /// Distinct Galois elements needing keys (rotations with
+    /// Distinct Galois elements needing keys (ciphertext rotations with
     /// `steps % slots != 0`, deduplicated).
     pub galois_keys: usize,
     /// The op at which the polynomial peak occurs, if any.
@@ -152,27 +203,18 @@ pub fn estimate_memory(
         }
     }
 
-    // Key material: rotations by a multiple of the slot count are the
-    // identity automorphism and need no key; everything else needs one
-    // key-switching key per distinct Galois element. The count covers all
-    // scheduled rotations (not just live ones) so it also bounds an eager
-    // whole-program keygen.
-    let slots = program.slots() as i64;
-    let mut elements: Vec<i64> = program
-        .ops()
-        .iter()
-        .filter_map(|op| match op {
-            Op::Rotate(_, k) if k.rem_euclid(slots) != 0 => Some(k.rem_euclid(slots)),
-            _ => None,
-        })
-        .collect();
-    elements.sort_unstable();
-    elements.dedup();
-    let galois_keys = elements.len();
-
-    let sk_bytes = (big_l + alpha) * limb_bytes;
-    let one_key = ksw_key_limbs(big_l) * limb_bytes;
-    let key_bytes = sk_bytes + one_key + galois_keys as u64 * one_key;
+    // Key material: the secret key over `Q_L·P`, and every key-switching
+    // key at the level of the deepest op that switches with it. The levels
+    // cover all scheduled ops (not just live ones), so the bytes are exactly
+    // an eager whole-program keygen's.
+    let keys = key_levels(program, map);
+    let galois = keys.galois.iter().map(|&(_, level)| u64::from(level));
+    let galois_keys = galois.clone().filter(|&level| level > 0).count();
+    let ksw_limbs: u64 = std::iter::once(u64::from(keys.relin))
+        .chain(galois)
+        .map(|level| ksw_key_limbs(level, big_l))
+        .sum();
+    let key_bytes = (big_l + alpha + ksw_limbs) * limb_bytes;
     let poly_peak_bytes = poly_peak * limb_bytes;
     MemoryEstimate {
         peak_bytes: poly_peak_bytes + key_bytes,
@@ -217,6 +259,40 @@ mod tests {
         assert_eq!(est.galois_keys, 2);
         assert!(est.key_bytes > 0);
         assert_eq!(est.peak_bytes, est.poly_peak_bytes + est.key_bytes);
+    }
+
+    #[test]
+    fn each_key_reaches_the_deepest_op_that_switches_with_it() {
+        let mut p = Program::new("levels", 8);
+        let x = p.push(Op::Input { name: "x".into() });
+        let c = p.push(Op::Const {
+            value: crate::op::ConstValue::Scalar(0.5),
+        });
+        let plain = p.push(Op::Rotate(c, 3));
+        let top = p.push(Op::Rotate(x, 2));
+        let low = p.push(Op::ModSwitch(x));
+        let r9 = p.push(Op::Rotate(low, 9));
+        let r1 = p.push(Op::Rotate(low, 1));
+        let r0 = p.push(Op::Rotate(low, 8));
+        let sq = p.push(Op::Mul(low, low));
+        let mut sum = p.push(Op::Add(r9, r1));
+        for v in [r0, plain] {
+            sum = p.push(Op::Add(sum, v));
+        }
+        p.set_outputs(vec![top, sum, sq]);
+        let mut s = scheduled(p);
+        s.inputs[0].level = 3;
+        let map = s.validate().expect("valid");
+        let levels = key_levels(&s.program, &map);
+        // Step 9 names the class of 1 first; 8 ≡ 0 needs no key; the
+        // plain rotation by 3 is drawn and dropped.
+        assert_eq!(levels.galois, vec![(3, 0), (2, 3), (9, 2)]);
+        assert_eq!(levels.relin, 2);
+        let est = estimate_memory(&s, &map, 16, true);
+        assert_eq!(est.galois_keys, 2);
+        let (big_l, limb) = (3, 16 * 8);
+        let want = (big_l + 1) + ksw_key_limbs(2, big_l) * 2 + ksw_key_limbs(3, big_l);
+        assert_eq!(est.key_bytes, want * limb);
     }
 
     #[test]

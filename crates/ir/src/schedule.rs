@@ -144,13 +144,22 @@ pub enum ScheduleError {
         /// The offending op.
         op: ValueId,
     },
-    /// A rotation needed a Galois key the runtime could neither find nor
-    /// generate (e.g. an explicit key set that omits a scheduled step).
+    /// A rotation needed a Galois key reaching its level that the runtime
+    /// could neither find nor generate (e.g. an explicit key set that omits
+    /// a scheduled step, or keys sized for a shallower schedule).
     MissingKey {
         /// The offending rotation op.
         op: ValueId,
         /// The rotation step whose key was unavailable.
         steps: i64,
+    },
+    /// A cipher × cipher multiply above the level the relinearization key
+    /// reaches (keys sized for a shallower schedule).
+    MissingRelinKey {
+        /// The offending multiply.
+        op: ValueId,
+        /// Its operands' level.
+        level: u32,
     },
     /// An input binding the backend cannot encode: slot `slot` holds a NaN
     /// or an infinity, or lies past the program's slot count. Found by the
@@ -206,6 +215,12 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::MissingKey { op, steps } => {
                 write!(f, "missing Galois key for rotation by {steps} at {op}")
+            }
+            ScheduleError::MissingRelinKey { op, level } => {
+                write!(
+                    f,
+                    "no relinearization key reaches level {level} (cipher × cipher mul at {op})"
+                )
             }
             ScheduleError::InvalidInput { name, slot } => {
                 write!(

@@ -17,12 +17,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fhe_ckks::{
-    decrypt, encrypt_symmetric_in, Ciphertext, CkksContext, CkksParams, Decomposition, Evaluator,
-    GaloisKeys, KeyCache, KeyGenerator, PolyPool, Pool, RelinKey, SecretKey,
+    decrypt, encrypt_symmetric_in, rotation_to_galois, Ciphertext, CkksContext, CkksParams,
+    Decomposition, Evaluator, GaloisKeys, KeyCache, KeyGenerator, PolyPool, Pool, RelinKey,
+    SecretKey,
 };
 use fhe_ir::{
-    CostModel, DepConsumer, DepGraph, FusionPlan, Op, OpClass, ScheduleError, ScheduledProgram,
-    ValueId,
+    key_levels, CostModel, DepConsumer, DepGraph, FusionPlan, KeyLevels, Op, OpClass,
+    ScheduleError, ScheduledProgram, ValueId,
 };
 
 use crate::plain::{self, max_abs_diff};
@@ -49,10 +50,12 @@ pub enum KeyPolicy {
         budget_bytes: Option<usize>,
     },
     /// Generate keys for every rotation step of the program up front
-    /// (the deployment-style eager whole-set provisioning).
+    /// (the deployment-style eager whole-set provisioning), each reaching
+    /// only the deepest level the program rotates by it at.
     EagerProgram,
-    /// Generate keys for exactly this step set up front. A scheduled
-    /// rotation outside the set fails with [`ScheduleError::MissingKey`].
+    /// Generate full-depth keys for exactly this step set up front. A
+    /// scheduled rotation outside the set fails with
+    /// [`ScheduleError::MissingKey`].
     EagerSet(Vec<i64>),
 }
 
@@ -110,6 +113,11 @@ impl Default for ExecOptions {
 /// cache from `seed ^ KEY_CACHE_SEED_TWEAK`, so a session's keys are a pure
 /// function of `(options, shape)`. Encryption draws from neither: every
 /// execution seeds its own stream (`enc_seed`).
+///
+/// Each key-switching key reaches only the level its [`KeyLevels`] entry
+/// names, and keygen draws what full-depth keys would, so the limbs it keeps
+/// — and every ciphertext the executor produces — are the same bytes as
+/// under full-depth keys.
 #[derive(Debug, Clone)]
 pub struct SessionKeys {
     ctx: Arc<CkksContext>,
@@ -124,15 +132,16 @@ pub struct SessionKeys {
 impl SessionKeys {
     /// Generates key material for programs of the given shape: polynomial
     /// degree and per-limb threads come from `options`, the modulus chain
-    /// from `(max_level, modulus_bits)`. Under [`KeyPolicy::EagerProgram`]
-    /// the static Galois set covers `rotation_steps` (callers pass the
-    /// union of rotation steps the sessions' programs use); the other
-    /// policies ignore it.
+    /// from `(max_level, modulus_bits)`. `levels` sizes the relinearization
+    /// key and, under [`KeyPolicy::EagerProgram`], the static Galois set
+    /// (one key per element it lists, at its level); the other policies
+    /// ignore its Galois entries — an explicit set is full depth, and the
+    /// lazy cache sizes each key to the op that asks for it.
     pub fn generate(
         options: &ExecOptions,
         max_level: usize,
         modulus_bits: u32,
-        rotation_steps: &[i64],
+        levels: &KeyLevels,
     ) -> SessionKeys {
         let ctx = Arc::new(CkksContext::new(backend_params(
             options,
@@ -142,7 +151,7 @@ impl SessionKeys {
         let mut rng = StdRng::seed_from_u64(options.seed);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let sk = kg.secret_key();
-        let relin = kg.relin_key(&mut rng);
+        let relin = kg.relin_key_at(levels.relin as usize, &mut rng);
         let (galois, cache) = match &options.keys {
             KeyPolicy::Lazy { budget_bytes } => {
                 let cache = KeyCache::new(
@@ -152,10 +161,10 @@ impl SessionKeys {
                 );
                 (GaloisKeys::default(), Some(Arc::new(cache)))
             }
-            KeyPolicy::EagerProgram => (
-                kg.galois_keys(rotation_steps.iter().copied(), &mut rng),
-                None,
-            ),
+            KeyPolicy::EagerProgram => {
+                let steps = levels.galois.iter().map(|&(k, l)| (k, l as usize));
+                (kg.galois_keys_at(steps, &mut rng), None)
+            }
             KeyPolicy::EagerSet(steps) => (kg.galois_keys(steps.iter().copied(), &mut rng), None),
         };
         let static_key_bytes = galois.byte_size() as u64;
@@ -172,8 +181,10 @@ impl SessionKeys {
     }
 
     /// Generates key material sized for one schedule: validates it, sizes
-    /// the modulus chain to its level requirement, and (under
-    /// [`KeyPolicy::EagerProgram`]) provisions its rotation steps.
+    /// the modulus chain to its level requirement, the relinearization key
+    /// to its deepest cipher × cipher mul and (under
+    /// [`KeyPolicy::EagerProgram`]) each rotation key to the deepest
+    /// rotation by its element ([`fhe_ir::key_levels`]).
     ///
     /// # Errors
     ///
@@ -187,13 +198,56 @@ impl SessionKeys {
             options,
             map.max_level() as usize,
             scheduled.params.rescale_bits,
-            &rotation_steps(&scheduled.program),
+            &key_levels(&scheduled.program, &map),
         ))
     }
 
     /// The shared backend context.
     pub fn context(&self) -> &Arc<CkksContext> {
         &self.ctx
+    }
+
+    /// Bytes of the key material generated up front: secret key,
+    /// relinearization key and the static Galois set (a lazy cache's keys
+    /// are counted by [`KeyCache::stats`]). Under
+    /// [`KeyPolicy::EagerProgram`] this is what the compile report's
+    /// static `key_bytes` predicts for the schedule.
+    pub fn key_bytes(&self) -> u64 {
+        self.fixed_key_bytes + self.static_key_bytes
+    }
+
+    /// One error per live key switch of `program` these keys cannot serve:
+    /// a rotation whose static key is absent or shallower than its
+    /// ciphertext, with no lazy cache to derive one
+    /// ([`ScheduleError::MissingKey`]), and a cipher × cipher mul above the
+    /// relinearization key's level ([`ScheduleError::MissingRelinKey`]).
+    fn uncovered(
+        &self,
+        program: &fhe_ir::Program,
+        map: &fhe_ir::ScaleMap,
+        live: &[bool],
+    ) -> Vec<ScheduleError> {
+        let cipher = |id: ValueId| program.is_cipher(id);
+        let mut errors = Vec::new();
+        for op in program.ids().filter(|&id| live[id.index()] && cipher(id)) {
+            let level = map.level(op);
+            match program.op(op) {
+                Op::Rotate(_, steps) if self.cache.is_none() => {
+                    let g = rotation_to_galois(&self.ctx, *steps);
+                    let key = self.galois.get(g);
+                    if g != 1 && key.is_none_or(|k| k.level() < level as usize) {
+                        errors.push(ScheduleError::MissingKey { op, steps: *steps });
+                    }
+                }
+                Op::Mul(a, b)
+                    if cipher(*a) && cipher(*b) && self.relin.key().level() < level as usize =>
+                {
+                    errors.push(ScheduleError::MissingRelinKey { op, level });
+                }
+                _ => {}
+            }
+        }
+        errors
     }
 
     /// The lazy Galois-key cache, if the policy was [`KeyPolicy::Lazy`].
@@ -231,6 +285,7 @@ impl SessionKeys {
             key_misses: km,
             key_evictions: ke,
             key_bytes_peak: kp,
+            key_bytes: self.fixed_key_bytes + kb,
         }
     }
 }
@@ -328,6 +383,11 @@ pub struct MemStats {
     pub key_evictions: u64,
     /// High-water mark of Galois-key bytes (cached or static set).
     pub key_bytes_peak: u64,
+    /// Key bytes resident at the end of the window: secret and
+    /// relinearization keys plus the Galois keys (the static set, or the
+    /// cache's resident keys). Under [`KeyPolicy::EagerProgram`] this is
+    /// what the compile report's static `key_bytes` predicts.
+    pub key_bytes: u64,
 }
 
 impl MemStats {
@@ -344,7 +404,7 @@ impl MemStats {
     /// The per-window view of a later snapshot against `start`: monotone
     /// counters (`allocations`, `pool_*`, `key_hits/misses/evictions`)
     /// become deltas, byte figures (`peak_bytes`, `live_bytes`,
-    /// `key_bytes_peak`) keep this snapshot's absolute values. This is how
+    /// `key_bytes_peak`, `key_bytes`) keep this snapshot's absolute values. This is how
     /// a request executing against a shared pool/cache reports *its own*
     /// traffic while the global counters stay exact — summing the deltas
     /// of serially executed requests reconstructs the global counters.
@@ -359,6 +419,7 @@ impl MemStats {
             key_misses: self.key_misses - start.key_misses,
             key_evictions: self.key_evictions - start.key_evictions,
             key_bytes_peak: self.key_bytes_peak,
+            key_bytes: self.key_bytes,
         }
     }
 }
@@ -468,7 +529,7 @@ pub fn execute_with_keys(
 /// Returns the schedule's validation errors if it is illegal, a
 /// [`ScheduleError::InvalidInput`] per input binding that cannot be encoded,
 /// or a [`ScheduleError::MissingKey`] if a rotation lacks its Galois key
-/// under an eager key policy.
+/// under an explicit key set.
 ///
 /// # Panics
 ///
@@ -546,8 +607,11 @@ pub fn execute_parallel(
 /// [`ScheduleError::InvalidInput`] for every input binding with a NaN or
 /// infinite slot or more values than the program has slots — checked before
 /// anything is encrypted, so a client's bad data is its own error and not a
-/// backend assertion; or a [`ScheduleError::MissingKey`] if a rotation lacks
-/// its Galois key under an eager key policy.
+/// backend assertion; or, also before anything is encrypted, a
+/// [`ScheduleError::MissingKey`] per rotation whose static Galois key is
+/// absent or shallower than the rotation (keys from another schedule, under
+/// an eager key policy) and a [`ScheduleError::MissingRelinKey`] per
+/// cipher × cipher mul above the relinearization key's level.
 ///
 /// # Panics
 ///
@@ -609,6 +673,12 @@ pub fn execute_parallel_with_keys(
         safety.violations
     );
     let live = fhe_ir::analysis::live(program);
+    // Keys sized for a shallower schedule are the request's error, found
+    // before anything is encrypted — not an assertion inside a key switch.
+    let uncovered = keys.uncovered(program, &map, &live);
+    if !uncovered.is_empty() {
+        return Err(uncovered);
+    }
     let hoist_groups: HashMap<ValueId, HoistGroup> =
         fhe_ir::analysis::rotation_groups(program, &live, hoisting)
             .into_iter()

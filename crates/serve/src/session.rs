@@ -8,16 +8,17 @@
 //! service layer.
 //!
 //! Key material is cached per *shape* (modulus chain depth, rescale
-//! bits, and — under eager provisioning — the program's rotation steps),
-//! so a session running many programs of the same shape pays keygen once.
+//! bits, and — under eager provisioning — the level every key of the
+//! program must reach), so a session running many programs of the same
+//! shape pays keygen once.
 
 use fhe_conc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fhe_conc::sync::{Arc, Mutex, RwLock};
 use std::collections::HashMap;
 
 use fhe_ckks::KeyCacheStats;
-use fhe_ir::{ScheduleError, ScheduledProgram};
-use fhe_runtime::{rotation_steps, KeyPolicy, MemStats, ParOptions, SessionKeys};
+use fhe_ir::{key_levels, KeyLevels, ScheduleError, ScheduledProgram};
+use fhe_runtime::{KeyPolicy, MemStats, ParOptions, SessionKeys};
 
 /// Opaque session identifier issued by [`SessionStore::create`].
 pub type SessionId = u64;
@@ -46,10 +47,14 @@ pub fn request_seed(session_seed: u64, index: u64) -> u64 {
 struct KeyShape {
     max_level: u32,
     rescale_bits: u32,
-    /// Rotation steps baked into the static Galois set — populated only
-    /// under [`KeyPolicy::EagerProgram`] (lazy and explicit-set policies
-    /// are shape-independent of the program's steps).
-    steps: Vec<i64>,
+    /// The level each key must reach. Under [`KeyPolicy::EagerProgram`]
+    /// it is the program's own ([`key_levels`], as
+    /// [`SessionKeys::for_schedule`] reads it), so a text that rotates or
+    /// multiplies deeper than an earlier one of the same steps gets keys of
+    /// its own. Lazy and explicit-set policies do not depend on the
+    /// program: one full-depth relinearization key, and Galois keys from
+    /// the cache or the set.
+    levels: KeyLevels,
 }
 
 /// One client's state: options, keys, request sequence and health.
@@ -100,14 +105,17 @@ impl Session {
         scheduled: &ScheduledProgram,
     ) -> Result<Arc<SessionKeys>, Vec<ScheduleError>> {
         let map = scheduled.validate()?;
-        let steps = match self.options.exec.keys {
-            KeyPolicy::EagerProgram => rotation_steps(&scheduled.program),
-            _ => Vec::new(),
+        let levels = match self.options.exec.keys {
+            KeyPolicy::EagerProgram => key_levels(&scheduled.program, &map),
+            _ => KeyLevels {
+                galois: Vec::new(),
+                relin: map.max_level(),
+            },
         };
         let shape = KeyShape {
             max_level: map.max_level(),
             rescale_bits: scheduled.params.rescale_bits,
-            steps,
+            levels,
         };
         if let Some(existing) = self
             .keys
@@ -129,7 +137,7 @@ impl Session {
             &self.options.exec,
             shape.max_level as usize,
             shape.rescale_bits,
-            &shape.steps,
+            &shape.levels,
         ));
         let mut keys = self.keys.lock().expect("session key lock");
         Ok(keys.entry(shape).or_insert(generated).clone())

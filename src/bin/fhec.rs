@@ -18,7 +18,8 @@
 //! is the serial executor; `--no-fusion` disables the fused kernel. Outputs are bit-identical for every worker
 //! count and fusion setting. It also prints the backend's total modulus
 //! `log₂(Q·P)` — the chain plus the key-switching special primes — and the
-//! security level it meets under the HE standard's table, if any.
+//! security level it meets under the HE standard's table, if any, and the
+//! session's key bytes beside the compile report's static `key_bytes`.
 
 use std::process::ExitCode;
 
@@ -220,6 +221,7 @@ fn main() -> ExitCode {
                 scheduled.params.rescale_bits,
             ))
         );
+        let memory = report.memory;
         let report = match execute_parallel(&scheduled, &inputs, &options) {
             Ok(r) => r,
             Err(errors) => {
@@ -238,14 +240,21 @@ fn main() -> ExitCode {
             report.hoisted_groups,
             report.safety_obligations,
         );
+        let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
         eprintln!(
             "run: walk {:?} (op phase {:?}, total {:?}), peak memory {:.2} MiB, \
              max |error| vs plaintext reference {:.3e}",
             report.walk_time,
             report.op_time,
             report.total_time,
-            report.mem.peak_bytes as f64 / (1 << 20) as f64,
+            mib(report.mem.peak_bytes),
             report.max_abs_error(),
+        );
+        eprintln!(
+            "run: keys {:.2} MiB in the session (lazy Galois keys at their ops' levels), \
+             {:.2} MiB in the compile report's static model (every key eager)",
+            mib(report.mem.key_bytes),
+            mib(memory.key_bytes),
         );
         for (i, out) in report.outputs.iter().enumerate() {
             let head: Vec<String> = out.iter().take(4).map(|v| format!("{v:.6}")).collect();

@@ -235,3 +235,81 @@ fn late_and_dead_inputs_are_bit_exact_and_within_the_static_memory_bound() {
         bound.peak_bytes
     );
 }
+
+#[test]
+fn level_sized_eager_keys_are_byte_identical_to_full_depth_keys() {
+    use fhe_reserve::ir::KeyLevels;
+    type Inputs = std::collections::HashMap<String, Vec<f64>>;
+    use fhe_reserve::runtime::{
+        execute_parallel_with_keys, rotation_steps, KeyPolicy, SessionKeys,
+    };
+
+    // `EagerProgram` keys reach only the deepest level each is used at;
+    // an explicit set of the same steps is full depth, and so is the
+    // relinearization key generated beside it here. Both keygens draw the
+    // same stream, so every ciphertext of every run is the same bytes.
+    let mut smaller = 0usize;
+    let mut check = |what: &str, scheduled: &ScheduledProgram, inputs: &Inputs| {
+        let map = scheduled.validate().expect("a compiled schedule");
+        let exec = |keys| ExecOptions {
+            keys,
+            ..backend(scheduled.program.slots(), 0x1E7E1, true)
+        };
+        let sized_opts = exec(KeyPolicy::EagerProgram);
+        let sized = SessionKeys::for_schedule(scheduled, &sized_opts).expect("valid");
+        let full_opts = exec(KeyPolicy::EagerSet(rotation_steps(&scheduled.program)));
+        let top = KeyLevels {
+            galois: Vec::new(),
+            relin: map.max_level(),
+        };
+        let rescale_bits = scheduled.params.rescale_bits;
+        let full = SessionKeys::generate(&full_opts, top.relin as usize, rescale_bits, &top);
+        assert!(sized.key_bytes() <= full.key_bytes(), "{what}");
+        smaller += usize::from(sized.key_bytes() < full.key_bytes());
+        for workers in [1usize, 2] {
+            let run = |exec: &ExecOptions, keys| {
+                let options = ParOptions {
+                    exec: exec.clone(),
+                    workers,
+                    fusion: true,
+                };
+                execute_parallel_with_keys(scheduled, inputs, &options, keys, None, 0xE4C)
+                    .unwrap_or_else(|e| panic!("{what} x{workers}: {e:?}"))
+            };
+            assert_eq!(
+                bits(&run(&sized_opts, &sized).outputs),
+                bits(&run(&full_opts, &full).outputs),
+                "{what}: level-sized keys change bytes at {workers} workers"
+            );
+        }
+    };
+    for w in suite(Size::Test) {
+        let scheduled = compile_fitting(&w).expect("fits");
+        check(w.name, &scheduled, &w.inputs);
+    }
+    let cfg = GenConfig {
+        opmix: OpMix {
+            rotate: 8,
+            ..OpMix::default()
+        },
+        max_ops: 30,
+        ..GenConfig::default()
+    };
+    let mut fuzzed = 0usize;
+    for seed in 0..300u64 {
+        if fuzzed >= 12 {
+            break;
+        }
+        let program = generate(seed, &cfg);
+        let inputs = input_data(&program);
+        let Ok(compiled) = compile(&program, &Options::new(35)) else {
+            continue;
+        };
+        if schedule_fits_backend(&compiled.scheduled, &inputs) {
+            check(&format!("fuzz seed {seed}"), &compiled.scheduled, &inputs);
+            fuzzed += 1;
+        }
+    }
+    assert!(fuzzed >= 8, "only {fuzzed} rotate-heavy programs fit");
+    assert!(smaller > 0, "no schedule ran below its chain's top level");
+}

@@ -109,3 +109,93 @@ fn key_budgets_and_pool_reuse_are_bit_exact() {
         "only {checked} programs exercised the backend"
     );
 }
+
+#[test]
+fn keys_sized_for_a_shallower_schedule_are_a_typed_error_and_leak_nothing() {
+    use std::sync::Arc;
+
+    use fhe_reserve::ckks::PolyPool;
+    use fhe_reserve::ir::{
+        CompileParams, Frac, InputSpec, Op, Program, ScheduleError, ScheduledProgram,
+    };
+    use fhe_reserve::runtime::{execute_with_keys, SessionKeys};
+
+    // Three schedules of one chain (`x` at level 3): a rotation by 1 and a
+    // square, at level 2 in `shallow`; in `deep_rotate` the rotation and in
+    // `deep_mul` the square run at level 3 instead.
+    let slots = 64;
+    let schedule = |rotate_deep: bool, mul_deep: bool| {
+        let mut p = Program::new("depth", slots);
+        let x = p.push(Op::Input { name: "x".into() });
+        let low = p.push(Op::ModSwitch(x));
+        let r = match rotate_deep {
+            true => {
+                let r = p.push(Op::Rotate(x, 1));
+                p.push(Op::ModSwitch(r))
+            }
+            false => p.push(Op::Rotate(low, 1)),
+        };
+        let sq = match mul_deep {
+            true => {
+                let sq = p.push(Op::Mul(x, x));
+                p.push(Op::ModSwitch(sq))
+            }
+            false => p.push(Op::Mul(low, low)),
+        };
+        p.set_outputs(vec![r, sq]);
+        ScheduledProgram {
+            params: CompileParams::new(30),
+            inputs: vec![InputSpec {
+                scale_bits: Frac::from(30u32),
+                level: 3,
+            }],
+            program: p,
+        }
+    };
+    let (shallow, deep_rotate, deep_mul) = (
+        schedule(false, false),
+        schedule(true, false),
+        schedule(false, true),
+    );
+    let inputs = [("x".to_string(), vec![0.5; slots])].into_iter().collect();
+    let opts = |keys| ExecOptions {
+        poly_degree: 2 * slots,
+        seed: 0x5A11,
+        threads: 1,
+        keys,
+        rotation_hoisting: true,
+    };
+    let eager = opts(KeyPolicy::EagerProgram);
+    let keys = SessionKeys::for_schedule(&shallow, &eager).expect("valid");
+    let pool = Arc::new(PolyPool::new(2 * slots));
+    let run = |scheduled: &ScheduledProgram, keys: &SessionKeys| {
+        execute_with_keys(scheduled, &inputs, &eager, keys, Some(pool.clone()), 9)
+    };
+    run(&shallow, &keys).expect("the keys' own schedule runs");
+    let err = run(&deep_rotate, &keys).unwrap_err();
+    assert!(
+        matches!(err[..], [ScheduleError::MissingKey { steps: 1, .. }]),
+        "{err:?}"
+    );
+    let err = run(&deep_mul, &keys).unwrap_err();
+    assert!(
+        matches!(err[..], [ScheduleError::MissingRelinKey { level: 3, .. }]),
+        "{err:?}"
+    );
+    assert_eq!(
+        pool.stats().live_bytes,
+        0,
+        "the failed requests took nothing"
+    );
+    // Each schedule runs on keys of its own; a lazy cache deepens its
+    // rotation key on demand.
+    for deeper in [&deep_rotate, &deep_mul] {
+        let own = SessionKeys::for_schedule(deeper, &eager).expect("valid");
+        run(deeper, &own).expect("its own keys reach its levels");
+    }
+    let lazy = opts(KeyPolicy::Lazy { budget_bytes: None });
+    let lazy_keys = SessionKeys::for_schedule(&shallow, &lazy).expect("valid");
+    execute_with_keys(&deep_rotate, &inputs, &lazy, &lazy_keys, None, 9).expect("deepened");
+    let cache = lazy_keys.key_cache().expect("a lazy policy").stats();
+    assert_eq!(cache.misses, 1, "generated once, at the rotation's level");
+}

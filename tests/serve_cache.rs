@@ -4,6 +4,9 @@
 //! (pinned by `structural_hash`) but **executes byte-identically** under
 //! the same session keys and encryption seed — the golden-trace style
 //! comparison (outputs + per-class op counts) applied across an eviction.
+//! A session's own key cache is keyed finely enough too: eager keys reach
+//! only the levels their text uses, so a deeper text of the same steps
+//! gets a key set of its own.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,4 +136,76 @@ fn params_and_compiler_id_are_part_of_the_key() {
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
     assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
+}
+
+#[test]
+fn eager_key_sets_are_cached_per_depth_not_just_per_steps() {
+    use fhe_ir::key_levels;
+    use fhe_ir::pipeline::ScaleCompiler;
+    use fhe_runtime::{outputs_close, KeyPolicy, ParOptions};
+    use fhe_serve::{FheServer, Request, ServerConfig};
+
+    // Two texts over one chain with the same rotation step: `shallow`
+    // rotates after both multiplies, `deep` rotates an input. Keys sized
+    // for `shallow` would not reach `deep`'s rotation, so the session
+    // keeps a key set per depth — `shallow` runs first to make reuse the
+    // tempting mistake.
+    let text = |rotate_first: bool| {
+        let b = fhe_ir::Builder::new("depths", SLOTS);
+        let (x, y) = (b.input("x"), b.input("y"));
+        let q = if rotate_first {
+            (x.clone().rotate(1) * y.clone() + x.clone()) * (y.clone() * y)
+        } else {
+            ((x.clone() * y.clone() + x) * (y.clone() * y)).rotate(1)
+        };
+        text::print(&b.finish(vec![q]))
+    };
+    let (shallow, deep) = (text(false), text(true));
+    let params = CompileParams::new(30);
+    let levels = |t: &str| {
+        let program = text::parse(t).unwrap();
+        let scheduled = ReserveCompiler::full()
+            .compile(&program, &params)
+            .unwrap()
+            .scheduled;
+        let map = scheduled.validate().unwrap();
+        (map.max_level(), key_levels(&scheduled.program, &map))
+    };
+    let ((shallow_top, shallow_keys), (deep_top, deep_keys)) = (levels(&shallow), levels(&deep));
+    assert_eq!(shallow_top, deep_top, "one chain");
+    assert!(
+        shallow_keys.galois[0].1 < deep_keys.galois[0].1,
+        "{shallow_keys:?} vs {deep_keys:?}"
+    );
+
+    let server = FheServer::new(ServerConfig::default());
+    let session = server.create_session(ParOptions {
+        exec: ExecOptions {
+            poly_degree: SLOTS * 2,
+            seed: 0xDE97,
+            threads: 1,
+            keys: KeyPolicy::EagerProgram,
+            rotation_hoisting: true,
+        },
+        workers: 1,
+        fusion: true,
+    });
+    for program in [shallow, deep] {
+        let response = server
+            .submit(Request {
+                session,
+                program,
+                params,
+                compiler: "reserve".into(),
+                inputs: inputs(),
+                deadline: None,
+            })
+            .expect("submits")
+            .wait()
+            .expect("keys that reach every level");
+        outputs_close(&response.outputs, &response.reference, 1e-2).expect("accurate");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.sessions[0].key_shapes, 2, "a key set per depth");
 }
