@@ -40,10 +40,10 @@
 //! These F-codes cover the *sequential* semantics of a schedule. The
 //! *concurrent* face of the toolchain — the serve layer's queue/shutdown
 //! and single-flight protocols and the CKKS work-stealing pool — is
-//! checked by the `fhe-conc` interleaving model checker instead; its
-//! `conc_smoke --json` binary emits a `ConcReport` (per-model schedule
-//! counts and verdicts) that CI publishes next to lint findings. See the
-//! `fhe_conc` crate docs and `DESIGN.md` §13 for that side of the story.
+//! checked by the `fhe-conc` interleaving model checker instead, over the
+//! models in `tests/conc_models.rs`; a failing model writes its numbered
+//! counterexample schedule to `FHE_CONC_TRACE_DIR`. See the `fhe_conc`
+//! crate docs and `DESIGN.md` §13 for that side of the story.
 
 use fhe_ir::diag::{Finding, Severity};
 use fhe_ir::{analysis, Op, ScheduleError, ScheduledProgram};
@@ -501,31 +501,20 @@ pub fn lint_scheduled(
     }
 
     // F008: premature free. The runtime returns a ciphertext's buffer to
-    // the pool at its last live use; a later scheduled reader (necessarily
-    // dead code — a live reader would be the last use) would read a
-    // recycled buffer if executed. Outputs are pinned and never freed.
+    // the pool at its last live use (`analysis::free_points`, the rule the
+    // dependence graph and the memory model share); a later scheduled
+    // reader (necessarily dead code — a live reader would be the last use)
+    // would read a recycled buffer if executed. Outputs are pinned and
+    // never freed.
     {
-        let mut freed_at: Vec<Option<fhe_ir::ValueId>> = vec![None; program.num_ops()];
-        for id in program.ids() {
-            if !live[id.index()] {
-                continue;
-            }
-            for a in program.op(id).operands() {
-                if live[a.index()] && program.is_cipher(a) {
-                    freed_at[a.index()] = Some(id);
-                }
-            }
-        }
-        for &o in program.outputs() {
-            freed_at[o.index()] = None; // pinned
-        }
+        let freed_at = analysis::free_points(program, &live);
         for id in program.ids() {
             if live[id.index()] {
                 continue;
             }
             let mut prev = None;
             for a in program.op(id).operands() {
-                if prev == Some(a) {
+                if prev == Some(a) || !program.is_cipher(a) {
                     continue;
                 }
                 prev = Some(a);

@@ -24,15 +24,14 @@
 //! emit their [`CompileReport`]/trace fields machine-readably
 //! ([`fhe_ir::json`]).
 //!
-//! Three more binaries measure what the paper does not and the repository's
+//! Two more binaries measure what the paper does not and the repository's
 //! `benchmark/` harness does not either: `kernels` (hot paths against the
-//! reference kernels they replaced), `mem` (peak working set per Galois-key
-//! policy) and `serve` (cold vs warm compile cache, sessions sweep). They
-//! share this crate's front end — [`CliArgs`], [`Baseline`], [`gate`] — and
-//! are the only ones that gate: `kernels` on ratios within its run, `mem`
-//! and `serve` against a committed `BENCH_*.json` record
-//! (`--check-baseline`). Wall-clock claims about the executor live in
-//! `benchmark/`, not here.
+//! reference kernels they replaced) and `mem` (peak working set per
+//! Galois-key policy). They share this crate's front end — [`CliArgs`],
+//! [`Baseline`], [`gate`] — and are the only ones that gate: `kernels` on
+//! ratios within its run, `mem` against the committed `BENCH_mem.json`
+//! record (`--check-baseline`). Wall-clock claims about the executor and
+//! the service layer live in `benchmark/`, not here.
 
 #![warn(missing_docs)]
 
@@ -122,7 +121,7 @@ pub struct CliArgs {
     pub paper: bool,
     /// Also write the results as JSON to this path.
     pub json: Option<PathBuf>,
-    /// Gate the run against this committed record (`mem`, `serve`).
+    /// Gate the run against this committed record (`mem`).
     pub check_baseline: Option<PathBuf>,
     /// Values of the flags the binary declared itself, in command-line order.
     extra: Vec<(String, String)>,
@@ -233,8 +232,6 @@ impl CliArgs {
 pub mod keys {
     /// `BENCH_mem.json`: peak bytes under the budgeted lazy key policy.
     pub const LAZY_BUDGET_PEAK_BYTES: &str = "lazy_budget_peak_bytes";
-    /// `BENCH_serve.json`: warm over cold throughput under Hecate.
-    pub const WARM_OVER_COLD: &str = "warm_over_cold";
 }
 
 /// A committed result record (`BENCH_*.json`), parsed.

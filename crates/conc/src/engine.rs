@@ -903,7 +903,7 @@ fn spawn_root(engine: &Arc<Engine>, f: Arc<dyn Fn() + Send + Sync>) {
 
 /// Silences the default panic hook for the [`AbortExecution`] control-flow
 /// panics the scheduler raises on every pruned/aborted execution — outside
-/// libtest's output capture (e.g. the `conc_smoke` binary) each would
+/// libtest's output capture (a binary calling `check` directly) each would
 /// otherwise print a full "thread panicked" report. Real model panics
 /// still reach the previous hook untouched. Installed once per process;
 /// never uninstalled, so concurrent `check` calls are safe.

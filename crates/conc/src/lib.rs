@@ -220,103 +220,6 @@ impl ModelOutcome {
     }
 }
 
-/// One model's row in a [`ConcReport`].
-#[derive(Debug, Clone)]
-pub struct ModelRecord {
-    /// Model name.
-    pub name: String,
-    /// `"exhaustive"`, `"pct"` or `"passthrough"`.
-    pub mode: String,
-    /// Interleavings executed.
-    pub executions: u64,
-    /// Sleep-set-pruned executions.
-    pub pruned: u64,
-    /// Whether the exhaustive search completed.
-    pub complete: bool,
-    /// Whether the model passed.
-    pub passed: bool,
-    /// Wall-clock milliseconds spent checking.
-    pub wall_ms: u64,
-}
-
-/// Machine-readable summary of a model-checking run, emitted by the
-/// `conc_smoke` binary as `--json` and referenced from the lint-registry
-/// docs alongside the F001–F009 static findings.
-#[derive(Debug, Clone, Default)]
-pub struct ConcReport {
-    /// `true` when the binary was built with `--cfg fhe_conc` (schedules
-    /// were actually explored rather than run once in passthrough).
-    pub checker_enabled: bool,
-    /// Per-model results.
-    pub models: Vec<ModelRecord>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl ConcReport {
-    /// Total interleavings explored across all models.
-    pub fn total_executions(&self) -> u64 {
-        self.models.iter().map(|m| m.executions).sum()
-    }
-
-    /// `true` when every model passed.
-    pub fn all_passed(&self) -> bool {
-        self.models.iter().all(|m| m.passed)
-    }
-
-    /// Serializes the report as JSON (hand-rolled; the workspace has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"checker_enabled\": {},\n  \"models_total\": {},\n  \"models_passed\": {},\n  \"interleavings_total\": {},\n  \"models\": [\n",
-            self.checker_enabled,
-            self.models.len(),
-            self.models.iter().filter(|m| m.passed).count(),
-            self.total_executions(),
-        ));
-        for (i, m) in self.models.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mode\": \"{}\", \"executions\": {}, \"pruned\": {}, \"complete\": {}, \"passed\": {}, \"wall_ms\": {}}}{}\n",
-                json_escape(&m.name),
-                json_escape(&m.mode),
-                m.executions,
-                m.pruned,
-                m.complete,
-                m.passed,
-                m.wall_ms,
-                if i + 1 == self.models.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-impl Mode {
-    /// `"exhaustive"` or `"pct"` — the [`ModelRecord::mode`] string
-    /// (std-mode passthrough runs report `"passthrough"` instead).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Mode::Exhaustive { .. } => "exhaustive",
-            Mode::Pct { .. } => "pct",
-        }
-    }
-}
-
 /// Checks `model` under `config` and returns the outcome without
 /// panicking. In std builds this runs the closure once with real threads
 /// (passthrough) and reports one execution.

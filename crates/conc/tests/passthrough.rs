@@ -1,11 +1,10 @@
 //! Std-mode (passthrough) tests: these run in the ordinary tier-1
 //! `cargo test` and make sure the public entry points work without the
-//! checker cfg — `model`/`check` run the closure once with real threads,
-//! and the JSON report serializes.
+//! checker cfg — `model`/`check` run the closure once with real threads.
 
 use fhe_conc::sync::atomic::{AtomicUsize, Ordering};
 use fhe_conc::sync::{thread, Arc, Condvar, Mutex, RwLock};
-use fhe_conc::{check, ConcReport, Config, ModelRecord};
+use fhe_conc::{check, Config};
 
 #[test]
 fn model_runs_the_closure() {
@@ -59,40 +58,4 @@ fn facade_types_behave_like_std() {
     assert_eq!(*rw.read().unwrap(), 7);
     thread::yield_now();
     assert!(fhe_conc::current_thread_id() < usize::MAX);
-}
-
-#[test]
-fn conc_report_serializes_to_json() {
-    let report = ConcReport {
-        checker_enabled: cfg!(fhe_conc),
-        models: vec![
-            ModelRecord {
-                name: "pool-park".into(),
-                mode: "exhaustive".into(),
-                executions: 1234,
-                pruned: 56,
-                complete: true,
-                passed: true,
-                wall_ms: 7,
-            },
-            ModelRecord {
-                name: "cache \"single\"-flight".into(),
-                mode: "pct".into(),
-                executions: 200,
-                pruned: 0,
-                complete: false,
-                passed: false,
-                wall_ms: 99,
-            },
-        ],
-    };
-    let json = report.to_json();
-    assert!(json.contains("\"models_total\": 2"));
-    assert!(json.contains("\"models_passed\": 1"));
-    assert!(json.contains("\"interleavings_total\": 1434"));
-    assert!(
-        json.contains("\\\"single\\\"-flight"),
-        "quotes escaped: {json}"
-    );
-    assert!(report.total_executions() == 1434 && !report.all_passed());
 }

@@ -255,14 +255,6 @@ impl CompileCache {
             peak_bytes: inner.peak_bytes,
         }
     }
-
-    /// Drops every entry (counters are kept). Used by the cold phase of
-    /// the `serve` bench.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("compile cache lock");
-        inner.map.clear();
-        inner.bytes = 0;
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! directive comment:
 //!
 //! - **compiled** (the default): the file holds a *source* program; every
-//!   requested compiler schedules it, and the lints plus translation
-//!   validation run on each resulting schedule, rendered against the
-//!   printed schedule text.
+//!   requested compiler schedules it, and the lints run on each resulting
+//!   schedule, rendered against the printed schedule text, beside the
+//!   translation-validation verdict (and `F000` finding) the compile
+//!   recorded.
 //! - **scheduled**: the file holds an already-scheduled program (it may
 //!   contain `rescale`/`modswitch`/`upscale` ops); the lints run directly
 //!   on it, rendered with carets into the file's own text. Input encodings
@@ -24,7 +25,9 @@
 //! file carries no explicit `// fuzz-output-reserve:`, the output reserve
 //! is derived statically from the interval analysis
 //! ([`required_output_reserve_bits`]), making Table 1's `m·x_max < Q`
-//! hypothesis hold by construction for in-range inputs.
+//! hypothesis hold by construction for in-range inputs. `depgraph` mode
+//! reads a file through the same front end, so it profiles exactly the
+//! schedules `lint` checks.
 
 use std::fs;
 use std::io;
@@ -32,8 +35,7 @@ use std::path::{Path, PathBuf};
 
 use fhe_analysis::interval::required_output_reserve_bits;
 use fhe_analysis::{
-    lint_scheduled, render_finding, render_parse_error, validate, IntervalDomain, LintOptions,
-    SourceMap,
+    lint_scheduled, render_finding, render_parse_error, IntervalDomain, LintOptions, SourceMap,
 };
 use fhe_fuzz::corpus;
 use fhe_ir::diag::{Finding, Severity};
@@ -183,64 +185,12 @@ fn parse_directives(comments: &[String]) -> Result<Directives, String> {
     Ok(d)
 }
 
-fn num_inputs(program: &Program) -> usize {
-    program
-        .ids()
-        .filter(|&id| matches!(program.op(id), Op::Input { .. }))
-        .count()
-}
-
 fn render_findings(findings: &[Finding], map: &SourceMap, label: &str) -> String {
     let mut out = String::new();
     for f in findings {
         out.push_str(&render_finding(f, map, label));
     }
     out
-}
-
-/// Lints the schedule already written in the file itself.
-fn lint_scheduled_mode(
-    file: &str,
-    content: &str,
-    case: &corpus::CorpusCase,
-    directives: &Directives,
-    options: &LintOptions,
-) -> TargetReport {
-    let spec = InputSpec {
-        scale_bits: Frac::from(directives.input_scale.unwrap_or(case.params.waterline_bits)),
-        level: directives.input_level.unwrap_or(1),
-    };
-    let scheduled = ScheduledProgram {
-        program: case.program.clone(),
-        params: case.params,
-        inputs: vec![spec; num_inputs(&case.program)],
-    };
-    match lint_scheduled(&scheduled, options) {
-        Ok(findings) => {
-            let rendered = render_findings(&findings, &SourceMap::new(content), file);
-            TargetReport {
-                target: "scheduled".into(),
-                findings,
-                translation_validated: None,
-                rendered,
-                error: None,
-            }
-        }
-        Err(errors) => {
-            let joined = errors
-                .iter()
-                .map(|e| format!("  {e}"))
-                .collect::<Vec<_>>()
-                .join("\n");
-            TargetReport {
-                target: "scheduled".into(),
-                findings: Vec::new(),
-                translation_validated: None,
-                rendered: String::new(),
-                error: Some(format!("schedule does not validate:\n{joined}")),
-            }
-        }
-    }
 }
 
 /// Compiles `program` with the compiler registered under `name`; the error
@@ -253,105 +203,163 @@ fn compile_with(name: &str, program: &Program, params: &CompileParams) -> Result
         .map_err(|e| format!("{name}: {e}"))
 }
 
-/// Compiles the source program with one compiler and lints the schedule.
-fn lint_compiled_mode(
-    file: &str,
-    name: &str,
-    case: &corpus::CorpusCase,
-    directives: &Directives,
-    options: &LintOptions,
-) -> TargetReport {
-    let mut params = case.params;
-    if !directives.has_explicit_reserve {
-        params.output_reserve_bits = params.output_reserve_bits.max(required_output_reserve_bits(
-            &case.program,
-            &options.intervals,
-        ));
+/// One schedule of a file, as `lint` and `depgraph` both see it.
+enum Target {
+    /// The file's own schedule (`// lint-mode: scheduled`).
+    Scheduled(ScheduledProgram),
+    /// One requested compiler's compile of the file's source program, or the
+    /// target-level error it failed with.
+    Compiled {
+        name: String,
+        compiled: Result<Box<Compiled>, String>,
+    },
+}
+
+impl Target {
+    fn name(&self) -> &str {
+        match self {
+            Target::Scheduled(_) => "scheduled",
+            Target::Compiled { name, .. } => name,
+        }
     }
-    let compiled = match compile_with(name, &case.program, &params) {
-        Ok(c) => c,
-        Err(error) => {
-            return TargetReport {
-                target: name.into(),
-                findings: Vec::new(),
+
+    fn schedule(&self) -> Result<&ScheduledProgram, &String> {
+        match self {
+            Target::Scheduled(scheduled) => Ok(scheduled),
+            Target::Compiled { compiled, .. } => compiled.as_ref().map(|c| &c.scheduled),
+        }
+    }
+}
+
+/// The one per-file front end of [`lint_file`] and [`depgraph_file`]: parses
+/// `content`, reads its directives, and yields the lint options they imply
+/// with the file's targets — its own schedule in scheduled mode, else one
+/// compile per requested compiler. Every compile runs under the same params:
+/// the file's, with the output reserve raised to the interval bound unless
+/// the file sets `// fuzz-output-reserve:`. `Err` is the rendered file-level
+/// error.
+fn parse_file(
+    file: &str,
+    content: &str,
+    run: &LintRun,
+) -> Result<(LintOptions, Vec<Target>), String> {
+    let (_, comments) =
+        text::parse_with_comments(content).map_err(|e| render_parse_error(&e, content, file))?;
+    let (case, directives) = corpus::parse_case(content)
+        .and_then(|case| Ok((case, parse_directives(&comments)?)))
+        .map_err(|e| format!("error: {e}\n  --> {file}\n"))?;
+    let options = LintOptions {
+        intervals: IntervalDomain::with_input_magnitude(run.input_magnitude),
+        requested_rotation_steps: directives.requested_keys,
+    };
+    let targets = if directives.scheduled_mode {
+        let spec = InputSpec {
+            scale_bits: Frac::from(directives.input_scale.unwrap_or(case.params.waterline_bits)),
+            level: directives.input_level.unwrap_or(1),
+        };
+        let inputs = case
+            .program
+            .ids()
+            .filter(|&id| matches!(case.program.op(id), Op::Input { .. }))
+            .map(|_| spec)
+            .collect();
+        vec![Target::Scheduled(ScheduledProgram {
+            program: case.program,
+            params: case.params,
+            inputs,
+        })]
+    } else {
+        let mut params = case.params;
+        if !directives.has_explicit_reserve {
+            params.output_reserve_bits = params.output_reserve_bits.max(
+                required_output_reserve_bits(&case.program, &options.intervals),
+            );
+        }
+        run.compilers
+            .iter()
+            .map(|name| Target::Compiled {
+                name: name.clone(),
+                compiled: compile_with(name, &case.program, &params).map(Box::new),
+            })
+            .collect()
+    };
+    Ok((options, targets))
+}
+
+/// Lints one target under `options`. A compiled target keeps the `F000`
+/// finding and the translation-validation verdict its compile recorded.
+fn lint_target(file: &str, content: &str, target: &Target, options: &LintOptions) -> TargetReport {
+    let failed = |error: String| TargetReport {
+        target: target.name().into(),
+        findings: Vec::new(),
+        translation_validated: None,
+        rendered: String::new(),
+        error: Some(error),
+    };
+    match target {
+        Target::Scheduled(scheduled) => match lint_scheduled(scheduled, options) {
+            Ok(findings) => TargetReport {
+                target: target.name().into(),
+                rendered: render_findings(&findings, &SourceMap::new(content), file),
+                findings,
                 translation_validated: None,
-                rendered: String::new(),
-                error: Some(error),
+                error: None,
+            },
+            Err(errors) => {
+                let joined = errors
+                    .iter()
+                    .map(|e| format!("  {e}"))
+                    .collect::<Vec<_>>()
+                    .join("\n");
+                failed(format!("schedule does not validate:\n{joined}"))
+            }
+        },
+        Target::Compiled {
+            compiled: Err(error),
+            ..
+        } => failed(error.clone()),
+        Target::Compiled {
+            name,
+            compiled: Ok(compiled),
+        } => {
+            let mut findings = lint_scheduled(&compiled.scheduled, options).unwrap_or_default();
+            let tv = compiled.report.findings.iter().filter(|f| f.code == "F000");
+            findings.extend(tv.cloned());
+            let schedule_text = text::print(&compiled.scheduled.program);
+            TargetReport {
+                target: name.clone(),
+                rendered: render_findings(
+                    &findings,
+                    &SourceMap::new(&schedule_text),
+                    &format!("{file}@{name}"),
+                ),
+                findings,
+                translation_validated: compiled.report.translation_validated,
+                error: None,
             }
         }
-    };
-    let mut findings = lint_scheduled(&compiled.scheduled, options).unwrap_or_default();
-    let tv = validate(&case.program, &compiled.scheduled);
-    if let Err(m) = &tv {
-        let mut f = Finding::new(
-            "F000",
-            Severity::Error,
-            format!("translation validation failed: {m}"),
-        );
-        if let Some(op) = m.scheduled_op {
-            f = f.at(op);
-        }
-        findings.push(f);
-    }
-    let schedule_text = text::print(&compiled.scheduled.program);
-    let rendered = render_findings(
-        &findings,
-        &SourceMap::new(&schedule_text),
-        &format!("{file}@{name}"),
-    );
-    TargetReport {
-        target: name.into(),
-        findings,
-        translation_validated: Some(tv.is_ok()),
-        rendered,
-        error: None,
     }
 }
 
 /// Lints one file's content. `file` is the display name used in
 /// diagnostics (typically the path as given).
 pub fn lint_file(file: &str, content: &str, run: &LintRun) -> FileReport {
-    let comments = match text::parse_with_comments(content) {
-        Ok((_, comments)) => comments,
-        Err(e) => {
+    let (options, targets) = match parse_file(file, content, run) {
+        Ok(parsed) => parsed,
+        Err(error) => {
             return FileReport {
                 file: file.into(),
                 targets: Vec::new(),
-                error: Some(render_parse_error(&e, content, file)),
+                error: Some(error),
             }
         }
-    };
-    let (case, directives) = match (corpus::parse_case(content), parse_directives(&comments)) {
-        (Ok(c), Ok(d)) => (c, d),
-        (Err(e), _) | (_, Err(e)) => {
-            return FileReport {
-                file: file.into(),
-                targets: Vec::new(),
-                error: Some(format!("error: {e}\n  --> {file}\n")),
-            }
-        }
-    };
-    let options = LintOptions {
-        intervals: IntervalDomain::with_input_magnitude(run.input_magnitude),
-        requested_rotation_steps: directives.requested_keys.clone(),
-    };
-    let targets = if directives.scheduled_mode {
-        vec![lint_scheduled_mode(
-            file,
-            content,
-            &case,
-            &directives,
-            &options,
-        )]
-    } else {
-        run.compilers
-            .iter()
-            .map(|name| lint_compiled_mode(file, name, &case, &directives, &options))
-            .collect()
     };
     FileReport {
         file: file.into(),
-        targets,
+        targets: targets
+            .iter()
+            .map(|t| lint_target(file, content, t, &options))
+            .collect(),
         error: None,
     }
 }
@@ -381,10 +389,31 @@ pub struct DepFileReport {
     pub error: Option<String>,
 }
 
-/// Builds the dependence DAG of every schedule of `file` (the file's own
-/// schedule in scheduled mode, one per requested compiler otherwise) and
-/// profiles it under `model` — the paper's Table 3 by default, or a
-/// measured profile via the CLI's `--profile`.
+/// Profiles one schedule's dependence DAG under `model`, with its DOT
+/// rendering when `want_dot`.
+fn profile(
+    name: &str,
+    scheduled: &ScheduledProgram,
+    model: &fhe_ir::CostModel,
+    want_dot: bool,
+) -> Result<(fhe_ir::ParallelismEstimate, Option<String>), String> {
+    let map = scheduled.validate().map_err(|errors| {
+        let joined = errors
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ");
+        format!("schedule does not validate: {joined}")
+    })?;
+    let graph = fhe_ir::DepGraph::build(scheduled, &map, model, true);
+    let dot = want_dot.then(|| graph.to_dot(&format!("{}_{name}", scheduled.program.name())));
+    Ok((graph.estimate(), dot))
+}
+
+/// Builds the dependence DAG of every schedule `lint` checks in `file`
+/// (the file's own schedule in scheduled mode, one per requested compiler
+/// otherwise) and profiles it under `model` — the paper's Table 3 by
+/// default, or a measured profile via the CLI's `--profile`.
 pub fn depgraph_file(
     file: &str,
     content: &str,
@@ -392,85 +421,36 @@ pub fn depgraph_file(
     model: &fhe_ir::CostModel,
     want_dot: bool,
 ) -> DepFileReport {
-    let comments = match text::parse_with_comments(content) {
-        Ok((_, comments)) => comments,
-        Err(e) => {
+    let targets = match parse_file(file, content, run) {
+        Ok((_, targets)) => targets,
+        Err(error) => {
             return DepFileReport {
                 file: file.into(),
                 targets: Vec::new(),
-                error: Some(render_parse_error(&e, content, file)),
+                error: Some(error),
             }
         }
     };
-    let (case, directives) = match (corpus::parse_case(content), parse_directives(&comments)) {
-        (Ok(c), Ok(d)) => (c, d),
-        (Err(e), _) | (_, Err(e)) => {
-            return DepFileReport {
-                file: file.into(),
-                targets: Vec::new(),
-                error: Some(format!("error: {e}\n  --> {file}\n")),
-            }
-        }
-    };
-
-    let analyze_schedule = |target: &str, scheduled: &ScheduledProgram| -> DepTarget {
-        match scheduled.validate() {
-            Ok(map) => {
-                let graph = fhe_ir::DepGraph::build(scheduled, &map, model, true);
-                DepTarget {
-                    target: target.into(),
-                    estimate: Some(graph.estimate()),
-                    dot: want_dot
-                        .then(|| graph.to_dot(&format!("{}_{target}", scheduled.program.name()))),
-                    error: None,
-                }
-            }
-            Err(errors) => {
-                let joined = errors
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                DepTarget {
-                    target: target.into(),
-                    estimate: None,
-                    dot: None,
-                    error: Some(format!("schedule does not validate: {joined}")),
-                }
-            }
-        }
-    };
-
-    let targets = if directives.scheduled_mode {
-        let spec = InputSpec {
-            scale_bits: Frac::from(directives.input_scale.unwrap_or(case.params.waterline_bits)),
-            level: directives.input_level.unwrap_or(1),
+    let analyze = |target: &Target| {
+        let name = target.name();
+        let profiled = target
+            .schedule()
+            .map_err(String::clone)
+            .and_then(|scheduled| profile(name, scheduled, model, want_dot));
+        let (estimate, dot, error) = match profiled {
+            Ok((estimate, dot)) => (Some(estimate), dot, None),
+            Err(error) => (None, None, Some(error)),
         };
-        let scheduled = ScheduledProgram {
-            program: case.program.clone(),
-            params: case.params,
-            inputs: vec![spec; num_inputs(&case.program)],
-        };
-        vec![analyze_schedule("scheduled", &scheduled)]
-    } else {
-        run.compilers
-            .iter()
-            .map(
-                |name| match compile_with(name, &case.program, &case.params) {
-                    Ok(c) => analyze_schedule(name, &c.scheduled),
-                    Err(error) => DepTarget {
-                        target: name.clone(),
-                        estimate: None,
-                        dot: None,
-                        error: Some(error),
-                    },
-                },
-            )
-            .collect()
+        DepTarget {
+            target: name.into(),
+            estimate,
+            dot,
+            error,
+        }
     };
     DepFileReport {
         file: file.into(),
-        targets,
+        targets: targets.iter().map(analyze).collect(),
         error: None,
     }
 }
@@ -638,6 +618,39 @@ mod tests {
             let dot = t.dot.as_ref().expect("dot requested");
             assert!(dot.starts_with("digraph"), "{dot}");
         }
+    }
+
+    #[test]
+    fn depgraph_profiles_the_schedule_lint_checks_at_the_derived_reserve() {
+        // |x·1000·x| reaches 1000, so with no `// fuzz-output-reserve:` the
+        // reserve compiler runs at a derived output reserve of 11 bits.
+        let src = "// fuzz-waterline: 50\n// fuzz-rescale: 60\n// fuzz-max-level: 30\n\
+                   program w(slots=8) {\n  %0 = input \"x\"\n  %1 = const 1000.0\n  \
+                   %2 = mul %0, %1\n  %3 = mul %2, %0\n  return %3\n}\n";
+        let run = LintRun {
+            compilers: vec!["reserve".into()],
+            ..LintRun::default()
+        };
+        let model = fhe_ir::CostModel::paper_table3();
+        let case = corpus::parse_case(src).expect("parses");
+        let profile = |params: &CompileParams| {
+            let scheduled = compile_with("reserve", &case.program, params)
+                .expect("compiles")
+                .scheduled;
+            let map = scheduled.validate().expect("valid schedule");
+            fhe_ir::DepGraph::build(&scheduled, &map, &model, true).estimate()
+        };
+        let mut derived = case.params;
+        derived.output_reserve_bits =
+            required_output_reserve_bits(&case.program, &IntervalDomain::default());
+        assert_ne!(
+            profile(&derived).work_us,
+            profile(&case.params).work_us,
+            "the derived reserve changes the schedule"
+        );
+
+        let dep = depgraph_file("w.fhe", src, &run, &model, false);
+        assert_eq!(dep.targets[0].estimate, Some(profile(&derived)));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The committed result records, read by the code that gates on them.
 //!
-//! `BENCH_mem.json` and `BENCH_serve.json` are what `mem` and `serve`
-//! compare a run against under `--check-baseline` (CI's `mem-smoke` and
-//! `serve-smoke`), `BENCH_kernels.json` is the drift record of the ratios
-//! `kernels` gates within a run (it reads nothing back), and `table3_measured.json` is the
-//! calibration record behind `lint depgraph --profile`. Nothing in tier-1
+//! `BENCH_mem.json` is what `mem` compares a run against under
+//! `--check-baseline` (CI's `mem-smoke`), `BENCH_kernels.json` is the drift
+//! record of the ratios `kernels` gates within a run (it reads nothing
+//! back), and `table3_measured.json` is the calibration record behind
+//! `lint depgraph --profile`. Nothing in tier-1
 //! used to open them with the gates' own reader, so a renamed key or a
 //! re-recorded file in another layout showed up only in a CI smoke job — or,
 //! with the substring scanner the gates used before (`"key":` anywhere in
@@ -17,9 +17,8 @@ use fhe_ir::json::{self, Json};
 use fhe_ir::{CostModel, OpClass};
 
 /// Each committed record with the top-level keys a gate reads back from it.
-const RECORDS: [(&str, &[&str]); 4] = [
+const RECORDS: [(&str, &[&str]); 3] = [
     ("BENCH_mem.json", &[keys::LAZY_BUDGET_PEAK_BYTES]),
-    ("BENCH_serve.json", &[keys::WARM_OVER_COLD]),
     ("BENCH_kernels.json", &[]),
     ("table3_measured.json", &[]),
 ];

@@ -133,8 +133,19 @@ fn params_and_compiler_id_are_part_of_the_key() {
         .unwrap();
     assert!(!eva.hit);
 
+    // Hecate's exploration makes its compile the expensive one to repeat.
+    let hecate = fhe_baselines::HecateCompiler::with_budget(100);
+    let lookup = || {
+        cache
+            .get_or_compile(&p, &CompileParams::new(30), &hecate)
+            .unwrap()
+            .hit
+    };
+    assert!(!lookup(), "a third compiler id misses");
+    assert!(lookup(), "and its repeat hits");
+
     let stats = cache.stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
+    assert_eq!((stats.hits, stats.misses, stats.entries), (2, 4, 4));
     assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
 }
 
