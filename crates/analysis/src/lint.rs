@@ -46,6 +46,7 @@
 //! crate docs and `DESIGN.md` §13 for that side of the story.
 
 use fhe_ir::diag::{Finding, Severity};
+use fhe_ir::semantics::rotation_class;
 use fhe_ir::{analysis, Op, ScheduleError, ScheduledProgram};
 
 use crate::domain::{analyze, AnalysisCx};
@@ -369,31 +370,29 @@ pub fn lint_scheduled(
     // F006: requested rotation-key steps the schedule never uses. A Galois
     // key is the dominant per-step memory term (2·⌈L/α⌉·(L+α) limbs of
     // key-switch material), so provisioning keys for steps the schedule
-    // cannot rotate by is pure working-set waste. Steps are compared modulo
-    // the slot count: a residue class shares one key, and class 0 is the
-    // identity, which needs no key at all.
+    // cannot rotate by is pure working-set waste. Steps are compared by
+    // `rotation_class`: a class shares one key, and the identity needs no
+    // key at all.
     if let Some(requested) = &options.requested_rotation_steps {
-        let slots = program.slots() as i64;
-        let norm = |k: i64| k.rem_euclid(slots);
+        let class = |k: i64| rotation_class(k, program.slots());
         let mut used = std::collections::BTreeSet::new();
         let mut anchor = None;
         for id in program.ids() {
             if let Op::Rotate(_, k) = program.op(id) {
-                if live[id.index()] && program.is_cipher(id) && norm(*k) != 0 {
-                    used.insert(norm(*k));
-                    anchor.get_or_insert(id);
+                if live[id.index()] && program.is_cipher(id) {
+                    if let Some(c) = class(*k) {
+                        used.insert(c);
+                        anchor.get_or_insert(id);
+                    }
                 }
             }
         }
-        let requested_classes: std::collections::BTreeSet<i64> = requested
-            .iter()
-            .map(|&k| norm(k))
-            .filter(|&k| k != 0)
-            .collect();
+        let requested_classes: std::collections::BTreeSet<i64> =
+            requested.iter().filter_map(|&k| class(k)).collect();
         let unused: Vec<i64> = requested
             .iter()
             .copied()
-            .filter(|&k| norm(k) != 0 && !used.contains(&norm(k)))
+            .filter(|&k| class(k).is_some_and(|c| !used.contains(&c)))
             .collect();
         if !unused.is_empty() && used.is_subset(&requested_classes) {
             let list = |steps: &mut dyn Iterator<Item = i64>| {

@@ -33,6 +33,7 @@
 //! the parallel form of the premature-free lint.
 
 use fhe_ir::depgraph::DepGraph;
+use fhe_ir::semantics::rotation_class;
 use fhe_ir::{Op, ScheduledProgram, ValueId};
 
 /// One unordered hazard: a pair of ops the DAG fails to order although the
@@ -173,8 +174,10 @@ pub fn check(
 
     // The live readers of every value in schedule order (an op naming a
     // value twice reads it once), and the live cipher rotations of every
-    // source, grouped in schedule order of their first member — the
-    // hoisted groups, re-derived here to mirror the memory model.
+    // source that are not the identity, grouped in schedule order of their
+    // first member — the hoisted groups, re-derived here to mirror the
+    // memory model.
+    let slots = program.slots();
     let mut readers: Vec<Vec<ValueId>> = vec![Vec::new(); program.num_ops()];
     let mut group_of: Vec<Option<usize>> = vec![None; program.num_ops()];
     let mut groups: Vec<Vec<ValueId>> = Vec::new();
@@ -187,8 +190,8 @@ pub fn check(
                 readers[a.index()].push(id);
             }
         }
-        match program.op(id) {
-            Op::Rotate(a, _) if program.is_cipher(id) => {
+        match *program.op(id) {
+            Op::Rotate(a, k) if program.is_cipher(id) && rotation_class(k, slots).is_some() => {
                 let group = *group_of[a.index()].get_or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1

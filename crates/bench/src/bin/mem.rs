@@ -34,20 +34,20 @@ use std::process::ExitCode;
 use fhe_bench::{keys, print_table, CliArgs};
 use fhe_ir::json::Json;
 use fhe_ir::pipeline::ScaleCompiler;
+use fhe_ir::semantics::rotation_class;
 use fhe_ir::{key_levels, CompileParams, Op, Program, ScheduledProgram};
 use fhe_runtime::{execute_encrypted, ExecOptions, ExecReport, KeyPolicy};
 use fhe_workloads::{suite, Size};
 use reserve_core::ReserveCompiler;
 
-/// Distinct Galois-key classes a program rotates by (`steps % slots != 0`,
-/// deduplicated by residue class).
+/// Distinct Galois-key classes a program rotates by ([`rotation_class`],
+/// the identity excluded).
 fn distinct_steps(program: &Program) -> usize {
-    let slots = program.slots() as i64;
     program
         .ops()
         .iter()
         .filter_map(|op| match op {
-            Op::Rotate(_, k) if k.rem_euclid(slots) != 0 => Some(k.rem_euclid(slots)),
+            Op::Rotate(_, k) => rotation_class(*k, program.slots()),
             _ => None,
         })
         .collect::<BTreeSet<i64>>()

@@ -53,13 +53,6 @@ impl ReserveSolution {
     pub fn principal_level(&self, params: &CompileParams, id: ValueId) -> u32 {
         params.principal_level(self.reserve[id.index()].expect("cipher value"))
     }
-
-    /// The operand level of multiplication `id` (`max(⌈ρ + 2ω⌉, 1)`).
-    pub fn mul_operand_level(&self, params: &CompileParams, id: ValueId) -> u32 {
-        let rho = self.reserve[id.index()].expect("cipher value");
-        let l = (rho + params.omega() + params.omega()).ceil().max(1);
-        l as u32
-    }
 }
 
 /// One reversible mutation of the allocator state.
@@ -512,7 +505,6 @@ mod tests {
         assert_eq!(sol.principal_level(&params, q), 1);
         assert_eq!(sol.principal_level(&params, x3), 1);
         assert_eq!(sol.principal_level(&params, x), 2);
-        assert_eq!(sol.mul_operand_level(&params, q), 1);
     }
 
     #[test]

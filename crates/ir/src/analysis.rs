@@ -8,6 +8,7 @@ use std::collections::HashMap;
 
 use crate::op::{Op, ValueId};
 use crate::program::Program;
+use crate::semantics::rotation_class;
 use crate::{CompileParams, Frac};
 
 /// Multiplicative depth of every value: the maximum number of scale-consuming
@@ -71,7 +72,9 @@ pub fn free_points(program: &Program, live: &[bool]) -> Vec<Option<ValueId>> {
 /// live cipher rotations of one ciphertext share a single key-switch
 /// decomposition, computed when the first member in schedule order (the
 /// leader) executes and read by every member's own step. Members are
-/// listed in schedule order with their steps. Empty when `hoist` is off.
+/// listed in schedule order with their steps. An identity rotation
+/// ([`rotation_class`] `None`) switches no key and joins no group. Empty
+/// when `hoist` is off.
 pub fn rotation_groups(
     program: &Program,
     live: &[bool],
@@ -83,7 +86,10 @@ pub fn rotation_groups(
     }
     for id in program.ids() {
         if let Op::Rotate(a, k) = program.op(id) {
-            if live[id.index()] && program.is_cipher(id) {
+            if live[id.index()]
+                && program.is_cipher(id)
+                && rotation_class(*k, program.slots()).is_some()
+            {
                 groups.entry(*a).or_default().push((id, *k));
             }
         }
@@ -119,21 +125,6 @@ pub fn circuit_depth(program: &Program) -> u32 {
         .max()
         .unwrap_or(1)
         .saturating_sub(1)
-}
-
-/// Per-value use counts (an op using a value twice counts it twice; program
-/// outputs add one use each).
-pub fn use_counts(program: &Program) -> Vec<u32> {
-    let mut counts = vec![0u32; program.num_ops()];
-    for id in program.ids() {
-        for operand in program.op(id).operands() {
-            counts[operand.index()] += 1;
-        }
-    }
-    for &o in program.outputs() {
-        counts[o.index()] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -217,15 +208,11 @@ mod tests {
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[&x], vec![(r1, 1), (r2, 2)], "dead member excluded");
         assert!(rotation_groups(&p, &l, false).is_empty());
-    }
 
-    #[test]
-    fn use_counts_include_outputs_and_duplicates() {
-        let (p, [x, ..]) = fig2a();
-        let c = use_counts(&p);
-        // x used by x2 (twice) and x3 (once).
-        assert_eq!(c[x.index()], 3);
-        // q is only an output.
-        assert_eq!(c[p.outputs()[0].index()], 1);
+        // Rotating by 0 or by the slot count is the identity: no group.
+        let b = Builder::new("ids", 8);
+        let x = b.input("x");
+        let p = b.finish(vec![x.clone().rotate(0) + x.rotate(8)]);
+        assert!(rotation_groups(&p, &live(&p), true).is_empty());
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::op::{ConstValue, Op, ValueId};
 use crate::program::{Program, ProgramEditor};
+use crate::semantics::{self, rotation_class};
 
 fn as_const(program: &Program, id: ValueId) -> Option<&ConstValue> {
     match program.op(id) {
@@ -21,24 +22,19 @@ fn is_scalar(program: &Program, id: ValueId, v: f64) -> bool {
     matches!(as_const(program, id), Some(ConstValue::Scalar(s)) if *s == v)
 }
 
-fn binary_fold(
-    a: &ConstValue,
-    b: &ConstValue,
-    slots: usize,
-    f: impl Fn(f64, f64) -> f64,
-) -> ConstValue {
-    match (a, b) {
-        (ConstValue::Scalar(x), ConstValue::Scalar(y)) => ConstValue::Scalar(f(*x, *y)),
-        _ => ConstValue::from(
-            (0..slots)
-                .map(|i| f(a.at(i), b.at(i)))
-                .collect::<Vec<f64>>(),
-        ),
+/// A constant as a kernel operand: one slot for a scalar, which the
+/// [`semantics`] kernels read in every slot.
+fn const_slots(value: &ConstValue, slots: usize) -> Vec<f64> {
+    match value {
+        ConstValue::Scalar(v) => vec![*v],
+        ConstValue::Vector(_) => value.to_vec(slots),
     }
 }
 
-/// Evaluates plaintext-only arithmetic at compile time, replacing it with
-/// `const` ops. Returns the rewritten program and whether anything changed.
+/// Evaluates plaintext-only arithmetic at compile time with the [`semantics`]
+/// kernels, replacing it with `const` ops: scalar operands only give a
+/// scalar, anything else a vector. Returns the rewritten program and
+/// whether anything changed.
 pub fn fold_constants(program: &Program) -> (Program, bool) {
     let slots = program.slots();
     let mut ed = ProgramEditor::new(program);
@@ -47,51 +43,50 @@ pub fn fold_constants(program: &Program) -> (Program, bool) {
         ed.emit(id);
         // Only fold plain arithmetic whose operands are (source) constants;
         // one layer folds per pass, and `cleanup` iterates to a fixpoint.
-        if !ed.source().is_plain(id) {
+        let op = program.op(id);
+        if !program.is_plain(id) || op.is_scale_management() {
             continue;
         }
-        let src_const = |old: ValueId| -> Option<ConstValue> { as_const(program, old).cloned() };
-        let folded: Option<ConstValue> = match program.op(id) {
-            Op::Add(a, b) => match (src_const(*a), src_const(*b)) {
-                (Some(x), Some(y)) => Some(binary_fold(&x, &y, slots, |p, q| p + q)),
-                _ => None,
-            },
-            Op::Sub(a, b) => match (src_const(*a), src_const(*b)) {
-                (Some(x), Some(y)) => Some(binary_fold(&x, &y, slots, |p, q| p - q)),
-                _ => None,
-            },
-            Op::Mul(a, b) => match (src_const(*a), src_const(*b)) {
-                (Some(x), Some(y)) => Some(binary_fold(&x, &y, slots, |p, q| p * q)),
-                _ => None,
-            },
-            Op::Neg(a) => src_const(*a).map(|x| match x {
-                ConstValue::Scalar(v) => ConstValue::Scalar(-v),
-                v => ConstValue::from((0..slots).map(|i| -v.at(i)).collect::<Vec<f64>>()),
-            }),
-            Op::Rotate(a, k) => src_const(*a).map(|x| {
-                ConstValue::from(
-                    (0..slots)
-                        .map(|i| x.at((i as i64 + k).rem_euclid(slots as i64) as usize))
-                        .collect::<Vec<f64>>(),
-                )
-            }),
-            _ => None,
+        let Some(args) = op
+            .operands()
+            .map(|o| as_const(program, o).map(|c| (o, const_slots(c, slots))))
+            .collect::<Option<Vec<_>>>()
+        else {
+            continue;
         };
-        if let Some(value) = folded {
-            let c = ed.push(Op::Const { value });
-            ed.set_mapping(id, c);
-            changed = true;
-        }
+        let operand = |o: ValueId| {
+            let (_, v) = args
+                .iter()
+                .find(|(a, _)| *a == o)
+                .expect("a folded operand");
+            v.as_slice()
+        };
+        let Some(result) = semantics::eval(op, operand) else {
+            continue;
+        };
+        let value = if op
+            .operands()
+            .all(|o| matches!(as_const(program, o), Some(ConstValue::Scalar(_))))
+        {
+            ConstValue::Scalar(result[0])
+        } else {
+            ConstValue::from(result)
+        };
+        let c = ed.push(Op::Const { value });
+        ed.set_mapping(id, c);
+        changed = true;
     }
     (ed.finish(), changed)
 }
 
 /// Applies algebraic identities:
 ///
-/// - `−(−x) → x`, `rotate(x, 0) → x`, `rotate(rotate(x, a), b) → rotate(x, a+b)`
+/// - `−(−x) → x`, `rotate(rotate(x, a), b) → rotate(x, a+b)`, and
+///   `rotate(x, k) → x` when [`rotation_class`] says `k` is the identity
 /// - `x + 0 → x`, `x − 0 → x`, `x · 1 → x`
 /// - `x · 0 → 0` and `x − x → 0` (the result becomes a public constant)
 pub fn canonicalize(program: &Program) -> (Program, bool) {
+    let slots = program.slots();
     let mut ed = ProgramEditor::new(program);
     let mut changed = false;
     for id in program.ids() {
@@ -100,18 +95,14 @@ pub fn canonicalize(program: &Program) -> (Program, bool) {
                 Op::Neg(inner) => Some(ed.map_operand(*inner)),
                 _ => None,
             },
-            Op::Rotate(a, 0) => Some(ed.map_operand(a)),
+            Op::Rotate(a, k) if rotation_class(k, slots).is_none() => Some(ed.map_operand(a)),
             Op::Rotate(a, k) => match program.op(a) {
                 Op::Rotate(inner, j) => {
-                    let slots = program.slots() as i64;
-                    let total = (k + j).rem_euclid(slots);
                     let base = ed.map_operand(*inner);
-                    let new = if total == 0 {
-                        base
-                    } else {
-                        ed.push(Op::Rotate(base, total))
-                    };
-                    Some(new)
+                    Some(match rotation_class(k + j, slots) {
+                        None => base,
+                        Some(class) => ed.push(Op::Rotate(base, class)),
+                    })
                 }
                 _ => None,
             },
@@ -158,6 +149,12 @@ mod tests {
         // Folding works one layer per pass; iterate to a fixpoint.
         let (folded, changed) = fold_constants(&p);
         assert!(changed);
+        assert!(
+            folded
+                .ids()
+                .any(|id| as_const(&folded, id) == Some(&ConstValue::Scalar(5.0))),
+            "scalar ∘ scalar stays a scalar"
+        );
         let (folded, _) = fold_constants(&folded);
         // After DCE only: input, one const, one mul remain.
         let (cleaned, _) = crate::passes::dce(&folded);
@@ -184,6 +181,18 @@ mod tests {
             .find_map(|id| as_const(&cleaned, id))
             .expect("folded const");
         assert_eq!(c.to_vec(4), vec![2.0, 3.0, 4.0, 1.0]);
+
+        // A rotated scalar is the same scalar, so `x · rotate(0, k)` then
+        // canonicalizes to the public zero.
+        let b = Builder::new("f", 4);
+        let e = b.input("x") * b.constant(0.0).rotate(1);
+        let p = b.finish(vec![e]);
+        let cleaned = crate::passes::cleanup(&p);
+        assert_eq!(cleaned.num_ops(), 1);
+        assert_eq!(
+            as_const(&cleaned, cleaned.outputs()[0]),
+            Some(&ConstValue::Scalar(0.0))
+        );
     }
 
     #[test]
@@ -197,6 +206,20 @@ mod tests {
         let (canon, _) = crate::passes::dce(&canon);
         // input + one rotate(8 % 8 = 0)? 3+5=8 ≡ 0 mod slots ⇒ just input.
         assert_eq!(canon.num_ops(), 1);
+
+        // A whole turn either way is the identity, alone or in a chain.
+        for steps in [8, -8, 16] {
+            let b = Builder::new("c", 8);
+            let x = b.input("x");
+            let p = b.finish(vec![x.clone().rotate(steps), x.rotate(1).rotate(steps)]);
+            let cleaned = crate::passes::cleanup(&p);
+            assert_eq!(cleaned.outputs()[0], ValueId(0), "rotate(x, {steps})");
+            assert_eq!(
+                cleaned.op(cleaned.outputs()[1]),
+                &Op::Rotate(ValueId(0), 1),
+                "rotate(rotate(x, 1), {steps})"
+            );
+        }
     }
 
     #[test]

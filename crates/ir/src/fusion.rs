@@ -49,14 +49,9 @@ pub struct BlockedFusion {
 }
 
 /// The fusion decisions for one scheduled program: which mul ops execute
-/// as fused mul·relin·rescale kernels, keyed from both ends so the
-/// executor can look up a pair at either op.
+/// as fused mul·relin·rescale kernels, and the near misses.
 #[derive(Debug, Clone, Default)]
 pub struct FusionPlan {
-    /// Indexed by mul id: the rescale fused onto it.
-    rescale_of: Vec<Option<ValueId>>,
-    /// Indexed by rescale id: the mul it fused with.
-    mul_of: Vec<Option<ValueId>>,
     blocked: Vec<BlockedFusion>,
     pairs: Vec<(ValueId, ValueId)>,
 }
@@ -83,12 +78,7 @@ impl FusionPlan {
         }
         let is_output = |id: ValueId| program.outputs().contains(&id);
 
-        let mut plan = FusionPlan {
-            rescale_of: vec![None; n],
-            mul_of: vec![None; n],
-            blocked: Vec::new(),
-            pairs: Vec::new(),
-        };
+        let mut plan = FusionPlan::default();
         for id in program.ids() {
             if !live[id.index()] {
                 continue;
@@ -105,8 +95,6 @@ impl FusionPlan {
                 .find(|&u| matches!(program.op(u), Op::Rescale(_)));
             match direct_rescale {
                 Some(r) if users[id.index()].len() == 1 && !is_output(id) => {
-                    plan.rescale_of[id.index()] = Some(r);
-                    plan.mul_of[r.index()] = Some(id);
                     plan.pairs.push((id, r));
                 }
                 Some(r) => {
@@ -149,16 +137,6 @@ impl FusionPlan {
             }
         }
         plan
-    }
-
-    /// The rescale fused onto `mul`, if any.
-    pub fn rescale_for(&self, mul: ValueId) -> Option<ValueId> {
-        self.rescale_of.get(mul.index()).copied().flatten()
-    }
-
-    /// The mul that `rescale` fused with, if any.
-    pub fn mul_for(&self, rescale: ValueId) -> Option<ValueId> {
-        self.mul_of.get(rescale.index()).copied().flatten()
     }
 
     /// All fused `(mul, rescale)` pairs, in schedule order.
@@ -217,8 +195,6 @@ mod tests {
         p.set_outputs(vec![r]);
         let plan = FusionPlan::plan(&scheduled(p));
         assert_eq!(plan.pairs(), &[(m, r)]);
-        assert_eq!(plan.rescale_for(m), Some(r));
-        assert_eq!(plan.mul_for(r), Some(m));
         assert!(plan.blocked().is_empty());
         assert_eq!(plan.len(), 1);
     }

@@ -12,6 +12,8 @@
 //!   estimates);
 //! - cleanup [`passes`] (CSE, DCE) and [`fold`] (constant folding,
 //!   algebraic canonicalization);
+//! - the slot [`semantics`] of every op on clear `f64` vectors, shared by
+//!   constant folding and the runtime's clear-value interpreter;
 //! - a textual format ([`text`]) for printing and parsing programs;
 //! - the RNS-CKKS legality validator ([`ScheduledProgram::validate`]), the
 //!   shared correctness oracle for compiled programs;
@@ -55,6 +57,7 @@ pub mod passes;
 pub mod pipeline;
 mod program;
 mod schedule;
+pub mod semantics;
 pub mod text;
 
 pub use builder::{Builder, Expr};

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use crate::op::{Op, ValueId};
 use crate::program::Program;
 use crate::schedule::{ScaleMap, ScheduledProgram};
+use crate::semantics::rotation_class;
 
 /// Flat per-op slack, in limbs, covering small transients the walk does
 /// not model individually.
@@ -61,23 +62,24 @@ pub struct KeyLevels {
 /// op counts, live or not, and the elements come in the order the
 /// program's rotation steps first name them — so an eager keygen from this
 /// list draws its keys in the order it would for the plain step list.
-/// Steps that are multiples of the slot count rotate by the identity and
-/// need no key.
+/// Identity rotations ([`rotation_class`] `None`) need no key.
 pub fn key_levels(program: &Program, map: &ScaleMap) -> KeyLevels {
-    let slots = program.slots() as i64;
     let mut levels = KeyLevels::default();
     let mut index = HashMap::new();
     for id in program.ids() {
         let level = map.try_level(id).unwrap_or(0);
-        match program.op(id) {
-            Op::Rotate(_, k) if k.rem_euclid(slots) != 0 => {
-                let i = *index.entry(k.rem_euclid(slots)).or_insert_with(|| {
-                    levels.galois.push((*k, 0));
+        match *program.op(id) {
+            Op::Rotate(_, k) => {
+                let Some(class) = rotation_class(k, program.slots()) else {
+                    continue;
+                };
+                let i = *index.entry(class).or_insert_with(|| {
+                    levels.galois.push((k, 0));
                     levels.galois.len() - 1
                 });
                 levels.galois[i].1 = levels.galois[i].1.max(level);
             }
-            Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => {
+            Op::Mul(a, b) if program.is_cipher(a) && program.is_cipher(b) => {
                 levels.relin = levels.relin.max(level);
             }
             _ => {}
@@ -97,8 +99,8 @@ pub struct MemoryEstimate {
     /// key-switching key per distinct Galois element the program rotates a
     /// ciphertext by, each at its [`key_levels`] level.
     pub key_bytes: u64,
-    /// Distinct Galois elements needing keys (ciphertext rotations with
-    /// `steps % slots != 0`, deduplicated).
+    /// Distinct Galois elements needing keys (ciphertext rotations of a
+    /// [`rotation_class`], deduplicated by class).
     pub galois_keys: usize,
     /// The op at which the polynomial peak occurs, if any.
     pub peak_op: Option<ValueId>,
@@ -156,8 +158,8 @@ pub fn estimate_memory(
         let ksw = digits + 2 * (l + alpha) + 2 * l;
         // A hoisted group's digits are checked out by its first member and
         // returned by its last; in between they are live like a value.
-        let group = match program.op(id) {
-            Op::Rotate(a, _) => groups.get(a),
+        let group = match *program.op(id) {
+            Op::Rotate(a, k) if rotation_class(k, program.slots()).is_some() => groups.get(&a),
             _ => None,
         };
         if group.is_some_and(|g| g[0].0 == id) {

@@ -155,14 +155,6 @@ impl Op {
         matches!(self, Op::Rescale(_) | Op::ModSwitch(_) | Op::Upscale(..))
     }
 
-    /// Whether this op performs arithmetic visible to the program semantics.
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Neg(_) | Op::Rotate(..)
-        )
-    }
-
     /// A short lowercase mnemonic (used by the printer and diagnostics).
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -219,9 +211,6 @@ mod tests {
     #[test]
     fn classification() {
         assert!(Op::Rescale(ValueId(0)).is_scale_management());
-        assert!(!Op::Rescale(ValueId(0)).is_arithmetic());
-        assert!(Op::Mul(ValueId(0), ValueId(1)).is_arithmetic());
-        assert!(!Op::Input { name: "x".into() }.is_arithmetic());
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl ScaleMap {
         self.level[id.index()].expect("level of a plaintext value")
     }
 
-    /// Scale if `id` is a ciphertext, else `None`.
-    pub fn try_scale_bits(&self, id: ValueId) -> Option<Frac> {
-        self.scale_bits[id.index()]
-    }
-
     /// Level if `id` is a ciphertext, else `None`.
     pub fn try_level(&self, id: ValueId) -> Option<u32> {
         self.level[id.index()]
@@ -731,10 +726,10 @@ mod tests {
             }],
         };
         let map = s.validate().unwrap();
-        assert_eq!(map.try_scale_bits(ValueId(0)), None);
-        // c·d is still plain; the cipher add (id 4) has a scale.
-        assert_eq!(map.try_scale_bits(ValueId(3)), None);
-        assert!(map.try_scale_bits(ValueId(4)).is_some());
+        assert_eq!(map.try_level(ValueId(0)), None);
+        // c·d is still plain; the cipher add (id 4) has a level.
+        assert_eq!(map.try_level(ValueId(3)), None);
+        assert!(map.try_level(ValueId(4)).is_some());
     }
 
     #[test]

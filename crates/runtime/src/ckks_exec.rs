@@ -21,6 +21,7 @@ use fhe_ckks::{
     Decomposition, Evaluator, GaloisKeys, KeyCache, KeyGenerator, PolyPool, Pool, RelinKey,
     SecretKey,
 };
+use fhe_ir::semantics::{self, rotation_class};
 use fhe_ir::{
     key_levels, CostModel, DepConsumer, DepGraph, FusionPlan, KeyLevels, Op, OpClass,
     ScheduleError, ScheduledProgram, ValueId,
@@ -1105,8 +1106,7 @@ impl RunCx<'_, '_> {
                         let ca = self.cipher(*a);
                         let pv = get(self.plain_vals, *b);
                         if sub {
-                            let neg: Vec<f64> = pv.iter().map(|x| -x).collect();
-                            ev.add_plain_values(&ca, &neg)
+                            ev.add_plain_values(&ca, &semantics::neg(pv))
                         } else {
                             ev.add_plain_values(&ca, pv)
                         }
@@ -1132,7 +1132,12 @@ impl RunCx<'_, '_> {
             Op::Neg(a) => (id, ev.neg(&self.cipher(*a))),
             Op::Rotate(a, k) => {
                 let ca = self.cipher(*a);
-                let out = match self.hoist_groups.get(a) {
+                // An identity rotation of a grouped source is no member.
+                let group = self
+                    .hoist_groups
+                    .get(a)
+                    .filter(|_| rotation_class(*k, program.slots()).is_some());
+                let out = match group {
                     Some(group) => self.rotate_in_group(group, id, &ca, *k),
                     None => ev.try_rotate(&ca, *k),
                 };
@@ -1469,6 +1474,32 @@ mod tests {
         let lone = run(2, false);
         assert_eq!(lone.hoisted_groups, 0);
         assert_eq!(bits(&lone.outputs), bits(&serial.outputs), "hoisting off");
+    }
+
+    #[test]
+    fn identity_rotations_of_a_grouped_source_are_no_members() {
+        // Cleanup drops identity rotations, so these are written by hand:
+        // one runs before the group's leader, one after its last member.
+        let mut p = fhe_ir::Program::new("turns", 128);
+        let x = p.push(Op::Input { name: "x".into() });
+        let before = p.push(Op::Rotate(x, -128));
+        let r1 = p.push(Op::Rotate(x, 1));
+        let r2 = p.push(Op::Rotate(x, 2));
+        let sum = p.push(Op::Add(r1, r2));
+        let after = p.push(Op::Rotate(x, 128));
+        p.set_outputs(vec![sum, before, after]);
+        let s = ScheduledProgram {
+            params: fhe_ir::CompileParams::new(30),
+            inputs: vec![fhe_ir::InputSpec {
+                scale_bits: 30.into(),
+                level: 1,
+            }],
+            program: p,
+        };
+        let xs: Vec<f64> = (0..128).map(|i| i as f64 * 0.001).collect();
+        let report = execute(&s, &inputs(&[("x", xs)]), &opts()).unwrap();
+        assert_eq!(report.hoisted_groups, 1);
+        assert!(report.max_abs_error() < 1e-2, "{}", report.max_abs_error());
     }
 
     #[test]

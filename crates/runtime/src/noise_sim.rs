@@ -60,19 +60,6 @@ impl NoisyRun {
         plain::max_abs_diff(&self.outputs, &self.reference)
     }
 
-    /// Root-mean-square slot error across all outputs.
-    pub fn rms_error(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (o, r) in self.outputs.iter().zip(&self.reference) {
-            for (a, b) in o.iter().zip(r) {
-                sum += (a - b) * (a - b);
-                n += 1;
-            }
-        }
-        (sum / n.max(1) as f64).sqrt()
-    }
-
     /// log₂ of the maximum absolute error (Fig. 7's "Error(Log)" axis).
     pub fn log2_error(&self) -> f64 {
         self.max_abs_error().max(f64::MIN_POSITIVE).log2()
@@ -201,17 +188,5 @@ mod tests {
                 "W={waterline}: bound too loose"
             );
         }
-    }
-
-    #[test]
-    fn rms_bounded_by_max() {
-        let s = fig2a_scheduled(20);
-        let run = simulate(
-            &s,
-            &inputs(&[("x", vec![0.9; 8]), ("y", vec![0.8; 8])]),
-            &NoiseModel::default(),
-        )
-        .unwrap();
-        assert!(run.rms_error() <= run.max_abs_error());
     }
 }

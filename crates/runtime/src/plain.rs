@@ -8,13 +8,13 @@
 
 use std::collections::HashMap;
 
-use fhe_ir::{Op, Program, ScheduledProgram, ValueId};
+use fhe_ir::{semantics, Op, Program, ScheduledProgram, ValueId};
 
-/// The one place an [`Op`] is given `f64` slot semantics: walks `program`
-/// in schedule order and evaluates every op `select` picks, borrowing its
-/// operands from the values computed so far. `hook` sees — and may perturb —
-/// each result before it is stored. Returns the values indexed by
-/// [`ValueId::index`], `None` where `select` said no.
+/// The one walker that gives a program `f64` slot values: walks `program`
+/// in schedule order and evaluates every op `select` picks with
+/// [`semantics::eval`], borrowing its operands from the values computed so far.
+/// `hook` sees — and may perturb — each result before it is stored. Returns
+/// the values indexed by [`ValueId::index`], `None` where `select` said no.
 ///
 /// # Panics
 ///
@@ -44,15 +44,7 @@ pub(crate) fn interpret(
                     .collect()
             }
             Op::Const { value } => value.to_vec(slots),
-            Op::Add(a, b) => binop(get(*a), get(*b), |x, y| x + y),
-            Op::Sub(a, b) => binop(get(*a), get(*b), |x, y| x - y),
-            Op::Mul(a, b) => binop(get(*a), get(*b), |x, y| x * y),
-            Op::Neg(a) => get(*a).iter().map(|x| -x).collect(),
-            Op::Rotate(a, k) => rotate(get(*a), *k),
-            // Scale management is a value identity; the result is its own
-            // vector because the hook may perturb it while the operand
-            // still has readers.
-            Op::Rescale(a) | Op::ModSwitch(a) | Op::Upscale(a, _) => get(*a).to_vec(),
+            op => semantics::eval(op, get).expect("an op with operands"),
         };
         hook(id, &mut result);
         values[id.index()] = Some(result);
@@ -94,19 +86,6 @@ pub fn values(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Vec<
     interpret(program, inputs, |_| true, |_, _| {})
         .into_iter()
         .map(|v| v.expect("every op was selected"))
-        .collect()
-}
-
-fn binop(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
-}
-
-/// Cyclic rotation by `k` (positive moves slot `k` to slot 0, matching the
-/// CKKS Galois rotation convention).
-pub fn rotate(a: &[f64], k: i64) -> Vec<f64> {
-    let n = a.len() as i64;
-    (0..n)
-        .map(|i| a[((i + k).rem_euclid(n)) as usize])
         .collect()
 }
 
@@ -227,13 +206,6 @@ mod tests {
         assert_eq!(out[0][0], 8.0 * 2.0);
         assert_eq!(out[0][1], 1.0 * 6.0);
         assert_eq!(out[0][3], -20.0);
-    }
-
-    #[test]
-    fn rotation_convention() {
-        assert_eq!(rotate(&[1.0, 2.0, 3.0, 4.0], 1), vec![2.0, 3.0, 4.0, 1.0]);
-        assert_eq!(rotate(&[1.0, 2.0, 3.0, 4.0], -1), vec![4.0, 1.0, 2.0, 3.0]);
-        assert_eq!(rotate(&[1.0, 2.0], 0), vec![1.0, 2.0]);
     }
 
     #[test]

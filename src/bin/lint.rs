@@ -1,9 +1,9 @@
 //! `lint` — static analysis and translation validation over textual IR
 //! files.
 //!
-//! Collects `.fhe` files, runs the `F001`…`F008` lints (and, for
+//! Collects `.fhe` files, runs the `F001`…`F009` lints (and, for
 //! compiled-mode files, translation validation against each compiler's
-//! schedule), renders rustc-style diagnostics, and optionally writes a
+//! schedule, whose mismatches are `F000`), renders rustc-style diagnostics, and optionally writes a
 //! machine-readable report. See `fhe_reserve::lint` for the file modes and
 //! directives.
 //!

@@ -12,8 +12,9 @@
 //! - [`ir`] (`fhe-ir`) — programs, the builder DSL, passes, validator, cost
 //!   model;
 //! - [`analysis`] (`fhe-analysis`) — abstract interpretation, the `F001`…
-//!   `F005` lints, translation validation (see also the `lint` binary) and
-//!   the static error bound with waterline selection;
+//!   `F009` lints, translation validation (its mismatches are `F000`; see
+//!   also the `lint` binary) and the static error bound with waterline
+//!   selection;
 //! - [`ckks`] (`fhe-ckks`) — the RNS-CKKS scheme;
 //! - [`compiler`] (`reserve-core`) — **the paper's contribution**: reserve
 //!   type system, backward reserve analysis, redistribution, rescale
