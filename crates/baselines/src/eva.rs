@@ -10,25 +10,6 @@ use crate::forward::{legalize, ForwardPlan};
 /// EVA's label in the paper's tables.
 pub const NAME: &str = "EVA";
 
-/// Compiles with EVA's waterline-driven forward analysis.
-///
-/// # Errors
-///
-/// Fails (in pass `"legalize"`) when the program's accumulated scale
-/// requires more levels than `params.max_level`.
-pub fn compile(program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
-    let mut cx = PassCx::new(NAME, CostModel::paper_table3());
-    let cleaned = cx.cleanup(program);
-    // Forward waterline legalization with the empty (all-lazy) plan.
-    let scheduled = cx.record("legalize", PassKind::ScaleManagement, |cx| {
-        cx.iterations += 1;
-        legalize(&cleaned, params, &ForwardPlan::empty(cleaned.num_ops()))
-            .map_err(|e| vec![format!("{e:?}")])
-    })?;
-    cx.rewrote_schedule(&scheduled);
-    finish_verified(&mut cx, program, scheduled)
-}
-
 /// EVA behind the workspace-wide [`ScaleCompiler`] trait.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvaCompiler;
@@ -38,8 +19,23 @@ impl ScaleCompiler for EvaCompiler {
         NAME
     }
 
+    /// Compiles with EVA's waterline-driven forward analysis.
+    ///
+    /// # Errors
+    ///
+    /// Fails (in pass `"legalize"`) when the program's accumulated scale
+    /// requires more levels than `params.max_level`.
     fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
-        compile(program, params)
+        let mut cx = PassCx::new(NAME, CostModel::paper_table3());
+        let cleaned = cx.cleanup(program);
+        // Forward waterline legalization with the empty (all-lazy) plan.
+        let scheduled = cx.record("legalize", PassKind::ScaleManagement, |cx| {
+            cx.iterations += 1;
+            legalize(&cleaned, params, &ForwardPlan::empty(cleaned.num_ops()))
+                .map_err(|e| vec![format!("{e:?}")])
+        })?;
+        cx.rewrote_schedule(&scheduled);
+        finish_verified(&mut cx, program, scheduled)
     }
 }
 
@@ -55,7 +51,7 @@ mod tests {
         let y = b.input("y");
         let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
         let p = b.finish(vec![q]);
-        let out = compile(&p, &CompileParams::new(20)).unwrap();
+        let out = EvaCompiler.compile(&p, &CompileParams::new(20)).unwrap();
         assert_eq!(out.report.max_level, 2);
         assert!(out.report.estimated_latency_us > 0.0);
         assert_eq!(out.report.iterations, 1);
@@ -91,7 +87,7 @@ mod tests {
         let p = b.finish(vec![acc]);
         let mut params = CompileParams::new(50);
         params.max_level = 3;
-        let err = compile(&p, &params).unwrap_err();
+        let err = EvaCompiler.compile(&p, &params).unwrap_err();
         assert_eq!(err.compiler, "EVA");
         assert_eq!(err.error.pass, "legalize");
     }

@@ -21,9 +21,10 @@ use crate::forward::{legalize, ForwardPlan};
 /// Hecate's label in the paper's tables.
 pub const NAME: &str = "Hecate";
 
-/// Exploration configuration.
+/// Hecate behind the workspace-wide [`ScaleCompiler`] trait, with its
+/// exploration configuration.
 #[derive(Debug, Clone)]
-pub struct HecateOptions {
+pub struct HecateCompiler {
     /// Maximum candidate plans to evaluate.
     pub max_iterations: usize,
     /// Stop after this many consecutive non-improving candidates.
@@ -32,13 +33,46 @@ pub struct HecateOptions {
     pub seed: u64,
 }
 
-impl Default for HecateOptions {
+impl Default for HecateCompiler {
     fn default() -> Self {
-        HecateOptions {
+        HecateCompiler {
             max_iterations: 20_000,
             patience: 2_000,
             seed: 0x4845_4341,
         }
+    }
+}
+
+impl HecateCompiler {
+    /// A compiler with an explicit iteration budget, paper defaults
+    /// otherwise.
+    pub fn with_budget(max_iterations: usize) -> Self {
+        HecateCompiler {
+            max_iterations,
+            ..HecateCompiler::default()
+        }
+    }
+}
+
+impl ScaleCompiler for HecateCompiler {
+    fn name(&self) -> &str {
+        NAME
+    }
+
+    /// Compiles with Hecate-style hill-climbing exploration.
+    ///
+    /// # Errors
+    ///
+    /// Fails (in pass `"explore"`) when even the conservative (EVA) plan
+    /// exceeds `params.max_level`.
+    fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
+        let mut cx = PassCx::new(NAME, CostModel::paper_table3());
+        let cleaned = cx.cleanup(program);
+        let scheduled = cx.record("explore", PassKind::ScaleManagement, |cx| {
+            explore(&cleaned, params, self, cx)
+        })?;
+        cx.rewrote_schedule(&scheduled);
+        finish_verified(&mut cx, program, scheduled)
     }
 }
 
@@ -47,7 +81,7 @@ impl Default for HecateOptions {
 fn explore(
     cleaned: &Program,
     params: &CompileParams,
-    options: &HecateOptions,
+    hecate: &HecateCompiler,
     cx: &mut PassCx,
 ) -> Result<ScheduledProgram, Vec<String>> {
     let cost_model = &cx.cost_model;
@@ -92,9 +126,9 @@ fn explore(
     let mut best_cost = score(&best);
     let mut iterations = 1usize;
     let mut since_improvement = 0usize;
-    let mut rng = StdRng::seed_from_u64(options.seed);
+    let mut rng = StdRng::seed_from_u64(hecate.seed);
 
-    while iterations < options.max_iterations && since_improvement < options.patience {
+    while iterations < hecate.max_iterations && since_improvement < hecate.patience {
         // Mutate 1–3 random points of the incumbent plan.
         let mut candidate = best_plan.clone();
         let mutations = rng.gen_range(1..=3usize);
@@ -132,60 +166,10 @@ fn explore(
     Ok(best)
 }
 
-/// Compiles with Hecate-style hill-climbing exploration.
-///
-/// # Errors
-///
-/// Fails (in pass `"explore"`) when even the conservative (EVA) plan
-/// exceeds `params.max_level`.
-pub fn compile(
-    program: &Program,
-    params: &CompileParams,
-    options: &HecateOptions,
-) -> Result<Compiled, CompileError> {
-    let mut cx = PassCx::new(NAME, CostModel::paper_table3());
-    let cleaned = cx.cleanup(program);
-    let scheduled = cx.record("explore", PassKind::ScaleManagement, |cx| {
-        explore(&cleaned, params, options, cx)
-    })?;
-    cx.rewrote_schedule(&scheduled);
-    finish_verified(&mut cx, program, scheduled)
-}
-
-/// Hecate behind the workspace-wide [`ScaleCompiler`] trait.
-#[derive(Debug, Clone, Default)]
-pub struct HecateCompiler {
-    /// Exploration configuration (budget, patience, seed).
-    pub options: HecateOptions,
-}
-
-impl HecateCompiler {
-    /// A compiler with an explicit iteration budget, paper defaults
-    /// otherwise.
-    pub fn with_budget(max_iterations: usize) -> Self {
-        HecateCompiler {
-            options: HecateOptions {
-                max_iterations,
-                ..HecateOptions::default()
-            },
-        }
-    }
-}
-
-impl ScaleCompiler for HecateCompiler {
-    fn name(&self) -> &str {
-        NAME
-    }
-
-    fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
-        compile(program, params, &self.options)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eva;
+    use crate::EvaCompiler;
     use fhe_ir::Builder;
 
     fn fig2a() -> Program {
@@ -196,8 +180,8 @@ mod tests {
         b.finish(vec![q])
     }
 
-    fn options(iters: usize) -> HecateOptions {
-        HecateOptions {
+    fn hecate(iters: usize) -> HecateCompiler {
+        HecateCompiler {
             max_iterations: iters,
             patience: iters,
             seed: 7,
@@ -208,8 +192,8 @@ mod tests {
     fn exploration_beats_eva_on_fig2a() {
         let p = fig2a();
         let params = CompileParams::new(20);
-        let eva_out = eva::compile(&p, &params).unwrap();
-        let hec = compile(&p, &params, &options(500)).unwrap();
+        let eva_out = EvaCompiler.compile(&p, &params).unwrap();
+        let hec = hecate(500).compile(&p, &params).unwrap();
         assert!(
             hec.report.estimated_latency_us < eva_out.report.estimated_latency_us,
             "hecate {} should beat EVA {}",
@@ -224,8 +208,8 @@ mod tests {
     fn exploration_is_seed_deterministic() {
         let p = fig2a();
         let params = CompileParams::new(30);
-        let a = compile(&p, &params, &options(200)).unwrap();
-        let b = compile(&p, &params, &options(200)).unwrap();
+        let a = hecate(200).compile(&p, &params).unwrap();
+        let b = hecate(200).compile(&p, &params).unwrap();
         assert_eq!(a.report.iterations, b.report.iterations);
         assert_eq!(a.report.estimated_latency_us, b.report.estimated_latency_us);
     }
@@ -233,7 +217,7 @@ mod tests {
     #[test]
     fn iterations_flow_into_the_trace_note() {
         let p = fig2a();
-        let out = compile(&p, &CompileParams::new(20), &options(100)).unwrap();
+        let out = hecate(100).compile(&p, &CompileParams::new(20)).unwrap();
         let explore = out.report.trace.pass("explore").unwrap();
         assert_eq!(
             explore.notes,

@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use fhe_baselines::{EvaCompiler, HecateCompiler, HecateOptions};
+use fhe_baselines::{EvaCompiler, HecateCompiler};
 use fhe_ir::diag::Finding;
 use fhe_ir::json::{self, Json};
 use fhe_ir::pipeline::{CompileReport, Compiled, ScaleCompiler};
@@ -54,11 +54,9 @@ pub fn standard_compilers(hecate_budget: usize) -> Vec<Box<dyn ScaleCompiler>> {
     vec![
         Box::new(EvaCompiler),
         Box::new(HecateCompiler {
-            options: HecateOptions {
-                max_iterations: hecate_budget,
-                patience: hecate_budget / 4 + 50,
-                seed: 0xCA7,
-            },
+            max_iterations: hecate_budget,
+            patience: hecate_budget / 4 + 50,
+            seed: 0xCA7,
         }),
         Box::new(ReserveCompiler::full()),
     ]

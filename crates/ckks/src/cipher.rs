@@ -4,7 +4,7 @@ use rand::Rng;
 
 use crate::context::CkksContext;
 use crate::encoding::Plaintext;
-use crate::keys::{PublicKey, SecretKey};
+use crate::keys::SecretKey;
 use crate::poly::RnsPoly;
 use crate::pool::PolyPool;
 
@@ -84,37 +84,6 @@ fn encrypt_symmetric_impl(
     }
 }
 
-/// Encrypts a plaintext under the public key.
-pub fn encrypt_public(
-    ctx: &CkksContext,
-    pk: &PublicKey,
-    pt: &Plaintext,
-    rng: &mut impl Rng,
-) -> Ciphertext {
-    let l = pt.level;
-    let mut u = RnsPoly::ternary(ctx, l, false, rng);
-    u.to_ntt(ctx);
-    let mut e0 = RnsPoly::gaussian(ctx, l, false, rng);
-    e0.to_ntt(ctx);
-    let mut e1 = RnsPoly::gaussian(ctx, l, false, rng);
-    e1.to_ntt(ctx);
-    let mut p0 = pk.p0.clone();
-    p0.drop_to_level(l);
-    let mut p1 = pk.p1.clone();
-    p1.drop_to_level(l);
-    let mut c0 = p0.mul(ctx, &u);
-    c0.add_assign(ctx, &e0);
-    c0.add_assign(ctx, &pt.poly);
-    let mut c1 = p1.mul(ctx, &u);
-    c1.add_assign(ctx, &e1);
-    Ciphertext {
-        c0,
-        c1,
-        level: l,
-        scale: pt.scale,
-    }
-}
-
 /// Decrypts a ciphertext back to a plaintext (`m ≈ c0 + c1·s`).
 pub fn decrypt(ctx: &CkksContext, sk: &SecretKey, ct: &Ciphertext) -> Plaintext {
     let mut s = sk.s.clone();
@@ -161,23 +130,6 @@ mod tests {
         let back = enc.decode(&decrypt(&ctx, &sk, &ct));
         for (a, b) in back.iter().zip(&values) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn public_roundtrip() {
-        let (ctx, mut rng) = setup();
-        let enc = Encoder::new(&ctx);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let sk = kg.secret_key();
-        let pk = kg.public_key(&mut rng);
-        let values: Vec<f64> = (0..enc.slots()).map(|i| i as f64 * 0.001).collect();
-        let pt = enc.encode(&values, 2f64.powi(30), 1);
-        let ct = encrypt_public(&ctx, &pk, &pt, &mut rng);
-        assert_eq!(ct.level, 1);
-        let back = enc.decode(&decrypt(&ctx, &sk, &ct));
-        for (a, b) in back.iter().zip(&values) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
     }
 

@@ -402,12 +402,6 @@ impl CkksContext {
             .or_insert(table)
             .clone()
     }
-
-    /// The exact product of the first `l` chain primes, as `f64` (this is
-    /// the actual `Q` a level-`l` ciphertext lives under).
-    pub fn modulus_f64(&self, l: usize) -> f64 {
-        self.basis[..l].iter().map(|m| m.value() as f64).product()
-    }
 }
 
 #[cfg(test)]
@@ -530,14 +524,5 @@ mod tests {
         assert_eq!(CkksContext::new(params).threads(), 3);
         params.threads = 0;
         assert!(CkksContext::new(params).threads() >= 1);
-    }
-
-    #[test]
-    fn modulus_f64_grows_with_level() {
-        let ctx = CkksContext::new(CkksParams::insecure_test(3));
-        assert!(ctx.modulus_f64(2) > ctx.modulus_f64(1));
-        let ratio = ctx.modulus_f64(2) / ctx.modulus_f64(1);
-        let rel = ratio / 2f64.powi(50) - 1.0;
-        assert!(rel.abs() < 1e-3, "chain prime strays from nominal size");
     }
 }

@@ -1,4 +1,4 @@
-//! Key material: secret/public keys, relinearization and Galois keys.
+//! Key material: the secret key, relinearization and Galois keys.
 //!
 //! Key switching is hybrid (Han–Ki, CT-RSA 2020): the chain is cut into
 //! `⌈L/α⌉` digits of `α = ⌈L/3⌉` consecutive primes, with product `Q_β`, and
@@ -40,13 +40,6 @@ impl SecretKey {
     pub fn byte_size(&self) -> usize {
         self.s.byte_size()
     }
-}
-
-/// A public encryption key `(p0, p1) = (−a·s − e, a)` over `Q` (no `P`).
-#[derive(Debug, Clone)]
-pub struct PublicKey {
-    pub(crate) p0: RnsPoly,
-    pub(crate) p1: RnsPoly,
 }
 
 /// One key-switching key of level `l_k`: per digit `β < ⌈l_k/α⌉`, a pair
@@ -181,26 +174,6 @@ impl<'c> KeyGenerator<'c> {
     /// The secret key (needed for decryption).
     pub fn secret_key(&self) -> SecretKey {
         self.sk.clone()
-    }
-
-    /// Generates the public encryption key.
-    pub fn public_key(&self, rng: &mut impl Rng) -> PublicKey {
-        let ctx = self.ctx;
-        let l = ctx.max_level();
-        let a = {
-            let mut a = RnsPoly::uniform(ctx, l, true, rng);
-            a.drop_to_level(l); // public key lives over Q only
-            a
-        };
-        let mut e = RnsPoly::gaussian(ctx, l, false, rng);
-        e.to_ntt(ctx);
-        let mut s_q = self.sk.s.clone();
-        s_q.drop_to_level(l);
-        // p0 = −a·s − e.
-        let mut p0 = a.mul(ctx, &s_q);
-        p0.neg_assign(ctx);
-        p0.sub_assign(ctx, &e);
-        PublicKey { p0, p1: a }
     }
 
     /// Generates the full-depth relinearization key (switches `s²` to `s`
@@ -574,28 +547,6 @@ mod tests {
             rotation_to_galois(&ctx, -1),
             rotation_to_galois(&ctx, slots - 1)
         );
-    }
-
-    #[test]
-    fn public_key_is_pseudo_encryption_of_zero() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(7);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let pk = kg.public_key(&mut rng);
-        // p0 + p1·s = −e: small.
-        let mut s = kg.secret_key().s;
-        s.drop_to_level(ctx.max_level());
-        let mut acc = pk.p1.mul(&ctx, &s);
-        acc.add_assign(&ctx, &pk.p0);
-        acc.to_coeff(&ctx);
-        let m = ctx.moduli()[0];
-        for &c in acc.limb(0) {
-            assert!(
-                m.center(c).abs() < 64,
-                "pk noise too large: {}",
-                m.center(c)
-            );
-        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod pool;
 pub mod primes;
 pub mod security;
 
-pub use cipher::{decrypt, encrypt_public, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
+pub use cipher::{decrypt, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
 pub use context::{
     decomposition_limbs, key_switch_digits, ksw_key_limbs, special_prime_count, CkksContext,
     CkksParams,
@@ -70,8 +70,8 @@ pub use context::{
 pub use encoding::{Encoder, Plaintext};
 pub use eval::{Decomposition, Evaluator, MissingKeyError};
 pub use keys::{
-    rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, KswKey, PublicKey,
-    RelinKey, SecretKey,
+    rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, KswKey, RelinKey,
+    SecretKey,
 };
 pub use par::Pool;
 pub use pool::{PolyPool, PoolStats};

@@ -430,6 +430,7 @@ impl<'p> Allocator<'p> {
 mod tests {
     use super::*;
     use crate::ordering::allocation_order;
+    use crate::{ReserveCompiler, ScaleCompiler};
     use fhe_ir::{Builder, CostModel};
 
     fn fig2a() -> (Program, [ValueId; 7]) {
@@ -579,9 +580,10 @@ mod tests {
             let m6 = m4.clone() * b.constant(-0.1563696043930376);
             let q = m4 * m6;
             let p = b.finish(vec![q]);
-            let mut options = crate::Options::new(35);
-            options.params.output_reserve_bits = output_reserve;
-            let compiled = crate::compile(&p, &options)
+            let mut params = CompileParams::new(35);
+            params.output_reserve_bits = output_reserve;
+            let compiled = ReserveCompiler::full()
+                .compile(&p, &params)
                 .unwrap_or_else(|e| panic!("output_reserve={output_reserve}: {e}"));
             compiled
                 .scheduled

@@ -2,11 +2,10 @@
 //! type checking → placement → hoisting, with the paper's BA / RA / full
 //! ablation modes (§8.3).
 //!
-//! [`compile`] is that sequence as one function over typed locals; each
-//! phase runs inside [`PassCx::record`] (see [`fhe_ir::pipeline`]), so the
-//! per-phase timing is the recorded `PipelineTrace`. [`ReserveCompiler`]
-//! exposes the whole thing behind the workspace-wide [`ScaleCompiler`]
-//! trait.
+//! [`ReserveCompiler`]'s [`ScaleCompiler::compile`] is that sequence as one
+//! function over typed locals; each phase runs inside [`PassCx::record`]
+//! (see [`fhe_ir::pipeline`]), so the per-phase timing is the recorded
+//! `PipelineTrace`.
 
 use fhe_analysis::finish_verified;
 use fhe_ir::pipeline::{diagnostics, CompileError, Compiled, PassCx, PassKind, ScaleCompiler};
@@ -60,98 +59,7 @@ pub enum OrderingStrategy {
     ReverseTopological,
 }
 
-/// Options for [`compile`].
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// RNS-CKKS compilation parameters (waterline, `R`, max level).
-    pub params: CompileParams,
-    /// Latency model used for ordering and hoisting decisions.
-    pub cost_model: CostModel,
-    /// Ablation mode.
-    pub mode: Mode,
-    /// Allocation-order strategy (ablation of §6.1).
-    pub ordering: OrderingStrategy,
-}
-
-impl Options {
-    /// Full-pipeline options at the given waterline (in bits).
-    pub fn new(waterline_bits: u32) -> Self {
-        Options {
-            params: CompileParams::new(waterline_bits),
-            cost_model: CostModel::paper_table3(),
-            mode: Mode::Full,
-            ordering: OrderingStrategy::CostPriority,
-        }
-    }
-
-    /// Same, with an explicit ablation mode.
-    pub fn with_mode(waterline_bits: u32, mode: Mode) -> Self {
-        Options {
-            mode,
-            ..Self::new(waterline_bits)
-        }
-    }
-}
-
-/// Compiles a program with the reserve pipeline.
-///
-/// # Errors
-///
-/// Fails in pass `"typecheck"` when the program cannot be typed under the
-/// given parameters (most commonly: multiplicative depth needs more than
-/// `params.max_level` levels).
-pub fn compile(program: &Program, options: &Options) -> Result<Compiled, CompileError> {
-    use PassKind::{Check, ScaleManagement};
-    let (params, mode) = (&options.params, options.mode);
-    let mut cx = PassCx::new(mode.label(), options.cost_model.clone());
-    // The cleaned program, order and solution die with this block: held
-    // through the verification tail they add ~2 MB to the peak of a LeNet-5
-    // compile (`lenet-compile` `peak_mem_mb` 102.5 against 100.5).
-    let mut scheduled = {
-        let cleaned = cx.cleanup(program);
-        // §6.1 visit ordering.
-        let order = cx.record("order", ScaleManagement, |cx| {
-            Ok(match options.ordering {
-                OrderingStrategy::CostPriority => {
-                    allocation_order(&cleaned, params, &cx.cost_model)
-                }
-                OrderingStrategy::ReverseTopological => naive_order(&cleaned),
-            })
-        })?;
-        // Backward reserve allocation (§6), with redistribution (§6.2) past BA.
-        let solution = cx.record("alloc", ScaleManagement, |cx| {
-            cx.iterations += 1;
-            Ok(allocate(&cleaned, params, &order, mode.redistribute()))
-        })?;
-        // §7 type checking of the reserve solution against the program.
-        cx.record("typecheck", Check, |_| {
-            let errs = types::check(&cleaned, params, &solution);
-            if errs.is_empty() {
-                Ok(())
-            } else {
-                Err(diagnostics(&errs))
-            }
-        })?;
-        // The certified solution as explicit scale-management ops.
-        cx.record("place", ScaleManagement, |_| {
-            Ok(place(&cleaned, params, &solution))
-        })?
-    };
-    cx.rewrote_schedule(&scheduled);
-    if mode.hoist() {
-        // §6.3 rescale hoisting over the scheduled program.
-        cx.record("hoist", ScaleManagement, |cx| {
-            let n = hoist(&mut scheduled, &cx.cost_model);
-            cx.hoists += n;
-            cx.note(format!("{n} rescale(s) hoisted"));
-            Ok(())
-        })?;
-        cx.rewrote_schedule(&scheduled);
-    }
-    finish_verified(&mut cx, program, scheduled)
-}
-
-/// The reserve compiler behind the workspace-wide [`ScaleCompiler`] trait.
+/// The reserve compiler, behind the workspace-wide [`ScaleCompiler`] trait.
 ///
 /// Holds everything but the [`CompileParams`], which arrive per call so one
 /// configured compiler can serve a waterline sweep.
@@ -161,7 +69,7 @@ pub struct ReserveCompiler {
     pub mode: Mode,
     /// Latency model used for ordering and hoisting decisions.
     pub cost_model: CostModel,
-    /// Allocation-order strategy.
+    /// Allocation-order strategy (ablation of §6.1).
     pub ordering: OrderingStrategy,
 }
 
@@ -179,15 +87,6 @@ impl ReserveCompiler {
             ordering: OrderingStrategy::CostPriority,
         }
     }
-
-    fn options(&self, params: &CompileParams) -> Options {
-        Options {
-            params: *params,
-            cost_model: self.cost_model.clone(),
-            mode: self.mode,
-            ordering: self.ordering,
-        }
-    }
 }
 
 impl ScaleCompiler for ReserveCompiler {
@@ -195,8 +94,62 @@ impl ScaleCompiler for ReserveCompiler {
         self.mode.label()
     }
 
+    /// Compiles a program with the reserve pipeline.
+    ///
+    /// # Errors
+    ///
+    /// Fails in pass `"typecheck"` when the program cannot be typed under
+    /// `params` (most commonly: multiplicative depth needs more than
+    /// `params.max_level` levels).
     fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
-        compile(program, &self.options(params))
+        use PassKind::{Check, ScaleManagement};
+        let mode = self.mode;
+        let mut cx = PassCx::new(mode.label(), self.cost_model.clone());
+        // The cleaned program, order and solution die with this block: held
+        // through the verification tail they add ~2 MB to the peak of a
+        // LeNet-5 compile (`lenet-compile` `peak_mem_mb` 102.5 against 100.5).
+        let mut scheduled = {
+            let cleaned = cx.cleanup(program);
+            // §6.1 visit ordering.
+            let order = cx.record("order", ScaleManagement, |cx| {
+                Ok(match self.ordering {
+                    OrderingStrategy::CostPriority => {
+                        allocation_order(&cleaned, params, &cx.cost_model)
+                    }
+                    OrderingStrategy::ReverseTopological => naive_order(&cleaned),
+                })
+            })?;
+            // Backward reserve allocation (§6), with redistribution (§6.2) past BA.
+            let solution = cx.record("alloc", ScaleManagement, |cx| {
+                cx.iterations += 1;
+                Ok(allocate(&cleaned, params, &order, mode.redistribute()))
+            })?;
+            // §7 type checking of the reserve solution against the program.
+            cx.record("typecheck", Check, |_| {
+                let errs = types::check(&cleaned, params, &solution);
+                if errs.is_empty() {
+                    Ok(())
+                } else {
+                    Err(diagnostics(&errs))
+                }
+            })?;
+            // The certified solution as explicit scale-management ops.
+            cx.record("place", ScaleManagement, |_| {
+                Ok(place(&cleaned, params, &solution))
+            })?
+        };
+        cx.rewrote_schedule(&scheduled);
+        if mode.hoist() {
+            // §6.3 rescale hoisting over the scheduled program.
+            cx.record("hoist", ScaleManagement, |cx| {
+                let n = hoist(&mut scheduled, &cx.cost_model);
+                cx.hoists += n;
+                cx.note(format!("{n} rescale(s) hoisted"));
+                Ok(())
+            })?;
+            cx.rewrote_schedule(&scheduled);
+        }
+        finish_verified(&mut cx, program, scheduled)
     }
 }
 
@@ -218,9 +171,15 @@ mod tests {
         // EVA's plan costs 390 (hundreds of µs); the paper's step-1 plan 353
         // and step-2 plan 335. Our full pipeline must land in that band.
         let p = fig2a();
-        let full = compile(&p, &Options::new(20)).unwrap();
-        let ra = compile(&p, &Options::with_mode(20, Mode::Ra)).unwrap();
-        let ba = compile(&p, &Options::with_mode(20, Mode::Ba)).unwrap();
+        let full = ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(20))
+            .unwrap();
+        let ra = ReserveCompiler::with_mode(Mode::Ra)
+            .compile(&p, &CompileParams::new(20))
+            .unwrap();
+        let ba = ReserveCompiler::with_mode(Mode::Ba)
+            .compile(&p, &CompileParams::new(20))
+            .unwrap();
         let f = full.report.estimated_latency_us / 100.0;
         let r = ra.report.estimated_latency_us / 100.0;
         let bb = ba.report.estimated_latency_us / 100.0;
@@ -235,7 +194,9 @@ mod tests {
         let p = fig2a();
         for mode in Mode::ALL {
             for wl in [15, 25, 35, 45] {
-                let out = compile(&p, &Options::with_mode(wl, mode)).unwrap();
+                let out = ReserveCompiler::with_mode(mode)
+                    .compile(&p, &CompileParams::new(wl))
+                    .unwrap();
                 assert!(out.scheduled.validate().is_ok());
                 assert!(out.report.max_level >= 1);
             }
@@ -251,9 +212,9 @@ mod tests {
             acc = acc.clone() * acc;
         }
         let p = b.finish(vec![acc]);
-        let mut options = Options::new(50);
-        options.params.max_level = 3;
-        let err = compile(&p, &options).unwrap_err();
+        let mut params = CompileParams::new(50);
+        params.max_level = 3;
+        let err = ReserveCompiler::full().compile(&p, &params).unwrap_err();
         assert_eq!(err.error.pass, "typecheck");
         assert!(!err.error.diagnostics.is_empty());
     }
@@ -266,7 +227,9 @@ mod tests {
         let c = x.clone() * x.clone();
         let out = a + c;
         let p = b.finish(vec![out]);
-        let compiled = compile(&p, &Options::new(20)).unwrap();
+        let compiled = ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(20))
+            .unwrap();
         // One mul survives CSE; with x, add, and any scale management the
         // total stays small.
         assert!(compiled.report.ops_before < p.num_ops());
@@ -275,7 +238,9 @@ mod tests {
     #[test]
     fn report_times_and_trace_are_populated() {
         let p = fig2a();
-        let out = compile(&p, &Options::new(20)).unwrap();
+        let out = ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(20))
+            .unwrap();
         assert!(out.report.total_time >= out.report.scale_management_time);
         assert!(out.report.estimated_latency_us > 0.0);
         let names: Vec<&str> = out
@@ -315,26 +280,6 @@ mod tests {
                 .unwrap()
         );
     }
-
-    #[test]
-    fn trait_object_compile_matches_direct_call() {
-        let p = fig2a();
-        let params = CompileParams::new(20);
-        let direct = compile(&p, &Options::new(20)).unwrap();
-        let compilers: Vec<Box<dyn ScaleCompiler>> = vec![Box::new(ReserveCompiler::full())];
-        for c in &compilers {
-            let via_trait = c.compile(&p, &params).unwrap();
-            assert_eq!(via_trait.report.compiler, "This work");
-            assert_eq!(
-                via_trait.report.estimated_latency_us,
-                direct.report.estimated_latency_us
-            );
-            assert_eq!(
-                via_trait.scheduled.program.num_ops(),
-                direct.scheduled.program.num_ops()
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,9 +294,11 @@ mod ordering_ablation_tests {
         let y = b.input("y");
         let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
         let p = b.finish(vec![q]);
-        let mut options = Options::new(20);
-        options.ordering = OrderingStrategy::ReverseTopological;
-        let out = compile(&p, &options).unwrap();
+        let naive = ReserveCompiler {
+            ordering: OrderingStrategy::ReverseTopological,
+            ..ReserveCompiler::full()
+        };
+        let out = naive.compile(&p, &CompileParams::new(20)).unwrap();
         assert!(out.scheduled.validate().is_ok());
         // Both orderings produce locally-optimal (but possibly different)
         // plans; each must beat EVA's 390 on this example.
@@ -368,7 +315,9 @@ mod ordering_ablation_tests {
         let deep = a.clone() * a.clone() * x;
         let p = b.finish(vec![a, c, deep]);
         for mode in Mode::ALL {
-            let out = compile(&p, &Options::with_mode(25, mode)).unwrap();
+            let out = ReserveCompiler::with_mode(mode)
+                .compile(&p, &CompileParams::new(25))
+                .unwrap();
             let map = out.scheduled.validate().unwrap();
             assert_eq!(out.scheduled.program.outputs().len(), 3);
             // Every output keeps at least the configured output reserve.

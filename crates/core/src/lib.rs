@@ -21,19 +21,24 @@
 //! 6. **Rescale hoisting** ([`hoist`], §7) — merge rescales past additions
 //!    when the cost model says it pays.
 //!
+//! [`ReserveCompiler`] is the one way in: its fields pick the ablation
+//! [`Mode`], the cost model and the [`OrderingStrategy`], and its
+//! [`ScaleCompiler::compile`] runs the pipeline under per-call
+//! [`fhe_ir::CompileParams`].
+//!
 //! # Example
 //!
 //! Compile the paper's running example `x³ · (y² + y)`:
 //!
 //! ```
-//! use fhe_ir::Builder;
-//! use reserve_core::{compile, Options};
+//! use fhe_ir::{Builder, CompileParams};
+//! use reserve_core::{ReserveCompiler, ScaleCompiler};
 //! let b = Builder::new("example", 4096);
 //! let x = b.input("x");
 //! let y = b.input("y");
 //! let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
 //! let program = b.finish(vec![q]);
-//! let out = compile(&program, &Options::new(20))?;
+//! let out = ReserveCompiler::full().compile(&program, &CompileParams::new(20))?;
 //! assert_eq!(out.report.max_level, 2);
 //! # Ok::<(), reserve_core::CompileError>(())
 //! ```
@@ -49,7 +54,7 @@ pub mod placement;
 pub mod types;
 
 pub use alloc::{allocate, ReserveSolution};
-pub use compiler::{compile, Mode, Options, OrderingStrategy, ReserveCompiler};
+pub use compiler::{Mode, OrderingStrategy, ReserveCompiler};
 pub use fhe_ir::pipeline::{CompileError, CompileReport, ScaleCompiler};
 pub use ordering::{allocation_order, naive_order, AllocationOrder};
 pub use placement::place;

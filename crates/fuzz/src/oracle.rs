@@ -151,32 +151,8 @@ pub struct OracleConfig {
     pub hecate_iterations: usize,
     /// Run the real encrypted backend (the most expensive check).
     pub run_ckks: bool,
-    /// Seed for the encrypted backend's keygen/encryption randomness.
-    pub ckks_seed: u64,
-    /// Relative tolerance for the noisy executors: the absolute tolerance
-    /// is `rel_tol × (1 + max |value|)` over every live value of the
-    /// program, so cancellation-heavy programs are judged against their
-    /// true dynamic range.
-    pub rel_tol: f64,
-    /// Extra bits added to the per-op noise term of the *static-bound*
-    /// check (`NoiseModel::noise_bits` is calibrated against the noise
-    /// simulator; the real lattice backend's key-switching and encoding
-    /// noise run a few bits higher). The margin inflates every per-op
-    /// contribution uniformly, so the bound keeps the exact structural
-    /// growth of the noise domain — a scale-management bug still beats it
-    /// by many orders of magnitude.
-    pub static_noise_margin_bits: f64,
     /// Also run the reserve compiler's BA/RA ablation modes.
     pub include_ablations: bool,
-    /// Check the depgraph span bound: the parallelism profile must be
-    /// internally consistent on every compile (span ≤ work, `T(k)`
-    /// monotone), and on every encrypted run the measured single-threaded
-    /// latency — times [`OracleConfig::span_margin`] — must dominate the
-    /// span predicted by a backend-calibrated cost model.
-    pub check_span_bound: bool,
-    /// Multiplier on the measured latency in the span-bound check,
-    /// absorbing calibration and timing jitter on tiny fuzz programs.
-    pub span_margin: f64,
 }
 
 impl Default for OracleConfig {
@@ -185,15 +161,37 @@ impl Default for OracleConfig {
             params: CompileParams::new(35),
             hecate_iterations: 300,
             run_ckks: true,
-            ckks_seed: 0xD1FF,
-            rel_tol: 1e-2,
-            static_noise_margin_bits: 16.0,
             include_ablations: false,
-            check_span_bound: true,
-            span_margin: 1.5,
         }
     }
 }
+
+/// Seed for the encrypted backend's keygen/encryption randomness.
+const CKKS_SEED: u64 = 0xD1FF;
+
+/// Relative tolerance for the noisy executors: the absolute tolerance is
+/// `REL_TOL × (1 + max |value|)` over every live value of the program, so
+/// cancellation-heavy programs are judged against their true dynamic range.
+const REL_TOL: f64 = 1e-2;
+
+/// Extra bits added to the per-op noise term of the *static-bound* check
+/// (`NoiseModel::noise_bits` is calibrated against the noise simulator; the
+/// real lattice backend's key-switching and encoding noise run a few bits
+/// higher). The margin inflates every per-op contribution uniformly, so the
+/// bound keeps the exact structural growth of the noise domain — a
+/// scale-management bug still beats it by many orders of magnitude.
+const STATIC_NOISE_MARGIN_BITS: f64 = 16.0;
+
+/// Check the depgraph span bound: the parallelism profile must be
+/// internally consistent on every compile (span ≤ work, `T(k)` monotone),
+/// and on every encrypted run the measured single-threaded latency — times
+/// [`SPAN_MARGIN`] — must dominate the span predicted by a
+/// backend-calibrated cost model.
+const CHECK_SPAN_BOUND: bool = true;
+
+/// Multiplier on the measured latency in the span-bound check, absorbing
+/// calibration and timing jitter on tiny fuzz programs.
+const SPAN_MARGIN: f64 = 1.5;
 
 /// The compiler roster under test.
 pub fn compilers(cfg: &OracleConfig) -> Vec<(&'static str, Box<dyn ScaleCompiler>)> {
@@ -294,7 +292,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> OracleRun {
         });
         return run;
     }
-    let tol = cfg.rel_tol * (1.0 + magnitude);
+    let tol = REL_TOL * (1.0 + magnitude);
 
     // Table 1's m·x_max < Q constraint: scale analysis assumes message
     // magnitudes fit the slack between a value's scale and its level's
@@ -333,7 +331,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> OracleRun {
         };
         check_schedule_invariants(&compiled.scheduled, &params, name, divs);
         check_translation_validation(program, &compiled, name, divs);
-        if cfg.check_span_bound {
+        if CHECK_SPAN_BOUND {
             check_parallelism_profile(&compiled.report, name, divs);
         }
         let magnitudes = check_interval_bounds(&compiled.scheduled, &inputs, name, divs);
@@ -650,7 +648,7 @@ fn check_executors(
     if encrypt {
         let backend = ExecOptions {
             poly_degree: scheduled.program.slots() * 2,
-            seed: cfg.ckks_seed,
+            seed: CKKS_SEED,
             threads: 1,
             ..ExecOptions::default()
         };
@@ -671,11 +669,10 @@ fn check_executors(
                 &report.outputs,
                 reference,
                 compiler,
-                cfg,
                 divs,
             );
-            if cfg.check_span_bound {
-                check_span_bound(scheduled, report.op_time, compiler, cfg, divs);
+            if CHECK_SPAN_BOUND {
+                check_span_bound(scheduled, report.op_time, compiler, divs);
             }
             // The compiler's static working-set estimate must dominate the
             // peak the runtime's pool + key accounting actually measured
@@ -784,7 +781,6 @@ fn check_span_bound(
     scheduled: &ScheduledProgram,
     op_time: std::time::Duration,
     compiler: &str,
-    cfg: &OracleConfig,
     divs: &mut Vec<Divergence>,
 ) {
     use fhe_ir::OpClass;
@@ -864,13 +860,13 @@ fn check_span_bound(
             .clone();
         let est = fhe_ir::DepGraph::build(scheduled, &map, &model, true).estimate();
         let credit_us = hoist_credit_us(&model);
-        if est.span_us <= measured_us * cfg.span_margin + credit_us + 200.0 {
+        if est.span_us <= measured_us * SPAN_MARGIN + credit_us + 200.0 {
             return;
         }
         failure = format!(
             "calibrated span {:.1}us exceeds measured single-thread latency {:.1}us \
              (margin x{:.2} + hoist credit {:.1}us)",
-            est.span_us, measured_us, cfg.span_margin, credit_us
+            est.span_us, measured_us, SPAN_MARGIN, credit_us
         );
         CACHE
             .get()
@@ -895,11 +891,10 @@ fn check_noise_bound(
     outputs: &[Vec<f64>],
     reference: &[Vec<f64>],
     compiler: &str,
-    cfg: &OracleConfig,
     divs: &mut Vec<Divergence>,
 ) {
     let domain = NoiseDomain {
-        noise_bits: DEFAULT_NOISE_BITS + cfg.static_noise_margin_bits,
+        noise_bits: DEFAULT_NOISE_BITS + STATIC_NOISE_MARGIN_BITS,
         magnitudes: MagnitudeSource::PerValue(magnitudes.to_vec()),
     };
     let Ok(bounds) = domain.output_bounds(scheduled) else {

@@ -439,7 +439,7 @@ pub struct ExecReport {
     /// depgraph's prediction is validated against.
     pub walk_time: Duration,
     /// End-to-end time including encrypt/decrypt and, for the entry points
-    /// that generate keys, keygen.
+    /// that generate keys, keygen — but not the plaintext `reference` run.
     pub total_time: Duration,
     /// Number of homomorphic ops executed (input encryptions included).
     pub ops_executed: usize,
@@ -541,11 +541,12 @@ pub fn execute_parallel(
     inputs: &HashMap<String, Vec<f64>>,
     options: &ParOptions,
 ) -> Result<ExecReport, Vec<ScheduleError>> {
-    let t_total = Instant::now();
+    let t_keygen = Instant::now();
     let keys = SessionKeys::for_schedule(scheduled, &options.exec)?;
+    let keygen_time = t_keygen.elapsed();
     let enc_seed = options.exec.seed ^ ENC_SEED_TWEAK;
     let mut report = execute_parallel_with_keys(scheduled, inputs, options, &keys, None, enc_seed)?;
-    report.total_time = t_total.elapsed();
+    report.total_time += keygen_time;
     Ok(report)
 }
 
@@ -868,12 +869,15 @@ pub fn execute_parallel_with_keys(
             (!times.is_empty()).then(|| (class, times.iter().sum(), times.len()))
         })
         .collect();
+    // The clock stops before the plaintext reference run: that is a check
+    // on the execution, not part of it.
+    let total_time = t_total.elapsed();
     Ok(ExecReport {
         outputs,
         reference: plain::execute(program, inputs),
         op_time,
         walk_time,
-        total_time: t_total.elapsed(),
+        total_time,
         ops_executed: encrypted_inputs + walk.node_times.len(),
         per_class,
         mem: keys.mem_snapshot(ev).delta_since(&start_mem),
@@ -1164,8 +1168,9 @@ fn get(vals: &[Option<Vec<f64>>], id: ValueId) -> &Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fhe_ir::Builder;
-    use reserve_core::Options;
+    use fhe_baselines::EvaCompiler;
+    use fhe_ir::{Builder, CompileParams};
+    use reserve_core::{ReserveCompiler, ScaleCompiler};
 
     fn inputs(pairs: &[(&str, Vec<f64>)]) -> HashMap<String, Vec<f64>> {
         pairs
@@ -1191,7 +1196,9 @@ mod tests {
         let y = b.input("y");
         let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
         let p = b.finish(vec![q]);
-        let compiled = reserve_core::compile(&p, &Options::new(30)).unwrap();
+        let compiled = ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(30))
+            .unwrap();
         let xs: Vec<f64> = (0..slots).map(|i| ((i % 5) as f64 - 2.0) * 0.3).collect();
         let ys: Vec<f64> = (0..slots).map(|i| ((i % 7) as f64) * 0.1).collect();
         let report = execute(
@@ -1228,9 +1235,9 @@ mod tests {
         // Slot values exceed 1, so the outputs need headroom: reserve two
         // bits of the output modulus for the value magnitude (Table 1's
         // m·x_max < Q constraint).
-        let mut options = Options::new(30);
-        options.params.output_reserve_bits = 2;
-        let compiled = reserve_core::compile(&p, &options).unwrap();
+        let mut params = CompileParams::new(30);
+        params.output_reserve_bits = 2;
+        let compiled = ReserveCompiler::full().compile(&p, &params).unwrap();
         let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.01).collect();
         let report = execute(&compiled.scheduled, &inputs(&[("x", xs.clone())]), &opts()).unwrap();
         let expect0 = xs[1] * 0.5 + xs[0];
@@ -1248,7 +1255,9 @@ mod tests {
         let x = b.input("x");
         let z = x.clone() - x;
         let p = b.finish(vec![z]);
-        let compiled = reserve_core::compile(&p, &Options::new(30)).unwrap();
+        let compiled = ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(30))
+            .unwrap();
         assert!(
             compiled
                 .scheduled
@@ -1270,9 +1279,9 @@ mod tests {
         let x = b.input("x");
         let e = x.clone().rotate(1) + x.clone().rotate(3) + x;
         let p = b.finish(vec![e]);
-        let mut options = Options::new(30);
-        options.params.output_reserve_bits = 2;
-        let compiled = reserve_core::compile(&p, &options).unwrap();
+        let mut params = CompileParams::new(30);
+        params.output_reserve_bits = 2;
+        let compiled = ReserveCompiler::full().compile(&p, &params).unwrap();
         let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.001).collect();
         let ins = inputs(&[("x", xs)]);
 
@@ -1342,7 +1351,7 @@ mod tests {
         let y = b.input("y");
         let e = (x.clone() * y.clone() + x) * y;
         let p = b.finish(vec![e]);
-        let eva = fhe_baselines::eva::compile(&p, &fhe_ir::CompileParams::new(30)).unwrap();
+        let eva = EvaCompiler.compile(&p, &CompileParams::new(30)).unwrap();
         let xs = vec![0.5; slots];
         let ys = vec![0.25; slots];
         let report = execute(&eva.scheduled, &inputs(&[("x", xs), ("y", ys)]), &opts()).unwrap();
@@ -1367,7 +1376,8 @@ mod tests {
         let y = b.input("y");
         let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
         let p = b.finish(vec![q]);
-        reserve_core::compile(&p, &Options::new(30))
+        ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(30))
             .unwrap()
             .scheduled
     }
@@ -1426,9 +1436,12 @@ mod tests {
             .iter()
             .fold(x.clone(), |acc, &k| acc + x.clone().rotate(k));
         let p = b.finish(vec![e]);
-        let mut options = Options::new(30);
-        options.params.output_reserve_bits = 2;
-        let s = reserve_core::compile(&p, &options).unwrap().scheduled;
+        let mut params = CompileParams::new(30);
+        params.output_reserve_bits = 2;
+        let s = ReserveCompiler::full()
+            .compile(&p, &params)
+            .unwrap()
+            .scheduled;
         let xs: Vec<f64> = (0..slots).map(|i| i as f64 * 0.001).collect();
         (s, inputs(&[("x", xs)]))
     }

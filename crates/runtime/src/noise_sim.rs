@@ -103,8 +103,8 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fhe_ir::Builder;
-    use reserve_core::Options;
+    use fhe_ir::{Builder, CompileParams};
+    use reserve_core::{ReserveCompiler, ScaleCompiler};
 
     fn inputs(pairs: &[(&str, Vec<f64>)]) -> HashMap<String, Vec<f64>> {
         pairs
@@ -119,7 +119,8 @@ mod tests {
         let y = b.input("y");
         let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
         let p = b.finish(vec![q]);
-        reserve_core::compile(&p, &Options::new(waterline))
+        ReserveCompiler::full()
+            .compile(&p, &CompileParams::new(waterline))
             .unwrap()
             .scheduled
     }

@@ -44,9 +44,7 @@ pub fn compiler_for(id: &str) -> Option<Box<dyn ScaleCompiler>> {
     match id {
         "reserve" | "this-work" => Some(Box::new(reserve_core::ReserveCompiler::full())),
         "eva" => Some(Box::new(fhe_baselines::EvaCompiler)),
-        "hecate" => Some(Box::new(fhe_baselines::HecateCompiler {
-            options: fhe_baselines::HecateOptions::default(),
-        })),
+        "hecate" => Some(Box::new(fhe_baselines::HecateCompiler::default())),
         _ => None,
     }
 }

@@ -10,11 +10,13 @@
 //! # Example
 //!
 //! ```
+//! use fhe_ir::CompileParams;
 //! use fhe_workloads::{suite, Size};
+//! use reserve_core::{ReserveCompiler, ScaleCompiler};
 //! let workloads = suite(Size::Test);
 //! assert_eq!(workloads.len(), 8);
 //! for w in workloads.iter().take(2) {
-//!     let compiled = reserve_core::compile(&w.program, &reserve_core::Options::new(30))?;
+//!     let compiled = ReserveCompiler::full().compile(&w.program, &CompileParams::new(30))?;
 //!     assert!(compiled.scheduled.validate().is_ok());
 //! }
 //! # Ok::<(), reserve_core::CompileError>(())

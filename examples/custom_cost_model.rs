@@ -34,12 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Compile a workload under both models and compare the plans.
     let program = fhe_reserve::workloads::image::sobel(16);
-    let paper_opts = Options::new(25);
-    let mut calibrated_opts = Options::new(25);
-    calibrated_opts.cost_model = calibrated.clone();
+    let params = CompileParams::new(25);
+    let measured = ReserveCompiler {
+        cost_model: calibrated.clone(),
+        ..ReserveCompiler::full()
+    };
 
-    let with_paper = fhe_reserve::compiler::compile(&program, &paper_opts)?;
-    let with_measured = fhe_reserve::compiler::compile(&program, &calibrated_opts)?;
+    let with_paper = ReserveCompiler::full().compile(&program, &params)?;
+    let with_measured = measured.compile(&program, &params)?;
 
     let est_ms = |s: &ScheduledProgram, model: &CostModel| {
         model.program_cost(&s.program, &s.validate().unwrap()) / 1000.0

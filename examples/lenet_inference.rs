@@ -11,7 +11,7 @@
 //! ```
 
 use fhe_reserve::prelude::*;
-use fhe_reserve::{baselines, runtime, workloads};
+use fhe_reserve::{runtime, workloads};
 use workloads::lenet::{build, lenet_inputs, LenetConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         for waterline in [20, 40] {
             let t = std::time::Instant::now();
-            let ours = fhe_reserve::compiler::compile(&program, &Options::new(waterline))?;
+            let ours = ReserveCompiler::full().compile(&program, &CompileParams::new(waterline))?;
             println!(
                 "  W=2^{waterline}: compiled in {:?} (scale mgmt {:?}), level {}, est {:.1} s",
                 t.elapsed(),
@@ -49,11 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fhe_reserve::ir::analysis::circuit_depth(&program)
     );
 
-    let params = CompileParams::new(25);
-    let eva = baselines::eva::compile(&program, &params)?;
-    let mut options = Options::new(25);
-    options.params.output_reserve_bits = 4;
-    let ours = fhe_reserve::compiler::compile(&program, &options)?;
+    let eva = EvaCompiler.compile(&program, &CompileParams::new(25))?;
+    let mut params = CompileParams::new(25);
+    params.output_reserve_bits = 4;
+    let ours = ReserveCompiler::full().compile(&program, &params)?;
     println!(
         "EVA:     level {:>2}, estimated {:>8.1} ms",
         eva.report.max_level,

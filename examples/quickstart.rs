@@ -26,9 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Compile: the reserve analysis assigns scales/levels and inserts all
     //    rescale/modswitch/upscale operations.
-    let mut options = Options::new(30); // waterline 2^30
-    options.params.output_reserve_bits = 4; // headroom for outputs up to 2^4
-    let compiled = compile(&program, &options)?;
+    let mut params = CompileParams::new(30); // waterline 2^30
+    params.output_reserve_bits = 4; // headroom for outputs up to 2^4
+    let compiled = ReserveCompiler::full().compile(&program, &params)?;
     println!(
         "compiled program:\n{}",
         fhe_reserve::ir::text::print(&compiled.scheduled.program)

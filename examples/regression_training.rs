@@ -22,9 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fhe_reserve::ir::analysis::circuit_depth(&program)
     );
 
-    let mut options = Options::new(35);
-    options.params.output_reserve_bits = 4;
-    let compiled = fhe_reserve::compiler::compile(&program, &options)?;
+    let mut params = CompileParams::new(35);
+    params.output_reserve_bits = 4;
+    let compiled = ReserveCompiler::full().compile(&program, &params)?;
     println!(
         "compiled to {} ops at level {} (estimated {:.1} ms)",
         compiled.report.ops_after,

@@ -9,7 +9,7 @@
 //! ```
 
 use fhe_reserve::prelude::*;
-use fhe_reserve::{baselines, runtime, workloads};
+use fhe_reserve::{runtime, workloads};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let width = 16; // 256 pixels packed in one ciphertext
@@ -19,21 +19,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cost = CostModel::paper_table3();
 
     // EVA: conservative forward analysis.
-    let eva = baselines::eva::compile(&program, &params)?;
+    let eva = EvaCompiler.compile(&program, &params)?;
     // Hecate: exploration (bounded here for demo purposes).
-    let hecate = baselines::hecate::compile(
-        &program,
-        &params,
-        &baselines::HecateOptions {
-            max_iterations: 1500,
-            patience: 500,
-            seed: 1,
-        },
-    )?;
+    let explorer = HecateCompiler {
+        max_iterations: 1500,
+        patience: 500,
+        seed: 1,
+    };
+    let hecate = explorer.compile(&program, &params)?;
     // This work: reserve analysis.
-    let mut options = Options::new(25);
-    options.params.output_reserve_bits = 4;
-    let ours = fhe_reserve::compiler::compile(&program, &options)?;
+    let mut ours_params = params;
+    ours_params.output_reserve_bits = 4;
+    let ours = ReserveCompiler::full().compile(&program, &ours_params)?;
 
     println!("compiler   est. latency   scale mgmt time   rescale/modswitch/upscale");
     for (name, sched, us, time) in [

@@ -19,9 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = b.finish(vec![out]);
 
     let compile_at = |wl: u32| {
-        let mut o = Options::new(wl);
-        o.params.output_reserve_bits = 4;
-        fhe_reserve::compiler::compile(&program, &o)
+        let mut params = CompileParams::new(wl);
+        params.output_reserve_bits = 4;
+        ReserveCompiler::full()
+            .compile(&program, &params)
             .ok()
             .map(|c| c.scheduled)
     };

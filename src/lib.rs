@@ -40,8 +40,10 @@
 //! let q = x.clone() * x.clone() * x * (y.clone() * y.clone() + y);
 //! let program = b.finish(vec![q]);
 //!
-//! // 2. Compile: reserve analysis inserts all scale management.
-//! let compiled = compile(&program, &Options::new(30))?;
+//! // 2. Compile: reserve analysis inserts all scale management. Every
+//! //    compiler (`ReserveCompiler`, `EvaCompiler`, `HecateCompiler`)
+//! //    compiles through the one `ScaleCompiler` trait.
+//! let compiled = ReserveCompiler::full().compile(&program, &CompileParams::new(30))?;
 //! assert!(compiled.scheduled.validate().is_ok());
 //!
 //! // 3. Run it (here on the noise simulator; `runtime::execute_encrypted`
@@ -69,7 +71,7 @@ pub mod lint;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use fhe_baselines::{EvaCompiler, HecateCompiler, HecateOptions};
+    pub use fhe_baselines::{EvaCompiler, HecateCompiler};
     pub use fhe_ir::pipeline::{CompileReport, Compiled, PipelineTrace, ScaleCompiler};
     pub use fhe_ir::{Builder, CompileParams, CostModel, Expr, Frac, Program, ScheduledProgram};
     pub use fhe_runtime::{
@@ -78,5 +80,5 @@ pub mod prelude {
     };
     pub use fhe_serve::{FheServer, Request, ServeError, ServerConfig};
     pub use fhe_workloads::{suite, Size, Workload};
-    pub use reserve_core::{compile, Mode, Options, ReserveCompiler};
+    pub use reserve_core::{Mode, ReserveCompiler};
 }

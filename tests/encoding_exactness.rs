@@ -98,7 +98,11 @@ fn float_to_rns_matches_a_big_integer_oracle() {
         let ctx = context(N, 2, bits);
         let values = probe_values(0xF10A7 + u64::from(bits));
         assert!(values.len() >= 10_000, "{} probes", values.len());
-        let q_half = ctx.modulus_f64(2) / 2.0;
+        let q_half = ctx.moduli()[..2]
+            .iter()
+            .map(|m| m.value() as f64)
+            .product::<f64>()
+            / 2.0;
         assert!(values.iter().filter(|v| v.abs() >= q_half).count() > 1000);
         for chunk in values.chunks(N) {
             let mut coeffs = chunk.to_vec();

@@ -16,10 +16,10 @@ fn backend(poly_degree: usize, seed: u64) -> ExecOptions {
     }
 }
 
-fn with_output_reserve(waterline: u32, bits: u32) -> Options {
-    let mut o = Options::new(waterline);
-    o.params.output_reserve_bits = bits;
-    o
+fn with_output_reserve(waterline: u32, bits: u32) -> CompileParams {
+    let mut params = CompileParams::new(waterline);
+    params.output_reserve_bits = bits;
+    params
 }
 
 #[test]
@@ -27,7 +27,9 @@ fn encrypted_sobel_matches_reference() {
     // An 8×8 image is 64 slots, so the backend degree is N = 128.
     let program = fhe_reserve::workloads::image::sobel(8);
     let inputs = fhe_reserve::workloads::image::image_inputs(8, 5);
-    let compiled = compile(&program, &with_output_reserve(30, 4)).unwrap();
+    let compiled = ReserveCompiler::full()
+        .compile(&program, &with_output_reserve(30, 4))
+        .unwrap();
     let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(128, 1)).unwrap();
     outputs_close(&run.outputs, &run.reference, 1e-2)
         .unwrap_or_else(|e| panic!("sobel encrypted: {e}"));
@@ -38,7 +40,9 @@ fn encrypted_linear_regression_trains() {
     let n = 128;
     let program = fhe_reserve::workloads::regression::linear(n, 2);
     let inputs = fhe_reserve::workloads::regression::linear_inputs(n, 21);
-    let compiled = compile(&program, &with_output_reserve(35, 4)).unwrap();
+    let compiled = ReserveCompiler::full()
+        .compile(&program, &with_output_reserve(35, 4))
+        .unwrap();
     let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 99)).unwrap();
     outputs_close(&run.outputs, &run.reference, 1e-2)
         .unwrap_or_else(|e| panic!("regression encrypted: {e}"));
@@ -63,11 +67,9 @@ fn encrypted_execution_agrees_across_compilers() {
     let compilers: Vec<Box<dyn ScaleCompiler>> = vec![
         Box::new(EvaCompiler),
         Box::new(HecateCompiler {
-            options: HecateOptions {
-                max_iterations: 60,
-                patience: 60,
-                seed: 2,
-            },
+            max_iterations: 60,
+            patience: 60,
+            seed: 2,
         }),
         Box::new(ReserveCompiler::full()),
     ];
@@ -92,7 +94,9 @@ fn encrypted_tiny_lenet_runs_all_eleven_levels() {
     let inputs = fhe_reserve::workloads::lenet::lenet_inputs(&cfg, 13);
     // Depth 11 with a large waterline keeps levels deep — the heaviest
     // encrypted test in the suite.
-    let compiled = compile(&program, &with_output_reserve(30, 4)).unwrap();
+    let compiled = ReserveCompiler::full()
+        .compile(&program, &with_output_reserve(30, 4))
+        .unwrap();
     let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 4)).unwrap();
     outputs_close(&run.outputs, &run.reference, 0.05)
         .unwrap_or_else(|e| panic!("lenet encrypted: {e}"));

@@ -15,11 +15,9 @@ fn compilers() -> Vec<Box<dyn ScaleCompiler>> {
     vec![
         Box::new(EvaCompiler),
         Box::new(HecateCompiler {
-            options: HecateOptions {
-                max_iterations: 300,
-                patience: 300,
-                seed: 11,
-            },
+            max_iterations: 300,
+            patience: 300,
+            seed: 11,
         }),
         Box::new(ReserveCompiler::full()),
     ]

@@ -7,7 +7,7 @@
 //! assertions use bands around those values.
 
 use fhe_reserve::prelude::*;
-use fhe_reserve::{baselines, runtime};
+use fhe_reserve::runtime;
 
 fn fig2a() -> fhe_ir::Program {
     let b = Builder::new("fig2a", 8);
@@ -27,14 +27,15 @@ fn fig2_cost_story() {
     let p = fig2a();
     let params = CompileParams::new(20);
 
-    let eva = baselines::eva::compile(&p, &params).unwrap().scheduled;
+    let eva = EvaCompiler.compile(&p, &params).unwrap().scheduled;
     let eva_cost = cost_hundreds(&eva);
     assert!(
         (385.0..400.0).contains(&eva_cost),
         "EVA ≈390, got {eva_cost:.1}"
     );
 
-    let ra = compile(&p, &Options::with_mode(20, Mode::Ra))
+    let ra = ReserveCompiler::with_mode(Mode::Ra)
+        .compile(&p, &CompileParams::new(20))
         .unwrap()
         .scheduled;
     let ra_cost = cost_hundreds(&ra);
@@ -43,7 +44,10 @@ fn fig2_cost_story() {
         "step 1 ≈353, got {ra_cost:.1}"
     );
 
-    let full = compile(&p, &Options::new(20)).unwrap().scheduled;
+    let full = ReserveCompiler::full()
+        .compile(&p, &CompileParams::new(20))
+        .unwrap()
+        .scheduled;
     let full_cost = cost_hundreds(&full);
     assert!(
         (325.0..355.0).contains(&full_cost),
@@ -53,15 +57,12 @@ fn fig2_cost_story() {
     assert!(full_cost < ra_cost && ra_cost < eva_cost);
 
     // Hecate's exploration lands near the reserve compiler's plan.
-    let hec = baselines::hecate::compile(
-        &p,
-        &params,
-        &baselines::HecateOptions {
-            max_iterations: 2000,
-            patience: 2000,
-            seed: 5,
-        },
-    )
+    let hec = HecateCompiler {
+        max_iterations: 2000,
+        patience: 2000,
+        seed: 5,
+    }
+    .compile(&p, &params)
     .unwrap();
     let hec_cost = cost_hundreds(&hec.scheduled);
     assert!(
@@ -75,10 +76,14 @@ fn fig2_cost_story() {
 fn fig2_input_levels_match_paper() {
     // Both EVA and this work encrypt Fig. 2a's inputs at level 2.
     let p = fig2a();
-    let eva = baselines::eva::compile(&p, &CompileParams::new(20))
+    let eva = EvaCompiler
+        .compile(&p, &CompileParams::new(20))
         .unwrap()
         .scheduled;
-    let ours = compile(&p, &Options::new(20)).unwrap().scheduled;
+    let ours = ReserveCompiler::full()
+        .compile(&p, &CompileParams::new(20))
+        .unwrap()
+        .scheduled;
     assert_eq!(eva.validate().unwrap().max_level(), 2);
     assert_eq!(ours.validate().unwrap().max_level(), 2);
     // EVA encrypts at the waterline scale; the reserve plan upscales inputs
@@ -101,8 +106,11 @@ fn fig2_all_plans_compute_the_same_function() {
     );
     let reference = runtime::plain::execute(&p, &inputs);
     let params = CompileParams::new(20);
-    let eva = baselines::eva::compile(&p, &params).unwrap().scheduled;
-    let ours = compile(&p, &Options::new(20)).unwrap().scheduled;
+    let eva = EvaCompiler.compile(&p, &params).unwrap().scheduled;
+    let ours = ReserveCompiler::full()
+        .compile(&p, &CompileParams::new(20))
+        .unwrap()
+        .scheduled;
     for s in [&eva, &ours] {
         let got = runtime::plain::execute(&s.program, &inputs);
         assert_eq!(got, reference);

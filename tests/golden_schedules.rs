@@ -8,7 +8,6 @@
 //!
 //! and review the diff like any other code change.
 
-use fhe_reserve::baselines;
 use fhe_reserve::ir::text;
 use fhe_reserve::prelude::*;
 
@@ -50,25 +49,33 @@ fn render(s: &fhe_ir::ScheduledProgram) -> String {
 
 #[test]
 fn reserve_schedule_is_stable() {
-    let compiled = compile(&fig2a(), &Options::new(20)).unwrap();
+    let compiled = ReserveCompiler::full()
+        .compile(&fig2a(), &CompileParams::new(20))
+        .unwrap();
     check("fig2a_reserve_w20.fhe", render(&compiled.scheduled));
 }
 
 #[test]
 fn reserve_ra_schedule_is_stable() {
-    let compiled = compile(&fig2a(), &Options::with_mode(20, Mode::Ra)).unwrap();
+    let compiled = ReserveCompiler::with_mode(Mode::Ra)
+        .compile(&fig2a(), &CompileParams::new(20))
+        .unwrap();
     check("fig2a_ra_w20.fhe", render(&compiled.scheduled));
 }
 
 #[test]
 fn eva_schedule_is_stable() {
-    let out = baselines::eva::compile(&fig2a(), &CompileParams::new(20)).unwrap();
+    let out = EvaCompiler
+        .compile(&fig2a(), &CompileParams::new(20))
+        .unwrap();
     check("fig2a_eva_w20.fhe", render(&out.scheduled));
 }
 
 #[test]
 fn sobel_reserve_schedule_is_stable() {
     let program = fhe_reserve::workloads::image::sobel(8);
-    let compiled = compile(&program, &Options::new(30)).unwrap();
+    let compiled = ReserveCompiler::full()
+        .compile(&program, &CompileParams::new(30))
+        .unwrap();
     check("sobel8_reserve_w30.fhe", render(&compiled.scheduled));
 }

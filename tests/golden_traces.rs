@@ -28,11 +28,9 @@ fn compilers() -> Vec<Box<dyn ScaleCompiler>> {
     vec![
         Box::new(EvaCompiler),
         Box::new(HecateCompiler {
-            options: HecateOptions {
-                max_iterations: 200,
-                patience: 200,
-                seed: 7,
-            },
+            max_iterations: 200,
+            patience: 200,
+            seed: 7,
         }),
         Box::new(ReserveCompiler::full()),
     ]

@@ -327,11 +327,9 @@ fn eager_program_keys_are_exactly_the_static_model() {
     let compilers: Vec<Box<dyn ScaleCompiler>> = vec![
         Box::new(EvaCompiler),
         Box::new(HecateCompiler {
-            options: HecateOptions {
-                max_iterations: 100,
-                patience: 100,
-                seed: 11,
-            },
+            max_iterations: 100,
+            patience: 100,
+            seed: 11,
         }),
         Box::new(ReserveCompiler::full()),
     ];

@@ -57,9 +57,9 @@ fn plain_walk(slots: usize, seed: u64) -> ParOptions {
 fn compile_fitting(w: &workloads::Workload) -> Option<fhe_reserve::ir::ScheduledProgram> {
     for waterline_bits in [30u32, 35, 40] {
         for reserve_bits in [2u32, 4, 6, 8] {
-            let mut options = Options::new(waterline_bits);
-            options.params.output_reserve_bits = reserve_bits;
-            let Ok(compiled) = compile(&w.program, &options) else {
+            let mut params = CompileParams::new(waterline_bits);
+            params.output_reserve_bits = reserve_bits;
+            let Ok(compiled) = ReserveCompiler::full().compile(&w.program, &params) else {
                 continue;
             };
             if schedule_fits_backend(&compiled.scheduled, &w.inputs) {
@@ -129,7 +129,8 @@ fn rotate_heavy_fuzz_mix_is_bit_exact() {
         }
         let program = generate(seed, &cfg);
         let inputs = input_data(&program);
-        let Ok(compiled) = compile(&program, &Options::new(35)) else {
+        let Ok(compiled) = ReserveCompiler::full().compile(&program, &CompileParams::new(35))
+        else {
             continue;
         };
         if !schedule_fits_backend(&compiled.scheduled, &inputs) {
@@ -302,7 +303,8 @@ fn level_sized_eager_keys_are_byte_identical_to_full_depth_keys() {
         }
         let program = generate(seed, &cfg);
         let inputs = input_data(&program);
-        let Ok(compiled) = compile(&program, &Options::new(35)) else {
+        let Ok(compiled) = ReserveCompiler::full().compile(&program, &CompileParams::new(35))
+        else {
             continue;
         };
         if schedule_fits_backend(&compiled.scheduled, &inputs) {

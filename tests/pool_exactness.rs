@@ -13,7 +13,8 @@
 //! every case reproducible from its printed seed.
 
 use fhe_fuzz::{generate, input_data, schedule_fits_backend, GenConfig, OpMix};
-use fhe_reserve::compiler as reserve;
+use fhe_reserve::compiler::{ReserveCompiler, ScaleCompiler};
+use fhe_reserve::ir::CompileParams;
 use fhe_reserve::runtime::{execute_encrypted, ExecOptions, KeyPolicy};
 
 #[test]
@@ -34,7 +35,8 @@ fn key_budgets_and_pool_reuse_are_bit_exact() {
     for seed in 0..300u64 {
         let program = generate(seed, &cfg);
         let inputs = input_data(&program);
-        let Ok(compiled) = reserve::compile(&program, &reserve::Options::new(35)) else {
+        let Ok(compiled) = ReserveCompiler::full().compile(&program, &CompileParams::new(35))
+        else {
             continue;
         };
         if !schedule_fits_backend(&compiled.scheduled, &inputs) {
@@ -115,9 +117,7 @@ fn keys_sized_for_a_shallower_schedule_are_a_typed_error_and_leak_nothing() {
     use std::sync::Arc;
 
     use fhe_reserve::ckks::PolyPool;
-    use fhe_reserve::ir::{
-        CompileParams, Frac, InputSpec, Op, Program, ScheduleError, ScheduledProgram,
-    };
+    use fhe_reserve::ir::{Frac, InputSpec, Op, Program, ScheduleError, ScheduledProgram};
     use fhe_reserve::runtime::{execute_with_keys, SessionKeys};
 
     // Three schedules of one chain (`x` at level 3): a rotation by 1 and a

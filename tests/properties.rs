@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use fhe_ir::{Frac, Op, Program, ValueId};
 use fhe_reserve::prelude::*;
-use fhe_reserve::{baselines, runtime};
+use fhe_reserve::runtime;
 
 /// A recipe for one random op over already-defined values.
 #[derive(Debug, Clone)]
@@ -141,7 +141,8 @@ fn reserve_compiler_is_sound_on_random_programs() {
         let waterline = rng.gen_range(15u32..50);
         let mode = Mode::ALL[rng.gen_range(0usize..3)];
         let (program, inputs) = build_program(&recipes, num_inputs);
-        let compiled = compile(&program, &Options::with_mode(waterline, mode))
+        let compiled = ReserveCompiler::with_mode(mode)
+            .compile(&program, &CompileParams::new(waterline))
             .expect("bounded-depth programs always compile");
         // (a) validator accepts.
         assert!(
@@ -169,7 +170,9 @@ fn baselines_are_sound_on_random_programs() {
         let params = CompileParams::new(waterline);
         let reference = runtime::plain::execute(&program, &inputs);
 
-        let eva = baselines::eva::compile(&program, &params).expect("EVA compiles");
+        let eva = EvaCompiler
+            .compile(&program, &params)
+            .expect("EVA compiles");
         assert!(
             eva.scheduled.validate().is_ok(),
             "case {case}: EVA validator rejected"
@@ -182,15 +185,12 @@ fn baselines_are_sound_on_random_programs() {
             "case {case}: EVA outputs diverged"
         );
 
-        let hec = baselines::hecate::compile(
-            &program,
-            &params,
-            &baselines::HecateOptions {
-                max_iterations: 20,
-                patience: 20,
-                seed: 9,
-            },
-        )
+        let hec = HecateCompiler {
+            max_iterations: 20,
+            patience: 20,
+            seed: 9,
+        }
+        .compile(&program, &params)
         .expect("Hecate compiles");
         assert!(
             hec.scheduled.validate().is_ok(),
@@ -299,7 +299,9 @@ fn reserve_is_invariant_under_rescale_in_schedules() {
         let recipes = random_recipes(&mut rng, 30);
         let waterline = rng.gen_range(15u32..50);
         let (program, _) = build_program(&recipes, 2);
-        let compiled = compile(&program, &Options::new(waterline)).unwrap();
+        let compiled = ReserveCompiler::full()
+            .compile(&program, &CompileParams::new(waterline))
+            .unwrap();
         let map = compiled.scheduled.validate().unwrap();
         let sp = &compiled.scheduled.program;
         let r = Frac::from(compiled.scheduled.params.rescale_bits);

@@ -12,11 +12,9 @@ fn compilers() -> Vec<Box<dyn ScaleCompiler>> {
     vec![
         Box::new(EvaCompiler),
         Box::new(HecateCompiler {
-            options: HecateOptions {
-                max_iterations: 100,
-                patience: 100,
-                seed: 11,
-            },
+            max_iterations: 100,
+            patience: 100,
+            seed: 11,
         }),
         Box::new(ReserveCompiler::full()),
     ]
