@@ -130,7 +130,7 @@ impl AbstractDomain for NoiseDomain {
 }
 
 /// Selects the smallest waterline (⇒ cheapest program) whose static error
-/// bound under `domain` meets `target_log2_error`, compiling each candidate
+/// bound under `domain` is at most `2^target_log2`, compiling each candidate
 /// with the given closure (return `None` for waterlines that fail to
 /// compile).
 ///
@@ -140,7 +140,7 @@ impl AbstractDomain for NoiseDomain {
 pub fn select_waterline<F>(
     candidates: impl IntoIterator<Item = u32>,
     mut compile: F,
-    target_log2_error: f64,
+    target_log2: f64,
     domain: &NoiseDomain,
 ) -> Option<(u32, ScheduledProgram)>
 where
@@ -156,7 +156,7 @@ where
             continue;
         };
         let worst = errors.iter().fold(0.0f64, |a, &b| a.max(b));
-        if worst.max(f64::MIN_POSITIVE).log2() <= target_log2_error {
+        if worst.max(f64::MIN_POSITIVE).log2() <= target_log2 {
             return Some((waterline, scheduled));
         }
     }

@@ -10,7 +10,7 @@ use fhe_analysis::NoiseDomain;
 use fhe_bench::{print_table, CliArgs};
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::CompileParams;
-use fhe_runtime::{simulate, NoiseModel};
+use fhe_runtime::{plain, simulate, NoiseModel};
 use reserve_core::{OrderingStrategy, ReserveCompiler};
 
 fn main() {
@@ -79,9 +79,11 @@ fn main() {
         let compiled = paper_compiler
             .compile(&w.program, &params)
             .expect("compiles");
-        let simulated = simulate(&compiled.scheduled, &w.inputs, &NoiseModel::default())
-            .expect("validates")
-            .log2_error();
+        let noisy =
+            simulate(&compiled.scheduled, &w.inputs, &NoiseModel::default()).expect("validates");
+        let simulated = plain::max_abs_diff(&noisy, &plain::execute(&w.program, &w.inputs))
+            .max(f64::MIN_POSITIVE)
+            .log2();
         let bound = NoiseDomain::default()
             .output_bounds(&compiled.scheduled)
             .expect("validates")

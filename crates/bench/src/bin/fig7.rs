@@ -7,7 +7,7 @@
 //! analysis does not unnecessarily minimize scales.
 
 use fhe_bench::{compile_all, hecate_budget, print_table, standard_compilers, CliArgs};
-use fhe_runtime::{simulate, NoiseModel};
+use fhe_runtime::{plain, simulate, NoiseModel};
 
 fn main() {
     let args = CliArgs::parse();
@@ -15,6 +15,11 @@ fn main() {
     let names: Vec<String> = standard_compilers(1)
         .iter()
         .map(|c| c.name().to_string())
+        .collect();
+    // Compilation leaves the clear values bit-identical, so the source
+    // program's one plaintext run is every schedule's reference.
+    let references: Vec<_> = (suite.iter())
+        .map(|w| plain::execute(&w.program, &w.inputs))
         .collect();
 
     for waterline in [20u32, 40] {
@@ -25,7 +30,7 @@ fn main() {
         let mut headers = vec!["Benchmark"];
         headers.extend(names.iter().map(String::as_str));
         let mut rows = Vec::new();
-        for w in &suite {
+        for (w, reference) in suite.iter().zip(&references) {
             eprintln!("simulating {} at W=2^{waterline} ...", w.name);
             // Sweeps multiply Hecate's cost by the number of points; cap the
             // exploration budget to keep the harness under a few minutes.
@@ -33,9 +38,10 @@ fn main() {
             let outs = compile_all(&standard_compilers(budget), &w.program, waterline);
             let mut row = vec![w.name.to_string()];
             for out in &outs {
-                let run = simulate(&out.scheduled, &w.inputs, &NoiseModel::default())
+                let noisy = simulate(&out.scheduled, &w.inputs, &NoiseModel::default())
                     .expect("schedules validate");
-                row.push(format!("{:.1}", run.log2_error()));
+                let error = plain::max_abs_diff(&noisy, reference);
+                row.push(format!("{:.1}", error.max(f64::MIN_POSITIVE).log2()));
             }
             rows.push(row);
         }

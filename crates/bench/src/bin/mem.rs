@@ -36,7 +36,7 @@ use fhe_ir::json::Json;
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::semantics::rotation_class;
 use fhe_ir::{key_levels, CompileParams, Op, Program, ScheduledProgram};
-use fhe_runtime::{execute_encrypted, ExecOptions, ExecReport, KeyPolicy};
+use fhe_runtime::{execute_encrypted, plain, ExecOptions, ExecReport, KeyPolicy};
 use fhe_workloads::{suite, Size};
 use reserve_core::ReserveCompiler;
 
@@ -62,6 +62,7 @@ struct Row {
 fn run_policy(
     scheduled: &ScheduledProgram,
     inputs: &std::collections::HashMap<String, Vec<f64>>,
+    reference: &[Vec<f64>],
     policy: &'static str,
     keys: KeyPolicy,
 ) -> Row {
@@ -74,10 +75,10 @@ fn run_policy(
     };
     let report = execute_encrypted(scheduled, inputs, &options)
         .unwrap_or_else(|e| panic!("{policy}: {e:?}"));
+    let error = plain::max_abs_diff(&report.outputs, reference);
     assert!(
-        report.max_abs_error() < 1e-1,
-        "{policy}: error {} — key policy must not change results",
-        report.max_abs_error()
+        error < 1e-1,
+        "{policy}: error {error} — key policy must not change results"
     );
     Row { policy, report }
 }
@@ -161,28 +162,22 @@ fn main() -> ExitCode {
     let levels = key_levels(&compiled.scheduled.program, &map);
     let deepest = levels.galois.iter().map(|&(_, l)| l as usize).max();
     let one_key = fhe_ckks::ksw_key_limbs(deepest.unwrap_or(0), map.max_level() as usize) * n * 8;
+    // One plaintext reference checks all four policy rows.
+    let reference = plain::execute(&workload.program, &workload.inputs);
+    let run = |policy, keys| {
+        run_policy(
+            &compiled.scheduled,
+            &workload.inputs,
+            &reference,
+            policy,
+            keys,
+        )
+    };
     let rows = [
-        run_policy(
-            &compiled.scheduled,
-            &workload.inputs,
-            "eager-pow2",
-            KeyPolicy::EagerSet(pow2.clone()),
-        ),
-        run_policy(
-            &compiled.scheduled,
-            &workload.inputs,
-            "eager-program",
-            KeyPolicy::EagerProgram,
-        ),
-        run_policy(
-            &compiled.scheduled,
-            &workload.inputs,
-            "lazy",
-            KeyPolicy::Lazy { budget_bytes: None },
-        ),
-        run_policy(
-            &compiled.scheduled,
-            &workload.inputs,
+        run("eager-pow2", KeyPolicy::EagerSet(pow2.clone())),
+        run("eager-program", KeyPolicy::EagerProgram),
+        run("lazy", KeyPolicy::Lazy { budget_bytes: None }),
+        run(
             "lazy-budget",
             KeyPolicy::Lazy {
                 budget_bytes: Some(budget_keys * one_key),

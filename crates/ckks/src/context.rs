@@ -48,18 +48,6 @@ impl CkksParams {
             threads: 0,
         }
     }
-
-    /// Small parameters for fast tests: `N = 2^12`, 50-bit primes.
-    pub fn insecure_test(max_level: usize) -> Self {
-        CkksParams {
-            poly_degree: 1 << 12,
-            max_level,
-            modulus_bits: 50,
-            special_bits: 51,
-            error_std: 3.2,
-            threads: 0,
-        }
-    }
 }
 
 /// Most digits a key switch splits a polynomial into. The chain is cut into
@@ -408,10 +396,22 @@ impl CkksContext {
 mod tests {
     use super::*;
 
+    /// Small parameters for fast tests: `N = 2^12`, 50-bit primes.
+    fn insecure_test(max_level: usize) -> CkksParams {
+        CkksParams {
+            poly_degree: 1 << 12,
+            max_level,
+            modulus_bits: 50,
+            special_bits: 51,
+            error_std: 3.2,
+            threads: 0,
+        }
+    }
+
     #[test]
     fn context_builds_consistently() {
         for (levels, alpha) in [(3, 1), (4, 2), (9, 3), (10, 4)] {
-            let ctx = CkksContext::new(CkksParams::insecure_test(levels));
+            let ctx = CkksContext::new(insecure_test(levels));
             assert_eq!(ctx.moduli().len(), levels);
             assert_eq!(ctx.specials().len(), alpha, "α = ⌈L/3⌉ at L = {levels}");
             assert_eq!(ctx.slots(), 1 << 11);
@@ -423,7 +423,7 @@ mod tests {
             assert_eq!(all.len(), len);
         }
         // The same primes whether the special size equals the chain's or not.
-        let mut params = CkksParams::insecure_test(6);
+        let mut params = insecure_test(6);
         params.special_bits = params.modulus_bits;
         let ctx = CkksContext::new(params);
         assert_eq!(ctx.specials().len(), 2);
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn base_conversion_constants_are_inverses() {
-        let ctx = CkksContext::new(CkksParams::insecure_test(7));
+        let ctx = CkksContext::new(insecure_test(7));
         let (big_l, alpha) = (7, 3);
         let basis = ctx.basis();
         for level in 1..=big_l {
@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn rescale_inverses_are_inverses() {
-        let ctx = CkksContext::new(CkksParams::insecure_test(3));
+        let ctx = CkksContext::new(insecure_test(3));
         for j in 1..3 {
             for i in 0..j {
                 let qi = ctx.moduli()[i];
@@ -506,7 +506,7 @@ mod tests {
             assert_eq!(shoup, qi.shoup(inv));
         }
         // With α = 2, `P^{-1}` inverts the product of both specials.
-        let ctx = CkksContext::new(CkksParams::insecure_test(5));
+        let ctx = CkksContext::new(insecure_test(5));
         let [p0, p1] = [ctx.specials()[0].value(), ctx.specials()[1].value()];
         for (i, &qi) in ctx.moduli().iter().enumerate() {
             let p = qi.mul(qi.reduce(p0), qi.reduce(p1));
@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn threads_resolve() {
-        let mut params = CkksParams::insecure_test(1);
+        let mut params = insecure_test(1);
         params.threads = 3;
         assert_eq!(CkksContext::new(params).threads(), 3);
         params.threads = 0;

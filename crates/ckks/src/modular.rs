@@ -315,18 +315,6 @@ impl Pow2Table {
             mag
         }
     }
-
-    /// Reduces `round(x)` into `[0, q)`, exactly, for any finite `x`
-    /// (|x| possibly ≫ 2^64, e.g. a coefficient scaled by 2^80): shorthand
-    /// for [`Pow2Table::reduce_split`] of [`SplitF64::round`]. A caller with
-    /// several moduli splits once and reduces per modulus instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN or infinite.
-    pub fn reduce_f64(&self, x: f64) -> u64 {
-        self.reduce_split(SplitF64::round(x))
-    }
 }
 
 /// Deterministic Miller–Rabin primality test, exact for all `u64`.
@@ -373,6 +361,12 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const Q: u64 = (1 << 61) - 1; // not NTT-friendly, fine for arithmetic
+
+    /// Reduces `round(x)` into `[0, q)` the way the encoder does: one split,
+    /// then one reduction per modulus.
+    fn reduce_f64(t: &Pow2Table, x: f64) -> u64 {
+        t.reduce_split(SplitF64::round(x))
+    }
 
     #[test]
     fn add_sub_neg() {
@@ -483,7 +477,7 @@ mod tests {
             2f64.powi(80),
             -2f64.powi(75),
         ] {
-            let r = t.reduce_f64(x);
+            let r = reduce_f64(&t, x);
             if x.abs() < 2f64.powi(53) {
                 assert_eq!(r, m.reduce_i64(x as i64), "x = {x}");
             }
@@ -491,11 +485,11 @@ mod tests {
         }
         // 2^80 mod q computed independently.
         let expect = m.pow(2, 80);
-        assert_eq!(t.reduce_f64(2f64.powi(80)), expect);
-        assert_eq!(t.reduce_f64(-(2f64.powi(80))), m.neg(expect));
+        assert_eq!(reduce_f64(&t, 2f64.powi(80)), expect);
+        assert_eq!(reduce_f64(&t, -(2f64.powi(80))), m.neg(expect));
         // 1.5 · 2^61 is representable; check against exact integer math.
         let expect = m.mul(3, m.pow(2, 60));
-        assert_eq!(t.reduce_f64(3.0 * 2f64.powi(60)), expect);
+        assert_eq!(reduce_f64(&t, 3.0 * 2f64.powi(60)), expect);
     }
 
     #[test]
@@ -508,11 +502,11 @@ mod tests {
         for k in [0i32, 1, 51, 52, 53, 61, 62, 80, 500, 1023] {
             let x = 2f64.powi(k);
             let expect = m.pow(2, k as u64);
-            assert_eq!(t.reduce_f64(x), expect, "2^{k}");
-            assert_eq!(t.reduce_f64(-x), m.neg(expect), "-2^{k}");
+            assert_eq!(reduce_f64(&t, x), expect, "2^{k}");
+            assert_eq!(reduce_f64(&t, -x), m.neg(expect), "-2^{k}");
         }
         assert_eq!(
-            t.reduce_f64(f64::MAX),
+            reduce_f64(&t, f64::MAX),
             m.mul(m.reduce((1 << 53) - 1), m.pow(2, 971))
         );
     }
@@ -531,14 +525,14 @@ mod tests {
             (f64::from_bits(1), 0), // smallest subnormal
             (2f64.powi(51) + 0.5, m.reduce((1 << 51) + 1)),
         ] {
-            assert_eq!(t.reduce_f64(x), expect, "x = {x:e}");
+            assert_eq!(reduce_f64(&t, x), expect, "x = {x:e}");
         }
     }
 
     #[test]
     #[should_panic(expected = "non-finite")]
     fn reduce_f64_rejects_nan() {
-        Pow2Table::new(Modulus::new(Q)).reduce_f64(f64::NAN);
+        reduce_f64(&Pow2Table::new(Modulus::new(Q)), f64::NAN);
     }
 
     #[test]

@@ -43,9 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use fhe_analysis::noise::DEFAULT_NOISE_BITS;
 use fhe_analysis::{analyze, AnalysisCx, IntervalDomain, MagnitudeSource, NoiseDomain};
 use fhe_baselines::{EvaCompiler, HecateCompiler};
-use fhe_ir::{
-    passes, CompileParams, Op, Program, ScaleCompiler, ScheduleError, ScheduledProgram, ValueId,
-};
+use fhe_ir::{passes, CompileParams, Op, Program, ScaleCompiler, ScheduleError, ScheduledProgram};
 use fhe_runtime::{
     execute_parallel, max_abs_diff, plain, simulate, ExecOptions, NoiseModel, ParOptions,
 };
@@ -639,10 +637,8 @@ fn check_executors(
 
     let mut noisy_outputs: Vec<(&str, Vec<Vec<f64>>)> = Vec::new();
     let sim = || simulate(scheduled, inputs, &NoiseModel::default());
-    if let Some(sim) = run_column(stage("noise-sim"), tol, reference, divs, sim, |r| {
-        &r.outputs
-    }) {
-        noisy_outputs.push(("noise-sim", sim.outputs));
+    if let Some(sim) = run_column(stage("noise-sim"), tol, reference, divs, sim, |o| o) {
+        noisy_outputs.push(("noise-sim", sim));
     }
 
     if encrypt {
@@ -797,29 +793,6 @@ fn check_span_bound(
     static CACHE: OnceLock<CalibrationCache> = OnceLock::new();
     let key = (slots, rescale_bits, levels);
 
-    // Credit for hoisted rotation groups: every non-leader member runs on
-    // a shared decomposition, so its real cost can undercut the calibrated
-    // lone-rotation cost by up to the full rotation latency.
-    let program = &scheduled.program;
-    let live = fhe_ir::analysis::live(program);
-    let hoist_credit_us = |model: &fhe_ir::CostModel| -> f64 {
-        let mut group_sizes: HashMap<ValueId, (usize, f64)> = HashMap::new();
-        for id in program.ids() {
-            if live[id.index()] && program.is_cipher(id) {
-                if let Op::Rotate(a, _) = program.op(id) {
-                    let e = group_sizes.entry(*a).or_insert((0, 0.0));
-                    e.0 += 1;
-                    e.1 += model.at_level(OpClass::Rotate, map.level(id));
-                }
-            }
-        }
-        group_sizes
-            .values()
-            .filter(|&&(n, _)| n >= 2)
-            .map(|&(n, total)| total * (n - 1) as f64 / n as f64)
-            .sum()
-    };
-
     // The calibration times microsecond ops, so one preemption while it
     // runs (another test thread on a one-core host) inflates a cell several
     // times over, and the cached model with it. Noise only ever adds time,
@@ -859,7 +832,7 @@ fn check_span_bound(
             .or_insert_with(|| calibrate(0xCA1B + 3 * attempt))
             .clone();
         let est = fhe_ir::DepGraph::build(scheduled, &map, &model, true).estimate();
-        let credit_us = hoist_credit_us(&model);
+        let credit_us = hoist_credit_us(&scheduled.program, &map, &model);
         if est.span_us <= measured_us * SPAN_MARGIN + credit_us + 200.0 {
             return;
         }
@@ -880,6 +853,25 @@ fn check_span_bound(
         stage: format!("{compiler}:measured"),
         detail: failure,
     });
+}
+
+/// Credit for the hoisted rotation groups the runtime forms
+/// ([`fhe_ir::analysis::rotation_groups`]): every non-leader member runs on
+/// a shared decomposition, so its real cost can undercut the calibrated
+/// lone-rotation cost by up to the full rotation latency. A group of `n`
+/// earns `(n − 1)/n` of its members' summed latency.
+fn hoist_credit_us(program: &Program, map: &fhe_ir::ScaleMap, model: &fhe_ir::CostModel) -> f64 {
+    let live = fhe_ir::analysis::live(program);
+    fhe_ir::analysis::rotation_groups(program, &live, true)
+        .values()
+        .map(|group| {
+            let n = group.len() as f64;
+            let total: f64 = (group.iter())
+                .map(|&(id, _)| model.at_level(fhe_ir::OpClass::Rotate, map.level(id)))
+                .sum();
+            total * (n - 1.0) / n
+        })
+        .sum()
 }
 
 /// The static noise estimate — the noise domain fed with the interval
@@ -1002,6 +994,36 @@ mod tests {
             let divs = check_program(&p, &oracle).divergences;
             assert!(divs.is_empty(), "seed {seed}: {divs:?}");
         }
+    }
+
+    #[test]
+    fn identity_rotations_earn_no_hoist_credit() {
+        // Cleanup drops identity rotations, so the schedule is written by
+        // hand: one source rotated by 1, 2 and a full turn.
+        let slots = 16;
+        let mut p = Program::new("turns", slots);
+        let x = p.push(Op::Input { name: "x".into() });
+        let turns = [1, 2, slots as i64]
+            .into_iter()
+            .map(|k| p.push(Op::Rotate(x, k)))
+            .collect();
+        p.set_outputs(turns);
+        let s = ScheduledProgram {
+            params: CompileParams::new(30),
+            inputs: vec![fhe_ir::InputSpec {
+                scale_bits: 30.into(),
+                level: 1,
+            }],
+            program: p,
+        };
+        let map = s.validate().expect("legal by hand");
+        let model = fhe_ir::CostModel::paper_table3();
+        // Only {1, 2} is a group: two members at level 1 earn one
+        // rotation's latency.
+        assert_eq!(
+            hoist_credit_us(&s.program, &map, &model),
+            model.at_level(fhe_ir::OpClass::Rotate, 1)
+        );
     }
 
     #[test]

@@ -446,8 +446,10 @@ impl std::error::Error for CompileError {}
 /// in its three ablation modes), EVA (`fhe_baselines::EvaCompiler`), and
 /// Hecate (`fhe_baselines::HecateCompiler`). Harnesses iterate
 /// `&[&dyn ScaleCompiler]`, so a new strategy is one impl, zero harness
-/// changes.
-pub trait ScaleCompiler {
+/// changes. The `Debug` rendering is the compiler's configuration: the
+/// compile cache keys on it, so it must tell apart any two compilers that
+/// may schedule a program differently.
+pub trait ScaleCompiler: std::fmt::Debug {
     /// Display label, as used in the paper's tables.
     fn name(&self) -> &str;
 

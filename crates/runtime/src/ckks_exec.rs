@@ -27,7 +27,7 @@ use fhe_ir::{
     ScheduleError, ScheduledProgram, ValueId,
 };
 
-use crate::plain::{self, max_abs_diff};
+use crate::plain;
 
 /// Domain separator so the lazy key cache's per-element RNG streams never
 /// collide with the keygen stream at the same seed.
@@ -430,16 +430,14 @@ impl MemStats {
 pub struct ExecReport {
     /// Decrypted program outputs.
     pub outputs: Vec<Vec<f64>>,
-    /// Plaintext reference outputs.
-    pub reference: Vec<Vec<f64>>,
     /// Wall-clock time of the homomorphic phase: the prologue (input
     /// encryption) plus the DAG walk.
     pub op_time: Duration,
     /// Wall-clock time of the DAG walk alone — the measured `T(k)` the
     /// depgraph's prediction is validated against.
     pub walk_time: Duration,
-    /// End-to-end time including encrypt/decrypt and, for the entry points
-    /// that generate keys, keygen — but not the plaintext `reference` run.
+    /// End-to-end time: encryption, the walk and decryption, plus keygen
+    /// for the entry points that generate keys.
     pub total_time: Duration,
     /// Number of homomorphic ops executed (input encryptions included).
     pub ops_executed: usize,
@@ -470,13 +468,6 @@ pub struct ExecReport {
 
 /// The report under the name `benchmark/` imports it by.
 pub type ParReport = ExecReport;
-
-impl ExecReport {
-    /// Maximum absolute slot error vs the reference.
-    pub fn max_abs_error(&self) -> f64 {
-        max_abs_diff(&self.outputs, &self.reference)
-    }
-}
 
 /// Executes a scheduled program under real RNS-CKKS encryption as the
 /// plain walk ([`ParOptions::plain_walk`]), generating fresh keys first.
@@ -869,15 +860,11 @@ pub fn execute_parallel_with_keys(
             (!times.is_empty()).then(|| (class, times.iter().sum(), times.len()))
         })
         .collect();
-    // The clock stops before the plaintext reference run: that is a check
-    // on the execution, not part of it.
-    let total_time = t_total.elapsed();
     Ok(ExecReport {
         outputs,
-        reference: plain::execute(program, inputs),
         op_time,
         walk_time,
-        total_time,
+        total_time: t_total.elapsed(),
         ops_executed: encrypted_inputs + walk.node_times.len(),
         per_class,
         mem: keys.mem_snapshot(ev).delta_since(&start_mem),
@@ -1179,6 +1166,12 @@ mod tests {
             .collect()
     }
 
+    /// The largest slot error of `report` against the one oracle,
+    /// [`plain::execute`] of the same schedule.
+    fn error(s: &ScheduledProgram, ins: &HashMap<String, Vec<f64>>, report: &ExecReport) -> f64 {
+        plain::max_abs_diff(&report.outputs, &plain::execute(&s.program, ins))
+    }
+
     fn opts() -> ExecOptions {
         ExecOptions {
             poly_degree: 256,
@@ -1201,17 +1194,10 @@ mod tests {
             .unwrap();
         let xs: Vec<f64> = (0..slots).map(|i| ((i % 5) as f64 - 2.0) * 0.3).collect();
         let ys: Vec<f64> = (0..slots).map(|i| ((i % 7) as f64) * 0.1).collect();
-        let report = execute(
-            &compiled.scheduled,
-            &inputs(&[("x", xs), ("y", ys)]),
-            &opts(),
-        )
-        .unwrap();
-        assert!(
-            report.max_abs_error() < 1e-2,
-            "encrypted error {}",
-            report.max_abs_error()
-        );
+        let ins = inputs(&[("x", xs), ("y", ys)]);
+        let report = execute(&compiled.scheduled, &ins, &opts()).unwrap();
+        let err = error(&compiled.scheduled, &ins, &report);
+        assert!(err < 1e-2, "encrypted error {err}");
         assert!(report.ops_executed > 5);
         // The plain walk times every op on one thread, so the per-class
         // times are a nonzero part of the homomorphic phase.
@@ -1286,7 +1272,8 @@ mod tests {
         let ins = inputs(&[("x", xs)]);
 
         let lazy = execute(&compiled.scheduled, &ins, &opts()).unwrap();
-        assert!(lazy.max_abs_error() < 1e-2, "err {}", lazy.max_abs_error());
+        let err = error(&compiled.scheduled, &ins, &lazy);
+        assert!(err < 1e-2, "err {err}");
         assert!(
             lazy.mem.key_misses >= 2,
             "two distinct steps generate lazily"
@@ -1323,7 +1310,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(eager.max_abs_error() < 1e-2);
+        assert!(error(&compiled.scheduled, &ins, &eager) < 1e-2);
         assert_eq!(eager.mem.key_evictions, 0);
 
         // A provisioned set without the schedule's step 3 is a structured
@@ -1354,12 +1341,10 @@ mod tests {
         let eva = EvaCompiler.compile(&p, &CompileParams::new(30)).unwrap();
         let xs = vec![0.5; slots];
         let ys = vec![0.25; slots];
-        let report = execute(&eva.scheduled, &inputs(&[("x", xs), ("y", ys)]), &opts()).unwrap();
-        assert!(
-            report.max_abs_error() < 1e-2,
-            "err {}",
-            report.max_abs_error()
-        );
+        let ins = inputs(&[("x", xs), ("y", ys)]);
+        let report = execute(&eva.scheduled, &ins, &opts()).unwrap();
+        let err = error(&eva.scheduled, &ins, &report);
+        assert!(err < 1e-2, "err {err}");
     }
 
     fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
@@ -1510,9 +1495,11 @@ mod tests {
             program: p,
         };
         let xs: Vec<f64> = (0..128).map(|i| i as f64 * 0.001).collect();
-        let report = execute(&s, &inputs(&[("x", xs)]), &opts()).unwrap();
+        let ins = inputs(&[("x", xs)]);
+        let report = execute(&s, &ins, &opts()).unwrap();
         assert_eq!(report.hoisted_groups, 1);
-        assert!(report.max_abs_error() < 1e-2, "{}", report.max_abs_error());
+        let err = error(&s, &ins, &report);
+        assert!(err < 1e-2, "{err}");
     }
 
     #[test]
@@ -1608,12 +1595,12 @@ mod tests {
             bits(&c.outputs),
             "three fused runners match the plain walk"
         );
-        assert!(a.max_abs_error() < 1e-2);
+        assert!(error(&s, &binds, &a) < 1e-2);
 
         // A different enc_seed changes ciphertext noise but stays correct.
         let d = execute_with_keys(&s, &binds, &opts, &keys, None, 8).unwrap();
         assert_ne!(bits(&a.outputs), bits(&d.outputs));
-        assert!(d.max_abs_error() < 1e-2);
+        assert!(error(&s, &binds, &d) < 1e-2);
 
         // Counter deltas over a shared pool: the second request's hits grow
         // because it recycles buffers the first returned.
@@ -1640,7 +1627,7 @@ mod tests {
         assert_eq!(par.node_times.len(), class_count);
         assert!(par.walk_time <= par.op_time);
         assert!(par.op_time <= par.total_time);
-        assert!(par.max_abs_error() < 1e-2);
+        assert!(error(&s, &binds, &par) < 1e-2);
         assert!(par.mem.peak_bytes > 0);
     }
 }

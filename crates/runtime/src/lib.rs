@@ -1,20 +1,22 @@
 //! # fhe-runtime — executors for scheduled programs
 //!
 //! Three ways to run a compiled ([`fhe_ir::ScheduledProgram`]) RNS-CKKS
-//! program, each returning its own result:
+//! program, each returning only the outputs it computed:
 //!
 //! - [`plain`]: exact plaintext reference execution — the one clear-value
 //!   semantics of the IR, and the oracle everything else is checked against
 //!   ([`plain::execute`] returns the outputs, [`plain::values`] every value);
 //! - [`noise_sim`]: that same interpreter with the scheme's scale-dependent
-//!   noise injected per op ([`NoisyRun`]) — drives the paper's error
-//!   comparison (Fig. 7) at a tiny fraction of encrypted cost;
+//!   noise injected per op ([`simulate`] returns the noisy outputs) — drives
+//!   the paper's error comparison (Fig. 7) at a tiny fraction of encrypted
+//!   cost;
 //! - [`ckks_exec`]: real encrypted execution on the `fhe-ckks` backend with
 //!   wall-clock timing ([`ExecReport`]) — one walker over the schedule's
 //!   dependence DAG, serial at one runner;
 //!
-//! plus [`microbench`], which measures this repo's own Table 3. Outputs are
-//! compared with [`max_abs_diff`] / [`outputs_close`]. Bounding the error
+//! plus [`microbench`], which measures this repo's own Table 3. A caller
+//! that checks a run computes the reference once with [`plain::execute`]
+//! and compares with [`max_abs_diff`] / [`outputs_close`]. Bounding the error
 //! *without* running is `fhe_analysis::NoiseDomain::output_bounds`; static
 //! latency is [`fhe_ir::CostModel::program_cost`], which every
 //! [`fhe_ir::CompileReport`] already carries.
@@ -32,5 +34,5 @@ pub use ckks_exec::{
     execute_with_keys, rotation_steps, ExecOptions, ExecReport, KeyPolicy, MemStats, ParOptions,
     ParReport, SessionKeys,
 };
-pub use noise_sim::{simulate, NoiseModel, NoisyRun};
+pub use noise_sim::{simulate, NoiseModel};
 pub use plain::{max_abs_diff, outputs_close};

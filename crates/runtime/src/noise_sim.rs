@@ -13,7 +13,9 @@
 //! The values themselves come from the clear-value interpreter
 //! ([`plain`]); the simulator only hooks into it to perturb the results of
 //! the ops [`fhe_analysis::noise::adds_noise`] names — the same set the
-//! static bound ([`fhe_analysis::NoiseDomain`]) charges.
+//! static bound ([`fhe_analysis::NoiseDomain`]) charges. It returns only the
+//! noisy outputs: the noise-free reference is the interpreter's own run,
+//! made once by the caller that measures the error.
 
 use std::collections::HashMap;
 
@@ -45,28 +47,10 @@ impl Default for NoiseModel {
     }
 }
 
-/// Result of a noisy execution.
-#[derive(Debug, Clone)]
-pub struct NoisyRun {
-    /// Noisy program outputs.
-    pub outputs: Vec<Vec<f64>>,
-    /// Noise-free reference outputs.
-    pub reference: Vec<Vec<f64>>,
-}
-
-impl NoisyRun {
-    /// Maximum absolute slot error across all outputs.
-    pub fn max_abs_error(&self) -> f64 {
-        plain::max_abs_diff(&self.outputs, &self.reference)
-    }
-
-    /// log₂ of the maximum absolute error (Fig. 7's "Error(Log)" axis).
-    pub fn log2_error(&self) -> f64 {
-        self.max_abs_error().max(f64::MIN_POSITIVE).log2()
-    }
-}
-
-/// Executes a scheduled program with injected noise.
+/// Executes a scheduled program with injected noise and returns its noisy
+/// outputs, one vector per program output. The error is their distance
+/// from the noise-free outputs, which the caller computes once per program
+/// with the [`plain`] interpreter.
 ///
 /// # Errors
 ///
@@ -75,7 +59,7 @@ pub fn simulate(
     scheduled: &ScheduledProgram,
     inputs: &HashMap<String, Vec<f64>>,
     model: &NoiseModel,
-) -> Result<NoisyRun, Vec<ScheduleError>> {
+) -> Result<Vec<Vec<f64>>, Vec<ScheduleError>> {
     let map = scheduled.validate()?;
     let program = &scheduled.program;
     let mut rng = StdRng::seed_from_u64(model.seed);
@@ -94,10 +78,7 @@ pub fn simulate(
             }
         },
     );
-    Ok(NoisyRun {
-        outputs: plain::outputs_of(program, &values),
-        reference: plain::execute(program, inputs),
-    })
+    Ok(plain::outputs_of(program, &values))
 }
 
 #[cfg(test)]
@@ -125,28 +106,30 @@ mod tests {
             .scheduled
     }
 
+    /// The simulation's largest slot error against [`plain::execute`].
+    fn error(s: &ScheduledProgram, binds: &HashMap<String, Vec<f64>>, model: &NoiseModel) -> f64 {
+        let noisy = simulate(s, binds, model).unwrap();
+        plain::max_abs_diff(&noisy, &plain::execute(&s.program, binds))
+    }
+
+    fn log2(error: f64) -> f64 {
+        error.max(f64::MIN_POSITIVE).log2()
+    }
+
     #[test]
     fn noisy_outputs_stay_close_to_reference() {
         let s = fig2a_scheduled(30);
-        let run = simulate(
-            &s,
-            &inputs(&[("x", vec![0.5; 8]), ("y", vec![0.25; 8])]),
-            &NoiseModel::default(),
-        )
-        .unwrap();
-        assert!(run.max_abs_error() < 1e-2, "error {}", run.max_abs_error());
-        assert!(run.max_abs_error() > 0.0, "noise must actually be injected");
+        let binds = inputs(&[("x", vec![0.5; 8]), ("y", vec![0.25; 8])]);
+        let err = error(&s, &binds, &NoiseModel::default());
+        assert!(err < 1e-2, "error {err}");
+        assert!(err > 0.0, "noise must actually be injected");
     }
 
     #[test]
     fn larger_waterline_means_smaller_error() {
         let binds = inputs(&[("x", vec![0.5; 8]), ("y", vec![0.25; 8])]);
-        let e20 = simulate(&fig2a_scheduled(20), &binds, &NoiseModel::default())
-            .unwrap()
-            .log2_error();
-        let e40 = simulate(&fig2a_scheduled(40), &binds, &NoiseModel::default())
-            .unwrap()
-            .log2_error();
+        let e20 = log2(error(&fig2a_scheduled(20), &binds, &NoiseModel::default()));
+        let e40 = log2(error(&fig2a_scheduled(40), &binds, &NoiseModel::default()));
         assert!(
             e40 < e20 - 10.0,
             "W=2^40 (err 2^{e40:.1}) must be far more accurate than W=2^20 (err 2^{e20:.1})"
@@ -156,16 +139,12 @@ mod tests {
     #[test]
     fn zero_noise_model_reproduces_reference() {
         let s = fig2a_scheduled(25);
-        let run = simulate(
-            &s,
-            &inputs(&[("x", vec![1.5; 8]), ("y", vec![-0.5; 8])]),
-            &NoiseModel {
-                noise_bits: f64::NEG_INFINITY,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(run.max_abs_error(), 0.0);
+        let binds = inputs(&[("x", vec![1.5; 8]), ("y", vec![-0.5; 8])]);
+        let model = NoiseModel {
+            noise_bits: f64::NEG_INFINITY,
+            seed: 1,
+        };
+        assert_eq!(error(&s, &binds, &model), 0.0);
     }
 
     #[test]
@@ -176,9 +155,7 @@ mod tests {
             let est = fhe_analysis::NoiseDomain::default()
                 .output_bounds(&s)
                 .unwrap()[0];
-            let sim = simulate(&s, &binds, &NoiseModel::default())
-                .unwrap()
-                .max_abs_error();
+            let sim = error(&s, &binds, &NoiseModel::default());
             assert!(
                 est >= sim,
                 "W={waterline}: static bound {est:.3e} below measured {sim:.3e}"

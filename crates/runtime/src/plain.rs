@@ -3,8 +3,12 @@
 //! both source programs and compiled schedules — compilation must not
 //! change program semantics, and tests assert exactly that. Every other
 //! component that needs slot values (the noise simulator, the encrypted
-//! executor's reference and plain sub-values, the fuzz oracle) gets them
-//! from the one walker here.
+//! executor's plain sub-values, the fuzz oracle) gets them from the one
+//! walker here.
+//!
+//! [`execute`] is the one oracle. The runners return only what they
+//! computed; the caller that checks them runs [`execute`] once and compares
+//! with [`max_abs_diff`] or [`outputs_close`].
 
 use std::collections::HashMap;
 

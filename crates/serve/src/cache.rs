@@ -1,6 +1,6 @@
 //! Content-addressed compile cache.
 //!
-//! Maps `(program text, compile params, compiler id)` to the compiled
+//! Maps `(program text, compile params, compiler configuration)` to the compiled
 //! [`ScheduledProgram`] (shared as an [`Arc`], so hits cost one clone of a
 //! pointer) plus the original [`CompileReport`]. The key is the *printed*
 //! program text — two structurally identical programs submitted under
@@ -27,6 +27,8 @@ use fhe_ir::{text, CompileParams, ConstValue, Op, Program, ScheduledProgram};
 struct CacheKey {
     text: String,
     params: CompileParams,
+    /// The compiler's `Debug` rendering: its whole configuration, not its
+    /// display label, which differently configured compilers share.
     compiler: String,
 }
 
@@ -152,7 +154,9 @@ impl CompileCache {
         }
     }
 
-    /// Looks up `(program, params, compiler.name())`, compiling on a miss.
+    /// Looks up `(program, params, compiler)`, compiling on a miss. Two
+    /// compilers share entries exactly when their configurations (`Debug`
+    /// renderings) are equal.
     ///
     /// Compilation runs outside the cache lock, so a slow compile never
     /// blocks hits on other keys. Misses are **single-flight**: a lookup
@@ -175,7 +179,7 @@ impl CompileCache {
         let key = CacheKey {
             text: text::print(program),
             params: *params,
-            compiler: compiler.name().to_string(),
+            compiler: format!("{compiler:?}"),
         };
         {
             let mut inner = self.inner.lock().expect("compile cache lock");

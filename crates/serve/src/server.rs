@@ -107,10 +107,9 @@ pub struct Request {
 /// A successfully served request.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// Decrypted program outputs.
+    /// Decrypted program outputs. The server never evaluates the program
+    /// in the clear: a client checks them against its own reference.
     pub outputs: Vec<Vec<f64>>,
-    /// Plaintext reference outputs for the same inputs.
-    pub reference: Vec<Vec<f64>>,
     /// Whether compilation was served from the cache.
     pub cache_hit: bool,
     /// The session-local request index (submission order) the encryption
@@ -307,7 +306,6 @@ impl ServerInner {
         let latency = submitted.elapsed();
         Ok(Response {
             outputs: report.outputs,
-            reference: report.reference,
             cache_hit: cached.hit,
             seq,
             enc_seed,
@@ -826,8 +824,11 @@ mod tests {
         assert!(b.cache_hit);
         // Different seq → different encryption randomness, same values.
         assert_ne!(a.enc_seed, b.enc_seed);
-        assert!(fhe_runtime::outputs_close(&a.outputs, &a.reference, 1e-2).is_ok());
-        assert!(fhe_runtime::outputs_close(&b.outputs, &b.reference, 1e-2).is_ok());
+        let req = request(session, 128);
+        let program = text::parse(&req.program).unwrap();
+        let reference = fhe_runtime::plain::execute(&program, &req.inputs);
+        assert!(fhe_runtime::outputs_close(&a.outputs, &reference, 1e-2).is_ok());
+        assert!(fhe_runtime::outputs_close(&b.outputs, &reference, 1e-2).is_ok());
         let stats = server.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.failed, 0);

@@ -248,7 +248,10 @@ fn main() -> ExitCode {
             report.op_time,
             report.total_time,
             mib(report.mem.peak_bytes),
-            report.max_abs_error(),
+            plain::max_abs_diff(
+                &report.outputs,
+                &plain::execute(&scheduled.program, &inputs)
+            ),
         );
         eprintln!(
             "run: keys {:.2} MiB in the session (lazy Galois keys at their ops' levels), \

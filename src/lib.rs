@@ -21,8 +21,9 @@
 //!   placement and hoisting;
 //! - [`baselines`] (`fhe-baselines`) — EVA and Hecate;
 //! - [`runtime`] (`fhe-runtime`) — the clear-value interpreter, the noise
-//!   simulator built on it and the encrypted executor, each returning its
-//!   own report;
+//!   simulator built on it and the encrypted executor, each returning only
+//!   what it computed: a caller that checks a run compares it with one
+//!   `plain::execute` of its own;
 //! - [`workloads`] (`fhe-workloads`) — SF, HCD, LR, MR, PR, MLP, Lenet-5,
 //!   Lenet-C;
 //! - [`serve`] (`fhe-serve`) — the deployment front-end: compile cache,
@@ -51,8 +52,11 @@
 //! let mut inputs = std::collections::HashMap::new();
 //! inputs.insert("x".to_string(), vec![0.5; 64]);
 //! inputs.insert("y".to_string(), vec![0.25; 64]);
-//! let run = simulate(&compiled.scheduled, &inputs, &NoiseModel::default()).unwrap();
-//! assert!(run.max_abs_error() < 1e-3);
+//! let noisy = simulate(&compiled.scheduled, &inputs, &NoiseModel::default()).unwrap();
+//!
+//! // 4. Check it against the one oracle, the clear-value interpreter.
+//! let reference = plain::execute(&program, &inputs);
+//! assert!(plain::max_abs_diff(&noisy, &reference) < 1e-3);
 //! # Ok::<(), fhe_reserve::compiler::CompileError>(())
 //! ```
 
@@ -76,7 +80,6 @@ pub mod prelude {
     pub use fhe_ir::{Builder, CompileParams, CostModel, Expr, Frac, Program, ScheduledProgram};
     pub use fhe_runtime::{
         execute_encrypted, outputs_close, plain, simulate, ExecOptions, ExecReport, NoiseModel,
-        NoisyRun,
     };
     pub use fhe_serve::{FheServer, Request, ServeError, ServerConfig};
     pub use fhe_workloads::{suite, Size, Workload};

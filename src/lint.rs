@@ -93,13 +93,6 @@ pub struct FileReport {
     pub error: Option<String>,
 }
 
-impl FileReport {
-    /// True when any file- or target-level error occurred.
-    pub fn has_error(&self) -> bool {
-        self.error.is_some() || self.targets.iter().any(|t| t.error.is_some())
-    }
-}
-
 /// Recursively collects `.fhe` files under each root (a root that is
 /// itself a file is taken as-is), sorted for deterministic output.
 ///
@@ -521,7 +514,6 @@ mod tests {
             "program t(slots=4) {\n  %0 = frob %0\n}\n",
             &LintRun::default(),
         );
-        assert!(r.has_error());
         let err = r.error.expect("parse error");
         assert!(err.contains("--> bad.fhe:2:8"), "{err}");
         assert!(err.contains('^'), "{err}");
@@ -584,7 +576,6 @@ mod tests {
         }
         assert_eq!(lint.targets[0].translation_validated, None);
         assert!(dep.targets[0].estimate.is_none());
-        assert!(lint.has_error());
     }
 
     #[test]

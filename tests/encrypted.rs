@@ -1,7 +1,8 @@
 //! Real-encryption integration: compile benchmarks with each compiler and
 //! execute them on the `fhe-ckks` backend ([`execute_encrypted`], the plain
-//! walk), checking the decrypted outputs against the plaintext reference
-//! the report carries via the shared [`outputs_close`] diff helper.
+//! walk), checking the decrypted outputs against the plaintext reference,
+//! [`plain::execute`] of the same schedule, via the shared
+//! [`outputs_close`] diff helper.
 
 use fhe_reserve::prelude::*;
 
@@ -31,7 +32,8 @@ fn encrypted_sobel_matches_reference() {
         .compile(&program, &with_output_reserve(30, 4))
         .unwrap();
     let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(128, 1)).unwrap();
-    outputs_close(&run.outputs, &run.reference, 1e-2)
+    let reference = plain::execute(&compiled.scheduled.program, &inputs);
+    outputs_close(&run.outputs, &reference, 1e-2)
         .unwrap_or_else(|e| panic!("sobel encrypted: {e}"));
 }
 
@@ -44,11 +46,12 @@ fn encrypted_linear_regression_trains() {
         .compile(&program, &with_output_reserve(35, 4))
         .unwrap();
     let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 99)).unwrap();
-    outputs_close(&run.outputs, &run.reference, 1e-2)
+    let reference = plain::execute(&compiled.scheduled.program, &inputs);
+    outputs_close(&run.outputs, &reference, 1e-2)
         .unwrap_or_else(|e| panic!("regression encrypted: {e}"));
     // The decrypted weight must match the plaintext-trained weight.
-    assert!((run.outputs[0][0] - run.reference[0][0]).abs() < 1e-2);
-    assert!(run.reference[0][0] > 0.0, "training moved the weight");
+    assert!((run.outputs[0][0] - reference[0][0]).abs() < 1e-2);
+    assert!(reference[0][0] > 0.0, "training moved the weight");
 }
 
 #[test]
@@ -77,7 +80,8 @@ fn encrypted_execution_agrees_across_compilers() {
     for c in &compilers {
         let compiled = c.compile(&program, &params).unwrap();
         let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 99)).unwrap();
-        outputs_close(&run.outputs, &run.reference, 1e-2)
+        let reference = plain::execute(&compiled.scheduled.program, &inputs);
+        outputs_close(&run.outputs, &reference, 1e-2)
             .unwrap_or_else(|e| panic!("{}: {e}", c.name()));
         outs.push(run.outputs);
     }
@@ -98,7 +102,8 @@ fn encrypted_tiny_lenet_runs_all_eleven_levels() {
         .compile(&program, &with_output_reserve(30, 4))
         .unwrap();
     let run = execute_encrypted(&compiled.scheduled, &inputs, &backend(256, 4)).unwrap();
-    outputs_close(&run.outputs, &run.reference, 0.05)
+    let reference = plain::execute(&compiled.scheduled.program, &inputs);
+    outputs_close(&run.outputs, &reference, 0.05)
         .unwrap_or_else(|e| panic!("lenet encrypted: {e}"));
     assert!(run.ops_executed > 100);
 }
@@ -140,7 +145,8 @@ fn encrypted_run_evaluates_plain_sub_expressions_in_the_clear() {
     let expected: Vec<f64> = (0..slots)
         .map(|i| xs[i] * ramp[(i + 3) % slots] + 0.5 * ramp[i])
         .collect();
-    assert_eq!(run.reference, vec![expected], "the interpreter's answer");
-    outputs_close(&run.outputs, &run.reference, 1e-4)
+    let reference = plain::execute(&scheduled.program, &inputs);
+    assert_eq!(reference, vec![expected], "the interpreter's answer");
+    outputs_close(&run.outputs, &reference, 1e-4)
         .unwrap_or_else(|e| panic!("plain sub-expressions: {e}"));
 }

@@ -150,10 +150,41 @@ fn params_and_compiler_id_are_part_of_the_key() {
 }
 
 #[test]
+fn compilers_sharing_a_label_do_not_share_entries() {
+    let cache = CompileCache::new(None);
+    let p = text::parse(&program_text("labels")).unwrap();
+    let params = CompileParams::new(30);
+    let hit = |compiler: &dyn fhe_ir::ScaleCompiler| {
+        cache.get_or_compile(&p, &params, compiler).unwrap().hit
+    };
+
+    // Both Hecates are labelled "Hecate", but the budget changes what
+    // exploration finds: the default must not be served the small one's
+    // schedule.
+    assert!(!hit(&fhe_baselines::HecateCompiler::with_budget(100)));
+    assert!(!hit(&fhe_baselines::HecateCompiler::default()));
+
+    // Both are "This work"; the ordering ablation is a different compiler.
+    assert!(!hit(&ReserveCompiler::full()));
+    let naive = ReserveCompiler {
+        ordering: reserve_core::OrderingStrategy::ReverseTopological,
+        ..ReserveCompiler::full()
+    };
+    assert!(!hit(&naive));
+
+    // The server's two ids for the full reserve compiler share its entry.
+    for id in ["reserve", "this-work"] {
+        let compiler = fhe_serve::compiler_for(id).expect("a known id");
+        assert!(hit(compiler.as_ref()), "{id}");
+    }
+    assert_eq!(cache.stats().entries, 4);
+}
+
+#[test]
 fn eager_key_sets_are_cached_per_depth_not_just_per_steps() {
     use fhe_ir::key_levels;
     use fhe_ir::pipeline::ScaleCompiler;
-    use fhe_runtime::{outputs_close, KeyPolicy, ParOptions};
+    use fhe_runtime::{outputs_close, plain, KeyPolicy, ParOptions};
     use fhe_serve::{FheServer, Request, ServerConfig};
 
     // Two texts over one chain with the same rotation step: `shallow`
@@ -202,6 +233,7 @@ fn eager_key_sets_are_cached_per_depth_not_just_per_steps() {
         fusion: true,
     });
     for program in [shallow, deep] {
+        let reference = plain::execute(&text::parse(&program).unwrap(), &inputs());
         let response = server
             .submit(Request {
                 session,
@@ -214,7 +246,7 @@ fn eager_key_sets_are_cached_per_depth_not_just_per_steps() {
             .expect("submits")
             .wait()
             .expect("keys that reach every level");
-        outputs_close(&response.outputs, &response.reference, 1e-2).expect("accurate");
+        outputs_close(&response.outputs, &reference, 1e-2).expect("accurate");
     }
     let stats = server.stats();
     assert_eq!(stats.failed, 0);

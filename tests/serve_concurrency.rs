@@ -14,7 +14,7 @@ use std::sync::Arc;
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::{text, CompileParams};
 use fhe_runtime::{
-    execute_with_keys, outputs_close, ExecOptions, KeyPolicy, ParOptions, SessionKeys,
+    execute_with_keys, outputs_close, plain, ExecOptions, KeyPolicy, ParOptions, SessionKeys,
 };
 use fhe_serve::{request_seed, FheServer, Request, ServerConfig};
 
@@ -71,16 +71,18 @@ fn serial_reference(keys_policy: &KeyPolicy) -> Vec<Vec<Vec<Vec<f64>>>> {
             let keys = SessionKeys::for_schedule(&scheduled, &options).expect("valid schedule");
             (0..REQUESTS)
                 .map(|i| {
+                    let inputs = inputs_for(s, i);
                     let report = execute_with_keys(
                         &scheduled,
-                        &inputs_for(s, i),
+                        &inputs,
                         &options,
                         &keys,
                         None,
                         request_seed(session_seed(s), i as u64),
                     )
                     .expect("executes");
-                    outputs_close(&report.outputs, &report.reference, 1e-2).expect("accurate");
+                    let reference = plain::execute(&scheduled.program, &inputs);
+                    outputs_close(&report.outputs, &reference, 1e-2).expect("accurate");
                     report.outputs
                 })
                 .collect()

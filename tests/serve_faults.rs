@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use fhe_fuzz::corpus::parse_case;
 use fhe_ir::text;
-use fhe_runtime::{outputs_close, ExecOptions, ParOptions};
+use fhe_runtime::{outputs_close, plain, ExecOptions, ParOptions};
 use fhe_serve::{FheServer, Request, ServeError, ServerConfig};
 
 /// The replay-corpus reproducer driving the fault: `wrap_mul_const_chain`
@@ -42,6 +42,11 @@ fn options(seed: u64, degree: usize) -> ParOptions {
         workers: 1,
         fusion: true,
     }
+}
+
+/// The plaintext reference a client holds for `request`.
+fn reference(request: &Request) -> Vec<Vec<f64>> {
+    plain::execute(&text::parse(&request.program).unwrap(), &request.inputs)
 }
 
 fn good_inputs(slots: usize) -> HashMap<String, Vec<f64>> {
@@ -82,7 +87,12 @@ fn panicking_request_quarantines_only_its_session() {
     let before = server
         .call(request(bystander, good_inputs(slots)))
         .expect("bystander serves");
-    outputs_close(&before.outputs, &before.reference, 1e-2).expect("accurate");
+    outputs_close(
+        &before.outputs,
+        &reference(&request(bystander, good_inputs(slots))),
+        1e-2,
+    )
+    .expect("accurate");
 
     // The fault: submit the reproducer with its input binding missing.
     // The executor panics (`missing input binding`); the service must
@@ -112,7 +122,8 @@ fn panicking_request_quarantines_only_its_session() {
             .call(request(bystander, good_inputs(slots)))
             .expect("bystander unaffected by the quarantine");
         assert!(after.cache_hit, "compile cache survived the panic");
-        outputs_close(&after.outputs, &after.reference, 1e-2).expect("accurate");
+        let expected = reference(&request(bystander, good_inputs(slots)));
+        outputs_close(&after.outputs, &expected, 1e-2).expect("accurate");
     }
 
     // Stats are coherent: the panic and the quarantined retry are the
@@ -194,7 +205,8 @@ fn keygen_panic_from_client_params_is_caught_at_the_boundary() {
     let ok = server
         .call(request(bystander, fhe_ir::CompileParams::new(30)))
         .expect("worker survives a pre-execution panic");
-    outputs_close(&ok.outputs, &ok.reference, 1e-2).expect("accurate");
+    let expected = reference(&request(bystander, fhe_ir::CompileParams::new(30)));
+    outputs_close(&ok.outputs, &expected, 1e-2).expect("accurate");
     server.shutdown();
 }
 
@@ -242,7 +254,8 @@ fn a_non_finite_input_slot_is_a_typed_error_not_a_quarantine() {
         let ok = server
             .call(request(good_inputs(slots)))
             .expect("session survives its own bad input");
-        outputs_close(&ok.outputs, &ok.reference, 1e-2).expect("accurate");
+        let expected = reference(&request(good_inputs(slots)));
+        outputs_close(&ok.outputs, &expected, 1e-2).expect("accurate");
     }
 
     let stats = server.stats();
@@ -287,7 +300,7 @@ fn an_overflowing_constant_is_a_parse_error_not_a_quarantine() {
         let ok = server
             .call(request("0.5"))
             .expect("session survives its own bad program text");
-        outputs_close(&ok.outputs, &ok.reference, 1e-2).expect("accurate");
+        outputs_close(&ok.outputs, &reference(&request("0.5")), 1e-2).expect("accurate");
     }
     let stats = server.stats();
     assert_eq!((stats.requests, stats.failed), (4, 2));
@@ -301,6 +314,14 @@ struct GatedCompiler {
     inner: reserve_core::ReserveCompiler,
     claimed: mpsc::Sender<()>,
     release: mpsc::Receiver<()>,
+}
+
+/// Renders as the wrapped compiler, so it compiles under that compiler's
+/// cache key.
+impl std::fmt::Debug for GatedCompiler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.inner.fmt(f)
+    }
 }
 
 impl fhe_ir::ScaleCompiler for GatedCompiler {

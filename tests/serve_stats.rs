@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use fhe_ir::{text, CompileParams};
-use fhe_runtime::{outputs_close, ExecOptions, KeyPolicy, MemStats, ParOptions};
+use fhe_runtime::{outputs_close, plain, ExecOptions, KeyPolicy, MemStats, ParOptions};
 use fhe_serve::{FheServer, Request, Response, ServerConfig};
 
 const SLOTS: usize = 64;
@@ -58,6 +58,7 @@ fn serve_stats_reconcile_with_per_request_trace_deltas() {
         ..ServerConfig::default()
     });
     let text = rotsum_text();
+    let program = text::parse(&text).unwrap();
     let sessions: Vec<_> = (0..SESSIONS)
         .map(|s| {
             server.create_session(ParOptions {
@@ -87,7 +88,8 @@ fn serve_stats_reconcile_with_per_request_trace_deltas() {
                     deadline: None,
                 })
                 .expect("request succeeds");
-            outputs_close(&resp.outputs, &resp.reference, 1e-2).expect("accurate");
+            let reference = plain::execute(&program, &inputs_for(s, i));
+            outputs_close(&resp.outputs, &reference, 1e-2).expect("accurate");
             responses[s].push(resp);
         }
     }
