@@ -73,7 +73,7 @@ fn main() {
             .scheduled
             .validate()
             .expect("compiled schedules validate");
-        let est = fhe_ir::depgraph::analyze(&out.scheduled, &map, &calibrated, true);
+        let est = fhe_ir::DepGraph::build(&out.scheduled, &map, &calibrated, true).estimate();
         cp_rows.push(vec![
             w.name.to_string(),
             format!("{:.0}", est.work_us),

@@ -381,19 +381,6 @@ pub fn report_json(report: &CompileReport) -> Json {
                 ("work_us", Json::from(report.parallelism.work_us)),
                 ("span_us", Json::from(report.parallelism.span_us)),
                 ("max_width", Json::from(report.parallelism.max_width)),
-                (
-                    "t_of_k",
-                    Json::Array(
-                        report
-                            .parallelism
-                            .t_of_k
-                            .iter()
-                            .map(|&(k, t)| {
-                                Json::obj([("k", Json::from(k)), ("t_us", Json::from(t))])
-                            })
-                            .collect(),
-                    ),
-                ),
             ]),
         ),
         (

@@ -14,15 +14,18 @@
 //!   `estimated_latency_us`),
 //! - **span** — the critical path, the latency floor at unbounded width,
 //! - **`max_width`** — the peak number of concurrently running costed ops
-//!   under an unbounded-width earliest-start schedule, and
-//! - **`T(k)`** — a per-width latency profile from greedy critical-path
-//!   list scheduling with `k` workers (`T(1)` = work, `T(∞)` → span).
+//!   under an unbounded-width earliest-start schedule.
 //!
-//! The result is packaged as a [`ParallelismEstimate`] carried by every
-//! `CompileReport`, and the DAG itself is what the parallel-safety checker
-//! in `fhe-analysis` proves race-freedom over: every reader of a ciphertext
-//! is an ancestor of the op that frees it, so *any* topological-order-
-//! respecting parallel execution observes the free after the last read.
+//! Span and width are read off one longest-path sweep, and
+//! [`DepGraph::estimate`] packages all three as the [`ParallelismEstimate`]
+//! every `CompileReport` carries. [`DepGraph::t_of_k`] prices a particular
+//! width on demand: greedy critical-path list scheduling with `k` workers
+//! (`T(1)` = work, `T(∞)` → span).
+//!
+//! The DAG itself is what the parallel-safety checker in `fhe-analysis`
+//! proves race-freedom over: every reader of a ciphertext is an ancestor of
+//! the op that frees it, so *any* topological-order-respecting parallel
+//! execution observes the free after the last read.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -96,7 +99,7 @@ pub struct DepNode {
 
 /// Static parallelism profile of a compiled program, reported next to the
 /// memory estimate in every `CompileReport`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParallelismEstimate {
     /// Total latency of all live ops (µs) — the one-worker execution time.
     pub work_us: f64,
@@ -105,21 +108,6 @@ pub struct ParallelismEstimate {
     /// Peak number of concurrently running costed ops under an
     /// unbounded-width earliest-start schedule.
     pub max_width: usize,
-    /// Greedy list-schedule latency at power-of-two worker counts:
-    /// `(k, T(k) µs)` pairs with `k = 1, 2, 4, …` up to the first power of
-    /// two at or above `max_width`.
-    pub t_of_k: Vec<(usize, f64)>,
-}
-
-impl Default for ParallelismEstimate {
-    fn default() -> Self {
-        ParallelismEstimate {
-            work_us: 0.0,
-            span_us: 0.0,
-            max_width: 0,
-            t_of_k: vec![(1, 0.0)],
-        }
-    }
 }
 
 impl ParallelismEstimate {
@@ -305,11 +293,6 @@ impl DepGraph {
         self.free_at.get(id.index()).copied().flatten()
     }
 
-    /// Total work: the summed cost of all nodes (µs).
-    pub fn work_us(&self) -> f64 {
-        self.nodes.iter().map(|n| n.cost_us).sum()
-    }
-
     /// Earliest finish time of every node under unbounded width (the
     /// longest-path DP; the maximum entry is the span).
     fn earliest_finish(&self) -> Vec<f64> {
@@ -322,11 +305,6 @@ impl DepGraph {
             finish[i] = start + self.nodes[i].cost_us;
         }
         finish
-    }
-
-    /// Span: the cost of the critical path (µs). Zero for empty programs.
-    pub fn span_us(&self) -> f64 {
-        self.earliest_finish().iter().fold(0.0f64, |a, &b| a.max(b))
     }
 
     /// The ops of one critical path, in execution order.
@@ -358,32 +336,10 @@ impl DepGraph {
         path
     }
 
-    /// Peak number of concurrently running costed ops under the
-    /// unbounded-width earliest-start schedule.
-    pub fn max_width(&self) -> usize {
-        let finish = self.earliest_finish();
-        // Sweep (time, delta) events; at equal times process departures
-        // before arrivals so back-to-back ops do not count as overlapping.
-        let mut events: Vec<(f64, i32)> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.cost_us > 0.0 {
-                events.push((finish[i] - node.cost_us, 1));
-                events.push((finish[i], -1));
-            }
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut cur = 0i32;
-        let mut peak = 0i32;
-        for (_, d) in events {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak.max(0) as usize
-    }
-
     /// Latency of a greedy critical-path list schedule with `k` workers
-    /// (µs). `T(1)` equals [`DepGraph::work_us`]; `T(k)` is nonincreasing
-    /// in `k` and bounded below by [`DepGraph::span_us`].
+    /// (µs). `T(1)` equals [`ParallelismEstimate::work_us`]; `T(k)` is
+    /// nonincreasing in `k` and bounded below by
+    /// [`ParallelismEstimate::span_us`].
     pub fn t_of_k(&self, k: usize) -> f64 {
         self.list_schedule(&self.costs(), k)
     }
@@ -403,7 +359,7 @@ impl DepGraph {
     /// Panics unless `costs` has one entry per node.
     pub fn list_schedule(&self, costs: &[f64], k: usize) -> f64 {
         assert_eq!(costs.len(), self.nodes.len(), "one cost per node");
-        self.schedule(costs, &self.bottom_levels(costs), k)
+        self.schedule(costs, k)
     }
 
     fn costs(&self) -> Vec<f64> {
@@ -436,8 +392,9 @@ impl DepGraph {
     /// nonnegative, so the earliest worker time never decreases and an
     /// available node stays available: each node moves pending → available
     /// at most once, and the pick is the one a full scan would make.
-    fn schedule(&self, costs: &[f64], bottom: &[f64], k: usize) -> f64 {
+    fn schedule(&self, costs: &[f64], k: usize) -> f64 {
         let n = self.nodes.len();
+        let bottom = self.bottom_levels(costs);
         // A worker beyond the n-th would never leave time zero.
         let mut workers: BinaryHeap<Reverse<Us>> = (0..k.clamp(1, n.max(1)))
             .map(|_| Reverse(Us(0.0)))
@@ -481,25 +438,30 @@ impl DepGraph {
         makespan
     }
 
-    /// Packages work, span, width and the `T(k)` profile into the report
-    /// artifact.
+    /// Work, span and width, the last two read off one longest-path
+    /// sweep.
     pub fn estimate(&self) -> ParallelismEstimate {
-        let work_us = self.work_us();
-        let span_us = self.span_us();
-        let max_width = self.max_width();
-        let costs = self.costs();
-        let bottom = self.bottom_levels(&costs);
-        let mut t_of_k = vec![(1, self.schedule(&costs, &bottom, 1))];
-        let mut k = 2;
-        while k / 2 < max_width {
-            t_of_k.push((k, self.schedule(&costs, &bottom, k)));
-            k *= 2;
+        let finish = self.earliest_finish();
+        // Sweep (time, delta) events; at equal times process departures
+        // before arrivals so back-to-back ops do not count as overlapping.
+        let mut events: Vec<(f64, i32)> = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.cost_us > 0.0 {
+                events.push((finish[i] - node.cost_us, 1));
+                events.push((finish[i], -1));
+            }
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut cur = 0i32;
+        let mut peak = 0i32;
+        for (_, d) in events {
+            cur += d;
+            peak = peak.max(cur);
         }
         ParallelismEstimate {
-            work_us,
-            span_us,
-            max_width,
-            t_of_k,
+            work_us: self.nodes.iter().map(|n| n.cost_us).sum(),
+            span_us: finish.iter().fold(0.0f64, |a, &b| a.max(b)),
+            max_width: peak.max(0) as usize,
         }
     }
 
@@ -626,16 +588,6 @@ impl DepConsumer {
     }
 }
 
-/// Convenience: builds the DAG and returns its [`ParallelismEstimate`].
-pub fn analyze(
-    scheduled: &ScheduledProgram,
-    map: &ScaleMap,
-    model: &CostModel,
-    hoist_rotations: bool,
-) -> ParallelismEstimate {
-    DepGraph::build(scheduled, map, model, hoist_rotations).estimate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,10 +665,11 @@ mod tests {
         let g = graph(p);
         let est = g.estimate();
         assert!(est.span_us <= est.work_us + 1e-9);
-        assert!((est.t_of_k[0].1 - est.work_us).abs() < 1e-9, "T(1) == work");
+        assert!((g.t_of_k(1) - est.work_us).abs() < 1e-9, "T(1) == work");
         let mut prev = f64::INFINITY;
-        for &(_, t) in &est.t_of_k {
-            assert!(t <= prev + 1e-9, "T(k) nonincreasing: {:?}", est.t_of_k);
+        for k in [1, 2, 4, 8] {
+            let t = g.t_of_k(k);
+            assert!(t <= prev + 1e-9, "T({k}) = {t} rises above {prev}");
             assert!(t >= est.span_us - 1e-9, "T(k) >= span");
             prev = t;
         }
@@ -817,7 +770,7 @@ mod tests {
         assert_eq!(count(&hoisted), 2, "two members follow the leader");
         assert_eq!(count(&flat), 0);
         // Hoisting serializes the group: span must not shrink.
-        assert!(hoisted.span_us() >= flat.span_us() - 1e-9);
+        assert!(hoisted.estimate().span_us >= flat.estimate().span_us - 1e-9);
     }
 
     #[test]
@@ -838,11 +791,8 @@ mod tests {
             .iter()
             .map(|&id| model.op_cost(&s.program, id, &map))
             .sum();
-        assert!(
-            (total - g.span_us()).abs() < 1e-6,
-            "path {total} vs span {}",
-            g.span_us()
-        );
+        let span = g.estimate().span_us;
+        assert!((total - span).abs() < 1e-6, "path {total} vs span {span}");
     }
 
     #[test]
@@ -897,7 +847,8 @@ mod tests {
         assert_eq!(est.work_us, 0.0);
         assert_eq!(est.span_us, 0.0);
         assert_eq!(est.max_width, 0);
-        assert_eq!(est.t_of_k, vec![(1, 0.0)]);
+        assert_eq!(g.t_of_k(1), 0.0);
+        assert_eq!(est, ParallelismEstimate::default());
         assert_eq!(est.parallelism(), 1.0);
     }
 }

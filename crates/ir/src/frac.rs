@@ -104,11 +104,6 @@ impl Frac {
         self + Frac::ONE - Frac::from(self.ceil())
     }
 
-    /// Conventional fractional part `x − ⌊x⌋`, in `[0, 1)`.
-    pub fn fract(self) -> Frac {
-        self - Frac::from(self.floor())
-    }
-
     /// Smaller of two values.
     pub fn min(self, other: Frac) -> Frac {
         if self <= other {

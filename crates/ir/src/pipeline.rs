@@ -404,9 +404,9 @@ pub struct CompileReport {
     /// runtime convention `N = 2 × slots`). The fuzz oracle asserts this
     /// dominates every measured execution peak.
     pub memory: crate::memory::MemoryEstimate,
-    /// Static parallelism profile of the schedule's dependence DAG:
-    /// work/span, maximum width, and the `T(k)` latency-at-width curve —
-    /// the `depgraph` phase's, or the default when none ran.
+    /// Static parallelism profile of the schedule's dependence DAG: work,
+    /// span and maximum width — the `depgraph` phase's, or the default when
+    /// none ran.
     /// The fuzz oracle asserts span ≤ work and that a single-threaded
     /// measured run dominates the calibrated span.
     pub parallelism: crate::depgraph::ParallelismEstimate,

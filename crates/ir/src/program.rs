@@ -266,12 +266,6 @@ impl<'a> ProgramEditor<'a> {
         self.dest.set_outputs(outputs);
         self.dest
     }
-
-    /// Finishes with explicit outputs (already destination ids).
-    pub fn finish_with_outputs(mut self, outputs: Vec<ValueId>) -> Program {
-        self.dest.set_outputs(outputs);
-        self.dest
-    }
 }
 
 #[cfg(test)]

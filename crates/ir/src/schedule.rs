@@ -367,15 +367,6 @@ impl ScheduledProgram {
         }
     }
 
-    /// The modulus level fresh encryptions need (max level of any value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule does not validate.
-    pub fn modulus_level(&self) -> u32 {
-        self.validate().expect("schedule must validate").max_level()
-    }
-
     /// Number of scale-management ops the compiler inserted, by kind:
     /// `(rescale, modswitch, upscale)`.
     pub fn scale_management_counts(&self) -> (usize, usize, usize) {

@@ -600,12 +600,16 @@ mod tests {
         let r = depgraph_file("q.fhe", src, &LintRun::default(), &model, true);
         assert!(r.error.is_none());
         assert_eq!(r.targets.len(), 3);
-        for t in &r.targets {
+        let (_, targets) = parse_file("q.fhe", src, &LintRun::default()).expect("parses");
+        for (t, target) in r.targets.iter().zip(&targets) {
             assert!(t.error.is_none(), "{}: {:?}", t.target, t.error);
             let est = t.estimate.as_ref().expect("estimate");
             assert!(est.span_us > 0.0 && est.span_us <= est.work_us + 1e-9);
             assert!(est.max_width >= 1);
-            assert_eq!(est.t_of_k.first().map(|&(k, _)| k), Some(1));
+            let scheduled = target.schedule().expect("compiles");
+            let map = scheduled.validate().expect("valid schedule");
+            let graph = fhe_ir::DepGraph::build(scheduled, &map, &model, true);
+            assert!((graph.t_of_k(1) - est.work_us).abs() < 1e-9, "T(1) == work");
             let dot = t.dot.as_ref().expect("dot requested");
             assert!(dot.starts_with("digraph"), "{dot}");
         }

@@ -9,7 +9,7 @@
 //! exact order-statistic it approximates.
 //!
 //! The determinism tests pin that `CostModel::from_bench_json` and the
-//! depgraph `T(k)` profile are pure functions of their inputs — bitwise
+//! depgraph estimate and `T(k)` are pure functions of their inputs — bitwise
 //! identical no matter how many threads concurrently recompute them —
 //! so `fhe-serve` can cache and share `CompileReport`s across sessions
 //! without cross-request nondeterminism.
@@ -141,8 +141,8 @@ const BENCH_JSON: &str = r#"{
   ]
 }"#;
 
-/// A program with genuine width so `T(k)` has more than one entry: four
-/// independent products reduced by a tree of additions.
+/// A program with genuine width so `T(2)` beats `T(1)`: four independent
+/// products reduced by a tree of additions.
 fn wide_program() -> fhe_ir::Program {
     let b = fhe_ir::Builder::new("tk-determinism", 8);
     let xs: Vec<_> = (0..8).map(|i| b.input(format!("x{i}"))).collect();
@@ -154,13 +154,17 @@ fn wide_program() -> fhe_ir::Program {
     b.finish(vec![out])
 }
 
-fn estimate_once(model: &CostModel) -> fhe_ir::depgraph::ParallelismEstimate {
+/// The static estimate and the bits of `T(k)` at the widths in `WIDTHS`.
+fn estimate_once(model: &CostModel) -> (fhe_ir::depgraph::ParallelismEstimate, [u64; 4]) {
     let compiled = ReserveCompiler::full()
         .compile(&wide_program(), &CompileParams::new(30))
         .expect("compiles");
     let map = compiled.scheduled.validate().expect("validates");
-    DepGraph::build(&compiled.scheduled, &map, model, false).estimate()
+    let graph = DepGraph::build(&compiled.scheduled, &map, model, false);
+    (graph.estimate(), WIDTHS.map(|k| graph.t_of_k(k).to_bits()))
 }
+
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn bench_json_model_and_t_of_k_are_deterministic_across_thread_counts() {
@@ -186,11 +190,14 @@ fn bench_json_model_and_t_of_k_are_deterministic_across_thread_counts() {
     // main thread's — no hidden dependence on runtime parallelism.
     let baseline = estimate_once(&model);
     assert!(
-        baseline.max_width >= 2,
+        baseline.0.max_width >= 2,
         "workload must expose parallelism, got width {}",
-        baseline.max_width
+        baseline.0.max_width
     );
-    assert!(baseline.t_of_k.len() >= 2, "profile has multiple widths");
+    assert!(
+        f64::from_bits(baseline.1[1]) < f64::from_bits(baseline.1[0]),
+        "T(2) below T(1)"
+    );
     for threads in [1usize, 2, 4] {
         let results: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
@@ -198,17 +205,13 @@ fn bench_json_model_and_t_of_k_are_deterministic_across_thread_counts() {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for est in results {
+        for (est, t_of_k) in results {
             assert_eq!(
-                est, baseline,
+                est, baseline.0,
                 "estimate differs when recomputed under {threads} threads"
             );
-            for (&(k, t), &(bk, bt)) in est.t_of_k.iter().zip(baseline.t_of_k.iter()) {
-                assert_eq!(
-                    (k, t.to_bits()),
-                    (bk, bt.to_bits()),
-                    "T({k}) not bitwise equal"
-                );
+            for ((k, t), bt) in WIDTHS.iter().zip(t_of_k).zip(baseline.1) {
+                assert_eq!(t, bt, "T({k}) not bitwise equal");
             }
         }
     }
