@@ -133,7 +133,7 @@ pub fn registry() -> &'static [LintInfo] {
             summary: "over-provisioned keys: rotation keys were requested for steps the \
                       schedule never rotates by",
             explanation: "Each requested rotation step costs a full Galois key of key-switch \
-                          material (2·⌈L/α⌉·(L+α) limbs), the dominant per-step memory term. F006 \
+                          material (⌈L/α⌉·(L+α) limbs), the dominant per-step memory term. F006 \
                           compares the requested step set against the schedule's rotations \
                           modulo the slot count (a residue class shares one key; class 0 is \
                           the identity and needs none) and warns on surplus keys. Fix: prune \
@@ -368,7 +368,7 @@ pub fn lint_scheduled(
     }
 
     // F006: requested rotation-key steps the schedule never uses. A Galois
-    // key is the dominant per-step memory term (2·⌈L/α⌉·(L+α) limbs of
+    // key is the dominant per-step memory term (⌈L/α⌉·(L+α) limbs of
     // key-switch material), so provisioning keys for steps the schedule
     // cannot rotate by is pure working-set waste. Steps are compared by
     // `rotation_class`: a class shares one key, and the identity needs no

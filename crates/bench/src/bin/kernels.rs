@@ -2,7 +2,7 @@
 //! `u128 %` reference kernels they replaced (DESIGN.md § Kernel
 //! optimization).
 //!
-//! Five groups, each reported as latency plus speedup over its baseline:
+//! Six groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
 //!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
@@ -10,6 +10,12 @@
 //! - **ntt** — forward/inverse negacyclic NTT at `N = 2^12` and `2^13`
 //!   over a 60-bit prime: Harvey lazy butterflies vs the exact-reduction
 //!   reference transforms.
+//! - **expand** — one limb of a key's or mask's uniform half expanded from
+//!   its seed and reduced ([`fhe_ckks::uniform`]) at `N = 2^13` over a
+//!   60-bit prime, against the forward NTT of one limb. Keygen and
+//!   encryption expand a limb per digit and limb, and a key switch the same
+//!   stream unreduced, so the run **fails** if `expand / NTT` exceeds
+//!   [`EXPAND_NTT_RATIO_MAX`].
 //! - **fanout** — `RnsPoly::to_ntt`/`to_coeff` over a full modulus chain,
 //!   serial (`threads = 1`) vs the host's worker threads (at least 2, so
 //!   the row measures the fan-out even on a one-core host, where it can
@@ -47,6 +53,7 @@ use fhe_bench::{gate, print_table, CliArgs};
 use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
 use fhe_ckks::poly::RnsPoly;
+use fhe_ckks::uniform::UniformStream;
 use fhe_ckks::{encrypt_symmetric, CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
 use fhe_ir::json::Json;
 use rand::rngs::StdRng;
@@ -75,6 +82,12 @@ fn time_rotation_us(reps: usize, kernels: &mut [&mut dyn FnMut()]) -> Vec<f64> {
 /// the ratio near 3; 78 was measured when the conversion ran a modular
 /// inversion per coefficient per limb.
 const ENCODE_NTT_RATIO_MAX: f64 = 6.0;
+
+/// Ceiling on `expand / forward NTT`, one limb each at `N = 2^13`. The
+/// eight-lane sampler with its one-word Barrett reduction measures
+/// 0.14–0.20 (the key switch skips the reduction and pays less); one
+/// `gen_range` draw per coefficient, a division each, measured about 0.5.
+const EXPAND_NTT_RATIO_MAX: f64 = 0.35;
 
 /// Ceiling on `hoisted4 / (4 × rotate)`. A group pays the decomposition
 /// (`⌈l/α⌉·(l+α)` NTTs) once and `2(l+α)` NTTs plus the inner product per
@@ -215,6 +228,34 @@ fn main() -> ExitCode {
             name: format!("inverse 2^{log_n} harvey"),
             us: harvey_inv,
             baseline_us: ref_inv,
+        });
+    }
+
+    // --- expand: one seeded limb against one forward NTT, at 2^13. ---
+    let n = 1usize << 13;
+    let q = Modulus::new(fhe_ckks::primes::ntt_primes(60, n, 1)[0]);
+    let table = NttTable::new(q, n);
+    let mut ntt_limb: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % q.value()).collect();
+    let mut expanded = vec![0u64; n];
+    let mut seed = 0u64;
+    let best = time_rotation_us(
+        reps,
+        &mut [&mut || table.forward(&mut ntt_limb), &mut || {
+            seed += 1;
+            UniformStream::new(seed, 0).fill(q, &mut expanded);
+            black_box(&expanded);
+        }],
+    );
+    let expand_ntt_ratio = best[1] / best[0];
+    for (name, us) in ["forward NTT 2^13 x 1 limb", "expand a 2^13 x 1 limb"]
+        .into_iter()
+        .zip(best.iter().copied())
+    {
+        rows.push(Row {
+            group: "expand",
+            name: name.into(),
+            us,
+            baseline_us: best[0],
         });
     }
 
@@ -409,6 +450,9 @@ fn main() -> ExitCode {
         "encode / (forward NTT x 6 limbs): {encode_ntt_ratio:.2} (must not exceed {ENCODE_NTT_RATIO_MAX})"
     );
     println!(
+        "expand / forward NTT (1 limb): {expand_ntt_ratio:.2} (must not exceed {EXPAND_NTT_RATIO_MAX})"
+    );
+    println!(
         "hoisted x4 / (4 x rotate): {hoisted4_rotate_ratio:.2} (must not exceed {HOISTED4_ROTATE_RATIO_MAX})"
     );
     println!("rotate / mul: {rotate_mul_ratio:.2} (must not exceed {ROTATE_MUL_RATIO_MAX})");
@@ -422,6 +466,7 @@ fn main() -> ExitCode {
         ("reps", Json::from(reps)),
         ("host_cores", Json::from(host_cores)),
         ("encode_ntt_ratio", Json::from(encode_ntt_ratio)),
+        ("expand_ntt_ratio", Json::from(expand_ntt_ratio)),
         ("hoisted4_rotate_ratio", Json::from(hoisted4_rotate_ratio)),
         ("rotate_mul_ratio", Json::from(rotate_mul_ratio)),
         ("rotate_l9_ntt_ratio", Json::from(rotate_l9_ntt_ratio)),
@@ -447,6 +492,13 @@ fn main() -> ExitCode {
             format!(
                 "an encode costs {encode_ntt_ratio:.1}x the forward NTT of its limbs (ceiling {ENCODE_NTT_RATIO_MAX}): \
                  the float->RNS conversion is doing more than arithmetic per coefficient"
+            ),
+        ),
+        (
+            expand_ntt_ratio <= EXPAND_NTT_RATIO_MAX,
+            format!(
+                "expanding a limb from its seed costs {expand_ntt_ratio:.2}x a forward NTT (ceiling {EXPAND_NTT_RATIO_MAX}): \
+                 the sampler is dividing or drawing one lane at a time"
             ),
         ),
         (

@@ -64,7 +64,8 @@ fn encrypt_symmetric_impl(
     pool: Option<&PolyPool>,
 ) -> Ciphertext {
     let l = c0.level();
-    let a = RnsPoly::uniform_prefix_in(pool, ctx, l, false, rng).expect("a ciphertext level");
+    // The mask: the first `l` limbs of the uniform polynomial of one seed.
+    let a = RnsPoly::expand_uniform_in(pool, ctx, l, false, rng.gen());
     let mut e = RnsPoly::gaussian(ctx, l, false, rng);
     e.to_ntt(ctx);
     // c0 = m + e − a·s, against the first `l` limbs of the full-basis

@@ -76,11 +76,12 @@ pub fn decomposition_limbs(level: usize, max_level: usize) -> usize {
 }
 
 /// Limb polynomials of one key-switching key of level `l_k` under a chain
-/// of `max_level` primes: a pair per digit a level-`l_k` key switch reads,
-/// over `Q_{l_k}·P`, `2·⌈l_k/α⌉·(l_k+α)` in all (`2·⌈L/α⌉·(L+α)` at full
-/// depth, 0 at level 0 — a key no op switches with).
+/// of `max_level` primes: one `k0` per digit a level-`l_k` key switch reads,
+/// over `Q_{l_k}·P`, `⌈l_k/α⌉·(l_k+α)` in all (`⌈L/α⌉·(L+α)` at full
+/// depth, 0 at level 0 — a key no op switches with). The uniform halves are
+/// seeds, not limbs ([`crate::KswKey`]).
 pub fn ksw_key_limbs(key_level: usize, max_level: usize) -> usize {
-    2 * decomposition_limbs(key_level, max_level)
+    decomposition_limbs(key_level, max_level)
 }
 
 /// The fast base conversion out of one key-switch digit (ModUp). The digit
@@ -434,13 +435,13 @@ mod tests {
     fn key_switch_closed_forms() {
         // (L, α, digits at L, key limb polynomials).
         for (big_l, alpha, digits, key) in [
-            (1, 1, 1, 4),
-            (2, 1, 2, 12),
-            (3, 1, 3, 24),
-            (4, 2, 2, 24),
-            (5, 2, 3, 42),
-            (9, 3, 3, 72),
-            (10, 4, 3, 84),
+            (1, 1, 1, 2),
+            (2, 1, 2, 6),
+            (3, 1, 3, 12),
+            (4, 2, 2, 12),
+            (5, 2, 3, 21),
+            (9, 3, 3, 36),
+            (10, 4, 3, 42),
         ] {
             assert_eq!(special_prime_count(big_l), alpha);
             assert_eq!(key_switch_digits(big_l, big_l), digits);
@@ -450,8 +451,8 @@ mod tests {
         assert_eq!(key_switch_digits(4, 9), 2);
         assert_eq!(decomposition_limbs(4, 9), 2 * 7);
         // Level-sized keys: `pr-deep`'s rotations at levels 3 and 5 of 9.
-        assert_eq!(ksw_key_limbs(5, 9), 32);
-        assert_eq!(ksw_key_limbs(3, 9), 12);
+        assert_eq!(ksw_key_limbs(5, 9), 16);
+        assert_eq!(ksw_key_limbs(3, 9), 6);
         assert_eq!(ksw_key_limbs(0, 9), 0);
     }
 

@@ -537,8 +537,9 @@ impl<'c> Evaluator<'c> {
     /// product: given the digits of `d` and a key for source secret `t`,
     /// returns `(k0, k1)` with `k0 + k1·s ≈ σ(d)·t` at `d`'s level, where
     /// `σ` is the automorphism whose index table is `perm` (`None` for
-    /// relinearization). Accumulates over `Q_l·P`
-    /// ([`RnsPoly::key_switch_dot`]) and divides by `P` (ModDown,
+    /// relinearization). Accumulates over `Q_l·P`, expanding the key's
+    /// uniform halves from their seeds on the way
+    /// ([`RnsPoly::key_switch_dot`]), and divides by `P` (ModDown,
     /// [`RnsPoly::rescale_special_in`]).
     fn inner_product(
         &self,
@@ -548,7 +549,7 @@ impl<'c> Evaluator<'c> {
     ) -> (RnsPoly, RnsPoly) {
         let (ctx, pool) = (self.ctx, &*self.pool);
         let (mut k0, mut k1) =
-            RnsPoly::key_switch_dot(pool, ctx, &digits.digits, &key.k0, &key.k1, perm);
+            RnsPoly::key_switch_dot(pool, ctx, &digits.digits, &key.k0, &key.seeds, perm);
         k0.rescale_special_in(ctx, pool);
         k1.rescale_special_in(ctx, pool);
         (k0, k1)
@@ -1015,7 +1016,8 @@ mod key_switch_tests {
     /// reference kernels: every digit lifted by the fast base conversion
     /// and transformed whole (its own limbs included), permuted by the
     /// coefficient-domain automorphism, accumulated with one eager reduction
-    /// per product, and divided by `P` coefficient by coefficient. Every
+    /// per product against the key's `a` halves materialized from their
+    /// seeds, and divided by `P` coefficient by coefficient. Every
     /// conversion constant is rebuilt here from the primes.
     fn key_switch_reference(
         ctx: &CkksContext,
@@ -1057,7 +1059,8 @@ mod key_switch_tests {
             digit.to_ntt(ctx);
             digit.automorphism_reference(ctx, g);
             digit.mul_acc_restricted(ctx, &key.k0[beta], &mut acc0);
-            digit.mul_acc_restricted(ctx, &key.k1[beta], &mut acc1);
+            let a = RnsPoly::expand_uniform_in(None, ctx, key.level, true, key.seeds[beta]);
+            digit.mul_acc_restricted(ctx, &a, &mut acc1);
         }
         let specials: Vec<u64> = ctx.specials().iter().map(|p| p.value()).collect();
         let mod_down = |acc: RnsPoly| {

@@ -11,12 +11,18 @@
 //! `≈ Σ_β Q_β·e_β / P`. At `L ≤ 3`, `α = 1`: one single-prime digit per
 //! chain prime over one special prime.
 //!
-//! A switch at level `l` reads only the first `⌈l/α⌉` digit pairs, and of
-//! each only the limbs over `Q_l·P`. A key therefore has a *level* `l_k`:
-//! it holds `⌈l_k/α⌉` pairs over `Q_{l_k}·P` and serves every op at or
-//! below `l_k` ([`KeyGenerator::galois_keys_at`], [`KeyGenerator::relin_key_at`];
-//! the lazy [`KeyCache`] deepens a key on demand). Keygen draws every limb
-//! of every digit of the full key and drops what it does not keep, so a
+//! A digit's pair is `(k0_β, a_β)` with `a_β` uniform. A key stores `k0_β`
+//! and, in place of `a_β`, the 64-bit seed it expands from
+//! ([`crate::uniform`]); the key switch regenerates `a_β` limb by limb as it
+//! accumulates. So a key holds half the polynomials of the pair.
+//!
+//! A switch at level `l` reads only the first `⌈l/α⌉` digits, and of each
+//! only the limbs over `Q_l·P`. A key therefore has a *level* `l_k`: it
+//! holds `⌈l_k/α⌉` digits over `Q_{l_k}·P` and serves every op at or below
+//! `l_k` ([`KeyGenerator::galois_keys_at`], [`KeyGenerator::relin_key_at`];
+//! the lazy [`KeyCache`] deepens a key on demand). Keygen draws one seed
+//! and one error polynomial per digit of the full key, kept or not, and
+//! each limb of `a_β` is a function of its seed and modulus alone, so a
 //! level-`l_k` key is the full key restricted, byte for byte
 //! ([`KswKey::restricted`]), and every op computes the same bytes under
 //! either.
@@ -28,6 +34,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::context::{key_switch_digits, CkksContext};
 use crate::poly::{gaussian_coeffs, RnsPoly};
+use crate::uniform::splitmix64;
 
 /// The secret key `s` (ternary), stored over the full basis `Q·P`, NTT.
 #[derive(Debug, Clone)]
@@ -43,13 +50,15 @@ impl SecretKey {
 }
 
 /// One key-switching key of level `l_k`: per digit `β < ⌈l_k/α⌉`, a pair
-/// over `Q_{l_k}·P` with `k0_β + k1_β·s = T_β·t + e_β`. It serves key
-/// switches at every level up to `l_k`; at `l_k = L` it is the full key.
+/// over `Q_{l_k}·P` with `k0_β + a_β·s = T_β·t + e_β`, stored as `k0_β` and
+/// the seed `a_β` expands from ([`crate::uniform`]). It serves key switches
+/// at every level up to `l_k`; at `l_k = L` it is the full key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KswKey {
     pub(crate) level: usize,
     pub(crate) k0: Vec<RnsPoly>,
-    pub(crate) k1: Vec<RnsPoly>,
+    /// One seed per digit: `a_β` over any basis.
+    pub(crate) seeds: Vec<u64>,
 }
 
 impl KswKey {
@@ -59,15 +68,16 @@ impl KswKey {
         self.level
     }
 
-    /// Heap bytes held by the key polynomials (`2·⌈l_k/α⌉` digits ×
-    /// `l_k+α` limbs × `N` × 8, [`crate::ksw_key_limbs`]).
+    /// Heap bytes held by the key polynomials (`⌈l_k/α⌉` digits ×
+    /// `l_k+α` limbs × `N` × 8, [`crate::ksw_key_limbs`]). The digits'
+    /// 8-byte seeds are not counted, here or in the static memory model.
     pub fn byte_size(&self) -> usize {
-        self.k0.iter().chain(&self.k1).map(RnsPoly::byte_size).sum()
+        self.k0.iter().map(RnsPoly::byte_size).sum()
     }
 
-    /// This key cut down to `level ≤ l_k`: its first `⌈level/α⌉` pairs,
-    /// each restricted to `Q_level·P` — what generating the key at `level`
-    /// yields.
+    /// This key cut down to `level ≤ l_k`: its first `⌈level/α⌉` digits,
+    /// each `k0` restricted to `Q_level·P` and each seed kept — what
+    /// generating the key at `level` yields.
     ///
     /// # Panics
     ///
@@ -75,16 +85,13 @@ impl KswKey {
     pub fn restricted(&self, ctx: &CkksContext, level: usize) -> KswKey {
         assert!(level <= self.level, "a key cannot be deepened by cutting");
         let digits = key_switch_digits(level, ctx.max_level());
-        let cut = |polys: &[RnsPoly]| -> Vec<RnsPoly> {
-            polys[..digits]
-                .iter()
-                .map(|p| p.restrict_for_keyswitch(level))
-                .collect()
-        };
         KswKey {
             level,
-            k0: cut(&self.k0),
-            k1: cut(&self.k1),
+            k0: self.k0[..digits]
+                .iter()
+                .map(|p| p.restrict_for_keyswitch(level))
+                .collect(),
+            seeds: self.seeds[..digits].to_vec(),
         }
     }
 }
@@ -268,12 +275,11 @@ impl<'c> KeyGenerator<'c> {
 /// restriction to `Q_level·P` — shared by [`KeyGenerator`] and the lazy
 /// [`KeyCache`]. `level = 0` builds an empty key.
 ///
-/// Every limb of every digit of the full key is drawn, kept or not: the
-/// uniform `a` over `Q_L·P` and the Gaussian coefficients of `e`. So the
-/// stream ends where the full key's leaves it, and every limb kept equals
-/// the full key's — each is a function of its own modulus's draws and of
-/// `s` and `t` on that modulus. What keygen skips is the work on dropped
-/// limbs: their NTTs and products.
+/// Every digit of the full key draws its seed and the Gaussian coefficients
+/// of its `e`, kept or not. So the stream ends where the full key's leaves
+/// it, and every limb kept equals the full key's — each is a function of its
+/// digit's seed and error draws and of `s` and `t` on its own modulus. What
+/// keygen skips is the work on dropped limbs: expansion, NTTs and products.
 fn generate_ksw(
     ctx: &CkksContext,
     s: &RnsPoly,
@@ -292,20 +298,20 @@ fn generate_ksw(
     let mut key = KswKey {
         level,
         k0: Vec::with_capacity(kept),
-        k1: Vec::with_capacity(kept),
+        seeds: Vec::with_capacity(kept),
     };
     for beta in 0..key_switch_digits(big_l, big_l) {
-        let a =
-            RnsPoly::uniform_prefix_in(None, ctx, if beta < kept { level } else { 0 }, true, rng);
+        let seed: u64 = rng.gen();
         let e = gaussian_coeffs(ctx, rng);
-        let (Some(a), Some((s, t))) = (a, &secrets) else {
+        let Some((s, t)) = secrets.as_ref().filter(|_| beta < kept) else {
             continue;
         };
         let mut e = RnsPoly::from_signed_coeffs(ctx, level, true, &e);
         e.to_ntt(ctx);
         // body = −a·s + e + T_β·t, where T_β has residue (P mod q_i) on the
         // digit's limbs i and 0 elsewhere (including the special limbs).
-        let mut body = a.mul(ctx, s);
+        let mut body = RnsPoly::expand_uniform_in(None, ctx, level, true, seed);
+        body.mul_assign(ctx, s);
         body.neg_assign(ctx);
         body.add_assign(ctx, &e);
         for i in beta * alpha..level.min((beta + 1) * alpha) {
@@ -320,18 +326,9 @@ fn generate_ksw(
             }
         }
         key.k0.push(body);
-        key.k1.push(a);
+        key.seeds.push(seed);
     }
     key
-}
-
-/// SplitMix64 finalizer — decorrelates the per-element key-generation seeds
-/// derived from (cache seed, Galois element).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Counters describing a [`KeyCache`]'s traffic.

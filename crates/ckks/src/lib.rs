@@ -11,8 +11,8 @@
 //! - canonical-embedding [`encoding`] of real slot vectors;
 //! - key generation ([`KeyGenerator`]) including relinearization and Galois keys
 //!   via hybrid key switching: `⌈L/α⌉` digits over `α = ⌈L/3⌉` special
-//!   primes, each key sized to the deepest level it switches at ([`KswKey`]);
-//!   and
+//!   primes, each key sized to the deepest level it switches at ([`KswKey`])
+//!   and holding its uniform half as one seed per digit ([`uniform`]); and
 //! - an [`eval::Evaluator`] with every operation of the paper's Table 2:
 //!   add, sub, neg, mul (cipher/plain), rotate, `rescale`, `modswitch`,
 //!   `upscale`.
@@ -61,6 +61,7 @@ pub mod poly;
 pub mod pool;
 pub mod primes;
 pub mod security;
+pub mod uniform;
 
 pub use cipher::{decrypt, encrypt_symmetric, encrypt_symmetric_in, Ciphertext};
 pub use context::{

@@ -189,11 +189,18 @@ impl Modulus {
         1 << (128 - 2 * bits).min(usize::BITS - 1)
     }
 
-    /// Reduces a signed value into `[0, q)`.
+    /// Reduces a signed value into `[0, q)`: its magnitude by one-word
+    /// Barrett, negated for a negative value — `a.rem_euclid(q)` without the
+    /// hardware division.
     #[inline]
     pub fn reduce_i64(self, a: i64) -> u64 {
-        let r = a.rem_euclid(self.q as i64);
-        r as u64
+        let r = self.reduce(a.unsigned_abs());
+        let negated = self.neg(r);
+        if a < 0 {
+            negated
+        } else {
+            r
+        }
     }
 
     /// `a^e mod q` by square-and-multiply.
@@ -462,6 +469,35 @@ mod tests {
         assert_eq!(m.reduce_i64(-1), 100);
         assert_eq!(m.reduce_i64(-101), 0);
         assert_eq!(m.reduce_i64(205), 3);
+    }
+
+    #[test]
+    fn reduce_i64_is_rem_euclid_on_every_modulus_of_an_l10_context() {
+        use crate::context::{CkksContext, CkksParams};
+        use rand::{Rng, SeedableRng};
+        let ctx = CkksContext::new(CkksParams {
+            poly_degree: 1 << 13,
+            max_level: 10,
+            modulus_bits: 60,
+            special_bits: 61,
+            error_std: 3.2,
+            threads: 1,
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1664);
+        for &m in ctx.basis() {
+            let q = m.value() as i64;
+            let mut values = vec![i64::MIN, i64::MIN + 1, i64::MAX, 0, 1, -1];
+            for k in [1, 2, 3, i64::MAX / q] {
+                for v in [k * q, -k * q] {
+                    values.extend([v - 1, v, v + 1]);
+                }
+            }
+            values.extend((0..1000).map(|_| rng.gen::<u64>() as i64));
+            values.extend((0..1000).map(|_| rng.gen_range(-40i64..=40)));
+            for v in values {
+                assert_eq!(m.reduce_i64(v), v.rem_euclid(q) as u64, "q = {q}, v = {v}");
+            }
+        }
     }
 
     #[test]

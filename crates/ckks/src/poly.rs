@@ -7,6 +7,7 @@ use crate::modular::{Modulus, SplitF64};
 use crate::ntt::NttTable;
 use crate::par;
 use crate::pool::PolyPool;
+use crate::uniform::UniformStream;
 
 /// A polynomial in RNS form: one residue vector (length `N`) per active
 /// modulus. The active basis is the first `level` chain primes, optionally
@@ -213,7 +214,9 @@ impl RnsPoly {
     }
 
     /// Uniformly random polynomial over the basis (NTT domain — uniform in
-    /// either domain).
+    /// either domain), drawn coefficient by coefficient from `rng`: a test
+    /// and benchmark operand. Key and mask halves come from seeds
+    /// ([`crate::uniform`]).
     pub fn uniform(ctx: &CkksContext, level: usize, special: bool, rng: &mut impl Rng) -> Self {
         let mut p = RnsPoly::zero(ctx, level, special, true);
         for idx in 0..p.limbs.len() {
@@ -225,47 +228,30 @@ impl RnsPoly {
         p
     }
 
-    /// The first `level` chain limbs — and the specials' if `special` — of
-    /// a uniform draw over the full extended basis `Q_L·P` (NTT domain):
-    /// what [`RnsPoly::uniform`] at `(max_level, true)` restricted to that
-    /// basis yields, draw for draw, without holding the limbs it drops.
-    /// `level = 0` keeps nothing and returns `None`; the stream ends where
-    /// the full-basis draw leaves it either way. Limb buffers come from
-    /// `pool` when given.
-    pub(crate) fn uniform_prefix_in(
+    /// The uniform polynomial expanded from `seed` over the first `level`
+    /// chain limbs, and the specials' if `special` (NTT domain): each limb
+    /// from its own `(seed, basis index)` stream ([`crate::uniform`]), so
+    /// any basis gets the full basis's limbs, restricted. Limb buffers come
+    /// from `pool` when given.
+    pub(crate) fn expand_uniform_in(
         pool: Option<&PolyPool>,
         ctx: &CkksContext,
         level: usize,
         special: bool,
-        rng: &mut impl Rng,
-    ) -> Option<Self> {
-        assert!(level <= ctx.max_level(), "level out of range");
-        let big_l = ctx.max_level();
-        let kept = (level >= 1).then(|| limb_count(ctx, level, special));
-        let mut limbs = raw_limbs(ctx, pool, kept.unwrap_or(0));
-        let mut dst = limbs.iter_mut();
-        for (b, m) in ctx.basis().iter().enumerate() {
-            let keep = kept.is_some() && (b < level || (special && b >= big_l));
-            match if keep { dst.next() } else { None } {
-                Some(limb) => {
-                    for slot in limb.iter_mut() {
-                        *slot = rng.gen_range(0..m.value());
-                    }
-                }
-                // Drawn and discarded.
-                None => {
-                    for _ in 0..ctx.degree() {
-                        rng.gen_range(0..m.value());
-                    }
-                }
-            }
+        seed: u64,
+    ) -> Self {
+        assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
+        let mut limbs = raw_limbs(ctx, pool, limb_count(ctx, level, special));
+        for (idx, limb) in limbs.iter_mut().enumerate() {
+            let b = ctx.basis_index(level, idx);
+            UniformStream::new(seed, b).fill(ctx.basis()[b], limb);
         }
-        kept.map(|_| RnsPoly {
+        RnsPoly {
             level,
             special,
             ntt: true,
             limbs,
-        })
+        }
     }
 
     /// Random ternary polynomial (coefficients in {−1, 0, 1}), coefficient
@@ -665,31 +651,36 @@ impl RnsPoly {
     }
 
     /// The inner product of a key switch: `(Σ_β σ(d_β) ∘ k0_β, Σ_β σ(d_β) ∘
-    /// k1_β)` over the extended basis `Q_l·P`, where `d_β` are the `⌈l/α⌉`
-    /// NTT-form digits of a level-`l` polynomial, `k0`/`k1` the polynomials
-    /// of a key of level `l_k ≥ l` (over `Q_{l_k}·P`, its special limbs
-    /// last) and `σ` the Galois automorphism whose index table is `perm`
-    /// (`None` = identity, i.e. relinearization).
+    /// a_β)` over the extended basis `Q_l·P`, where `d_β` are the `⌈l/α⌉`
+    /// NTT-form digits of a level-`l` polynomial, `k0` the polynomials of a
+    /// key of level `l_k ≥ l` (over `Q_{l_k}·P`, its special limbs last),
+    /// `a_β` the uniform polynomial expanded from the key's digit seed
+    /// `seeds[β]` ([`crate::uniform`]) and `σ` the Galois automorphism whose
+    /// index table is `perm` (`None` = identity, i.e. relinearization).
     ///
     /// Each output limb is walked in [`DOT_CHUNK`]-coefficient chunks whose
     /// two accumulators stay in `u128`: a term is one gathered read of the
-    /// digit (the automorphism is never materialized) and two widening
-    /// products, and a Barrett reduction happens once per output instead of
-    /// once per term — at most three digits always fit the
-    /// [`Modulus::lazy_window`].
+    /// digit (the automorphism is never materialized), one chunk of `a_β`'s
+    /// stream expanded into a stack buffer (`a` is never materialized
+    /// either) and two widening products, and a Barrett reduction happens
+    /// once per output instead of once per term — at most three digits
+    /// always fit the [`Modulus::lazy_window`]. `a_β` enters as its
+    /// stream's unreduced 64-bit words: the output's reduction takes them
+    /// mod `q` with everything else, and three products of a residue below
+    /// `2^62` with a word stay below `2^128`.
     pub(crate) fn key_switch_dot(
         pool: &PolyPool,
         ctx: &CkksContext,
         digits: &[RnsPoly],
         k0: &[RnsPoly],
-        k1: &[RnsPoly],
+        seeds: &[u64],
         perm: Option<&[u32]>,
     ) -> (RnsPoly, RnsPoly) {
         let (terms, n) = (digits.len(), ctx.degree());
         let l = digits.first().expect("at least one digit").level;
         assert!(
-            k0.len() >= terms && k1.len() >= terms,
-            "one key pair per digit"
+            k0.len() >= terms && seeds.len() >= terms,
+            "one key digit per digit"
         );
         for d in digits {
             assert!(
@@ -698,14 +689,17 @@ impl RnsPoly {
             );
         }
         let key_level = k0[0].level;
-        for k in k0[..terms].iter().chain(&k1[..terms]) {
+        for k in &k0[..terms] {
             assert!(
                 k.ntt && k.special && k.level == key_level && key_level >= l,
                 "key polys over one basis Q_lk·P reaching the digits' level"
             );
         }
         assert!(
-            ctx.basis().iter().all(|m| terms <= m.lazy_window()),
+            ctx.basis().iter().all(|m| {
+                let words = terms as u128 * u128::from(m.value()) <= 1 << 64;
+                terms <= m.lazy_window() && words
+            }),
             "{terms} digits overflow a u128 accumulator"
         );
         assert!(perm.is_none_or(|p| p.len() == n), "index table sized for N");
@@ -714,28 +708,34 @@ impl RnsPoly {
         let mut pairs: Vec<_> = out0.limbs.iter_mut().zip(&mut out1.limbs).collect();
         let est = par::cost::POINTWISE * (2 * terms * n) as u64;
         par::for_each(ctx.threads(), est, &mut pairs, |idx, (o0, o1)| {
-            let m = Self::modulus_at(ctx, l, idx);
+            let b = ctx.basis_index(l, idx);
+            let m = ctx.basis()[b];
             // The digits' chain limb `idx` pairs with the key's limb `idx`,
-            // and their special limbs with the key's last `α`.
+            // and their special limbs with the key's last `α`; `a`'s limb is
+            // keyed by the modulus alone, whatever the key's level.
             let key_idx = key_limb(l, key_level, idx);
-            // One coefficient's `k0` and `k1` sums, side by side.
+            let mut streams: Vec<UniformStream> = seeds[..terms]
+                .iter()
+                .map(|&seed| UniformStream::new(seed, b))
+                .collect();
+            // One coefficient's `k0` and `a` sums, side by side.
             let mut acc = [[0u128; 2]; DOT_CHUNK];
+            let mut a = [0u64; DOT_CHUNK];
             for base in (0..n).step_by(DOT_CHUNK) {
                 let span = base..n.min(base + DOT_CHUNK);
                 let acc = &mut acc[..span.len()];
+                let a = &mut a[..span.len()];
                 acc.fill([0; 2]);
-                for (j, digit) in digits.iter().enumerate() {
+                for ((digit, key), stream) in digits.iter().zip(k0).zip(&mut streams) {
                     let x = &digit.limbs[idx];
-                    let (y0, y1) = (
-                        &k0[j].limbs[key_idx][span.clone()],
-                        &k1[j].limbs[key_idx][span.clone()],
-                    );
+                    let y0 = &key.limbs[key_idx][span.clone()];
+                    stream.fill_words(a);
                     match perm {
                         Some(perm) => {
                             let gathered = perm[span.clone()].iter().map(|&from| x[from as usize]);
-                            mul_acc_wide(acc, gathered, y0, y1);
+                            mul_acc_wide(acc, gathered, y0, a);
                         }
-                        None => mul_acc_wide(acc, x[span.clone()].iter().copied(), y0, y1),
+                        None => mul_acc_wide(acc, x[span.clone()].iter().copied(), y0, a),
                     }
                 }
                 let outs = o0[span.clone()].iter_mut().zip(&mut o1[span]);
@@ -1010,12 +1010,15 @@ mod tests {
         assert_eq!(ctx.specials().len(), 6);
         let pool = PolyPool::new(ctx.degree());
         let mut rng = StdRng::seed_from_u64(18);
-        let key = |rng: &mut StdRng| -> Vec<RnsPoly> {
-            (0..3)
-                .map(|_| RnsPoly::uniform(&ctx, big_l, true, rng))
-                .collect()
-        };
-        let (k0, k1) = (key(&mut rng), key(&mut rng));
+        let k0: Vec<RnsPoly> = (0..3)
+            .map(|_| RnsPoly::uniform(&ctx, big_l, true, &mut rng))
+            .collect();
+        let seeds: Vec<u64> = (0..3).map(|_| rng.gen()).collect();
+        // The oracle reads `a` materialized from the seeds.
+        let k1: Vec<RnsPoly> = seeds
+            .iter()
+            .map(|&seed| RnsPoly::expand_uniform_in(None, &ctx, big_l, true, seed))
+            .collect();
         let g = crate::keys::rotation_to_galois(&ctx, 3);
         let perm = ctx.galois_permutation(g);
         let digits_at = |l| crate::context::key_switch_digits(l, big_l);
@@ -1024,7 +1027,7 @@ mod tests {
                 .map(|_| RnsPoly::uniform(&ctx, l, true, &mut rng))
                 .collect();
             for perm in [None, Some(&*perm)] {
-                let (got0, got1) = RnsPoly::key_switch_dot(&pool, &ctx, &digits, &k0, &k1, perm);
+                let (got0, got1) = RnsPoly::key_switch_dot(&pool, &ctx, &digits, &k0, &seeds, perm);
                 let mut want0 = RnsPoly::zero(&ctx, l, true, true);
                 let mut want1 = RnsPoly::zero(&ctx, l, true, true);
                 for (j, d) in digits.iter().enumerate() {
@@ -1036,26 +1039,47 @@ mod tests {
                     d.mul_acc_restricted(&ctx, &k1[j], &mut want1);
                 }
                 assert_eq!(got0, want0, "k0, level {l}, permuted {}", perm.is_some());
-                assert_eq!(got1, want1, "k1, level {l}, permuted {}", perm.is_some());
+                assert_eq!(got1, want1, "a, level {l}, permuted {}", perm.is_some());
                 // A level-sized key — the digits and limbs a level-`l_k`
                 // switch reads — gives the same bytes for every `l_k ≥ l`.
                 for lk in [l, (l + 4).min(big_l)] {
-                    let sized = |k: &[RnsPoly]| -> Vec<RnsPoly> {
-                        k[..digits_at(lk)]
-                            .iter()
-                            .map(|p| p.restrict_for_keyswitch(lk))
-                            .collect()
-                    };
+                    let sized: Vec<RnsPoly> = k0[..digits_at(lk)]
+                        .iter()
+                        .map(|p| p.restrict_for_keyswitch(lk))
+                        .collect();
                     let (s0, s1) = RnsPoly::key_switch_dot(
                         &pool,
                         &ctx,
                         &digits,
-                        &sized(&k0),
-                        &sized(&k1),
+                        &sized,
+                        &seeds[..digits_at(lk)],
                         perm,
                     );
                     assert_eq!((&s0, &s1), (&got0, &got1), "level {l}, key level {lk}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn an_expanded_polynomial_is_the_full_basis_one_restricted() {
+        for big_l in 1..=10 {
+            let ctx = CkksContext::new(CkksParams {
+                max_level: big_l,
+                ..*tiny_ctx().params()
+            });
+            let full = RnsPoly::expand_uniform_in(None, &ctx, big_l, true, 0xA5);
+            for level in 1..=big_l {
+                let keyed = RnsPoly::expand_uniform_in(None, &ctx, level, true, 0xA5);
+                assert_eq!(
+                    keyed,
+                    full.restrict_for_keyswitch(level),
+                    "L = {big_l}, {level}"
+                );
+                let mut mask = full.restrict_for_keyswitch(level);
+                mask.drop_to_level(level);
+                let plain = RnsPoly::expand_uniform_in(None, &ctx, level, false, 0xA5);
+                assert_eq!(plain, mask, "L = {big_l}, level {level} without P");
             }
         }
     }

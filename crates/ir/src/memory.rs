@@ -36,11 +36,13 @@ pub fn decomposition_limbs(level: u64, max_level: u64) -> u64 {
     level.div_ceil(alpha) * (level + alpha)
 }
 
-/// Limb polynomials of one key-switching key of level `l_k`: a pair per
-/// digit a level-`l_k` switch reads, over `Q_{l_k}·P`, `2·⌈l_k/α⌉·(l_k+α)`
-/// (0 at level 0) — `fhe_ckks::ksw_key_limbs`.
+/// Limb polynomials of one key-switching key of level `l_k`: one per digit
+/// a level-`l_k` switch reads, over `Q_{l_k}·P`, `⌈l_k/α⌉·(l_k+α)` (0 at
+/// level 0) — `fhe_ckks::ksw_key_limbs`. A key's uniform halves are one
+/// 8-byte seed per digit, counted neither here nor by the backend's
+/// `KswKey::byte_size`.
 pub fn ksw_key_limbs(key_level: u64, max_level: u64) -> u64 {
-    2 * decomposition_limbs(key_level, max_level)
+    decomposition_limbs(key_level, max_level)
 }
 
 /// How deep each key-switching key of a schedule must reach: the level of

@@ -3,16 +3,20 @@
 //!
 //! * `alpha_one_outputs_match_the_recorded_digest` pins the bytes of
 //!   `rotate`, `conjugate`, `mul`, `rotate_hoisted` and a lazily keyed
-//!   rotation at `N = 256`, `L = 2` (α = 1) to a digest recorded on the
-//!   commit before grouped digits existed: at `L ≤ 3` the key switch is the
-//!   single-prime one, bit for bit.
+//!   rotation at `N = 256`, `L = 2` (α = 1). At `L ≤ 3` the key switch is
+//!   the single-prime one: the first digest was recorded on the commit
+//!   before grouped digits existed. It was re-recorded once, when keys
+//!   began to store their uniform halves as seeds and encryption to expand
+//!   its mask from one: the random draws moved, the arithmetic did not
+//!   (the limb-exact oracle named below checks it at `L = 1..=3` too).
 //! * `decrypted_key_switch_error_stays_under_the_per_op_noise_bound` runs
 //!   every key-switched op at every level of chains `L = 1..=10` (α = 1, 1,
 //!   1, 2, 2, 2, 3, 3, 3, 4), so every partial last digit, and holds the
 //!   decrypted error to the noise domain's per-op term.
 //! * `memory_closed_forms_match_the_backend` holds `fhe_ir::memory`'s copy
 //!   of the key and digit sizes to the backend's objects for `L = 1..=16`
-//!   and every key level `l_k ≤ L`.
+//!   and every key level `l_k ≤ L`. Both count a key's `k0` limbs and
+//!   neither its seeds.
 //! * `level_sized_keys_are_the_full_keys_cut_and_switch_to_the_same_bytes`
 //!   holds every level-sized key to the full key restricted, limb for limb,
 //!   and every key-switched op at or below its level to the full key's
@@ -107,7 +111,7 @@ fn alpha_one_outputs_match_the_recorded_digest() {
     }
     assert_eq!(
         digest(words),
-        0x96c6_9fb7_97f1_c830,
+        0x481b_0376_aa1d_483f,
         "the α = 1 key switch no longer produces the single-prime bytes"
     );
 }
