@@ -180,13 +180,6 @@ const REL_TOL: f64 = 1e-2;
 /// scale-management bug still beats it by many orders of magnitude.
 const STATIC_NOISE_MARGIN_BITS: f64 = 16.0;
 
-/// Check the depgraph span bound: the parallelism profile must be
-/// internally consistent on every compile (span ≤ work), and on every
-/// encrypted run the measured single-threaded latency — times
-/// [`SPAN_MARGIN`] — must dominate the span predicted by a
-/// backend-calibrated cost model.
-const CHECK_SPAN_BOUND: bool = true;
-
 /// Multiplier on the measured latency in the span-bound check, absorbing
 /// calibration and timing jitter on tiny fuzz programs.
 const SPAN_MARGIN: f64 = 1.5;
@@ -329,9 +322,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> OracleRun {
         };
         check_schedule_invariants(&compiled.scheduled, &params, name, divs);
         check_translation_validation(program, &compiled, name, divs);
-        if CHECK_SPAN_BOUND {
-            check_parallelism_profile(&compiled.report, name, divs);
-        }
+        check_parallelism_profile(&compiled.report, name, divs);
         let magnitudes = check_interval_bounds(&compiled.scheduled, &inputs, name, divs);
         check_executors(
             &compiled.scheduled,
@@ -667,9 +658,7 @@ fn check_executors(
                 compiler,
                 divs,
             );
-            if CHECK_SPAN_BOUND {
-                check_span_bound(scheduled, report.op_time, compiler, divs);
-            }
+            check_span_bound(scheduled, report.op_time, compiler, divs);
             // The compiler's static working-set estimate must dominate the
             // peak the runtime's pool + key accounting actually measured
             // (both sides exclude encoder scratch).
@@ -738,11 +727,11 @@ fn check_parallelism_profile(
     }
 }
 
-/// The measured single-threaded encrypted latency must dominate the span a
-/// backend-calibrated cost model predicts: the span is the latency floor a
-/// DAG-parallel executor could reach, so a serial run beating it means the
-/// static analysis under-costs the schedule. The margin absorbs timing
-/// jitter, and hoisted rotation-group members (which the backend computes
+/// On every encrypted run, the measured single-threaded latency — times
+/// [`SPAN_MARGIN`] — must dominate the span a backend-calibrated cost model
+/// predicts: the span is the latency floor a DAG-parallel executor could
+/// reach, so a serial run beating it means the static analysis under-costs
+/// the schedule. The margin absorbs timing jitter, and hoisted rotation-group members (which the backend computes
 /// with a shared decomposition, cheaper than the calibrated lone rotation)
 /// are credited back explicitly.
 fn check_span_bound(

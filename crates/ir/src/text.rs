@@ -514,60 +514,3 @@ mod tests {
         assert_eq!(p.op(ValueId(1)), &Op::Rotate(ValueId(0), -7));
     }
 }
-
-/// Renders a program as a Graphviz DOT digraph (values as nodes, data flow
-/// as edges), for visual inspection of compiled schedules.
-pub fn to_dot(program: &Program) -> String {
-    use fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "digraph \"{}\" {{", program.name()).unwrap();
-    writeln!(out, "  rankdir=TB; node [fontname=\"monospace\"];").unwrap();
-    for id in program.ids() {
-        let (label, shape, color) = match program.op(id) {
-            Op::Input { name } => (format!("input {name}"), "box", "lightblue"),
-            Op::Const { .. } => ("const".to_string(), "box", "lightgray"),
-            Op::Rescale(_) => ("rescale".to_string(), "ellipse", "salmon"),
-            Op::ModSwitch(_) => ("modswitch".to_string(), "ellipse", "khaki"),
-            Op::Upscale(_, d) => (format!("upscale {d}"), "ellipse", "khaki"),
-            Op::Rotate(_, k) => (format!("rotate {k}"), "ellipse", "palegreen"),
-            op => (op.mnemonic().to_string(), "ellipse", "white"),
-        };
-        writeln!(
-            out,
-            "  v{} [label=\"%{}: {label}\", shape={shape}, style=filled, fillcolor={color}];",
-            id.0, id.0
-        )
-        .unwrap();
-        for operand in program.op(id).operands() {
-            writeln!(out, "  v{} -> v{};", operand.0, id.0).unwrap();
-        }
-    }
-    for (i, o) in program.outputs().iter().enumerate() {
-        writeln!(out, "  out{i} [label=\"ret\", shape=doublecircle];").unwrap();
-        writeln!(out, "  v{} -> out{i};", o.0).unwrap();
-    }
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use crate::builder::Builder;
-
-    #[test]
-    fn dot_contains_all_values_and_edges() {
-        let b = Builder::new("g", 4);
-        let x = b.input("x");
-        let y = x.clone() * x;
-        let p = b.finish(vec![y]);
-        let dot = to_dot(&p);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("v0 [label=\"%0: input x\""));
-        assert!(dot.contains("v0 -> v1;"));
-        assert!(dot.contains("doublecircle"));
-        assert!(dot.ends_with("}\n"));
-        // Two edges from x into the square (used twice).
-        assert_eq!(dot.matches("v0 -> v1;").count(), 2);
-    }
-}

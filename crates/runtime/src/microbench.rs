@@ -9,6 +9,8 @@ use rand::SeedableRng;
 use fhe_ckks::{encrypt_symmetric, Ciphertext, CkksContext, CkksParams, Evaluator, KeyGenerator};
 use fhe_ir::{CostModel, OpClass};
 
+use crate::ckks_exec::{backend_params, ExecOptions};
+
 /// One measured row: the op class and its mean latency (µs) per level
 /// `1..=levels`.
 pub type LatencyRow = (OpClass, Vec<f64>);
@@ -85,9 +87,9 @@ pub fn measure(params: CkksParams, levels: usize, reps: usize, seed: u64) -> Vec
 }
 
 /// [`measure`]s the backend and returns a [`CostModel`] calibrated to *this
-/// machine*, replacing the paper's Table 3 numbers, with parameters derived
-/// exactly like [`crate::ckks_exec`] derives them for a scheduled program:
-/// `N = 2 × slots`, modulus = the schedule's rescale bits, serial execution.
+/// machine*, replacing the paper's Table 3 numbers, with the parameters
+/// [`backend_params`] derives for a scheduled program: `N = 2 × slots`,
+/// modulus = the schedule's rescale bits, serial execution.
 ///
 /// This is what makes static span/work predictions comparable to what
 /// [`crate::execute_encrypted`] will actually measure single-threaded (the
@@ -104,14 +106,12 @@ pub fn calibrate_backend(
     // `from_rows` interpolates, so it needs at least two tabulated levels
     // even for a depth-one schedule.
     let levels = levels.max(2);
-    let params = CkksParams {
+    let options = ExecOptions {
         poly_degree: slots * 2,
-        max_level: levels + 1,
-        modulus_bits: rescale_bits,
-        special_bits: rescale_bits.min(60) + 1,
-        error_std: 3.2,
         threads: 1,
+        ..ExecOptions::default()
     };
+    let params = backend_params(&options, levels + 1, rescale_bits);
     CostModel::from_rows(measure(params, levels, reps, seed))
 }
 

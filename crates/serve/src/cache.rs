@@ -3,10 +3,11 @@
 //! Maps `(program text, compile params, compiler configuration)` to the compiled
 //! [`ScheduledProgram`] (shared as an [`Arc`], so hits cost one clone of a
 //! pointer) plus the original [`CompileReport`]. The key is the *printed*
-//! program text — two structurally identical programs submitted under
-//! different names still hash to different text and miss, which is the
-//! conservative choice for a service boundary: the printed text is exactly
-//! what the client sent.
+//! program text, not what the client sent: the server parses a request's
+//! text and the cache prints it again, so texts that differ only in
+//! comments or layout share an entry. Two structurally identical programs
+//! submitted under different names still print differently and miss, which
+//! is the conservative choice for a service boundary.
 //!
 //! Entries are evicted least-recently-used under an optional byte budget
 //! (estimated: text + per-op footprint + constant payloads). Evicted

@@ -89,8 +89,9 @@ impl Default for ServerConfig {
 pub struct Request {
     /// The session to execute under.
     pub session: SessionId,
-    /// The program in the workspace's textual format — this exact text is
-    /// the compile-cache key.
+    /// The program in the workspace's textual format. The compile-cache key
+    /// is this text parsed and printed again, so texts that differ only in
+    /// comments or layout share an entry.
     pub program: String,
     /// Compile parameters (part of the cache key).
     pub params: CompileParams,

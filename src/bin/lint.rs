@@ -1,39 +1,31 @@
 //! `lint` — static analysis and translation validation over textual IR
 //! files.
 //!
-//! Collects `.fhe` files, runs the `F001`…`F009` lints (and, for
-//! compiled-mode files, translation validation against each compiler's
-//! schedule, whose mismatches are `F000`), renders rustc-style diagnostics, and optionally writes a
-//! machine-readable report. See `fhe_reserve::lint` for the file modes and
-//! directives.
-//!
-//! A `depgraph` mode profiles each schedule's dependence DAG instead of
-//! linting it: work, critical path (span), asymptotic parallelism and
+//! Collects `.fhe` files and makes one pass over each schedule they yield:
+//! the `F001`…`F009` lints (and, for compiled-mode files, translation
+//! validation against each compiler's schedule, whose mismatches are
+//! `F000`), rendered as rustc-style diagnostics, and one profile line with
+//! the schedule's work, critical path (span), asymptotic parallelism and
 //! maximum achievable width under a cost model — the paper's Table 3 by
-//! default, or a measured `table3 --json` profile via `--profile`.
-//! `--dot DIR` additionally writes one Graphviz file per schedule (or
-//! `--dot -` streams them to stdout).
+//! default, or a measured `table3 --json` record via `--profile`. `--json`
+//! writes all of it as a machine-readable report, and `--dot DIR` writes
+//! one Graphviz file per schedule (`--dot -` streams them to stdout). See
+//! `fhe_reserve::lint` for the file modes and directives.
 //!
 //! ```sh
 //! cargo run --release --bin lint -- examples/programs tests/corpus
 //! cargo run --release --bin lint -- prog.fhe --json report.json --deny error
 //! cargo run --release --bin lint -- --explain F007
-//! cargo run --release --bin lint -- depgraph prog.fhe --profile table3.json --dot out/
+//! cargo run --release --bin lint -- prog.fhe --profile table3.json --dot out/
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fhe_ir::CostModel;
-use fhe_reserve::lint::{collect_files, denied, depgraph_file, lint_file, reports_json, LintRun};
-
-enum Mode {
-    Lint,
-    DepGraph,
-}
+use fhe_reserve::lint::{collect_files, denied, lint_file, reports_json, LintRun};
 
 struct Cli {
-    mode: Mode,
     paths: Vec<PathBuf>,
     run: LintRun,
     json: Option<PathBuf>,
@@ -41,17 +33,18 @@ struct Cli {
     quiet: bool,
     explain: Vec<String>,
     profile: Option<PathBuf>,
-    dot: Option<PathBuf>,
+    /// Where `--dot` writes its files; `None` streams them to stdout.
+    dot_dir: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: lint [depgraph] [paths...] [--compiler eva,hecate,reserve] \
+const USAGE: &str = "usage: lint [paths...] [--compiler eva,hecate,reserve] \
                      [--input-range M] [--json PATH] [--deny error|warning|CODE]... \
                      [--explain CODE]... [--profile TABLE3_JSON] [--dot DIR|-] [--quiet]\n\
                      paths default to examples/programs and tests/corpus;\n\
-                     `depgraph` profiles work/span/width instead of linting";
+                     each schedule's work/span/width is priced under --profile \
+                     (default: the paper's Table 3)";
 
 fn parse_args() -> Result<Cli, String> {
-    let mut mode = Mode::Lint;
     let mut paths = Vec::new();
     let mut run = LintRun::default();
     let mut json = None;
@@ -59,11 +52,10 @@ fn parse_args() -> Result<Cli, String> {
     let mut quiet = false;
     let mut explain = Vec::new();
     let mut profile = None;
-    let mut dot = None;
+    let mut dot_dir = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "depgraph" if paths.is_empty() && matches!(mode, Mode::Lint) => mode = Mode::DepGraph,
             "--compiler" | "-c" => {
                 let value = args.next().ok_or("--compiler needs eva|hecate|reserve")?;
                 run.compilers = value.split(',').map(str::to_string).collect();
@@ -98,9 +90,9 @@ fn parse_args() -> Result<Cli, String> {
                 ));
             }
             "--dot" => {
-                dot = Some(PathBuf::from(
-                    args.next().ok_or("--dot needs a directory (or `-`)")?,
-                ));
+                let to = args.next().ok_or("--dot needs a directory (or `-`)")?;
+                dot_dir = (to != "-").then(|| PathBuf::from(to));
+                run.dot = true;
             }
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -115,7 +107,6 @@ fn parse_args() -> Result<Cli, String> {
         ];
     }
     Ok(Cli {
-        mode,
         paths,
         run,
         json,
@@ -123,7 +114,7 @@ fn parse_args() -> Result<Cli, String> {
         quiet,
         explain,
         profile,
-        dot,
+        dot_dir,
     })
 }
 
@@ -166,105 +157,34 @@ fn run_explain(codes: &[String]) -> ExitCode {
     }
 }
 
-/// The `depgraph` mode: profile each schedule's dependence DAG.
-fn run_depgraph(cli: &Cli, files: &[PathBuf]) -> ExitCode {
-    let model = match &cli.profile {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("lint: cannot read profile {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match CostModel::from_bench_json(&text) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("lint: bad profile {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => CostModel::paper_table3(),
-    };
-    let dot_to_stdout = cli.dot.as_deref() == Some(std::path::Path::new("-"));
-    if let Some(dir) = &cli.dot {
-        if !dot_to_stdout {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("lint: cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+/// Reads a measured `table3 --json` record as the profile's cost model.
+fn load_profile(path: &Path) -> Result<CostModel, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read profile {}: {e}", path.display()))?;
+    CostModel::from_bench_json(&text).map_err(|e| format!("bad profile {}: {e}", path.display()))
+}
 
-    let mut errors = 0usize;
-    for path in files {
-        let name = path.display().to_string();
-        let content = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("lint: cannot read {name}: {e}");
-                errors += 1;
-                continue;
-            }
-        };
-        let report = depgraph_file(&name, &content, &cli.run, &model, cli.dot.is_some());
-        if let Some(err) = &report.error {
-            eprint!("{err}");
-            errors += 1;
-        }
-        for target in &report.targets {
-            match (&target.estimate, &target.error) {
-                (Some(est), _) => {
-                    if !cli.quiet {
-                        println!(
-                            "{name}@{}: work {:.1}us, span {:.1}us, parallelism {:.2}x, width {}",
-                            target.target,
-                            est.work_us,
-                            est.span_us,
-                            est.parallelism(),
-                            est.max_width
-                        );
-                    }
-                }
-                (None, Some(err)) => {
-                    eprintln!("{name}@{}: {err}", target.target);
-                    errors += 1;
-                }
-                (None, None) => {}
-            }
-            if let Some(dot) = &target.dot {
-                if dot_to_stdout {
-                    print!("{dot}");
-                } else if let Some(dir) = &cli.dot {
-                    let stem = path
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| "schedule".into());
-                    let out = dir.join(format!("{stem}@{}.dot", target.target));
-                    if let Err(e) = std::fs::write(&out, dot) {
-                        eprintln!("lint: cannot write {}: {e}", out.display());
-                        errors += 1;
-                    } else if !cli.quiet {
-                        println!("  wrote {}", out.display());
-                    }
-                }
-            }
-        }
+/// Writes one target's DOT rendering: to stdout for `--dot -`, else as
+/// `stem@target.dot` in the `--dot` directory.
+fn write_dot(cli: &Cli, path: &Path, target: &str, dot: &str) -> Result<(), String> {
+    let Some(dir) = &cli.dot_dir else {
+        print!("{dot}");
+        return Ok(());
+    };
+    let stem = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "schedule".into());
+    let out = dir.join(format!("{stem}@{target}.dot"));
+    std::fs::write(&out, dot).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    if !cli.quiet {
+        println!("  wrote {}", out.display());
     }
-    eprintln!(
-        "lint: depgraph over {} file(s), {errors} error(s)",
-        files.len()
-    );
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let mut cli = match parse_args() {
         Ok(c) => c,
         Err(msg) => {
             eprintln!("{msg}");
@@ -285,8 +205,20 @@ fn main() -> ExitCode {
         eprintln!("lint: no .fhe files under the given paths");
         return ExitCode::FAILURE;
     }
-    if matches!(cli.mode, Mode::DepGraph) {
-        return run_depgraph(&cli, &files);
+    if let Some(path) = &cli.profile {
+        match load_profile(path) {
+            Ok(model) => cli.run.profile = model,
+            Err(e) => {
+                eprintln!("lint: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    if let Some(dir) = &cli.dot_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("lint: cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
     }
 
     let mut reports = Vec::new();
@@ -317,8 +249,24 @@ fn main() -> ExitCode {
                 .iter()
                 .filter(|f| denied(&cli.deny, f))
                 .count();
-            if !cli.quiet && !target.rendered.is_empty() {
+            if !cli.quiet {
                 print!("{}", target.rendered);
+                if let Some(est) = &target.estimate {
+                    println!(
+                        "{name}@{}: work {:.1}us, span {:.1}us, parallelism {:.2}x, width {}",
+                        target.target,
+                        est.work_us,
+                        est.span_us,
+                        est.parallelism(),
+                        est.max_width
+                    );
+                }
+            }
+            if let Some(dot) = &target.dot {
+                if let Err(e) = write_dot(&cli, path, &target.target, dot) {
+                    eprintln!("lint: {e}");
+                    errors += 1;
+                }
             }
         }
         reports.push(report);

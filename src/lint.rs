@@ -2,6 +2,11 @@
 //! abstract-interpretation lints and translation validation from
 //! [`fhe_analysis`] over each, and renders/serializes the results.
 //!
+//! Each file is one pass: every schedule it yields gets its findings, its
+//! translation-validation verdict and the work/span/width profile of its
+//! dependence DAG under [`LintRun::profile`], with the DAG's Graphviz
+//! rendering when [`LintRun::dot`] asks for it.
+//!
 //! A file is linted in one of two modes, selected by a `// lint-mode:`
 //! directive comment:
 //!
@@ -25,9 +30,7 @@
 //! file carries no explicit `// fuzz-output-reserve:`, the output reserve
 //! is derived statically from the interval analysis
 //! ([`required_output_reserve_bits`]), making Table 1's `m·x_max < Q`
-//! hypothesis hold by construction for in-range inputs. `depgraph` mode
-//! reads a file through the same front end, so it profiles exactly the
-//! schedules `lint` checks.
+//! hypothesis hold by construction for in-range inputs.
 
 use std::fs;
 use std::io;
@@ -41,7 +44,10 @@ use fhe_fuzz::corpus;
 use fhe_ir::diag::{Finding, Severity};
 use fhe_ir::json::Json;
 use fhe_ir::pipeline::Compiled;
-use fhe_ir::{text, CompileParams, Frac, InputSpec, Op, Program, ScheduledProgram};
+use fhe_ir::{
+    text, CompileParams, CostModel, DepGraph, Frac, InputSpec, Op, ParallelismEstimate, Program,
+    ScheduledProgram,
+};
 
 /// Options for a lint run over files.
 #[derive(Debug, Clone)]
@@ -52,6 +58,11 @@ pub struct LintRun {
     pub compilers: Vec<String>,
     /// Assumed input range `[-m, m]` for the magnitude analysis.
     pub input_magnitude: f64,
+    /// Per-op costs the parallelism profile is priced under: the paper's
+    /// Table 3 by default, or a measured `table3 --json` record.
+    pub profile: CostModel,
+    /// Render each schedule's dependence DAG as Graphviz DOT.
+    pub dot: bool,
 }
 
 impl Default for LintRun {
@@ -59,6 +70,8 @@ impl Default for LintRun {
         LintRun {
             compilers: vec!["eva".into(), "hecate".into(), "reserve".into()],
             input_magnitude: 1.0,
+            profile: CostModel::paper_table3(),
+            dot: false,
         }
     }
 }
@@ -79,6 +92,12 @@ pub struct TargetReport {
     /// A target-level failure (the compiler rejected the program, or the
     /// hand-written schedule does not validate).
     pub error: Option<String>,
+    /// Work/span/width profile of the schedule's dependence DAG; `None`
+    /// when the target has no valid schedule.
+    pub estimate: Option<ParallelismEstimate>,
+    /// Graphviz rendering of the DAG (critical path highlighted), when
+    /// [`LintRun::dot`] asks for it.
+    pub dot: Option<String>,
 }
 
 /// All lint results for one file.
@@ -187,7 +206,7 @@ fn render_findings(findings: &[Finding], map: &SourceMap, label: &str) -> String
 }
 
 /// Compiles `program` with the compiler registered under `name`; the error
-/// is the target-level message of a [`TargetReport`] / [`DepTarget`].
+/// is the target-level message of a [`TargetReport`].
 fn compile_with(name: &str, program: &Program, params: &CompileParams) -> Result<Compiled, String> {
     let compiler = fhe_serve::compiler_for(name)
         .ok_or_else(|| fhe_serve::ServeError::UnknownCompiler(name.into()).to_string())?;
@@ -196,7 +215,7 @@ fn compile_with(name: &str, program: &Program, params: &CompileParams) -> Result
         .map_err(|e| format!("{name}: {e}"))
 }
 
-/// One schedule of a file, as `lint` and `depgraph` both see it.
+/// One schedule of a file.
 enum Target {
     /// The file's own schedule (`// lint-mode: scheduled`).
     Scheduled(ScheduledProgram),
@@ -216,20 +235,20 @@ impl Target {
         }
     }
 
-    fn schedule(&self) -> Result<&ScheduledProgram, &String> {
+    fn schedule(&self) -> Option<&ScheduledProgram> {
         match self {
-            Target::Scheduled(scheduled) => Ok(scheduled),
-            Target::Compiled { compiled, .. } => compiled.as_ref().map(|c| &c.scheduled),
+            Target::Scheduled(scheduled) => Some(scheduled),
+            Target::Compiled { compiled, .. } => compiled.as_ref().ok().map(|c| &c.scheduled),
         }
     }
 }
 
-/// The one per-file front end of [`lint_file`] and [`depgraph_file`]: parses
-/// `content`, reads its directives, and yields the lint options they imply
-/// with the file's targets — its own schedule in scheduled mode, else one
-/// compile per requested compiler. Every compile runs under the same params:
-/// the file's, with the output reserve raised to the interval bound unless
-/// the file sets `// fuzz-output-reserve:`. `Err` is the rendered file-level
+/// The per-file front end of [`lint_file`]: parses `content`, reads its
+/// directives, and yields the lint options they imply with the file's
+/// targets — its own schedule in scheduled mode, else one compile per
+/// requested compiler. Every compile runs under the same params: the
+/// file's, with the output reserve raised to the interval bound unless the
+/// file sets `// fuzz-output-reserve:`. `Err` is the rendered file-level
 /// error.
 fn parse_file(
     file: &str,
@@ -279,38 +298,63 @@ fn parse_file(
     Ok((options, targets))
 }
 
-/// Lints one target under `options`. A compiled target keeps the `F000`
-/// finding and the translation-validation verdict its compile recorded.
-fn lint_target(file: &str, content: &str, target: &Target, options: &LintOptions) -> TargetReport {
-    let failed = |error: String| TargetReport {
+/// Profiles one schedule's dependence DAG under `run.profile`, with its DOT
+/// rendering when `run.dot`; nothing when the schedule does not validate.
+fn profile(
+    name: &str,
+    scheduled: &ScheduledProgram,
+    run: &LintRun,
+) -> Option<(ParallelismEstimate, Option<String>)> {
+    let map = scheduled.validate().ok()?;
+    let graph = DepGraph::build(scheduled, &map, &run.profile, true);
+    let dot = run
+        .dot
+        .then(|| graph.to_dot(&format!("{}_{name}", scheduled.program.name())));
+    Some((graph.estimate(), dot))
+}
+
+/// Lints and profiles one target under `options`. A compiled target keeps
+/// the `F000` finding and the translation-validation verdict its compile
+/// recorded.
+fn lint_target(
+    file: &str,
+    content: &str,
+    target: &Target,
+    options: &LintOptions,
+    run: &LintRun,
+) -> TargetReport {
+    let profiled = target
+        .schedule()
+        .and_then(|s| profile(target.name(), s, run));
+    let (estimate, dot) = profiled.map_or((None, None), |(e, dot)| (Some(e), dot));
+    let mut report = TargetReport {
         target: target.name().into(),
         findings: Vec::new(),
         translation_validated: None,
         rendered: String::new(),
-        error: Some(error),
+        error: None,
+        estimate,
+        dot,
     };
     match target {
         Target::Scheduled(scheduled) => match lint_scheduled(scheduled, options) {
-            Ok(findings) => TargetReport {
-                target: target.name().into(),
-                rendered: render_findings(&findings, &SourceMap::new(content), file),
-                findings,
-                translation_validated: None,
-                error: None,
-            },
+            Ok(findings) => {
+                report.rendered = render_findings(&findings, &SourceMap::new(content), file);
+                report.findings = findings;
+            }
             Err(errors) => {
                 let joined = errors
                     .iter()
                     .map(|e| format!("  {e}"))
                     .collect::<Vec<_>>()
                     .join("\n");
-                failed(format!("schedule does not validate:\n{joined}"))
+                report.error = Some(format!("schedule does not validate:\n{joined}"));
             }
         },
         Target::Compiled {
             compiled: Err(error),
             ..
-        } => failed(error.clone()),
+        } => report.error = Some(error.clone()),
         Target::Compiled {
             name,
             compiled: Ok(compiled),
@@ -319,19 +363,16 @@ fn lint_target(file: &str, content: &str, target: &Target, options: &LintOptions
             let tv = compiled.report.findings.iter().filter(|f| f.code == "F000");
             findings.extend(tv.cloned());
             let schedule_text = text::print(&compiled.scheduled.program);
-            TargetReport {
-                target: name.clone(),
-                rendered: render_findings(
-                    &findings,
-                    &SourceMap::new(&schedule_text),
-                    &format!("{file}@{name}"),
-                ),
-                findings,
-                translation_validated: compiled.report.translation_validated,
-                error: None,
-            }
+            report.rendered = render_findings(
+                &findings,
+                &SourceMap::new(&schedule_text),
+                &format!("{file}@{name}"),
+            );
+            report.findings = findings;
+            report.translation_validated = compiled.report.translation_validated;
         }
     }
+    report
 }
 
 /// Lints one file's content. `file` is the display name used in
@@ -351,99 +392,8 @@ pub fn lint_file(file: &str, content: &str, run: &LintRun) -> FileReport {
         file: file.into(),
         targets: targets
             .iter()
-            .map(|t| lint_target(file, content, t, &options))
+            .map(|t| lint_target(file, content, t, &options, run))
             .collect(),
-        error: None,
-    }
-}
-
-/// One analysis target of `depgraph` mode: the schedule's parallelism
-/// profile and (on request) its DOT rendering.
-#[derive(Debug)]
-pub struct DepTarget {
-    /// `"scheduled"` for directly-analyzed files, else the compiler name.
-    pub target: String,
-    /// Work/span/width profile of the schedule's dependence DAG.
-    pub estimate: Option<fhe_ir::ParallelismEstimate>,
-    /// Graphviz rendering (critical path highlighted), when requested.
-    pub dot: Option<String>,
-    /// A target-level failure (compile error, invalid schedule).
-    pub error: Option<String>,
-}
-
-/// `depgraph`-mode results for one file.
-#[derive(Debug)]
-pub struct DepFileReport {
-    /// The file, as given on the command line.
-    pub file: String,
-    /// One entry per analyzed schedule.
-    pub targets: Vec<DepTarget>,
-    /// A file-level failure (unreadable or unparsable).
-    pub error: Option<String>,
-}
-
-/// Profiles one schedule's dependence DAG under `model`, with its DOT
-/// rendering when `want_dot`.
-fn profile(
-    name: &str,
-    scheduled: &ScheduledProgram,
-    model: &fhe_ir::CostModel,
-    want_dot: bool,
-) -> Result<(fhe_ir::ParallelismEstimate, Option<String>), String> {
-    let map = scheduled.validate().map_err(|errors| {
-        let joined = errors
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; ");
-        format!("schedule does not validate: {joined}")
-    })?;
-    let graph = fhe_ir::DepGraph::build(scheduled, &map, model, true);
-    let dot = want_dot.then(|| graph.to_dot(&format!("{}_{name}", scheduled.program.name())));
-    Ok((graph.estimate(), dot))
-}
-
-/// Builds the dependence DAG of every schedule `lint` checks in `file`
-/// (the file's own schedule in scheduled mode, one per requested compiler
-/// otherwise) and profiles it under `model` — the paper's Table 3 by
-/// default, or a measured profile via the CLI's `--profile`.
-pub fn depgraph_file(
-    file: &str,
-    content: &str,
-    run: &LintRun,
-    model: &fhe_ir::CostModel,
-    want_dot: bool,
-) -> DepFileReport {
-    let targets = match parse_file(file, content, run) {
-        Ok((_, targets)) => targets,
-        Err(error) => {
-            return DepFileReport {
-                file: file.into(),
-                targets: Vec::new(),
-                error: Some(error),
-            }
-        }
-    };
-    let analyze = |target: &Target| {
-        let name = target.name();
-        let profiled = target
-            .schedule()
-            .map_err(String::clone)
-            .and_then(|scheduled| profile(name, scheduled, model, want_dot));
-        let (estimate, dot, error) = match profiled {
-            Ok((estimate, dot)) => (Some(estimate), dot, None),
-            Err(error) => (None, None, Some(error)),
-        };
-        DepTarget {
-            target: name.into(),
-            estimate,
-            dot,
-            error,
-        }
-    };
-    DepFileReport {
-        file: file.into(),
-        targets: targets.iter().map(analyze).collect(),
         error: None,
     }
 }
@@ -461,8 +411,28 @@ pub fn denied(deny: &[String], finding: &Finding) -> bool {
 
 /// Serializes the reports as the `--json` machine-readable form: an array
 /// of `{file, error, targets: [{target, error, translation_validated,
-/// findings}]}` objects.
+/// findings, work_us, span_us, max_width}]}` objects (the profile is `null`
+/// for a target without a schedule).
 pub fn reports_json(reports: &[FileReport]) -> Json {
+    let target_json = |t: &TargetReport| {
+        let profiled =
+            |field: fn(&ParallelismEstimate) -> Json| t.estimate.as_ref().map_or(Json::Null, field);
+        Json::obj([
+            ("target", Json::from(t.target.as_str())),
+            ("error", t.error.as_deref().map_or(Json::Null, Json::from)),
+            (
+                "translation_validated",
+                t.translation_validated.map_or(Json::Null, Json::Bool),
+            ),
+            (
+                "findings",
+                Json::Array(t.findings.iter().map(Finding::to_json).collect()),
+            ),
+            ("work_us", profiled(|e| e.work_us.into())),
+            ("span_us", profiled(|e| e.span_us.into())),
+            ("max_width", profiled(|e| e.max_width.into())),
+        ])
+    };
     Json::Array(
         reports
             .iter()
@@ -472,30 +442,7 @@ pub fn reports_json(reports: &[FileReport]) -> Json {
                     ("error", r.error.as_deref().map_or(Json::Null, Json::from)),
                     (
                         "targets",
-                        Json::Array(
-                            r.targets
-                                .iter()
-                                .map(|t| {
-                                    Json::obj([
-                                        ("target", Json::from(t.target.as_str())),
-                                        (
-                                            "error",
-                                            t.error.as_deref().map_or(Json::Null, Json::from),
-                                        ),
-                                        (
-                                            "translation_validated",
-                                            t.translation_validated.map_or(Json::Null, Json::Bool),
-                                        ),
-                                        (
-                                            "findings",
-                                            Json::Array(
-                                                t.findings.iter().map(Finding::to_json).collect(),
-                                            ),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+                        Json::Array(r.targets.iter().map(target_json).collect()),
                     ),
                 ])
             })
@@ -563,19 +510,15 @@ mod tests {
             ..LintRun::default()
         };
         let lint = lint_file("q.fhe", src, &run);
-        let model = fhe_ir::CostModel::paper_table3();
-        let dep = depgraph_file("q.fhe", src, &run, &model, false);
-        let errors = [
-            (&lint.targets[0].error, &lint.targets[1].error),
-            (&dep.targets[0].error, &dep.targets[1].error),
-        ];
-        for (unknown, known) in errors {
-            let unknown = unknown.as_deref().expect("`evaa` names no compiler");
-            assert!(unknown.contains("unknown compiler `evaa`"), "{unknown}");
-            assert_eq!(*known, None);
-        }
+        let unknown = lint.targets[0]
+            .error
+            .as_deref()
+            .expect("`evaa` names no compiler");
+        assert!(unknown.contains("unknown compiler `evaa`"), "{unknown}");
+        assert_eq!(lint.targets[1].error, None);
         assert_eq!(lint.targets[0].translation_validated, None);
-        assert!(dep.targets[0].estimate.is_none());
+        assert!(lint.targets[0].estimate.is_none());
+        assert!(lint.targets[1].estimate.is_some());
     }
 
     #[test]
@@ -592,15 +535,18 @@ mod tests {
     }
 
     #[test]
-    fn depgraph_mode_profiles_every_compiler_target() {
+    fn lint_profiles_every_compiler_target() {
         let src = "program q(slots=8) {\n  %0 = input \"x\"\n  %1 = input \"y\"\n  \
                    %2 = mul %0, %0\n  %3 = mul %2, %0\n  %4 = mul %1, %1\n  \
                    %5 = add %4, %1\n  %6 = mul %3, %5\n  return %6\n}\n";
-        let model = fhe_ir::CostModel::paper_table3();
-        let r = depgraph_file("q.fhe", src, &LintRun::default(), &model, true);
+        let run = LintRun {
+            dot: true,
+            ..LintRun::default()
+        };
+        let r = lint_file("q.fhe", src, &run);
         assert!(r.error.is_none());
         assert_eq!(r.targets.len(), 3);
-        let (_, targets) = parse_file("q.fhe", src, &LintRun::default()).expect("parses");
+        let (_, targets) = parse_file("q.fhe", src, &run).expect("parses");
         for (t, target) in r.targets.iter().zip(&targets) {
             assert!(t.error.is_none(), "{}: {:?}", t.target, t.error);
             let est = t.estimate.as_ref().expect("estimate");
@@ -608,7 +554,7 @@ mod tests {
             assert!(est.max_width >= 1);
             let scheduled = target.schedule().expect("compiles");
             let map = scheduled.validate().expect("valid schedule");
-            let graph = fhe_ir::DepGraph::build(scheduled, &map, &model, true);
+            let graph = DepGraph::build(scheduled, &map, &run.profile, true);
             assert!((graph.t_of_k(1) - est.work_us).abs() < 1e-9, "T(1) == work");
             let dot = t.dot.as_ref().expect("dot requested");
             assert!(dot.starts_with("digraph"), "{dot}");
@@ -626,34 +572,32 @@ mod tests {
             compilers: vec!["reserve".into()],
             ..LintRun::default()
         };
-        let model = fhe_ir::CostModel::paper_table3();
         let case = corpus::parse_case(src).expect("parses");
-        let profile = |params: &CompileParams| {
+        let estimate_at = |params: &CompileParams| {
             let scheduled = compile_with("reserve", &case.program, params)
                 .expect("compiles")
                 .scheduled;
             let map = scheduled.validate().expect("valid schedule");
-            fhe_ir::DepGraph::build(&scheduled, &map, &model, true).estimate()
+            DepGraph::build(&scheduled, &map, &run.profile, true).estimate()
         };
         let mut derived = case.params;
         derived.output_reserve_bits =
             required_output_reserve_bits(&case.program, &IntervalDomain::default());
         assert_ne!(
-            profile(&derived).work_us,
-            profile(&case.params).work_us,
+            estimate_at(&derived).work_us,
+            estimate_at(&case.params).work_us,
             "the derived reserve changes the schedule"
         );
 
-        let dep = depgraph_file("w.fhe", src, &run, &model, false);
-        assert_eq!(dep.targets[0].estimate, Some(profile(&derived)));
+        let lint = lint_file("w.fhe", src, &run);
+        assert_eq!(lint.targets[0].estimate, Some(estimate_at(&derived)));
     }
 
     #[test]
-    fn depgraph_mode_analyzes_a_scheduled_file_directly() {
+    fn lint_profiles_a_scheduled_file_directly() {
         let src = "// lint-mode: scheduled\n// lint-input-scale: 95\n// lint-input-level: 2\n\
                    program d(slots=4) {\n  %0 = input \"x\"\n  %1 = rescale %0\n  return %0\n}\n";
-        let model = fhe_ir::CostModel::paper_table3();
-        let r = depgraph_file("d.fhe", src, &LintRun::default(), &model, false);
+        let r = lint_file("d.fhe", src, &LintRun::default());
         assert!(r.error.is_none());
         assert_eq!(r.targets.len(), 1);
         assert_eq!(r.targets[0].target, "scheduled");
@@ -672,5 +616,6 @@ mod tests {
         assert!(json.contains("\"file\":\"d.fhe\""), "{json}");
         assert!(json.contains("\"code\":\"F002\""), "{json}");
         assert!(json.contains("\"translation_validated\":null"), "{json}");
+        assert!(json.contains("\"max_width\":"), "{json}");
     }
 }

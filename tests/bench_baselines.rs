@@ -4,7 +4,7 @@
 //! `--check-baseline` (CI's `mem-smoke`), `BENCH_kernels.json` is the drift
 //! record of the ratios `kernels` gates within a run (it reads nothing
 //! back), and `table3_measured.json` is the calibration record behind
-//! `lint depgraph --profile`. Nothing in tier-1
+//! `lint --profile`. Nothing in tier-1
 //! used to open them with the gates' own reader, so a renamed key or a
 //! re-recorded file in another layout showed up only in a CI smoke job — or,
 //! with the substring scanner the gates used before (`"key":` anywhere in

@@ -2,11 +2,12 @@
 //! paper-size LeNet-5 (11 664 ops in, a 9 411-op schedule out).
 //!
 //! The dependence analysis — DAG, work/span/width profile, race-freedom
-//! proof — must cost what its input costs: no more than the scale
+//! proof — must cost what its input costs: at most a quarter of the scale
 //! management it verifies. With a ready-list scan per scheduled node and an
 //! ancestor bitset it cost 27 × (release; > 10 × in a debug build); with a
 //! list schedule at each of twelve widths, about 0.6 × (0.5 × in a debug
-//! build); with work, span and width from one sweep, under 0.1 ×. And a
+//! build), which this gate fails; with work, span and width from one sweep,
+//! under 0.1 ×. And a
 //! compile must account for its own time: the report's `total_time` has to
 //! cover the wall measured around `compile`, which it did to 63 % while the
 //! profile was computed a second time after the clock was read.
@@ -39,11 +40,13 @@ fn lenet5_analysis_costs_what_its_input_costs_and_the_report_accounts_for_the_co
         covered = covered.max(report.total_time.as_secs_f64() / wall.as_secs_f64());
     }
     println!(
-        "depgraph {depgraph:?}, scale management {scale_management:?}, total_time covers {:.1} %",
+        "depgraph {depgraph:?}, scale management {scale_management:?} ({:.3} x), \
+         total_time covers {:.1} %",
+        depgraph.as_secs_f64() / scale_management.as_secs_f64(),
         covered * 100.0
     );
     assert!(
-        depgraph <= scale_management,
+        depgraph <= scale_management / 4,
         "depgraph pass {depgraph:?} vs scale management {scale_management:?}"
     );
     assert!(

@@ -150,6 +150,38 @@ fn params_and_compiler_id_are_part_of_the_key() {
 }
 
 #[test]
+fn a_text_differing_only_in_comments_and_layout_hits_the_same_entry() {
+    // The server keys the cache on `text::print(text::parse(sent))`, not on
+    // the sent text: comments and whitespace do not reach the key (a
+    // renamed program still misses, see the eviction test above).
+    let cache = CompileCache::new(None);
+    let params = CompileParams::new(30);
+    let compiler = ReserveCompiler::full();
+    let sent = program_text("layout");
+    let restyled = format!(
+        "// the same program, restyled\n{}",
+        sent.replace("\n  ", "\n\n      // a line comment\n    ")
+    );
+    assert_ne!(sent, restyled);
+
+    let first = text::parse(&sent).unwrap();
+    let second = text::parse(&restyled).unwrap();
+    assert!(
+        !cache
+            .get_or_compile(&first, &params, &compiler)
+            .unwrap()
+            .hit
+    );
+    assert!(
+        cache
+            .get_or_compile(&second, &params, &compiler)
+            .unwrap()
+            .hit
+    );
+    assert_eq!(cache.stats().entries, 1);
+}
+
+#[test]
 fn compilers_sharing_a_label_do_not_share_entries() {
     let cache = CompileCache::new(None);
     let p = text::parse(&program_text("labels")).unwrap();
