@@ -1,17 +1,17 @@
 //! Translation validation: prove a compiler's scheduled program equals its
 //! source modulo inserted scale management.
 //!
-//! Every compiler in the workspace first runs the shared cleanup pipeline
-//! (deterministic CSE/DCE/folding to fixpoint), then inserts
-//! `rescale`/`modswitch`/`upscale` ops — which are message-transparent by
-//! the semantics of Table 2. So a schedule is a correct translation iff
-//! stripping scale-management ops yields a DAG structurally equal to
-//! `cleanup(source)`. [`validate`] checks this by bisimulation from the
-//! outputs: each scheduled value is matched to a cleaned-source value with
-//! the same op, equal immediate attributes (input name, constant bits,
-//! rotation offset), and recursively matched operands, memoized so shared
-//! subgraphs are visited once and a value can never match two different
-//! source values.
+//! Every compiler in the workspace first runs the shared, deterministic
+//! `passes::cleanup` (identities, folding, CSE and DCE in one forward
+//! sweep), then inserts `rescale`/`modswitch`/`upscale` ops — which are
+//! message-transparent by the semantics of Table 2. So a schedule is a
+//! correct translation iff stripping scale-management ops yields a DAG
+//! structurally equal to `cleanup(source)`. [`validate`] checks this by
+//! bisimulation from the outputs: each scheduled value is matched to a
+//! cleaned-source value with the same op, equal immediate attributes (input
+//! name, constant bits, rotation offset), and recursively matched operands,
+//! memoized so shared subgraphs are visited once and a value can never
+//! match two different source values.
 
 use std::collections::HashMap;
 use std::fmt;

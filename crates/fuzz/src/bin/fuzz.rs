@@ -15,7 +15,6 @@ use std::time::Instant;
 
 use fhe_fuzz::{check_program, corpus, generate, shrink, GenConfig, OpMix, OracleConfig};
 use fhe_ir::json::Json;
-use fhe_ir::CompileParams;
 
 struct Args {
     seed: u64,
@@ -76,10 +75,12 @@ fn parse_args() -> Args {
             "--ckks-every" => args.ckks_every = parse_or_usage(&value(&mut it, "--ckks-every")),
             "--no-ckks" => args.oracle_cfg.run_ckks = false,
             "--waterline" => {
-                let bits: u32 = parse_or_usage(&value(&mut it, "--waterline"));
-                let mut params = CompileParams::new(bits);
-                params.max_level = args.oracle_cfg.params.max_level;
-                args.oracle_cfg.params = params;
+                args.oracle_cfg.params.waterline_bits =
+                    parse_or_usage(&value(&mut it, "--waterline"));
+                if let Err(e) = args.oracle_cfg.params.validate() {
+                    eprintln!("--waterline: {e}");
+                    usage()
+                }
             }
             "--max-ops" => args.gen_cfg.max_ops = parse_or_usage(&value(&mut it, "--max-ops")),
             "--slots" => args.gen_cfg.slots = parse_or_usage(&value(&mut it, "--slots")),

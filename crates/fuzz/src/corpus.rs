@@ -50,47 +50,31 @@ pub fn render_case(program: &Program, params: &CompileParams, label: &str, detai
 ///
 /// # Errors
 ///
-/// Returns a message on malformed IR or directives.
+/// Returns a message on malformed IR or directives, or on parameters
+/// [`CompileParams::validate`] rejects.
 pub fn parse_case(content: &str) -> Result<CorpusCase, String> {
     let (program, comments) = text::parse_with_comments(content).map_err(|e| e.to_string())?;
-    let mut waterline: u32 = 35;
-    let mut rescale: u32 = 60;
-    let mut max_level: u32 = 30;
-    let mut output_reserve: u32 = 0;
+    let mut params = CompileParams {
+        waterline_bits: 35,
+        ..CompileParams::default()
+    };
     let mut label = None;
     for comment in &comments {
         let Some((key, value)) = comment.split_once(':') else {
             continue;
         };
         let value = value.trim();
+        let number = |what: &str| value.parse().map_err(|_| format!("bad {what} `{value}`"));
         match key.trim() {
             "fuzz-label" => label = Some(value.to_string()),
-            "fuzz-waterline" => {
-                waterline = value
-                    .parse()
-                    .map_err(|_| format!("bad waterline `{value}`"))?;
-            }
-            "fuzz-rescale" => {
-                rescale = value
-                    .parse()
-                    .map_err(|_| format!("bad rescale `{value}`"))?;
-            }
-            "fuzz-max-level" => {
-                max_level = value
-                    .parse()
-                    .map_err(|_| format!("bad max-level `{value}`"))?;
-            }
-            "fuzz-output-reserve" => {
-                output_reserve = value
-                    .parse()
-                    .map_err(|_| format!("bad output-reserve `{value}`"))?;
-            }
+            "fuzz-waterline" => params.waterline_bits = number("waterline")?,
+            "fuzz-rescale" => params.rescale_bits = number("rescale")?,
+            "fuzz-max-level" => params.max_level = number("max-level")?,
+            "fuzz-output-reserve" => params.output_reserve_bits = number("output-reserve")?,
             _ => {}
         }
     }
-    let mut params = CompileParams::with_rescale_bits(waterline, rescale);
-    params.max_level = max_level;
-    params.output_reserve_bits = output_reserve;
+    params.validate()?;
     Ok(CorpusCase {
         path: None,
         program,
@@ -164,6 +148,17 @@ mod tests {
         assert_eq!(case.params.rescale_bits, 50);
         assert_eq!(case.params.max_level, 17);
         assert_eq!(case.label.as_deref(), Some("panic:ckks"));
+    }
+
+    #[test]
+    fn out_of_range_params_are_an_error() {
+        let p = generate(5, &GenConfig::default());
+        let params = CompileParams {
+            max_level: 0,
+            ..CompileParams::default()
+        };
+        let err = parse_case(&render_case(&p, &params, "x", "")).unwrap_err();
+        assert_eq!(err, "max_level must be at least 1");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! - an ergonomic [`Builder`] front-end with `+`, `-`, `*` operators;
 //! - dataflow [`analysis`] (multiplicative depth, liveness, §6.1 level
 //!   estimates);
-//! - cleanup [`passes`] (CSE, DCE) and [`fold`] (constant folding,
-//!   algebraic canonicalization);
+//! - the shared [`passes::cleanup`] (algebraic identities, constant
+//!   folding, CSE, DCE) in one forward sweep;
 //! - the slot [`semantics`] of every op on clear `f64` vectors, shared by
 //!   constant folding and the runtime's clear-value interpreter;
 //! - a textual format ([`text`]) for printing and parsing programs;
@@ -46,7 +46,6 @@ mod builder;
 pub mod cost;
 pub mod depgraph;
 pub mod diag;
-pub mod fold;
 mod frac;
 pub mod fusion;
 pub mod json;

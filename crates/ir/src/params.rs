@@ -37,48 +37,50 @@ impl CompileParams {
     ///
     /// # Panics
     ///
-    /// Panics if `waterline_bits` is zero or not less than `rescale_bits`
-    /// (the waterline must satisfy `W < R` so that a rescaled scale can stay
-    /// above the waterline).
+    /// Panics if [`CompileParams::validate`] rejects the parameters.
     pub fn new(waterline_bits: u32) -> Self {
-        let p = CompileParams {
-            rescale_bits: 60,
-            waterline_bits,
-            max_level: 30,
-            output_reserve_bits: 0,
-        };
-        p.check();
-        p
+        Self::with_rescale_bits(waterline_bits, 60)
     }
 
     /// Same as [`CompileParams::new`] with an explicit rescaling-factor size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CompileParams::validate`] rejects the parameters.
     pub fn with_rescale_bits(waterline_bits: u32, rescale_bits: u32) -> Self {
         let p = CompileParams {
             rescale_bits,
-            ..Self::new_unchecked(waterline_bits)
-        };
-        p.check();
-        p
-    }
-
-    fn new_unchecked(waterline_bits: u32) -> Self {
-        CompileParams {
-            rescale_bits: 60,
             waterline_bits,
             max_level: 30,
             output_reserve_bits: 0,
+        };
+        if let Err(e) = p.validate() {
+            panic!("{e}");
         }
+        p
     }
 
-    fn check(&self) {
-        assert!(self.waterline_bits > 0, "waterline must be positive");
-        assert!(
-            self.waterline_bits < self.rescale_bits,
-            "waterline ({} bits) must be smaller than the rescaling factor ({} bits)",
-            self.waterline_bits,
-            self.rescale_bits
-        );
-        assert!(self.max_level >= 1, "max_level must be at least 1");
+    /// Checks the parameters every compiler assumes: a positive waterline
+    /// below the rescaling factor (`W < R`, so that a rescaled scale can
+    /// stay above the waterline) and a maximum level of at least 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.waterline_bits == 0 {
+            return Err("waterline must be positive".into());
+        }
+        if self.waterline_bits >= self.rescale_bits {
+            return Err(format!(
+                "waterline ({} bits) must be smaller than the rescaling factor ({} bits)",
+                self.waterline_bits, self.rescale_bits
+            ));
+        }
+        if self.max_level == 0 {
+            return Err("max_level must be at least 1".into());
+        }
+        Ok(())
     }
 
     /// Relative waterline `ω = log_R W = waterline_bits / rescale_bits`.

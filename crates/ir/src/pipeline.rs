@@ -54,7 +54,7 @@ use crate::schedule::{ScaleMap, ScheduledProgram};
 /// What a pass contributes to; drives the [`PipelineTrace`] time split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassKind {
-    /// Pre-scale-management cleanup (CSE/DCE/folding).
+    /// Pre-scale-management cleanup (identities, folding, CSE, DCE).
     Cleanup,
     /// Pure analysis: computes artifacts, does not rewrite the IR.
     Analysis,
@@ -214,9 +214,10 @@ impl PassCx {
         }
     }
 
-    /// The shared `cleanup` phase (CSE/DCE/folding to fixpoint) every
-    /// compiler runs before scale management, so op counts stay comparable
-    /// (§8.1). The cleaned program's op count is the report's `ops_before`.
+    /// The shared [`cleanup`](crate::passes::cleanup) phase (identities,
+    /// folding, CSE and DCE in one forward sweep) every compiler runs
+    /// before scale management, so op counts stay comparable (§8.1). The
+    /// cleaned program's op count is the report's `ops_before`.
     pub fn cleanup(&mut self, program: &Program) -> Program {
         self.ops = program.num_ops();
         let t0 = Instant::now();

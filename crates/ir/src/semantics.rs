@@ -2,19 +2,19 @@
 //!
 //! This is the one definition. The runtime's clear-value interpreter
 //! (`fhe_runtime::plain`) calls [`eval`] for every op with operands, so
-//! plain execution, the noise simulator and the encrypted executor's
-//! reference and plain sub-values all read it; constant folding
-//! ([`fold_constants`]) calls it on compile-time constants.
+//! plain execution, the noise simulator and the encrypted executor's plain
+//! sub-values all read it; constant folding in [`cleanup`] calls it on
+//! compile-time constants.
 //!
 //! The kernels are loops over slices. A one-slot operand of a binary kernel
 //! stands for the same value in every slot, so a scalar constant folds
 //! without being materialized and scalar ∘ scalar stays one slot.
 //!
 //! [`rotation_class`] is the one rule for which rotations are the identity:
-//! canonicalization drops them, hoisting groups skip them, and no Galois
-//! key is drawn for them.
+//! [`cleanup`] drops them, hoisting groups skip them, and no Galois key is
+//! drawn for them.
 //!
-//! [`fold_constants`]: crate::fold::fold_constants
+//! [`cleanup`]: crate::passes::cleanup
 
 use crate::op::{Op, ValueId};
 

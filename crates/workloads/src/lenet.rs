@@ -225,8 +225,8 @@ mod tests {
     fn rotations_are_shared_after_cse() {
         let p = build(&LenetConfig::lenet5());
         let before = p.count_ops(|o| matches!(o, fhe_ir::Op::Rotate(..)));
-        let (after_cse, _) = passes::cse(&p);
-        let after = after_cse.count_ops(|o| matches!(o, fhe_ir::Op::Rotate(..)));
+        let cleaned = passes::cleanup(&p);
+        let after = cleaned.count_ops(|o| matches!(o, fhe_ir::Op::Rotate(..)));
         assert!(
             after < before,
             "CSE must merge shared rotations: {after} vs {before}"

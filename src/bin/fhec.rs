@@ -31,7 +31,7 @@ use fhe_reserve::runtime::{backend_params, execute_parallel, ExecOptions, ParOpt
 
 struct Cli {
     input: String,
-    waterline: u32,
+    params: CompileParams,
     compiler: String,
     mode: Mode,
     emit: String,
@@ -94,14 +94,14 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if !(1..60).contains(&waterline) {
-        return Err(format!(
-            "waterline must be in 1..=59 bits (below the rescaling factor R = 2^60), got {waterline}"
-        ));
-    }
+    let params = CompileParams {
+        waterline_bits: waterline,
+        ..CompileParams::default()
+    };
+    params.validate()?;
     Ok(Cli {
         input: input.ok_or("missing input file (try --help)")?,
-        waterline,
+        params,
         compiler,
         mode,
         emit,
@@ -171,14 +171,13 @@ fn main() -> ExitCode {
         registered
     };
     let label = if reserve { "reserve" } else { compiler.name() };
-    let Compiled { scheduled, report } =
-        match compiler.compile(&program, &CompileParams::new(cli.waterline)) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("{label}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let Compiled { scheduled, report } = match compiler.compile(&program, &cli.params) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("{label}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if cli.emit == "text" || cli.emit == "both" {
         print!("{}", text::print(&scheduled.program));
@@ -188,7 +187,7 @@ fn main() -> ExitCode {
         eprintln!(
             "{label}: W=2^{} level={} ops={} rescale={rs} modswitch={ms} upscale={us} \
              est_latency={:.2}ms sm_time={:?}",
-            cli.waterline,
+            cli.params.waterline_bits,
             report.max_level,
             scheduled.program.num_ops(),
             report.estimated_latency_us / 1000.0,

@@ -467,6 +467,26 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_params_are_a_file_error_naming_the_rule() {
+        for (directive, rule) in [
+            (
+                "// fuzz-waterline: 70",
+                "must be smaller than the rescaling factor",
+            ),
+            ("// fuzz-waterline: 0", "waterline must be positive"),
+            ("// fuzz-max-level: 0", "max_level must be at least 1"),
+        ] {
+            let src = format!(
+                "{directive}\nprogram t(slots=4) {{\n  %0 = input \"x\"\n  return %0\n}}\n"
+            );
+            let r = lint_file("p.fhe", &src, &LintRun::default());
+            let err = r.error.expect("a file-level error");
+            assert!(err.contains(rule), "{directive}: {err}");
+            assert!(r.targets.is_empty());
+        }
+    }
+
+    #[test]
     fn scheduled_mode_lints_the_file_text_directly() {
         let src = "// lint-mode: scheduled\n// lint-input-scale: 95\n// lint-input-level: 2\n\
                    program d(slots=4) {\n  %0 = input \"x\"\n  %1 = rescale %0\n  return %0\n}\n";

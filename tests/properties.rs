@@ -257,6 +257,11 @@ fn cleanup_preserves_semantics() {
             outputs_equal(&got, &reference),
             "case {case}: cleanup changed semantics"
         );
+        assert_eq!(
+            fhe_ir::text::print(&fhe_ir::passes::cleanup(&cleaned)),
+            fhe_ir::text::print(&cleaned),
+            "case {case}: cleanup is not a fixpoint"
+        );
     }
 }
 
