@@ -19,12 +19,16 @@
 //!    rotation group all read the key-switch decomposition the group
 //!    leader writes when it executes, so every member must be a descendant
 //!    of the leader.
+//! 3. **linear-combination members precede their root** — a member of a
+//!    linear-combination group ([`fhe_ir::analysis::linear_groups`]) adds
+//!    its products to partial sums the group's root merges, so every
+//!    member must reach the root by true (read-after-write) edges alone.
 //!
 //! Writers that share a pooled buffer through recycling (free → checkout)
 //! need no per-pair proof: the pool hands a buffer out only after its
 //! previous holder freed it, and by (1) that free happens after the last
 //! read, so pool synchronization orders the writers. What remains — and
-//! what [`check`] verifies — is exactly (1) and (2).
+//! what [`check`] verifies — is exactly (1) to (3).
 //!
 //! A schedule that fails (for instance a DAG built from true dependences
 //! only, via [`fhe_ir::DepGraph::build_true_deps`]) yields one
@@ -32,7 +36,7 @@
 //! surfaces those as `F008` findings, since an unordered read/free pair is
 //! the parallel form of the premature-free lint.
 
-use fhe_ir::depgraph::DepGraph;
+use fhe_ir::depgraph::{DepGraph, DepKind};
 use fhe_ir::semantics::rotation_class;
 use fhe_ir::{Op, ScheduledProgram, ValueId};
 
@@ -58,6 +62,14 @@ pub enum Violation {
         /// The unordered member.
         member: ValueId,
     },
+    /// A linear-combination member does not reach its root by true edges,
+    /// so the root could finish the sum before the member added to it.
+    UnorderedLinearMember {
+        /// The member rotation.
+        member: ValueId,
+        /// The root add that merges the group's partial sums.
+        root: ValueId,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -75,6 +87,10 @@ impl std::fmt::Display for Violation {
                 f,
                 "hoisted rotation {member} is not ordered after its group leader {leader}"
             ),
+            Violation::UnorderedLinearMember { member, root } => write!(
+                f,
+                "linear-combination member {member} does not reach its root {root} by true edges"
+            ),
         }
     }
 }
@@ -87,6 +103,9 @@ pub struct SafetyReport {
     pub freed_values: usize,
     /// Reader/free and group-writer orderings verified.
     pub obligations: usize,
+    /// Linear-combination members verified to reach their root by true
+    /// edges (obligation 3, counted apart from the orderings above).
+    pub linear_members: usize,
     /// Unordered hazards (empty = the schedule is proven race-free under
     /// any topological-order-respecting parallel execution).
     pub violations: Vec<Violation>,
@@ -120,15 +139,21 @@ impl<'g> Ancestry<'g> {
     }
 
     fn is_ancestor(&mut self, a: usize, d: usize) -> bool {
+        self.is_ancestor_by(a, d, |_| true)
+    }
+
+    /// [`Ancestry::is_ancestor`] over the edges of the kinds `follow`
+    /// accepts.
+    fn is_ancestor_by(&mut self, a: usize, d: usize, follow: impl Fn(DepKind) -> bool) -> bool {
         let graph = self.graph;
         // A direct edge answers at once; it is looked up from the endpoint
         // with fewer edges, which bounds all such lookups of one `check` by
         // the edge count (a reader has ≤ 2 operands, a member one leader).
         // Every obligation over a `DepGraph::build` graph ends here.
         let direct = if graph.succs(a).len() < graph.preds(d).len() {
-            graph.succs(a).iter().any(|&(s, _)| s == d)
+            graph.succs(a).iter().any(|&(s, k)| s == d && follow(k))
         } else {
-            graph.preds(d).iter().any(|&(p, _)| p == a)
+            graph.preds(d).iter().any(|&(p, k)| p == a && follow(k))
         };
         if direct {
             return true;
@@ -139,7 +164,7 @@ impl<'g> Ancestry<'g> {
         self.stack.clear();
         self.stack.push(d);
         while let Some(i) = self.stack.pop() {
-            for &(p, _) in graph.preds(i) {
+            for &(p, _) in graph.preds(i).iter().filter(|&&(_, k)| follow(k)) {
                 if p == a {
                     return true;
                 }
@@ -162,7 +187,8 @@ impl<'g> Ancestry<'g> {
 /// The obligations come from the program text alone; the graph is only
 /// asked whether it orders each pair. Violations are listed in schedule
 /// order: read-after-free by value then reader, then group writers by
-/// leader then member.
+/// leader then member, then linear-combination members by root then
+/// member.
 pub fn check(
     scheduled: &ScheduledProgram,
     graph: &DepGraph,
@@ -239,6 +265,27 @@ pub fn check(
                         .violations
                         .push(Violation::UnorderedGroupWriter { leader, member });
                 }
+            }
+        }
+    }
+
+    // Obligation 3: linear-combination members reach their root through
+    // the dataflow (whatever the hoisting setting: the runtime accumulates
+    // either way).
+    let live: Vec<bool> = program.ids().map(|id| graph.node(id).is_some()).collect();
+    for group in fhe_ir::analysis::linear_groups(program, &live) {
+        let root = group.root;
+        let root_node = graph.node(root).expect("root is live");
+        let mut members: Vec<ValueId> = group.terms.iter().map(|&(m, _)| m).collect();
+        members.sort();
+        members.dedup();
+        for member in members {
+            let member_node = graph.node(member).expect("member is live");
+            report.linear_members += 1;
+            if !ancestry.is_ancestor_by(member_node, root_node, |k| k == DepKind::True) {
+                report
+                    .violations
+                    .push(Violation::UnorderedLinearMember { member, root });
             }
         }
     }
@@ -326,7 +373,7 @@ mod tests {
             .iter()
             .filter_map(|v| match v {
                 Violation::UnorderedGroupWriter { leader, member } => Some((*leader, *member)),
-                Violation::ReadAfterFree { .. } => None,
+                Violation::ReadAfterFree { .. } | Violation::UnorderedLinearMember { .. } => None,
             })
             .collect();
         assert_eq!(groups.len(), 20, "two members per group: {groups:?}");
@@ -347,6 +394,29 @@ mod tests {
         let report = check(&s, &g, true);
         assert_eq!(report.obligations, 1);
         assert!(report.race_free(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn linear_combination_members_reach_their_root_by_true_edges() {
+        // Σ rotate(x, k)·0.5 + x·0.5: two members, one root. True edges
+        // alone order them, so a true-deps-only graph discharges them too
+        // (and, hoisting off, still owes them: the runtime accumulates).
+        let b = Builder::new("matvec", 8);
+        let x = b.input("x");
+        let half = b.constant(0.5);
+        let e = x.clone().rotate(1) * half.clone() + x.clone().rotate(2) * half.clone() + x * half;
+        let s = scheduled(b.finish(vec![e]));
+        let map = s.validate().expect("valid");
+        let full = DepGraph::build(&s, &map, &CostModel::paper_table3(), false);
+        let bare = DepGraph::build_true_deps(&s, &map, &CostModel::paper_table3());
+        for graph in [&full, &bare] {
+            let report = check(&s, graph, false);
+            assert_eq!(report.linear_members, 2);
+            assert!(!report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::UnorderedLinearMember { .. })));
+        }
     }
 
     #[test]

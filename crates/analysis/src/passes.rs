@@ -87,7 +87,8 @@ fn depgraph(cx: &mut PassCx, scheduled: &ScheduledProgram, map: &ScaleMap) {
         for v in &safety.violations {
             let at = match v {
                 parallel::Violation::ReadAfterFree { reader, .. } => *reader,
-                parallel::Violation::UnorderedGroupWriter { member, .. } => *member,
+                parallel::Violation::UnorderedGroupWriter { member, .. }
+                | parallel::Violation::UnorderedLinearMember { member, .. } => *member,
             };
             cx.finding(
                 Finding::new("F008", Severity::Error, format!("parallel hazard: {v}")).at(at),

@@ -34,7 +34,11 @@
 //!   ([`HOISTED4_ROTATE_RATIO_MAX`]), a rotate must not cost more than a
 //!   mul ([`ROTATE_MUL_RATIO_MAX`] — Table 3's order), and the `L = 9`
 //!   rotate must cost what three grouped digits cost
-//!   ([`ROTATE_L9_NTT_RATIO_MAX`]).
+//!   ([`ROTATE_L9_NTT_RATIO_MAX`]). Its last row is a linear combination
+//!   of 15 rotations of one ciphertext times plaintexts (an MLP mat-vec's
+//!   group), accumulated over `Q_l·P` with one division by `P`, against
+//!   today's hoisted rotations, `mul_plain`s and adds; the run **fails** if
+//!   it is not cheaper by [`LINEAR15_RATIO_MAX`].
 //!
 //! Kernels within a group are sampled round-robin (ref, fast, ref, fast,
 //! …) and scored by their per-kernel minimum, so background-load drift
@@ -109,6 +113,13 @@ const ROTATE_MUL_RATIO_MAX: f64 = 1.05;
 /// limb MACs per output polynomial; the run measures 17–19. Single-prime
 /// digits cost 110 NTTs and 90 MACs and measured 29–30 on the same host.
 const ROTATE_L9_NTT_RATIO_MAX: f64 = 24.0;
+
+/// Ceiling on `accumulated / (hoisted rotations + mul_plain + add)` for a
+/// linear combination of 15 rotations at `N = 2^13`, `l = 5`, `α = 2`,
+/// plaintexts encoded on demand in both. Accumulating over `Q_l·P` skips
+/// each member's ModDown, `2(α + l)` = 14 NTTs, and pays `α` = 2 more per
+/// encode. Measured 0.72 (0.72–0.77 with `--fast`).
+const LINEAR15_RATIO_MAX: f64 = 0.85;
 
 struct Row {
     group: &'static str,
@@ -407,6 +418,58 @@ fn main() -> ExitCode {
         ],
     );
     let (rotate_us, hoisted4_us, mul_us, rotate_l9_us) = (best[0], best[1], best[2], best[3]);
+    // An MLP mat-vec's group: 15 rotations of one ciphertext, each times a
+    // plaintext diagonal encoded on demand, summed — today's hoisted
+    // rotations, `mul_plain`s and adds against one accumulation.
+    let linear_steps: Vec<i64> = (1..=15).collect();
+    let lin_ev = Evaluator::new(
+        &codec_ctx,
+        None,
+        kg.galois_keys(linear_steps.iter().copied(), &mut rng),
+    );
+    let diagonals: Vec<Vec<f64>> = (0..linear_steps.len())
+        .map(|_| {
+            (0..codec_ctx.slots())
+                .map(|_| rng.gen_range(-0.5..0.5))
+                .collect()
+        })
+        .collect();
+    let best = time_rotation_us(
+        reps,
+        &mut [
+            &mut || {
+                let rotated = lin_ev.rotate_hoisted(&ct, &linear_steps);
+                let terms = rotated.into_iter().zip(&diagonals).map(|(r, w)| {
+                    let term = lin_ev.mul_plain_values(&r, w, scale);
+                    lin_ev.recycle_ct(r);
+                    term
+                });
+                let sum = terms.reduce(|sum, term| {
+                    let next = lin_ev.add(&sum, &term);
+                    lin_ev.recycle_ct(sum);
+                    lin_ev.recycle_ct(term);
+                    next
+                });
+                lin_ev.recycle_ct(black_box(sum.expect("15 terms")));
+            },
+            &mut || {
+                let digits = lin_ev.decompose_for_rotations(&ct);
+                let mut acc = lin_ev.linear_accumulator(ct.level);
+                for (&k, w) in linear_steps.iter().zip(&diagonals) {
+                    let p =
+                        (lin_ev.encoder()).encode_extended_in(lin_ev.pool(), w, scale, ct.level);
+                    lin_ev
+                        .try_accumulate_rotation(&ct, &digits, k, &mut [(&mut acc, &p)])
+                        .expect("a key per step");
+                    p.poly.recycle(lin_ev.pool());
+                }
+                lin_ev.recycle_decomposition(digits);
+                lin_ev.recycle_ct(black_box(lin_ev.finish_accumulator(acc)));
+            },
+        ],
+    );
+    let (linear_today_us, linear_us) = (best[0], best[1]);
+    let linear15_ratio = linear_us / linear_today_us;
     let hoisted4_rotate_ratio = hoisted4_us / (4.0 * rotate_us);
     let rotate_mul_ratio = rotate_us / mul_us;
     let rotate_l9_ntt_ratio = rotate_l9_us / yardstick_us;
@@ -415,6 +478,7 @@ fn main() -> ExitCode {
         ("rotate hoisted x4 2^13 L=5", hoisted4_us),
         ("mul cipher x cipher 2^13 L=5", mul_us),
         ("rotate 2^13 L=9", rotate_l9_us),
+        ("linear combination x15 2^13 L=5", linear_us),
     ] {
         rows.push(Row {
             group: "keyswitch",
@@ -459,6 +523,10 @@ fn main() -> ExitCode {
     println!(
         "rotate L=9 / (forward NTT x 6 limbs): {rotate_l9_ntt_ratio:.2} (must not exceed {ROTATE_L9_NTT_RATIO_MAX})"
     );
+    println!(
+        "linear combination x15 / (hoisted rotate + mul_plain + add): {linear15_ratio:.2} \
+         (must not exceed {LINEAR15_RATIO_MAX})"
+    );
     assert!(sink != 0, "benchmark sink consumed");
 
     args.emit_json(&Json::obj([
@@ -470,6 +538,7 @@ fn main() -> ExitCode {
         ("hoisted4_rotate_ratio", Json::from(hoisted4_rotate_ratio)),
         ("rotate_mul_ratio", Json::from(rotate_mul_ratio)),
         ("rotate_l9_ntt_ratio", Json::from(rotate_l9_ntt_ratio)),
+        ("linear15_ratio", Json::from(linear15_ratio)),
         (
             "rows",
             Json::Array(
@@ -520,6 +589,14 @@ fn main() -> ExitCode {
             format!(
                 "a rotate at L = 9 costs {rotate_l9_ntt_ratio:.1}x the six-limb NTT yardstick (ceiling {ROTATE_L9_NTT_RATIO_MAX}): \
                  the key switch is not using three grouped digits"
+            ),
+        ),
+        (
+            linear15_ratio <= LINEAR15_RATIO_MAX,
+            format!(
+                "accumulating 15 rotations times plaintexts costs {linear15_ratio:.2}x rotating, \
+                 multiplying and adding them (ceiling {LINEAR15_RATIO_MAX}): the members are \
+                 still dividing by P one by one"
             ),
         ),
     ])

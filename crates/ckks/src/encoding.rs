@@ -163,7 +163,7 @@ impl<'c> Encoder<'c> {
     /// `value · scale` overflows `f64`) — callers holding untrusted slot
     /// data check it first, as the encrypted executor's prologue does.
     pub fn encode(&self, values: &[f64], scale: f64, level: usize) -> Plaintext {
-        self.encode_impl(values, scale, level, None)
+        self.encode_impl(values, scale, level, false, None)
     }
 
     /// [`Encoder::encode`] with the plaintext's limb buffers checked out of
@@ -176,7 +176,22 @@ impl<'c> Encoder<'c> {
         scale: f64,
         level: usize,
     ) -> Plaintext {
-        self.encode_impl(values, scale, level, Some(pool))
+        self.encode_impl(values, scale, level, false, Some(pool))
+    }
+
+    /// [`Encoder::encode_in`] over the extended basis `Q_l·P`: the same
+    /// rounded integer polynomial, reduced into the `α` special primes as
+    /// well, so it can multiply a key switch's output before the division
+    /// by `P` ([`crate::Evaluator::try_accumulate_rotation`]). Its chain
+    /// limbs are [`Encoder::encode_in`]'s.
+    pub fn encode_extended_in(
+        &self,
+        pool: &PolyPool,
+        values: &[f64],
+        scale: f64,
+        level: usize,
+    ) -> Plaintext {
+        self.encode_impl(values, scale, level, true, Some(pool))
     }
 
     fn encode_impl(
@@ -184,6 +199,7 @@ impl<'c> Encoder<'c> {
         values: &[f64],
         scale: f64,
         level: usize,
+        special: bool,
         pool: Option<&PolyPool>,
     ) -> Plaintext {
         assert!(values.len() <= self.slots(), "too many slot values");
@@ -203,7 +219,7 @@ impl<'c> Encoder<'c> {
             .enumerate()
             .map(|(k, &t)| t.mul(self.twist[k].conj()).re * scale)
             .collect();
-        let mut poly = RnsPoly::from_real_coeffs_in(pool, self.ctx, level, false, &coeffs);
+        let mut poly = RnsPoly::from_real_coeffs_in(pool, self.ctx, level, special, &coeffs);
         poly.to_ntt(self.ctx);
         Plaintext { poly, scale, level }
     }

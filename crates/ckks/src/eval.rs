@@ -643,6 +643,157 @@ impl<'c> Evaluator<'c> {
             }
         }
     }
+
+    /// An empty [`LinearAccumulator`] at `level`, its limbs zeroed out of
+    /// the pool.
+    pub fn linear_accumulator(&self, level: usize) -> LinearAccumulator {
+        let (ctx, pool) = (self.ctx, &*self.pool);
+        let zero = |special| RnsPoly::zero_in(pool, ctx, level, special, true);
+        LinearAccumulator {
+            level,
+            scale: None,
+            ext: [zero(true), zero(true)],
+            base: [zero(false), zero(false)],
+        }
+    }
+
+    /// Folds a contribution of `scale` into the accumulator's scale: the
+    /// smallest seen, so any partition and merge order agree on it.
+    fn accumulate_scale(&self, acc: &mut LinearAccumulator, scale: f64) {
+        if let Some(s) = acc.scale {
+            self.check_scales(s, scale);
+        }
+        acc.scale = Some(acc.scale.map_or(scale, |s| s.min(scale)));
+    }
+
+    /// Adds `rotate(a, steps) · p` to every `(accumulator, p)` of `terms`
+    /// without dividing by `P`: one key-switch inner product off `digits`
+    /// (a decomposition of `a`'s `c1`), whose output over `Q_l·P` is
+    /// multiplied by each plaintext — encoded over `Q_l·P`
+    /// ([`Encoder::encode_extended_in`]) — and summed into the
+    /// accumulator's extended halves, while `σ(c0) ∘ p` goes to its `Q_l`
+    /// half. Double hoisting (Bossuat et al., EUROCRYPT 2021): the ModDown
+    /// each rotation would pay is paid once per accumulator, by
+    /// [`Evaluator::finish_accumulator`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MissingKeyError`] when the key is neither in the static
+    /// set nor derivable from an attached [`KeyCache`]; the accumulators
+    /// are then untouched and nothing stays checked out of the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an identity rotation (it switches no key), or if `digits`,
+    /// a plaintext or an accumulator is not at `a`'s level, a plaintext is
+    /// not over `Q_l·P`, or the product's scale differs from what an
+    /// accumulator already holds.
+    pub fn try_accumulate_rotation(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposition,
+        steps: i64,
+        terms: &mut [(&mut LinearAccumulator, &Plaintext)],
+    ) -> Result<(), MissingKeyError> {
+        let (ctx, pool) = (self.ctx, &*self.pool);
+        let g = rotation_to_galois(ctx, steps);
+        assert_ne!(g, 1, "an identity rotation switches no key");
+        assert_eq!(digits.level(), a.level, "digits of this ciphertext");
+        for (acc, p) in terms.iter() {
+            assert_eq!((acc.level, p.level), (a.level, a.level), "one level");
+            assert!(p.poly.has_special(), "a plaintext over Q_l·P");
+        }
+        self.with_galois_key(g, Some(steps), a.level, |key| {
+            let perm = ctx.galois_permutation(g);
+            let (k0, k1) = RnsPoly::key_switch_dot(
+                pool,
+                ctx,
+                &digits.digits,
+                &key.k0,
+                &key.seeds,
+                Some(&perm),
+            );
+            let c0 = a.c0.automorphism_in(Some(pool), ctx, g);
+            for (acc, p) in terms.iter_mut() {
+                self.accumulate_scale(acc, a.scale * p.scale);
+                k0.mul_acc(ctx, &p.poly, &mut acc.ext[0]);
+                k1.mul_acc(ctx, &p.poly, &mut acc.ext[1]);
+                c0.mul_acc_prefix(ctx, &p.poly, &mut acc.base[0]);
+            }
+            for poly in [k0, k1, c0] {
+                poly.recycle(pool);
+            }
+        })
+    }
+
+    /// Adds a ciphertext at the accumulator's level and scale as it is.
+    pub fn accumulate_ciphertext(&self, acc: &mut LinearAccumulator, ct: &Ciphertext) {
+        assert_eq!(ct.level, acc.level, "operand levels must match");
+        self.accumulate_scale(acc, ct.scale);
+        acc.base[0].add_assign(self.ctx, &ct.c0);
+        acc.base[1].add_assign(self.ctx, &ct.c1);
+    }
+
+    /// Adds `other` into `acc` and returns `other`'s buffers to the pool.
+    /// Modular addition is exact, so any partition of the terms into
+    /// accumulators, merged in any order, finishes to the same limbs.
+    pub fn merge_accumulators(&self, acc: &mut LinearAccumulator, other: LinearAccumulator) {
+        assert_eq!(acc.level, other.level, "operand levels must match");
+        if let Some(scale) = other.scale {
+            self.accumulate_scale(acc, scale);
+        }
+        for (mine, theirs) in acc.ext.iter_mut().zip(&other.ext) {
+            mine.add_assign(self.ctx, theirs);
+        }
+        for (mine, theirs) in acc.base.iter_mut().zip(&other.base) {
+            mine.add_assign(self.ctx, theirs);
+        }
+        self.recycle_accumulator(other);
+    }
+
+    /// The accumulated ciphertext: the extended halves divided by `P` (one
+    /// [`RnsPoly::rescale_special_in`] each) plus the `Q_l` halves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was accumulated.
+    pub fn finish_accumulator(&self, acc: LinearAccumulator) -> Ciphertext {
+        let (ctx, pool) = (self.ctx, &*self.pool);
+        let scale = acc.scale.expect("an accumulator with terms");
+        let [mut c0, mut c1] = acc.base;
+        for (half, mut ext) in [&mut c0, &mut c1].into_iter().zip(acc.ext) {
+            ext.rescale_special_in(ctx, pool);
+            half.add_assign(ctx, &ext);
+            ext.recycle(pool);
+        }
+        Ciphertext {
+            c0,
+            c1,
+            level: acc.level,
+            scale,
+        }
+    }
+
+    /// Returns an accumulator's buffers to the pool unfinished.
+    pub fn recycle_accumulator(&self, acc: LinearAccumulator) {
+        for poly in acc.ext.into_iter().chain(acc.base) {
+            poly.recycle(&self.pool);
+        }
+    }
+}
+
+/// A partial sum `Σ rotate(a_d, k_d) · p_d + Σ c` kept before the division
+/// by `P` ([`Evaluator::try_accumulate_rotation`]): two polynomials over
+/// `Q_l·P` and two over `Q_l`, `2(l+α) + 2l` pooled limbs.
+#[derive(Debug)]
+pub struct LinearAccumulator {
+    level: usize,
+    /// The smallest contribution's scale (`None` while empty).
+    scale: Option<f64>,
+    /// `Σ k ∘ p` per half: key-switch outputs times plaintexts.
+    ext: [RnsPoly; 2],
+    /// `Σ σ(c0) ∘ p` plus the added ciphertexts, per half.
+    base: [RnsPoly; 2],
 }
 
 /// The key-switch digits of one ciphertext polynomial
@@ -1214,6 +1365,221 @@ mod key_switch_tests {
         let err = ev.try_rotate(&deep, 1).unwrap_err();
         assert_eq!((err.steps, err.level), (Some(1), 4));
         assert!(ev.try_rotate_hoisted(&deep, &[1]).is_err());
+        assert_eq!(ev.pool_stats().live_bytes, 0);
+    }
+
+    const STEPS: [i64; 3] = [1, 3, 7];
+    const SCALE: f64 = 33_554_432.0; // 2^25
+    const WEIGHT_SCALE: f64 = 32_768.0; // 2^15
+
+    /// A linear-combination fixture at `level`: slot `i` of `a` holds
+    /// `x[i] = (i % 13)/10`, and `weights` are the diagonals of the three
+    /// rotations, then of the unrotated term.
+    struct Combination {
+        a: Ciphertext,
+        x: Vec<f64>,
+        weights: Vec<Vec<f64>>,
+    }
+
+    impl Combination {
+        fn new(ctx: &CkksContext, kg: &KeyGenerator<'_>, level: usize) -> Self {
+            let mut rng = StdRng::seed_from_u64(15 + level as u64);
+            let slots = ctx.slots();
+            let x: Vec<f64> = (0..slots).map(|i| (i % 13) as f64 * 0.1).collect();
+            let pt = Encoder::new(ctx).encode(&x, SCALE, level);
+            let a = encrypt_symmetric(ctx, &kg.secret_key(), &pt, &mut rng);
+            let weights = (0..=STEPS.len())
+                .map(|d| {
+                    (0..slots)
+                        .map(|i| ((i * 7 + d * 5) % 11) as f64 / 11.0 - 0.5)
+                        .collect()
+                })
+                .collect();
+            Combination { a, x, weights }
+        }
+
+        /// The cleartext `Σ_d x[i + k_d]·w_d[i]`, plus `x[i]·w_3[i]` with
+        /// the unrotated term.
+        fn want(&self, direct: bool) -> Vec<f64> {
+            let slots = self.x.len();
+            let unrotated = direct.then_some(0).into_iter().zip(&self.weights[3..]);
+            (0..slots)
+                .map(|i| {
+                    let terms = STEPS
+                        .iter()
+                        .copied()
+                        .zip(&self.weights)
+                        .chain(unrotated.clone());
+                    terms.fold(0.0, |acc, (k, w)| {
+                        acc + self.x[(i + k as usize) % slots] * w[i]
+                    })
+                })
+                .collect()
+        }
+
+        /// The unrotated term's ciphertext, `a · w_3`.
+        fn direct(&self, ev: &Evaluator<'_>) -> Ciphertext {
+            let w = ev
+                .encoder()
+                .encode(&self.weights[3], WEIGHT_SCALE, self.a.level);
+            ev.mul_plain(&self.a, &w)
+        }
+
+        /// The sum the per-member way: a rotation, a `mul_plain` and an add
+        /// per term.
+        fn one_by_one(&self, ev: &Evaluator<'_>, direct: Option<&Ciphertext>) -> Ciphertext {
+            let a = &self.a;
+            let terms = STEPS.iter().zip(&self.weights).map(|(&k, w)| {
+                let p = ev.encoder().encode(w, WEIGHT_SCALE, a.level);
+                ev.mul_plain(&ev.rotate(a, k), &p)
+            });
+            let sum = terms.chain(direct.cloned()).reduce(|s, t| ev.add(&s, &t));
+            sum.expect("three terms")
+        }
+
+        /// Rotation `t` of the three, times its diagonal, into `acc`.
+        fn accumulate(
+            &self,
+            ev: &Evaluator<'_>,
+            digits: &Decomposition,
+            t: usize,
+            acc: &mut LinearAccumulator,
+        ) {
+            let level = self.a.level;
+            let p =
+                (ev.encoder()).encode_extended_in(ev.pool(), &self.weights[t], WEIGHT_SCALE, level);
+            ev.try_accumulate_rotation(&self.a, digits, STEPS[t], &mut [(acc, &p)])
+                .expect("keys for every step");
+            p.poly.recycle(ev.pool());
+        }
+
+        /// The sum as one accumulation over `Q_l·P`.
+        fn accumulated(&self, ev: &Evaluator<'_>, direct: Option<&Ciphertext>) -> Ciphertext {
+            let mut acc = ev.linear_accumulator(self.a.level);
+            let digits = ev.decompose_for_rotations(&self.a);
+            (0..STEPS.len()).for_each(|t| self.accumulate(ev, &digits, t, &mut acc));
+            ev.recycle_decomposition(digits);
+            if let Some(ct) = direct {
+                ev.accumulate_ciphertext(&mut acc, ct);
+            }
+            ev.finish_accumulator(acc)
+        }
+    }
+
+    fn max_error(ctx: &CkksContext, kg: &KeyGenerator<'_>, ct: &Ciphertext, want: &[f64]) -> f64 {
+        let got = Encoder::new(ctx).decode(&decrypt(ctx, &kg.secret_key(), ct));
+        got.iter()
+            .zip(want)
+            .fold(0.0, |m, (g, w)| m.max((g - w).abs()))
+    }
+
+    #[test]
+    fn an_accumulated_linear_combination_decrypts_within_the_per_op_error() {
+        // α = 1 to 4; the top level and the highest level whose last digit
+        // is partial; with and without an unrotated term added as it is.
+        for big_l in 1..=10 {
+            let ctx = ctx(big_l);
+            let alpha = ctx.specials().len();
+            let mut rng = StdRng::seed_from_u64(16);
+            let kg = KeyGenerator::new(&ctx, &mut rng);
+            let ev = Evaluator::new(&ctx, None, kg.galois_keys(STEPS, &mut rng));
+            // One key switch rounds by at most α/2 per coefficient before
+            // the product; spread over N coefficients and three terms,
+            // divided by the input's scale.
+            let per_op = (3 * alpha * ctx.degree()) as f64 / SCALE;
+            let partial = (1..big_l).rev().find(|l| l % alpha != 0);
+            for level in std::iter::once(big_l).chain(partial) {
+                let c = Combination::new(&ctx, &kg, level);
+                let direct = c.direct(&ev);
+                for direct in [None, Some(&direct)] {
+                    let what = format!("L = {big_l}, level {level}, direct {}", direct.is_some());
+                    let (today, accumulated) =
+                        (c.one_by_one(&ev, direct), c.accumulated(&ev, direct));
+                    assert_eq!(accumulated.level, today.level, "{what}");
+                    assert_eq!(accumulated.scale.to_bits(), today.scale.to_bits(), "{what}");
+                    let want = c.want(direct.is_some());
+                    let (e_today, e_acc) = (
+                        max_error(&ctx, &kg, &today, &want),
+                        max_error(&ctx, &kg, &accumulated, &want),
+                    );
+                    assert!(
+                        e_acc <= e_today + per_op,
+                        "{what}: {e_acc:e} vs {e_today:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_partition_of_the_terms_finishes_to_the_same_limbs() {
+        let ctx = ctx(5);
+        let mut rng = StdRng::seed_from_u64(17);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let ev = Evaluator::new(&ctx, None, kg.galois_keys(STEPS, &mut rng));
+        let c = Combination::new(&ctx, &kg, 5);
+        let direct = c.direct(&ev);
+        let digits = ev.decompose_for_rotations(&c.a);
+        // Terms 0–2 are the rotations, term 3 the direct operand. Each
+        // part is merged, in the listed order, into the first.
+        let partitions: [&[&[usize]]; 4] = [
+            &[&[0, 1, 2, 3]],
+            &[&[0], &[1], &[2], &[3]],
+            &[&[3], &[2], &[1], &[0]],
+            &[&[2, 0], &[3], &[1]],
+        ];
+        let finished: Vec<Ciphertext> = partitions
+            .iter()
+            .map(|parts| {
+                let mut accs = parts.iter().map(|part| {
+                    let mut acc = ev.linear_accumulator(5);
+                    for &t in *part {
+                        match t {
+                            3 => ev.accumulate_ciphertext(&mut acc, &direct),
+                            t => c.accumulate(&ev, &digits, t, &mut acc),
+                        }
+                    }
+                    acc
+                });
+                let mut first = accs.next().expect("a part");
+                accs.for_each(|acc| ev.merge_accumulators(&mut first, acc));
+                ev.finish_accumulator(first)
+            })
+            .collect();
+        ev.recycle_decomposition(digits);
+        for (i, ct) in finished.iter().enumerate().skip(1) {
+            assert_same_limbs(ct, &finished[0], &format!("partition {i}"));
+        }
+        // Every accumulator went back: only the outputs and the direct
+        // term are still checked out.
+        let held: usize = finished
+            .iter()
+            .chain([&direct])
+            .map(|ct| 2 * ct.level)
+            .sum();
+        let limb_bytes = ctx.degree() * 8;
+        assert_eq!(ev.pool_stats().live_bytes as usize, held * limb_bytes);
+    }
+
+    #[test]
+    fn a_missing_key_leaves_the_accumulator_untouched_and_the_pool_whole() {
+        let ctx = ctx(3);
+        let mut rng = StdRng::seed_from_u64(18);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let ev = Evaluator::new(&ctx, None, kg.galois_keys([1i64], &mut rng));
+        let a = encrypted(&ctx, &kg, 3, &mut rng);
+        let digits = ev.decompose_for_rotations(&a);
+        let p = ev
+            .encoder()
+            .encode_extended_in(ev.pool(), &[0.5], WEIGHT_SCALE, 3);
+        let mut acc = ev.linear_accumulator(3);
+        let err = ev
+            .try_accumulate_rotation(&a, &digits, 2, &mut [(&mut acc, &p)])
+            .unwrap_err();
+        assert_eq!(err.steps, Some(2));
+        ev.recycle_decomposition(digits);
+        p.poly.recycle(ev.pool());
+        ev.recycle_accumulator(acc);
         assert_eq!(ev.pool_stats().live_bytes, 0);
     }
 }

@@ -69,7 +69,7 @@ pub use context::{
     CkksParams,
 };
 pub use encoding::{Encoder, Plaintext};
-pub use eval::{Decomposition, Evaluator, MissingKeyError};
+pub use eval::{Decomposition, Evaluator, LinearAccumulator, MissingKeyError};
 pub use keys::{
     rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, KswKey, RelinKey,
     SecretKey,

@@ -391,8 +391,21 @@ impl RnsPoly {
     /// is materialized.
     pub fn mul_acc(&self, ctx: &CkksContext, other: &RnsPoly, acc: &mut RnsPoly) {
         self.check_compatible(other);
+        self.mul_acc_prefix(ctx, other, acc);
+    }
+
+    /// [`RnsPoly::mul_acc`] with `other` at `self`'s level over either
+    /// basis: `acc += self ∘ other` on `self`'s limbs, which pair with
+    /// `other`'s first ones — how a plaintext encoded over `Q_l·P` also
+    /// multiplies a polynomial over `Q_l`.
+    pub(crate) fn mul_acc_prefix(&self, ctx: &CkksContext, other: &RnsPoly, acc: &mut RnsPoly) {
         self.check_compatible(acc);
-        assert!(self.ntt, "polynomial product requires NTT domain");
+        assert_eq!(self.level, other.level, "level mismatch");
+        assert!(other.special || !self.special, "basis mismatch");
+        assert!(
+            self.ntt && other.ntt,
+            "polynomial product requires NTT domain"
+        );
         let level = acc.level;
         let est = par::cost::POINTWISE * ctx.degree() as u64;
         par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {

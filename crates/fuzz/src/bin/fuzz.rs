@@ -127,6 +127,7 @@ fn main() -> ExitCode {
     let mut ckks_seeds = 0u64;
     let mut ckks_schedules_run = 0u64;
     let mut ckks_schedules_skipped = 0u64;
+    let mut linear_groups_run = 0u64;
     let mut findings: Vec<Json> = Vec::new();
     let mut divergent_seeds = 0u64;
 
@@ -141,6 +142,7 @@ fn main() -> ExitCode {
         let run = check_program(&program, &cfg);
         ckks_schedules_run += run.ckks_schedules_run;
         ckks_schedules_skipped += run.ckks_schedules_skipped;
+        linear_groups_run += run.linear_groups_run;
         let divergences = run.divergences;
         if divergences.is_empty() {
             continue;
@@ -184,7 +186,8 @@ fn main() -> ExitCode {
             "fuzz: {programs} programs ({ops_total} ops) in {elapsed:.1}s, \
              {ckks_seeds} seeds with the encrypted column on: \
              {ckks_schedules_run} schedules encrypted, \
-             {ckks_schedules_skipped} skipped as not fitting the backend; \
+             {ckks_schedules_skipped} skipped as not fitting the backend, \
+             {linear_groups_run} linear-combination groups accumulated; \
              {divergent_seeds} divergent seed(s)"
         );
     }
@@ -200,6 +203,7 @@ fn main() -> ExitCode {
                 "ckks_schedules_skipped",
                 Json::from(ckks_schedules_skipped as f64),
             ),
+            ("linear_groups_run", Json::from(linear_groups_run as f64)),
             ("divergent_seeds", Json::from(divergent_seeds as f64)),
             ("elapsed_s", Json::from(elapsed)),
             (

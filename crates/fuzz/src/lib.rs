@@ -47,6 +47,9 @@ pub struct SeedResult {
     /// Schedules the encrypted column skipped as not fitting the backend
     /// ([`OracleRun::ckks_schedules_skipped`]).
     pub ckks_schedules_skipped: u64,
+    /// Linear-combination groups accumulated
+    /// ([`OracleRun::linear_groups_run`]).
+    pub linear_groups_run: u64,
 }
 
 /// Generates the program for `seed` and runs the full oracle on it.
@@ -59,5 +62,6 @@ pub fn run_seed(seed: u64, gen_cfg: &GenConfig, oracle_cfg: &OracleConfig) -> Se
         divergences: run.divergences,
         ckks_schedules_run: run.ckks_schedules_run,
         ckks_schedules_skipped: run.ckks_schedules_skipped,
+        linear_groups_run: run.linear_groups_run,
     }
 }

@@ -135,6 +135,10 @@ pub struct OracleRun {
     /// [`plain::schedule_fits_backend`] said they do not fit — outside the
     /// guarantee, not a divergence, and not evidence either.
     pub ckks_schedules_skipped: u64,
+    /// Linear-combination groups the encrypted plain walks accumulated
+    /// (`ExecReport::linear_groups`, summed over schedules): how much of
+    /// the byte-exactness check ran through the accumulation.
+    pub linear_groups_run: u64,
 }
 
 /// Oracle configuration.
@@ -649,6 +653,7 @@ fn check_executors(
         );
         // The static bounds are checked on the plain walk.
         if let Some(report) = &plain_walk {
+            run.linear_groups_run += report.linear_groups as u64;
             check_noise_bound(
                 scheduled,
                 magnitudes,

@@ -1,8 +1,9 @@
 //! Dataflow analyses over IR programs: multiplicative depth, liveness, and
 //! level estimation used by the allocation-ordering heuristic (§6.1), plus
-//! the two rules of the runtime's buffer discipline — where a value is
-//! freed and which rotations share a hoisted decomposition — that the
-//! dependence graph, the memory model and the executor must agree on.
+//! the three rules of the runtime's buffer discipline — where a value is
+//! freed, which rotations share a hoisted decomposition and which rotated
+//! products are summed before the division by `P` — that the dependence
+//! graph, the memory model and the executor must agree on.
 
 use std::collections::HashMap;
 
@@ -95,6 +96,137 @@ pub fn rotation_groups(
         }
     }
     groups.retain(|_, group| group.len() >= 2);
+    groups
+}
+
+/// One linear-combination group ([`linear_groups`]): rotated members
+/// times plaintexts, summed by adds up to one root. The runtime
+/// accumulates the terms over `Q_l·P` and divides by `P` once, at the
+/// root, instead of once per member.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinearGroup {
+    /// The add whose result the group stores: the first add on every
+    /// product's path with a use other than one further cipher + cipher add.
+    pub root: ValueId,
+    /// `(member, product)` per term, in schedule order of the product: the
+    /// rotation and the cipher × plain multiply that consumes it.
+    pub terms: Vec<(ValueId, ValueId)>,
+    /// Adds below the root on the terms' paths, in schedule order. Like
+    /// the products, they are never materialized.
+    pub adds: Vec<ValueId>,
+    /// `(operand, add)` for every other cipher operand met on the paths —
+    /// an unrotated product, say — with the group add (absorbed or the
+    /// root) that reads it, in schedule order of the add.
+    pub direct: Vec<(ValueId, ValueId)>,
+}
+
+/// The linear-combination groups the runtime accumulates, in schedule
+/// order of their roots. A *member* is a live, non-identity cipher rotation
+/// of a source with two or more such rotations whose every live use is a
+/// cipher × plain `Mul`; each of those products must reach a root through
+/// cipher + cipher `Add`s with exactly one live use each (a program output
+/// counts as a use). A member may feed several roots, and a root may
+/// gather members of several sources. Independent of the hoisting
+/// setting: hoisting only decides whether members share a decomposition.
+pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
+    let n = program.num_ops();
+    // Live uses of every value, by operand occurrence, plus output pins.
+    let mut uses = vec![0u32; n];
+    let mut user: Vec<Option<ValueId>> = vec![None; n];
+    for id in program.ids().filter(|id| live[id.index()]) {
+        for a in program.op(id).operands() {
+            uses[a.index()] += 1;
+            user[a.index()] = Some(id);
+        }
+    }
+    for &o in program.outputs() {
+        uses[o.index()] += 1;
+    }
+    // The one cipher + cipher add reading `v`, if that is its only use.
+    let sole_add = |v: ValueId| {
+        let u = user[v.index()].filter(|_| uses[v.index()] == 1)?;
+        match *program.op(u) {
+            Op::Add(a, b) if a != b && program.is_cipher(a) && program.is_cipher(b) => Some(u),
+            _ => None,
+        }
+    };
+    // The cipher × plain products of every rotation that may be a member.
+    let mut products: HashMap<ValueId, Vec<ValueId>> = (rotation_groups(program, live, true))
+        .into_values()
+        .flatten()
+        .map(|(m, _)| (m, Vec::new()))
+        .collect();
+    for id in program.ids().filter(|id| live[id.index()]) {
+        if let Op::Mul(a, b) = *program.op(id) {
+            if program.is_cipher(a) != program.is_cipher(b) {
+                let c = if program.is_cipher(a) { a } else { b };
+                products.entry(c).and_modify(|prods| prods.push(id));
+            }
+        }
+    }
+    let mut terms: Vec<(ValueId, ValueId)> = products
+        .into_iter()
+        .filter(|(m, prods)| {
+            !prods.is_empty()
+                && prods.len() == uses[m.index()] as usize
+                && prods.iter().all(|&p| sole_add(p).is_some())
+        })
+        .flat_map(|(m, prods)| prods.into_iter().map(move |p| (m, p)))
+        .collect();
+    terms.sort_by_key(|&(_, p)| p);
+    // The root every product's chain of single-use adds ends at, for the
+    // product and each add on the way: the values a group absorbs. Each
+    // value is walked once.
+    let mut root_at: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut path = Vec::new();
+    for &(_, product) in &terms {
+        let mut node = product;
+        let root = loop {
+            if let Some(&root) = root_at.get(&node) {
+                break root;
+            }
+            match sole_add(node) {
+                Some(next) => {
+                    path.push(node);
+                    node = next;
+                }
+                None => break node,
+            }
+        };
+        root_at.extend(path.drain(..).map(|v| (v, root)));
+    }
+    let mut roots: Vec<ValueId> = root_at.values().copied().collect();
+    roots.sort();
+    roots.dedup();
+    let mut groups: Vec<LinearGroup> = (roots.iter())
+        .map(|&root| LinearGroup {
+            root,
+            terms: Vec::new(),
+            adds: Vec::new(),
+            direct: Vec::new(),
+        })
+        .collect();
+    let group_of = |v: ValueId| roots.binary_search(&root_at[&v]).expect("a root");
+    for (member, product) in terms {
+        groups[group_of(product)].terms.push((member, product));
+    }
+    let mut adds: Vec<ValueId> = (root_at.keys())
+        .copied()
+        .filter(|&v| matches!(program.op(v), Op::Add(..)))
+        .collect();
+    adds.sort();
+    for add in adds {
+        groups[group_of(add)].adds.push(add);
+    }
+    for group in &mut groups {
+        for &add in group.adds.iter().chain([&group.root]) {
+            for a in program.op(add).operands() {
+                if !root_at.contains_key(&a) {
+                    group.direct.push((a, add));
+                }
+            }
+        }
+    }
     groups
 }
 
@@ -214,5 +346,45 @@ mod tests {
         let x = b.input("x");
         let p = b.finish(vec![x.clone().rotate(0) + x.rotate(8)]);
         assert!(rotation_groups(&p, &live(&p), true).is_empty());
+    }
+
+    #[test]
+    fn linear_groups_absorb_single_use_products_up_to_their_root() {
+        let mut p = Program::new("lin", 8);
+        let x = p.push(Op::Input { name: "x".into() });
+        let c = p.push(Op::Const {
+            value: crate::op::ConstValue::Scalar(0.5),
+        });
+        let [r1, r2, r3, r4] = [1, 2, 3, 4].map(|k| p.push(Op::Rotate(x, k)));
+        let m1 = p.push(Op::Mul(r1, c));
+        let m2 = p.push(Op::Mul(c, r2));
+        let m0 = p.push(Op::Mul(x, c));
+        let sum = p.push(Op::Add(m1, m2));
+        let root = p.push(Op::Add(sum, m0));
+        // `r1` feeds a second root; `r3` is read by an add, so it is no
+        // member and enters that root as it is; `r4`'s product is an
+        // output, so it reaches no root.
+        let again = p.push(Op::Mul(r1, c));
+        let other = p.push(Op::Add(again, r3));
+        let m4 = p.push(Op::Mul(r4, c));
+        p.set_outputs(vec![root, other, m4]);
+        let groups = linear_groups(&p, &live(&p));
+        assert_eq!(
+            groups,
+            vec![
+                LinearGroup {
+                    root,
+                    terms: vec![(r1, m1), (r2, m2)],
+                    adds: vec![sum],
+                    direct: vec![(m0, root)],
+                },
+                LinearGroup {
+                    root: other,
+                    terms: vec![(r1, again)],
+                    adds: vec![],
+                    direct: vec![(r3, other)],
+                },
+            ]
+        );
     }
 }

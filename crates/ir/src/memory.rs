@@ -1,7 +1,8 @@
 //! Static memory estimation of scheduled programs.
 //!
 //! Mirrors the runtime's allocation discipline — pooled temporaries per
-//! op, last-use freeing of dead ciphertexts, hoisted rotation groups —
+//! op, last-use freeing of dead ciphertexts, hoisted rotation groups,
+//! linear-combination groups accumulated before the division by `P` —
 //! and produces a peak-bytes bound that must dominate every measured
 //! `MemStats::peak_bytes` (the fuzz oracle asserts this). All polynomial
 //! figures are counted in *limbs* (one limb = `N × 8` bytes) and
@@ -120,7 +121,10 @@ pub struct MemoryEstimate {
 /// backend's `N` (the runtime requires `N = 2 × slots`); `hoist_rotations`
 /// must match the execution-side setting, since a hoisted rotation group
 /// keeps its shared digit decomposition live from its first member to its
-/// last.
+/// last. A linear-combination group ([`crate::analysis::linear_groups`])
+/// holds one partial sum, `2(l+α) + 2l` limbs, from its first member to
+/// its root — what the one-runner walk holds — and its members, products
+/// and absorbed adds are never materialized.
 pub fn estimate_memory(
     scheduled: &ScheduledProgram,
     map: &ScaleMap,
@@ -135,6 +139,29 @@ pub fn estimate_memory(
 
     let free_at = crate::analysis::free_points(program, &live);
     let groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
+    // Per linear-combination group: where its partial sum is checked out
+    // and where it is finished. Per member: the groups it feeds, each of
+    // which it encodes one plaintext over `Q_l·P` for.
+    let mut absorbed = vec![false; program.num_ops()];
+    let mut fed: HashMap<ValueId, u64> = HashMap::new();
+    let mut partial_at: HashMap<ValueId, u64> = HashMap::new();
+    let mut finished_at: HashMap<ValueId, u64> = HashMap::new();
+    for group in crate::analysis::linear_groups(program, &live) {
+        let l = u64::from(map.level(group.root));
+        let partial = 2 * (l + alpha) + 2 * l;
+        let mut members: Vec<ValueId> = group.terms.iter().map(|&(m, _)| m).collect();
+        members.sort();
+        members.dedup();
+        for &m in &members {
+            *fed.entry(m).or_default() += 1;
+        }
+        let products = group.terms.iter().map(|&(_, p)| p);
+        for v in members.iter().copied().chain(products).chain(group.adds) {
+            absorbed[v.index()] = true;
+        }
+        *partial_at.entry(members[0]).or_default() += partial;
+        *finished_at.entry(group.root).or_default() += partial;
+    }
 
     // The executor encrypts every live input before the first op, wherever
     // the schedule declares it.
@@ -167,8 +194,19 @@ pub fn estimate_memory(
         if group.is_some_and(|g| g[0].0 == id) {
             live_limbs += digits;
         }
+        live_limbs += partial_at.get(&id).copied().unwrap_or(0);
         let (result_limbs, transient) = match program.op(id) {
             Op::Input { .. } => (0, 0),
+            // A linear-combination member holds its plaintexts over
+            // `Q_l·P` (one per group it feeds), the key switch's pair over
+            // `Q_l·P` and the rotated `c0` — and the digits, unless hoisted
+            // — but no result: neither it nor its products or absorbed
+            // adds are materialized.
+            Op::Rotate(..) if absorbed[id.index()] => {
+                let step = 2 * (l + alpha) + 2 * l + fed[&id] * (l + alpha);
+                (0, if group.is_some() { step } else { digits + step })
+            }
+            _ if absorbed[id.index()] => (0, 0),
             Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => (2 * l, ksw),
             // A group member holds its own output and its step's two
             // special-basis accumulators (then the rotated `c0` beside the
@@ -195,13 +233,14 @@ pub fn estimate_memory(
         if group.is_some_and(|g| g[g.len() - 1].0 == id) {
             live_limbs -= digits;
         }
+        live_limbs -= finished_at.get(&id).copied().unwrap_or(0);
         let mut prev = None;
         for a in program.op(id).operands() {
             if prev == Some(a) {
                 continue; // squares consume one ciphertext twice
             }
             prev = Some(a);
-            if program.is_cipher(a) && free_at[a.index()] == Some(id) {
+            if program.is_cipher(a) && !absorbed[a.index()] && free_at[a.index()] == Some(id) {
                 live_limbs -= 2 * u64::from(map.level(a));
             }
         }
@@ -365,5 +404,72 @@ mod tests {
         );
         // Key bytes are policy-independent.
         assert_eq!(hoisted.key_bytes, compact.key_bytes);
+    }
+
+    /// A two-layer MLP at `L = 3` (`α = 1`): each layer is
+    /// `Σ_d rotate(v, d)·c_d + v·c_0` over `width` rotations summed by a
+    /// balanced add tree, then a rescale — two linear-combination groups.
+    fn two_layer_mlp(width: i64) -> ScheduledProgram {
+        let mut p = Program::new("mlp", 32);
+        let mut v = p.push(Op::Input { name: "x".into() });
+        for layer in 0..2 {
+            let mut terms = Vec::new();
+            for d in 0..=width {
+                let c = p.push(Op::Const {
+                    value: crate::op::ConstValue::Scalar(0.1 * d as f64),
+                });
+                let rotated = if d == 0 { v } else { p.push(Op::Rotate(v, d)) };
+                terms.push(p.push(Op::Mul(rotated, c)));
+            }
+            while terms.len() > 1 {
+                let pairs: Vec<_> = terms.chunks(2).map(<[ValueId]>::to_vec).collect();
+                terms = (pairs.into_iter())
+                    .map(|pair| match pair[..] {
+                        [a, b] => p.push(Op::Add(a, b)),
+                        _ => pair[0],
+                    })
+                    .collect();
+            }
+            v = terms[0];
+            if layer == 0 {
+                v = p.push(Op::Rescale(v));
+            }
+        }
+        p.set_outputs(vec![v]);
+        let mut s = scheduled(p);
+        s.inputs[0] = crate::schedule::InputSpec {
+            scale_bits: crate::frac::Frac::from(60u32),
+            level: 3,
+        };
+        s
+    }
+
+    #[test]
+    fn a_linear_combination_holds_one_partial_sum_and_no_products() {
+        let n = 16usize;
+        let peak = |width| {
+            let s = two_layer_mlp(width);
+            let live = crate::analysis::live(&s.program);
+            assert_eq!(crate::analysis::linear_groups(&s.program, &live).len(), 2);
+            let map = s.validate().expect("valid");
+            estimate_memory(&s, &map, n, true)
+        };
+        let (narrow, wide) = (peak(3), peak(12));
+        // The peak is at the first layer's leader: the input and the
+        // unrotated product scheduled before it (2l each), the hoisted
+        // digits (l·(l+1)), the partial sum (2(l+1) + 2l) and one member's
+        // step (2(l+1) + 2l plus one plaintext over `Q_l·P`), at l = 3,
+        // plus the per-op slack. Nothing grows with the width: the
+        // rotations, their products and the adds between them are never
+        // materialized.
+        let (l, alpha) = (3, 1);
+        let step = 2 * (l + alpha) + 2 * l + (l + alpha);
+        let partial = 2 * (l + alpha) + 2 * l;
+        let limbs = 4 * l + l * (l + alpha) + partial + step + OP_MARGIN_LIMBS;
+        assert_eq!(narrow.poly_peak_bytes, limbs * n as u64 * 8);
+        assert_eq!(wide.poly_peak_bytes, narrow.poly_peak_bytes);
+        let s = two_layer_mlp(3);
+        let leader = narrow.peak_op.expect("a peak");
+        assert!(matches!(s.program.op(leader), Op::Rotate(_, 1)), "{leader}");
     }
 }

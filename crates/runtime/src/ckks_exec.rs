@@ -18,8 +18,8 @@ use rand::SeedableRng;
 
 use fhe_ckks::{
     decrypt, encrypt_symmetric_in, rotation_to_galois, Ciphertext, CkksContext, CkksParams,
-    Decomposition, Evaluator, GaloisKeys, KeyCache, KeyGenerator, PolyPool, Pool, RelinKey,
-    SecretKey,
+    Decomposition, Evaluator, GaloisKeys, KeyCache, KeyGenerator, LinearAccumulator,
+    MissingKeyError, PolyPool, Pool, RelinKey, SecretKey,
 };
 use fhe_ir::semantics::{self, rotation_class};
 use fhe_ir::{
@@ -446,7 +446,11 @@ pub struct ExecReport {
     /// encryptions have no class). A fused mul·relin·rescale charges its
     /// whole latency to the mul's class and counts the rescale with zero
     /// duration; every member of a hoisted rotation group reports its own
-    /// step, the leader's including the shared decomposition.
+    /// step, the leader's including the shared decomposition. A member of
+    /// a linear-combination group also includes its consumers' encodes and
+    /// multiplies: those products and the adds up to the root count with
+    /// zero duration (an add with a direct operand with the time to add it),
+    /// and the root includes the group's one division by `P`.
     pub per_class: Vec<(OpClass, Duration, usize)>,
     /// Whole-run memory counters (pool + key material); exact under
     /// contention thanks to the pool's atomic accounting.
@@ -461,6 +465,9 @@ pub struct ExecReport {
     /// Hoisted rotation groups: sets of rotations that shared one
     /// decomposition.
     pub hoisted_groups: usize,
+    /// Linear-combination groups ([`fhe_ir::analysis::linear_groups`])
+    /// accumulated over `Q_l·P` with one division by `P` each.
+    pub linear_groups: usize,
     /// Read/free and group-writer orderings the safety proof discharged
     /// before the walk started.
     pub safety_obligations: usize,
@@ -552,7 +559,7 @@ pub fn execute_parallel(
 /// ready op earliest in the schedule from a shared [`DepConsumer`], runs
 /// it against one shared [`Evaluator`] and retires it, unlocking its
 /// successors. One runner therefore walks the schedule in order on the
-/// calling thread. Four invariants make any width sound and bit-exact:
+/// calling thread. Five invariants make any width sound and bit-exact:
 ///
 /// 1. **Safety is proven, not assumed.** [`fhe_analysis::parallel::check`]
 ///    runs over the very DAG about to be consumed; the DAG's anti/output
@@ -579,10 +586,23 @@ pub fn execute_parallel(
 ///    pool. A lone rotation runs the same arithmetic on a decomposition of
 ///    its own, so hoisting on and off are byte-identical.
 ///
+/// 5. **Accumulation never changes bytes across widths or hoisting.** Every
+///    linear-combination group ([`fhe_ir::analysis::linear_groups`]) runs
+///    as one accumulation over `Q_l·P`: each member adds its rotation times
+///    its plaintexts to a partial sum it takes from the group's list (or
+///    starts) and puts back ([`Evaluator::try_accumulate_rotation`]), the
+///    products and the adds between them are never materialized, an add
+///    with a direct operand adds it to a partial, and the root merges the
+///    partials and divides by `P` once. Modular addition is exact, so every
+///    width and both hoisting settings give the same bytes — which differ,
+///    within noise, from dividing by `P` per member. The safety proof also
+///    checks that every member reaches its root by true edges.
+///
 /// Every polynomial the request holds — input encryptions, the plaintext
-/// an op encodes on demand, results, temporaries — is checked out of the
-/// pool and returned to it: inputs and intermediates at their last use, a
-/// plaintext after its op, whatever is left (the outputs) once decrypted.
+/// an op encodes on demand, results, temporaries, a group's partial sums —
+/// is checked out of the pool and returned to it: inputs and intermediates
+/// at their last use, a plaintext after its op, partial sums at their
+/// group's root, whatever is left (the outputs) once decrypted.
 /// A request therefore hands back exactly what it took, and a shared pool's
 /// free list stops growing once it has held the largest working set.
 ///
@@ -677,6 +697,7 @@ pub fn execute_parallel_with_keys(
             .into_iter()
             .map(|(source, members)| (source, HoistGroup::new(&members)))
             .collect();
+    let linear = LinearPlan::new(program, &map, &live);
 
     // Fusion plan, demoted per pair unless the DAG confirms the rescale
     // depends on nothing but its mul (so completing the mul is the only
@@ -767,6 +788,7 @@ pub fn execute_parallel_with_keys(
         plain_vals: &plain_vals,
         cipher_slots: &cipher_slots,
         hoist_groups: &hoist_groups,
+        linear: &linear,
         rescale_of: &rescale_of,
         waterline: 2f64.powi(scheduled.params.waterline_bits as i32),
     };
@@ -811,8 +833,8 @@ pub fn execute_parallel_with_keys(
 
     let walk = walk.into_inner().expect(WALK_LOCK);
     // What the request still holds when it ends — its outputs, or on an
-    // error every value computed so far and the digits of every group the
-    // error cut short — goes back to the pool.
+    // error every value computed so far and the digits and partial sums of
+    // every group the error cut short — goes back to the pool.
     let release = |slots: Vec<RwLock<Option<Ciphertext>>>| {
         for slot in slots {
             if let Some(ct) = slot.into_inner().expect(SLOT_LOCK) {
@@ -826,6 +848,12 @@ pub fn execute_parallel_with_keys(
             if let Some(digits) = group.digits.into_inner().expect(SLOT_LOCK) {
                 ev.recycle_decomposition(digits);
             }
+        }
+        for group in linear.groups {
+            let partials = group.partials.into_inner().expect(SLOT_LOCK);
+            partials
+                .into_iter()
+                .for_each(|acc| ev.recycle_accumulator(acc));
         }
         return Err(e);
     }
@@ -876,6 +904,7 @@ pub fn execute_parallel_with_keys(
         workers,
         fused,
         hoisted_groups: hoist_groups.len(),
+        linear_groups: linear.groups.len(),
         safety_obligations: safety.obligations,
     })
 }
@@ -935,6 +964,7 @@ struct RunCx<'a, 'c> {
     plain_vals: &'a [Option<Vec<f64>>],
     cipher_slots: &'a [RwLock<Option<Ciphertext>>],
     hoist_groups: &'a HashMap<ValueId, HoistGroup>,
+    linear: &'a LinearPlan,
     rescale_of: &'a [Option<ValueId>],
     waterline: f64,
 }
@@ -962,10 +992,87 @@ impl HoistGroup {
     }
 }
 
-/// Slot locks — a value's, a group's digits — are written only by
-/// [`RunCx::store`], [`RunCx::recycle_operands`] and [`RunCx::rotate_in_group`],
-/// whose write guards span one assignment — no code that can panic — and a
-/// panicking reader does not poison an `RwLock`.
+/// The linear-combination groups of a schedule and what each node does in
+/// them ([`fhe_ir::analysis::linear_groups`]).
+struct LinearPlan {
+    groups: Vec<LinearGroup>,
+    roles: Vec<Option<LinearRole>>,
+}
+
+/// A node's part in a linear-combination group.
+enum LinearRole {
+    /// A member: its plaintext operands, summed per group it feeds.
+    Member(Vec<(usize, Vec<ValueId>)>),
+    /// A cipher × plain product of a member: folded into the member.
+    Product,
+    /// An add on the terms' paths: it adds its direct operands to a partial
+    /// sum, and the group's root then merges and finishes the partials.
+    Add {
+        group: usize,
+        direct: Vec<ValueId>,
+        root: bool,
+    },
+}
+
+/// One linear-combination group's shared state.
+struct LinearGroup {
+    /// The level every term is at.
+    level: usize,
+    /// Partial sums no runner holds. A runner takes one (or starts one)
+    /// for each step it accumulates and puts it back, so there are never
+    /// more than there are runners; the root drains them.
+    partials: Mutex<Vec<LinearAccumulator>>,
+}
+
+impl LinearPlan {
+    fn new(program: &fhe_ir::Program, map: &fhe_ir::ScaleMap, live: &[bool]) -> Self {
+        let mut roles: Vec<Option<LinearRole>> = (0..program.num_ops()).map(|_| None).collect();
+        let found = fhe_ir::analysis::linear_groups(program, live);
+        for (g, group) in found.iter().enumerate() {
+            for &(member, product) in &group.terms {
+                let Op::Mul(a, b) = *program.op(product) else {
+                    unreachable!("a product is a mul");
+                };
+                let plain = if a == member { b } else { a };
+                let role = roles[member.index()].get_or_insert(LinearRole::Member(Vec::new()));
+                let LinearRole::Member(terms) = role else {
+                    unreachable!("a member is only a member");
+                };
+                match terms.iter_mut().find(|(group, _)| *group == g) {
+                    Some((_, plains)) => plains.push(plain),
+                    None => terms.push((g, vec![plain])),
+                }
+                roles[product.index()] = Some(LinearRole::Product);
+            }
+            let adds = group.adds.iter().map(|&a| (a, false));
+            for (add, root) in adds.chain([(group.root, true)]) {
+                let direct = (group.direct.iter())
+                    .filter(|&&(_, reader)| reader == add)
+                    .map(|&(d, _)| d)
+                    .collect();
+                roles[add.index()] = Some(LinearRole::Add {
+                    group: g,
+                    direct,
+                    root,
+                });
+            }
+        }
+        let groups = (found.iter())
+            .map(|group| LinearGroup {
+                level: map.level(group.root) as usize,
+                partials: Mutex::new(Vec::new()),
+            })
+            .collect();
+        LinearPlan { groups, roles }
+    }
+}
+
+/// Slot locks — a value's, a group's digits or partial sums — are written
+/// only by [`RunCx::store`], [`RunCx::recycle_operands`],
+/// [`RunCx::with_group_digits`] and [`RunCx::partial`] /
+/// [`RunCx::put_partial`], whose guards span one assignment or one
+/// `Vec` push, pop or drain — no code that can panic — and a panicking
+/// reader does not poison an `RwLock`.
 const SLOT_LOCK: &str = "slot lock is never poisoned";
 
 impl RunCx<'_, '_> {
@@ -1005,19 +1112,26 @@ impl RunCx<'_, '_> {
         }
     }
 
-    /// One member's share of a hoisted rotation group: the leader first
-    /// decomposes the source and publishes the digits, every member applies
-    /// its own step to them, and the member that retires last returns them
-    /// to the pool. (A member that fails leaves that to the end-of-walk
-    /// release, the walk being over.)
-    fn rotate_in_group(
+    /// Runs one rotation's step `f` on a decomposition of its source. In a
+    /// hoisted rotation group the leader first decomposes the source and
+    /// publishes the digits, every member applies its own step to them, and
+    /// the member that retires last returns them to the pool. (A member
+    /// that fails leaves that to the end-of-walk release, the walk being
+    /// over.) A lone rotation decomposes for itself.
+    fn with_group_digits<T>(
         &self,
-        group: &HoistGroup,
+        source_id: ValueId,
         id: ValueId,
         source: &Ciphertext,
-        steps: i64,
-    ) -> Result<Ciphertext, fhe_ckks::MissingKeyError> {
+        f: impl FnOnce(&Decomposition) -> Result<T, MissingKeyError>,
+    ) -> Result<T, MissingKeyError> {
         let ev = self.ev;
+        let Some(group) = self.hoist_groups.get(&source_id) else {
+            let digits = ev.decompose_for_rotations(source);
+            let out = f(&digits);
+            ev.recycle_decomposition(digits);
+            return out;
+        };
         if group.leader == id {
             let digits = ev.decompose_for_rotations(source);
             *group.digits.write().expect(SLOT_LOCK) = Some(digits);
@@ -1027,8 +1141,7 @@ impl RunCx<'_, '_> {
             // INVARIANT: the output edges order every member after the
             // leader, which published above, and the digits are taken only
             // by the last member to get past this read.
-            let digits = digits.as_ref().expect("leader published the digits");
-            ev.try_rotate_decomposed(source, digits, steps)?
+            f(digits.as_ref().expect("leader published the digits"))?
         };
         if group.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
             let digits = group.digits.write().expect(SLOT_LOCK).take();
@@ -1037,13 +1150,110 @@ impl RunCx<'_, '_> {
         Ok(out)
     }
 
+    /// A partial sum of linear-combination group `g` for this runner: one
+    /// no runner holds, or a fresh one.
+    fn partial(&self, g: usize) -> LinearAccumulator {
+        let group = &self.linear.groups[g];
+        let spare = group.partials.lock().expect(SLOT_LOCK).pop();
+        spare.unwrap_or_else(|| self.ev.linear_accumulator(group.level))
+    }
+
+    fn put_partial(&self, g: usize, acc: LinearAccumulator) {
+        self.linear.groups[g]
+            .partials
+            .lock()
+            .expect(SLOT_LOCK)
+            .push(acc);
+    }
+
+    /// A member's step: its rotation times every plaintext it is
+    /// multiplied by, added to a partial sum of each group it feeds (one
+    /// key-switch inner product, no division by `P`). Its products are
+    /// never materialized; neither is the rotation.
+    fn accumulate_member(
+        &self,
+        id: ValueId,
+        source_id: ValueId,
+        steps: i64,
+        terms: &[(usize, Vec<ValueId>)],
+    ) -> Result<(), MissingKeyError> {
+        let (ctx, ev) = (self.ev.context(), self.ev);
+        let source = self.cipher(source_id);
+        // A group's products all carry the source's scale times the
+        // waterline, so a member's plaintexts for one group sum exactly.
+        let plaintexts: Vec<_> = (terms.iter())
+            .map(|(_, plains)| {
+                let encode = |p: &ValueId| {
+                    let values = get(self.plain_vals, *p);
+                    (ev.encoder()).encode_extended_in(
+                        ev.pool(),
+                        values,
+                        self.waterline,
+                        source.level,
+                    )
+                };
+                let mut sum = encode(&plains[0]);
+                for p in &plains[1..] {
+                    let more = encode(p);
+                    sum.poly.add_assign(ctx, &more.poly);
+                    more.poly.recycle(ev.pool());
+                }
+                sum
+            })
+            .collect();
+        let mut partials: Vec<_> = terms.iter().map(|&(g, _)| self.partial(g)).collect();
+        let out = self.with_group_digits(source_id, id, &source, |digits| {
+            let mut pairs: Vec<_> = partials.iter_mut().zip(&plaintexts).collect();
+            ev.try_accumulate_rotation(&source, digits, steps, &mut pairs)
+        });
+        for (&(g, _), acc) in terms.iter().zip(partials) {
+            self.put_partial(g, acc);
+        }
+        for p in plaintexts {
+            p.poly.recycle(ev.pool());
+        }
+        out
+    }
+
+    /// An add of a linear-combination group: adds its direct operands to a
+    /// partial sum; at the root, merges the partials, divides by `P` once
+    /// and stores the result.
+    fn accumulate_add(&self, id: ValueId, g: usize, direct: &[ValueId], root: bool) {
+        let ev = self.ev;
+        let mut acc = if root {
+            // INVARIANT: every member and add of the group is an ancestor
+            // of the root by true edges, so no runner holds a partial now.
+            let partials =
+                std::mem::take(&mut *self.linear.groups[g].partials.lock().expect(SLOT_LOCK));
+            let mut partials = partials.into_iter();
+            let mut acc = partials.next().expect("a member accumulated");
+            partials.for_each(|other| ev.merge_accumulators(&mut acc, other));
+            acc
+        } else if direct.is_empty() {
+            return;
+        } else {
+            self.partial(g)
+        };
+        for &d in direct {
+            ev.accumulate_ciphertext(&mut acc, &self.cipher(d));
+        }
+        if root {
+            self.store(id, ev.finish_accumulator(acc));
+        } else {
+            self.put_partial(g, acc);
+        }
+    }
+
     /// Executes the op behind one DAG node — the only place cipher ops are
     /// dispatched to the [`Evaluator`] — and returns its wall latency.
     /// Plain ops and inputs were evaluated in the prologue and retire for
     /// free (`None`); a rescale fused into its mul finds its value already
-    /// stored and retires with zero latency.
+    /// stored and retires with zero latency. In a linear-combination group
+    /// a member's latency includes its products' encodes and multiplies,
+    /// the products retire with zero latency, and the group's adds add
+    /// their direct operands; the root's includes the one division by `P`.
     fn run_node(&self, id: ValueId) -> Result<Option<Duration>, Vec<ScheduleError>> {
-        let (program, ev) = (self.program, self.ev);
+        let program = self.program;
         if program.is_plain(id) || matches!(program.op(id), Op::Input { .. }) {
             return Ok(None);
         }
@@ -1058,9 +1268,35 @@ impl RunCx<'_, '_> {
             self.recycle_operands(id);
             return Ok(Some(Duration::ZERO));
         }
-        let missing_key = |steps| vec![ScheduleError::MissingKey { op: id, steps }];
-
         let t0 = Instant::now();
+        match (&self.linear.roles[id.index()], program.op(id)) {
+            (Some(LinearRole::Member(terms)), &Op::Rotate(a, k)) => {
+                (self.accumulate_member(id, a, k, terms))
+                    .map_err(|_| vec![ScheduleError::MissingKey { op: id, steps: k }])?;
+            }
+            (Some(LinearRole::Product), _) => return Ok(Some(Duration::ZERO)),
+            (
+                Some(LinearRole::Add {
+                    group,
+                    direct,
+                    root,
+                }),
+                _,
+            ) => {
+                self.accumulate_add(id, *group, direct, *root);
+            }
+            _ => return self.run_op(id, t0).map(Some),
+        }
+        let elapsed = t0.elapsed();
+        self.recycle_operands(id);
+        Ok(Some(elapsed))
+    }
+
+    /// Executes an op outside any linear-combination group and stores its
+    /// result; the latency counts from `t0`.
+    fn run_op(&self, id: ValueId, t0: Instant) -> Result<Duration, Vec<ScheduleError>> {
+        let (program, ev) = (self.program, self.ev);
+        let missing_key = |steps| vec![ScheduleError::MissingKey { op: id, steps }];
         let (store_id, ct) = match program.op(id) {
             Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => {
                 let (ca, cb) = (self.cipher(*a), self.cipher(*b));
@@ -1124,12 +1360,10 @@ impl RunCx<'_, '_> {
             Op::Rotate(a, k) => {
                 let ca = self.cipher(*a);
                 // An identity rotation of a grouped source is no member.
-                let group = self
-                    .hoist_groups
-                    .get(a)
-                    .filter(|_| rotation_class(*k, program.slots()).is_some());
-                let out = match group {
-                    Some(group) => self.rotate_in_group(group, id, &ca, *k),
+                let out = match rotation_class(*k, program.slots()) {
+                    Some(_) => self.with_group_digits(*a, id, &ca, |digits| {
+                        ev.try_rotate_decomposed(&ca, digits, *k)
+                    }),
                     None => ev.try_rotate(&ca, *k),
                 };
                 (id, out.map_err(|_| missing_key(*k))?)
@@ -1142,7 +1376,7 @@ impl RunCx<'_, '_> {
         let elapsed = t0.elapsed();
         self.store(store_id, ct);
         self.recycle_operands(id);
-        Ok(Some(elapsed))
+        Ok(elapsed)
     }
 }
 

@@ -13,7 +13,8 @@
 //! `--run` executes the compiled schedule on the encrypted backend
 //! (deterministic inputs derived from the input names, the fuzz harness's
 //! convention) and reports walk telemetry: runners, fused
-//! mul·relin·rescale pairs, hoisted rotation groups, and the walk time.
+//! mul·relin·rescale pairs, hoisted rotation groups, linear-combination
+//! groups, and the walk time.
 //! `--workers 0` (the default) sizes the walk to the host; `--workers 1`
 //! is the serial executor; `--no-fusion` disables the fused kernel. Outputs are bit-identical for every worker
 //! count and fusion setting. It also prints the backend's total modulus
@@ -232,11 +233,12 @@ fn main() -> ExitCode {
         };
         eprintln!(
             "run: {} runners, {} ops, {} fused mul·relin·rescale, {} hoisted rotation \
-             groups, {} safety obligations discharged",
+             groups, {} linear-combination groups, {} safety obligations discharged",
             report.workers,
             report.ops_executed,
             report.fused,
             report.hoisted_groups,
+            report.linear_groups,
             report.safety_obligations,
         );
         let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;

@@ -3,8 +3,9 @@
 //! of its own plain walk — one runner on the calling thread retiring ops
 //! in schedule order, one kernel call per op, so no concurrency to race —
 //! *byte for byte*, not merely within noise tolerance. Rotation hoisting
-//! is byte-transparent too (a lone rotation is a hoisted group of one), so
-//! one plain walk is the reference for both of its settings.
+//! is byte-transparent too (a lone rotation is a hoisted group of one, and
+//! a linear-combination group accumulates over `Q_l·P` under both
+//! settings), so one plain walk is the reference for both of its settings.
 //!
 //! This is the executable form of the executor's determinism argument:
 //! input encryption consumes the seeded RNG in schedule order before the
@@ -84,9 +85,14 @@ fn golden_workloads_are_bit_exact_at_every_width() {
         outputs_close(&plain.outputs, &reference, 5e-2)
             .unwrap_or_else(|e| panic!("{} plain walk vs reference: {e}", w.name));
         let want = bits(&plain.outputs);
-        for workers in WIDTHS {
+        // The MLP's mat-vecs are linear-combination groups, accumulated
+        // whatever the hoisting setting: the byte checks below cover them.
+        if w.name == "MLP" {
+            assert!(plain.linear_groups >= 1, "the MLP accumulates its mat-vecs");
+        }
+        for (workers, hoisting) in WIDTHS.into_iter().flat_map(|k| [(k, true), (k, false)]) {
             let options = ParOptions {
-                exec: backend(slots, seed, true),
+                exec: backend(slots, seed, hoisting),
                 workers,
                 fusion: true,
             };
@@ -95,12 +101,18 @@ fn golden_workloads_are_bit_exact_at_every_width() {
             assert_eq!(
                 bits(&wide.outputs),
                 want,
-                "{} diverges bitwise from the plain walk at {workers} workers",
+                "{} diverges bitwise from the plain walk at {workers} workers \
+                 (hoisting {hoisting})",
                 w.name
             );
             assert_eq!(
                 wide.ops_executed, plain.ops_executed,
                 "{} op count at {workers} workers",
+                w.name
+            );
+            assert_eq!(
+                wide.linear_groups, plain.linear_groups,
+                "{} linear-combination groups at {workers} workers (hoisting {hoisting})",
                 w.name
             );
         }

@@ -4,7 +4,12 @@
 //! calibrated to this machine's backend the static work tracks the
 //! *measured* single-threaded encrypted latency — `span ≤ work ≤ 1.15 ×
 //! measured`. Rotation hoisting is disabled on both sides so the per-op
-//! cost model and the executed schedule describe the same computation.
+//! cost model and the executed schedule describe the same rotations. The
+//! executed schedule still accumulates its linear-combination groups over
+//! `Q_l·P` (that does not depend on hoisting), so a member's measured time
+//! lacks the division by `P` the model prices per rotation: on programs
+//! with groups (SF, HCD, MLP, the LeNets) the model over-prices, which this
+//! one-sided bound allows.
 //!
 //! Calibration and measurement run back to back on the same machine, so
 //! the 15% margin absorbs scheduler jitter, not model error; a failed
