@@ -104,15 +104,26 @@ impl Interval {
     /// The interval of a plaintext constant in a program with `slots`
     /// slots. Vectors shorter than the slot count are zero-padded at
     /// execution, so the hull includes `0` for them.
+    ///
+    /// The result is the fold of [`Interval::hull`] over the slots in order,
+    /// from the first slot or, for a padded vector, from `0`. A vector's
+    /// stored [`SlotVector::range`](fhe_ir::SlotVector::range) is that fold
+    /// for a vector of exactly `slots` values, and gives the padded fold by
+    /// one more hull unless a bound is zero: only then can the sign of the
+    /// zero depend on where the fold starts, so the slots are folded again.
     pub fn of_const(value: &ConstValue, slots: usize) -> Interval {
         match value {
             ConstValue::Scalar(v) => Interval::point(*v),
             ConstValue::Vector(v) => {
-                let mut iv = if v.is_empty() || v.len() < slots {
-                    Interval::point(0.0)
-                } else {
-                    Interval::point(v[0])
-                };
+                let (lo, hi) = v.range();
+                let padded = v.is_empty() || v.len() < slots;
+                if v.len() == slots && !padded {
+                    return Interval { lo, hi };
+                }
+                if padded && lo != 0.0 && hi != 0.0 {
+                    return Interval::point(0.0).hull(&Interval { lo, hi });
+                }
+                let mut iv = Interval::point(if padded { 0.0 } else { v[0] });
                 for &x in v.iter().take(slots) {
                     iv = iv.hull(&Interval::point(x));
                 }
@@ -257,6 +268,75 @@ mod tests {
         let cv = iv[0]; // the constant is pushed first
         assert!(matches!(p.op(fhe_ir::ValueId(0)), fhe_ir::Op::Const { .. }));
         assert_eq!((cv.lo, cv.hi), (0.0, 3.0));
+    }
+
+    /// `of_const` as it was before vectors recorded their range: the fold
+    /// of `hull` over the first `slots` values, from `0` when padded.
+    fn folded(value: &ConstValue, slots: usize) -> Interval {
+        let ConstValue::Vector(v) = value else {
+            unreachable!("vectors only")
+        };
+        let mut iv = if v.is_empty() || v.len() < slots {
+            Interval::point(0.0)
+        } else {
+            Interval::point(v[0])
+        };
+        for &x in v.iter().take(slots) {
+            iv = iv.hull(&Interval::point(x));
+        }
+        iv
+    }
+
+    #[test]
+    fn a_constants_stored_range_is_the_fold_of_its_slots() {
+        let bits = |iv: Interval| (iv.lo.to_bits(), iv.hi.to_bits());
+        let same = |values: Vec<f64>, slots: usize| {
+            let c = ConstValue::from(values);
+            assert_eq!(
+                bits(Interval::of_const(&c, slots)),
+                bits(folded(&c, slots)),
+                "{c:?} in {slots} slots"
+            );
+        };
+        // xorshift64: random vectors of every length around the eight lanes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+        };
+        for len in 1..40 {
+            let v: Vec<f64> = (0..len).map(|_| draw()).collect();
+            same(v.clone(), len);
+            same(v.clone(), 64);
+            same(v, len / 2 + 1);
+        }
+        same(vec![0.5, 1.5], 8); // short, zero-padded
+        same(vec![-3.0, -1.0, -2.0, -8.0, -0.5], 5); // all negative
+        same(vec![-3.0, -1.0, -2.0], 16); // all negative, padded
+        same(vec![0.25], 1); // a single value
+        same(vec![0.25], 4);
+        same(vec![0.0; 19], 19); // zeros
+        same(vec![0.0; 19], 32);
+        same(vec![0.0, 1.0, -0.0, 2.0], 8); // a zero bound, padded
+        same(vec![], 4);
+        // A constant cleanup folded: the sum of two vectors.
+        let b = fhe_ir::Builder::new("t", 8);
+        let x = b.input("x");
+        let sum = b.constant(vec![1.0, -2.0, 3.0]) + b.constant(vec![0.5; 8]);
+        let p = fhe_ir::passes::cleanup(&b.finish(vec![x * sum]));
+        let folded_const = (p.ops().iter())
+            .find_map(|op| match op {
+                Op::Const { value } => Some(value.clone()),
+                _ => None,
+            })
+            .expect("the folded constant");
+        assert_eq!(folded_const.at(1), -1.5);
+        assert_eq!(
+            bits(Interval::of_const(&folded_const, 8)),
+            bits(folded(&folded_const, 8))
+        );
     }
 
     #[test]

@@ -204,18 +204,11 @@ pub fn check(
     // first member — the hoisted groups, re-derived here to mirror the
     // memory model.
     let slots = program.slots();
-    let mut readers: Vec<Vec<ValueId>> = vec![Vec::new(); program.num_ops()];
+    let live: Vec<bool> = program.ids().map(|id| graph.node(id).is_some()).collect();
+    let readers = fhe_ir::analysis::readers(program, &live);
     let mut group_of: Vec<Option<usize>> = vec![None; program.num_ops()];
     let mut groups: Vec<Vec<ValueId>> = Vec::new();
-    for id in program.ids() {
-        if graph.node(id).is_none() {
-            continue;
-        }
-        for a in program.op(id).operands() {
-            if readers[a.index()].last() != Some(&id) {
-                readers[a.index()].push(id);
-            }
-        }
+    for id in program.ids().filter(|id| live[id.index()]) {
         match *program.op(id) {
             Op::Rotate(a, k) if program.is_cipher(id) && rotation_class(k, slots).is_some() => {
                 let group = *group_of[a.index()].get_or_insert_with(|| {
@@ -238,7 +231,7 @@ pub fn check(
         };
         report.freed_values += 1;
         let free_node = graph.node(free_op).expect("freeing op is live");
-        for &reader in readers[id.index()].iter().filter(|&&r| r != free_op) {
+        for &reader in readers.get(id.index()).iter().filter(|&&r| r != free_op) {
             let reader_node = graph.node(reader).expect("readers are live");
             report.obligations += 1;
             if !ancestry.is_ancestor(reader_node, free_node) {
@@ -271,18 +264,45 @@ pub fn check(
 
     // Obligation 3: linear-combination members reach their root through
     // the dataflow (whatever the hoisting setting: the runtime accumulates
-    // either way).
-    let live: Vec<bool> = program.ids().map(|id| graph.node(id).is_some()).collect();
-    for group in fhe_ir::analysis::linear_groups(program, &live) {
+    // either way). One backward walk per group, from the root over true
+    // edges and through the group's own adds, products and members, finds
+    // every member the group's dataflow orders; only a member it misses is
+    // asked of the unrestricted search.
+    let node = |v: ValueId| graph.node(v).expect("group values are live");
+    // `in_group[i] == g` / `reached[i] == g`: node `i` belongs to / was
+    // reached by the walk of group `g`.
+    let mut in_group = vec![usize::MAX; graph.nodes().len()];
+    let mut reached = vec![usize::MAX; graph.nodes().len()];
+    let mut stack = Vec::new();
+    for (g, group) in fhe_ir::analysis::linear_groups(program, &live)
+        .into_iter()
+        .enumerate()
+    {
         let root = group.root;
-        let root_node = graph.node(root).expect("root is live");
+        let root_node = node(root);
         let mut members: Vec<ValueId> = group.terms.iter().map(|&(m, _)| m).collect();
         members.sort();
         members.dedup();
+        let products = group.terms.iter().map(|&(_, p)| p);
+        for v in members.iter().copied().chain(products).chain(group.adds) {
+            in_group[node(v)] = g;
+        }
+        reached[root_node] = g;
+        stack.push(root_node);
+        while let Some(i) = stack.pop() {
+            for &(p, k) in graph.preds(i) {
+                if k == DepKind::True && in_group[p] == g && reached[p] != g {
+                    reached[p] = g;
+                    stack.push(p);
+                }
+            }
+        }
         for member in members {
-            let member_node = graph.node(member).expect("member is live");
+            let member_node = node(member);
             report.linear_members += 1;
-            if !ancestry.is_ancestor_by(member_node, root_node, |k| k == DepKind::True) {
+            if reached[member_node] != g
+                && !ancestry.is_ancestor_by(member_node, root_node, |k| k == DepKind::True)
+            {
                 report
                     .violations
                     .push(Violation::UnorderedLinearMember { member, root });
@@ -417,6 +437,53 @@ mod tests {
                 .iter()
                 .any(|v| matches!(v, Violation::UnorderedLinearMember { .. })));
         }
+    }
+
+    #[test]
+    fn a_member_the_group_walk_misses_is_asked_of_the_full_search() {
+        // Σ rotate(x, k)·0.5 at root `s`, checked against graphs of two
+        // mutants with the same live ops in the same order: in both, the
+        // true edge m2 → s is gone. In the first nothing else leads from r2
+        // to s, so r2 is unordered; in the second m2 reaches s through `t`,
+        // which is no part of the group, so only the full search finds it.
+        let ops = |t: Op, s: Op, outputs: &[u32]| {
+            let mut p = Program::new("matvec", 8);
+            let x = p.push(Op::Input { name: "x".into() });
+            let c = p.push(Op::Const { value: 0.5.into() });
+            let r1 = p.push(Op::Rotate(x, 1));
+            let r2 = p.push(Op::Rotate(x, 2));
+            p.push(Op::Mul(r1, c));
+            p.push(Op::Mul(r2, c));
+            p.push(t);
+            p.push(s);
+            p.set_outputs(outputs.iter().map(|&o| ValueId(o)).collect());
+            scheduled(p)
+        };
+        let [x, r2, m1, m2, t, s] = [0, 3, 4, 5, 6, 7].map(ValueId);
+        let source = ops(Op::Neg(x), Op::Add(m1, m2), &[7, 6]);
+        let cut = ops(Op::Neg(m1), Op::Add(m1, t), &[7, 6, 5]);
+        let detour = ops(Op::Neg(m2), Op::Add(m1, t), &[7, 6]);
+        let linear = |mutant: &ScheduledProgram| {
+            let map = mutant.validate().expect("valid");
+            let graph = DepGraph::build(mutant, &map, &CostModel::paper_table3(), true);
+            let report = check(&source, &graph, true);
+            let violations: Vec<Violation> = (report.violations.into_iter())
+                .filter(|v| matches!(v, Violation::UnorderedLinearMember { .. }))
+                .collect();
+            (report.linear_members, violations)
+        };
+        assert_eq!(linear(&source), (2, vec![]));
+        assert_eq!(
+            linear(&cut),
+            (
+                2,
+                vec![Violation::UnorderedLinearMember {
+                    member: r2,
+                    root: s
+                }]
+            )
+        );
+        assert_eq!(linear(&detour), (2, vec![]));
     }
 
     #[test]

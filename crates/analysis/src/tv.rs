@@ -13,7 +13,6 @@
 //! memoized so shared subgraphs are visited once and a value can never
 //! match two different source values.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use fhe_ir::{passes, Op, Program, ScheduledProgram, ValueId};
@@ -103,7 +102,8 @@ pub fn validate(source: &Program, scheduled: &ScheduledProgram) -> Result<TvRepo
 
     let mut stripped = 0usize;
     // sched value -> cleaned-source value it must bisimulate.
-    let mut memo: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut memo: Vec<Option<ValueId>> = vec![None; sp.num_ops()];
+    let mut matched = 0usize;
     let mut work: Vec<(ValueId, ValueId)> = sp
         .outputs()
         .iter()
@@ -117,16 +117,17 @@ pub fn validate(source: &Program, scheduled: &ScheduledProgram) -> Result<TvRepo
         .collect();
 
     while let Some((s, t)) = work.pop() {
-        match memo.get(&s) {
-            Some(&prev) if prev == t => continue,
-            Some(&prev) => {
+        match memo[s.index()] {
+            Some(prev) if prev == t => continue,
+            Some(prev) => {
                 return Err(TvMismatch::at(
                     s,
                     format!("matches two source values ({prev} and {t})"),
                 ));
             }
             None => {
-                memo.insert(s, t);
+                memo[s.index()] = Some(t);
+                matched += 1;
             }
         }
         let push_operands = |work: &mut Vec<(ValueId, ValueId)>,
@@ -164,7 +165,7 @@ pub fn validate(source: &Program, scheduled: &ScheduledProgram) -> Result<TvRepo
     }
 
     Ok(TvReport {
-        matched: memo.len(),
+        matched,
         scale_management_ops: stripped,
     })
 }

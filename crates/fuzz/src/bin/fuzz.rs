@@ -128,6 +128,7 @@ fn main() -> ExitCode {
     let mut ckks_schedules_run = 0u64;
     let mut ckks_schedules_skipped = 0u64;
     let mut linear_groups_run = 0u64;
+    let mut hoists_applied = 0u64;
     let mut findings: Vec<Json> = Vec::new();
     let mut divergent_seeds = 0u64;
 
@@ -143,6 +144,7 @@ fn main() -> ExitCode {
         ckks_schedules_run += run.ckks_schedules_run;
         ckks_schedules_skipped += run.ckks_schedules_skipped;
         linear_groups_run += run.linear_groups_run;
+        hoists_applied += run.hoists_applied;
         let divergences = run.divergences;
         if divergences.is_empty() {
             continue;
@@ -187,7 +189,8 @@ fn main() -> ExitCode {
              {ckks_seeds} seeds with the encrypted column on: \
              {ckks_schedules_run} schedules encrypted, \
              {ckks_schedules_skipped} skipped as not fitting the backend, \
-             {linear_groups_run} linear-combination groups accumulated; \
+             {linear_groups_run} linear-combination groups accumulated, \
+             {hoists_applied} rescales hoisted; \
              {divergent_seeds} divergent seed(s)"
         );
     }
@@ -204,6 +207,7 @@ fn main() -> ExitCode {
                 Json::from(ckks_schedules_skipped as f64),
             ),
             ("linear_groups_run", Json::from(linear_groups_run as f64)),
+            ("hoists_applied", Json::from(hoists_applied as f64)),
             ("divergent_seeds", Json::from(divergent_seeds as f64)),
             ("elapsed_s", Json::from(elapsed)),
             (

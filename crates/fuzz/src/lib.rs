@@ -50,6 +50,8 @@ pub struct SeedResult {
     /// Linear-combination groups accumulated
     /// ([`OracleRun::linear_groups_run`]).
     pub linear_groups_run: u64,
+    /// Rescale hoists applied ([`OracleRun::hoists_applied`]).
+    pub hoists_applied: u64,
 }
 
 /// Generates the program for `seed` and runs the full oracle on it.
@@ -63,5 +65,6 @@ pub fn run_seed(seed: u64, gen_cfg: &GenConfig, oracle_cfg: &OracleConfig) -> Se
         ckks_schedules_run: run.ckks_schedules_run,
         ckks_schedules_skipped: run.ckks_schedules_skipped,
         linear_groups_run: run.linear_groups_run,
+        hoists_applied: run.hoists_applied,
     }
 }

@@ -139,6 +139,10 @@ pub struct OracleRun {
     /// (`ExecReport::linear_groups`, summed over schedules): how much of
     /// the byte-exactness check ran through the accumulation.
     pub linear_groups_run: u64,
+    /// Rescale hoists the compiles applied (`CompileReport::hoists`,
+    /// summed; only the full reserve pipeline hoists): how much of the
+    /// checking ran over hoisted schedules.
+    pub hoists_applied: u64,
 }
 
 /// Oracle configuration.
@@ -324,6 +328,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> OracleRun {
             }
             Ok(Ok(c)) => c,
         };
+        run.hoists_applied += compiled.report.hoists as u64;
         check_schedule_invariants(&compiled.scheduled, &params, name, divs);
         check_translation_validation(program, &compiled, name, divs);
         check_parallelism_profile(&compiled.report, name, divs);

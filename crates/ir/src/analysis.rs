@@ -69,6 +69,68 @@ pub fn free_points(program: &Program, live: &[bool]) -> Vec<Option<ValueId>> {
     free_at
 }
 
+/// The live readers of every value in schedule order, `get(v.index())`: an
+/// op naming a value twice reads it once. A value's buffer waits for each
+/// of them before its free point ([`free_points`]) recycles it.
+pub fn readers(program: &Program, live: &[bool]) -> Lists<ValueId> {
+    let mut reads = Vec::new();
+    for id in program.ids().filter(|id| live[id.index()]) {
+        let mut prev = None;
+        for a in program.op(id).operands() {
+            if prev != Some(a) {
+                reads.push((a.index(), id));
+            }
+            prev = Some(a);
+        }
+    }
+    Lists::group(program.num_ops(), &reads)
+}
+
+/// One list per index in a single allocation: list `i` is a slice of it,
+/// [`Lists::get`]. Per-value or per-node lists of a 10 000-op schedule
+/// cost two allocations instead of one each.
+#[derive(Debug, Clone)]
+pub struct Lists<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Lists<T> {
+    /// The items of `pairs` listed under their index (`< n`), each list in
+    /// the order of `pairs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is `n` or more.
+    pub fn group(n: usize, pairs: &[(usize, T)]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for &(i, _) in pairs {
+            start[i + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        // `order[j]`: the pair that goes to position `j`.
+        let mut next = start.clone();
+        let mut order = vec![0usize; pairs.len()];
+        for (k, &(i, _)) in pairs.iter().enumerate() {
+            order[next[i]] = k;
+            next[i] += 1;
+        }
+        let items = order.iter().map(|&k| pairs[k].1).collect();
+        Lists { start, items }
+    }
+
+    /// List `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the `n` the lists were grouped under.
+    pub fn get(&self, i: usize) -> &[T] {
+        &self.items[self.start[i]..self.start[i + 1]]
+    }
+}
+
 /// The rotation groups the runtime hoists, keyed by source: two or more
 /// live cipher rotations of one ciphertext share a single key-switch
 /// decomposition, computed when the first member in schedule order (the
@@ -85,18 +147,26 @@ pub fn rotation_groups(
     if !hoist {
         return groups;
     }
-    for id in program.ids() {
-        if let Op::Rotate(a, k) = program.op(id) {
-            if live[id.index()]
-                && program.is_cipher(id)
-                && rotation_class(*k, program.slots()).is_some()
-            {
-                groups.entry(*a).or_default().push((id, *k));
-            }
+    for id in program.ids().filter(|id| live[id.index()]) {
+        if let Some((a, k)) = key_switched_rotation(program, id) {
+            groups.entry(a).or_default().push((id, k));
         }
     }
     groups.retain(|_, group| group.len() >= 2);
     groups
+}
+
+/// The source and steps of `id` when it is a cipher rotation that is not
+/// the identity, one that switches a key.
+fn key_switched_rotation(program: &Program, id: ValueId) -> Option<(ValueId, i64)> {
+    match *program.op(id) {
+        Op::Rotate(a, k)
+            if program.is_cipher(id) && rotation_class(k, program.slots()).is_some() =>
+        {
+            Some((a, k))
+        }
+        _ => None,
+    }
 }
 
 /// One linear-combination group ([`linear_groups`]): rotated members
@@ -150,39 +220,51 @@ pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
             _ => None,
         }
     };
-    // The cipher × plain products of every rotation that may be a member.
-    let mut products: HashMap<ValueId, Vec<ValueId>> = (rotation_groups(program, live, true))
-        .into_values()
-        .flatten()
-        .map(|(m, _)| (m, Vec::new()))
-        .collect();
+    // Live non-identity cipher rotations of every source: two or more make
+    // each of them a possible member (they form a rotation group).
+    let mut rotations = vec![0u32; n];
     for id in program.ids().filter(|id| live[id.index()]) {
-        if let Op::Mul(a, b) = *program.op(id) {
-            if program.is_cipher(a) != program.is_cipher(b) {
-                let c = if program.is_cipher(a) { a } else { b };
-                products.entry(c).and_modify(|prods| prods.push(id));
-            }
+        if let Some((a, _)) = key_switched_rotation(program, id) {
+            rotations[a.index()] += 1;
         }
     }
-    let mut terms: Vec<(ValueId, ValueId)> = products
-        .into_iter()
-        .filter(|(m, prods)| {
-            !prods.is_empty()
-                && prods.len() == uses[m.index()] as usize
-                && prods.iter().all(|&p| sole_add(p).is_some())
+    // The possible member a live cipher × plain product multiplies.
+    let product_of = |id: ValueId| match *program.op(id) {
+        Op::Mul(a, b) if program.is_cipher(a) != program.is_cipher(b) => {
+            let c = if program.is_cipher(a) { a } else { b };
+            key_switched_rotation(program, c)
+                .filter(|&(s, _)| live[c.index()] && rotations[s.index()] >= 2)
+                .map(|_| c)
+        }
+        _ => None,
+    };
+    // A member: every live use is such a product, each the sole operand
+    // of a cipher + cipher add.
+    let mut products = vec![0u32; n];
+    let mut summed = vec![true; n];
+    for id in program.ids().filter(|id| live[id.index()]) {
+        if let Some(m) = product_of(id) {
+            products[m.index()] += 1;
+            summed[m.index()] &= sole_add(id).is_some();
+        }
+    }
+    let terms: Vec<(ValueId, ValueId)> = (program.ids())
+        .filter(|id| live[id.index()])
+        .filter_map(|p| product_of(p).map(|m| (m, p)))
+        .filter(|&(m, _)| {
+            let k = products[m.index()];
+            k > 0 && k == uses[m.index()] && summed[m.index()]
         })
-        .flat_map(|(m, prods)| prods.into_iter().map(move |p| (m, p)))
         .collect();
-    terms.sort_by_key(|&(_, p)| p);
     // The root every product's chain of single-use adds ends at, for the
     // product and each add on the way: the values a group absorbs. Each
     // value is walked once.
-    let mut root_at: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut root_at: Vec<Option<ValueId>> = vec![None; n];
     let mut path = Vec::new();
     for &(_, product) in &terms {
         let mut node = product;
         let root = loop {
-            if let Some(&root) = root_at.get(&node) {
+            if let Some(root) = root_at[node.index()] {
                 break root;
             }
             match sole_add(node) {
@@ -193,35 +275,39 @@ pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
                 None => break node,
             }
         };
-        root_at.extend(path.drain(..).map(|v| (v, root)));
+        for v in path.drain(..) {
+            root_at[v.index()] = Some(root);
+        }
     }
-    let mut roots: Vec<ValueId> = root_at.values().copied().collect();
-    roots.sort();
-    roots.dedup();
-    let mut groups: Vec<LinearGroup> = (roots.iter())
-        .map(|&root| LinearGroup {
+    // Group `g` is the `g`-th root in schedule order.
+    let mut is_root = vec![false; n];
+    for root in root_at.iter().flatten() {
+        is_root[root.index()] = true;
+    }
+    let mut group_at = vec![usize::MAX; n];
+    let mut groups: Vec<LinearGroup> = Vec::new();
+    for root in program.ids().filter(|v| is_root[v.index()]) {
+        group_at[root.index()] = groups.len();
+        groups.push(LinearGroup {
             root,
             terms: Vec::new(),
             adds: Vec::new(),
             direct: Vec::new(),
-        })
-        .collect();
-    let group_of = |v: ValueId| roots.binary_search(&root_at[&v]).expect("a root");
+        });
+    }
+    let group_of = |v: ValueId| group_at[root_at[v.index()].expect("absorbed").index()];
     for (member, product) in terms {
         groups[group_of(product)].terms.push((member, product));
     }
-    let mut adds: Vec<ValueId> = (root_at.keys())
-        .copied()
-        .filter(|&v| matches!(program.op(v), Op::Add(..)))
-        .collect();
-    adds.sort();
-    for add in adds {
-        groups[group_of(add)].adds.push(add);
+    for add in program.ids() {
+        if root_at[add.index()].is_some() && matches!(program.op(add), Op::Add(..)) {
+            groups[group_of(add)].adds.push(add);
+        }
     }
     for group in &mut groups {
         for &add in group.adds.iter().chain([&group.root]) {
             for a in program.op(add).operands() {
-                if !root_at.contains_key(&a) {
+                if root_at[a.index()].is_none() {
                     group.direct.push((a, add));
                 }
             }
@@ -336,6 +422,10 @@ mod tests {
         assert_eq!(free[r1.index()], Some(out));
         assert_eq!(free[out.index()], None, "outputs are pinned");
         assert_eq!(free[dead.index()], None);
+        let read = readers(&p, &l);
+        assert_eq!(read.get(x.index()), [r1, r2], "live readers, in order");
+        assert_eq!(read.get(r1.index()), [out]);
+        assert!(read.get(out.index()).is_empty());
         let groups = rotation_groups(&p, &l, true);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[&x], vec![(r1, 1), (r2, 2)], "dead member excluded");

@@ -30,6 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::analysis::Lists;
 use crate::cost::{CostModel, OpClass};
 use crate::op::ValueId;
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -129,8 +130,8 @@ impl ParallelismEstimate {
 pub struct DepGraph {
     nodes: Vec<DepNode>,
     node_of: Vec<Option<usize>>,
-    preds: Vec<Vec<(usize, DepKind)>>,
-    succs: Vec<Vec<(usize, DepKind)>>,
+    preds: Lists<(usize, DepKind)>,
+    succs: Lists<(usize, DepKind)>,
     free_at: Vec<Option<ValueId>>,
 }
 
@@ -187,19 +188,12 @@ impl DepGraph {
         }
 
         let n = nodes.len();
-        let mut preds: Vec<Vec<(usize, DepKind)>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<(usize, DepKind)>> = vec![Vec::new(); n];
-        // Each kind of edge recognises its own duplicates in O(1) at the
-        // point of insertion (ops are at most binary), so no edge list is
-        // ever scanned: a value with thousands of readers costs its edges.
-        let add_edge = |preds: &mut Vec<Vec<(usize, DepKind)>>,
-                        succs: &mut Vec<Vec<(usize, DepKind)>>,
-                        from: usize,
-                        to: usize,
-                        kind: DepKind| {
-            succs[from].push((to, kind));
-            preds[to].push((from, kind));
-        };
+        // `(from, (to, kind))` per edge, in the order edges are found; each
+        // node's predecessor and successor lists keep that order. Each kind
+        // of edge recognises its own duplicates in O(1) where it is found
+        // (ops are at most binary), so no edge list is ever scanned: a value
+        // with thousands of readers costs its edges.
+        let mut edges: Vec<(usize, (usize, DepKind))> = Vec::new();
 
         // True dependences: operand → user, between live nodes. The one
         // duplicate is an op naming the same operand twice.
@@ -207,7 +201,7 @@ impl DepGraph {
             let mut prev = None;
             for a in program.op(node.id).operands() {
                 if let Some(from) = node_of[a.index()].filter(|_| prev != Some(a)) {
-                    add_edge(&mut preds, &mut succs, from, to, DepKind::True);
+                    edges.push((from, (to, DepKind::True)));
                 }
                 prev = Some(a);
             }
@@ -216,31 +210,26 @@ impl DepGraph {
         // Free points (the op whose completion frees a value's buffer) and
         // the readers each must wait for.
         let free_at = crate::analysis::free_points(program, &live);
-        let mut users: Vec<Vec<ValueId>> = vec![Vec::new(); n_vals];
-        for &DepNode { id, .. } in &nodes {
-            for a in program.op(id).operands() {
-                if users[a.index()].last() != Some(&id) {
-                    users[a.index()].push(id);
-                }
-            }
-        }
+        let users = crate::analysis::readers(program, &live);
 
         // Anti dependences: every other reader of a ciphertext must finish
         // before the op that frees it (write-after-read on the pool slot).
         // A reader has at most two operands, so at most two anti edges
-        // leave it, back to back in its successor list: the one duplicate —
-        // both operands freed at the same op — repeats the edge just added.
+        // leave it: the one duplicate — both operands freed at the same op
+        // — repeats the last anti edge it got.
+        let mut last_anti = vec![usize::MAX; n];
         for id in program.ids() {
             if !hazard_edges || !program.is_cipher(id) {
                 continue;
             }
             if let Some(f) = free_at[id.index()] {
                 let fi = node_of[f.index()].expect("freeing op is live");
-                for &u in &users[id.index()] {
+                for &u in users.get(id.index()) {
                     if u != f {
                         let ui = node_of[u.index()].expect("user is live");
-                        if succs[ui].last() != Some(&(fi, DepKind::Anti)) {
-                            add_edge(&mut preds, &mut succs, ui, fi, DepKind::Anti);
+                        if last_anti[ui] != fi {
+                            last_anti[ui] = fi;
+                            edges.push((ui, (fi, DepKind::Anti)));
                         }
                     }
                 }
@@ -254,10 +243,16 @@ impl DepGraph {
             let leader = node_of[group[0].0.index()].expect("leader is live");
             for &(m, _) in &group[1..] {
                 let mi = node_of[m.index()].expect("member is live");
-                add_edge(&mut preds, &mut succs, leader, mi, DepKind::Output);
+                edges.push((leader, (mi, DepKind::Output)));
             }
         }
 
+        let succs = Lists::group(n, &edges);
+        let reversed: Vec<(usize, (usize, DepKind))> = edges
+            .iter()
+            .map(|&(from, (to, kind))| (to, (from, kind)))
+            .collect();
+        let preds = Lists::group(n, &reversed);
         DepGraph {
             nodes,
             node_of,
@@ -279,12 +274,12 @@ impl DepGraph {
 
     /// Predecessors (dependences) of a node.
     pub fn preds(&self, node: usize) -> &[(usize, DepKind)] {
-        &self.preds[node]
+        self.preds.get(node)
     }
 
     /// Successors (dependents) of a node.
     pub fn succs(&self, node: usize) -> &[(usize, DepKind)] {
-        &self.succs[node]
+        self.succs.get(node)
     }
 
     /// The op whose completion frees `id`'s ciphertext buffer, or `None`
@@ -298,7 +293,8 @@ impl DepGraph {
     fn earliest_finish(&self) -> Vec<f64> {
         let mut finish = vec![0.0f64; self.nodes.len()];
         for i in 0..self.nodes.len() {
-            let start = self.preds[i]
+            let start = self
+                .preds(i)
                 .iter()
                 .map(|&(p, _)| finish[p])
                 .fold(0.0, f64::max);
@@ -321,7 +317,8 @@ impl DepGraph {
         let mut path = vec![self.nodes[cur].id];
         loop {
             let target = finish[cur] - self.nodes[cur].cost_us;
-            let Some(&(p, _)) = self.preds[cur]
+            let Some(&(p, _)) = self
+                .preds(cur)
                 .iter()
                 .filter(|&&(p, _)| finish[p] > 0.0)
                 .max_by(|a, b| finish[a.0].total_cmp(&finish[b.0]))
@@ -370,7 +367,8 @@ impl DepGraph {
     fn bottom_levels(&self, costs: &[f64]) -> Vec<f64> {
         let mut bottom = vec![0.0f64; costs.len()];
         for i in (0..costs.len()).rev() {
-            let below = self.succs[i]
+            let below = self
+                .succs(i)
                 .iter()
                 .map(|&(s, _)| bottom[s])
                 .fold(0.0, f64::max);
@@ -399,7 +397,7 @@ impl DepGraph {
         let mut workers: BinaryHeap<Reverse<Us>> = (0..k.clamp(1, n.max(1)))
             .map(|_| Reverse(Us(0.0)))
             .collect();
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut indeg: Vec<usize> = (0..n).map(|i| self.preds(i).len()).collect();
         let mut ready_time = vec![0.0f64; n];
         let mut pending: BinaryHeap<Reverse<(Us, Reverse<Us>, usize)>> = (0..n)
             .filter(|&i| indeg[i] == 0)
@@ -427,7 +425,7 @@ impl DepGraph {
             let fin = ready_time[node].max(wt) + costs[node];
             workers.push(Reverse(Us(fin)));
             makespan = makespan.max(fin);
-            for &(s, _) in &self.succs[node] {
+            for &(s, _) in self.succs(node) {
                 ready_time[s] = ready_time[s].max(fin);
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
@@ -499,8 +497,8 @@ impl DepGraph {
                 extra
             );
         }
-        for (i, succs) in self.succs.iter().enumerate() {
-            for &(t, kind) in succs {
+        for i in 0..self.nodes.len() {
+            for &(t, kind) in self.succs(i) {
                 let style = match kind {
                     DepKind::True => "solid",
                     DepKind::Anti => "dashed",

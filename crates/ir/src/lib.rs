@@ -66,7 +66,7 @@ pub use diag::{Finding, Severity, TvVerdict};
 pub use frac::Frac;
 pub use fusion::{BlockedFusion, Blocker, FusionPlan};
 pub use memory::{estimate_memory, key_levels, KeyLevels, MemoryEstimate};
-pub use op::{ConstValue, Op, OperandIter, ValueId};
+pub use op::{ConstValue, Op, OperandIter, SlotVector, ValueId};
 pub use params::CompileParams;
 pub use pipeline::{
     CompileError, CompileReport, Compiled, PassCx, PassError, PassKind, PassRecord, PipelineTrace,

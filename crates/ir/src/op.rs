@@ -32,7 +32,73 @@ pub enum ConstValue {
     /// The same real value in every slot.
     Scalar(f64),
     /// One value per slot (shorter vectors are zero-padded at execution).
-    Vector(Arc<Vec<f64>>),
+    Vector(Arc<SlotVector>),
+}
+
+/// The slot values of a vector constant, with their range folded once, when
+/// the constant is made: a per-compile analysis reads the range instead of
+/// every slot. Dereferences to the values.
+pub struct SlotVector {
+    values: Vec<f64>,
+    range: (f64, f64),
+}
+
+impl SlotVector {
+    /// Takes `values` and folds their range.
+    pub fn new(values: Vec<f64>) -> Self {
+        SlotVector {
+            range: range(&values),
+            values,
+        }
+    }
+
+    /// `(min, max)` over the values, folded from the first in slot order;
+    /// `(∞, −∞)` for no values.
+    pub fn range(&self) -> (f64, f64) {
+        self.range
+    }
+}
+
+/// `(min, max)` of `values` as `f64::min` / `f64::max` fold them from the
+/// first value in slot order; `(∞, −∞)` for none.
+///
+/// Eight interleaved folds give the same bits faster: `min` and `max` return
+/// one of their operands and skip NaNs, so the order only shows in which
+/// zero a zero bound is, or which NaN an all-NaN vector gives — and such a
+/// vector is folded again in order.
+fn range(values: &[f64]) -> (f64, f64) {
+    let Some(&first) = values.first() else {
+        return (f64::INFINITY, f64::NEG_INFINITY);
+    };
+    let fold = |(lo, hi): (f64, f64), &x: &f64| (lo.min(x), hi.max(x));
+    let mut lanes = [(first, first); 8];
+    let mut chunks = values.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (lane, x) in lanes.iter_mut().zip(chunk) {
+            *lane = fold(*lane, x);
+        }
+    }
+    let (lo, hi) = (lanes.iter()).fold(lanes[0], |acc, &(lo, hi)| (acc.0.min(lo), acc.1.max(hi)));
+    let (lo, hi) = chunks.remainder().iter().fold((lo, hi), fold);
+    if lo == 0.0 || hi == 0.0 || lo.is_nan() {
+        values.iter().fold((first, first), fold)
+    } else {
+        (lo, hi)
+    }
+}
+
+impl std::ops::Deref for SlotVector {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values
+    }
+}
+
+impl fmt::Debug for SlotVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.values.fmt(f)
+    }
 }
 
 impl ConstValue {
@@ -62,11 +128,14 @@ impl PartialEq for ConstValue {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (ConstValue::Scalar(a), ConstValue::Scalar(b)) => a.to_bits() == b.to_bits(),
+            // One allocation holds one set of bits: every constant a cleanup
+            // did not fold shares its source's `Arc`.
             (ConstValue::Vector(a), ConstValue::Vector(b)) => {
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b.iter())
-                        .all(|(x, y)| x.to_bits() == y.to_bits())
+                Arc::ptr_eq(a, b)
+                    || (a.len() == b.len()
+                        && a.iter()
+                            .zip(b.iter())
+                            .all(|(x, y)| x.to_bits() == y.to_bits()))
             }
             _ => false,
         }
@@ -81,7 +150,7 @@ impl From<f64> for ConstValue {
 
 impl From<Vec<f64>> for ConstValue {
     fn from(v: Vec<f64>) -> Self {
-        ConstValue::Vector(Arc::new(v))
+        ConstValue::Vector(Arc::new(SlotVector::new(v)))
     }
 }
 
@@ -223,5 +292,39 @@ mod tests {
         assert_eq!(v.at(2), 0.0);
         assert_eq!(v.to_vec(3), vec![1.0, 2.0, 0.0]);
         assert_eq!(v.magnitude(), 2.0);
+    }
+
+    #[test]
+    fn vector_constants_are_equal_exactly_when_their_bits_are() {
+        let v = ConstValue::from(vec![1.0, -2.5, 3.0]);
+        assert_eq!(v, v.clone(), "one shared allocation");
+        let twin = ConstValue::from(vec![1.0, -2.5, 3.0]);
+        assert_eq!(v, twin, "two allocations, the same bits");
+        assert_ne!(v, ConstValue::from(vec![1.0, -2.5, 3.5]), "last value");
+        assert_ne!(v, ConstValue::from(vec![1.0, -2.5]), "length");
+        assert_ne!(v, ConstValue::from(vec![1.0, -2.5, 3.0, 0.0]), "padding");
+        assert_ne!(
+            ConstValue::from(vec![-0.0]),
+            ConstValue::from(vec![0.0]),
+            "-0.0 and 0.0 differ in their bits"
+        );
+        assert_ne!(v, ConstValue::Scalar(1.0));
+    }
+
+    #[test]
+    fn a_vector_records_its_range_when_it_is_made() {
+        let range = |v: Vec<f64>| SlotVector::new(v).range();
+        // Long enough for the eight interleaved folds and a remainder.
+        let ramp: Vec<f64> = (0..21).map(|i| f64::from(i) - 7.5).collect();
+        assert_eq!(range(ramp), (-7.5, 12.5));
+        assert_eq!(range(vec![-3.0, -1.0, -2.0]), (-3.0, -1.0));
+        assert_eq!(range(vec![4.0]), (4.0, 4.0));
+        assert_eq!(
+            range(vec![f64::NAN, 2.0, -1.0]),
+            (-1.0, 2.0),
+            "NaNs are skipped"
+        );
+        let (lo, hi) = range(vec![]);
+        assert!(lo == f64::INFINITY && hi == f64::NEG_INFINITY);
     }
 }

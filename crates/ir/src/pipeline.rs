@@ -260,21 +260,23 @@ impl PassCx {
     /// the trace and the counters, and estimates latency under the
     /// context's cost model. `map` is `scheduled`'s validation result.
     pub fn finish(&mut self, scheduled: ScheduledProgram, map: &ScaleMap) -> Compiled {
-        let total_time = self.started.elapsed();
         let trace = std::mem::take(&mut self.trace);
         // The report's static bounds assume rotation hoisting, the runtime's
         // default (`ExecOptions::rotation_hoisting`).
         let memory =
             crate::memory::estimate_memory(&scheduled, map, 2 * scheduled.program.slots(), true);
+        let estimated_latency_us = self.cost_model.program_cost(&scheduled.program, map);
+        // The clock stops after the report's own analyses: they are part of
+        // the compile.
         let report = CompileReport {
             compiler: self.compiler.clone(),
             scale_management_time: trace.scale_management_time(),
-            total_time,
+            total_time: self.started.elapsed(),
             iterations: self.iterations.max(1),
             ops_before: self.ops_cleaned,
             ops_after: scheduled.program.num_ops(),
             hoists: self.hoists,
-            estimated_latency_us: self.cost_model.program_cost(&scheduled.program, map),
+            estimated_latency_us,
             max_level: map.max_level(),
             findings: std::mem::take(&mut self.findings),
             translation_validated: self.tv.as_ref().map(|v| v.validated),
