@@ -201,8 +201,9 @@ pub fn check(
     // The live readers of every value in schedule order (an op naming a
     // value twice reads it once), and the live cipher rotations of every
     // source that are not the identity, grouped in schedule order of their
-    // first member — the hoisted groups, re-derived here to mirror the
-    // memory model.
+    // first member — the hoisted groups. Both are derived here from the
+    // program text, independently of the graph (which the memory model and
+    // the executor read them from) on purpose: the graph is what is proved.
     let slots = program.slots();
     let live: Vec<bool> = program.ids().map(|id| graph.node(id).is_some()).collect();
     let readers = fhe_ir::analysis::readers(program, &live);

@@ -1,13 +1,13 @@
 //! The verification tail every compile ends with. [`finish_verified`] runs
 //! the analyses over a finished schedule as three recorded phases —
 //! `depgraph`, `lint`, `translation-validate` — leaving findings, the
-//! parallelism profile and the TV verdict in the compile's [`PassCx`], and
+//! graph's estimates and the TV verdict in the compile's [`PassCx`], and
 //! assembles the uniform `Compiled` artifact from it.
 
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::diag::{Finding, Severity, TvVerdict};
 use fhe_ir::pipeline::{diagnostics, CompileError, Compiled, PassCx, PassKind};
-use fhe_ir::{Program, ScaleMap, ScheduledProgram};
+use fhe_ir::{estimate_memory, Program, ScaleMap, ScheduledProgram};
 
 use crate::lint::{lint_scheduled, LintOptions};
 use crate::parallel;
@@ -53,17 +53,20 @@ pub fn finish_verified(
 }
 
 /// Builds the dependence DAG of the schedule, notes its work/span/width
-/// profile and leaves it in [`PassCx::parallelism`], and proves the
+/// profile and leaves it in [`PassCx::parallelism`], leaves the memory
+/// estimate read off the same graph in [`PassCx::memory`], and proves the
 /// schedule race-free for topological-order parallel execution via
 /// [`parallel::check`].
 ///
 /// Never fails the compile: the profile is informative and a safety
 /// violation is surfaced as an `F008` error finding (the parallel form of
 /// the premature-free lint) for the fuzz oracle and the lint CLI to gate
-/// on. The graph is built with rotation hoisting on, matching the compile
-/// report's memory model and the runtime's default.
+/// on. The graph is built with rotation hoisting on, the runtime's default
+/// (`ExecOptions::rotation_hoisting`), so the report's bounds assume it.
 fn depgraph(cx: &mut PassCx, scheduled: &ScheduledProgram, map: &ScaleMap) {
     let graph = DepGraph::build(scheduled, map, &cx.cost_model, true);
+    let memory = estimate_memory(scheduled, map, 2 * scheduled.program.slots(), &graph);
+    cx.memory = Some(memory);
     let est = graph.estimate();
     cx.note(format!(
         "work {:.1}us, span {:.1}us, parallelism {:.2}x, max width {}",

@@ -2,8 +2,8 @@
 //! level estimation used by the allocation-ordering heuristic (§6.1), plus
 //! the three rules of the runtime's buffer discipline — where a value is
 //! freed, which rotations share a hoisted decomposition and which rotated
-//! products are summed before the division by `P` — that the dependence
-//! graph, the memory model and the executor must agree on.
+//! products are summed before the division by `P` — which the dependence
+//! graph applies once per schedule for every consumer ([`crate::DepGraph`]).
 
 use std::collections::HashMap;
 

@@ -6,11 +6,10 @@
 //! DAG-parallel runtime could reach. [`DepGraph::build`] constructs the
 //! dependence DAG of a [`ScheduledProgram`] — true (read-after-write)
 //! dependences plus the anti and output dependences induced by the
-//! runtime's last-use ciphertext freeing and hoisted rotation groups (the
-//! same discipline as [`crate::memory::estimate_memory`]). From the DAG and
-//! a [`CostModel`] it derives:
+//! runtime's last-use ciphertext freeing and hoisted rotation groups. From
+//! the DAG and a [`CostModel`] it derives:
 //!
-//! - **work** — total µs of all live ops (equals the sequential
+//! - **work** — total µs of all live ops (the report's sequential
 //!   `estimated_latency_us`),
 //! - **span** — the critical path, the latency floor at unbounded width,
 //! - **`max_width`** — the peak number of concurrently running costed ops
@@ -22,15 +21,19 @@
 //! width on demand: greedy critical-path list scheduling with `k` workers
 //! (`T(1)` = work, `T(∞)` → span).
 //!
-//! The DAG itself is what the parallel-safety checker in `fhe-analysis`
-//! proves race-freedom over: every reader of a ciphertext is an ancestor of
-//! the op that frees it, so *any* topological-order-respecting parallel
-//! execution observes the free after the last read.
+//! The graph is the one place the runtime's buffer discipline is derived —
+//! liveness, free points, hoisted rotation groups and linear-combination
+//! groups; the memory model ([`crate::memory::estimate_memory`]) and the
+//! encrypted executor read them from it. The parallel-safety checker in
+//! `fhe-analysis` derives them itself, from the program text, and proves
+//! the DAG orders every hazard: every reader of a ciphertext is an
+//! ancestor of the op that frees it, so *any* topological-order-respecting
+//! parallel execution observes the free after the last read.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
-use crate::analysis::Lists;
+use crate::analysis::{LinearGroup, Lists};
 use crate::cost::{CostModel, OpClass};
 use crate::op::ValueId;
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -122,10 +125,11 @@ impl ParallelismEstimate {
     }
 }
 
-/// The dependence DAG of a scheduled program. Node order (ascending
-/// [`ValueId`]) is a topological order: true edges run producer→consumer,
-/// anti edges run reader→last-reader, and output edges run group
-/// leader→later member, all of which point from lower to higher ids.
+/// The dependence DAG of a scheduled program and the buffer discipline its
+/// edges come from. Node order (ascending [`ValueId`]) is a topological
+/// order: true edges run producer→consumer, anti edges run
+/// reader→last-reader, and output edges run group leader→later member, all
+/// of which point from lower to higher ids.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     nodes: Vec<DepNode>,
@@ -133,15 +137,18 @@ pub struct DepGraph {
     preds: Lists<(usize, DepKind)>,
     succs: Lists<(usize, DepKind)>,
     free_at: Vec<Option<ValueId>>,
+    hoist_rotations: bool,
+    rotation_groups: HashMap<ValueId, Vec<(ValueId, i64)>>,
+    linear_groups: Vec<LinearGroup>,
 }
 
 impl DepGraph {
     /// Builds the dependence DAG of `scheduled` under `model`.
     ///
-    /// `hoist_rotations` must match the memory model / runtime setting: a
-    /// hoisted rotation group executes at its first member, which orders
-    /// the group (output dependences) and keeps its source live until the
-    /// group's last scheduled member.
+    /// `hoist_rotations` is the runtime setting the graph describes (and
+    /// its readers follow): a hoisted rotation group executes at its first
+    /// member, which orders the group (output dependences) and keeps its
+    /// source live until the group's last scheduled member.
     pub fn build(
         scheduled: &ScheduledProgram,
         map: &ScaleMap,
@@ -155,7 +162,7 @@ impl DepGraph {
     /// freeing-unaware runtime would enforce. Free points are still
     /// computed, so the parallel-safety checker can demonstrate the races
     /// this graph leaves open; [`DepGraph::build`] adds the anti/output
-    /// edges that repair them.
+    /// edges that repair them. No rotation is hoisted.
     pub fn build_true_deps(
         scheduled: &ScheduledProgram,
         map: &ScaleMap,
@@ -239,7 +246,8 @@ impl DepGraph {
         // Output dependences: a hoisted rotation group's leader publishes
         // the decomposition its later members read; they are ordered after
         // it. A rotation belongs to one group, so these never repeat.
-        for group in crate::analysis::rotation_groups(program, &live, hoist_rotations).values() {
+        let rotation_groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
+        for group in rotation_groups.values() {
             let leader = node_of[group[0].0.index()].expect("leader is live");
             for &(m, _) in &group[1..] {
                 let mi = node_of[m.index()].expect("member is live");
@@ -259,6 +267,9 @@ impl DepGraph {
             preds,
             succs,
             free_at,
+            hoist_rotations,
+            rotation_groups,
+            linear_groups: crate::analysis::linear_groups(program, &live),
         }
     }
 
@@ -267,7 +278,7 @@ impl DepGraph {
         &self.nodes
     }
 
-    /// The node index of a live op, if it is in the graph.
+    /// The node index of an op; `None` exactly when the op is dead.
     pub fn node(&self, id: ValueId) -> Option<usize> {
         self.node_of.get(id.index()).copied().flatten()
     }
@@ -286,6 +297,22 @@ impl DepGraph {
     /// when `id` is a program output (pinned), plain, or dead.
     pub fn free_at(&self, id: ValueId) -> Option<ValueId> {
         self.free_at.get(id.index()).copied().flatten()
+    }
+
+    /// Whether the graph was built with rotation hoisting.
+    pub fn hoists_rotations(&self) -> bool {
+        self.hoist_rotations
+    }
+
+    /// The hoisted rotation groups by source
+    /// ([`crate::analysis::rotation_groups`]; none without hoisting).
+    pub fn rotation_groups(&self) -> &HashMap<ValueId, Vec<(ValueId, i64)>> {
+        &self.rotation_groups
+    }
+
+    /// The linear-combination groups ([`crate::analysis::linear_groups`]).
+    pub fn linear_groups(&self) -> &[LinearGroup] {
+        &self.linear_groups
     }
 
     /// Earliest finish time of every node under unbounded width (the
@@ -338,7 +365,8 @@ impl DepGraph {
     /// nonincreasing in `k` and bounded below by
     /// [`ParallelismEstimate::span_us`].
     pub fn t_of_k(&self, k: usize) -> f64 {
-        self.list_schedule(&self.costs(), k)
+        let costs: Vec<f64> = self.nodes.iter().map(|n| n.cost_us).collect();
+        self.list_schedule(&costs, k)
     }
 
     /// Latency (µs) of the same list schedule when node `i` takes
@@ -351,46 +379,23 @@ impl DepGraph {
     /// bottom level (longest path to an exit, own cost included — the
     /// classic critical-path priority); then the earliest in the schedule.
     ///
+    /// It runs in O((n + e) log n) on three heaps instead of a scan of the
+    /// ready list and of the workers per node. A ready node is *available*
+    /// once its ready time is at or before the free time of the worker
+    /// being served, and *pending* until then. Every available node is
+    /// startable at the worker's time exactly, so among them the rule above
+    /// reduces to (bottom ↓, index ↑); when none is available, every
+    /// pending node starts at its own ready time and the rule reads (ready
+    /// time ↑, bottom ↓, index ↑). Costs are nonnegative, so the earliest
+    /// worker time never decreases and an available node stays available:
+    /// each node moves pending → available at most once, and the pick is
+    /// the one a full scan would make.
+    ///
     /// # Panics
     ///
     /// Panics unless `costs` has one entry per node.
     pub fn list_schedule(&self, costs: &[f64], k: usize) -> f64 {
         assert_eq!(costs.len(), self.nodes.len(), "one cost per node");
-        self.schedule(costs, k)
-    }
-
-    fn costs(&self) -> Vec<f64> {
-        self.nodes.iter().map(|n| n.cost_us).collect()
-    }
-
-    /// Longest path from each node to an exit, its own cost included.
-    fn bottom_levels(&self, costs: &[f64]) -> Vec<f64> {
-        let mut bottom = vec![0.0f64; costs.len()];
-        for i in (0..costs.len()).rev() {
-            let below = self
-                .succs(i)
-                .iter()
-                .map(|&(s, _)| bottom[s])
-                .fold(0.0, f64::max);
-            bottom[i] = below + costs[i];
-        }
-        bottom
-    }
-
-    /// The list schedule behind [`DepGraph::list_schedule`], in
-    /// O((n + e) log n): three heaps instead of a scan of the ready list
-    /// and of the workers per node.
-    ///
-    /// A ready node is *available* once its ready time is at or before the
-    /// free time of the worker being served, and *pending* until then.
-    /// Every available node is startable at the worker's time exactly, so
-    /// among them the rule above reduces to (bottom ↓, index ↑); when none
-    /// is available, every pending node starts at its own ready time and
-    /// the rule reads (ready time ↑, bottom ↓, index ↑). Costs are
-    /// nonnegative, so the earliest worker time never decreases and an
-    /// available node stays available: each node moves pending → available
-    /// at most once, and the pick is the one a full scan would make.
-    fn schedule(&self, costs: &[f64], k: usize) -> f64 {
         let n = self.nodes.len();
         let bottom = self.bottom_levels(costs);
         // A worker beyond the n-th would never leave time zero.
@@ -434,6 +439,20 @@ impl DepGraph {
             }
         }
         makespan
+    }
+
+    /// Longest path from each node to an exit, its own cost included.
+    fn bottom_levels(&self, costs: &[f64]) -> Vec<f64> {
+        let mut bottom = vec![0.0f64; costs.len()];
+        for i in (0..costs.len()).rev() {
+            let below = self
+                .succs(i)
+                .iter()
+                .map(|&(s, _)| bottom[s])
+                .fold(0.0, f64::max);
+            bottom[i] = below + costs[i];
+        }
+        bottom
     }
 
     /// Work, span and width, the last two read off one longest-path
@@ -767,6 +786,11 @@ mod tests {
         };
         assert_eq!(count(&hoisted), 2, "two members follow the leader");
         assert_eq!(count(&flat), 0);
+        // The graph records the setting, and the groups its readers take.
+        assert!(hoisted.hoists_rotations() && !flat.hoists_rotations());
+        let x = s.program.inputs()[0];
+        assert_eq!(hoisted.rotation_groups()[&x].len(), 3);
+        assert!(flat.rotation_groups().is_empty());
         // Hoisting serializes the group: span must not shrink.
         assert!(hoisted.estimate().span_us >= flat.estimate().span_us - 1e-9);
     }

@@ -64,37 +64,24 @@ impl FusionPlan {
     pub fn plan(scheduled: &ScheduledProgram) -> FusionPlan {
         let program = &scheduled.program;
         let live = crate::analysis::live(program);
-        let n = program.num_ops();
-        let mut users: Vec<Vec<ValueId>> = vec![Vec::new(); n];
-        for id in program.ids() {
-            if !live[id.index()] {
-                continue;
-            }
-            for a in program.op(id).operands() {
-                if users[a.index()].last() != Some(&id) {
-                    users[a.index()].push(id);
-                }
-            }
-        }
+        let readers = crate::analysis::readers(program, &live);
+        let users = |id: ValueId| readers.get(id.index());
         let is_output = |id: ValueId| program.outputs().contains(&id);
 
         let mut plan = FusionPlan::default();
-        for id in program.ids() {
-            if !live[id.index()] {
-                continue;
-            }
+        for id in program.ids().filter(|id| live[id.index()]) {
             let Op::Mul(a, b) = *program.op(id) else {
                 continue;
             };
             if !(program.is_cipher(a) && program.is_cipher(b)) {
                 continue;
             }
-            let direct_rescale = users[id.index()]
+            let direct_rescale = users(id)
                 .iter()
                 .copied()
                 .find(|&u| matches!(program.op(u), Op::Rescale(_)));
             match direct_rescale {
-                Some(r) if users[id.index()].len() == 1 && !is_output(id) => {
+                Some(r) if users(id).len() == 1 && !is_output(id) => {
                     plan.pairs.push((id, r));
                 }
                 Some(r) => {
@@ -102,11 +89,7 @@ impl FusionPlan {
                         mul: id,
                         rescale: r,
                         blocker: Blocker::ExtraConsumers {
-                            others: users[id.index()]
-                                .iter()
-                                .copied()
-                                .filter(|&u| u != r)
-                                .collect(),
+                            others: users(id).iter().copied().filter(|&u| u != r).collect(),
                             is_output: is_output(id),
                         },
                     });
@@ -114,7 +97,7 @@ impl FusionPlan {
                 None => {
                     // Sole-consumer chain mul → unary op → rescale: the
                     // rescale exists but an op intervenes.
-                    let [via] = users[id.index()][..] else {
+                    let [via] = users(id)[..] else {
                         continue;
                     };
                     let unary = matches!(
@@ -124,7 +107,7 @@ impl FusionPlan {
                     if !unary || is_output(via) {
                         continue;
                     }
-                    if let [r] = users[via.index()][..] {
+                    if let [r] = users(via)[..] {
                         if matches!(program.op(r), Op::Rescale(_)) {
                             plan.blocked.push(BlockedFusion {
                                 mul: id,

@@ -2,7 +2,8 @@
 //!
 //! Mirrors the runtime's allocation discipline — pooled temporaries per
 //! op, last-use freeing of dead ciphertexts, hoisted rotation groups,
-//! linear-combination groups accumulated before the division by `P` —
+//! linear-combination groups accumulated before the division by `P`, all
+//! four read from the schedule's [`DepGraph`], which the executor walks —
 //! and produces a peak-bytes bound that must dominate every measured
 //! `MemStats::peak_bytes` (the fuzz oracle asserts this). All polynomial
 //! figures are counted in *limbs* (one limb = `N × 8` bytes) and
@@ -14,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use crate::depgraph::DepGraph;
 use crate::op::{Op, ValueId};
 use crate::program::Program;
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -118,27 +120,26 @@ pub struct MemoryEstimate {
 /// plaintext counts), records the high-water
 /// mark, and frees each ciphertext after its last use — exactly the
 /// discipline of the encrypted executor. `poly_degree` is the
-/// backend's `N` (the runtime requires `N = 2 × slots`); `hoist_rotations`
-/// must match the execution-side setting, since a hoisted rotation group
-/// keeps its shared digit decomposition live from its first member to its
-/// last. A linear-combination group ([`crate::analysis::linear_groups`])
-/// holds one partial sum, `2(l+α) + 2l` limbs, from its first member to
-/// its root — what the one-runner walk holds — and its members, products
-/// and absorbed adds are never materialized.
+/// backend's `N` (the runtime requires `N = 2 × slots`). `graph` is the
+/// schedule's [`DepGraph`], which supplies liveness, free points and both
+/// kinds of group: a hoisted rotation group (present when the graph was
+/// built with hoisting, the executor's setting) keeps its shared digit
+/// decomposition live from its first member to its last, and a
+/// linear-combination group holds one partial sum, `2(l+α) + 2l` limbs,
+/// from its first member to its root — what the one-runner walk holds —
+/// while its members, products and absorbed adds are never materialized.
 pub fn estimate_memory(
     scheduled: &ScheduledProgram,
     map: &ScaleMap,
     poly_degree: usize,
-    hoist_rotations: bool,
+    graph: &DepGraph,
 ) -> MemoryEstimate {
     let program = &scheduled.program;
-    let live = crate::analysis::live(program);
     let limb_bytes = (poly_degree * 8) as u64;
     let big_l = u64::from(map.max_level());
     let alpha = special_primes(big_l);
 
-    let free_at = crate::analysis::free_points(program, &live);
-    let groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
+    let groups = graph.rotation_groups();
     // Per linear-combination group: where its partial sum is checked out
     // and where it is finished. Per member: the groups it feeds, each of
     // which it encodes one plaintext over `Q_l·P` for.
@@ -146,7 +147,7 @@ pub fn estimate_memory(
     let mut fed: HashMap<ValueId, u64> = HashMap::new();
     let mut partial_at: HashMap<ValueId, u64> = HashMap::new();
     let mut finished_at: HashMap<ValueId, u64> = HashMap::new();
-    for group in crate::analysis::linear_groups(program, &live) {
+    for group in graph.linear_groups() {
         let l = u64::from(map.level(group.root));
         let partial = 2 * (l + alpha) + 2 * l;
         let mut members: Vec<ValueId> = group.terms.iter().map(|&(m, _)| m).collect();
@@ -156,7 +157,7 @@ pub fn estimate_memory(
             *fed.entry(m).or_default() += 1;
         }
         let products = group.terms.iter().map(|&(_, p)| p);
-        for v in members.iter().copied().chain(products).chain(group.adds) {
+        for v in members.iter().chain(&group.adds).copied().chain(products) {
             absorbed[v.index()] = true;
         }
         *partial_at.entry(members[0]).or_default() += partial;
@@ -168,13 +169,13 @@ pub fn estimate_memory(
     let mut live_limbs: u64 = program
         .inputs()
         .iter()
-        .filter(|id| live[id.index()])
+        .filter(|&&id| graph.node(id).is_some())
         .map(|&id| 2 * u64::from(map.level(id)))
         .sum();
     let mut poly_peak: u64 = 0;
     let mut peak_op = None;
-    for id in program.ids() {
-        if !live[id.index()] || !program.is_cipher(id) {
+    for id in graph.nodes().iter().map(|n| n.id) {
+        if !program.is_cipher(id) {
             continue;
         }
         let l = u64::from(map.level(id));
@@ -240,7 +241,7 @@ pub fn estimate_memory(
                 continue; // squares consume one ciphertext twice
             }
             prev = Some(a);
-            if program.is_cipher(a) && !absorbed[a.index()] && free_at[a.index()] == Some(id) {
+            if program.is_cipher(a) && !absorbed[a.index()] && graph.free_at(a) == Some(id) {
                 live_limbs -= 2 * u64::from(map.level(a));
             }
         }
@@ -274,6 +275,13 @@ mod tests {
     use crate::builder::Builder;
     use crate::params::CompileParams;
 
+    /// The estimate under the graph [`DepGraph::build`] gives `s` with
+    /// rotation hoisting on or off.
+    fn estimate(s: &ScheduledProgram, map: &ScaleMap, n: usize, hoist: bool) -> MemoryEstimate {
+        let graph = DepGraph::build(s, map, &crate::cost::CostModel::paper_table3(), hoist);
+        estimate_memory(s, map, n, &graph)
+    }
+
     fn scheduled(p: crate::program::Program) -> ScheduledProgram {
         ScheduledProgram {
             params: CompileParams::new(30),
@@ -298,7 +306,7 @@ mod tests {
         let p = b.finish(vec![e]);
         let s = scheduled(p);
         let map = s.validate().expect("valid");
-        let est = estimate_memory(&s, &map, 16, true);
+        let est = estimate(&s, &map, 16, true);
         assert_eq!(est.galois_keys, 2);
         assert!(est.key_bytes > 0);
         assert_eq!(est.peak_bytes, est.poly_peak_bytes + est.key_bytes);
@@ -331,7 +339,7 @@ mod tests {
         // plain rotation by 3 is drawn and dropped.
         assert_eq!(levels.galois, vec![(3, 0), (2, 3), (9, 2)]);
         assert_eq!(levels.relin, 2);
-        let est = estimate_memory(&s, &map, 16, true);
+        let est = estimate(&s, &map, 16, true);
         assert_eq!(est.galois_keys, 2);
         let (big_l, limb) = (3, 16 * 8);
         let want = (big_l + 1) + ksw_key_limbs(2, big_l) * 2 + ksw_key_limbs(3, big_l);
@@ -361,8 +369,8 @@ mod tests {
         let sf = scheduled(fan);
         let mc = sc.validate().expect("valid");
         let mf = sf.validate().expect("valid");
-        let pc = estimate_memory(&sc, &mc, 16, true).poly_peak_bytes;
-        let pf = estimate_memory(&sf, &mf, 16, true).poly_peak_bytes;
+        let pc = estimate(&sc, &mc, 16, true).poly_peak_bytes;
+        let pf = estimate(&sf, &mf, 16, true).poly_peak_bytes;
         assert!(
             pf > pc,
             "fan-out peak {pf} must exceed freeing chain peak {pc}"
@@ -387,8 +395,8 @@ mod tests {
             spec.level = level as u32;
         }
         let map = s.validate().expect("valid");
-        let hoisted = estimate_memory(&s, &map, n as usize, true);
-        let compact = estimate_memory(&s, &map, n as usize, false);
+        let hoisted = estimate(&s, &map, n as usize, true);
+        let compact = estimate(&s, &map, n as usize, false);
         assert_eq!(hoisted.peak_op, compact.peak_op, "both peak in the fan-out");
         assert!(
             !matches!(
@@ -452,7 +460,7 @@ mod tests {
             let live = crate::analysis::live(&s.program);
             assert_eq!(crate::analysis::linear_groups(&s.program, &live).len(), 2);
             let map = s.validate().expect("valid");
-            estimate_memory(&s, &map, n, true)
+            estimate(&s, &map, n, true)
         };
         let (narrow, wide) = (peak(3), peak(12));
         // The peak is at the first layer's leader: the input and the

@@ -114,14 +114,6 @@ impl ConstValue {
     pub fn to_vec(&self, slots: usize) -> Vec<f64> {
         (0..slots).map(|i| self.at(i)).collect()
     }
-
-    /// An approximate magnitude bound, used by noise accounting.
-    pub fn magnitude(&self) -> f64 {
-        match self {
-            ConstValue::Scalar(v) => v.abs(),
-            ConstValue::Vector(v) => v.iter().fold(0.0f64, |a, x| a.max(x.abs())),
-        }
-    }
 }
 
 impl PartialEq for ConstValue {
@@ -291,7 +283,6 @@ mod tests {
         assert_eq!(v.at(1), 2.0);
         assert_eq!(v.at(2), 0.0);
         assert_eq!(v.to_vec(3), vec![1.0, 2.0, 0.0]);
-        assert_eq!(v.magnitude(), 2.0);
     }
 
     #[test]

@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use crate::cost::CostModel;
 use crate::depgraph::ParallelismEstimate;
 use crate::diag::{Finding, TvVerdict};
+use crate::memory::MemoryEstimate;
 use crate::params::CompileParams;
 use crate::program::Program;
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -120,8 +121,12 @@ pub struct PassCx {
     /// Rescale hoists applied (reserve compiler; 0 elsewhere).
     pub hoists: usize,
     /// The schedule's dependence-DAG profile, set by the `depgraph` phase
-    /// and reported as [`CompileReport::parallelism`].
+    /// and reported as [`CompileReport::parallelism`] (its work as the
+    /// latency).
     pub parallelism: Option<ParallelismEstimate>,
+    /// The static memory bound the `depgraph` phase reads off its graph,
+    /// reported as [`CompileReport::memory`].
+    pub memory: Option<MemoryEstimate>,
     /// The translation-validation verdict, set by the
     /// `translation-validate` phase and reported as
     /// [`CompileReport::translation_validated`].
@@ -147,6 +152,7 @@ impl PassCx {
             iterations: 0,
             hoists: 0,
             parallelism: None,
+            memory: None,
             tv: None,
             compiler: compiler.into(),
             started: Instant::now(),
@@ -255,19 +261,13 @@ impl PassCx {
         }
     }
 
-    /// Assembles the uniform [`Compiled`] artifact, moving the trace and
-    /// the findings out of the context: derives the Table 4 columns from
-    /// the trace and the counters, and estimates latency under the
-    /// context's cost model. `map` is `scheduled`'s validation result.
+    /// Assembles the uniform [`Compiled`] artifact from the trace, the
+    /// counters, the findings and the phases' estimates, which it moves out
+    /// of the context; it runs no analysis. `map` is `scheduled`'s
+    /// validation result.
     pub fn finish(&mut self, scheduled: ScheduledProgram, map: &ScaleMap) -> Compiled {
         let trace = std::mem::take(&mut self.trace);
-        // The report's static bounds assume rotation hoisting, the runtime's
-        // default (`ExecOptions::rotation_hoisting`).
-        let memory =
-            crate::memory::estimate_memory(&scheduled, map, 2 * scheduled.program.slots(), true);
-        let estimated_latency_us = self.cost_model.program_cost(&scheduled.program, map);
-        // The clock stops after the report's own analyses: they are part of
-        // the compile.
+        let parallelism = self.parallelism.take().unwrap_or_default();
         let report = CompileReport {
             compiler: self.compiler.clone(),
             scale_management_time: trace.scale_management_time(),
@@ -276,12 +276,12 @@ impl PassCx {
             ops_before: self.ops_cleaned,
             ops_after: scheduled.program.num_ops(),
             hoists: self.hoists,
-            estimated_latency_us,
+            estimated_latency_us: parallelism.work_us,
             max_level: map.max_level(),
             findings: std::mem::take(&mut self.findings),
             translation_validated: self.tv.as_ref().map(|v| v.validated),
-            memory,
-            parallelism: self.parallelism.take().unwrap_or_default(),
+            memory: self.memory.take().unwrap_or_default(),
+            parallelism,
             trace,
         };
         Compiled { scheduled, report }
@@ -391,7 +391,8 @@ pub struct CompileReport {
     pub ops_after: usize,
     /// Rescale hoists applied (reserve pipeline; 0 elsewhere).
     pub hoists: usize,
-    /// Statically estimated latency of the result (µs).
+    /// Statically estimated latency of the result (µs): the `depgraph`
+    /// phase's [`ParallelismEstimate::work_us`].
     pub estimated_latency_us: f64,
     /// Modulus level required of fresh encryptions.
     pub max_level: u32,
@@ -403,10 +404,10 @@ pub struct CompileReport {
     /// `Some(false)` on a mismatch, `None` when no translation validation
     /// ran.
     pub translation_validated: Option<bool>,
-    /// Static peak-memory bound of the scheduled program (assuming the
-    /// runtime convention `N = 2 × slots`). The fuzz oracle asserts this
-    /// dominates every measured execution peak.
-    pub memory: crate::memory::MemoryEstimate,
+    /// Static peak-memory bound of the scheduled program (`N = 2 × slots`,
+    /// rotation hoisting on), from the `depgraph` phase. The fuzz oracle
+    /// asserts this dominates every measured execution peak.
+    pub memory: MemoryEstimate,
     /// Static parallelism profile of the schedule's dependence DAG: work,
     /// span and maximum width — the `depgraph` phase's, or the default when
     /// none ran.

@@ -85,9 +85,8 @@ pub struct ExecOptions {
     /// ciphertext: faster, but the group's `⌈l/α⌉·(l+α)` digit limbs stay live
     /// from its first member to its last. Outputs are byte-identical either
     /// way — this only trades time for memory. Disable to minimize the
-    /// working set; the compile report's static memory bound is computed
-    /// with it on ([`fhe_ir::estimate_memory`] takes the setting
-    /// explicitly).
+    /// working set. The walk's [`DepGraph`], and so its groups, follow this
+    /// setting; the compile report's static memory bound assumes it on.
     pub rotation_hoisting: bool,
 }
 
@@ -226,11 +225,11 @@ impl SessionKeys {
         &self,
         program: &fhe_ir::Program,
         map: &fhe_ir::ScaleMap,
-        live: &[bool],
+        graph: &DepGraph,
     ) -> Vec<ScheduleError> {
         let cipher = |id: ValueId| program.is_cipher(id);
         let mut errors = Vec::new();
-        for op in program.ids().filter(|&id| live[id.index()] && cipher(id)) {
+        for op in graph.nodes().iter().map(|n| n.id).filter(|&id| cipher(id)) {
             let level = map.level(op);
             match program.op(op) {
                 Op::Rotate(_, steps) if self.cache.is_none() => {
@@ -587,7 +586,7 @@ pub fn execute_parallel(
 ///    its own, so hoisting on and off are byte-identical.
 ///
 /// 5. **Accumulation never changes bytes across widths or hoisting.** Every
-///    linear-combination group ([`fhe_ir::analysis::linear_groups`]) runs
+///    linear-combination group ([`DepGraph::linear_groups`]) runs
 ///    as one accumulation over `Q_l·P`: each member adds its rotation times
 ///    its plaintexts to a partial sum it takes from the group's list (or
 ///    starts) and puts back ([`Evaluator::try_accumulate_rotation`]), the
@@ -675,7 +674,8 @@ pub fn execute_parallel_with_keys(
     let ev = &ev;
     let start_mem = keys.mem_snapshot(ev);
 
-    // The DAG the walk consumes, and the proof that consuming it in any
+    // The DAG the walk consumes — with the liveness, free points and groups
+    // the walk follows — and the proof that consuming it in any
     // topological order is race-free under the freeing discipline.
     let hoisting = options.exec.rotation_hoisting;
     let graph = DepGraph::build(scheduled, &map, &CostModel::paper_table3(), hoisting);
@@ -685,19 +685,17 @@ pub fn execute_parallel_with_keys(
         "schedule failed the parallel-safety proof: {:?}",
         safety.violations
     );
-    let live = fhe_ir::analysis::live(program);
+    let live = |id: ValueId| graph.node(id).is_some();
     // Keys sized for a shallower schedule are the request's error, found
     // before anything is encrypted — not an assertion inside a key switch.
-    let uncovered = keys.uncovered(program, &map, &live);
+    let uncovered = keys.uncovered(program, &map, &graph);
     if !uncovered.is_empty() {
         return Err(uncovered);
     }
-    let hoist_groups: HashMap<ValueId, HoistGroup> =
-        fhe_ir::analysis::rotation_groups(program, &live, hoisting)
-            .into_iter()
-            .map(|(source, members)| (source, HoistGroup::new(&members)))
-            .collect();
-    let linear = LinearPlan::new(program, &map, &live);
+    let hoist_groups: HashMap<ValueId, HoistGroup> = (graph.rotation_groups().iter())
+        .map(|(&source, members)| (source, HoistGroup::new(members)))
+        .collect();
+    let linear = LinearPlan::new(program, &map, &graph);
 
     // Fusion plan, demoted per pair unless the DAG confirms the rescale
     // depends on nothing but its mul (so completing the mul is the only
@@ -731,14 +729,14 @@ pub fn execute_parallel_with_keys(
     let plain_vals = plain::interpret(
         program,
         inputs,
-        |id| live[id.index()] && program.is_plain(id),
+        |id| live(id) && program.is_plain(id),
         |_, _| {},
     );
     // `validate` checked there is one spec per declared input.
     let mut bound = Vec::new();
     let mut invalid = Vec::new();
     for (&id, spec) in program.inputs().iter().zip(&scheduled.inputs) {
-        if !live[id.index()] {
+        if !live(id) {
             continue;
         }
         let Op::Input { name } = program.op(id) else {
@@ -993,7 +991,7 @@ impl HoistGroup {
 }
 
 /// The linear-combination groups of a schedule and what each node does in
-/// them ([`fhe_ir::analysis::linear_groups`]).
+/// them ([`DepGraph::linear_groups`]).
 struct LinearPlan {
     groups: Vec<LinearGroup>,
     roles: Vec<Option<LinearRole>>,
@@ -1025,9 +1023,9 @@ struct LinearGroup {
 }
 
 impl LinearPlan {
-    fn new(program: &fhe_ir::Program, map: &fhe_ir::ScaleMap, live: &[bool]) -> Self {
+    fn new(program: &fhe_ir::Program, map: &fhe_ir::ScaleMap, graph: &DepGraph) -> Self {
         let mut roles: Vec<Option<LinearRole>> = (0..program.num_ops()).map(|_| None).collect();
-        let found = fhe_ir::analysis::linear_groups(program, live);
+        let found = graph.linear_groups();
         for (g, group) in found.iter().enumerate() {
             for &(member, product) in &group.terms {
                 let Op::Mul(a, b) = *program.op(product) else {

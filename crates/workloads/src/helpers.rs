@@ -103,11 +103,12 @@ pub fn box_sum(image: &Expr, k: usize, width: usize, dilation: usize) -> Expr {
 
 /// Matrix–vector product by the diagonal method: `y = Σ_d diag_d ⊙ rot(x,d)`
 /// over `diagonals.len()` plaintext diagonals. This realizes a (banded)
-/// fully-connected layer on a packed vector.
-pub fn matvec_diagonals(b: &Builder, x: &Expr, diagonals: &[Vec<f64>]) -> Expr {
+/// fully-connected layer on a packed vector. Each diagonal moves into its
+/// constant, uncopied.
+pub fn matvec_diagonals(b: &Builder, x: &Expr, diagonals: Vec<Vec<f64>>) -> Expr {
     assert!(!diagonals.is_empty(), "need at least one diagonal");
     let terms = diagonals
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(d, diag)| {
             let shifted = if d == 0 {
@@ -115,7 +116,7 @@ pub fn matvec_diagonals(b: &Builder, x: &Expr, diagonals: &[Vec<f64>]) -> Expr {
             } else {
                 x.rotate(d as i64)
             };
-            shifted * b.constant(diag.clone())
+            shifted * b.constant(diag)
         })
         .collect();
     sum_balanced(terms)
@@ -215,7 +216,7 @@ mod tests {
     fn matvec_single_diagonal_is_hadamard() {
         let b = Builder::new("t", 4);
         let x = b.input("x");
-        let y = matvec_diagonals(&b, &x, &[vec![2.0, 3.0, 4.0, 5.0]]);
+        let y = matvec_diagonals(&b, &x, vec![vec![2.0, 3.0, 4.0, 5.0]]);
         let p = b.finish(vec![y]);
         let out = run(&p, &[("x", vec![1.0, 1.0, 1.0, 1.0])]);
         assert_eq!(out[0], vec![2.0, 3.0, 4.0, 5.0]);
@@ -226,7 +227,7 @@ mod tests {
         // y[i] = d0[i]·x[i] + d1[i]·x[i+1].
         let b = Builder::new("t", 4);
         let x = b.input("x");
-        let y = matvec_diagonals(&b, &x, &[vec![1.0; 4], vec![1.0; 4]]);
+        let y = matvec_diagonals(&b, &x, vec![vec![1.0; 4], vec![1.0; 4]]);
         let p = b.finish(vec![y]);
         let out = run(&p, &[("x", vec![1.0, 2.0, 3.0, 4.0])]);
         assert_eq!(out[0], vec![3.0, 5.0, 7.0, 5.0]);

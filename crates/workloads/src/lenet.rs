@@ -161,7 +161,7 @@ pub fn build(cfg: &LenetConfig) -> Program {
         p2.iter()
             .map(|ch| {
                 let w = data::diagonals(cfg.fc_diagonals[0], cfg.slots, rng.gen());
-                matvec_diagonals(&b, ch, &w)
+                matvec_diagonals(&b, ch, w)
             })
             .collect(),
     );
@@ -169,10 +169,10 @@ pub fn build(cfg: &LenetConfig) -> Program {
 
     // FC2 → square → FC3.
     let w2 = data::diagonals(cfg.fc_diagonals[1], cfg.slots, rng.gen());
-    let h2 = matvec_diagonals(&b, &h, &w2);
+    let h2 = matvec_diagonals(&b, &h, w2);
     let h2 = h2.clone() * h2;
     let w3 = data::diagonals(cfg.fc_diagonals[2], cfg.slots, rng.gen());
-    let out = matvec_diagonals(&b, &h2, &w3);
+    let out = matvec_diagonals(&b, &h2, w3);
     b.finish(vec![out])
 }
 

@@ -17,9 +17,9 @@ pub fn mlp(slots: usize, diagonals: usize, seed: u64) -> Program {
     let x = b.input("x");
     let w1 = data::diagonals(diagonals, slots, seed);
     let w2 = data::diagonals(diagonals, slots, seed ^ 0x77);
-    let h = matvec_diagonals(&b, &x, &w1);
+    let h = matvec_diagonals(&b, &x, w1);
     let h = h.clone() * h;
-    let o = matvec_diagonals(&b, &h, &w2);
+    let o = matvec_diagonals(&b, &h, w2);
     let o = o.clone() * o;
     b.finish(vec![o])
 }

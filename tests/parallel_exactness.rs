@@ -183,7 +183,7 @@ fn rotate_heavy_fuzz_mix_is_bit_exact() {
 
 #[test]
 fn late_and_dead_inputs_are_bit_exact_and_within_the_static_memory_bound() {
-    use fhe_reserve::ir::{estimate_memory, InputSpec, Op};
+    use fhe_reserve::ir::{estimate_memory, CostModel, DepGraph, InputSpec, Op};
 
     // The executor encrypts every live input before the first op, so the
     // static memory model must charge `y` from the start although it is
@@ -218,7 +218,8 @@ fn late_and_dead_inputs_are_bit_exact_and_within_the_static_memory_bound() {
         program: p,
     };
     let map = scheduled.validate().expect("a legal schedule");
-    let bound = estimate_memory(&scheduled, &map, 2 * slots, true);
+    let graph = DepGraph::build(&scheduled, &map, &CostModel::paper_table3(), true);
+    let bound = estimate_memory(&scheduled, &map, 2 * slots, &graph);
 
     let inputs = [("x", 0.5), ("y", 0.25)]
         .into_iter()

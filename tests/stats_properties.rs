@@ -13,12 +13,19 @@
 //! identical no matter how many threads concurrently recompute them —
 //! so `fhe-serve` can cache and share `CompileReport`s across sessions
 //! without cross-request nondeterminism.
+//!
+//! One more pins the report's latency to its two other readings: the
+//! report takes `estimated_latency_us` from the dependence graph's work,
+//! and Hecate's explorer scores candidates with `CostModel::program_cost`,
+//! so all three must agree to the bit on every compile.
 
 use std::time::Duration;
 
+use fhe_bench::standard_compilers;
 use fhe_ir::depgraph::DepGraph;
 use fhe_ir::{CompileParams, CostModel, OpClass, ScaleCompiler};
 use fhe_serve::LatencyHistogram;
+use fhe_workloads::{suite, Size};
 use reserve_core::ReserveCompiler;
 
 // ---------------------------------------------------------------------
@@ -213,6 +220,37 @@ fn bench_json_model_and_t_of_k_are_deterministic_across_thread_counts() {
             for ((k, t), bt) in WIDTHS.iter().zip(t_of_k).zip(baseline.1) {
                 assert_eq!(t, bt, "T({k}) not bitwise equal");
             }
+        }
+    }
+}
+
+#[test]
+fn reported_latency_is_the_program_cost_and_the_graphs_work_to_the_bit() {
+    let params = CompileParams::new(30);
+    let model = CostModel::paper_table3();
+    for w in suite(Size::Test) {
+        for compiler in standard_compilers(60) {
+            let what = format!("{} on {}", compiler.name(), w.name);
+            let compiled = compiler
+                .compile(&w.program, &params)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let report = &compiled.report;
+            let map = compiled.scheduled.validate().expect("schedule validates");
+            let program_cost = model.program_cost(&compiled.scheduled.program, &map);
+            assert!(
+                report.estimated_latency_us > 0.0,
+                "{what}: a costed schedule"
+            );
+            assert_eq!(
+                report.estimated_latency_us.to_bits(),
+                program_cost.to_bits(),
+                "{what}: estimated latency vs program_cost"
+            );
+            assert_eq!(
+                program_cost.to_bits(),
+                report.parallelism.work_us.to_bits(),
+                "{what}: program_cost vs the graph's work"
+            );
         }
     }
 }
