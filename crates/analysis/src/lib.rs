@@ -45,7 +45,7 @@ pub mod tv;
 
 pub use domain::{analyze, AbstractDomain, AnalysisCx};
 pub use interval::{Interval, IntervalDomain};
-pub use lint::{explain, lint_scheduled, registry, LintInfo, LintOptions};
+pub use lint::{explain, lint_scheduled, lint_validated, registry, LintInfo, LintOptions};
 pub use noise::{select_waterline, MagnitudeSource, NoiseDomain};
 pub use parallel::{SafetyReport, Violation};
 pub use passes::finish_verified;

@@ -47,7 +47,7 @@
 
 use fhe_ir::diag::{Finding, Severity};
 use fhe_ir::semantics::rotation_class;
-use fhe_ir::{analysis, Op, ScheduleError, ScheduledProgram};
+use fhe_ir::{analysis, Op, ScaleMap, ScheduleError, ScheduledProgram};
 
 use crate::domain::{analyze, AnalysisCx};
 use crate::interval::IntervalDomain;
@@ -216,12 +216,34 @@ pub fn lint_scheduled(
     scheduled: &ScheduledProgram,
     options: &LintOptions,
 ) -> Result<Vec<Finding>, Vec<ScheduleError>> {
-    let map = scheduled.validate()?;
+    Ok(lint_validated(scheduled, &scheduled.validate()?, options))
+}
+
+/// [`lint_scheduled`] over a schedule whose validation `map` the caller
+/// holds.
+pub fn lint_validated(
+    scheduled: &ScheduledProgram,
+    map: &ScaleMap,
+    options: &LintOptions,
+) -> Vec<Finding> {
     let program = &scheduled.program;
-    let cx = AnalysisCx::scheduled(program, &map);
+    let cx = AnalysisCx::scheduled(program, map);
     let intervals = analyze(&options.intervals, &cx);
     let live = analysis::live(program);
-    let users = program.users();
+    // The walks below index slices, not vectors: an unoptimized build
+    // indexes a slice inline but calls through `Vec`'s `Index`.
+    let (intervals, live) = (&intervals[..], &live[..]);
+    let readers = analysis::readers(program, live);
+    // Every op reading an upscale, live or not, for F003.
+    let mut upscale_reads = Vec::new();
+    for id in program.ids() {
+        for a in program.op(id).operands() {
+            if matches!(program.op(a), Op::Upscale(..)) {
+                upscale_reads.push((a.index(), id));
+            }
+        }
+    }
+    let users = analysis::Lists::group(program.num_ops(), &upscale_reads);
     let rescale = f64::from(scheduled.params.rescale_bits);
 
     let mut findings = Vec::new();
@@ -263,7 +285,7 @@ pub fn lint_scheduled(
 
         // F003 (mergeable): an upscale consumed only by another upscale.
         if let Op::Upscale(..) = program.op(id) {
-            let us = &users[id.index()];
+            let us = users.get(id.index());
             if !us.is_empty()
                 && !program.outputs().contains(&id)
                 && us.iter().all(|&u| matches!(program.op(u), Op::Upscale(..)))
@@ -430,6 +452,7 @@ pub fn lint_scheduled(
     {
         let n = program.num_ops();
         let mut live_uses = vec![0usize; n];
+        let live_uses = &mut live_uses[..];
         for id in program.ids() {
             if live[id.index()] {
                 for a in program.op(id).operands() {
@@ -447,8 +470,8 @@ pub fn lint_scheduled(
                 _ => None,
             }
         };
-        let mut chain = vec![0usize; n];
-        let mut consumed = vec![false; n];
+        let (mut chain, mut consumed) = (vec![0usize; n], vec![false; n]);
+        let (chain, consumed) = (&mut chain[..], &mut consumed[..]);
         for id in program.ids() {
             let Some(kind) = chain_kind(id) else { continue };
             let mut best: Option<fhe_ir::ValueId> = None;
@@ -504,9 +527,13 @@ pub fn lint_scheduled(
     // dependence graph and the memory model share); a later scheduled
     // reader (necessarily dead code — a live reader would be the last use)
     // would read a recycled buffer if executed. Outputs are pinned and
-    // never freed.
+    // never freed; any other value is freed by its last live reader.
     {
-        let freed_at = analysis::free_points(program, &live);
+        let freed_at = |a: fhe_ir::ValueId| {
+            (!program.outputs().contains(&a))
+                .then(|| readers.get(a.index()).last().copied())
+                .flatten()
+        };
         for id in program.ids() {
             if live[id.index()] {
                 continue;
@@ -517,7 +544,7 @@ pub fn lint_scheduled(
                     continue;
                 }
                 prev = Some(a);
-                if let Some(f) = freed_at[a.index()] {
+                if let Some(f) = freed_at(a) {
                     if id.index() > f.index() {
                         findings.push(
                             Finding::new(
@@ -542,7 +569,7 @@ pub fn lint_scheduled(
     // blocked pair materializes the full-level relinearized product the
     // fused mul·relin·rescale kernel would have skipped, plus a separate
     // level-N rescale pass.
-    for b in fhe_ir::fusion::FusionPlan::plan(scheduled).blocked() {
+    for b in fhe_ir::fusion::FusionPlan::plan_read(program, live, &readers).blocked() {
         let message = match &b.blocker {
             fhe_ir::Blocker::ExtraConsumers { others, is_output } => {
                 let mut pins = others
@@ -577,7 +604,7 @@ pub fn lint_scheduled(
     }
 
     findings.sort_by_key(|f| (f.op, std::cmp::Reverse(f.severity)));
-    Ok(findings)
+    findings
 }
 
 #[cfg(test)]

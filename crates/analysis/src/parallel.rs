@@ -146,20 +146,9 @@ impl<'g> Ancestry<'g> {
     /// accepts.
     fn is_ancestor_by(&mut self, a: usize, d: usize, follow: impl Fn(DepKind) -> bool) -> bool {
         let graph = self.graph;
-        // A direct edge answers at once; it is looked up from the endpoint
-        // with fewer edges, which bounds all such lookups of one `check` by
-        // the edge count (a reader has ≤ 2 operands, a member one leader).
-        // Every obligation over a `DepGraph::build` graph ends here.
-        let direct = if graph.succs(a).len() < graph.preds(d).len() {
-            graph.succs(a).iter().any(|&(s, k)| s == d && follow(k))
-        } else {
-            graph.preds(d).iter().any(|&(p, k)| p == a && follow(k))
-        };
-        if direct {
-            return true;
-        }
-        // Otherwise walk backward from `d`. Node order is topological, so a
-        // path from `a` only passes through nodes above `a`.
+        // Walk backward from `d`; its first step finds a direct edge. Node
+        // order is topological, so a path from `a` only passes through
+        // nodes above `a`.
         self.walk += 1;
         self.stack.clear();
         self.stack.push(d);
@@ -194,6 +183,30 @@ pub fn check(
     graph: &DepGraph,
     hoist_rotations: bool,
 ) -> SafetyReport {
+    check_inner(scheduled, graph, hoist_rotations, false)
+}
+
+/// [`check`] for a graph [`DepGraph::build`] made from `scheduled` itself,
+/// as a compile and the executor make it. The readers and the
+/// linear-combination groups are then the graph's own
+/// ([`DepGraph::readers`], [`DepGraph::linear_groups`]), which it derived
+/// from the same program text with the same functions, and are not derived
+/// a second time; the obligations are the same, and the edges, which
+/// [`check`] proves, are still only asked whether they order each pair.
+pub fn check_built(
+    scheduled: &ScheduledProgram,
+    graph: &DepGraph,
+    hoist_rotations: bool,
+) -> SafetyReport {
+    check_inner(scheduled, graph, hoist_rotations, true)
+}
+
+fn check_inner(
+    scheduled: &ScheduledProgram,
+    graph: &DepGraph,
+    hoist_rotations: bool,
+    built_from_scheduled: bool,
+) -> SafetyReport {
     let program = &scheduled.program;
     let mut ancestry = Ancestry::new(graph);
     let mut report = SafetyReport::default();
@@ -202,14 +215,23 @@ pub fn check(
     // value twice reads it once), and the live cipher rotations of every
     // source that are not the identity, grouped in schedule order of their
     // first member — the hoisted groups. Both are derived here from the
-    // program text, independently of the graph (which the memory model and
-    // the executor read them from) on purpose: the graph is what is proved.
+    // program text (the readers by the graph, when it was built from it),
+    // independently of the graph's edges on purpose: they are what is
+    // proved.
     let slots = program.slots();
-    let live: Vec<bool> = program.ids().map(|id| graph.node(id).is_some()).collect();
-    let readers = fhe_ir::analysis::readers(program, &live);
+    let mut live = vec![false; program.num_ops()];
+    for node in graph.nodes() {
+        live[node.id.index()] = true;
+    }
+    let derived = (!built_from_scheduled).then(|| fhe_ir::analysis::readers(program, &live));
+    let readers = |v: ValueId| match &derived {
+        Some(readers) => readers.get(v.index()),
+        None => graph.readers(v),
+    };
     let mut group_of: Vec<Option<usize>> = vec![None; program.num_ops()];
     let mut groups: Vec<Vec<ValueId>> = Vec::new();
-    for id in program.ids().filter(|id| live[id.index()]) {
+    for node in graph.nodes() {
+        let id = node.id;
         match *program.op(id) {
             Op::Rotate(a, k) if program.is_cipher(id) && rotation_class(k, slots).is_some() => {
                 let group = *group_of[a.index()].get_or_insert_with(|| {
@@ -223,8 +245,17 @@ pub fn check(
     }
 
     // Obligation 1: every reader of a freed ciphertext precedes the free.
-    for id in program.ids() {
-        if !program.is_cipher(id) || graph.node(id).is_none() {
+    // A direct edge answers at once: the free op's predecessors are marked
+    // once per value it frees (an op frees at most two), so a value with
+    // thousands of readers costs its readers and the free op's edges.
+    // Every obligation over a `DepGraph::build` graph ends there.
+    // `pred_of[p] == f + 1`: node `p` is a direct predecessor of node `f`.
+    let mut pred_of = vec![0; graph.nodes().len()];
+    // A slice, not a vector: an unoptimized build indexes a slice inline.
+    let pred_of = &mut pred_of[..];
+    for node in graph.nodes() {
+        let id = node.id;
+        if !program.is_cipher(id) {
             continue;
         }
         let Some(free_op) = graph.free_at(id) else {
@@ -232,10 +263,18 @@ pub fn check(
         };
         report.freed_values += 1;
         let free_node = graph.node(free_op).expect("freeing op is live");
-        for &reader in readers.get(id.index()).iter().filter(|&&r| r != free_op) {
+        for &(p, _) in graph.preds(free_node) {
+            pred_of[p] = free_node + 1;
+        }
+        for &reader in readers(id) {
+            if reader == free_op {
+                continue;
+            }
             let reader_node = graph.node(reader).expect("readers are live");
             report.obligations += 1;
-            if !ancestry.is_ancestor(reader_node, free_node) {
+            if pred_of[reader_node] != free_node + 1
+                && !ancestry.is_ancestor(reader_node, free_node)
+            {
                 report.violations.push(Violation::ReadAfterFree {
                     value: id,
                     reader,
@@ -268,25 +307,32 @@ pub fn check(
     // either way). One backward walk per group, from the root over true
     // edges and through the group's own adds, products and members, finds
     // every member the group's dataflow orders; only a member it misses is
-    // asked of the unrestricted search.
+    // asked of the unrestricted search. The groups, like the obligations
+    // above, come from the program text.
     let node = |v: ValueId| graph.node(v).expect("group values are live");
-    // `in_group[i] == g` / `reached[i] == g`: node `i` belongs to / was
-    // reached by the walk of group `g`.
-    let mut in_group = vec![usize::MAX; graph.nodes().len()];
-    let mut reached = vec![usize::MAX; graph.nodes().len()];
+    // `in_group[i] == g` / `reached[i] == g` / `counted[i] == g`: node `i`
+    // belongs to / was reached by the walk of / was counted as a member of
+    // the group numbered `g`, from 1.
+    let nodes = graph.nodes().len();
+    let (mut in_group, mut reached, mut counted) = (vec![0; nodes], vec![0; nodes], vec![0; nodes]);
+    let (in_group, reached, counted) = (&mut in_group[..], &mut reached[..], &mut counted[..]);
     let mut stack = Vec::new();
-    for (g, group) in fhe_ir::analysis::linear_groups(program, &live)
-        .into_iter()
-        .enumerate()
-    {
+    let derived;
+    let groups = if built_from_scheduled {
+        graph.linear_groups()
+    } else {
+        derived = fhe_ir::analysis::linear_groups(program, &live);
+        &derived
+    };
+    for (g, group) in (1..).zip(groups) {
         let root = group.root;
         let root_node = node(root);
-        let mut members: Vec<ValueId> = group.terms.iter().map(|&(m, _)| m).collect();
-        members.sort();
-        members.dedup();
-        let products = group.terms.iter().map(|&(_, p)| p);
-        for v in members.iter().copied().chain(products).chain(group.adds) {
-            in_group[node(v)] = g;
+        for &(member, product) in &group.terms {
+            in_group[node(member)] = g;
+            in_group[node(product)] = g;
+        }
+        for &add in &group.adds {
+            in_group[node(add)] = g;
         }
         reached[root_node] = g;
         stack.push(root_node);
@@ -298,8 +344,13 @@ pub fn check(
                 }
             }
         }
-        for member in members {
+        let first = report.violations.len();
+        for &(member, _) in &group.terms {
             let member_node = node(member);
+            if counted[member_node] == g {
+                continue;
+            }
+            counted[member_node] = g;
             report.linear_members += 1;
             if reached[member_node] != g
                 && !ancestry.is_ancestor_by(member_node, root_node, |k| k == DepKind::True)
@@ -309,6 +360,11 @@ pub fn check(
                     .push(Violation::UnorderedLinearMember { member, root });
             }
         }
+        // A group's violations by member.
+        report.violations[first..].sort_by_key(|v| match v {
+            Violation::UnorderedLinearMember { member, .. } => *member,
+            _ => unreachable!("only this group's members"),
+        });
     }
 
     report

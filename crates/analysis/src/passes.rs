@@ -9,15 +9,16 @@ use fhe_ir::diag::{Finding, Severity, TvVerdict};
 use fhe_ir::pipeline::{diagnostics, CompileError, Compiled, PassCx, PassKind};
 use fhe_ir::{estimate_memory, Program, ScaleMap, ScheduledProgram};
 
-use crate::lint::{lint_scheduled, LintOptions};
+use crate::lint::{lint_validated, LintOptions};
 use crate::parallel;
 use crate::tv;
 
-/// Ends a compile of `source` into `scheduled`: validates the schedule,
-/// profiles its dependence DAG, lints it under default options, proves it
-/// against `source`, and builds the [`Compiled`] artifact. What runs after
-/// scale management is decided here, once, for the reserve compiler, EVA
-/// and Hecate alike.
+/// Ends a compile of `source` into `scheduled`, the schedule the last
+/// recorded phase left: validates it (recording its shape on that phase,
+/// as [`PassCx::rewrote_schedule`]), profiles its dependence DAG, lints it
+/// under default options, proves it against `source`, and builds the
+/// [`Compiled`] artifact. What runs after scale management is decided
+/// here, once, for the reserve compiler, EVA and Hecate alike.
 ///
 /// # Errors
 ///
@@ -29,16 +30,15 @@ pub fn finish_verified(
     source: &Program,
     scheduled: ScheduledProgram,
 ) -> Result<Compiled, CompileError> {
-    let map = scheduled
-        .validate()
+    let map = cx
+        .rewrote_schedule(&scheduled)
         .map_err(|errs| cx.error("validate", diagnostics(&errs)))?;
     cx.record("depgraph", PassKind::Analysis, |cx| {
         depgraph(cx, &scheduled, &map);
         Ok(())
     })?;
     cx.record("lint", PassKind::Analysis, |cx| {
-        let findings =
-            lint_scheduled(&scheduled, &LintOptions::default()).map_err(|e| diagnostics(&e))?;
+        let findings = lint_validated(&scheduled, &map, &LintOptions::default());
         if !findings.is_empty() {
             cx.note(format!("{} finding(s)", findings.len()));
         }
@@ -56,7 +56,7 @@ pub fn finish_verified(
 /// profile and leaves it in [`PassCx::parallelism`], leaves the memory
 /// estimate read off the same graph in [`PassCx::memory`], and proves the
 /// schedule race-free for topological-order parallel execution via
-/// [`parallel::check`].
+/// [`parallel::check_built`].
 ///
 /// Never fails the compile: the profile is informative and a safety
 /// violation is surfaced as an `F008` error finding (the parallel form of
@@ -76,7 +76,7 @@ fn depgraph(cx: &mut PassCx, scheduled: &ScheduledProgram, map: &ScaleMap) {
         est.max_width
     ));
     cx.parallelism = Some(est);
-    let safety = parallel::check(scheduled, &graph, true);
+    let safety = parallel::check_built(scheduled, &graph, true);
     if safety.race_free() {
         cx.note(format!(
             "parallel-safety: proved race-free ({} obligation(s), {} freed value(s))",

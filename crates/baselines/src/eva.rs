@@ -24,17 +24,17 @@ impl ScaleCompiler for EvaCompiler {
     /// # Errors
     ///
     /// Fails (in pass `"legalize"`) when the program's accumulated scale
-    /// requires more levels than `params.max_level`.
+    /// requires more levels than `params.max_level`, and in pass
+    /// `"cleanup"` when the program already holds scale management.
     fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
         let mut cx = PassCx::new(NAME, CostModel::paper_table3());
-        let cleaned = cx.cleanup(program);
+        let cleaned = cx.cleanup(program)?;
         // Forward waterline legalization with the empty (all-lazy) plan.
         let scheduled = cx.record("legalize", PassKind::ScaleManagement, |cx| {
             cx.iterations += 1;
             legalize(&cleaned, params, &ForwardPlan::empty(cleaned.num_ops()))
                 .map_err(|e| vec![format!("{e:?}")])
         })?;
-        cx.rewrote_schedule(&scheduled);
         finish_verified(&mut cx, program, scheduled)
     }
 }

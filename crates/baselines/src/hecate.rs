@@ -64,14 +64,14 @@ impl ScaleCompiler for HecateCompiler {
     /// # Errors
     ///
     /// Fails (in pass `"explore"`) when even the conservative (EVA) plan
-    /// exceeds `params.max_level`.
+    /// exceeds `params.max_level`, and in pass `"cleanup"` when the program
+    /// already holds scale management.
     fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
         let mut cx = PassCx::new(NAME, CostModel::paper_table3());
-        let cleaned = cx.cleanup(program);
+        let cleaned = cx.cleanup(program)?;
         let scheduled = cx.record("explore", PassKind::ScaleManagement, |cx| {
             explore(&cleaned, params, self, cx)
         })?;
-        cx.rewrote_schedule(&scheduled);
         finish_verified(&mut cx, program, scheduled)
     }
 }

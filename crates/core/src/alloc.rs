@@ -58,9 +58,9 @@ impl ReserveSolution {
 /// One reversible mutation of the allocator state.
 #[derive(Debug, Clone, Copy)]
 enum Undo {
+    /// Entry `at` of the flat reserve-in table.
     ReserveIn {
-        value: ValueId,
-        idx: usize,
+        at: usize,
         old: Frac,
     },
     OperandReq {
@@ -76,12 +76,23 @@ enum Undo {
 
 struct Allocator<'p> {
     program: &'p Program,
-    params: CompileParams,
+    /// `ω`, the relative waterline, and `2ω`.
+    w: Frac,
+    w2: Frac,
     redistribute: bool,
     reserve: Vec<Option<Frac>>,
     operand_req: Vec<[Option<Frac>; 2]>,
-    reserve_ins: Vec<Vec<ReserveIn>>,
+    /// Every value's reserve-ins in one table, in the order they were
+    /// demanded: value `v`'s are `ins[start[v]..start[v] + len[v]]`, with
+    /// room for one per output occurrence and cipher use of `v`.
+    ins: Vec<ReserveIn>,
+    start: Vec<usize>,
+    len: Vec<usize>,
     allocated: Vec<bool>,
+    /// Snapshots of the reserve-ins a reduction walks, stacked by depth.
+    snapshot: Vec<ReserveIn>,
+    /// The journal of the last reduction, kept for its allocation.
+    journal: Vec<Undo>,
 }
 
 /// Runs reserve allocation over the given order. `redistribute` enables the
@@ -94,23 +105,39 @@ pub fn allocate(
     redistribute: bool,
 ) -> ReserveSolution {
     let n = program.num_ops();
+    let mut start = vec![0usize; n + 1];
+    let cipher_uses = program.ids().flat_map(|id| program.op(id).operands());
+    for v in program.outputs().iter().copied().chain(cipher_uses) {
+        if program.is_cipher(v) {
+            start[v.index() + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let unset = ReserveIn {
+        user: None,
+        req: Frac::ZERO,
+    };
     let mut alloc = Allocator {
         program,
-        params: *params,
+        w: params.omega(),
+        w2: params.omega() + params.omega(),
         redistribute,
         reserve: vec![None; n],
         operand_req: vec![[None, None]; n],
-        reserve_ins: vec![Vec::new(); n],
+        ins: vec![unset; start[n]],
+        start,
+        len: vec![0; n],
         allocated: vec![false; n],
+        snapshot: Vec::new(),
+        journal: Vec::new(),
     };
     // Output edges demand the configured output reserve.
     let out_reserve = params.to_relative(Frac::from(params.output_reserve_bits));
     for &o in program.outputs() {
         if program.is_cipher(o) {
-            alloc.reserve_ins[o.index()].push(ReserveIn {
-                user: None,
-                req: out_reserve,
-            });
+            alloc.push_in(o, None, out_reserve);
         }
     }
     for &v in &order.order {
@@ -128,12 +155,21 @@ pub fn allocate(
 }
 
 impl<'p> Allocator<'p> {
-    fn omega(&self) -> Frac {
-        self.params.omega()
+    /// Where value `v`'s reserve-ins sit in the flat table.
+    fn ins_of(&self, v: ValueId) -> std::ops::Range<usize> {
+        let start = self.start[v.index()];
+        start..start + self.len[v.index()]
+    }
+
+    fn push_in(&mut self, v: ValueId, user: Option<(ValueId, usize)>, req: Frac) {
+        let at = self.start[v.index()] + self.len[v.index()];
+        debug_assert!(at < self.start[v.index() + 1], "room for every use");
+        self.ins[at] = ReserveIn { user, req };
+        self.len[v.index()] += 1;
     }
 
     fn max_reserve_in(&self, v: ValueId) -> Frac {
-        self.reserve_ins[v.index()]
+        self.ins[self.ins_of(v)]
             .iter()
             .map(|r| r.req)
             .fold(Frac::ZERO, Frac::max)
@@ -147,7 +183,7 @@ impl<'p> Allocator<'p> {
 
         // §6.3: try to remove an avoidable level mismatch before fixing ρ.
         if self.redistribute && self.mul_mismatch_at(v, rho) {
-            let delta = (rho + self.omega() + self.omega()).paper_frac();
+            let delta = (rho + self.w2).paper_frac();
             let target = rho - delta;
             if self.try_reduce_reserve_ins(v, target) {
                 rho = target;
@@ -166,8 +202,8 @@ impl<'p> Allocator<'p> {
         if !matches!(self.program.op(v), Op::Mul(..)) {
             return false;
         }
-        let w = self.omega();
-        let operand_level = (rho + w + w).ceil().max(1);
+        let w = self.w;
+        let operand_level = (rho + self.w2).ceil().max(1);
         let result_level = (rho + w).ceil().max(1);
         operand_level != result_level
     }
@@ -183,15 +219,14 @@ impl<'p> Allocator<'p> {
     /// reserve-ins on the operands.
     fn push_operand_requirements(&mut self, v: ValueId, rho: Frac) {
         let p = self.program;
-        let w = self.omega();
-        let ops: Vec<ValueId> = p.op(v).operands().collect();
+        let w = self.w;
         match p.op(v) {
             Op::Input { .. } | Op::Const { .. } => {}
             Op::Rescale(_) | Op::ModSwitch(_) | Op::Upscale(..) => {
                 panic!("reserve analysis expects a program without scale management ops")
             }
             Op::Add(..) | Op::Sub(..) | Op::Neg(_) | Op::Rotate(..) => {
-                for (slot, &o) in ops.iter().enumerate() {
+                for (slot, o) in p.op(v).operands().enumerate() {
                     if p.is_cipher(o) {
                         self.add_edge(v, slot, o, rho);
                     }
@@ -199,7 +234,7 @@ impl<'p> Allocator<'p> {
             }
             Op::Mul(a, b) => match (p.is_cipher(*a), p.is_cipher(*b)) {
                 (true, true) => {
-                    let l = Frac::from((rho + w + w).ceil().max(1));
+                    let l = Frac::from((rho + self.w2).ceil().max(1));
                     let half = (l + rho) / Frac::from(2);
                     self.add_edge(v, 0, *a, half);
                     self.add_edge(v, 1, *b, half);
@@ -213,10 +248,7 @@ impl<'p> Allocator<'p> {
 
     fn add_edge(&mut self, user: ValueId, slot: usize, operand: ValueId, req: Frac) {
         self.operand_req[user.index()][slot] = Some(req);
-        self.reserve_ins[operand.index()].push(ReserveIn {
-            user: Some((user, slot)),
-            req,
-        });
+        self.push_in(operand, Some((user, slot)), req);
     }
 
     /// Attempts to lower every reserve-in of `v` to at most `target`,
@@ -235,17 +267,14 @@ impl<'p> Allocator<'p> {
         // sibling is `v` itself. Re-checking the maximum after the pass
         // catches that; the attempt then rolls back and the mismatch stays
         // (costing a level, but keeping the solution well-typed).
-        let mut journal = Vec::new();
-        if self.reduce_reserve_ins_inner(v, target, &mut journal)
-            && self.max_reserve_in(v) <= target
-        {
-            true
-        } else {
-            for undo in journal.into_iter().rev() {
+        let mut journal = std::mem::take(&mut self.journal);
+        journal.clear();
+        let reduced = self.reduce_reserve_ins_inner(v, target, &mut journal)
+            && self.max_reserve_in(v) <= target;
+        if !reduced {
+            for &undo in journal.iter().rev() {
                 match undo {
-                    Undo::ReserveIn { value, idx, old } => {
-                        self.reserve_ins[value.index()][idx].req = old;
-                    }
+                    Undo::ReserveIn { at, old } => self.ins[at].req = old,
                     Undo::OperandReq { op, slot, old } => {
                         self.operand_req[op.index()][slot] = old;
                     }
@@ -254,8 +283,9 @@ impl<'p> Allocator<'p> {
                     }
                 }
             }
-            false
         }
+        self.journal = journal;
+        reduced
     }
 
     fn reduce_reserve_ins_inner(
@@ -267,26 +297,33 @@ impl<'p> Allocator<'p> {
         if target < Frac::ZERO {
             return false;
         }
-        let entries: Vec<ReserveIn> = self.reserve_ins[v.index()].clone();
-        for (i, entry) in entries.iter().enumerate() {
+        // The walk reads a snapshot: a shift below may rewrite `v`'s own
+        // entries (see `try_reduce_reserve_ins`).
+        let range = self.ins_of(v);
+        let base = self.snapshot.len();
+        self.snapshot.extend_from_slice(&self.ins[range.clone()]);
+        let mut ok = true;
+        for (i, at) in range.enumerate() {
+            let entry = self.snapshot[base + i];
             if entry.req <= target {
                 continue;
             }
             let delta = entry.req - target;
-            let Some((user, slot)) = entry.user else {
-                return false; // the program-output demand is fixed
-            };
-            if !self.shift_edge(user, slot, v, delta, journal) {
-                return false;
+            // The program-output demand is fixed.
+            ok = entry
+                .user
+                .is_some_and(|(user, slot)| self.shift_edge(user, slot, v, delta, journal));
+            if !ok {
+                break;
             }
             journal.push(Undo::ReserveIn {
-                value: v,
-                idx: i,
-                old: self.reserve_ins[v.index()][i].req,
+                at,
+                old: self.ins[at].req,
             });
-            self.reserve_ins[v.index()][i].req = target;
+            self.ins[at].req = target;
         }
-        true
+        self.snapshot.truncate(base);
+        ok
     }
 
     /// Lowers the demand of `user`'s operand `slot` (feeding `v`) by
@@ -300,8 +337,8 @@ impl<'p> Allocator<'p> {
         journal: &mut Vec<Undo>,
     ) -> bool {
         let p = self.program;
-        let w = self.omega();
-        match p.op(user).clone() {
+        let w = self.w;
+        match *p.op(user) {
             Op::Mul(a, b) if p.is_cipher(a) && p.is_cipher(b) => {
                 if a == b {
                     return false; // squaring: both demands are one edge
@@ -358,8 +395,7 @@ impl<'p> Allocator<'p> {
                 });
                 self.reserve[user.index()] = Some(new_rho);
                 // All cipher operand demands of the user drop to new_rho.
-                let ops: Vec<ValueId> = p.op(user).operands().collect();
-                for (s, &o) in ops.iter().enumerate() {
+                for (s, o) in p.op(user).operands().enumerate() {
                     if p.is_cipher(o) {
                         journal.push(Undo::OperandReq {
                             op: user,
@@ -411,18 +447,17 @@ impl<'p> Allocator<'p> {
         req: Frac,
         journal: &mut Vec<Undo>,
     ) {
-        for (idx, entry) in self.reserve_ins[operand.index()].iter_mut().enumerate() {
-            if entry.user == Some((user, slot)) {
-                journal.push(Undo::ReserveIn {
-                    value: operand,
-                    idx,
-                    old: entry.req,
-                });
-                entry.req = req;
-                return;
-            }
-        }
-        unreachable!("reserve-in edge must exist");
+        let range = self.ins_of(operand);
+        let at = range.start
+            + self.ins[range]
+                .iter()
+                .position(|entry| entry.user == Some((user, slot)))
+                .expect("reserve-in edge must exist");
+        journal.push(Undo::ReserveIn {
+            at,
+            old: self.ins[at].req,
+        });
+        self.ins[at].req = req;
     }
 }
 

@@ -12,7 +12,7 @@ use fhe_ir::pipeline::{diagnostics, CompileError, Compiled, PassCx, PassKind, Sc
 use fhe_ir::{CompileParams, CostModel, Program};
 
 use crate::alloc::allocate;
-use crate::hoist::hoist;
+use crate::hoist::hoist_validated;
 use crate::ordering::{allocation_order, naive_order};
 use crate::placement::place;
 use crate::types;
@@ -100,7 +100,8 @@ impl ScaleCompiler for ReserveCompiler {
     ///
     /// Fails in pass `"typecheck"` when the program cannot be typed under
     /// `params` (most commonly: multiplicative depth needs more than
-    /// `params.max_level` levels).
+    /// `params.max_level` levels), and in pass `"cleanup"` when the program
+    /// already holds scale management ([`PassCx::cleanup`]).
     fn compile(&self, program: &Program, params: &CompileParams) -> Result<Compiled, CompileError> {
         use PassKind::{Check, ScaleManagement};
         let mode = self.mode;
@@ -109,7 +110,7 @@ impl ScaleCompiler for ReserveCompiler {
         // through the verification tail they add ~2 MB to the peak of a
         // LeNet-5 compile (`lenet-compile` `peak_mem_mb` 102.5 against 100.5).
         let mut scheduled = {
-            let cleaned = cx.cleanup(program);
+            let cleaned = cx.cleanup(program)?;
             // §6.1 visit ordering.
             let order = cx.record("order", ScaleManagement, |cx| {
                 Ok(match self.ordering {
@@ -138,17 +139,21 @@ impl ScaleCompiler for ReserveCompiler {
                 Ok(place(&cleaned, params, &solution))
             })?
         };
-        cx.rewrote_schedule(&scheduled);
         if mode.hoist() {
-            // §6.3 rescale hoisting over the scheduled program.
+            // §6.3 rescale hoisting over the scheduled program. Hoisting
+            // reads every value's state off the schedule's validation, which
+            // also records the shape `place` left.
             cx.record("hoist", ScaleManagement, |cx| {
-                let n = hoist(&mut scheduled, &cx.cost_model);
+                let map = cx
+                    .rewrote_schedule(&scheduled)
+                    .unwrap_or_else(|e| panic!("hoisting requires a valid schedule: {e:?}"));
+                let n = hoist_validated(&mut scheduled, &map, &cx.cost_model);
                 cx.hoists += n;
                 cx.note(format!("{n} rescale(s) hoisted"));
                 Ok(())
             })?;
-            cx.rewrote_schedule(&scheduled);
         }
+        // Validates the schedule the last phase left, once.
         finish_verified(&mut cx, program, scheduled)
     }
 }

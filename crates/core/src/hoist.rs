@@ -23,20 +23,36 @@
 //! follows it — and the schedule is rebuilt once, at the end, in the order
 //! a rebuild after every round would give.
 
-use std::collections::HashMap;
-
-use fhe_ir::{CostModel, Frac, Op, OpClass, Program, ScheduledProgram, ValueId};
+use fhe_ir::analysis::Lists;
+use fhe_ir::{CostModel, Op, OpClass, Program, ScaleMap, ScheduledProgram, ValueId};
 
 /// Applies beneficial rescale hoists until none remain. Returns the number
 /// of hoists applied.
+///
+/// # Panics
+///
+/// Panics if `scheduled` does not validate.
 pub fn hoist(scheduled: &mut ScheduledProgram, cost: &CostModel) -> usize {
-    let mut dag = Dag::new(scheduled);
+    let map = match scheduled.validate() {
+        Ok(m) => m,
+        Err(e) => panic!("hoisting requires a valid schedule: {e:?}"),
+    };
+    hoist_validated(scheduled, &map, cost)
+}
+
+/// [`hoist`] over a schedule whose validation `map` the caller holds.
+pub fn hoist_validated(
+    scheduled: &mut ScheduledProgram,
+    map: &ScaleMap,
+    cost: &CostModel,
+) -> usize {
+    let mut dag = Dag::new(&scheduled.program, map, cost);
     let mut dirty: Vec<ValueId> = (scheduled.program.ids())
         .filter(|&id| matches!(scheduled.program.op(id), Op::Add(..) | Op::Sub(..)))
         .collect();
     let mut total = 0;
     loop {
-        let applied = dag.decide(&dirty, cost);
+        let applied = dag.decide(&dirty);
         if applied.is_empty() {
             break;
         }
@@ -49,48 +65,37 @@ pub fn hoist(scheduled: &mut ScheduledProgram, cost: &CostModel) -> usize {
     total
 }
 
+/// `state` of a plaintext.
+const PLAIN: u32 = u32::MAX;
+
 /// The working copy of a schedule the hoisting rounds edit. Ids below the
 /// schedule's op count are its ops; later ids are rescales a hoist added.
-struct Dag {
+struct Dag<'m> {
     ops: Vec<Op>,
-    /// Every op reading a value, once per operand occurrence.
-    users: Vec<Vec<ValueId>>,
-    /// Every ciphertext's `(scale, level)` as an index into `states`: a
-    /// hoist only copies states, so the few distinct ones are kept once.
-    state: Vec<Option<u32>>,
-    states: Vec<(Frac, u32)>,
+    users: Users,
+    /// Every ciphertext's `(scale, level)`, as the schedule value whose
+    /// state in `map` it has ([`PLAIN`] for a plaintext): a hoist only
+    /// copies states, so the schedule's own states are all there are.
+    state: Vec<u32>,
+    map: &'m ScaleMap,
     outputs: Vec<ValueId>,
     /// Whether a value is a program output.
     output: Vec<bool>,
     /// Rescales a hoist consumed.
     dropped: Vec<bool>,
-    /// `(add, rescale)` per rescale a hoist put right behind its add, in
-    /// the order they were put there: the newest comes first.
-    after: Vec<(ValueId, ValueId)>,
+    /// The rescales a hoist put right behind an add, newest first, as a
+    /// list: `behind[add]` is the newest, `behind[rs]` the one after `rs`.
+    behind: Vec<Option<ValueId>>,
     /// `visit[v] == round` marks `v` as seen by the current round.
     visit: Vec<u32>,
     round: u32,
+    /// The latency of a cipher + cipher add and of a rescale, by level.
+    add_us: Vec<f64>,
+    rescale_us: Vec<f64>,
 }
 
-impl Dag {
-    fn new(scheduled: &ScheduledProgram) -> Self {
-        let program = &scheduled.program;
-        let map = match scheduled.validate() {
-            Ok(m) => m,
-            Err(e) => panic!("hoisting requires a valid schedule: {e:?}"),
-        };
-        let mut states = Vec::new();
-        let mut index: HashMap<(Frac, u32), u32> = HashMap::new();
-        let state = (program.ids())
-            .map(|id| {
-                let level = map.try_level(id)?;
-                let key = (map.scale_bits(id), level);
-                Some(*index.entry(key).or_insert_with(|| {
-                    states.push(key);
-                    states.len() as u32 - 1
-                }))
-            })
-            .collect();
+impl<'m> Dag<'m> {
+    fn new(program: &Program, map: &'m ScaleMap, cost: &CostModel) -> Self {
         // Room for as many new rescales as the schedule has: hoisting merges
         // rescales, so the copy seldom outgrows it, where doubling a vector
         // would hold room for a second schedule.
@@ -99,6 +104,17 @@ impl Dag {
             v.reserve_exact(room);
             v
         }
+        let mut state = with_room(Vec::with_capacity(program.num_ops()), room);
+        for id in program.ids() {
+            state.push(if map.try_level(id).is_some() {
+                id.0
+            } else {
+                PLAIN
+            });
+        }
+        // A hoisted add runs a level above its operands' old state.
+        let top = map.max_level() + 1;
+        let price = |class| (0..=top).map(|l| cost.at_level(class, l)).collect();
         let n = program.num_ops();
         let mut output = vec![false; n];
         for o in program.outputs() {
@@ -106,37 +122,53 @@ impl Dag {
         }
         Dag {
             ops: with_room(program.ops().to_vec(), room),
-            users: with_room(program.users(), room),
-            state: with_room(state, room),
-            states,
+            users: Users::new(program, room),
+            state,
+            map,
             outputs: program.outputs().to_vec(),
             output: with_room(output, room),
             dropped: with_room(vec![false; n], room),
-            after: Vec::new(),
+            behind: with_room(vec![None; n], room),
             visit: with_room(vec![0; n], room),
             round: 0,
+            add_us: price(OpClass::AddCipher),
+            rescale_us: price(OpClass::Rescale),
         }
     }
 
+    // The per-value tables are read through slices: an unoptimized build
+    // indexes a slice inline but calls through `Vec`'s `Index`.
+
     fn level(&self, v: ValueId) -> u32 {
-        self.states[self.state[v.index()].expect("a ciphertext") as usize].1
+        self.map.level(ValueId(self.state.as_slice()[v.index()]))
+    }
+
+    fn same_state(&self, a: ValueId, b: ValueId) -> bool {
+        let state = self.state.as_slice();
+        let (a, b) = (state[a.index()], state[b.index()]);
+        a == b
+            || (a != PLAIN && b != PLAIN && {
+                let (a, b) = (ValueId(a), ValueId(b));
+                self.map.scale_bits(a) == self.map.scale_bits(b)
+                    && self.map.level(a) == self.map.level(b)
+            })
     }
 
     /// The two rescales `add` would consume: it adds or subtracts two
     /// distinct rescales, neither a program output, of values in the same
     /// state.
     fn candidate(&self, add: ValueId) -> Option<[ValueId; 2]> {
-        let (Op::Add(a, b) | Op::Sub(a, b)) = self.ops[add.index()] else {
+        let (ops, output) = (self.ops.as_slice(), self.output.as_slice());
+        let (Op::Add(a, b) | Op::Sub(a, b)) = ops[add.index()] else {
             return None;
         };
-        if a == b || self.output[a.index()] || self.output[b.index()] {
+        if a == b || output[a.index()] || output[b.index()] {
             return None;
         }
-        let (Op::Rescale(ra), Op::Rescale(rb)) = (&self.ops[a.index()], &self.ops[b.index()])
-        else {
+        let (Op::Rescale(ra), Op::Rescale(rb)) = (&ops[a.index()], &ops[b.index()]) else {
             return None;
         };
-        (self.state[ra.index()] == self.state[rb.index()]).then_some([a, b])
+        self.same_state(*ra, *rb).then_some([a, b])
     }
 
     /// One round's decisions over the groups of candidate adds that share
@@ -144,33 +176,43 @@ impl Dag {
     /// units: the rescaled terms of a convolution collapse towards one
     /// rescale after their summation tree. A group applies when every use
     /// of its rescales is one of its adds (so each rescale disappears) and
-    /// its total benefit is positive. Returns the adds to hoist, in
-    /// schedule order.
-    fn decide(&mut self, dirty: &[ValueId], cost: &CostModel) -> Vec<ValueId> {
+    /// its total benefit is positive. Returns the adds to hoist with their
+    /// rescales, in schedule order.
+    fn decide(&mut self, dirty: &[ValueId]) -> Vec<(ValueId, [ValueId; 2])> {
         self.round += 1;
         let round = self.round;
+        let mut visits = std::mem::take(&mut self.visit);
+        let visit = visits.as_mut_slice();
         let mut applied = Vec::new();
+        let (mut adds, mut sources) = (Vec::new(), Vec::new());
         for &start in dirty {
-            if self.visit[start.index()] == round || self.candidate(start).is_none() {
+            if visit[start.index()] == round {
                 continue;
             }
-            self.visit[start.index()] = round;
-            let (mut adds, mut sources, mut closed) = (vec![start], Vec::new(), true);
-            let mut next = 0;
-            while let Some(&add) = adds.get(next) {
+            let Some(rescales) = self.candidate(start) else {
+                continue;
+            };
+            visit[start.index()] = round;
+            adds.clear();
+            sources.clear();
+            adds.push((start, rescales));
+            let (mut next, mut closed) = (0, true);
+            while let Some(&(_, rescales)) = adds.get(next) {
                 next += 1;
-                for rs in self.candidate(add).expect("a candidate") {
-                    if self.visit[rs.index()] == round {
+                for rs in rescales {
+                    if visit[rs.index()] == round {
                         continue;
                     }
-                    self.visit[rs.index()] = round;
+                    visit[rs.index()] = round;
                     sources.push(rs);
-                    for &u in &self.users[rs.index()] {
-                        if self.candidate(u).is_none() {
-                            closed = false;
-                        } else if self.visit[u.index()] != round {
-                            self.visit[u.index()] = round;
-                            adds.push(u);
+                    for &u in self.users.get(rs) {
+                        match self.candidate(u) {
+                            None => closed = false,
+                            Some(_) if visit[u.index()] == round => {}
+                            Some(rescales) => {
+                                visit[u.index()] = round;
+                                adds.push((u, rescales));
+                            }
                         }
                     }
                 }
@@ -178,43 +220,60 @@ impl Dag {
             if !closed {
                 continue;
             }
-            adds.sort_unstable();
-            sources.sort_unstable();
+            // The benefit adds its terms in schedule order. A term depends
+            // only on its op's level, so adds (or sources) of one level need
+            // no sort to give the same sum.
+            let level = self.level(adds[0].0);
+            if adds.iter().any(|&(add, _)| self.level(add) != level) {
+                adds.sort_unstable();
+            }
+            let level = self.level(sources[0]);
+            if sources.iter().any(|&s| self.level(s) != level) {
+                sources.sort_unstable();
+            }
             let mut benefit = 0.0;
-            for &add in &adds {
+            for &(add, _) in &adds {
                 // Both operands are rescaled ciphertexts.
-                let l_low = self.level(add);
-                benefit += cost.at_level(OpClass::AddCipher, l_low)
-                    - cost.at_level(OpClass::AddCipher, l_low + 1)
-                    - cost.at_level(OpClass::Rescale, l_low);
+                let l_low = self.level(add) as usize;
+                benefit += self.add_us[l_low] - self.add_us[l_low + 1] - self.rescale_us[l_low];
             }
             for &s in &sources {
-                benefit += cost.at_level(OpClass::Rescale, self.level(s));
+                benefit += self.rescale_us[self.level(s) as usize];
             }
             if benefit > 0.0 {
-                applied.extend(adds);
+                applied.extend_from_slice(&adds);
             }
         }
+        self.visit = visits;
         applied.sort_unstable();
         applied
     }
 
     /// Hoists `applied` (in schedule order, so a consumed rescale's operand
     /// is already final) and returns the adds the next round must revisit:
-    /// the hoisted adds and the adds reading their new rescales.
-    fn apply(&mut self, applied: &[ValueId]) -> Vec<ValueId> {
+    /// the hoisted adds and the adds reading their new rescales, in no
+    /// order and possibly twice (a round decides per group, whatever the
+    /// add it starts from).
+    fn apply(&mut self, applied: &[(ValueId, [ValueId; 2])]) -> Vec<ValueId> {
         let mut dirty = Vec::new();
-        for &add in applied {
-            let rescales = self.candidate(add).expect("decided this round");
+        for &(add, rescales) in applied {
             // The values the two rescales rescaled: the add's new operands.
             let pre = rescales.map(|rs| {
                 let Op::Rescale(v) = self.ops[rs.index()] else {
                     unreachable!("a candidate's operands are rescales")
                 };
-                if !std::mem::replace(&mut self.dropped[rs.index()], true) {
-                    self.users[v.index()].retain(|&u| u != rs);
+                // Only a rescale's or an add's users are ever read again:
+                // the rescale as a candidate's operand, the add when hoisted.
+                if matches!(
+                    self.ops[v.index()],
+                    Op::Rescale(_) | Op::Add(..) | Op::Sub(..)
+                ) {
+                    if !self.dropped[rs.index()] {
+                        self.users.edit(v).retain(|&u| u != rs);
+                    }
+                    self.users.edit(v).push(add);
                 }
-                self.users[v.index()].push(add);
+                self.dropped[rs.index()] = true;
                 v
             });
             let old_state = self.state[add.index()];
@@ -230,48 +289,112 @@ impl Dag {
             let pinned = std::mem::take(&mut self.output[add.index()]);
             self.output.push(pinned);
             self.dropped.push(false);
+            let older = self.behind[add.index()].replace(rs);
+            self.behind.push(older);
             self.visit.push(0);
-            let users = std::mem::replace(&mut self.users[add.index()], vec![rs]);
-            for &u in &users {
+            let users = std::mem::replace(&mut self.users.list[add.index()], List::One(rs));
+            self.users.list.push(users);
+            for &u in self.users.get(rs) {
                 let op = &mut self.ops[u.index()];
                 *op = op.map_operands(|o| if o == add { rs } else { o });
                 if matches!(op, Op::Add(..) | Op::Sub(..)) {
                     dirty.push(u);
                 }
             }
-            self.users.push(users);
             for o in self.outputs.iter_mut().filter(|o| **o == add) {
                 *o = rs;
             }
-            self.after.push((add, rs));
             dirty.push(add);
         }
-        dirty.sort_unstable();
-        dirty.dedup();
         dirty
     }
 
     /// The edited schedule: each op in its slot, each hoisted add followed
     /// by its live rescales, newest first.
-    fn finish(mut self, source: &Program) -> Program {
-        self.after
-            .sort_unstable_by_key(|&(add, rs)| (add, std::cmp::Reverse(rs)));
-        let mut after = self.after.iter().peekable();
-        let mut dest = Program::new(source.name(), source.slots());
-        let mut id = vec![ValueId(u32::MAX); self.ops.len()];
+    fn finish(self, source: &Program) -> Program {
+        let mut dest = Program::with_capacity(source.name(), source.slots(), self.ops.len());
+        let mut ids = vec![ValueId(u32::MAX); self.ops.len()];
+        let id = ids.as_mut_slice();
+        let (ops, dropped, behind) = (&self.ops[..], &self.dropped[..], &self.behind[..]);
         let mut emit = |v: ValueId, dest: &mut Program| {
-            if !self.dropped[v.index()] {
-                id[v.index()] = dest.push(self.ops[v.index()].map_operands(|o| id[o.index()]));
+            if !dropped[v.index()] {
+                id[v.index()] = dest.push(ops[v.index()].map_operands(|o| id[o.index()]));
             }
         };
         for v in source.ids() {
             emit(v, &mut dest);
-            while let Some(&(_, rs)) = after.next_if(|&&(add, _)| add == v) {
+            let mut next = behind[v.index()];
+            while let Some(rs) = next {
                 emit(rs, &mut dest);
+                next = behind[rs.index()];
             }
         }
-        dest.set_outputs(self.outputs.iter().map(|o| id[o.index()]).collect());
+        dest.set_outputs(self.outputs.iter().map(|o| ids[o.index()]).collect());
         dest
+    }
+}
+
+/// Every op reading each rescale or add of `program`, once per operand
+/// occurrence; no other value's users are ever read.
+fn users_of_rescales_and_adds(program: &Program) -> Lists<ValueId> {
+    let mut uses = Vec::new();
+    for id in program.ids() {
+        for a in program.op(id).operands() {
+            if matches!(program.op(a), Op::Rescale(_) | Op::Add(..) | Op::Sub(..)) {
+                uses.push((a.index(), id));
+            }
+        }
+    }
+    Lists::group(program.num_ops(), &uses)
+}
+
+/// Every op reading a rescale or an add, once per operand occurrence.
+struct Users {
+    /// The schedule's lists, in one allocation.
+    base: Lists<ValueId>,
+    /// Where each value's list is. A hoist moves its add's list to the
+    /// new rescale and leaves the add read by that rescale alone, so only
+    /// an edit of a list copies it.
+    list: Vec<List>,
+}
+
+/// Where one value's users are listed.
+#[derive(Debug, Clone)]
+enum List {
+    /// The schedule's list of the value numbered so.
+    Base(usize),
+    /// A list of its own.
+    Own(Vec<ValueId>),
+    /// One user.
+    One(ValueId),
+}
+
+impl Users {
+    fn new(program: &Program, room: usize) -> Self {
+        let mut list = Vec::with_capacity(program.num_ops() + room);
+        list.extend((0..program.num_ops()).map(List::Base));
+        Users {
+            base: users_of_rescales_and_adds(program),
+            list,
+        }
+    }
+
+    fn get(&self, v: ValueId) -> &[ValueId] {
+        match &self.list.as_slice()[v.index()] {
+            List::Base(i) => self.base.get(*i),
+            List::Own(list) => list,
+            List::One(user) => std::slice::from_ref(user),
+        }
+    }
+
+    fn edit(&mut self, v: ValueId) -> &mut Vec<ValueId> {
+        if !matches!(self.list[v.index()], List::Own(_)) {
+            self.list[v.index()] = List::Own(self.get(v).to_vec());
+        }
+        let List::Own(list) = &mut self.list[v.index()] else {
+            unreachable!("made its own above")
+        };
+        list
     }
 }
 

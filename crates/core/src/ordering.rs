@@ -8,7 +8,7 @@
 //! legalized into a reverse-topological order (users before operands) that
 //! respects those priorities, which is what the backward allocation needs.
 
-use fhe_ir::analysis::{estimated_levels, live, mult_depth};
+use fhe_ir::analysis::{estimated_levels, live, mult_depth, Lists};
 use fhe_ir::{CompileParams, CostModel, Program, ValueId};
 
 /// Result of the ordering phase.
@@ -44,7 +44,7 @@ pub fn allocation_order(
     let estimated_cost = estimate_costs(program, params, cost);
     let depth = mult_depth(program);
     let live = live(program);
-    let users = program.users();
+    let users = uses(program);
 
     // Heaviest-first visit of ops; each contributes its dependence chain to
     // the return value (following the max-depth user at every step),
@@ -59,34 +59,37 @@ pub fn allocation_order(
 
     let mut priority = vec![usize::MAX; n];
     let mut next_rank = 0usize;
+    let mut chain = Vec::new();
     for &heavy in &by_cost {
         if priority[heavy.index()] != usize::MAX {
             continue; // already covered by an earlier chain
         }
-        // Walk from `heavy` towards the return along max-depth users.
-        let mut chain = vec![heavy];
+        // Walk from `heavy` towards the return along max-depth users. The
+        // walk stops at the first value an earlier chain ranked: the path
+        // from there is the one that chain took, all of it ranked already,
+        // and dropping ranked values from a stable sort leaves the others'
+        // order unchanged — so every op is walked once per compile.
+        chain.clear();
+        chain.push(heavy);
         let mut cur = heavy;
-        loop {
-            let next = users[cur.index()]
-                .iter()
-                .copied()
-                .filter(|u| live[u.index()])
-                .max_by_key(|u| (depth[u.index()], std::cmp::Reverse(u.index())));
-            match next {
-                Some(u) => {
-                    chain.push(u);
-                    cur = u;
-                }
-                None => break,
+        while let Some(u) = users
+            .get(cur.index())
+            .iter()
+            .copied()
+            .filter(|u| live[u.index()])
+            .max_by_key(|u| (depth[u.index()], std::cmp::Reverse(u.index())))
+        {
+            if priority[u.index()] != usize::MAX {
+                break;
             }
+            chain.push(u);
+            cur = u;
         }
         // Lowest depth first == closest to the return first.
         chain.sort_by_key(|v| depth[v.index()]);
-        for v in chain {
-            if priority[v.index()] == usize::MAX {
-                priority[v.index()] = next_rank;
-                next_rank += 1;
-            }
+        for &v in &chain {
+            priority[v.index()] = next_rank;
+            next_rank += 1;
         }
     }
     // Dead values go last (they are skipped by allocation anyway).
@@ -136,6 +139,18 @@ pub fn allocation_order(
         order,
         estimated_cost,
     }
+}
+
+/// Every op reading each value, once per operand occurrence and in schedule
+/// order: [`Program::users`] in one allocation.
+fn uses(program: &Program) -> Lists<ValueId> {
+    let mut uses = Vec::with_capacity(2 * program.num_ops());
+    for id in program.ids() {
+        for o in program.op(id).operands() {
+            uses.push((o.index(), id));
+        }
+    }
+    Lists::group(program.num_ops(), &uses)
 }
 
 /// A deliberately naive allocation order — plain reverse-topological by id,

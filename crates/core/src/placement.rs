@@ -9,8 +9,6 @@
 //! get their rescales right after the multiply — the earliest legal point —
 //! which the hoisting pass may later move.
 
-use std::collections::HashMap;
-
 use fhe_ir::{
     CompileParams, Frac, InputSpec, Op, Program, ProgramEditor, ScheduledProgram, ValueId,
 };
@@ -18,7 +16,7 @@ use fhe_ir::{
 use crate::alloc::ReserveSolution;
 
 /// Concrete ciphertext state during placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct State {
     /// Scale in log₂ bits.
     scale_bits: Frac,
@@ -41,8 +39,11 @@ impl State {
 /// management ops.
 pub fn place(program: &Program, params: &CompileParams, sol: &ReserveSolution) -> ScheduledProgram {
     let mut ed = ProgramEditor::new(program);
-    let mut state: HashMap<ValueId, State> = HashMap::new(); // dest id → state
-    let mut adapted: HashMap<(ValueId, State), ValueId> = HashMap::new();
+    let mut tables = Tables {
+        state: Vec::with_capacity(program.num_ops()),
+        adapted: vec![NONE; program.num_ops()],
+        chains: Vec::new(),
+    };
     let mut inputs = Vec::new();
     let rescale = params.rescale();
 
@@ -70,37 +71,23 @@ pub fn place(program: &Program, params: &CompileParams, sol: &ReserveSolution) -
                     scale_bits: principal_state.scale_bits,
                     level: principal_state.level,
                 });
-                state.insert(new, principal_state);
+                tables.set_state(new, principal_state);
             }
             Op::Add(a, b) | Op::Sub(a, b) => {
                 let mapped = [a, b].map(|o| {
                     if program.is_cipher(o) {
-                        adapt(
-                            params,
-                            &mut ed,
-                            &mut state,
-                            &mut adapted,
-                            o,
-                            principal_state,
-                        )
+                        tables.adapt(params, &mut ed, o, principal_state)
                     } else {
                         ed.map_operand(o)
                     }
                 });
                 let new = ed.emit_with(id, &mapped);
-                state.insert(new, principal_state);
+                tables.set_state(new, principal_state);
             }
             Op::Neg(a) | Op::Rotate(a, _) => {
-                let na = adapt(
-                    params,
-                    &mut ed,
-                    &mut state,
-                    &mut adapted,
-                    a,
-                    principal_state,
-                );
+                let na = tables.adapt(params, &mut ed, a, principal_state);
                 let new = ed.emit_with(id, &[na]);
-                state.insert(new, principal_state);
+                tables.set_state(new, principal_state);
             }
             Op::Mul(a, b) => {
                 let (mapped, result) = match (program.is_cipher(a), program.is_cipher(b)) {
@@ -117,8 +104,8 @@ pub fn place(program: &Program, params: &CompileParams, sol: &ReserveSolution) -
                             scale_bits: Frac::from(l_op) * rescale - req1,
                             level: l_op,
                         };
-                        let na = adapt(params, &mut ed, &mut state, &mut adapted, a, t0);
-                        let nb = adapt(params, &mut ed, &mut state, &mut adapted, b, t1);
+                        let na = tables.adapt(params, &mut ed, a, t0);
+                        let nb = tables.adapt(params, &mut ed, b, t1);
                         (
                             vec![na, nb],
                             State {
@@ -136,7 +123,7 @@ pub fn place(program: &Program, params: &CompileParams, sol: &ReserveSolution) -
                             scale_bits: Frac::from(l_op) * rescale - req,
                             level: l_op,
                         };
-                        let nc = adapt(params, &mut ed, &mut state, &mut adapted, cipher, t);
+                        let nc = tables.adapt(params, &mut ed, cipher, t);
                         let mapped = if program.is_cipher(a) {
                             vec![nc, ed.map_operand(b)]
                         } else {
@@ -167,7 +154,7 @@ pub fn place(program: &Program, params: &CompileParams, sol: &ReserveSolution) -
                     cur, principal_state,
                     "mul normalization must land on principal"
                 );
-                state.insert(new, cur);
+                tables.set_state(new, cur);
             }
             Op::Rescale(_) | Op::ModSwitch(_) | Op::Upscale(..) => {
                 panic!("placement expects a program without scale management ops")
@@ -183,57 +170,86 @@ pub fn place(program: &Program, params: &CompileParams, sol: &ReserveSolution) -
     }
 }
 
-/// Adapts the dest value mapped from source `src` to the `target` state,
-/// inserting `modswitch`/`upscale`/`rescale` as needed. Chains are memoized
-/// per (source, target) so multiple uses share them.
-fn adapt(
-    params: &CompileParams,
-    ed: &mut ProgramEditor<'_>,
-    state: &mut HashMap<ValueId, State>,
-    adapted: &mut HashMap<(ValueId, State), ValueId>,
-    src: ValueId,
-    target: State,
-) -> ValueId {
-    let cur_id = ed.map_operand(src);
-    let cur = state[&cur_id];
-    if cur == target {
-        return cur_id;
-    }
-    if let Some(&done) = adapted.get(&(src, target)) {
-        return done;
-    }
-    let rescale = params.rescale();
-    let d = cur
-        .level
-        .checked_sub(target.level)
-        .expect("levels only decrease");
-    let eps = cur.reserve_bits(params) - target.reserve_bits(params);
-    assert!(eps >= Frac::ZERO, "reserves only decrease along an edge");
-    // Each modswitch burns one level AND R bits of reserve.
-    let by_modswitch = (eps / rescale).floor().max(0) as u32;
-    let s = d.min(by_modswitch);
-    let delta = eps - Frac::from(s) * rescale;
-    let r = d - s;
+/// "No entry" in [`Tables`]' index columns.
+const NONE: u32 = u32::MAX;
 
-    let mut id = cur_id;
-    let mut st = cur;
-    for _ in 0..s {
-        id = ed.push(Op::ModSwitch(id));
-        st.level -= 1;
+/// Placement's per-value tables, dense by id.
+struct Tables {
+    /// The state of each destination ciphertext (`None` for plaintexts).
+    state: Vec<Option<State>>,
+    /// Per source value, the newest of its memoized adaptation chains: an
+    /// index into `chains`, or [`NONE`].
+    adapted: Vec<u32>,
+    /// Every adaptation chain: its target, its last op, and the index of
+    /// the same source's previous chain.
+    chains: Vec<(State, ValueId, u32)>,
+}
+
+impl Tables {
+    fn set_state(&mut self, id: ValueId, st: State) {
+        if self.state.len() <= id.index() {
+            self.state.resize(id.index() + 1, None);
+        }
+        self.state[id.index()] = Some(st);
     }
-    if delta > Frac::ZERO {
-        id = ed.push(Op::Upscale(id, delta));
-        st.scale_bits += delta;
+
+    /// Adapts the dest value mapped from source `src` to the `target`
+    /// state, inserting `modswitch`/`upscale`/`rescale` as needed. Chains
+    /// are memoized per (source, target) so multiple uses share them.
+    fn adapt(
+        &mut self,
+        params: &CompileParams,
+        ed: &mut ProgramEditor<'_>,
+        src: ValueId,
+        target: State,
+    ) -> ValueId {
+        let cur_id = ed.map_operand(src);
+        let cur = self.state[cur_id.index()].expect("a ciphertext state");
+        if cur == target {
+            return cur_id;
+        }
+        let mut chain = self.adapted[src.index()];
+        while chain != NONE {
+            let (to, done, prev) = self.chains[chain as usize];
+            if to == target {
+                return done;
+            }
+            chain = prev;
+        }
+        let rescale = params.rescale();
+        let d = cur
+            .level
+            .checked_sub(target.level)
+            .expect("levels only decrease");
+        let eps = cur.reserve_bits(params) - target.reserve_bits(params);
+        assert!(eps >= Frac::ZERO, "reserves only decrease along an edge");
+        // Each modswitch burns one level AND R bits of reserve.
+        let by_modswitch = (eps / rescale).floor().max(0) as u32;
+        let s = d.min(by_modswitch);
+        let delta = eps - Frac::from(s) * rescale;
+        let r = d - s;
+
+        let mut id = cur_id;
+        let mut st = cur;
+        for _ in 0..s {
+            id = ed.push(Op::ModSwitch(id));
+            st.level -= 1;
+        }
+        if delta > Frac::ZERO {
+            id = ed.push(Op::Upscale(id, delta));
+            st.scale_bits += delta;
+        }
+        for _ in 0..r {
+            id = ed.push(Op::Rescale(id));
+            st.level -= 1;
+            st.scale_bits -= rescale;
+        }
+        debug_assert_eq!(st, target, "adaptation must land exactly on the target");
+        self.set_state(id, st);
+        self.chains.push((target, id, self.adapted[src.index()]));
+        self.adapted[src.index()] = self.chains.len() as u32 - 1;
+        id
     }
-    for _ in 0..r {
-        id = ed.push(Op::Rescale(id));
-        st.level -= 1;
-        st.scale_bits -= rescale;
-    }
-    debug_assert_eq!(st, target, "adaptation must land exactly on the target");
-    state.insert(id, st);
-    adapted.insert((src, target), id);
-    id
 }
 
 #[cfg(test)]

@@ -801,8 +801,9 @@ fn check_span_bound(
             .entry(key)
             .or_insert_with(|| calibrate(0xCA1B + 3 * attempt))
             .clone();
-        let est = fhe_ir::DepGraph::build(scheduled, &map, &model, true).estimate();
-        let credit_us = hoist_credit_us(&scheduled.program, &map, &model);
+        let graph = fhe_ir::DepGraph::build(scheduled, &map, &model, true);
+        let est = graph.estimate();
+        let credit_us = hoist_credit_us(&graph, &map, &model);
         if est.span_us <= measured_us * SPAN_MARGIN + credit_us + 200.0 {
             return;
         }
@@ -825,14 +826,19 @@ fn check_span_bound(
     });
 }
 
-/// Credit for the hoisted rotation groups the runtime forms
-/// ([`fhe_ir::analysis::rotation_groups`]): every non-leader member runs on
-/// a shared decomposition, so its real cost can undercut the calibrated
-/// lone-rotation cost by up to the full rotation latency. A group of `n`
-/// earns `(n − 1)/n` of its members' summed latency.
-fn hoist_credit_us(program: &Program, map: &fhe_ir::ScaleMap, model: &fhe_ir::CostModel) -> f64 {
-    let live = fhe_ir::analysis::live(program);
-    fhe_ir::analysis::rotation_groups(program, &live, true)
+/// Credit for the hoisted rotation groups the runtime forms, read off the
+/// schedule's graph ([`fhe_ir::DepGraph::rotation_groups`]): every
+/// non-leader member runs on a shared decomposition, so its real cost can
+/// undercut the calibrated lone-rotation cost by up to the full rotation
+/// latency. A group of `n` earns `(n − 1)/n` of its members' summed
+/// latency.
+fn hoist_credit_us(
+    graph: &fhe_ir::DepGraph,
+    map: &fhe_ir::ScaleMap,
+    model: &fhe_ir::CostModel,
+) -> f64 {
+    graph
+        .rotation_groups()
         .values()
         .map(|group| {
             let n = group.len() as f64;
@@ -988,10 +994,11 @@ mod tests {
         };
         let map = s.validate().expect("legal by hand");
         let model = fhe_ir::CostModel::paper_table3();
+        let graph = fhe_ir::DepGraph::build(&s, &map, &model, true);
         // Only {1, 2} is a group: two members at level 1 earn one
         // rotation's latency.
         assert_eq!(
-            hoist_credit_us(&s.program, &map, &model),
+            hoist_credit_us(&graph, &map, &model),
             model.at_level(fhe_ir::OpClass::Rotate, 1)
         );
     }

@@ -58,7 +58,10 @@ pub fn live(program: &Program) -> Vec<bool> {
 /// reads.
 pub fn free_points(program: &Program, live: &[bool]) -> Vec<Option<ValueId>> {
     let mut free_at = vec![None; program.num_ops()];
-    for id in program.ids().filter(|id| live[id.index()]) {
+    for id in program.ids() {
+        if !live[id.index()] {
+            continue;
+        }
         for operand in program.op(id).operands() {
             free_at[operand.index()] = Some(id);
         }
@@ -73,8 +76,11 @@ pub fn free_points(program: &Program, live: &[bool]) -> Vec<Option<ValueId>> {
 /// op naming a value twice reads it once. A value's buffer waits for each
 /// of them before its free point ([`free_points`]) recycles it.
 pub fn readers(program: &Program, live: &[bool]) -> Lists<ValueId> {
-    let mut reads = Vec::new();
-    for id in program.ids().filter(|id| live[id.index()]) {
+    let mut reads = Vec::with_capacity(2 * program.num_ops());
+    for id in program.ids() {
+        if !live[id.index()] {
+            continue;
+        }
         let mut prev = None;
         for a in program.op(id).operands() {
             if prev != Some(a) {
@@ -95,6 +101,32 @@ pub struct Lists<T> {
     items: Vec<T>,
 }
 
+impl<T> Lists<T> {
+    /// List `i` is `items[start[i]..start[i + 1]]`.
+    pub(crate) fn from_parts(start: Vec<usize>, items: Vec<T>) -> Self {
+        Lists { start, items }
+    }
+
+    /// No lists yet, with room for `items` items; [`Lists::push_list`]
+    /// appends lists `0, 1, 2, …` in turn.
+    pub(crate) fn with_capacity(items: usize) -> Self {
+        Lists {
+            start: vec![0],
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    /// The list being appended: the items since the last list ended.
+    pub(crate) fn push_item(&mut self, item: T) {
+        self.items.push(item);
+    }
+
+    /// Ends the list being appended.
+    pub(crate) fn push_list(&mut self) {
+        self.start.push(self.items.len());
+    }
+}
+
 impl<T: Copy> Lists<T> {
     /// The items of `pairs` listed under their index (`< n`), each list in
     /// the order of `pairs`.
@@ -103,6 +135,8 @@ impl<T: Copy> Lists<T> {
     ///
     /// Panics if an index is `n` or more.
     pub fn group(n: usize, pairs: &[(usize, T)]) -> Self {
+        // `start[i + 1]` counts list `i`; summed, `start[i]` is where list
+        // `i` begins, and serves as its cursor while the items are placed.
         let mut start = vec![0usize; n + 1];
         for &(i, _) in pairs {
             start[i + 1] += 1;
@@ -110,14 +144,20 @@ impl<T: Copy> Lists<T> {
         for i in 0..n {
             start[i + 1] += start[i];
         }
-        // `order[j]`: the pair that goes to position `j`.
-        let mut next = start.clone();
-        let mut order = vec![0usize; pairs.len()];
-        for (k, &(i, _)) in pairs.iter().enumerate() {
-            order[next[i]] = k;
-            next[i] += 1;
+        let Some(&(_, fill)) = pairs.first() else {
+            return Lists {
+                start,
+                items: Vec::new(),
+            };
+        };
+        let mut items = vec![fill; pairs.len()];
+        for &(i, item) in pairs {
+            items[start[i]] = item;
+            start[i] += 1;
         }
-        let items = order.iter().map(|&k| pairs[k].1).collect();
+        // Each cursor now sits where the next list begins.
+        start.copy_within(0..n, 1);
+        start[0] = 0;
         Lists { start, items }
     }
 
@@ -128,6 +168,41 @@ impl<T: Copy> Lists<T> {
     /// Panics if `i` is not below the `n` the lists were grouped under.
     pub fn get(&self, i: usize) -> &[T] {
         &self.items[self.start[i]..self.start[i + 1]]
+    }
+}
+
+impl<K: Copy> Lists<(usize, K)> {
+    /// The reverse lists over the same `n` indices: list `j` holds `(i, k)`
+    /// for every `(j, k)` in list `i`, by `i` ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item names an index the lists do not have.
+    pub fn transpose(&self) -> Self {
+        let n = self.start.len() - 1;
+        let mut start = vec![0usize; n + 1];
+        for &(j, _) in &self.items {
+            start[j + 1] += 1;
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let Some(&(_, fill)) = self.items.first() else {
+            return Lists {
+                start,
+                items: Vec::new(),
+            };
+        };
+        let mut items = vec![(0, fill); self.items.len()];
+        for i in 0..n {
+            for &(j, k) in self.get(i) {
+                items[start[j]] = (i, k);
+                start[j] += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Lists { start, items }
     }
 }
 
@@ -143,17 +218,27 @@ pub fn rotation_groups(
     live: &[bool],
     hoist: bool,
 ) -> HashMap<ValueId, Vec<(ValueId, i64)>> {
-    let mut groups: HashMap<ValueId, Vec<(ValueId, i64)>> = HashMap::new();
     if !hoist {
-        return groups;
+        return HashMap::new();
     }
-    for id in program.ids().filter(|id| live[id.index()]) {
+    // Each source's rotations, gathered by a dense index of sources.
+    // `list_of[a] == i + 1`: the rotations of `a` are `lists[i]`.
+    let mut list_of = vec![0; program.num_ops()];
+    let mut lists: Vec<(ValueId, Vec<(ValueId, i64)>)> = Vec::new();
+    for id in program.ids() {
+        if !live[id.index()] {
+            continue;
+        }
         if let Some((a, k)) = key_switched_rotation(program, id) {
-            groups.entry(a).or_default().push((id, k));
+            if list_of[a.index()] == 0 {
+                lists.push((a, Vec::new()));
+                list_of[a.index()] = lists.len();
+            }
+            lists[list_of[a.index()] - 1].1.push((id, k));
         }
     }
-    groups.retain(|_, group| group.len() >= 2);
-    groups
+    lists.retain(|(_, group)| group.len() >= 2);
+    lists.into_iter().collect()
 }
 
 /// The source and steps of `id` when it is a cipher rotation that is not
@@ -199,73 +284,134 @@ pub struct LinearGroup {
 /// gather members of several sources. Independent of the hoisting
 /// setting: hoisting only decides whether members share a decomposition.
 pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
-    let n = program.num_ops();
-    // Live uses of every value, by operand occurrence, plus output pins.
-    let mut uses = vec![0u32; n];
-    let mut user: Vec<Option<ValueId>> = vec![None; n];
-    for id in program.ids().filter(|id| live[id.index()]) {
-        for a in program.op(id).operands() {
-            uses[a.index()] += 1;
-            user[a.index()] = Some(id);
+    let mut reads = Reads::new(program.num_ops());
+    for id in program.ids() {
+        if live[id.index()] {
+            reads.read(program, id);
         }
     }
-    for &o in program.outputs() {
-        uses[o.index()] += 1;
+    reads.pin_outputs(program);
+    reads.linear_groups(program, live)
+}
+
+/// What [`linear_groups`] reads off the live ops, counted in one sweep a
+/// caller may share: the live uses of every value by operand occurrence
+/// (plus output pins), its last live user, the live non-identity cipher
+/// rotations of every source — two or more make each a possible member
+/// (they form a rotation group) — and the live cipher × plain products,
+/// with their cipher operand, in schedule order.
+#[derive(Debug, Clone)]
+pub(crate) struct Reads {
+    pub(crate) uses: Vec<u32>,
+    /// `u32::MAX` for a value no live op reads.
+    pub(crate) user: Vec<ValueId>,
+    rotations: Vec<u32>,
+    products: Vec<(ValueId, ValueId)>,
+}
+
+impl Reads {
+    pub(crate) fn new(n: usize) -> Self {
+        Reads {
+            uses: vec![0; n],
+            user: vec![ValueId(u32::MAX); n],
+            rotations: vec![0; n],
+            products: Vec::new(),
+        }
     }
+
+    /// Counts the live op `id`; live ops come in schedule order.
+    pub(crate) fn read(&mut self, program: &Program, id: ValueId) {
+        for a in program.op(id).operands() {
+            self.read_operand(a, id);
+        }
+        self.read_op(program, id);
+    }
+
+    /// Counts one operand occurrence `a` of the live op `id`.
+    pub(crate) fn read_operand(&mut self, a: ValueId, id: ValueId) {
+        self.uses[a.index()] += 1;
+        self.user[a.index()] = id;
+    }
+
+    /// Counts the live op `id` itself, once its operands are read.
+    pub(crate) fn read_op(&mut self, program: &Program, id: ValueId) {
+        match *program.op(id) {
+            Op::Rotate(..) => {
+                if let Some((a, _)) = key_switched_rotation(program, id) {
+                    self.rotations[a.index()] += 1;
+                }
+            }
+            Op::Mul(a, b) if program.is_cipher(a) != program.is_cipher(b) => {
+                let c = if program.is_cipher(a) { a } else { b };
+                self.products.push((c, id));
+            }
+            _ => {}
+        }
+    }
+
+    /// Counts the output pins, once every live op is read.
+    pub(crate) fn pin_outputs(&mut self, program: &Program) {
+        for &o in program.outputs() {
+            self.uses[o.index()] += 1;
+        }
+    }
+
+    /// [`linear_groups`] from the counts.
+    pub(crate) fn linear_groups(&self, program: &Program, live: &[bool]) -> Vec<LinearGroup> {
+        linear_groups_read(program, live, self)
+    }
+}
+
+fn linear_groups_read(program: &Program, live: &[bool], reads: &Reads) -> Vec<LinearGroup> {
+    let n = program.num_ops();
+    // Slices, not vectors: an unoptimized build indexes a slice inline but
+    // calls through `Vec`'s `Index`.
+    let (uses, user, rotations) = (&reads.uses[..], &reads.user[..], &reads.rotations[..]);
     // The one cipher + cipher add reading `v`, if that is its only use.
     let sole_add = |v: ValueId| {
-        let u = user[v.index()].filter(|_| uses[v.index()] == 1)?;
+        if uses[v.index()] != 1 {
+            return None;
+        }
+        let u = user[v.index()];
+        if u.0 == u32::MAX {
+            return None; // pinned as an output only
+        }
         match *program.op(u) {
             Op::Add(a, b) if a != b && program.is_cipher(a) && program.is_cipher(b) => Some(u),
             _ => None,
         }
     };
-    // Live non-identity cipher rotations of every source: two or more make
-    // each of them a possible member (they form a rotation group).
-    let mut rotations = vec![0u32; n];
-    for id in program.ids().filter(|id| live[id.index()]) {
-        if let Some((a, _)) = key_switched_rotation(program, id) {
-            rotations[a.index()] += 1;
-        }
-    }
-    // The possible member a live cipher × plain product multiplies.
-    let product_of = |id: ValueId| match *program.op(id) {
-        Op::Mul(a, b) if program.is_cipher(a) != program.is_cipher(b) => {
-            let c = if program.is_cipher(a) { a } else { b };
-            key_switched_rotation(program, c)
-                .filter(|&(s, _)| live[c.index()] && rotations[s.index()] >= 2)
-                .map(|_| c)
-        }
-        _ => None,
-    };
-    // A member: every live use is such a product, each the sole operand
-    // of a cipher + cipher add.
-    let mut products = vec![0u32; n];
-    let mut summed = vec![true; n];
-    for id in program.ids().filter(|id| live[id.index()]) {
-        if let Some(m) = product_of(id) {
+    // `(member, product)` for every live cipher × plain product of a
+    // possible member. A member: every live use is such a product, each
+    // the sole operand of a cipher + cipher add.
+    let mut candidates = Vec::new();
+    let (mut products, mut unsummed) = (vec![0u32; n], vec![false; n]);
+    let (products, unsummed) = (&mut products[..], &mut unsummed[..]);
+    for &(m, id) in &reads.products {
+        let Some((s, _)) = key_switched_rotation(program, m) else {
+            continue;
+        };
+        if live[m.index()] && rotations[s.index()] >= 2 {
+            candidates.push((m, id));
             products[m.index()] += 1;
-            summed[m.index()] &= sole_add(id).is_some();
+            unsummed[m.index()] |= sole_add(id).is_none();
         }
     }
-    let terms: Vec<(ValueId, ValueId)> = (program.ids())
-        .filter(|id| live[id.index()])
-        .filter_map(|p| product_of(p).map(|m| (m, p)))
-        .filter(|&(m, _)| {
-            let k = products[m.index()];
-            k > 0 && k == uses[m.index()] && summed[m.index()]
-        })
+    let terms: Vec<(ValueId, ValueId)> = (candidates.into_iter())
+        .filter(|&(m, _)| products[m.index()] == uses[m.index()] && !unsummed[m.index()])
         .collect();
     // The root every product's chain of single-use adds ends at, for the
     // product and each add on the way: the values a group absorbs. Each
     // value is walked once.
-    let mut root_at: Vec<Option<ValueId>> = vec![None; n];
+    let (mut root_at, mut is_root) = (vec![ValueId(u32::MAX); n], vec![false; n]);
+    let (root_at, is_root) = (&mut root_at[..], &mut is_root[..]);
+    let mut roots = Vec::new();
     let mut path = Vec::new();
     for &(_, product) in &terms {
         let mut node = product;
         let root = loop {
-            if let Some(root) = root_at[node.index()] {
-                break root;
+            if root_at[node.index()].0 != u32::MAX {
+                break root_at[node.index()];
             }
             match sole_add(node) {
                 Some(next) => {
@@ -275,18 +421,20 @@ pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
                 None => break node,
             }
         };
+        if !is_root[root.index()] {
+            is_root[root.index()] = true;
+            roots.push(root);
+        }
         for v in path.drain(..) {
-            root_at[v.index()] = Some(root);
+            root_at[v.index()] = root;
         }
     }
     // Group `g` is the `g`-th root in schedule order.
-    let mut is_root = vec![false; n];
-    for root in root_at.iter().flatten() {
-        is_root[root.index()] = true;
-    }
-    let mut group_at = vec![usize::MAX; n];
-    let mut groups: Vec<LinearGroup> = Vec::new();
-    for root in program.ids().filter(|v| is_root[v.index()]) {
+    roots.sort_unstable();
+    let mut group_at = vec![0; n];
+    let group_at = &mut group_at[..];
+    let mut groups: Vec<LinearGroup> = Vec::with_capacity(roots.len());
+    for root in roots {
         group_at[root.index()] = groups.len();
         groups.push(LinearGroup {
             root,
@@ -295,19 +443,19 @@ pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
             direct: Vec::new(),
         });
     }
-    let group_of = |v: ValueId| group_at[root_at[v.index()].expect("absorbed").index()];
+    let group_of = |v: ValueId| group_at[root_at[v.index()].index()];
     for (member, product) in terms {
         groups[group_of(product)].terms.push((member, product));
     }
     for add in program.ids() {
-        if root_at[add.index()].is_some() && matches!(program.op(add), Op::Add(..)) {
+        if root_at[add.index()].0 != u32::MAX && matches!(program.op(add), Op::Add(..)) {
             groups[group_of(add)].adds.push(add);
         }
     }
     for group in &mut groups {
         for &add in group.adds.iter().chain([&group.root]) {
             for a in program.op(add).operands() {
-                if root_at[a.index()].is_none() {
+                if root_at[a.index()].0 == u32::MAX {
                     group.direct.push((a, add));
                 }
             }

@@ -67,7 +67,7 @@ pub struct CostModel {
     rows: [Vec<f64>; 7],
 }
 
-const fn class_index(class: OpClass) -> usize {
+pub(crate) const fn class_index(class: OpClass) -> usize {
     match class {
         OpClass::ModSwitch => 0,
         OpClass::AddPlain => 1,

@@ -32,9 +32,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
-use crate::analysis::{LinearGroup, Lists};
-use crate::cost::{CostModel, OpClass};
+use crate::analysis::{LinearGroup, Lists, Reads};
+use crate::cost::{class_index, CostModel, OpClass};
 use crate::op::ValueId;
 use crate::schedule::{ScaleMap, ScheduledProgram};
 
@@ -134,9 +135,16 @@ impl ParallelismEstimate {
 pub struct DepGraph {
     nodes: Vec<DepNode>,
     node_of: Vec<Option<usize>>,
+    /// Each node's predecessors, in the order its edges were found.
     preds: Lists<(usize, DepKind)>,
-    succs: Lists<(usize, DepKind)>,
+    /// Each node's earliest finish time under unbounded width (the
+    /// longest-path DP; the maximum entry is the span).
+    finish: Vec<f64>,
+    /// Each node's successors, in node order: the transpose of `preds`,
+    /// built on first use (a compile's analyses walk only `preds`).
+    succs: OnceLock<Lists<(usize, DepKind)>>,
     free_at: Vec<Option<ValueId>>,
+    readers: Lists<ValueId>,
     hoist_rotations: bool,
     rotation_groups: HashMap<ValueId, Vec<(ValueId, i64)>>,
     linear_groups: Vec<LinearGroup>,
@@ -179,97 +187,156 @@ impl DepGraph {
         hazard_edges: bool,
     ) -> Self {
         let program = &scheduled.program;
-        let live = crate::analysis::live(program);
         let n_vals = program.num_ops();
+        // Walking back from the outputs marks the live ops, each a node.
+        // The first live reader of a value the walk meets is its last, whose
+        // completion frees the value's buffer (`analysis::free_points`:
+        // none for an output); and the walk counts every value's live
+        // readers (`analysis::readers`: an op naming a value twice reads it
+        // once), whose lists the sweep below fills in schedule order.
+        //
+        // Here and below, loops index slices, not vectors: an unoptimized
+        // build indexes a slice inline but calls through `Vec`'s `Index`.
+        let mut live_ops = vec![false; n_vals];
+        let mut free_points: Vec<Option<ValueId>> = vec![None; n_vals];
+        let mut starts = vec![0usize; n_vals + 1];
+        let (live, free_at, start) = (&mut live_ops[..], &mut free_points[..], &mut starts[..]);
+        for &o in program.outputs() {
+            live[o.index()] = true;
+        }
+        for id in program.ids().rev() {
+            if !live[id.index()] {
+                continue;
+            }
+            let mut prev = None;
+            for a in program.op(id).operands() {
+                if prev == Some(a) {
+                    continue;
+                }
+                prev = Some(a);
+                start[a.index() + 1] += 1;
+                if !live[a.index()] {
+                    live[a.index()] = true;
+                    free_at[a.index()] = Some(id);
+                }
+            }
+        }
+        for i in 0..n_vals {
+            start[i + 1] += start[i];
+        }
+        let mut readers = vec![ValueId(0); start[n_vals]];
+        let mut fill = start.to_vec();
+        let (reader, filled) = (&mut readers[..], &mut fill[..]);
+        let rotation_groups = crate::analysis::rotation_groups(program, live, hoist_rotations);
+        let mut nodes_of: Vec<Option<usize>> = vec![None; n_vals];
+        let node_of = &mut nodes_of[..];
+        let mut n = 0;
+        for id in program.ids() {
+            if live[id.index()] {
+                node_of[id.index()] = Some(n);
+                n += 1;
+            }
+        }
+        // `leader[m] == l + 1`: node `l` leads the group of member `m`.
+        let mut leaders = vec![0; n_vals];
+        let leader = &mut leaders[..];
+        for group in rotation_groups.values() {
+            let l = node_of[group[0].0.index()].expect("leader is live");
+            for &(m, _) in &group[1..] {
+                leader[m.index()] = l + 1;
+            }
+        }
 
-        let mut nodes = Vec::new();
-        let mut node_of: Vec<Option<usize>> = vec![None; n_vals];
+        // One sweep over the live ops: the nodes, priced per (level, class)
+        // pair once; the reads the linear groups are found from; and each
+        // node's predecessors, in turn, with its earliest finish.
+        //
+        // True dependences run operand → user; their one duplicate is an op
+        // naming the same operand twice. Anti dependences: every other
+        // reader of a ciphertext must finish before the op that frees it
+        // (write-after-read on the pool slot); their one duplicate is a
+        // reader of two values the op frees. Output dependences: a hoisted
+        // rotation group's leader publishes the decomposition its later
+        // members read; they are ordered after it.
+        let mut nodes = Vec::with_capacity(n);
+        let mut preds = Lists::with_capacity(3 * n);
+        let mut reads = Reads::new(n_vals);
+        let mut price: Vec<[Option<f64>; OpClass::ALL.len()]> = Vec::new();
+        // `anti[u] == t + 1`: node `u` is already an anti predecessor of
+        // `t`, whose anti predecessors follow its true ones.
+        let mut antis = vec![0; n];
+        let anti = &mut antis[..];
+        let mut anti_preds = Vec::new();
+        let mut finish: Vec<f64> = Vec::with_capacity(n);
         for id in program.ids() {
             if !live[id.index()] {
                 continue;
             }
             let class = CostModel::classify(program, id);
-            let cost_us = model.op_cost(program, id, map);
-            node_of[id.index()] = Some(nodes.len());
+            let cost_us = match (class, CostModel::charge_level(id, map)) {
+                (Some(class), Some(level)) => {
+                    let l = level as usize;
+                    if price.len() <= l {
+                        price.resize(l + 1, [None; OpClass::ALL.len()]);
+                    }
+                    *price[l][class_index(class)]
+                        .get_or_insert_with(|| model.at_level(class, level))
+                }
+                _ => 0.0,
+            };
+            let t = nodes.len();
             nodes.push(DepNode { id, class, cost_us });
-        }
-
-        let n = nodes.len();
-        // `(from, (to, kind))` per edge, in the order edges are found; each
-        // node's predecessor and successor lists keep that order. Each kind
-        // of edge recognises its own duplicates in O(1) where it is found
-        // (ops are at most binary), so no edge list is ever scanned: a value
-        // with thousands of readers costs its edges.
-        let mut edges: Vec<(usize, (usize, DepKind))> = Vec::new();
-
-        // True dependences: operand → user, between live nodes. The one
-        // duplicate is an op naming the same operand twice.
-        for (to, node) in nodes.iter().enumerate() {
+            let mut begin = 0.0f64;
             let mut prev = None;
-            for a in program.op(node.id).operands() {
-                if let Some(from) = node_of[a.index()].filter(|_| prev != Some(a)) {
-                    edges.push((from, (to, DepKind::True)));
+            for a in program.op(id).operands() {
+                reads.read_operand(a, id);
+                if prev == Some(a) {
+                    continue;
                 }
                 prev = Some(a);
-            }
-        }
-
-        // Free points (the op whose completion frees a value's buffer) and
-        // the readers each must wait for.
-        let free_at = crate::analysis::free_points(program, &live);
-        let users = crate::analysis::readers(program, &live);
-
-        // Anti dependences: every other reader of a ciphertext must finish
-        // before the op that frees it (write-after-read on the pool slot).
-        // A reader has at most two operands, so at most two anti edges
-        // leave it: the one duplicate — both operands freed at the same op
-        // — repeats the last anti edge it got.
-        let mut last_anti = vec![usize::MAX; n];
-        for id in program.ids() {
-            if !hazard_edges || !program.is_cipher(id) {
-                continue;
-            }
-            if let Some(f) = free_at[id.index()] {
-                let fi = node_of[f.index()].expect("freeing op is live");
-                for &u in users.get(id.index()) {
-                    if u != f {
-                        let ui = node_of[u.index()].expect("user is live");
-                        if last_anti[ui] != fi {
-                            last_anti[ui] = fi;
-                            edges.push((ui, (fi, DepKind::Anti)));
-                        }
+                reader[filled[a.index()]] = id;
+                filled[a.index()] += 1;
+                let from = node_of[a.index()].expect("a live op's operands are live");
+                begin = begin.max(finish[from]);
+                preds.push_item((from, DepKind::True));
+                if !hazard_edges || free_at[a.index()] != Some(id) || !program.is_cipher(a) {
+                    continue;
+                }
+                // `id` is the last reader, so the list is whole.
+                for &u in &reader[start[a.index()]..start[a.index() + 1]] {
+                    let ui = node_of[u.index()].expect("readers are live");
+                    if u != id && anti[ui] != t + 1 {
+                        anti[ui] = t + 1;
+                        begin = begin.max(finish[ui]);
+                        anti_preds.push((ui, DepKind::Anti));
                     }
                 }
             }
-        }
-
-        // Output dependences: a hoisted rotation group's leader publishes
-        // the decomposition its later members read; they are ordered after
-        // it. A rotation belongs to one group, so these never repeat.
-        let rotation_groups = crate::analysis::rotation_groups(program, &live, hoist_rotations);
-        for group in rotation_groups.values() {
-            let leader = node_of[group[0].0.index()].expect("leader is live");
-            for &(m, _) in &group[1..] {
-                let mi = node_of[m.index()].expect("member is live");
-                edges.push((leader, (mi, DepKind::Output)));
+            for pred in anti_preds.drain(..) {
+                preds.push_item(pred);
             }
+            reads.read_op(program, id);
+            if leader[id.index()] != 0 {
+                let l = leader[id.index()] - 1;
+                begin = begin.max(finish[l]);
+                preds.push_item((l, DepKind::Output));
+            }
+            preds.push_list();
+            finish.push(begin + cost_us);
         }
+        reads.pin_outputs(program);
 
-        let succs = Lists::group(n, &edges);
-        let reversed: Vec<(usize, (usize, DepKind))> = edges
-            .iter()
-            .map(|&(from, (to, kind))| (to, (from, kind)))
-            .collect();
-        let preds = Lists::group(n, &reversed);
         DepGraph {
+            linear_groups: reads.linear_groups(program, live),
             nodes,
-            node_of,
+            node_of: nodes_of,
             preds,
-            succs,
-            free_at,
+            finish,
+            succs: OnceLock::new(),
+            free_at: free_points,
+            readers: Lists::from_parts(starts, readers),
             hoist_rotations,
             rotation_groups,
-            linear_groups: crate::analysis::linear_groups(program, &live),
         }
     }
 
@@ -280,7 +347,10 @@ impl DepGraph {
 
     /// The node index of an op; `None` exactly when the op is dead.
     pub fn node(&self, id: ValueId) -> Option<usize> {
-        self.node_of.get(id.index()).copied().flatten()
+        match self.node_of.get(id.index()) {
+            Some(&node) => node,
+            None => None,
+        }
     }
 
     /// Predecessors (dependences) of a node.
@@ -288,15 +358,24 @@ impl DepGraph {
         self.preds.get(node)
     }
 
-    /// Successors (dependents) of a node.
+    /// Successors (dependents) of a node, in node order.
     pub fn succs(&self, node: usize) -> &[(usize, DepKind)] {
-        self.succs.get(node)
+        self.succs.get_or_init(|| self.preds.transpose()).get(node)
     }
 
     /// The op whose completion frees `id`'s ciphertext buffer, or `None`
     /// when `id` is a program output (pinned), plain, or dead.
     pub fn free_at(&self, id: ValueId) -> Option<ValueId> {
-        self.free_at.get(id.index()).copied().flatten()
+        match self.free_at.get(id.index()) {
+            Some(&free) => free,
+            None => None,
+        }
+    }
+
+    /// The live readers of `id` in schedule order
+    /// ([`crate::analysis::readers`]).
+    pub fn readers(&self, id: ValueId) -> &[ValueId] {
+        self.readers.get(id.index())
     }
 
     /// Whether the graph was built with rotation hoisting.
@@ -315,24 +394,9 @@ impl DepGraph {
         &self.linear_groups
     }
 
-    /// Earliest finish time of every node under unbounded width (the
-    /// longest-path DP; the maximum entry is the span).
-    fn earliest_finish(&self) -> Vec<f64> {
-        let mut finish = vec![0.0f64; self.nodes.len()];
-        for i in 0..self.nodes.len() {
-            let start = self
-                .preds(i)
-                .iter()
-                .map(|&(p, _)| finish[p])
-                .fold(0.0, f64::max);
-            finish[i] = start + self.nodes[i].cost_us;
-        }
-        finish
-    }
-
     /// The ops of one critical path, in execution order.
     pub fn critical_path(&self) -> Vec<ValueId> {
-        let finish = self.earliest_finish();
+        let finish = &self.finish;
         let Some((mut cur, _)) = finish
             .iter()
             .enumerate()
@@ -458,21 +522,33 @@ impl DepGraph {
     /// Work, span and width, the last two read off one longest-path
     /// sweep.
     pub fn estimate(&self) -> ParallelismEstimate {
-        let finish = self.earliest_finish();
-        // Sweep (time, delta) events; at equal times process departures
-        // before arrivals so back-to-back ops do not count as overlapping.
-        let mut events: Vec<(f64, i32)> = Vec::new();
+        let finish = &self.finish;
+        // Sweep arrival and departure events in time order; at equal times
+        // departures go first, so back-to-back ops do not count as
+        // overlapping. Times are nonnegative, where an `f64`'s bits order
+        // like its value, so one `u64` key per event sorts them: the time's
+        // bits, then a low bit set for an arrival. Consecutive ops of one
+        // shape run at one time (LeNet-5's 6 500 costed ops make 2 000 runs),
+        // so a run of equal times makes one event of its length each way.
+        let mut events: Vec<(u64, i32)> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             if node.cost_us > 0.0 {
-                events.push((finish[i] - node.cost_us, 1));
-                events.push((finish[i], -1));
+                let arrival = ((finish[i] - node.cost_us).to_bits() << 1) | 1;
+                let departure = finish[i].to_bits() << 1;
+                match events.as_mut_slice() {
+                    [.., (a, up), (d, down)] if *a == arrival && *d == departure => {
+                        *up += 1;
+                        *down -= 1;
+                    }
+                    _ => events.extend([(arrival, 1), (departure, -1)]),
+                }
             }
         }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        radix_sort(&mut events);
         let mut cur = 0i32;
         let mut peak = 0i32;
-        for (_, d) in events {
-            cur += d;
+        for (_, delta) in events {
+            cur += delta;
             peak = peak.max(cur);
         }
         ParallelismEstimate {
@@ -535,6 +611,48 @@ impl DepGraph {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// Sorts `keys` ascending by their first half, keeping equal keys in
+/// order: a least-significant-digit radix sort by 11-bit digits that skips
+/// a digit every key shares. It is linear in the keys, where a comparison
+/// sort of two events per op was the largest part of
+/// [`DepGraph::estimate`].
+fn radix_sort(keys: &mut Vec<(u64, i32)>) {
+    const BITS: u32 = 11;
+    const MASK: u64 = (1 << BITS) - 1;
+    const DIGITS: usize = u64::BITS.div_ceil(BITS) as usize;
+    let Some(&(first, _)) = keys.first() else {
+        return;
+    };
+    // Every digit's counts, from one read of the keys.
+    let mut counts = vec![[0usize; 1 << BITS]; DIGITS];
+    for &(key, _) in keys.iter() {
+        let mut rest = key;
+        for count in counts.iter_mut() {
+            count[(rest & MASK) as usize] += 1;
+            rest >>= BITS;
+        }
+    }
+    let mut sorted = vec![(0, 0); keys.len()];
+    for (d, count) in counts.iter_mut().enumerate() {
+        let shift = d as u32 * BITS;
+        if count[((first >> shift) & MASK) as usize] == keys.len() {
+            continue;
+        }
+        let mut start = 0;
+        for slot in count.iter_mut() {
+            let n = *slot;
+            *slot = start;
+            start += n;
+        }
+        for &item in keys.iter() {
+            let digit = ((item.0 >> shift) & MASK) as usize;
+            sorted[count[digit]] = item;
+            count[digit] += 1;
+        }
+        std::mem::swap(keys, &mut sorted);
     }
 }
 
@@ -736,7 +854,7 @@ mod tests {
         let node = |id| g.node(id).unwrap();
         assert_eq!(
             g.succs(node(u)),
-            [(node(out), DepKind::True), (node(f), DepKind::Anti)]
+            [(node(f), DepKind::Anti), (node(out), DepKind::True)]
         );
         assert_eq!(g.preds(node(d)), [(node(f), DepKind::True)]);
         assert_eq!(

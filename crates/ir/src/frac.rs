@@ -7,6 +7,13 @@
 //! mismatches when `ρ + 2ω` lands exactly on an integer. [`Frac`] is a small
 //! always-normalized rational over `i128`, sufficient for every quantity in
 //! this crate (denominators stay bounded by `R_bits · 2^depth`).
+//!
+//! Every operation has exact machine-word fast paths: reducing a pair that
+//! fits in `u64` runs a binary gcd on `u64` (an `i128` remainder is a
+//! software division), an integer or a shared denominator needs no gcd at
+//! all, and ceiling and floor divide on `i64` when both halves fit. A
+//! reduced fraction is unique, so each path yields the `(num, den)` the
+//! `i128` Euclid fallback would.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -28,6 +35,7 @@ pub struct Frac {
     den: i128,
 }
 
+/// Euclid's gcd on `i128`: the fallback for pairs beyond `u64`.
 const fn gcd(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
         let t = a % b;
@@ -38,6 +46,22 @@ const fn gcd(mut a: i128, mut b: i128) -> i128 {
         -a
     } else {
         a
+    }
+}
+
+/// Stein's binary gcd of two nonzero `u64`s: shifts and subtractions only.
+fn binary_gcd(mut a: u64, mut b: u64) -> u64 {
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
     }
 }
 
@@ -55,10 +79,26 @@ impl Frac {
     pub fn ratio(num: i128, den: i128) -> Self {
         assert!(den != 0, "Frac denominator must be nonzero");
         let (num, den) = if den < 0 { (-num, -den) } else { (num, den) };
-        let g = gcd(num, den);
-        if g == 0 {
-            return Frac { num: 0, den: 1 };
+        Frac::reduce(num, den)
+    }
+
+    /// `num / den` in lowest terms, for `den > 0`.
+    fn reduce(num: i128, den: i128) -> Self {
+        if den == 1 {
+            return Frac { num, den };
         }
+        if num == 0 {
+            return Frac::ZERO;
+        }
+        if let (Ok(a), Ok(d)) = (u64::try_from(num.unsigned_abs()), u64::try_from(den)) {
+            let g = binary_gcd(a, d);
+            let a = i128::from(a / g);
+            return Frac {
+                num: if num < 0 { -a } else { a },
+                den: i128::from(d / g),
+            };
+        }
+        let g = gcd(num, den);
         Frac {
             num: num / g,
             den: den / g,
@@ -82,12 +122,18 @@ impl Frac {
 
     /// Ceiling, `⌈x⌉`.
     pub fn ceil(self) -> i128 {
-        self.num.div_euclid(self.den) + i128::from(self.num.rem_euclid(self.den) != 0)
+        -(-self).floor()
     }
 
     /// Floor, `⌊x⌋`.
     pub fn floor(self) -> i128 {
-        self.num.div_euclid(self.den)
+        if self.den == 1 {
+            return self.num;
+        }
+        match (i64::try_from(self.num), i64::try_from(self.den)) {
+            (Ok(n), Ok(d)) => i128::from(n.div_euclid(d)),
+            _ => self.num.div_euclid(self.den),
+        }
     }
 
     /// The paper's fractional-part function `{x} = x + 1 − ⌈x⌉`.
@@ -101,7 +147,7 @@ impl Frac {
     /// assert_eq!(Frac::ratio(3, 2).paper_frac(), Frac::ratio(1, 2));
     /// ```
     pub fn paper_frac(self) -> Frac {
-        self + Frac::ONE - Frac::from(self.ceil())
+        self + Frac::from(1 - self.ceil())
     }
 
     /// Smaller of two values.
@@ -164,6 +210,19 @@ impl From<u32> for Frac {
 impl Add for Frac {
     type Output = Frac;
     fn add(self, rhs: Frac) -> Frac {
+        // `a/d + k = (a + k·d)/d` is in lowest terms when `a/d` is.
+        if rhs.den == 1 {
+            return Frac {
+                num: self.num + rhs.num * self.den,
+                den: self.den,
+            };
+        }
+        if self.den == 1 {
+            return rhs + self;
+        }
+        if self.den == rhs.den {
+            return Frac::reduce(self.num + rhs.num, self.den);
+        }
         Frac::ratio(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
     }
 }
@@ -171,7 +230,7 @@ impl Add for Frac {
 impl Sub for Frac {
     type Output = Frac;
     fn sub(self, rhs: Frac) -> Frac {
-        Frac::ratio(self.num * rhs.den - rhs.num * self.den, self.den * rhs.den)
+        self + -rhs
     }
 }
 
@@ -220,6 +279,9 @@ impl PartialOrd for Frac {
 
 impl Ord for Frac {
     fn cmp(&self, other: &Frac) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         (self.num * other.den).cmp(&(other.num * self.den))
     }
 }

@@ -15,7 +15,9 @@
 //! the pre-rescale value (the F009 lint feeds on
 //! [`FusionPlan::blocked`]).
 
+use crate::analysis::Lists;
 use crate::op::{Op, ValueId};
+use crate::program::Program;
 use crate::schedule::ScheduledProgram;
 
 /// Why a mul→rescale pair cannot fuse.
@@ -65,6 +67,13 @@ impl FusionPlan {
         let program = &scheduled.program;
         let live = crate::analysis::live(program);
         let readers = crate::analysis::readers(program, &live);
+        FusionPlan::plan_read(program, &live, &readers)
+    }
+
+    /// [`FusionPlan::plan`] from the program's [`live`](crate::analysis::live)
+    /// ops and their [`readers`](crate::analysis::readers), which the caller
+    /// holds.
+    pub fn plan_read(program: &Program, live: &[bool], readers: &Lists<ValueId>) -> FusionPlan {
         let users = |id: ValueId| readers.get(id.index());
         let is_output = |id: ValueId| program.outputs().contains(&id);
 

@@ -48,6 +48,7 @@ pub mod depgraph;
 pub mod diag;
 mod frac;
 pub mod fusion;
+pub mod hash;
 pub mod json;
 pub mod memory;
 mod op;

@@ -13,9 +13,8 @@
 //! counted at the level [`key_levels`] reads off the schedule — the one the
 //! runtime generates it at.
 
-use std::collections::HashMap;
-
 use crate::depgraph::DepGraph;
+use crate::hash::Interner;
 use crate::op::{Op, ValueId};
 use crate::program::Program;
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -70,7 +69,7 @@ pub struct KeyLevels {
 /// Identity rotations ([`rotation_class`] `None`) need no key.
 pub fn key_levels(program: &Program, map: &ScaleMap) -> KeyLevels {
     let mut levels = KeyLevels::default();
-    let mut index = HashMap::new();
+    let mut classes = Interner::with_capacity(64);
     for id in program.ids() {
         let level = map.try_level(id).unwrap_or(0);
         match *program.op(id) {
@@ -78,10 +77,10 @@ pub fn key_levels(program: &Program, map: &ScaleMap) -> KeyLevels {
                 let Some(class) = rotation_class(k, program.slots()) else {
                     continue;
                 };
-                let i = *index.entry(class).or_insert_with(|| {
+                let (i, new) = classes.intern(class);
+                if new {
                     levels.galois.push((k, 0));
-                    levels.galois.len() - 1
-                });
+                }
                 levels.galois[i].1 = levels.galois[i].1.max(level);
             }
             Op::Mul(a, b) if program.is_cipher(a) && program.is_cipher(b) => {
@@ -139,42 +138,61 @@ pub fn estimate_memory(
     let big_l = u64::from(map.max_level());
     let alpha = special_primes(big_l);
 
-    let groups = graph.rotation_groups();
+    let n = program.num_ops();
+    // Per hoisted rotation group: the member that checks its digits out,
+    // the one that returns them, and every member's place in one. (The
+    // walks index slices, not vectors: an unoptimized build indexes a slice
+    // inline but calls through `Vec`'s `Index`.)
+    let (mut grouped, mut leads, mut closes) = (vec![false; n], vec![false; n], vec![false; n]);
+    let (grouped, leads, closes) = (&mut grouped[..], &mut leads[..], &mut closes[..]);
+    for group in graph.rotation_groups().values() {
+        for &(m, _) in group {
+            grouped[m.index()] = true;
+        }
+        leads[group[0].0.index()] = true;
+        closes[group[group.len() - 1].0.index()] = true;
+    }
     // Per linear-combination group: where its partial sum is checked out
     // and where it is finished. Per member: the groups it feeds, each of
     // which it encodes one plaintext over `Q_l·P` for.
-    let mut absorbed = vec![false; program.num_ops()];
-    let mut fed: HashMap<ValueId, u64> = HashMap::new();
-    let mut partial_at: HashMap<ValueId, u64> = HashMap::new();
-    let mut finished_at: HashMap<ValueId, u64> = HashMap::new();
-    for group in graph.linear_groups() {
+    let (mut absorbed, mut fed) = (vec![false; n], vec![0u64; n]);
+    // The group, numbered from 1, that last counted a member.
+    let mut fed_last = vec![0; n];
+    let (mut partial_at, mut finished_at) = (vec![0u64; n], vec![0u64; n]);
+    let (absorbed, fed, fed_last) = (&mut absorbed[..], &mut fed[..], &mut fed_last[..]);
+    let (partial_at, finished_at) = (&mut partial_at[..], &mut finished_at[..]);
+    for (g, group) in (1..).zip(graph.linear_groups()) {
         let l = u64::from(map.level(group.root));
         let partial = 2 * (l + alpha) + 2 * l;
-        let mut members: Vec<ValueId> = group.terms.iter().map(|&(m, _)| m).collect();
-        members.sort();
-        members.dedup();
-        for &m in &members {
-            *fed.entry(m).or_default() += 1;
+        let mut first = group.root;
+        for &(m, product) in &group.terms {
+            if fed_last[m.index()] != g {
+                fed_last[m.index()] = g;
+                fed[m.index()] += 1;
+            }
+            first = first.min(m);
+            absorbed[m.index()] = true;
+            absorbed[product.index()] = true;
         }
-        let products = group.terms.iter().map(|&(_, p)| p);
-        for v in members.iter().chain(&group.adds).copied().chain(products) {
-            absorbed[v.index()] = true;
+        for &add in &group.adds {
+            absorbed[add.index()] = true;
         }
-        *partial_at.entry(members[0]).or_default() += partial;
-        *finished_at.entry(group.root).or_default() += partial;
+        partial_at[first.index()] += partial;
+        finished_at[group.root.index()] += partial;
     }
 
     // The executor encrypts every live input before the first op, wherever
     // the schedule declares it.
-    let mut live_limbs: u64 = program
-        .inputs()
-        .iter()
-        .filter(|&&id| graph.node(id).is_some())
-        .map(|&id| 2 * u64::from(map.level(id)))
-        .sum();
+    let mut live_limbs: u64 = 0;
+    for &id in program.inputs() {
+        if graph.node(id).is_some() {
+            live_limbs += 2 * u64::from(map.level(id));
+        }
+    }
     let mut poly_peak: u64 = 0;
     let mut peak_op = None;
-    for id in graph.nodes().iter().map(|n| n.id) {
+    for node in graph.nodes() {
+        let id = node.id;
         if !program.is_cipher(id) {
             continue;
         }
@@ -188,14 +206,11 @@ pub fn estimate_memory(
         let ksw = digits + 2 * (l + alpha) + 2 * l;
         // A hoisted group's digits are checked out by its first member and
         // returned by its last; in between they are live like a value.
-        let group = match *program.op(id) {
-            Op::Rotate(a, k) if rotation_class(k, program.slots()).is_some() => groups.get(&a),
-            _ => None,
-        };
-        if group.is_some_and(|g| g[0].0 == id) {
+        let grouped = grouped[id.index()];
+        if leads[id.index()] {
             live_limbs += digits;
         }
-        live_limbs += partial_at.get(&id).copied().unwrap_or(0);
+        live_limbs += partial_at[id.index()];
         let (result_limbs, transient) = match program.op(id) {
             Op::Input { .. } => (0, 0),
             // A linear-combination member holds its plaintexts over
@@ -204,8 +219,8 @@ pub fn estimate_memory(
             // — but no result: neither it nor its products or absorbed
             // adds are materialized.
             Op::Rotate(..) if absorbed[id.index()] => {
-                let step = 2 * (l + alpha) + 2 * l + fed[&id] * (l + alpha);
-                (0, if group.is_some() { step } else { digits + step })
+                let step = 2 * (l + alpha) + 2 * l + fed[id.index()] * (l + alpha);
+                (0, if grouped { step } else { digits + step })
             }
             _ if absorbed[id.index()] => (0, 0),
             Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => (2 * l, ksw),
@@ -213,7 +228,7 @@ pub fn estimate_memory(
             // special-basis accumulators (then the rotated `c0` beside the
             // switched pair); the leader's coefficient-domain copy of the
             // source is gone before its output exists.
-            Op::Rotate(..) if group.is_some() => (2 * l, l + 2 * alpha),
+            Op::Rotate(..) if grouped => (2 * l, l + 2 * alpha),
             Op::Rotate(..) => (2 * l, ksw),
             Op::Rescale(_) | Op::ModSwitch(_) => (2 * l, 4),
             // plain − cipher: the negated copy beside the plaintext.
@@ -231,10 +246,10 @@ pub fn estimate_memory(
             poly_peak = op_peak;
             peak_op = Some(id);
         }
-        if group.is_some_and(|g| g[g.len() - 1].0 == id) {
+        if closes[id.index()] {
             live_limbs -= digits;
         }
-        live_limbs -= finished_at.get(&id).copied().unwrap_or(0);
+        live_limbs -= finished_at[id.index()];
         let mut prev = None;
         for a in program.op(id).operands() {
             if prev == Some(a) {

@@ -198,8 +198,8 @@ impl Op {
 
     /// Rewrites each operand through `f`, returning the rewritten op.
     pub fn map_operands(&self, mut f: impl FnMut(ValueId) -> ValueId) -> Op {
-        match self.clone() {
-            op @ (Op::Input { .. } | Op::Const { .. }) => op,
+        match *self {
+            Op::Input { .. } | Op::Const { .. } => self.clone(),
             Op::Add(a, b) => Op::Add(f(a), f(b)),
             Op::Sub(a, b) => Op::Sub(f(a), f(b)),
             Op::Mul(a, b) => Op::Mul(f(a), f(b)),
@@ -243,7 +243,11 @@ pub struct OperandIter {
 impl Iterator for OperandIter {
     type Item = ValueId;
     fn next(&mut self) -> Option<ValueId> {
-        self.a.take().or_else(|| self.b.take())
+        // `b` is only set with `a`: shift it forward.
+        let next = self.a;
+        self.a = self.b;
+        self.b = None;
+        next
     }
 }
 

@@ -5,11 +5,11 @@
 //! compiler in this workspace applies [`cleanup`] before scale management so
 //! that op counts and costs are comparable.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
 use crate::analysis::live;
+use crate::hash::Interner;
 use crate::op::{ConstValue, Op, ValueId};
 use crate::program::{Program, ProgramEditor};
 use crate::semantics::{self, rotation_class};
@@ -61,13 +61,18 @@ pub fn dce(program: &Program) -> (Program, bool) {
     if live.iter().all(|&l| l) {
         return (program.clone(), false);
     }
+    (live_ops(program, &live), true)
+}
+
+/// The ops of `program` that `live` marks, in order.
+fn live_ops(program: &Program, live: &[bool]) -> Program {
     let mut ed = ProgramEditor::new(program);
     for id in program.ids() {
         if live[id.index()] {
             ed.emit(id);
         }
     }
-    (ed.finish(), true)
+    ed.finish()
 }
 
 /// One forward sweep over the ops in id order, then [`dce`]. Each op's
@@ -94,16 +99,24 @@ pub fn dce(program: &Program) -> (Program, bool) {
 /// assert_eq!(passes::cleanup(&b.finish(vec![s])).num_ops(), 3); // x, x·x, add
 /// ```
 pub fn cleanup(program: &Program) -> Program {
-    let mut dest = Program::new(program.name(), program.slots());
+    let mut dest = Program::with_capacity(program.name(), program.slots(), program.num_ops());
     let mut map: Vec<ValueId> = Vec::with_capacity(program.num_ops());
-    let mut table: HashMap<OpKey, ValueId> = HashMap::new();
+    // The distinct ops so far, and the value each is.
+    let mut table: Interner<OpKey> = Interner::with_capacity(program.num_ops());
+    let mut value: Vec<ValueId> = Vec::with_capacity(program.num_ops());
     for op in program.ops() {
         let new = match identities(&dest, op.map_operands(|o| map[o.index()])) {
             Break(existing) => existing,
             Continue(op) => {
                 let op = fold(&dest, op);
                 match op_key(&op) {
-                    Some(key) => *table.entry(key).or_insert_with(|| dest.push(op)),
+                    Some(key) => match table.intern(key) {
+                        (_, true) => {
+                            value.push(dest.push(op));
+                            value[value.len() - 1]
+                        }
+                        (index, false) => value[index],
+                    },
                     None => dest.push(op),
                 }
             }
@@ -111,7 +124,13 @@ pub fn cleanup(program: &Program) -> Program {
         map.push(new);
     }
     dest.set_outputs(program.outputs().iter().map(|o| map[o.index()]).collect());
-    dce(&dest).0
+    // The DCE, without a copy of `dest` when nothing in it is dead.
+    let live = live(&dest);
+    if live.iter().all(|&l| l) {
+        dest
+    } else {
+        live_ops(&dest, &live)
+    }
 }
 
 /// Step 1 of [`cleanup`]: `Break` with the value `op` equals, or `Continue`
@@ -158,16 +177,17 @@ fn fold(dest: &Program, op: Op) -> Op {
     if op.is_scale_management() {
         return op;
     }
-    let consts: Option<Vec<&ConstValue>> = op
-        .operands()
-        .map(|o| match dest.op(o) {
-            Op::Const { value } => Some(value),
-            _ => None,
-        })
-        .collect();
-    let Some(consts) = consts else {
+    let mut consts = Vec::new();
+    for o in op.operands() {
+        match dest.op(o) {
+            Op::Const { value } => consts.push(value),
+            _ => return op,
+        }
+    }
+    // Inputs and constants have no operands to fold.
+    if consts.is_empty() {
         return op;
-    };
+    }
     // A scalar is one slot, which the kernels read in every slot.
     let args: Vec<Vec<f64>> = consts
         .iter()
@@ -177,7 +197,6 @@ fn fold(dest: &Program, op: Op) -> Op {
         })
         .collect();
     let operand = |o| args[op.operands().position(|a| a == o).expect("an operand")].as_slice();
-    // `None` for inputs and constants, which have no operands to fold.
     let Some(result) = semantics::eval(&op, operand) else {
         return op;
     };

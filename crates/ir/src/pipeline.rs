@@ -29,7 +29,7 @@
 //! let p = b.finish(vec![x.clone() * x.clone() + x.clone() * x]);
 //!
 //! let mut cx = PassCx::new("demo", CostModel::paper_table3());
-//! let cleaned = cx.cleanup(&p);
+//! let cleaned = cx.cleanup(&p).unwrap();
 //! cx.record("count", PassKind::Analysis, |cx| {
 //!     cx.note(format!("{} ops survive", cleaned.num_ops()));
 //!     Ok(())
@@ -50,7 +50,7 @@ use crate::diag::{Finding, TvVerdict};
 use crate::memory::MemoryEstimate;
 use crate::params::CompileParams;
 use crate::program::Program;
-use crate::schedule::{ScaleMap, ScheduledProgram};
+use crate::schedule::{ScaleMap, ScheduleError, ScheduledProgram};
 
 /// What a pass contributes to; drives the [`PipelineTrace`] time split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,11 +204,20 @@ impl PassCx {
 
     /// The phase just recorded left `scheduled` as the IR: its record and
     /// every later one show this op count and — when the schedule is legal
-    /// — this maximum level. Costs one validator walk, outside the phase's
-    /// wall time.
-    pub fn rewrote_schedule(&mut self, scheduled: &ScheduledProgram) {
-        let max_level = scheduled.validate().ok().map(|m| m.max_level());
+    /// — this maximum level. Costs one validator walk, not on that phase's
+    /// wall time, and returns its verdict for the next phase to reuse.
+    ///
+    /// # Errors
+    ///
+    /// The validator's errors when `scheduled` is illegal.
+    pub fn rewrote_schedule(
+        &mut self,
+        scheduled: &ScheduledProgram,
+    ) -> Result<ScaleMap, Vec<ScheduleError>> {
+        let map = scheduled.validate();
+        let max_level = map.as_ref().ok().map(ScaleMap::max_level);
         self.rewrote(scheduled.program.num_ops(), max_level);
+        map
     }
 
     fn rewrote(&mut self, ops: usize, max_level: Option<u32>) {
@@ -224,14 +233,34 @@ impl PassCx {
     /// folding, CSE and DCE in one forward sweep) every compiler runs
     /// before scale management, so op counts stay comparable (§8.1). The
     /// cleaned program's op count is the report's `ops_before`.
-    pub fn cleanup(&mut self, program: &Program) -> Program {
-        self.ops = program.num_ops();
+    ///
+    /// # Errors
+    ///
+    /// Fails as pass `"cleanup"`, with nothing recorded, when the cleaned
+    /// program still holds a rescale, modswitch or upscale: scale
+    /// management starts from a program without any (a dead one is
+    /// removed like any dead op).
+    pub fn cleanup(&mut self, program: &Program) -> Result<Program, CompileError> {
         let t0 = Instant::now();
         let cleaned = crate::passes::cleanup(program);
+        if let Some(id) = cleaned
+            .ids()
+            .find(|&id| cleaned.op(id).is_scale_management())
+        {
+            return Err(self.error(
+                "cleanup",
+                vec![format!(
+                    "the source holds scale management: `{}` at {id} of the cleaned program; \
+                     compile a program without rescale, modswitch or upscale ops",
+                    cleaned.op(id).mnemonic()
+                )],
+            ));
+        }
+        self.ops = program.num_ops();
         self.push("cleanup", PassKind::Cleanup, t0.elapsed());
         self.ops_cleaned = cleaned.num_ops();
         self.rewrote(self.ops_cleaned, None);
-        cleaned
+        Ok(cleaned)
     }
 
     /// Attaches a diagnostic note to the currently running phase's record.
@@ -486,7 +515,7 @@ mod tests {
     #[test]
     fn recorder_records_op_deltas_and_notes() {
         let mut cx = cx();
-        let cleaned = cx.cleanup(&square_sum());
+        let cleaned = cx.cleanup(&square_sum()).unwrap();
         cx.record("tag", PassKind::Analysis, |cx| {
             cx.note("hello");
             Ok(())
@@ -509,7 +538,7 @@ mod tests {
     #[test]
     fn trace_summary_is_deterministic_and_timeless() {
         let mut cx = cx();
-        cx.cleanup(&square_sum());
+        cx.cleanup(&square_sum()).unwrap();
         let s = cx.trace().summary();
         assert!(
             s.contains("cleanup [cleanup]: ops 4 -> 3, level - -> -"),

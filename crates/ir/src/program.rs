@@ -1,7 +1,5 @@
 //! SSA program representation: a DAG of RNS-CKKS operations.
 
-use std::collections::HashMap;
-
 use crate::op::{Op, ValueId};
 
 /// An SSA program over encrypted vectors: the `Prg`/`F` of the paper's
@@ -40,14 +38,23 @@ impl Program {
     ///
     /// Panics if `slots == 0`.
     pub fn new(name: impl Into<String>, slots: usize) -> Self {
+        Program::with_capacity(name, slots, 0)
+    }
+
+    /// [`Program::new`] with room for `ops` ops before it reallocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots == 0`.
+    pub fn with_capacity(name: impl Into<String>, slots: usize, ops: usize) -> Self {
         assert!(slots > 0, "a program must have at least one slot");
         Program {
             name: name.into(),
             slots,
-            ops: Vec::new(),
+            ops: Vec::with_capacity(ops),
             outputs: Vec::new(),
             inputs: Vec::new(),
-            plain: Vec::new(),
+            plain: Vec::with_capacity(ops),
         }
     }
 
@@ -68,18 +75,16 @@ impl Program {
     /// Panics if any operand id is out of range (violating SSA dominance).
     pub fn push(&mut self, op: Op) -> ValueId {
         let id = ValueId(self.ops.len() as u32);
+        // Plain when every operand is (a constant has none; an input is not).
+        let mut plain = !matches!(op, Op::Input { .. });
         for operand in op.operands() {
             assert!(
                 operand < id,
                 "operand {operand} of op {} does not dominate {id}",
                 op.mnemonic()
             );
+            plain &= self.plain[operand.index()];
         }
-        let plain = match &op {
-            Op::Const { .. } => true,
-            Op::Input { .. } => false,
-            other => other.operands().all(|o| self.plain[o.index()]),
-        };
         if matches!(op, Op::Input { .. }) {
             self.inputs.push(id);
         }
@@ -121,7 +126,10 @@ impl Program {
 
     /// Ids of all values, in topological order.
     pub fn ids(&self) -> impl DoubleEndedIterator<Item = ValueId> + '_ {
-        (0..self.ops.len() as u32).map(ValueId)
+        Ids {
+            next: 0,
+            end: self.ops.len() as u32,
+        }
     }
 
     /// The declared outputs.
@@ -171,6 +179,40 @@ impl Program {
     }
 }
 
+/// The ids `next..end`, in order: [`Program::ids`], with no adaptor over a
+/// range to call through per id in an unoptimized build.
+struct Ids {
+    next: u32,
+    end: u32,
+}
+
+impl Iterator for Ids {
+    type Item = ValueId;
+
+    fn next(&mut self) -> Option<ValueId> {
+        if self.next == self.end {
+            return None;
+        }
+        self.next += 1;
+        Some(ValueId(self.next - 1))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = (self.end - self.next) as usize;
+        (len, Some(len))
+    }
+}
+
+impl DoubleEndedIterator for Ids {
+    fn next_back(&mut self) -> Option<ValueId> {
+        if self.next == self.end {
+            return None;
+        }
+        self.end -= 1;
+        Some(ValueId(self.end))
+    }
+}
+
 /// Incremental rewriter that produces a new [`Program`] from an old one,
 /// remapping value ids and allowing extra ops (e.g. scale management) to be
 /// interleaved.
@@ -182,7 +224,8 @@ impl Program {
 pub struct ProgramEditor<'a> {
     source: &'a Program,
     dest: Program,
-    mapping: HashMap<ValueId, ValueId>,
+    /// The destination id of each source value, by source index.
+    mapping: Vec<Option<ValueId>>,
 }
 
 impl<'a> ProgramEditor<'a> {
@@ -191,8 +234,8 @@ impl<'a> ProgramEditor<'a> {
     pub fn new(source: &'a Program) -> Self {
         ProgramEditor {
             source,
-            dest: Program::new(source.name().to_owned(), source.slots()),
-            mapping: HashMap::new(),
+            dest: Program::with_capacity(source.name(), source.slots(), source.num_ops()),
+            mapping: vec![None; source.num_ops()],
         }
     }
 
@@ -207,16 +250,13 @@ impl<'a> ProgramEditor<'a> {
     ///
     /// Panics if `old` has not been emitted or mapped yet.
     pub fn map_operand(&self, old: ValueId) -> ValueId {
-        *self
-            .mapping
-            .get(&old)
-            .unwrap_or_else(|| panic!("source value {old} has no mapping yet"))
+        self.mapping[old.index()].unwrap_or_else(|| panic!("source value {old} has no mapping yet"))
     }
 
     /// Overrides the mapping of source value `old` to destination `new`
     /// (used to route subsequent uses through inserted scale management).
     pub fn set_mapping(&mut self, old: ValueId, new: ValueId) {
-        self.mapping.insert(old, new);
+        self.mapping[old.index()] = Some(new);
     }
 
     /// Appends a brand-new op (already expressed in destination ids).
@@ -229,7 +269,7 @@ impl<'a> ProgramEditor<'a> {
     pub fn emit(&mut self, old: ValueId) -> ValueId {
         let op = self.source.op(old).map_operands(|o| self.map_operand(o));
         let new = self.dest.push(op);
-        self.mapping.insert(old, new);
+        self.mapping[old.index()] = Some(new);
         new
     }
 
@@ -246,7 +286,7 @@ impl<'a> ProgramEditor<'a> {
             "emit_with: too many replacement operands"
         );
         let new = self.dest.push(op);
-        self.mapping.insert(old, new);
+        self.mapping[old.index()] = Some(new);
         new
     }
 

@@ -69,7 +69,12 @@ impl ScaleMap {
     /// The highest level of any ciphertext value (the modulus level a key
     /// must provide).
     pub fn max_level(&self) -> u32 {
-        self.level.iter().flatten().copied().max().unwrap_or(1)
+        // `None` orders below every level.
+        let mut max = None;
+        for &level in &self.level {
+            max = max.max(level);
+        }
+        max.unwrap_or(1)
     }
 }
 
@@ -237,10 +242,10 @@ impl ScheduledProgram {
         let params = &self.params;
         let mut errors = Vec::new();
         let n = p.num_ops();
-        let mut map = ScaleMap {
-            scale_bits: vec![None; n],
-            level: vec![None; n],
-        };
+        let (mut scale_bits, mut level) = (vec![None; n], vec![None; n]);
+        // Slices, not vectors: an unoptimized build indexes a slice inline
+        // but calls through `Vec`'s `Index`.
+        let (scales, levels) = (&mut scale_bits[..], &mut level[..]);
 
         if self.inputs.len() != p.inputs().len() {
             return Err(vec![ScheduleError::InputArity {
@@ -261,7 +266,7 @@ impl ScheduledProgram {
                 continue;
             }
             let cipher = |v: ValueId| -> Option<(Frac, u32)> {
-                Some((map.scale_bits[v.index()]?, map.level[v.index()]?))
+                Some((scales[v.index()]?, levels[v.index()]?))
             };
             // Derive (scale, level); None when an operand failed earlier.
             let derived: Option<(Frac, u32)> = match p.op(id) {
@@ -345,7 +350,7 @@ impl ScheduledProgram {
                         scale_bits: scale,
                     });
                 }
-                if scale > Frac::from(level) * rescale {
+                if scale > Frac::from(i128::from(level) * i128::from(params.rescale_bits)) {
                     errors.push(ScheduleError::Overflow {
                         op: id,
                         scale_bits: scale,
@@ -355,13 +360,13 @@ impl ScheduledProgram {
                 if level > params.max_level {
                     errors.push(ScheduleError::ExceedsMaxLevel { op: id, level });
                 }
-                map.scale_bits[id.index()] = Some(scale);
-                map.level[id.index()] = Some(level);
+                scales[id.index()] = Some(scale);
+                levels[id.index()] = Some(level);
             }
         }
 
         if errors.is_empty() {
-            Ok(map)
+            Ok(ScaleMap { scale_bits, level })
         } else {
             Err(errors)
         }

@@ -679,7 +679,7 @@ pub fn execute_parallel_with_keys(
     // topological order is race-free under the freeing discipline.
     let hoisting = options.exec.rotation_hoisting;
     let graph = DepGraph::build(scheduled, &map, &CostModel::paper_table3(), hoisting);
-    let safety = fhe_analysis::parallel::check(scheduled, &graph, hoisting);
+    let safety = fhe_analysis::parallel::check_built(scheduled, &graph, hoisting);
     assert!(
         safety.race_free(),
         "schedule failed the parallel-safety proof: {:?}",

@@ -45,6 +45,18 @@
 //! second time after the `depgraph` pass, it was 0.07–0.11 × (0.10–0.11 ×
 //! in debug); reading both off the pass's one graph, 0.03–0.04 × (0.03 ×).
 //!
+//! The allocation order and the reserve allocation are held to the
+//! `typecheck` pass, a walk over the same solution that checks every
+//! typing rule once: `order` at most 8 × and `alloc` at most 5.25 ×. With
+//! a chain walk all the way to the return per heavy op and Euclid's gcd on
+//! `i128` per rational, `order` cost 10.4–11.4 × and `alloc` 7.9–8.1 ×
+//! (release; 33–43 × and 4.5–5.1 × in debug); stopping each walk at the
+//! first ranked value, with machine-word rationals and flat per-value
+//! tables, 3.3–3.6 × and 3.7–4.0 × (5.0–6.3 × and 2.9–4.0 × in debug). In
+//! a debug build the rationals' machine-word paths save little over an
+//! `i128` remainder, a precompiled runtime call there, so only a release
+//! build tells the two allocations apart.
+//!
 //! Every gate compares two walls of one process, so the host's speed
 //! cancels; each takes the best of three compiles, so one preemption does
 //! not decide.
@@ -65,8 +77,11 @@ fn lenet5_analysis_costs_what_its_input_costs_and_the_report_accounts_for_the_co
         "depgraph",
         "lint",
         "translation-validate",
+        "order",
+        "alloc",
+        "typecheck",
     ];
-    let mut best = [Duration::MAX; 5];
+    let mut best = [Duration::MAX; 8];
     let mut scale_management = Duration::MAX;
     let mut unattributed = Duration::MAX;
     let mut covered = 0.0f64;
@@ -85,20 +100,24 @@ fn lenet5_analysis_costs_what_its_input_costs_and_the_report_accounts_for_the_co
             unattributed.min(report.total_time.saturating_sub(report.trace.total_time()));
         covered = covered.max(report.total_time.as_secs_f64() / wall.as_secs_f64());
     }
-    let [cleanup, hoist, depgraph, lint, tv] = best;
+    let [cleanup, hoist, depgraph, lint, tv, order, alloc, typecheck] = best;
     let share = |pass: Duration| pass.as_secs_f64() / scale_management.as_secs_f64();
     let tv_per_cleanup = tv.as_secs_f64() / cleanup.as_secs_f64();
+    let per_typecheck = |pass: Duration| pass.as_secs_f64() / typecheck.as_secs_f64();
     println!(
         "cleanup {cleanup:?} ({:.3} x), hoist {hoist:?} ({:.3} x), depgraph {depgraph:?} \
          ({:.3} x), lint {lint:?} ({:.3} x), scale management {scale_management:?}; \
          translation-validate {tv:?} ({tv_per_cleanup:.2} x cleanup); \
-         unattributed {unattributed:?} ({:.3} x); total_time covers {:.1} %",
+         unattributed {unattributed:?} ({:.3} x); total_time covers {:.1} %; order {order:?} \
+         ({:.2} x typecheck), alloc {alloc:?} ({:.2} x), typecheck {typecheck:?}",
         share(cleanup),
         share(hoist),
         share(depgraph),
         share(lint),
         share(unattributed),
-        covered * 100.0
+        covered * 100.0,
+        per_typecheck(order),
+        per_typecheck(alloc),
     );
     assert!(
         share(cleanup) <= 0.15,
@@ -128,5 +147,13 @@ fn lenet5_analysis_costs_what_its_input_costs_and_the_report_accounts_for_the_co
         covered >= 0.95,
         "total_time covers {:.1} % of the compile's wall",
         covered * 100.0
+    );
+    assert!(
+        per_typecheck(order) <= 8.0,
+        "order pass {order:?} vs typecheck pass {typecheck:?}"
+    );
+    assert!(
+        per_typecheck(alloc) <= 5.25,
+        "alloc pass {alloc:?} vs typecheck pass {typecheck:?}"
     );
 }

@@ -294,6 +294,93 @@ fn frac_field_laws() {
     }
 }
 
+/// A magnitude in `[2^64, 2^66)`, beyond `u64`.
+fn wide(rng: &mut StdRng) -> i128 {
+    (1 << 64) + 3 * i128::from(rng.gen_range(0u64..u64::MAX))
+}
+
+/// `num / den` in lowest terms with `den > 0`, by Euclid on `i128`: the
+/// reference [`Frac`]'s machine-word fast paths must agree with.
+fn euclid(num: i128, den: i128) -> (i128, i128) {
+    let (mut a, mut b) = (num, den);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    let g = a.abs();
+    if g == 0 {
+        return (0, 1);
+    }
+    let sign = if den < 0 { -1 } else { 1 };
+    (sign * num / g, sign * den / g)
+}
+
+#[test]
+fn frac_fast_paths_match_an_i128_euclid_reference() {
+    // Each value is drawn from one of six kinds, so every fast path and the
+    // `i128` fallback (a numerator or denominator beyond `u64`) meet each
+    // other. At most one operand is wide, which keeps every product the
+    // reference forms inside `i128`.
+    let draw = |rng: &mut StdRng, kind: u32, den: i128| -> (i128, i128) {
+        let mut small = |lo: i64, hi: i64| i128::from(rng.gen_range(lo..hi));
+        let num = small(-1000, 1000);
+        match kind {
+            0 => (num, small(1, 240)),
+            1 => (num, 1),
+            2 => (0, small(1, 60)),
+            3 => (num, den),
+            // In [2^64, 2^66), beyond `u64`.
+            4 => (
+                (num.signum() | 1) * wide(rng),
+                i128::from(rng.gen_range(1i64..1 << 10)),
+            ),
+            _ => (num, wide(rng)),
+        }
+    };
+    for case in 0..4000u64 {
+        let mut rng = StdRng::seed_from_u64(0xFA57 ^ case);
+        let ka = rng.gen_range(0u32..6);
+        let (an, ad) = draw(&mut rng, ka, 60);
+        // The right operand shares the left's denominator one time in six,
+        // unless that denominator is wide.
+        let kb = if ka >= 4 {
+            rng.gen_range(0u32..3)
+        } else {
+            rng.gen_range(0u32..6)
+        };
+        let (bn, bd) = draw(&mut rng, kb, ad);
+        let (a, b) = (Frac::ratio(an, ad), Frac::ratio(bn, bd));
+        let pair = |x: Frac| (x.numer(), x.denom());
+        let (an, ad) = euclid(an, ad);
+        let (bn, bd) = euclid(bn, bd);
+        assert_eq!(pair(a), (an, ad), "case {case}: ratio");
+        assert_eq!(pair(b), (bn, bd), "case {case}: ratio");
+        assert_eq!(
+            pair(a + b),
+            euclid(an * bd + bn * ad, ad * bd),
+            "case {case}: +"
+        );
+        assert_eq!(
+            pair(a - b),
+            euclid(an * bd - bn * ad, ad * bd),
+            "case {case}: −"
+        );
+        assert_eq!(pair(a * b), euclid(an * bn, ad * bd), "case {case}: ×");
+        if bn != 0 {
+            assert_eq!(pair(a / b), euclid(an * bd, ad * bn), "case {case}: ÷");
+        }
+        assert_eq!(a.cmp(&b), (an * bd).cmp(&(bn * ad)), "case {case}: cmp");
+        let floor = an.div_euclid(ad);
+        let ceil = floor + i128::from(an.rem_euclid(ad) != 0);
+        assert_eq!(a.floor(), floor, "case {case}: floor");
+        assert_eq!(a.ceil(), ceil, "case {case}: ceil");
+        assert_eq!(
+            pair(a.paper_frac()),
+            euclid(an + ad - ceil * ad, ad),
+            "case {case}: paper_frac"
+        );
+    }
+}
+
 #[test]
 fn reserve_is_invariant_under_rescale_in_schedules() {
     // For every rescale in a compiled schedule, the reserve

@@ -301,3 +301,34 @@ fn too_deep_a_program_fails_in_each_compilers_own_pass() {
         assert!(!err.error.diagnostics.is_empty(), "{err}");
     }
 }
+
+/// A source that already holds scale management is refused by the shared
+/// cleanup, before any compiler orders or legalizes it: a `CompileError`
+/// (so `fhec` exits 1), where reserve's allocation and EVA's forward
+/// legalizer used to panic on the op.
+#[test]
+fn a_source_with_scale_management_is_a_cleanup_error_in_every_compiler() {
+    let source = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/corpus/lint/unfusable_mul_chain.fhe"
+    ))
+    .expect("the corpus file");
+    let program = fhe_ir::text::parse(&source).expect("parses");
+    let params = CompileParams::new(35);
+    let compilers: [Box<dyn ScaleCompiler>; 5] = [
+        Box::new(ReserveCompiler::with_mode(Mode::Ba)),
+        Box::new(ReserveCompiler::with_mode(Mode::Ra)),
+        Box::new(ReserveCompiler::full()),
+        Box::new(EvaCompiler),
+        Box::new(HecateCompiler::with_budget(20)),
+    ];
+    for compiler in compilers {
+        let err = compiler.compile(&program, &params).unwrap_err();
+        assert_eq!(err.compiler, compiler.name());
+        assert_eq!(err.error.pass, "cleanup", "{err}");
+        assert!(
+            err.error.diagnostics[0].contains("`rescale` at %3"),
+            "{err}"
+        );
+    }
+}
