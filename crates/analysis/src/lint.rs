@@ -230,10 +230,7 @@ pub fn lint_validated(
     let cx = AnalysisCx::scheduled(program, map);
     let intervals = analyze(&options.intervals, &cx);
     let live = analysis::live(program);
-    // The walks below index slices, not vectors: an unoptimized build
-    // indexes a slice inline but calls through `Vec`'s `Index`.
-    let (intervals, live) = (&intervals[..], &live[..]);
-    let readers = analysis::readers(program, live);
+    let readers = analysis::readers(program, &live);
     // Every op reading an upscale, live or not, for F003.
     let mut upscale_reads = Vec::new();
     for id in program.ids() {
@@ -452,7 +449,6 @@ pub fn lint_validated(
     {
         let n = program.num_ops();
         let mut live_uses = vec![0usize; n];
-        let live_uses = &mut live_uses[..];
         for id in program.ids() {
             if live[id.index()] {
                 for a in program.op(id).operands() {
@@ -471,7 +467,6 @@ pub fn lint_validated(
             }
         };
         let (mut chain, mut consumed) = (vec![0usize; n], vec![false; n]);
-        let (chain, consumed) = (&mut chain[..], &mut consumed[..]);
         for id in program.ids() {
             let Some(kind) = chain_kind(id) else { continue };
             let mut best: Option<fhe_ir::ValueId> = None;
@@ -569,7 +564,7 @@ pub fn lint_validated(
     // blocked pair materializes the full-level relinearized product the
     // fused mul·relin·rescale kernel would have skipped, plus a separate
     // level-N rescale pass.
-    for b in fhe_ir::fusion::FusionPlan::plan_read(program, live, &readers).blocked() {
+    for b in fhe_ir::fusion::FusionPlan::plan_read(program, &live, &readers).blocked() {
         let message = match &b.blocker {
             fhe_ir::Blocker::ExtraConsumers { others, is_output } => {
                 let mut pins = others

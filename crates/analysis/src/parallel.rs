@@ -28,7 +28,10 @@
 //! need no per-pair proof: the pool hands a buffer out only after its
 //! previous holder freed it, and by (1) that free happens after the last
 //! read, so pool synchronization orders the writers. What remains — and
-//! what [`check`] verifies — is exactly (1) to (3).
+//! what [`check`] verifies — is exactly (1) to (3). The linear groups it
+//! proves are returned in its [`SafetyReport`]: the memory estimate and the
+//! encrypted executor accumulate those, so a group is run only once it is
+//! proved.
 //!
 //! A schedule that fails (for instance a DAG built from true dependences
 //! only, via [`fhe_ir::DepGraph::build_true_deps`]) yields one
@@ -36,6 +39,7 @@
 //! surfaces those as `F008` findings, since an unordered read/free pair is
 //! the parallel form of the premature-free lint.
 
+use fhe_ir::analysis::LinearGroup;
 use fhe_ir::depgraph::{DepGraph, DepKind};
 use fhe_ir::semantics::rotation_class;
 use fhe_ir::{Op, ScheduledProgram, ValueId};
@@ -109,6 +113,9 @@ pub struct SafetyReport {
     /// Unordered hazards (empty = the schedule is proven race-free under
     /// any topological-order-respecting parallel execution).
     pub violations: Vec<Violation>,
+    /// The linear-combination groups obligation 3 covers, derived from the
+    /// program text ([`fhe_ir::analysis::linear_groups`]).
+    pub linear_groups: Vec<LinearGroup>,
 }
 
 impl SafetyReport {
@@ -183,30 +190,6 @@ pub fn check(
     graph: &DepGraph,
     hoist_rotations: bool,
 ) -> SafetyReport {
-    check_inner(scheduled, graph, hoist_rotations, false)
-}
-
-/// [`check`] for a graph [`DepGraph::build`] made from `scheduled` itself,
-/// as a compile and the executor make it. The readers and the
-/// linear-combination groups are then the graph's own
-/// ([`DepGraph::readers`], [`DepGraph::linear_groups`]), which it derived
-/// from the same program text with the same functions, and are not derived
-/// a second time; the obligations are the same, and the edges, which
-/// [`check`] proves, are still only asked whether they order each pair.
-pub fn check_built(
-    scheduled: &ScheduledProgram,
-    graph: &DepGraph,
-    hoist_rotations: bool,
-) -> SafetyReport {
-    check_inner(scheduled, graph, hoist_rotations, true)
-}
-
-fn check_inner(
-    scheduled: &ScheduledProgram,
-    graph: &DepGraph,
-    hoist_rotations: bool,
-    built_from_scheduled: bool,
-) -> SafetyReport {
     let program = &scheduled.program;
     let mut ancestry = Ancestry::new(graph);
     let mut report = SafetyReport::default();
@@ -215,19 +198,20 @@ fn check_inner(
     // value twice reads it once), and the live cipher rotations of every
     // source that are not the identity, grouped in schedule order of their
     // first member — the hoisted groups. Both are derived here from the
-    // program text (the readers by the graph, when it was built from it),
-    // independently of the graph's edges on purpose: they are what is
-    // proved.
+    // program text, independently of the graph (which the memory model and
+    // the executor read the hoisted groups from) on purpose: the graph is
+    // what is proved.
     let slots = program.slots();
-    let mut live = vec![false; program.num_ops()];
-    for node in graph.nodes() {
+    // `node_at[v]`: the node of a live op `v`. (The walks index slices:
+    // DESIGN.md §5, "Debug builds".)
+    let mut live_ops = vec![false; program.num_ops()];
+    let mut node_of = vec![usize::MAX; program.num_ops()];
+    let (live, node_at) = (&mut live_ops[..], &mut node_of[..]);
+    for (i, node) in graph.nodes().iter().enumerate() {
         live[node.id.index()] = true;
+        node_at[node.id.index()] = i;
     }
-    let derived = (!built_from_scheduled).then(|| fhe_ir::analysis::readers(program, &live));
-    let readers = |v: ValueId| match &derived {
-        Some(readers) => readers.get(v.index()),
-        None => graph.readers(v),
-    };
+    let readers = fhe_ir::analysis::readers(program, live);
     let mut group_of: Vec<Option<usize>> = vec![None; program.num_ops()];
     let mut groups: Vec<Vec<ValueId>> = Vec::new();
     for node in graph.nodes() {
@@ -251,7 +235,6 @@ fn check_inner(
     // Every obligation over a `DepGraph::build` graph ends there.
     // `pred_of[p] == f + 1`: node `p` is a direct predecessor of node `f`.
     let mut pred_of = vec![0; graph.nodes().len()];
-    // A slice, not a vector: an unoptimized build indexes a slice inline.
     let pred_of = &mut pred_of[..];
     for node in graph.nodes() {
         let id = node.id;
@@ -262,15 +245,15 @@ fn check_inner(
             continue; // pinned output, or never read
         };
         report.freed_values += 1;
-        let free_node = graph.node(free_op).expect("freeing op is live");
+        let free_node = node_at[free_op.index()];
         for &(p, _) in graph.preds(free_node) {
             pred_of[p] = free_node + 1;
         }
-        for &reader in readers(id) {
+        for &reader in readers.get(id.index()) {
             if reader == free_op {
                 continue;
             }
-            let reader_node = graph.node(reader).expect("readers are live");
+            let reader_node = node_at[reader.index()];
             report.obligations += 1;
             if pred_of[reader_node] != free_node + 1
                 && !ancestry.is_ancestor(reader_node, free_node)
@@ -289,9 +272,9 @@ fn check_inner(
     if hoist_rotations {
         for group in &groups {
             let leader = group[0];
-            let leader_node = graph.node(leader).expect("leader is live");
+            let leader_node = node_at[leader.index()];
             for &member in &group[1..] {
-                let member_node = graph.node(member).expect("member is live");
+                let member_node = node_at[member.index()];
                 report.obligations += 1;
                 if !ancestry.is_ancestor(leader_node, member_node) {
                     report
@@ -307,9 +290,9 @@ fn check_inner(
     // either way). One backward walk per group, from the root over true
     // edges and through the group's own adds, products and members, finds
     // every member the group's dataflow orders; only a member it misses is
-    // asked of the unrestricted search. The groups, like the obligations
+    // asked of the unrestricted search. The groups, like the readers
     // above, come from the program text.
-    let node = |v: ValueId| graph.node(v).expect("group values are live");
+    let node = |v: ValueId| node_at[v.index()];
     // `in_group[i] == g` / `reached[i] == g` / `counted[i] == g`: node `i`
     // belongs to / was reached by the walk of / was counted as a member of
     // the group numbered `g`, from 1.
@@ -317,14 +300,8 @@ fn check_inner(
     let (mut in_group, mut reached, mut counted) = (vec![0; nodes], vec![0; nodes], vec![0; nodes]);
     let (in_group, reached, counted) = (&mut in_group[..], &mut reached[..], &mut counted[..]);
     let mut stack = Vec::new();
-    let derived;
-    let groups = if built_from_scheduled {
-        graph.linear_groups()
-    } else {
-        derived = fhe_ir::analysis::linear_groups(program, &live);
-        &derived
-    };
-    for (g, group) in (1..).zip(groups) {
+    let linear_groups = fhe_ir::analysis::linear_groups_read(program, live, &readers);
+    for (g, group) in (1..).zip(&linear_groups) {
         let root = group.root;
         let root_node = node(root);
         for &(member, product) in &group.terms {
@@ -367,6 +344,7 @@ fn check_inner(
         });
     }
 
+    report.linear_groups = linear_groups;
     report
 }
 
@@ -486,6 +464,9 @@ mod tests {
         let map = s.validate().expect("valid");
         let full = DepGraph::build(&s, &map, &CostModel::paper_table3(), false);
         let bare = DepGraph::build_true_deps(&s, &map, &CostModel::paper_table3());
+        let live = fhe_ir::analysis::live(&s.program);
+        let groups = fhe_ir::analysis::linear_groups(&s.program, &live);
+        assert_eq!(groups.len(), 1);
         for graph in [&full, &bare] {
             let report = check(&s, graph, false);
             assert_eq!(report.linear_members, 2);
@@ -493,6 +474,9 @@ mod tests {
                 .violations
                 .iter()
                 .any(|v| matches!(v, Violation::UnorderedLinearMember { .. })));
+            // The groups the memory estimate and the executor take are the
+            // program's, whichever graph was checked.
+            assert_eq!(report.linear_groups, groups);
         }
     }
 

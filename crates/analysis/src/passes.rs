@@ -53,10 +53,10 @@ pub fn finish_verified(
 }
 
 /// Builds the dependence DAG of the schedule, notes its work/span/width
-/// profile and leaves it in [`PassCx::parallelism`], leaves the memory
-/// estimate read off the same graph in [`PassCx::memory`], and proves the
-/// schedule race-free for topological-order parallel execution via
-/// [`parallel::check_built`].
+/// profile and leaves it in [`PassCx::parallelism`], proves the schedule
+/// race-free for topological-order parallel execution via
+/// [`parallel::check`], and leaves the memory estimate read off the same
+/// graph and the proved linear groups in [`PassCx::memory`].
 ///
 /// Never fails the compile: the profile is informative and a safety
 /// violation is surfaced as an `F008` error finding (the parallel form of
@@ -65,8 +65,6 @@ pub fn finish_verified(
 /// (`ExecOptions::rotation_hoisting`), so the report's bounds assume it.
 fn depgraph(cx: &mut PassCx, scheduled: &ScheduledProgram, map: &ScaleMap) {
     let graph = DepGraph::build(scheduled, map, &cx.cost_model, true);
-    let memory = estimate_memory(scheduled, map, 2 * scheduled.program.slots(), &graph);
-    cx.memory = Some(memory);
     let est = graph.estimate();
     cx.note(format!(
         "work {:.1}us, span {:.1}us, parallelism {:.2}x, max width {}",
@@ -76,7 +74,10 @@ fn depgraph(cx: &mut PassCx, scheduled: &ScheduledProgram, map: &ScaleMap) {
         est.max_width
     ));
     cx.parallelism = Some(est);
-    let safety = parallel::check_built(scheduled, &graph, true);
+    let safety = parallel::check(scheduled, &graph, true);
+    let slots = scheduled.program.slots();
+    let memory = estimate_memory(scheduled, map, 2 * slots, &graph, &safety.linear_groups);
+    cx.memory = Some(memory);
     if safety.race_free() {
         cx.note(format!(
             "parallel-safety: proved race-free ({} obligation(s), {} freed value(s))",

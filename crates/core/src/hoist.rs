@@ -136,16 +136,12 @@ impl<'m> Dag<'m> {
         }
     }
 
-    // The per-value tables are read through slices: an unoptimized build
-    // indexes a slice inline but calls through `Vec`'s `Index`.
-
     fn level(&self, v: ValueId) -> u32 {
-        self.map.level(ValueId(self.state.as_slice()[v.index()]))
+        self.map.level(ValueId(self.state[v.index()]))
     }
 
     fn same_state(&self, a: ValueId, b: ValueId) -> bool {
-        let state = self.state.as_slice();
-        let (a, b) = (state[a.index()], state[b.index()]);
+        let (a, b) = (self.state[a.index()], self.state[b.index()]);
         a == b
             || (a != PLAIN && b != PLAIN && {
                 let (a, b) = (ValueId(a), ValueId(b));
@@ -158,7 +154,7 @@ impl<'m> Dag<'m> {
     /// distinct rescales, neither a program output, of values in the same
     /// state.
     fn candidate(&self, add: ValueId) -> Option<[ValueId; 2]> {
-        let (ops, output) = (self.ops.as_slice(), self.output.as_slice());
+        let (ops, output) = (&self.ops, &self.output);
         let (Op::Add(a, b) | Op::Sub(a, b)) = ops[add.index()] else {
             return None;
         };
@@ -181,8 +177,7 @@ impl<'m> Dag<'m> {
     fn decide(&mut self, dirty: &[ValueId]) -> Vec<(ValueId, [ValueId; 2])> {
         self.round += 1;
         let round = self.round;
-        let mut visits = std::mem::take(&mut self.visit);
-        let visit = visits.as_mut_slice();
+        let mut visit = std::mem::take(&mut self.visit);
         let mut applied = Vec::new();
         let (mut adds, mut sources) = (Vec::new(), Vec::new());
         for &start in dirty {
@@ -244,7 +239,7 @@ impl<'m> Dag<'m> {
                 applied.extend_from_slice(&adds);
             }
         }
-        self.visit = visits;
+        self.visit = visit;
         applied.sort_unstable();
         applied
     }
@@ -313,9 +308,8 @@ impl<'m> Dag<'m> {
     /// by its live rescales, newest first.
     fn finish(self, source: &Program) -> Program {
         let mut dest = Program::with_capacity(source.name(), source.slots(), self.ops.len());
-        let mut ids = vec![ValueId(u32::MAX); self.ops.len()];
-        let id = ids.as_mut_slice();
-        let (ops, dropped, behind) = (&self.ops[..], &self.dropped[..], &self.behind[..]);
+        let mut id = vec![ValueId(u32::MAX); self.ops.len()];
+        let (ops, dropped, behind) = (&self.ops, &self.dropped, &self.behind);
         let mut emit = |v: ValueId, dest: &mut Program| {
             if !dropped[v.index()] {
                 id[v.index()] = dest.push(ops[v.index()].map_operands(|o| id[o.index()]));
@@ -329,7 +323,7 @@ impl<'m> Dag<'m> {
                 next = behind[rs.index()];
             }
         }
-        dest.set_outputs(self.outputs.iter().map(|o| ids[o.index()]).collect());
+        dest.set_outputs(self.outputs.iter().map(|o| id[o.index()]).collect());
         dest
     }
 }
@@ -380,7 +374,7 @@ impl Users {
     }
 
     fn get(&self, v: ValueId) -> &[ValueId] {
-        match &self.list.as_slice()[v.index()] {
+        match &self.list[v.index()] {
             List::Base(i) => self.base.get(*i),
             List::Own(list) => list,
             List::One(user) => std::slice::from_ref(user),

@@ -102,11 +102,6 @@ pub struct Lists<T> {
 }
 
 impl<T> Lists<T> {
-    /// List `i` is `items[start[i]..start[i + 1]]`.
-    pub(crate) fn from_parts(start: Vec<usize>, items: Vec<T>) -> Self {
-        Lists { start, items }
-    }
-
     /// No lists yet, with room for `items` items; [`Lists::push_list`]
     /// appends lists `0, 1, 2, …` in turn.
     pub(crate) fn with_capacity(items: usize) -> Self {
@@ -284,138 +279,98 @@ pub struct LinearGroup {
 /// gather members of several sources. Independent of the hoisting
 /// setting: hoisting only decides whether members share a decomposition.
 pub fn linear_groups(program: &Program, live: &[bool]) -> Vec<LinearGroup> {
-    let mut reads = Reads::new(program.num_ops());
+    linear_groups_read(program, live, &readers(program, live))
+}
+
+/// [`linear_groups`], read off the live readers of every value
+/// (`readers`, as [`readers`] lists them).
+pub fn linear_groups_read(
+    program: &Program,
+    live: &[bool],
+    readers: &Lists<ValueId>,
+) -> Vec<LinearGroup> {
+    let n = program.num_ops();
+    // An output is pinned: a use no op makes. Per live op: whether it adds
+    // two distinct ciphertexts, and whether it is a cipher × plain product;
+    // every such add, and every product with its cipher operand, in
+    // schedule order.
+    let (mut output, mut cipher_add, mut product) =
+        (vec![false; n], vec![false; n], vec![false; n]);
+    for &o in program.outputs() {
+        output[o.index()] = true;
+    }
+    let (mut adds, mut products) = (Vec::new(), Vec::new());
     for id in program.ids() {
-        if live[id.index()] {
-            reads.read(program, id);
+        if !live[id.index()] {
+            continue;
         }
-    }
-    reads.pin_outputs(program);
-    reads.linear_groups(program, live)
-}
-
-/// What [`linear_groups`] reads off the live ops, counted in one sweep a
-/// caller may share: the live uses of every value by operand occurrence
-/// (plus output pins), its last live user, the live non-identity cipher
-/// rotations of every source — two or more make each a possible member
-/// (they form a rotation group) — and the live cipher × plain products,
-/// with their cipher operand, in schedule order.
-#[derive(Debug, Clone)]
-pub(crate) struct Reads {
-    pub(crate) uses: Vec<u32>,
-    /// `u32::MAX` for a value no live op reads.
-    pub(crate) user: Vec<ValueId>,
-    rotations: Vec<u32>,
-    products: Vec<(ValueId, ValueId)>,
-}
-
-impl Reads {
-    pub(crate) fn new(n: usize) -> Self {
-        Reads {
-            uses: vec![0; n],
-            user: vec![ValueId(u32::MAX); n],
-            rotations: vec![0; n],
-            products: Vec::new(),
-        }
-    }
-
-    /// Counts the live op `id`; live ops come in schedule order.
-    pub(crate) fn read(&mut self, program: &Program, id: ValueId) {
-        for a in program.op(id).operands() {
-            self.read_operand(a, id);
-        }
-        self.read_op(program, id);
-    }
-
-    /// Counts one operand occurrence `a` of the live op `id`.
-    pub(crate) fn read_operand(&mut self, a: ValueId, id: ValueId) {
-        self.uses[a.index()] += 1;
-        self.user[a.index()] = id;
-    }
-
-    /// Counts the live op `id` itself, once its operands are read.
-    pub(crate) fn read_op(&mut self, program: &Program, id: ValueId) {
         match *program.op(id) {
-            Op::Rotate(..) => {
-                if let Some((a, _)) = key_switched_rotation(program, id) {
-                    self.rotations[a.index()] += 1;
-                }
+            Op::Add(a, b) if a != b && program.is_cipher(a) && program.is_cipher(b) => {
+                cipher_add[id.index()] = true;
+                adds.push(id);
             }
             Op::Mul(a, b) if program.is_cipher(a) != program.is_cipher(b) => {
-                let c = if program.is_cipher(a) { a } else { b };
-                self.products.push((c, id));
+                product[id.index()] = true;
+                products.push((if program.is_cipher(a) { a } else { b }, id));
             }
             _ => {}
         }
     }
-
-    /// Counts the output pins, once every live op is read.
-    pub(crate) fn pin_outputs(&mut self, program: &Program) {
-        for &o in program.outputs() {
-            self.uses[o.index()] += 1;
-        }
-    }
-
-    /// [`linear_groups`] from the counts.
-    pub(crate) fn linear_groups(&self, program: &Program, live: &[bool]) -> Vec<LinearGroup> {
-        linear_groups_read(program, live, self)
-    }
-}
-
-fn linear_groups_read(program: &Program, live: &[bool], reads: &Reads) -> Vec<LinearGroup> {
-    let n = program.num_ops();
-    // Slices, not vectors: an unoptimized build indexes a slice inline but
-    // calls through `Vec`'s `Index`.
-    let (uses, user, rotations) = (&reads.uses[..], &reads.user[..], &reads.rotations[..]);
-    // The one cipher + cipher add reading `v`, if that is its only use.
-    let sole_add = |v: ValueId| {
-        if uses[v.index()] != 1 {
-            return None;
-        }
-        let u = user[v.index()];
-        if u.0 == u32::MAX {
-            return None; // pinned as an output only
-        }
-        match *program.op(u) {
-            Op::Add(a, b) if a != b && program.is_cipher(a) && program.is_cipher(b) => Some(u),
-            _ => None,
-        }
+    // The one cipher + cipher add reading `v`, if that is its only use (such
+    // an add names each operand once).
+    let sole_add = |v: ValueId| match *readers.get(v.index()) {
+        [u] if !output[v.index()] && cipher_add[u.index()] => Some(u),
+        _ => None,
     };
-    // `(member, product)` for every live cipher × plain product of a
-    // possible member. A member: every live use is such a product, each
-    // the sole operand of a cipher + cipher add.
-    let mut candidates = Vec::new();
-    let (mut products, mut unsummed) = (vec![0u32; n], vec![false; n]);
-    let (products, unsummed) = (&mut products[..], &mut unsummed[..]);
-    for &(m, id) in &reads.products {
-        let Some((s, _)) = key_switched_rotation(program, m) else {
-            continue;
-        };
-        if live[m.index()] && rotations[s.index()] >= 2 {
-            candidates.push((m, id));
-            products[m.index()] += 1;
-            unsummed[m.index()] |= sole_add(id).is_none();
+    // Whether a source has two or more key-switched rotations, and whether
+    // a value is a member: one of them, every live use of which is a
+    // product (naming it once) that is the sole operand of a cipher +
+    // cipher add, `up[product]`. Each is decided once: 0 not yet, 1 yes,
+    // 2 no.
+    let (mut grouped, mut member) = (vec![0u8; n], vec![0u8; n]);
+    let mut up = vec![ValueId(u32::MAX); n];
+    // `(member, product)` for every term, in schedule order of the product.
+    let mut terms: Vec<(ValueId, ValueId)> = Vec::new();
+    for &(m, id) in &products {
+        if member[m.index()] == 0 {
+            member[m.index()] = 2;
+            if let Some((s, _)) = key_switched_rotation(program, m) {
+                if grouped[s.index()] == 0 {
+                    let rotations = readers.get(s.index()).iter();
+                    let rotations =
+                        rotations.filter(|&&r| key_switched_rotation(program, r).is_some());
+                    grouped[s.index()] = if rotations.count() >= 2 { 1 } else { 2 };
+                }
+                let summed_product = |&r: &ValueId| {
+                    product[r.index()] && sole_add(r).map(|add| up[r.index()] = add).is_some()
+                };
+                if grouped[s.index()] == 1
+                    && !output[m.index()]
+                    && readers.get(m.index()).iter().all(summed_product)
+                {
+                    member[m.index()] = 1;
+                }
+            }
+        }
+        if member[m.index()] == 1 {
+            terms.push((m, id));
         }
     }
-    let terms: Vec<(ValueId, ValueId)> = (candidates.into_iter())
-        .filter(|&(m, _)| products[m.index()] == uses[m.index()] && !unsummed[m.index()])
-        .collect();
     // The root every product's chain of single-use adds ends at, for the
-    // product and each add on the way: the values a group absorbs. Each
-    // value is walked once.
+    // product and each add on the way (`up` links the chain): the values a
+    // group absorbs. Each value is walked once up and once to record it.
     let (mut root_at, mut is_root) = (vec![ValueId(u32::MAX); n], vec![false; n]);
-    let (root_at, is_root) = (&mut root_at[..], &mut is_root[..]);
+    let (root_at, is_root, up) = (&mut root_at[..], &mut is_root[..], &mut up[..]);
     let mut roots = Vec::new();
-    let mut path = Vec::new();
     for &(_, product) in &terms {
-        let mut node = product;
+        let mut node = up[product.index()];
         let root = loop {
             if root_at[node.index()].0 != u32::MAX {
                 break root_at[node.index()];
             }
             match sole_add(node) {
                 Some(next) => {
-                    path.push(node);
+                    up[node.index()] = next;
                     node = next;
                 }
                 None => break node,
@@ -425,8 +380,10 @@ fn linear_groups_read(program: &Program, live: &[bool], reads: &Reads) -> Vec<Li
             is_root[root.index()] = true;
             roots.push(root);
         }
-        for v in path.drain(..) {
+        let mut v = product;
+        while v != root && root_at[v.index()].0 == u32::MAX {
             root_at[v.index()] = root;
+            v = up[v.index()];
         }
     }
     // Group `g` is the `g`-th root in schedule order.
@@ -447,8 +404,8 @@ fn linear_groups_read(program: &Program, live: &[bool], reads: &Reads) -> Vec<Li
     for (member, product) in terms {
         groups[group_of(product)].terms.push((member, product));
     }
-    for add in program.ids() {
-        if root_at[add.index()].0 != u32::MAX && matches!(program.op(add), Op::Add(..)) {
+    for add in adds {
+        if root_at[add.index()].0 != u32::MAX {
             groups[group_of(add)].adds.push(add);
         }
     }

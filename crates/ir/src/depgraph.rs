@@ -22,19 +22,21 @@
 //! (`T(1)` = work, `T(∞)` → span).
 //!
 //! The graph is the one place the runtime's buffer discipline is derived —
-//! liveness, free points, hoisted rotation groups and linear-combination
-//! groups; the memory model ([`crate::memory::estimate_memory`]) and the
-//! encrypted executor read them from it. The parallel-safety checker in
-//! `fhe-analysis` derives them itself, from the program text, and proves
-//! the DAG orders every hazard: every reader of a ciphertext is an
-//! ancestor of the op that frees it, so *any* topological-order-respecting
-//! parallel execution observes the free after the last read.
+//! liveness, free points and hoisted rotation groups; the memory model
+//! ([`crate::memory::estimate_memory`]) and the encrypted executor read
+//! them from it. The parallel-safety checker in `fhe-analysis` derives the
+//! readers and the linear-combination groups itself, from the program
+//! text, and proves the DAG orders every hazard: every reader of a
+//! ciphertext is an ancestor of the op that frees it, so *any*
+//! topological-order-respecting parallel execution observes the free after
+//! the last read. The groups it proves are the ones the memory model and
+//! the executor accumulate.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
-use crate::analysis::{LinearGroup, Lists, Reads};
+use crate::analysis::Lists;
 use crate::cost::{class_index, CostModel, OpClass};
 use crate::op::ValueId;
 use crate::schedule::{ScaleMap, ScheduledProgram};
@@ -135,7 +137,8 @@ impl ParallelismEstimate {
 pub struct DepGraph {
     nodes: Vec<DepNode>,
     node_of: Vec<Option<usize>>,
-    /// Each node's predecessors, in the order its edges were found.
+    /// Each node's predecessors: true (in operand order), anti (by the id
+    /// of the value freed), then output.
     preds: Lists<(usize, DepKind)>,
     /// Each node's earliest finish time under unbounded width (the
     /// longest-path DP; the maximum entry is the span).
@@ -144,10 +147,8 @@ pub struct DepGraph {
     /// built on first use (a compile's analyses walk only `preds`).
     succs: OnceLock<Lists<(usize, DepKind)>>,
     free_at: Vec<Option<ValueId>>,
-    readers: Lists<ValueId>,
     hoist_rotations: bool,
     rotation_groups: HashMap<ValueId, Vec<(ValueId, i64)>>,
-    linear_groups: Vec<LinearGroup>,
 }
 
 impl DepGraph {
@@ -194,9 +195,8 @@ impl DepGraph {
         // none for an output); and the walk counts every value's live
         // readers (`analysis::readers`: an op naming a value twice reads it
         // once), whose lists the sweep below fills in schedule order.
-        //
-        // Here and below, loops index slices, not vectors: an unoptimized
-        // build indexes a slice inline but calls through `Vec`'s `Index`.
+        // (Here and below, the walks index slices: DESIGN.md §5, "Debug
+        // builds".)
         let mut live_ops = vec![false; n_vals];
         let mut free_points: Vec<Option<ValueId>> = vec![None; n_vals];
         let mut starts = vec![0usize; n_vals + 1];
@@ -248,25 +248,23 @@ impl DepGraph {
         }
 
         // One sweep over the live ops: the nodes, priced per (level, class)
-        // pair once; the reads the linear groups are found from; and each
-        // node's predecessors, in turn, with its earliest finish.
+        // pair once; the readers, for the anti dependences; and each node's
+        // predecessors, in turn, with its earliest finish.
         //
-        // True dependences run operand → user; their one duplicate is an op
-        // naming the same operand twice. Anti dependences: every other
-        // reader of a ciphertext must finish before the op that frees it
-        // (write-after-read on the pool slot); their one duplicate is a
-        // reader of two values the op frees. Output dependences: a hoisted
-        // rotation group's leader publishes the decomposition its later
-        // members read; they are ordered after it.
+        // True dependences run operand → user, in operand order; their one
+        // duplicate is an op naming the same operand twice. Anti
+        // dependences: every other reader of a ciphertext must finish
+        // before the op that frees it (write-after-read on the pool slot),
+        // by the id of the value freed; their one duplicate is a reader of
+        // two values the op frees. Output dependences: a hoisted rotation
+        // group's leader publishes the decomposition its later members
+        // read; they are ordered after it.
         let mut nodes = Vec::with_capacity(n);
         let mut preds = Lists::with_capacity(3 * n);
-        let mut reads = Reads::new(n_vals);
         let mut price: Vec<[Option<f64>; OpClass::ALL.len()]> = Vec::new();
-        // `anti[u] == t + 1`: node `u` is already an anti predecessor of
-        // `t`, whose anti predecessors follow its true ones.
+        // `anti[u] == t + 1`: node `u` is already an anti predecessor of `t`.
         let mut antis = vec![0; n];
         let anti = &mut antis[..];
-        let mut anti_preds = Vec::new();
         let mut finish: Vec<f64> = Vec::with_capacity(n);
         for id in program.ids() {
             if !live[id.index()] {
@@ -288,8 +286,10 @@ impl DepGraph {
             nodes.push(DepNode { id, class, cost_us });
             let mut begin = 0.0f64;
             let mut prev = None;
+            // The ciphertexts `id` frees (an op has at most two operands),
+            // their anti dependences added by id below.
+            let (mut first, mut second) = (None, None);
             for a in program.op(id).operands() {
-                reads.read_operand(a, id);
                 if prev == Some(a) {
                     continue;
                 }
@@ -299,23 +299,29 @@ impl DepGraph {
                 let from = node_of[a.index()].expect("a live op's operands are live");
                 begin = begin.max(finish[from]);
                 preds.push_item((from, DepKind::True));
-                if !hazard_edges || free_at[a.index()] != Some(id) || !program.is_cipher(a) {
-                    continue;
+                if hazard_edges && free_at[a.index()] == Some(id) && program.is_cipher(a) {
+                    if first.is_none() {
+                        first = Some(a);
+                    } else {
+                        second = Some(a);
+                    }
                 }
+            }
+            if second < first {
+                (first, second) = (second, first);
+            }
+            for a in [first, second] {
+                let Some(a) = a else { continue };
                 // `id` is the last reader, so the list is whole.
                 for &u in &reader[start[a.index()]..start[a.index() + 1]] {
                     let ui = node_of[u.index()].expect("readers are live");
                     if u != id && anti[ui] != t + 1 {
                         anti[ui] = t + 1;
                         begin = begin.max(finish[ui]);
-                        anti_preds.push((ui, DepKind::Anti));
+                        preds.push_item((ui, DepKind::Anti));
                     }
                 }
             }
-            for pred in anti_preds.drain(..) {
-                preds.push_item(pred);
-            }
-            reads.read_op(program, id);
             if leader[id.index()] != 0 {
                 let l = leader[id.index()] - 1;
                 begin = begin.max(finish[l]);
@@ -324,17 +330,13 @@ impl DepGraph {
             preds.push_list();
             finish.push(begin + cost_us);
         }
-        reads.pin_outputs(program);
-
         DepGraph {
-            linear_groups: reads.linear_groups(program, live),
             nodes,
             node_of: nodes_of,
             preds,
             finish,
             succs: OnceLock::new(),
             free_at: free_points,
-            readers: Lists::from_parts(starts, readers),
             hoist_rotations,
             rotation_groups,
         }
@@ -372,12 +374,6 @@ impl DepGraph {
         }
     }
 
-    /// The live readers of `id` in schedule order
-    /// ([`crate::analysis::readers`]).
-    pub fn readers(&self, id: ValueId) -> &[ValueId] {
-        self.readers.get(id.index())
-    }
-
     /// Whether the graph was built with rotation hoisting.
     pub fn hoists_rotations(&self) -> bool {
         self.hoist_rotations
@@ -387,11 +383,6 @@ impl DepGraph {
     /// ([`crate::analysis::rotation_groups`]; none without hoisting).
     pub fn rotation_groups(&self) -> &HashMap<ValueId, Vec<(ValueId, i64)>> {
         &self.rotation_groups
-    }
-
-    /// The linear-combination groups ([`crate::analysis::linear_groups`]).
-    pub fn linear_groups(&self) -> &[LinearGroup] {
-        &self.linear_groups
     }
 
     /// The ops of one critical path, in execution order.
@@ -863,6 +854,31 @@ mod tests {
                 (node(x), DepKind::True),
                 (node(y), DepKind::True),
                 (node(u), DepKind::Anti)
+            ]
+        );
+    }
+
+    #[test]
+    fn anti_predecessors_follow_the_true_ones_by_the_id_of_the_value_freed() {
+        // f names y before x and frees both; x's other reader comes first.
+        let mut p = Program::new("t", 8);
+        let x = p.push(Op::Input { name: "x".into() });
+        let y = p.push(Op::Input { name: "y".into() });
+        let reads_y = p.push(Op::Neg(y));
+        let reads_x = p.push(Op::Neg(x));
+        let f = p.push(Op::Sub(y, x));
+        let both = p.push(Op::Add(reads_y, reads_x));
+        let out = p.push(Op::Add(both, f));
+        p.set_outputs(vec![out]);
+        let g = graph(p);
+        let node = |id| g.node(id).unwrap();
+        assert_eq!(
+            g.preds(node(f)),
+            [
+                (node(y), DepKind::True),
+                (node(x), DepKind::True),
+                (node(reads_x), DepKind::Anti),
+                (node(reads_y), DepKind::Anti)
             ]
         );
     }

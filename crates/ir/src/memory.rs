@@ -2,9 +2,10 @@
 //!
 //! Mirrors the runtime's allocation discipline — pooled temporaries per
 //! op, last-use freeing of dead ciphertexts, hoisted rotation groups,
-//! linear-combination groups accumulated before the division by `P`, all
-//! four read from the schedule's [`DepGraph`], which the executor walks —
-//! and produces a peak-bytes bound that must dominate every measured
+//! linear-combination groups accumulated before the division by `P` — the
+//! first three read from the schedule's [`DepGraph`], which the executor
+//! walks, and the groups as the parallel-safety proof returns them — and
+//! produces a peak-bytes bound that must dominate every measured
 //! `MemStats::peak_bytes` (the fuzz oracle asserts this). All polynomial
 //! figures are counted in *limbs* (one limb = `N × 8` bytes) and
 //! converted at the end; key material and key-switch digits are counted
@@ -13,6 +14,7 @@
 //! counted at the level [`key_levels`] reads off the schedule — the one the
 //! runtime generates it at.
 
+use crate::analysis::LinearGroup;
 use crate::depgraph::DepGraph;
 use crate::hash::Interner;
 use crate::op::{Op, ValueId};
@@ -120,9 +122,11 @@ pub struct MemoryEstimate {
 /// mark, and frees each ciphertext after its last use — exactly the
 /// discipline of the encrypted executor. `poly_degree` is the
 /// backend's `N` (the runtime requires `N = 2 × slots`). `graph` is the
-/// schedule's [`DepGraph`], which supplies liveness, free points and both
-/// kinds of group: a hoisted rotation group (present when the graph was
-/// built with hoisting, the executor's setting) keeps its shared digit
+/// schedule's [`DepGraph`], which supplies liveness, free points and the
+/// hoisted rotation groups, and `linear_groups` are its linear-combination
+/// groups ([`crate::analysis::linear_groups`], as the parallel-safety
+/// proof returns them). A hoisted rotation group (present when the graph
+/// was built with hoisting, the executor's setting) keeps its shared digit
 /// decomposition live from its first member to its last, and a
 /// linear-combination group holds one partial sum, `2(l+α) + 2l` limbs,
 /// from its first member to its root — what the one-runner walk holds —
@@ -132,6 +136,7 @@ pub fn estimate_memory(
     map: &ScaleMap,
     poly_degree: usize,
     graph: &DepGraph,
+    linear_groups: &[LinearGroup],
 ) -> MemoryEstimate {
     let program = &scheduled.program;
     let limb_bytes = (poly_degree * 8) as u64;
@@ -141,8 +146,7 @@ pub fn estimate_memory(
     let n = program.num_ops();
     // Per hoisted rotation group: the member that checks its digits out,
     // the one that returns them, and every member's place in one. (The
-    // walks index slices, not vectors: an unoptimized build indexes a slice
-    // inline but calls through `Vec`'s `Index`.)
+    // walks index slices: DESIGN.md §5, "Debug builds".)
     let (mut grouped, mut leads, mut closes) = (vec![false; n], vec![false; n], vec![false; n]);
     let (grouped, leads, closes) = (&mut grouped[..], &mut leads[..], &mut closes[..]);
     for group in graph.rotation_groups().values() {
@@ -161,7 +165,7 @@ pub fn estimate_memory(
     let (mut partial_at, mut finished_at) = (vec![0u64; n], vec![0u64; n]);
     let (absorbed, fed, fed_last) = (&mut absorbed[..], &mut fed[..], &mut fed_last[..]);
     let (partial_at, finished_at) = (&mut partial_at[..], &mut finished_at[..]);
-    for (g, group) in (1..).zip(graph.linear_groups()) {
+    for (g, group) in (1..).zip(linear_groups) {
         let l = u64::from(map.level(group.root));
         let partial = 2 * (l + alpha) + 2 * l;
         let mut first = group.root;
@@ -294,7 +298,9 @@ mod tests {
     /// rotation hoisting on or off.
     fn estimate(s: &ScheduledProgram, map: &ScaleMap, n: usize, hoist: bool) -> MemoryEstimate {
         let graph = DepGraph::build(s, map, &crate::cost::CostModel::paper_table3(), hoist);
-        estimate_memory(s, map, n, &graph)
+        let live = crate::analysis::live(&s.program);
+        let groups = crate::analysis::linear_groups(&s.program, &live);
+        estimate_memory(s, map, n, &graph, &groups)
     }
 
     fn scheduled(p: crate::program::Program) -> ScheduledProgram {

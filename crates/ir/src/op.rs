@@ -243,11 +243,7 @@ pub struct OperandIter {
 impl Iterator for OperandIter {
     type Item = ValueId;
     fn next(&mut self) -> Option<ValueId> {
-        // `b` is only set with `a`: shift it forward.
-        let next = self.a;
-        self.a = self.b;
-        self.b = None;
-        next
+        self.a.take().or_else(|| self.b.take())
     }
 }
 

@@ -126,10 +126,7 @@ impl Program {
 
     /// Ids of all values, in topological order.
     pub fn ids(&self) -> impl DoubleEndedIterator<Item = ValueId> + '_ {
-        Ids {
-            next: 0,
-            end: self.ops.len() as u32,
-        }
+        (0..self.ops.len() as u32).map(ValueId)
     }
 
     /// The declared outputs.
@@ -176,40 +173,6 @@ impl Program {
             Op::Input { name: n } => n == name,
             _ => false,
         })
-    }
-}
-
-/// The ids `next..end`, in order: [`Program::ids`], with no adaptor over a
-/// range to call through per id in an unoptimized build.
-struct Ids {
-    next: u32,
-    end: u32,
-}
-
-impl Iterator for Ids {
-    type Item = ValueId;
-
-    fn next(&mut self) -> Option<ValueId> {
-        if self.next == self.end {
-            return None;
-        }
-        self.next += 1;
-        Some(ValueId(self.next - 1))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = (self.end - self.next) as usize;
-        (len, Some(len))
-    }
-}
-
-impl DoubleEndedIterator for Ids {
-    fn next_back(&mut self) -> Option<ValueId> {
-        if self.next == self.end {
-            return None;
-        }
-        self.end -= 1;
-        Some(ValueId(self.end))
     }
 }
 

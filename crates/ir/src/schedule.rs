@@ -69,12 +69,7 @@ impl ScaleMap {
     /// The highest level of any ciphertext value (the modulus level a key
     /// must provide).
     pub fn max_level(&self) -> u32 {
-        // `None` orders below every level.
-        let mut max = None;
-        for &level in &self.level {
-            max = max.max(level);
-        }
-        max.unwrap_or(1)
+        self.level.iter().flatten().copied().max().unwrap_or(1)
     }
 }
 
@@ -242,10 +237,10 @@ impl ScheduledProgram {
         let params = &self.params;
         let mut errors = Vec::new();
         let n = p.num_ops();
-        let (mut scale_bits, mut level) = (vec![None; n], vec![None; n]);
-        // Slices, not vectors: an unoptimized build indexes a slice inline
-        // but calls through `Vec`'s `Index`.
-        let (scales, levels) = (&mut scale_bits[..], &mut level[..]);
+        let mut map = ScaleMap {
+            scale_bits: vec![None; n],
+            level: vec![None; n],
+        };
 
         if self.inputs.len() != p.inputs().len() {
             return Err(vec![ScheduleError::InputArity {
@@ -266,7 +261,7 @@ impl ScheduledProgram {
                 continue;
             }
             let cipher = |v: ValueId| -> Option<(Frac, u32)> {
-                Some((scales[v.index()]?, levels[v.index()]?))
+                Some((map.scale_bits[v.index()]?, map.level[v.index()]?))
             };
             // Derive (scale, level); None when an operand failed earlier.
             let derived: Option<(Frac, u32)> = match p.op(id) {
@@ -360,13 +355,13 @@ impl ScheduledProgram {
                 if level > params.max_level {
                     errors.push(ScheduleError::ExceedsMaxLevel { op: id, level });
                 }
-                scales[id.index()] = Some(scale);
-                levels[id.index()] = Some(level);
+                map.scale_bits[id.index()] = Some(scale);
+                map.level[id.index()] = Some(level);
             }
         }
 
         if errors.is_empty() {
-            Ok(ScaleMap { scale_bits, level })
+            Ok(map)
         } else {
             Err(errors)
         }

@@ -586,8 +586,9 @@ pub fn execute_parallel(
 ///    its own, so hoisting on and off are byte-identical.
 ///
 /// 5. **Accumulation never changes bytes across widths or hoisting.** Every
-///    linear-combination group ([`DepGraph::linear_groups`]) runs
-///    as one accumulation over `Q_l·P`: each member adds its rotation times
+///    linear-combination group (as the safety proof returns it,
+///    [`fhe_analysis::SafetyReport::linear_groups`]) runs as one
+///    accumulation over `Q_l·P`: each member adds its rotation times
 ///    its plaintexts to a partial sum it takes from the group's list (or
 ///    starts) and puts back ([`Evaluator::try_accumulate_rotation`]), the
 ///    products and the adds between them are never materialized, an add
@@ -679,7 +680,7 @@ pub fn execute_parallel_with_keys(
     // topological order is race-free under the freeing discipline.
     let hoisting = options.exec.rotation_hoisting;
     let graph = DepGraph::build(scheduled, &map, &CostModel::paper_table3(), hoisting);
-    let safety = fhe_analysis::parallel::check_built(scheduled, &graph, hoisting);
+    let safety = fhe_analysis::parallel::check(scheduled, &graph, hoisting);
     assert!(
         safety.race_free(),
         "schedule failed the parallel-safety proof: {:?}",
@@ -695,7 +696,7 @@ pub fn execute_parallel_with_keys(
     let hoist_groups: HashMap<ValueId, HoistGroup> = (graph.rotation_groups().iter())
         .map(|(&source, members)| (source, HoistGroup::new(members)))
         .collect();
-    let linear = LinearPlan::new(program, &map, &graph);
+    let linear = LinearPlan::new(program, &map, &safety.linear_groups);
 
     // Fusion plan, demoted per pair unless the DAG confirms the rescale
     // depends on nothing but its mul (so completing the mul is the only
@@ -991,7 +992,7 @@ impl HoistGroup {
 }
 
 /// The linear-combination groups of a schedule and what each node does in
-/// them ([`DepGraph::linear_groups`]).
+/// them ([`fhe_analysis::SafetyReport::linear_groups`]).
 struct LinearPlan {
     groups: Vec<LinearGroup>,
     roles: Vec<Option<LinearRole>>,
@@ -1023,9 +1024,12 @@ struct LinearGroup {
 }
 
 impl LinearPlan {
-    fn new(program: &fhe_ir::Program, map: &fhe_ir::ScaleMap, graph: &DepGraph) -> Self {
+    fn new(
+        program: &fhe_ir::Program,
+        map: &fhe_ir::ScaleMap,
+        found: &[fhe_ir::analysis::LinearGroup],
+    ) -> Self {
         let mut roles: Vec<Option<LinearRole>> = (0..program.num_ops()).map(|_| None).collect();
-        let found = graph.linear_groups();
         for (g, group) in found.iter().enumerate() {
             for &(member, product) in &group.terms {
                 let Op::Mul(a, b) = *program.op(product) else {

@@ -219,7 +219,9 @@ fn late_and_dead_inputs_are_bit_exact_and_within_the_static_memory_bound() {
     };
     let map = scheduled.validate().expect("a legal schedule");
     let graph = DepGraph::build(&scheduled, &map, &CostModel::paper_table3(), true);
-    let bound = estimate_memory(&scheduled, &map, 2 * slots, &graph);
+    let live = fhe_ir::analysis::live(&scheduled.program);
+    let groups = fhe_ir::analysis::linear_groups(&scheduled.program, &live);
+    let bound = estimate_memory(&scheduled, &map, 2 * slots, &graph, &groups);
 
     let inputs = [("x", 0.5), ("y", 0.25)]
         .into_iter()
