@@ -15,6 +15,7 @@
 //! the workspace depends on the exact stream, only on determinism per seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -39,7 +39,7 @@
 //!
 //! These F-codes cover the *sequential* semantics of a schedule. The
 //! *concurrent* face of the toolchain — the serve layer's queue/shutdown
-//! and single-flight protocols and the CKKS work-stealing pool — is
+//! and single-flight protocols and the DAG walker's runner loop — is
 //! checked by the `fhe-conc` interleaving model checker instead, over the
 //! models in `tests/conc_models.rs`; a failing model writes its numbered
 //! counterexample schedule to `FHE_CONC_TRACE_DIR`. See the `fhe_conc`

@@ -2,8 +2,8 @@
 //! execution of a scheduled program is race-free.
 //!
 //! The runtime (PR 5) frees a ciphertext's pooled buffer at its last use
-//! and recycles buffers through a pool; a DAG-parallel executor (the
-//! ROADMAP's work-stealing item) must therefore prove, per schedule, that
+//! and recycles buffers through a pool; a DAG-parallel executor must
+//! therefore prove, per schedule, that
 //! executing ops in *any* order compatible with the dependence DAG cannot
 //! read a freed buffer or read a hoisted group's shared decomposition
 //! before its leader wrote it. [`check`] is that proof, in the

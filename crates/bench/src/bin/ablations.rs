@@ -6,6 +6,8 @@
 //! 2. **Static error bounds**: the closed-form worst-case error estimate
 //!    (an ELASM-direction extension) next to the simulated error.
 
+#![forbid(unsafe_code)]
+
 use fhe_analysis::NoiseDomain;
 use fhe_bench::{print_table, CliArgs};
 use fhe_ir::pipeline::ScaleCompiler;

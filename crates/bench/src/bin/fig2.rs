@@ -2,6 +2,8 @@
 //! conservative plan vs the reserve analysis (step 1) vs reserve analysis +
 //! rescale hoisting (step 2). Costs in hundreds of µs, as in the figure.
 
+#![forbid(unsafe_code)]
+
 use fhe_bench::print_table;
 use fhe_ir::pipeline::ScaleCompiler;
 use fhe_ir::{Builder, CompileParams};

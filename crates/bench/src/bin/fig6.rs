@@ -4,6 +4,8 @@
 //! `--fast` uses reduced benchmarks and exploration budgets; `--json <path>`
 //! additionally writes every series point with its full compile report.
 
+#![forbid(unsafe_code)]
+
 use fhe_bench::{
     compile_all, hecate_budget, print_table, report_json, standard_compilers, CliArgs,
 };

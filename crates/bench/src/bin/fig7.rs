@@ -6,6 +6,8 @@
 //! this work's errors are at or below the baselines' because the reserve
 //! analysis does not unnecessarily minimize scales.
 
+#![forbid(unsafe_code)]
+
 use fhe_bench::{compile_all, hecate_budget, print_table, standard_compilers, CliArgs};
 use fhe_runtime::{plain, simulate, NoiseModel};
 

@@ -10,6 +10,8 @@
 //!
 //! `--json <path>` writes every (waterline, benchmark, mode) compile report.
 
+#![forbid(unsafe_code)]
+
 use fhe_bench::{ablation_compilers, compile_all, geomean, print_table, report_json, CliArgs};
 use fhe_ir::json::Json;
 

@@ -2,7 +2,7 @@
 //! `u128 %` reference kernels they replaced (DESIGN.md § Kernel
 //! optimization).
 //!
-//! Six groups, each reported as latency plus speedup over its baseline:
+//! Five groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
 //!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
@@ -16,10 +16,6 @@
 //!   encryption expand a limb per digit and limb, and a key switch the same
 //!   stream unreduced, so the run **fails** if `expand / NTT` exceeds
 //!   [`EXPAND_NTT_RATIO_MAX`].
-//! - **fanout** — `RnsPoly::to_ntt`/`to_coeff` over a full modulus chain,
-//!   serial (`threads = 1`) vs the host's worker threads (at least 2, so
-//!   the row measures the fan-out even on a one-core host, where it can
-//!   only show its overhead).
 //! - **codec** — the float↔RNS boundary at `N = 2^13`, `L = 5`: float→RNS
 //!   conversion, `encode`, `decode`, against the forward NTT of the same
 //!   six limbs as the yardstick. An encode is one FFT, one conversion and
@@ -48,6 +44,8 @@
 //! `--fast` shrinks repetitions for CI smoke runs; `--json <path>` writes
 //! the measured numbers (committed as `BENCH_kernels.json` at the repo
 //! root for drift tracking).
+
+#![forbid(unsafe_code)]
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -270,47 +268,6 @@ fn main() -> ExitCode {
         });
     }
 
-    // --- fanout: full-chain domain conversions, serial vs fanned out. ---
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let fanout_params = |threads: usize| CkksParams {
-        poly_degree: 1 << 12,
-        max_level: 6,
-        modulus_bits: 50,
-        special_bits: 51,
-        error_std: 3.2,
-        threads,
-    };
-    let serial_ctx = CkksContext::new(fanout_params(1));
-    let fanned_ctx = CkksContext::new(fanout_params(host_cores.max(2)));
-    let mut p_serial = RnsPoly::uniform(&serial_ctx, 6, true, &mut rng);
-    let mut p_fanned = RnsPoly::uniform(&fanned_ctx, 6, true, &mut rng);
-    let best = time_rotation_us(
-        reps,
-        &mut [
-            &mut || {
-                p_serial.to_coeff(&serial_ctx);
-                p_serial.to_ntt(&serial_ctx);
-            },
-            &mut || {
-                p_fanned.to_coeff(&fanned_ctx);
-                p_fanned.to_ntt(&fanned_ctx);
-            },
-        ],
-    );
-    let (serial_us, fanned_us) = (best[0], best[1]);
-    rows.push(Row {
-        group: "fanout",
-        name: "to_coeff+to_ntt x7 limbs, threads=1".into(),
-        us: serial_us,
-        baseline_us: serial_us,
-    });
-    rows.push(Row {
-        group: "fanout",
-        name: format!("to_coeff+to_ntt x7 limbs, threads={}", fanned_ctx.threads()),
-        us: fanned_us,
-        baseline_us: serial_us,
-    });
-
     // --- codec: float↔RNS at N = 2^13, L = 5, against the NTT yardstick. ---
     let codec_ctx = CkksContext::new(CkksParams {
         poly_degree: 1 << 13,
@@ -528,6 +485,7 @@ fn main() -> ExitCode {
          (must not exceed {LINEAR15_RATIO_MAX})"
     );
     assert!(sink != 0, "benchmark sink consumed");
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     args.emit_json(&Json::obj([
         ("table", Json::from("kernels")),

@@ -31,6 +31,8 @@
 //! bytes (seeded uniform halves), the ciphertexts, which no key policy
 //! moves, set most of it.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 

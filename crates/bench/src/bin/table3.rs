@@ -7,6 +7,8 @@
 //! grows with level, and `mul cc ≫ rotate ≫ rescale ≫ mul cp ≫ adds ≫
 //! modswitch`, as in the paper. `--json <path>` writes the measured matrix.
 
+#![forbid(unsafe_code)]
+
 use fhe_bench::{print_table, standard_compilers, CliArgs};
 use fhe_ckks::CkksParams;
 use fhe_ir::json::Json;
@@ -30,7 +32,7 @@ fn main() {
             modulus_bits: 50,
             special_bits: 51,
             error_std: 3.2,
-            threads: 0,
+            threads: 1,
         }
     };
     let reps = if args.fast { 1 } else { 3 };

@@ -4,6 +4,8 @@
 //! `--fast` runs reduced benchmark sizes and exploration budgets;
 //! `--json <path>` writes every compile report including per-pass traces.
 
+#![forbid(unsafe_code)]
+
 use fhe_bench::{
     compile_all, diagnostics_cell, fmt_ms, geomean, hecate_budget, print_table, report_json,
     standard_compilers, CliArgs,

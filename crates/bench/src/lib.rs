@@ -34,6 +34,7 @@
 //! the service layer live in `benchmark/`, not here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

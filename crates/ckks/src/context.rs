@@ -27,12 +27,9 @@ pub struct CkksParams {
     pub special_bits: u32,
     /// Standard deviation of the RLWE error distribution.
     pub error_std: f64,
-    /// Worker threads for fanning independent RNS limbs across cores
-    /// (NTT conversions, pointwise products, rescale, key-switch inner
-    /// loops). `0` = use [`std::thread::available_parallelism`]; `1` =
-    /// exact serial execution. Results are bit-identical for every value —
-    /// limb jobs are independent and deterministic — so this is purely a
-    /// throughput knob.
+    /// Ignored: every operation runs its limbs on the calling thread. The
+    /// field stays only because existing struct literals name it, and goes
+    /// once they no longer do.
     pub threads: usize,
 }
 
@@ -131,8 +128,6 @@ pub struct CkksContext {
     special_mod: Vec<u64>,
     /// `(P^{-1} mod q_i, Shoup companion)` for the key-switch scale-down.
     special_inv: Vec<(u64, u64)>,
-    /// Resolved worker-thread count (≥ 1); see [`CkksParams::threads`].
-    threads: usize,
     /// NTT-domain index table per Galois element, built on first use (see
     /// [`CkksContext::galois_permutation`]).
     galois_perms: RwLock<HashMap<usize, Arc<[u32]>>>,
@@ -234,11 +229,6 @@ impl CkksContext {
             .iter()
             .map(|&m| with_shoup(m, product_mod(m, &specials, alpha)))
             .collect();
-        let threads = if params.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            params.threads
-        };
         CkksContext {
             params,
             basis,
@@ -251,7 +241,6 @@ impl CkksContext {
             special_hat,
             special_mod,
             special_inv,
-            threads,
             galois_perms: RwLock::new(HashMap::new()),
         }
     }
@@ -351,11 +340,6 @@ impl CkksContext {
     /// `P^{-1} mod q_i`, with its Shoup companion.
     pub fn special_inv(&self, i: usize) -> (u64, u64) {
         self.special_inv[i]
-    }
-
-    /// Worker threads for per-limb fan-out (resolved; always ≥ 1).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The index table of the Galois automorphism `X ↦ X^g` on an NTT-form
@@ -516,14 +500,5 @@ mod tests {
             assert_eq!(hat, [qi.reduce(p1), qi.reduce(p0)]);
             assert_eq!(ctx.special_mod(i), p);
         }
-    }
-
-    #[test]
-    fn threads_resolve() {
-        let mut params = insecure_test(1);
-        params.threads = 3;
-        assert_eq!(CkksContext::new(params).threads(), 3);
-        params.threads = 0;
-        assert!(CkksContext::new(params).threads() >= 1);
     }
 }

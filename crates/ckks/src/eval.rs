@@ -6,7 +6,6 @@ use crate::cipher::Ciphertext;
 use crate::context::{key_switch_digits, CkksContext};
 use crate::encoding::{Encoder, Plaintext};
 use crate::keys::{rotation_to_galois, GaloisKeys, KeyCache, KswKey, RelinKey};
-use crate::par;
 use crate::poly::RnsPoly;
 use crate::pool::{PolyPool, PoolStats};
 
@@ -475,7 +474,7 @@ impl<'c> Evaluator<'c> {
     fn decompose(&self, d: &RnsPoly) -> Decomposition {
         let (ctx, pool) = (self.ctx, &*self.pool);
         assert!(d.is_ntt() && !d.has_special(), "a ciphertext polynomial");
-        let (l, n) = (d.level(), ctx.degree());
+        let l = d.level();
         let alpha = ctx.specials().len();
         let count = key_switch_digits(l, ctx.max_level());
         let mut dc = d.clone_in(pool);
@@ -493,12 +492,9 @@ impl<'c> Evaluator<'c> {
                 }
             }
         }
-        let digits = {
-            let dc = &dc;
-            // Digits are built independently, so they fan out across the
-            // worker threads; every limb of every digit is overwritten.
-            let est = par::cost::NTT * (n * (l + alpha)) as u64;
-            par::map_range(ctx.threads(), est, count, |beta| {
+        // Every limb of every digit is overwritten.
+        let digits = (0..count)
+            .map(|beta| {
                 let conv = ctx.digit_conversion(l, beta);
                 let members = conv.start..conv.start + conv.hat_inv.len();
                 let mut digit = RnsPoly::raw_in(pool, ctx, l, true, true);
@@ -528,7 +524,7 @@ impl<'c> Evaluator<'c> {
                 }
                 digit
             })
-        };
+            .collect();
         dc.recycle(pool);
         Decomposition { level: l, digits }
     }

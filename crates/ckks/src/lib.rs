@@ -45,8 +45,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![warn(clippy::undocumented_unsafe_blocks)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod bigint;
 mod cipher;
@@ -56,7 +55,6 @@ mod eval;
 mod keys;
 pub mod modular;
 pub mod ntt;
-pub mod par;
 pub mod poly;
 pub mod pool;
 pub mod primes;
@@ -74,5 +72,4 @@ pub use keys::{
     rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, KswKey, RelinKey,
     SecretKey,
 };
-pub use par::Pool;
 pub use pool::{PolyPool, PoolStats};

@@ -5,7 +5,6 @@ use rand::Rng;
 use crate::context::CkksContext;
 use crate::modular::{Modulus, SplitF64};
 use crate::ntt::NttTable;
-use crate::par;
 use crate::pool::PolyPool;
 use crate::uniform::UniformStream;
 
@@ -135,7 +134,7 @@ impl RnsPoly {
 
     /// Modulus for limb `idx` of a poly with `level` chain limbs — the
     /// borrow-free twin of [`RnsPoly::modulus_of`] for use inside per-limb
-    /// closures that hold `&mut` on the limb storage.
+    /// loops that hold `&mut` on the limb storage.
     fn modulus_at(ctx: &CkksContext, level: usize, idx: usize) -> Modulus {
         ctx.basis()[ctx.basis_index(level, idx)]
     }
@@ -267,31 +266,27 @@ impl RnsPoly {
         Self::from_signed_coeffs(ctx, level, special, &gaussian_coeffs(ctx, rng))
     }
 
-    /// Converts to NTT domain (no-op if already there). Limbs transform
-    /// independently and fan out across the context's worker threads.
+    /// Converts to NTT domain (no-op if already there), one limb at a
+    /// time.
     pub fn to_ntt(&mut self, ctx: &CkksContext) {
         if self.ntt {
             return;
         }
-        let level = self.level;
-        let est = par::cost::NTT * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
-            Self::table_at(ctx, level, idx).forward(limb);
-        });
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
+            Self::table_at(ctx, self.level, idx).forward(limb);
+        }
         self.ntt = true;
     }
 
-    /// Converts to coefficient domain (no-op if already there). Limbs
-    /// transform independently and fan out across worker threads.
+    /// Converts to coefficient domain (no-op if already there), one limb at
+    /// a time.
     pub fn to_coeff(&mut self, ctx: &CkksContext) {
         if !self.ntt {
             return;
         }
-        let level = self.level;
-        let est = par::cost::NTT * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
-            Self::table_at(ctx, level, idx).inverse(limb);
-        });
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
+            Self::table_at(ctx, self.level, idx).inverse(limb);
+        }
         self.ntt = false;
     }
 
@@ -355,14 +350,12 @@ impl RnsPoly {
         self.check_compatible(other);
         assert!(self.ntt, "polynomial product requires NTT domain");
         let mut out = self.clone();
-        let level = out.level;
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut out.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, level, idx);
+        for (idx, limb) in out.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, self.level, idx);
             for (a, &b) in limb.iter_mut().zip(&other.limbs[idx]) {
                 *a = m.mul(*a, b);
             }
-        });
+        }
         out
     }
 
@@ -376,14 +369,12 @@ impl RnsPoly {
     pub fn mul_assign(&mut self, ctx: &CkksContext, other: &RnsPoly) {
         self.check_compatible(other);
         assert!(self.ntt, "polynomial product requires NTT domain");
-        let level = self.level;
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, level, idx);
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, self.level, idx);
             for (a, &b) in limb.iter_mut().zip(&other.limbs[idx]) {
                 *a = m.mul(*a, b);
             }
-        });
+        }
     }
 
     /// `self · other` accumulated into `acc` (`acc += self ∘ other`),
@@ -406,14 +397,12 @@ impl RnsPoly {
             self.ntt && other.ntt,
             "polynomial product requires NTT domain"
         );
-        let level = acc.level;
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, level, idx);
+        for (idx, limb) in acc.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, acc.level, idx);
             for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(&other.limbs[idx]) {
                 *a = m.add(*a, m.mul(x, y));
             }
-        });
+        }
     }
 
     /// Like [`RnsPoly::mul_acc`], with `key` a key polynomial over
@@ -438,15 +427,13 @@ impl RnsPoly {
             self.level <= key.level,
             "the key reaches the operand's level"
         );
-        let level = acc.level;
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
-            let m = Self::modulus_at(ctx, level, idx);
-            let k = &key.limbs[key_limb(level, key.level, idx)];
+        for (idx, limb) in acc.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, acc.level, idx);
+            let k = &key.limbs[key_limb(acc.level, key.level, idx)];
             for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(k) {
                 *a = m.add(*a, m.mul(x, y));
             }
-        });
+        }
     }
 
     /// Drops the basis down to `new_level` chain limbs (and drops the
@@ -503,13 +490,11 @@ impl RnsPoly {
         ctx.table(j).inverse(&mut last);
         let qj = ctx.moduli()[j];
         let half = qj.value() / 2;
-        {
-            let last = &last;
-            let est = par::cost::NTT * ctx.degree() as u64;
-            par::for_each_with_scratch(ctx.threads(), est, &mut self.limbs, |i, limb, corr| {
+        SCRATCH.with_borrow_mut(|corr| {
+            for (i, limb) in self.limbs.iter_mut().enumerate() {
                 let mi = ctx.moduli()[i];
                 // Centered lift of [x]_{q_j} reduced mod q_i, then NTT under
-                // q_i (built in the worker's reused scratch buffer).
+                // q_i (built in the thread's reused scratch buffer).
                 corr.clear();
                 corr.extend(last.iter().map(|&v| {
                     // center to (−q_j/2, q_j/2] to keep the subtraction small
@@ -524,8 +509,8 @@ impl RnsPoly {
                 for (a, &c) in limb.iter_mut().zip(corr.iter()) {
                     *a = mi.mul_shoup(mi.sub(*a, c), inv, inv_shoup);
                 }
-            });
-        }
+            }
+        });
         pool.put([last]);
         self.level = j;
     }
@@ -557,11 +542,9 @@ impl RnsPoly {
                 }
             }
         }
-        {
-            let (chain, lifted) = self.limbs.split_at_mut(l);
-            let lifted = &*lifted;
-            let est = par::cost::NTT * ctx.degree() as u64;
-            par::for_each_with_scratch(ctx.threads(), est, chain, |i, limb, corr| {
+        let (chain, lifted) = self.limbs.split_at_mut(l);
+        SCRATCH.with_borrow_mut(|corr| {
+            for (i, limb) in chain.iter_mut().enumerate() {
                 let (mi, p_mod) = (ctx.moduli()[i], ctx.special_mod(i));
                 corr.clear();
                 // One Shoup pass per special prime. The centered lift of `ỹ_j`
@@ -592,8 +575,8 @@ impl RnsPoly {
                 for (a, &c) in limb.iter_mut().zip(corr.iter()) {
                     *a = mi.mul_shoup(mi.sub(*a, c), inv, inv_shoup);
                 }
-            });
-        }
+            }
+        });
         pool.put(self.limbs.drain(l..));
         self.special = false;
     }
@@ -718,9 +701,7 @@ impl RnsPoly {
         assert!(perm.is_none_or(|p| p.len() == n), "index table sized for N");
         let mut out0 = RnsPoly::raw_in(pool, ctx, l, true, true);
         let mut out1 = RnsPoly::raw_in(pool, ctx, l, true, true);
-        let mut pairs: Vec<_> = out0.limbs.iter_mut().zip(&mut out1.limbs).collect();
-        let est = par::cost::POINTWISE * (2 * terms * n) as u64;
-        par::for_each(ctx.threads(), est, &mut pairs, |idx, (o0, o1)| {
+        for (idx, (o0, o1)) in out0.limbs.iter_mut().zip(&mut out1.limbs).enumerate() {
             let b = ctx.basis_index(l, idx);
             let m = ctx.basis()[b];
             // The digits' chain limb `idx` pairs with the key's limb `idx`,
@@ -757,10 +738,16 @@ impl RnsPoly {
                     *o1 = m.reduce_u128(a[1]);
                 }
             }
-        });
-        drop(pairs);
+        }
         (out0, out1)
     }
+}
+
+thread_local! {
+    /// One `N`-length correction buffer per thread, reused by every rescale
+    /// and ModDown the thread runs: they allocate once per thread for the
+    /// life of the process instead of once per limb.
+    static SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Coefficients per chunk of [`RnsPoly::key_switch_dot`]: its `u128`

@@ -10,8 +10,8 @@
 //! the owner recycles it.
 //!
 //! The pool is built for concurrent traffic: the op-level DAG executor
-//! checks polynomials out from every pool worker at once, on top of the
-//! per-digit key-switch fan-out. The free list is sharded (each thread
+//! checks polynomials out from every runner of a walk, and from every
+//! concurrent request, at once. The free list is sharded (each thread
 //! has a home shard, falling back to its siblings when empty) so
 //! checkouts don't serialize on one lock, and every counter is an atomic
 //! whose value stays *exact* under contention — hit-rate and peak-byte
@@ -34,7 +34,7 @@ use fhe_conc::sync::atomic::{AtomicU64, Ordering};
 use fhe_conc::sync::Mutex;
 
 /// Number of free-list shards. A small power of two: enough to spread
-/// the handful of pool workers, cheap to scan when a home shard is dry.
+/// the handful of walker runners, cheap to scan when a home shard is dry.
 const SHARDS: usize = 8;
 
 /// Hands each thread a home shard, round-robin across all threads that

@@ -189,58 +189,6 @@ fn harvey_ntt_matches_reference_all_degrees() {
     }
 }
 
-/// Per-limb jobs are independent and deterministic, so the thread count
-/// must not change a single bit of any ciphertext or decryption.
-#[test]
-fn thread_count_is_bit_exact() {
-    // Everything a ciphertext holds: metadata, then every limb of c0 and c1.
-    type View = (usize, u64, Vec<Vec<u64>>);
-    let view = |ct: &fhe_ckks::Ciphertext| -> View {
-        assert_eq!((ct.c0.level(), ct.c1.level()), (ct.level, ct.level));
-        let limbs = [&ct.c0, &ct.c1]
-            .iter()
-            .flat_map(|p| (0..ct.level).map(|i| p.limb(i).to_vec()))
-            .collect();
-        (ct.level, ct.scale.to_bits(), limbs)
-    };
-    let run = |threads: usize| -> (Vec<View>, Vec<f64>) {
-        let ctx = CkksContext::new(CkksParams {
-            poly_degree: 128,
-            max_level: 3,
-            modulus_bits: 45,
-            special_bits: 46,
-            error_std: 3.2,
-            threads,
-        });
-        let mut rng = StdRng::seed_from_u64(0xDE7E_2817);
-        let xs = random_values(&mut rng, 64);
-        let ys = random_values(&mut rng, 64);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let sk = kg.secret_key();
-        let relin = kg.relin_key(&mut rng);
-        let gk = kg.galois_keys([1i64, 3], &mut rng);
-        let ev = Evaluator::new(&ctx, Some(relin), gk);
-        let scale = 2f64.powi(40);
-        let ca = encrypt_symmetric(&ctx, &sk, &ev.encoder().encode(&xs, scale, 3), &mut rng);
-        let cb = encrypt_symmetric(&ctx, &sk, &ev.encoder().encode(&ys, scale, 3), &mut rng);
-        let prod = ev.rescale(&ev.mul(&ca, &cb));
-        let rot = ev.rotate(&prod, 3);
-        let hoisted = ev.rotate_hoisted(&prod, &[1, 3]);
-        let views = [&ca, &cb, &prod, &rot, &hoisted[0], &hoisted[1]]
-            .map(view)
-            .to_vec();
-        let decoded = ev.encoder().decode(&decrypt(&ctx, &sk, &rot));
-        (views, decoded)
-    };
-    let (views_serial, dec_serial) = run(1);
-    for threads in [2usize, 4] {
-        let (views, dec) = run(threads);
-        assert_eq!(views, views_serial, "ciphertext limbs, threads={threads}");
-        // f64 equality is intentional: same bits in, same bits out.
-        assert_eq!(dec, dec_serial, "decryption, threads={threads}");
-    }
-}
-
 #[test]
 fn modswitch_preserves_values() {
     for case in 0..12u64 {

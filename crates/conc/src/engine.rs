@@ -22,8 +22,8 @@
 //! point panic with the zero-sized [`AbortExecution`] payload, which
 //! thread wrappers catch, so all model threads terminate and the
 //! controller can report the recorded trace. Model code that catches
-//! unwinds (e.g. the ckks batch runner) may swallow one abort panic, but
-//! its next schedule point re-raises, so threads always exit.
+//! unwinds may swallow one abort panic, but its next schedule point
+//! re-raises, so threads always exit.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe, Location};

@@ -155,9 +155,8 @@ impl<T> Drop for MutexGuard<'_, T> {
                 let id = self.lock.id.get(&engine, ObjKind::Mutex);
                 if std::thread::panicking() {
                     // A schedule point would double-panic; repair the
-                    // model lock state directly so a catch-and-continue
-                    // (e.g. the batch runner's per-job catch) stays
-                    // consistent.
+                    // model lock state directly so model code that
+                    // catches the unwind and continues stays consistent.
                     engine.force_release(OpKind::Unlock(id), me);
                 } else {
                     engine.schedule_point(me, OpKind::Unlock(id), self.acquired_at);

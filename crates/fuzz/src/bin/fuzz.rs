@@ -9,6 +9,8 @@
 //! shrunk to a minimal reproducer and written into `--shrunk-dir`; the
 //! process exits non-zero if any seed diverged.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;

@@ -19,6 +19,8 @@
 //! bounded smoke run and corpus replay live in the workspace-level
 //! `tests/fuzz_smoke.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod gen;
 pub mod oracle;

@@ -147,7 +147,6 @@ pub struct DepGraph {
     /// built on first use (a compile's analyses walk only `preds`).
     succs: OnceLock<Lists<(usize, DepKind)>>,
     free_at: Vec<Option<ValueId>>,
-    hoist_rotations: bool,
     rotation_groups: HashMap<ValueId, Vec<(ValueId, i64)>>,
 }
 
@@ -337,7 +336,6 @@ impl DepGraph {
             finish,
             succs: OnceLock::new(),
             free_at: free_points,
-            hoist_rotations,
             rotation_groups,
         }
     }
@@ -372,11 +370,6 @@ impl DepGraph {
             Some(&free) => free,
             None => None,
         }
-    }
-
-    /// Whether the graph was built with rotation hoisting.
-    pub fn hoists_rotations(&self) -> bool {
-        self.hoist_rotations
     }
 
     /// The hoisted rotation groups by source
@@ -703,11 +696,6 @@ impl DepConsumer {
         }
     }
 
-    /// Nodes not yet retired by [`DepConsumer::complete`].
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
     /// Whether every node has been retired.
     pub fn is_done(&self) -> bool {
         self.remaining == 0
@@ -920,8 +908,7 @@ mod tests {
         };
         assert_eq!(count(&hoisted), 2, "two members follow the leader");
         assert_eq!(count(&flat), 0);
-        // The graph records the setting, and the groups its readers take.
-        assert!(hoisted.hoists_rotations() && !flat.hoists_rotations());
+        // The graph records the groups its readers take.
         let x = s.program.inputs()[0];
         assert_eq!(hoisted.rotation_groups()[&x].len(), 3);
         assert!(flat.rotation_groups().is_empty());
@@ -976,7 +963,6 @@ mod tests {
         let p = b.finish(vec![prod, rot]);
         let g = graph(p);
         let mut consumer = DepConsumer::new(&g);
-        assert_eq!(consumer.remaining(), g.nodes().len());
         let mut done = vec![false; g.nodes().len()];
         let mut order = Vec::new();
         while let Some(node) = consumer.pop_ready() {

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -19,15 +19,16 @@ use rand::SeedableRng;
 use fhe_ckks::{
     decrypt, encrypt_symmetric_in, rotation_to_galois, Ciphertext, CkksContext, CkksParams,
     Decomposition, Evaluator, GaloisKeys, KeyCache, KeyGenerator, LinearAccumulator,
-    MissingKeyError, PolyPool, Pool, RelinKey, SecretKey,
+    MissingKeyError, PolyPool, RelinKey, SecretKey,
 };
 use fhe_ir::semantics::{self, rotation_class};
 use fhe_ir::{
-    key_levels, CostModel, DepConsumer, DepGraph, FusionPlan, KeyLevels, Op, OpClass,
-    ScheduleError, ScheduledProgram, ValueId,
+    key_levels, CostModel, DepGraph, FusionPlan, KeyLevels, Op, OpClass, ScheduleError,
+    ScheduledProgram, ValueId,
 };
 
 use crate::plain;
+use crate::walk::{default_runners, Walk};
 
 /// Domain separator so the lazy key cache's per-element RNG streams never
 /// collide with the keygen stream at the same seed.
@@ -75,9 +76,8 @@ pub struct ExecOptions {
     /// RNG seed for key generation. The entry points that take no
     /// `enc_seed` derive their encryption seed from it.
     pub seed: u64,
-    /// Worker threads for the backend's per-limb fan-out (see
-    /// [`CkksParams::threads`]): `0` = auto-detect, `1` = serial. Results
-    /// are bit-identical for every value.
+    /// Ignored, like [`CkksParams::threads`]: the field stays only because
+    /// existing struct literals name it, and goes once they no longer do.
     pub threads: usize,
     /// Galois-key provisioning policy.
     pub keys: KeyPolicy,
@@ -130,8 +130,8 @@ pub struct SessionKeys {
 }
 
 impl SessionKeys {
-    /// Generates key material for programs of the given shape: polynomial
-    /// degree and per-limb threads come from `options`, the modulus chain
+    /// Generates key material for programs of the given shape: the
+    /// polynomial degree comes from `options`, the modulus chain
     /// from `(max_level, modulus_bits)`. `levels` sizes the relinearization
     /// key and, under [`KeyPolicy::EagerProgram`], the static Galois set
     /// (one key per element it lists, at its level); the other policies
@@ -291,8 +291,8 @@ impl SessionKeys {
 }
 
 /// The backend parameters a session of this shape runs on: the options'
-/// degree and per-limb threads, `max_level` chain primes of `modulus_bits`,
-/// and special primes one bit wider (at most 61).
+/// degree, `max_level` chain primes of `modulus_bits`, and special primes
+/// one bit wider (at most 61).
 pub fn backend_params(options: &ExecOptions, max_level: usize, modulus_bits: u32) -> CkksParams {
     CkksParams {
         poly_degree: options.poly_degree,
@@ -300,7 +300,7 @@ pub fn backend_params(options: &ExecOptions, max_level: usize, modulus_bits: u32
         modulus_bits,
         special_bits: modulus_bits.min(60) + 1,
         error_std: 3.2,
-        threads: options.threads,
+        threads: 1,
     }
 }
 
@@ -321,12 +321,13 @@ pub fn rotation_steps(program: &fhe_ir::Program) -> Vec<i64> {
 /// schedule's dependence DAG is walked.
 #[derive(Debug, Clone)]
 pub struct ParOptions {
-    /// Backend configuration (degree, seed, key policy, per-limb threads,
-    /// rotation hoisting).
+    /// Backend configuration (degree, seed, key policy, rotation hoisting).
     pub exec: ExecOptions,
-    /// Op-level runners walking the DAG: `0` = auto (the global pool's
-    /// worker count), `1` = the serial schedule walk on the calling
-    /// thread. Results are bit-identical for every value.
+    /// Op-level runners walking the DAG: `0` = auto (the machine's
+    /// available parallelism), `1` = the serial schedule walk on the
+    /// calling thread. Runners past the first are helper threads taken from
+    /// the process-wide [`RunnerBudget`](crate::walk::RunnerBudget), so concurrent walks may get fewer.
+    /// Results are bit-identical for every value.
     pub workers: usize,
     /// Execute fusible mul→rescale pairs as one fused mul·relin·rescale
     /// kernel. Bit-identical either way; fusion skips materializing the
@@ -454,10 +455,8 @@ pub struct ExecReport {
     /// Whole-run memory counters (pool + key material); exact under
     /// contention thanks to the pool's atomic accounting.
     pub mem: MemStats,
-    /// Per-node wall latency `(op, duration)` in retirement order — the
-    /// samples `per_class` sums, one per executed op.
-    pub node_times: Vec<(ValueId, Duration)>,
-    /// Runners the walk used after resolving `workers = 0`.
+    /// Runners that walked the DAG: the caller plus the helpers the
+    /// [`RunnerBudget`](crate::walk::RunnerBudget) granted, at most `workers` (after resolving `0`).
     pub workers: usize,
     /// mul→rescale pairs executed fused.
     pub fused: usize,
@@ -554,11 +553,13 @@ pub fn execute_parallel(
 ///
 /// The schedule's dependence DAG ([`DepGraph`], with the anti edges from
 /// pool freeing and the output edges from rotation hoisting) is consumed
-/// by `options.workers` runners on the process-wide [`Pool`]; each pops the
-/// ready op earliest in the schedule from a shared [`DepConsumer`], runs
-/// it against one shared [`Evaluator`] and retires it, unlocking its
-/// successors. One runner therefore walks the schedule in order on the
-/// calling thread. Five invariants make any width sound and bit-exact:
+/// by up to `options.workers` runners: the calling thread plus scoped
+/// helpers from the process-wide [`RunnerBudget`](crate::walk::RunnerBudget) ([`Walk::run_scoped`]).
+/// Each pops the ready op earliest in the schedule from the shared
+/// frontier, runs it against one shared [`Evaluator`] and retires it,
+/// unlocking its successors. One runner therefore walks the schedule in
+/// order on the calling thread. Five invariants make any width sound and
+/// bit-exact:
 ///
 /// 1. **Safety is proven, not assumed.** [`fhe_analysis::parallel::check`]
 ///    runs over the very DAG about to be consumed; the DAG's anti/output
@@ -772,12 +773,10 @@ pub fn execute_parallel_with_keys(
         *cipher_slots[id.index()].get_mut().expect(SLOT_LOCK) = Some(ct);
     }
 
-    // The walk. Runners share the frontier under one mutex; the condvar
-    // wakes idle runners whenever a completion readies new nodes.
-    let workers = if options.workers == 0 {
-        Pool::global().workers().max(1)
-    } else {
-        options.workers
+    // The walk.
+    let workers = match options.workers {
+        0 => default_runners(),
+        k => k,
     };
     let cx = RunCx {
         program,
@@ -791,46 +790,12 @@ pub fn execute_parallel_with_keys(
         rescale_of: &rescale_of,
         waterline: 2f64.powi(scheduled.params.waterline_bits as i32),
     };
-    let walk = Mutex::new(Walk {
-        consumer: DepConsumer::new(&graph),
-        error: None,
-        node_times: Vec::new(),
-    });
-    let ready_cv = Condvar::new();
-    let runner = |_worker: usize| {
-        let _halt = HaltOnUnwind(&walk, &ready_cv);
-        loop {
-            let node = {
-                let mut w = walk.lock().expect(WALK_LOCK);
-                loop {
-                    if w.error.is_some() || w.consumer.is_done() {
-                        return;
-                    }
-                    if let Some(n) = w.consumer.pop_ready() {
-                        break n;
-                    }
-                    w = ready_cv.wait(w).expect(WALK_LOCK);
-                }
-            };
-            let result = cx.run_node(graph.nodes()[node].id);
-            let mut w = walk.lock().expect(WALK_LOCK);
-            match result {
-                Ok(elapsed) => {
-                    w.node_times.extend(elapsed.map(|d| (node, d)));
-                    w.consumer.complete(&graph, node);
-                }
-                Err(e) => w.error = Some(e),
-            }
-            drop(w);
-            ready_cv.notify_all();
-        }
-    };
+    let walk = Walk::new(&graph);
     let t_walk = Instant::now();
-    Pool::global().run(workers, workers, &runner);
+    let runners = walk.run_scoped(workers, |node| cx.run_node(graph.nodes()[node].id));
     let walk_time = t_walk.elapsed();
     let op_time = t_ops.elapsed();
 
-    let walk = walk.into_inner().expect(WALK_LOCK);
     // What the request still holds when it ends — its outputs, or on an
     // error every value computed so far and the digits and partial sums of
     // every group the error cut short — goes back to the pool.
@@ -841,24 +806,28 @@ pub fn execute_parallel_with_keys(
             }
         }
     };
-    if let Some(e) = walk.error {
-        release(cipher_slots);
-        for group in hoist_groups.into_values() {
-            if let Some(digits) = group.digits.into_inner().expect(SLOT_LOCK) {
-                ev.recycle_decomposition(digits);
+    let retired = match walk.finish() {
+        Ok(retired) => retired,
+        Err(e) => {
+            release(cipher_slots);
+            for group in hoist_groups.into_values() {
+                if let Some(digits) = group.digits.into_inner().expect(SLOT_LOCK) {
+                    ev.recycle_decomposition(digits);
+                }
             }
+            for group in linear.groups {
+                let partials = group.partials.into_inner().expect(SLOT_LOCK);
+                partials
+                    .into_iter()
+                    .for_each(|acc| ev.recycle_accumulator(acc));
+            }
+            return Err(e);
         }
-        for group in linear.groups {
-            let partials = group.partials.into_inner().expect(SLOT_LOCK);
-            partials
-                .into_iter()
-                .for_each(|acc| ev.recycle_accumulator(acc));
-        }
-        return Err(e);
-    }
-    // INVARIANT: a runner returns only on an error (handled above) or with
-    // the frontier drained, and the DAG is acyclic, so nothing is left.
-    assert!(walk.consumer.is_done(), "walk retired every node");
+    };
+    // The class and latency of every executed cipher op.
+    let timed: Vec<(Option<OpClass>, Duration)> = (retired.into_iter())
+        .filter_map(|(node, elapsed)| Some((graph.nodes()[node].class, elapsed?)))
+        .collect();
 
     let outputs = program
         .outputs()
@@ -878,13 +847,9 @@ pub fn execute_parallel_with_keys(
     let per_class = OpClass::ALL
         .iter()
         .filter_map(|&class| {
-            let times: Vec<Duration> = walk
-                .node_times
-                .iter()
-                .filter(|&&(n, _)| graph.nodes()[n].class == Some(class))
-                .map(|&(_, d)| d)
-                .collect();
-            (!times.is_empty()).then(|| (class, times.iter().sum(), times.len()))
+            let times = timed.iter().filter(|t| t.0 == Some(class)).map(|t| t.1);
+            let (sum, n) = times.fold((Duration::ZERO, 0), |(sum, n), d| (sum + d, n + 1));
+            (n > 0).then_some((class, sum, n))
         })
         .collect();
     Ok(ExecReport {
@@ -892,51 +857,15 @@ pub fn execute_parallel_with_keys(
         op_time,
         walk_time,
         total_time: t_total.elapsed(),
-        ops_executed: encrypted_inputs + walk.node_times.len(),
+        ops_executed: encrypted_inputs + timed.len(),
         per_class,
         mem: keys.mem_snapshot(ev).delta_since(&start_mem),
-        node_times: walk
-            .node_times
-            .iter()
-            .map(|&(n, d)| (graph.nodes()[n].id, d))
-            .collect(),
-        workers,
+        workers: runners,
         fused,
         hoisted_groups: hoist_groups.len(),
         linear_groups: linear.groups.len(),
         safety_obligations: safety.obligations,
     })
-}
-
-/// The walk mutex is held only around frontier bookkeeping, whose one
-/// panic (`DepConsumer::complete` on a node retired twice) is itself a
-/// broken invariant — short of that, no runner observes it poisoned.
-const WALK_LOCK: &str = "walk lock is never poisoned";
-
-/// Stops the walk when its runner unwinds (a backend assertion on a
-/// schedule the validator accepted), so the siblings parked on the condvar
-/// exit and `Pool::run` can re-raise the panic instead of waiting forever.
-struct HaltOnUnwind<'a>(&'a Mutex<Walk>, &'a Condvar);
-
-impl Drop for HaltOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut w = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-            // Never read: the panic outranks it.
-            w.error.get_or_insert_with(Vec::new);
-            drop(w);
-            self.1.notify_all();
-        }
-    }
-}
-
-/// The walk's shared state: the frontier, the first error any runner hit
-/// (runners drain and exit once it is set), and the latency of every
-/// executed cipher op by node, in retirement order.
-struct Walk {
-    consumer: DepConsumer,
-    error: Option<Vec<ScheduleError>>,
-    node_times: Vec<(usize, Duration)>,
 }
 
 /// A cipher operand borrowed from its slot for the duration of one op.
@@ -1691,11 +1620,6 @@ mod tests {
         let serial = run(1, true);
         for workers in [1usize, 2, 8] {
             let par = run(workers, true);
-            for &m in &members {
-                let time = par.node_times.iter().find(|&&(id, _)| id == m);
-                let &(_, time) = time.expect("every member is timed");
-                assert!(time > Duration::ZERO, "{m} did no work at x{workers}");
-            }
             assert_eq!(bits(&par.outputs), bits(&serial.outputs), "x{workers}");
             assert_eq!(par.hoisted_groups, 1);
             let rotates = par.per_class.iter().find(|c| c.0 == OpClass::Rotate);
@@ -1775,7 +1699,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a pool job panicked")]
+    #[should_panic(expected = "operand scales must match")]
     fn a_runner_panic_stops_the_walk_instead_of_stranding_its_siblings() {
         // Legal to the validator, but the backend realizes the half-bit
         // upscale as a multiply by 1, so the add's operand scales differ
@@ -1860,7 +1784,11 @@ mod tests {
         )
         .unwrap();
         let class_count: usize = par.per_class.iter().map(|&(_, _, n)| n).sum();
-        assert_eq!(par.node_times.len(), class_count);
+        assert_eq!(
+            par.ops_executed,
+            2 + class_count,
+            "two inputs, then the walk"
+        );
         assert!(par.walk_time <= par.op_time);
         assert!(par.op_time <= par.total_time);
         assert!(error(&s, &binds, &par) < 1e-2);

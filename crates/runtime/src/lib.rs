@@ -12,7 +12,8 @@
 //!   cost;
 //! - [`ckks_exec`]: real encrypted execution on the `fhe-ckks` backend with
 //!   wall-clock timing ([`ExecReport`]) — one walker over the schedule's
-//!   dependence DAG, serial at one runner;
+//!   dependence DAG, serial at one runner, whose runner loop and thread
+//!   budget are [`walk`];
 //!
 //! plus [`microbench`], which measures this repo's own Table 3. A caller
 //! that checks a run computes the reference once with [`plain::execute`]
@@ -23,11 +24,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod ckks_exec;
 pub mod microbench;
 pub mod noise_sim;
 pub mod plain;
+pub mod walk;
 
 pub use ckks_exec::{
     backend_params, execute as execute_encrypted, execute_parallel, execute_parallel_with_keys,

@@ -14,7 +14,7 @@
 //!   seed). Any interleaving of workers and sessions produces responses
 //!   byte-identical to a serial single-session replay.
 //! - **Session isolation.** Sessions share the compile cache, the
-//!   per-degree polynomial pools and the persistent thread pool — never
+//!   per-degree polynomial pools and the walker's runner budget — never
 //!   key material. A panicking request quarantines only its own session
 //!   ([`ServeError::ExecutorPanic`]); the shared resources keep serving.
 //! - **Structured failure.** Every failure mode is a [`ServeError`]; no
@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod error;

@@ -1,8 +1,8 @@
 //! Per-session state: key material, execution options, quarantine.
 //!
 //! A session owns its keys. All sessions share the server's compile
-//! cache, per-degree polynomial pools and the persistent work-stealing
-//! pool, but key material ([`SessionKeys`]: secret, relinearization,
+//! cache, per-degree polynomial pools and the walker's runner budget, but
+//! key material ([`SessionKeys`]: secret, relinearization,
 //! Galois) is generated per session from the session's own seed and is
 //! never visible to another session — the isolation boundary of the
 //! service layer.

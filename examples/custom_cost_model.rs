@@ -9,6 +9,8 @@
 //! cargo run --example custom_cost_model --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fhe_reserve::prelude::*;
 use fhe_reserve::{ckks, runtime};
 

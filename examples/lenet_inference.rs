@@ -10,6 +10,8 @@
 //! cargo run --example lenet_inference --release [-- --full]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fhe_reserve::prelude::*;
 use fhe_reserve::{runtime, workloads};
 use workloads::lenet::{build, lenet_inputs, LenetConfig};

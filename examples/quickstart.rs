@@ -6,6 +6,8 @@
 //! cargo run --example quickstart --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use fhe_reserve::prelude::*;

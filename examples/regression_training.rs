@@ -6,6 +6,8 @@
 //! cargo run --example regression_training --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fhe_reserve::prelude::*;
 use fhe_reserve::{runtime, workloads};
 

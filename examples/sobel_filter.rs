@@ -8,6 +8,8 @@
 //! cargo run --example sobel_filter --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fhe_reserve::prelude::*;
 use fhe_reserve::{runtime, workloads};
 

@@ -6,6 +6,8 @@
 //! cargo run --example waterline_selection --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fhe_reserve::analysis::{select_waterline, NoiseDomain};
 use fhe_reserve::prelude::*;
 use fhe_reserve::runtime;

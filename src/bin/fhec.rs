@@ -22,6 +22,8 @@
 //! security level it meets under the HE standard's table, if any, and the
 //! session's key bytes beside the compile report's static `key_bytes`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use fhe_reserve::ckks::security::{self, SecurityLevel};

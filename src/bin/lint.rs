@@ -19,6 +19,8 @@
 //! cargo run --release --bin lint -- prog.fhe --profile table3.json --dot out/
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -61,6 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use fhe_analysis as analysis;
 pub use fhe_baselines as baselines;

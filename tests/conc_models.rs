@@ -5,16 +5,18 @@
 //! Two planted regressions anchor the suite — the checker must *find*
 //! them, not merely pass the fixed code:
 //!
-//! - the PR 7 scan→park race in the work-stealing pool (a worker that
-//!   parks without re-checking the submission version sleeps through a
-//!   concurrent push: lost wakeup);
+//! - the PR 12 halt in the DAG walker (a runner that leaves the loop on a
+//!   failing node without halting the walk leaves its sibling parked on
+//!   the frontier forever);
 //! - the PR 9 submit/shutdown race in the serve layer (a submitter that
 //!   only checks the shutdown flag before taking the queue lock strands
 //!   its ticket on a drained queue).
 //!
-//! The fixed protocols then pass exhaustively (small models) or across
-//! committed PCT seeds (the real `Pool`/`CompileCache`/`PolyPool` types,
-//! whose per-execution step counts are too large for full enumeration).
+//! The fixed protocols then pass exhaustively (the walker's own runner
+//! loop with a stub per node, the serve skeletons, the real `PolyPool` and
+//! the compile cache's single flight) or across committed PCT seeds (the
+//! compile cache's LRU admission, whose per-execution step counts are too
+//! large for full enumeration).
 //!
 //! Run with: `RUSTFLAGS="--cfg fhe_conc" cargo test --test conc_models`
 //! (the `conc-smoke` CI job; in ordinary builds this file is empty).
@@ -23,12 +25,16 @@
 use std::collections::HashMap;
 use std::sync::Mutex as StdMutex;
 
-use fhe_ckks::par::conc_model::park_model;
-use fhe_ckks::{PolyPool, Pool};
+use std::sync::atomic::{
+    AtomicBool as StdAtomicBool, AtomicUsize as StdAtomicUsize, Ordering as StdOrdering,
+};
+
+use fhe_ckks::PolyPool;
 use fhe_conc::sync::atomic::{AtomicUsize, Ordering};
 use fhe_conc::sync::{thread, Arc};
 use fhe_conc::{check, Config, FailureKind, Mode};
-use fhe_ir::{text, CompileParams};
+use fhe_ir::{text, CompileParams, CostModel, DepGraph, DepKind, ScaleCompiler};
+use fhe_runtime::walk::{RunnerBudget, Walk};
 use fhe_serve::server::conc_model::{quarantine_admission_model, submit_shutdown_model};
 use fhe_serve::CompileCache;
 use reserve_core::ReserveCompiler;
@@ -62,18 +68,130 @@ fn pct() -> Config {
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing pool: scan→park protocol (PR 7 race)
+// DAG walker: the executor's runner loop (PR 12 halt) and runner budget
 // ---------------------------------------------------------------------
 
+/// The node the failing models fail: the diamond's first rotation.
+const FAILING: usize = 1;
+
+/// A diamond whose two middle nodes read one input: `x → {x≪1, x≪2} → +`.
+/// The later rotation frees `x`, so an anti edge orders the earlier one
+/// before it. Built once and leaked, so model threads can share it.
+fn diamond() -> &'static DepGraph {
+    let b = fhe_ir::Builder::new("diamond", 4);
+    let x = b.input("x");
+    let program = b.finish(vec![x.clone().rotate(1) + x.rotate(2)]);
+    let scheduled = ReserveCompiler::full()
+        .compile(&program, &CompileParams::new(30))
+        .expect("compiles")
+        .scheduled;
+    let map = scheduled.validate().expect("valid");
+    let graph = DepGraph::build(&scheduled, &map, &CostModel::paper_table3(), false);
+    let kinds: Vec<DepKind> = (0..graph.nodes().len())
+        .flat_map(|n| graph.preds(n).iter().map(|&(_, kind)| kind))
+        .collect();
+    assert_eq!(graph.nodes().len(), 4, "input, two rotations, add");
+    assert!(
+        kinds.contains(&DepKind::Anti),
+        "the second rotation frees x"
+    );
+    Box::leak(Box::new(graph))
+}
+
+/// What a stub run of every node saw: how often each node ran, and
+/// whether any node started before one of its dependences had finished.
+/// Plain std atomics: they record, they are not part of the protocol, so
+/// they add no schedule points.
+struct Ledger {
+    graph: &'static DepGraph,
+    runs: Vec<StdAtomicUsize>,
+    out_of_order: StdAtomicBool,
+}
+
+impl Ledger {
+    fn new(graph: &'static DepGraph) -> Self {
+        Ledger {
+            graph,
+            runs: (0..graph.nodes().len())
+                .map(|_| StdAtomicUsize::new(0))
+                .collect(),
+            out_of_order: StdAtomicBool::new(false),
+        }
+    }
+
+    /// The stub `run_node`: checks the node's dependences ran, counts the
+    /// run, and fails [`FAILING`] when asked to.
+    fn run(&self, node: usize, fail: bool) -> Result<usize, &'static str> {
+        let ran = |p: usize| self.runs[p].load(StdOrdering::SeqCst) > 0;
+        if !self.graph.preds(node).iter().all(|&(p, _)| ran(p)) {
+            self.out_of_order.store(true, StdOrdering::SeqCst);
+        }
+        self.runs[node].fetch_add(1, StdOrdering::SeqCst);
+        if fail && node == FAILING {
+            return Err("node failed");
+        }
+        Ok(node)
+    }
+
+    fn runs(&self, node: usize) -> usize {
+        self.runs[node].load(StdOrdering::SeqCst)
+    }
+}
+
+/// Runs one walk of `graph` on the calling model thread plus `helpers`
+/// spawned ones, each calling the shipped runner loop with the stub.
+fn walk_with_stub(
+    graph: &'static DepGraph,
+    ledger: &Arc<Ledger>,
+    helpers: usize,
+    fail: bool,
+) -> Result<Vec<(usize, usize)>, &'static str> {
+    let walk = Arc::new(Walk::new(graph));
+    let spawned: Vec<_> = (0..helpers)
+        .map(|_| {
+            let (walk, ledger) = (walk.clone(), ledger.clone());
+            thread::spawn(move || walk.run(|node| ledger.run(node, fail)))
+        })
+        .collect();
+    walk.run(|node| ledger.run(node, fail));
+    for t in spawned {
+        t.join().expect("runner exits");
+    }
+    Arc::into_inner(walk).expect("runners joined").finish()
+}
+
 #[test]
-fn park_without_version_check_loses_the_wakeup() {
-    let outcome = check("park-unversioned", exhaustive(), || park_model(false));
+fn walker_without_the_halt_parks_a_sibling_forever() {
+    // PR 12's pre-fix loop: a runner whose node fails leaves the loop the
+    // way an unwind does, without retiring the node or halting the walk.
+    // Its successors never become ready, so the sibling parked on the
+    // frontier condvar waits forever. (A real panic would fail the model
+    // on its own, so the failing runner returns instead.)
+    let graph = diamond();
+    let outcome = check("walker-no-halt", exhaustive(), move || {
+        let ledger = Arc::new(Ledger::new(graph));
+        let walk = Arc::new(Walk::<usize, &str>::new(graph));
+        let pre_fix = |walk: &Walk<'_, usize, &str>, ledger: &Ledger| {
+            while let Some(node) = walk.next() {
+                match ledger.run(node, true) {
+                    Ok(value) => walk.retire(node, Ok(value)),
+                    Err(_) => return,
+                }
+            }
+        };
+        let sibling = {
+            let (walk, ledger) = (walk.clone(), ledger.clone());
+            thread::spawn(move || pre_fix(&walk, &ledger))
+        };
+        pre_fix(&walk, &ledger);
+        sibling.join().expect("sibling exits");
+    });
     let failure = outcome
         .failure
-        .expect("the checker must rediscover the scan→park race");
+        .expect("the checker must rediscover the unhalted walk");
     assert!(
-        matches!(failure.kind, FailureKind::Deadlock { lost_wakeup: true }),
-        "the race manifests as a lost wakeup, got {failure:?}"
+        matches!(failure.kind, FailureKind::Deadlock { .. }),
+        "the sibling never wakes, got {failure:?}"
     );
     assert!(
         !failure.trace.is_empty(),
@@ -82,9 +200,18 @@ fn park_without_version_check_loses_the_wakeup() {
 }
 
 #[test]
-fn versioned_park_protocol_passes_exhaustively() {
-    let outcome = check("park-versioned", exhaustive_unbounded(), || {
-        park_model(true)
+fn walker_with_a_failing_node_halts_every_runner_exhaustively() {
+    // The shipped loop: the failing node's error halts the walk, every
+    // runner exits, the walk reports the error, and nothing that depends
+    // on the failed node runs.
+    let graph = diamond();
+    let outcome = check("walker-failing-node", exhaustive_unbounded(), move || {
+        let ledger = Arc::new(Ledger::new(graph));
+        let result = walk_with_stub(graph, &ledger, 1, true);
+        assert_eq!(result, Err("node failed"));
+        assert_eq!(ledger.runs(FAILING), 1);
+        assert_eq!(ledger.runs(3), 0, "the add waits on the failed rotation");
+        assert!(!ledger.out_of_order.load(StdOrdering::SeqCst));
     });
     assert!(outcome.passed(), "{:?}", outcome.failure);
     assert!(outcome.complete, "small model fully explored");
@@ -92,21 +219,69 @@ fn versioned_park_protocol_passes_exhaustively() {
 }
 
 #[test]
-fn real_pool_run_and_drop_pass_under_pct() {
-    // The shipped Pool end-to-end: spawn one worker, run a two-job batch
-    // (submitter participates in its own batch), then drop — the drop
-    // must wake and retire the parked worker in every sampled schedule.
-    let outcome = check("pool-run-drop", pct(), || {
-        let pool = Pool::new(1);
-        let hits = AtomicUsize::new(0);
-        pool.run(2, 2, &|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
+fn walker_retires_a_diamond_once_and_in_dependence_order_exhaustively() {
+    // Two and three runners over the diamond: every node runs once, after
+    // its dependences (the anti edge included), and retires once. Two
+    // runners are explored without a preemption bound; three, within the
+    // default bound of three preemptions per schedule.
+    let graph = diamond();
+    for (helpers, config) in [(1, exhaustive_unbounded()), (2, exhaustive())] {
+        let outcome = check("walker-diamond", config, move || {
+            let ledger = Arc::new(Ledger::new(graph));
+            let retired = walk_with_stub(graph, &ledger, helpers, false).expect("no node fails");
+            let mut nodes: Vec<usize> = retired.iter().map(|&(node, _)| node).collect();
+            assert!(retired.iter().all(|&(node, value)| node == value));
+            nodes.sort_unstable();
+            assert_eq!(nodes, [0, 1, 2, 3], "every node retires once");
+            assert!((0..4).all(|n| ledger.runs(n) == 1), "every node runs once");
+            assert!(
+                !ledger.out_of_order.load(StdOrdering::SeqCst),
+                "no node runs before its dependences"
+            );
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "every job ran exactly once");
-        drop(pool);
+        assert!(
+            outcome.passed(),
+            "{} runners: {:?}",
+            helpers + 1,
+            outcome.failure
+        );
+        assert!(
+            outcome.complete,
+            "{} runners: every schedule explored",
+            helpers + 1
+        );
+        assert!(outcome.executions >= 2);
+    }
+}
+
+#[test]
+fn two_walks_never_hold_more_helpers_than_the_budget() {
+    // Two concurrent walks ask for two helpers each from a budget of one:
+    // between them they never hold more than one, neither waits for it,
+    // both retire every node, and the budget is whole again afterwards.
+    let graph = diamond();
+    let outcome = check("walker-budget", exhaustive(), move || {
+        let budget = Arc::new(RunnerBudget::new(1));
+        let held = Arc::new(StdAtomicUsize::new(0));
+        let request = {
+            let (budget, held) = (budget.clone(), held.clone());
+            move || {
+                let helpers = budget.take(2);
+                let now = held.fetch_add(helpers.count(), StdOrdering::SeqCst) + helpers.count();
+                assert!(now <= 1, "{now} helpers held against a budget of one");
+                let ledger = Arc::new(Ledger::new(graph));
+                let retired = walk_with_stub(graph, &ledger, helpers.count(), false);
+                assert_eq!(retired.expect("no node fails").len(), 4);
+                held.fetch_sub(helpers.count(), StdOrdering::SeqCst);
+            }
+        };
+        let other = thread::spawn(request.clone());
+        request();
+        other.join().expect("the other walk ends");
+        assert_eq!(budget.take(2).count(), 1, "every helper went back");
     });
     assert!(outcome.passed(), "{:?}", outcome.failure);
-    assert_eq!(outcome.executions, PCT_EXECUTIONS);
+    assert!(outcome.executions >= 2);
 }
 
 // ---------------------------------------------------------------------
@@ -292,9 +467,9 @@ fn pool_counters_are_exact_in_every_interleaving() {
 
 #[test]
 fn exhaustive_models_here_really_explore_multiple_schedules() {
-    // Meta-check: the park skeleton visits both the race window and the
-    // benign orders; recording distinct first-parked-thread observations
-    // guards against a scheduler regression that silently serializes.
+    // Meta-check: a two-thread race visits both orders; recording the
+    // distinct observations guards against a scheduler regression that
+    // silently serializes.
     let observed: Arc<StdMutex<HashMap<&'static str, u64>>> =
         Arc::new(StdMutex::new(HashMap::new()));
     let observed2 = observed.clone();
