@@ -5,8 +5,10 @@
 //! Five groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
-//!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
-//!   vs the `u128 %` reference.
+//!   (`Modulus::mul`, three word multiplications), the two-word Barrett
+//!   reduction of the full product (`Modulus::reduce_u128`, what `mul` ran
+//!   before) and Shoup (`Modulus::mul_shoup`, constant operand) vs the
+//!   `u128 %` reference.
 //! - **ntt** — forward/inverse negacyclic NTT at `N = 2^12` and `2^13`
 //!   over a 60-bit prime: Harvey lazy butterflies vs the exact-reduction
 //!   reference transforms.
@@ -56,7 +58,9 @@ use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
 use fhe_ckks::poly::RnsPoly;
 use fhe_ckks::uniform::UniformStream;
-use fhe_ckks::{encrypt_symmetric, CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
+use fhe_ckks::{
+    encrypt_symmetric, CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator, PlainFactor,
+};
 use fhe_ir::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,9 +151,10 @@ fn main() -> ExitCode {
     let w = ys[0];
     let w_shoup = m.shoup(w);
     let sink: u64;
-    let [reference_us, barrett_us, shoup_us] = {
+    let [reference_us, barrett_us, two_word_us, shoup_us] = {
         let mut sink_ref = 0u64;
         let mut sink_bar = 0u64;
+        let mut sink_two = 0u64;
         let mut sink_shp = 0u64;
         let best = time_rotation_us(
             reps,
@@ -165,14 +170,19 @@ fn main() -> ExitCode {
                     }
                 },
                 &mut || {
+                    for (&a, &b) in xs.iter().zip(&ys) {
+                        sink_two = sink_two.wrapping_add(m.reduce_u128(a as u128 * b as u128));
+                    }
+                },
+                &mut || {
                     for &a in &xs {
                         sink_shp = sink_shp.wrapping_add(m.mul_shoup(a, w, w_shoup));
                     }
                 },
             ],
         );
-        sink = sink_ref ^ sink_bar ^ sink_shp;
-        [best[0], best[1], best[2]]
+        sink = sink_ref ^ sink_bar ^ sink_two ^ sink_shp;
+        [best[0], best[1], best[2], best[3]]
     };
     rows.push(Row {
         group: "modmul",
@@ -184,6 +194,12 @@ fn main() -> ExitCode {
         group: "modmul",
         name: "barrett".into(),
         us: barrett_us,
+        baseline_us: reference_us,
+    });
+    rows.push(Row {
+        group: "modmul",
+        name: "two-word barrett (reduce_u128)".into(),
+        us: two_word_us,
         baseline_us: reference_us,
     });
     rows.push(Row {
@@ -416,7 +432,12 @@ fn main() -> ExitCode {
                     let p =
                         (lin_ev.encoder()).encode_extended_in(lin_ev.pool(), w, scale, ct.level);
                     lin_ev
-                        .try_accumulate_rotation(&ct, &digits, k, &mut [(&mut acc, &p)])
+                        .try_accumulate_rotation(
+                            &ct,
+                            &digits,
+                            k,
+                            &mut [(&mut acc, PlainFactor::Encoded(&p))],
+                        )
                         .expect("a key per step");
                     p.poly.recycle(lin_ev.pool());
                 }

@@ -40,10 +40,11 @@ pub fn encrypt_symmetric(
 }
 
 /// [`encrypt_symmetric`] for a plaintext encoded out of `pool`
-/// ([`crate::Encoder::encode_in`]): the body polynomial takes over the
-/// plaintext's buffers and the mask is checked out of `pool`, so the
-/// ciphertext holds exactly `2 · level` pooled limbs and nothing else was
-/// checked out on the way. Same bytes as [`encrypt_symmetric`].
+/// ([`crate::Encoder::encode_in`], or [`crate::Encoder::encode_coeffs_in`]
+/// in coefficient form): the body polynomial takes over the plaintext's
+/// buffers and the mask is checked out of `pool`, so the ciphertext holds
+/// exactly `2 · level` pooled limbs and nothing else was checked out on the
+/// way. Same bytes as [`encrypt_symmetric`] of the plaintext in NTT form.
 pub fn encrypt_symmetric_in(
     pool: &PolyPool,
     ctx: &CkksContext,
@@ -54,7 +55,7 @@ pub fn encrypt_symmetric_in(
     encrypt_symmetric_impl(ctx, sk, pt.poly, pt.scale, rng, Some(pool))
 }
 
-/// Encrypts the message polynomial `c0` (NTT domain) in place.
+/// Encrypts the message polynomial `c0` in place, leaving it in NTT form.
 fn encrypt_symmetric_impl(
     ctx: &CkksContext,
     sk: &SecretKey,
@@ -67,14 +68,24 @@ fn encrypt_symmetric_impl(
     // The mask: the first `l` limbs of the uniform polynomial of one seed.
     let a = RnsPoly::expand_uniform_in(pool, ctx, l, false, rng.gen());
     let mut e = RnsPoly::gaussian(ctx, l, false, rng);
-    e.to_ntt(ctx);
+    // m + e in the message's domain. A message in coefficient form takes
+    // the error there and the sum one forward NTT per limb: the NTT is
+    // linear and exact mod qᵢ, so the bytes are those of adding the
+    // transformed error to the transformed message.
+    if c0.is_ntt() {
+        e.to_ntt(ctx);
+        c0.add_assign(ctx, &e);
+    } else {
+        c0.add_assign(ctx, &e);
+        c0.to_ntt(ctx);
+    }
     // c0 = m + e − a·s, against the first `l` limbs of the full-basis
     // secret (every step is exact mod qᵢ, so the order is free).
     for i in 0..l {
         let q = ctx.moduli()[i];
-        let rest = a.limb(i).iter().zip(sk.s.limb(i)).zip(e.limb(i));
-        for (c, ((&a, &s), &e)) in c0.limb_mut(i).iter_mut().zip(rest) {
-            *c = q.sub(q.add(*c, e), q.mul(a, s));
+        let rest = a.limb(i).iter().zip(sk.s.limb(i));
+        for (c, (&a, &s)) in c0.limb_mut(i).iter_mut().zip(rest) {
+            *c = q.sub(*c, q.mul(a, s));
         }
     }
     Ciphertext {
@@ -85,12 +96,17 @@ fn encrypt_symmetric_impl(
     }
 }
 
-/// Decrypts a ciphertext back to a plaintext (`m ≈ c0 + c1·s`).
+/// Decrypts a ciphertext back to a plaintext (`m ≈ c0 + c1·s`), against
+/// the first `level` limbs of the full-basis secret.
 pub fn decrypt(ctx: &CkksContext, sk: &SecretKey, ct: &Ciphertext) -> Plaintext {
-    let mut s = sk.s.clone();
-    s.drop_to_level(ct.level);
-    let mut m = ct.c1.mul(ctx, &s);
-    m.add_assign(ctx, &ct.c0);
+    let mut m = ct.c1.clone();
+    for i in 0..ct.level {
+        let q = ctx.moduli()[i];
+        let rest = sk.s.limb(i).iter().zip(ct.c0.limb(i));
+        for (x, (&s, &c)) in m.limb_mut(i).iter_mut().zip(rest) {
+            *x = q.add(q.mul(*x, s), c);
+        }
+    }
     Plaintext {
         poly: m,
         scale: ct.scale,

@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use crate::cipher::Ciphertext;
 use crate::context::{key_switch_digits, CkksContext};
-use crate::encoding::{Encoder, Plaintext};
+use crate::encoding::{Encoder, Plaintext, ScalarPlaintext};
 use crate::keys::{rotation_to_galois, GaloisKeys, KeyCache, KswKey, RelinKey};
-use crate::poly::RnsPoly;
+use crate::poly::{RnsPoly, RnsScalar};
 use crate::pool::{PolyPool, PoolStats};
 
 /// Relative scale mismatch tolerated by additions. Two drift sources:
@@ -242,6 +242,16 @@ impl<'c> Evaluator<'c> {
         out
     }
 
+    /// cipher + `[value; N/2]`: byte for byte
+    /// [`Evaluator::add_plain_values`] of the splat, without the encoder
+    /// ([`Encoder::encode_scalar`] at `a`'s scale and level).
+    pub fn add_scalar(&self, a: &Ciphertext, value: f64) -> Ciphertext {
+        let p = self.encoder.encode_scalar(value, a.scale, a.level);
+        let mut out = self.clone_ct(a);
+        out.c0.add_scalar_assign(self.ctx, &p.scalar);
+        out
+    }
+
     /// cipher × plain; the result scale is the product of scales.
     pub fn mul_plain(&self, a: &Ciphertext, p: &Plaintext) -> Ciphertext {
         assert_eq!(a.level, p.level, "plaintext level must match");
@@ -257,6 +267,23 @@ impl<'c> Evaluator<'c> {
         let p = self.encoder.encode_in(&self.pool, values, scale, a.level);
         let out = self.mul_plain(a, &p);
         p.poly.recycle(&self.pool);
+        out
+    }
+
+    /// cipher × `[value; N/2]` encoded at `scale`: byte for byte
+    /// [`Evaluator::mul_plain_values`] of the splat, without the encoder
+    /// ([`Encoder::encode_scalar`]).
+    pub fn mul_scalar(&self, a: &Ciphertext, value: f64, scale: f64) -> Ciphertext {
+        let p = self.encoder.encode_scalar(value, scale, a.level);
+        self.mul_scalar_plaintext(a, &p.scalar, a.scale * p.scale)
+    }
+
+    /// `a` times the integer `s` on both halves, at scale `scale`.
+    fn mul_scalar_plaintext(&self, a: &Ciphertext, s: &RnsScalar, scale: f64) -> Ciphertext {
+        let mut out = self.clone_ct(a);
+        out.c0.mul_scalar_assign(self.ctx, s);
+        out.c1.mul_scalar_assign(self.ctx, s);
+        out.scale = scale;
         out
     }
 
@@ -439,26 +466,20 @@ impl<'c> Evaluator<'c> {
     /// all-ones plaintext at `factor` instead (the naive lowering) rounds
     /// the single nonzero coefficient to an integer, which corrupts the
     /// values themselves by up to that same ratio — a 29% error for the
-    /// `factor = √2` upscales fractional-scale schedules emit.
+    /// `factor = √2` upscales fractional-scale schedules emit. Any
+    /// magnitude is exact: `m` is reduced into each limb like an encoded
+    /// coefficient ([`RnsScalar::from_real`]).
     pub fn upscale(&self, a: &Ciphertext, factor: f64) -> Ciphertext {
         assert!(
             factor.is_finite() && factor >= 1.0,
             "upscale factor must be >= 1"
         );
         let m = factor.round().max(1.0);
-        if m >= 2f64.powi(53) {
-            // Factors beyond u64 range keep the encoded-identity path;
-            // at ≥ 2^53 its relative rounding error is below f64 epsilon.
-            let ones = vec![1.0; self.ctx.slots()];
-            return self.mul_plain_values(a, &ones, factor);
+        if m == 1.0 {
+            return self.clone_ct(a);
         }
-        let mut out = self.clone_ct(a);
-        if m > 1.0 {
-            out.c0.mul_scalar_assign(self.ctx, m as u64);
-            out.c1.mul_scalar_assign(self.ctx, m as u64);
-            out.scale = a.scale * m;
-        }
-        out
+        let s = RnsScalar::from_real(self.ctx, a.level, false, m);
+        self.mul_scalar_plaintext(a, &s, a.scale * m)
     }
 
     /// ModUp: decomposes `d` (NTT, level `l`) into its `⌈l/α⌉` digits over
@@ -665,8 +686,9 @@ impl<'c> Evaluator<'c> {
     /// Adds `rotate(a, steps) · p` to every `(accumulator, p)` of `terms`
     /// without dividing by `P`: one key-switch inner product off `digits`
     /// (a decomposition of `a`'s `c1`), whose output over `Q_l·P` is
-    /// multiplied by each plaintext — encoded over `Q_l·P`
-    /// ([`Encoder::encode_extended_in`]) — and summed into the
+    /// multiplied by each plain factor — a plaintext encoded over `Q_l·P`
+    /// ([`Encoder::encode_extended_in`]) or a scalar
+    /// ([`Encoder::encode_scalar_extended`]) — and summed into the
     /// accumulator's extended halves, while `σ(c0) ∘ p` goes to its `Q_l`
     /// half. Double hoisting (Bossuat et al., EUROCRYPT 2021): the ModDown
     /// each rotation would pay is paid once per accumulator, by
@@ -681,23 +703,23 @@ impl<'c> Evaluator<'c> {
     /// # Panics
     ///
     /// Panics on an identity rotation (it switches no key), or if `digits`,
-    /// a plaintext or an accumulator is not at `a`'s level, a plaintext is
-    /// not over `Q_l·P`, or the product's scale differs from what an
-    /// accumulator already holds.
+    /// a plain factor or an accumulator is not at `a`'s level, a plain
+    /// factor is not over `Q_l·P`, or the product's scale differs from what
+    /// an accumulator already holds.
     pub fn try_accumulate_rotation(
         &self,
         a: &Ciphertext,
         digits: &Decomposition,
         steps: i64,
-        terms: &mut [(&mut LinearAccumulator, &Plaintext)],
+        terms: &mut [(&mut LinearAccumulator, PlainFactor<'_>)],
     ) -> Result<(), MissingKeyError> {
         let (ctx, pool) = (self.ctx, &*self.pool);
         let g = rotation_to_galois(ctx, steps);
         assert_ne!(g, 1, "an identity rotation switches no key");
         assert_eq!(digits.level(), a.level, "digits of this ciphertext");
         for (acc, p) in terms.iter() {
-            assert_eq!((acc.level, p.level), (a.level, a.level), "one level");
-            assert!(p.poly.has_special(), "a plaintext over Q_l·P");
+            assert_eq!((acc.level, p.level()), (a.level, a.level), "one level");
+            assert!(p.has_special(), "a plain factor over Q_l·P");
         }
         self.with_galois_key(g, Some(steps), a.level, |key| {
             let perm = ctx.galois_permutation(g);
@@ -711,10 +733,19 @@ impl<'c> Evaluator<'c> {
             );
             let c0 = a.c0.automorphism_in(Some(pool), ctx, g);
             for (acc, p) in terms.iter_mut() {
-                self.accumulate_scale(acc, a.scale * p.scale);
-                k0.mul_acc(ctx, &p.poly, &mut acc.ext[0]);
-                k1.mul_acc(ctx, &p.poly, &mut acc.ext[1]);
-                c0.mul_acc_prefix(ctx, &p.poly, &mut acc.base[0]);
+                self.accumulate_scale(acc, a.scale * p.scale());
+                match *p {
+                    PlainFactor::Encoded(p) => {
+                        k0.mul_acc(ctx, &p.poly, &mut acc.ext[0]);
+                        k1.mul_acc(ctx, &p.poly, &mut acc.ext[1]);
+                        c0.mul_acc_prefix(ctx, &p.poly, &mut acc.base[0]);
+                    }
+                    PlainFactor::Scalar(p) => {
+                        k0.mul_scalar_acc(ctx, &p.scalar, &mut acc.ext[0]);
+                        k1.mul_scalar_acc(ctx, &p.scalar, &mut acc.ext[1]);
+                        c0.mul_scalar_acc(ctx, &p.scalar, &mut acc.base[0]);
+                    }
+                }
             }
             for poly in [k0, k1, c0] {
                 poly.recycle(pool);
@@ -774,6 +805,40 @@ impl<'c> Evaluator<'c> {
     pub fn recycle_accumulator(&self, acc: LinearAccumulator) {
         for poly in acc.ext.into_iter().chain(acc.base) {
             poly.recycle(&self.pool);
+        }
+    }
+}
+
+/// The plain factor of a linear-combination term
+/// ([`Evaluator::try_accumulate_rotation`]): an encoded plaintext, or a
+/// scalar that skipped the encoder.
+#[derive(Debug, Clone, Copy)]
+pub enum PlainFactor<'p> {
+    /// A plaintext over `Q_l·P` ([`Encoder::encode_extended_in`]).
+    Encoded(&'p Plaintext),
+    /// A scalar over `Q_l·P` ([`Encoder::encode_scalar_extended`]).
+    Scalar(&'p ScalarPlaintext),
+}
+
+impl PlainFactor<'_> {
+    fn level(&self) -> usize {
+        match self {
+            PlainFactor::Encoded(p) => p.level,
+            PlainFactor::Scalar(p) => p.level,
+        }
+    }
+
+    fn scale(&self) -> f64 {
+        match self {
+            PlainFactor::Encoded(p) => p.scale,
+            PlainFactor::Scalar(p) => p.scale,
+        }
+    }
+
+    fn has_special(&self) -> bool {
+        match self {
+            PlainFactor::Encoded(p) => p.poly.has_special(),
+            PlainFactor::Scalar(p) => p.scalar.has_special(),
         }
     }
 }
@@ -1444,8 +1509,13 @@ mod key_switch_tests {
             let level = self.a.level;
             let p =
                 (ev.encoder()).encode_extended_in(ev.pool(), &self.weights[t], WEIGHT_SCALE, level);
-            ev.try_accumulate_rotation(&self.a, digits, STEPS[t], &mut [(acc, &p)])
-                .expect("keys for every step");
+            ev.try_accumulate_rotation(
+                &self.a,
+                digits,
+                STEPS[t],
+                &mut [(acc, PlainFactor::Encoded(&p))],
+            )
+            .expect("keys for every step");
             p.poly.recycle(ev.pool());
         }
 
@@ -1570,7 +1640,7 @@ mod key_switch_tests {
             .encode_extended_in(ev.pool(), &[0.5], WEIGHT_SCALE, 3);
         let mut acc = ev.linear_accumulator(3);
         let err = ev
-            .try_accumulate_rotation(&a, &digits, 2, &mut [(&mut acc, &p)])
+            .try_accumulate_rotation(&a, &digits, 2, &mut [(&mut acc, PlainFactor::Encoded(&p))])
             .unwrap_err();
         assert_eq!(err.steps, Some(2));
         ev.recycle_decomposition(digits);

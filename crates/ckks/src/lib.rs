@@ -66,8 +66,8 @@ pub use context::{
     decomposition_limbs, key_switch_digits, ksw_key_limbs, special_prime_count, CkksContext,
     CkksParams,
 };
-pub use encoding::{Encoder, Plaintext};
-pub use eval::{Decomposition, Evaluator, LinearAccumulator, MissingKeyError};
+pub use encoding::{Encoder, Plaintext, ScalarPlaintext};
+pub use eval::{Decomposition, Evaluator, LinearAccumulator, MissingKeyError, PlainFactor};
 pub use keys::{
     rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, KswKey, RelinKey,
     SecretKey,

@@ -1,9 +1,9 @@
 //! 64-bit modular arithmetic for NTT-friendly primes.
 //!
 //! Products avoid the hardware `u128 %` division entirely: every [`Modulus`]
-//! precomputes a 128-bit Barrett magic constant at construction, so a general
-//! modular product is four word multiplications plus one branchless
-//! correction. Multiplications by a *constant* operand (twiddle factors,
+//! precomputes its Barrett constants at construction, so a general modular
+//! product of two residues is three word multiplications plus two branchless
+//! corrections. Multiplications by a *constant* operand (twiddle factors,
 //! rescale inverses, `N⁻¹`) use Shoup's trick — a precomputed quotient turns
 //! the product into two word multiplications and a conditional subtraction,
 //! and the `*_lazy` variant skips the correction to keep values in `[0, 2q)`
@@ -14,8 +14,8 @@
 
 /// A word-sized prime modulus with the arithmetic the scheme needs.
 ///
-/// General products use Barrett reduction off a precomputed
-/// `⌊2^128 / q⌋` constant; constant-operand products use Shoup
+/// General products use Barrett reduction off a precomputed one-word
+/// constant ([`Modulus::mul`]); constant-operand products use Shoup
 /// precomputed-quotient multiplication ([`Modulus::mul_shoup`]). The
 /// `q < 2^62` bound leaves the headroom the lazy `[0, 4q)` NTT butterflies
 /// need in 64 bits.
@@ -26,6 +26,12 @@ pub struct Modulus {
     ratio64: u64,
     /// `⌊2^128 / q⌋` — Barrett constant for two-word reduction.
     ratio128: u128,
+    /// `⌊2^(64 + shift) / q⌋ < 2^63` — Barrett constant for a product of
+    /// two residues ([`Modulus::mul`]).
+    ratio_mul: u64,
+    /// `bits(q) − 2`: how far [`Modulus::mul`] shifts the product down
+    /// before multiplying by `ratio_mul`.
+    shift: u32,
 }
 
 /// High 128 bits of the 256-bit product `a · b`.
@@ -61,10 +67,14 @@ impl Modulus {
         } else {
             (u64::MAX / q, u128::MAX / q as u128)
         };
+        let shift = u64::BITS - q.leading_zeros() - 2;
+        let ratio_mul = ((1u128 << (64 + shift)) / q as u128) as u64;
         Modulus {
             q,
             ratio64,
             ratio128,
+            ratio_mul,
+            shift,
         }
     }
 
@@ -105,10 +115,23 @@ impl Modulus {
     }
 
     /// `(a · b) mod q` for operands already `< q`, by Barrett reduction of
-    /// the 128-bit product (no hardware division).
+    /// the 128-bit product (no hardware division): three word
+    /// multiplications and two branchless corrections.
+    ///
+    /// With `b = bits(q)`, `s = b − 2` and `μ = ⌊2^(64+s) / q⌋`, the product
+    /// `x < 2^(2b)` shifted down by `s` fits a word, and `⌊(x ≫ s)·μ / 2^64⌋`
+    /// undershoots `⌊x / q⌋` by at most 2 (the shift drops less than one
+    /// unit, `x / 2^(64+s) ≤ 1`, and `2^s / q ≤ 1/2`), so the remainder
+    /// before the corrections is below `3q < 2^64`.
     #[inline]
     pub fn mul(self, a: u64, b: u64) -> u64 {
-        self.reduce_u128(a as u128 * b as u128)
+        debug_assert!(a < self.q && b < self.q, "operands of mul are residues");
+        let x = a as u128 * b as u128;
+        let quot = (((x >> self.shift) as u64 as u128 * self.ratio_mul as u128) >> 64) as u64;
+        let r = (x as u64).wrapping_sub(quot.wrapping_mul(self.q));
+        // `r − q` wraps past `r` exactly when `r < q`.
+        let r = r.min(r.wrapping_sub(self.q));
+        r.min(r.wrapping_sub(self.q))
     }
 
     /// `(a · b) mod q` through the `u128 %` hardware division — the slow
@@ -426,6 +449,31 @@ mod tests {
             // Boundary operands.
             for &(a, b) in &[(0, 0), (0, q - 1), (1, q - 1), (q - 1, q - 1)] {
                 assert_eq!(m.mul(a, b), m.mul_reference(a, b), "q={q} a={a} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_agrees_with_reference_for_every_modulus_width() {
+        // Random moduli of every bit length in [2, 2^62), with the ends of
+        // each length (2^(b−1), 2^b − 1) and the residues at the edges:
+        // the quotient estimate's error bound depends on `bits(q)` alone.
+        let mut rng = StdRng::seed_from_u64(0x0BA5_5E77);
+        let mut moduli = vec![2u64, 3];
+        for bits in 2..=62u32 {
+            let lo = 1u64 << (bits - 1);
+            let hi = (1u64 << bits) - 1;
+            moduli.extend([lo, hi, lo + 1]);
+            moduli.extend((0..6).map(|_| rng.gen_range(lo..hi)));
+        }
+        for q in moduli.into_iter().filter(|&q| q >= 2) {
+            let m = Modulus::new(q);
+            let mut operands: Vec<u64> = vec![0, 1, q - 1, q / 2, q.div_ceil(2)];
+            operands.extend((0..24).map(|_| rng.gen_range(0..q)));
+            for &a in &operands {
+                for &b in &operands {
+                    assert_eq!(m.mul(a, b), m.mul_reference(a, b), "q={q} a={a} b={b}");
+                }
             }
         }
     }

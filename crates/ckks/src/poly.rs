@@ -26,6 +26,82 @@ pub struct RnsPoly {
     limbs: Vec<Vec<u64>>,
 }
 
+/// An integer held as its residues over a basis (`Q_l`, or `Q_l·P`), each
+/// with its Shoup companion: the constant polynomial, which in NTT domain is
+/// the same residue in every slot of a limb. Multiplying by it, or adding
+/// it, is one pass per limb with no transform ([`RnsPoly::mul_scalar_assign`],
+/// [`RnsPoly::add_scalar_assign`], [`RnsPoly::mul_scalar_acc`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RnsScalar {
+    level: usize,
+    special: bool,
+    /// `(residue, Shoup companion)` per limb, in [`RnsPoly`]'s limb order.
+    residues: Vec<(u64, u64)>,
+}
+
+impl RnsScalar {
+    /// `round(x)` reduced into every limb of the basis, exactly, any
+    /// magnitude included: one [`SplitF64::round`], then one
+    /// [`crate::modular::Pow2Table::reduce_split`] per limb — coefficient 0
+    /// of [`RnsPoly::from_real_coeffs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN or infinite, or the level is out of range.
+    pub fn from_real(ctx: &CkksContext, level: usize, special: bool, x: f64) -> Self {
+        assert!(level >= 1 && level <= ctx.max_level(), "level out of range");
+        let split = SplitF64::round(x);
+        let residues = (0..limb_count(ctx, level, special))
+            .map(|idx| {
+                let b = ctx.basis_index(level, idx);
+                let r = ctx.pow2(b).reduce_split(split);
+                (r, ctx.basis()[b].shoup(r))
+            })
+            .collect();
+        RnsScalar {
+            level,
+            special,
+            residues,
+        }
+    }
+
+    /// Whether the basis extends past the chain by the special primes.
+    pub fn has_special(&self) -> bool {
+        self.special
+    }
+
+    /// The residue of each limb.
+    pub fn residues(&self) -> Vec<u64> {
+        self.residues.iter().map(|&(r, _)| r).collect()
+    }
+
+    /// `self += other` over the same basis: the residues add mod each
+    /// prime, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bases differ.
+    pub fn add_assign(&mut self, ctx: &CkksContext, other: &RnsScalar) {
+        assert_eq!(
+            (self.level, self.special),
+            (other.level, other.special),
+            "basis mismatch"
+        );
+        for (idx, (mine, theirs)) in self.residues.iter_mut().zip(&other.residues).enumerate() {
+            let m = RnsPoly::modulus_at(ctx, self.level, idx);
+            let r = m.add(mine.0, theirs.0);
+            *mine = (r, m.shoup(r));
+        }
+    }
+
+    /// Asserts that this scalar's limbs pair with `poly`'s: the same chain
+    /// level, and the specials wherever `poly` has them.
+    fn check_covers(&self, poly: &RnsPoly) {
+        assert_eq!(self.level, poly.level, "level mismatch");
+        assert!(self.special || !poly.special, "basis mismatch");
+    }
+}
+
 impl RnsPoly {
     /// The all-zero polynomial over the given basis and domain.
     pub fn zero(ctx: &CkksContext, level: usize, special: bool, ntt: bool) -> Self {
@@ -318,15 +394,58 @@ impl RnsPoly {
         }
     }
 
-    /// `self *= m` for a scalar `m` (domain-agnostic: a scalar commutes
-    /// with the NTT).
-    pub fn mul_scalar_assign(&mut self, ctx: &CkksContext, scalar: u64) {
-        for idx in 0..self.limbs.len() {
-            let m = self.modulus_of(ctx, idx);
-            let s = m.reduce(scalar);
-            let s_shoup = m.shoup(s);
-            for a in self.limbs[idx].iter_mut() {
-                *a = m.mul_shoup(*a, s, s_shoup);
+    /// `self *= s` for a scalar over `self`'s basis (domain-agnostic: a
+    /// scalar commutes with the NTT): one Shoup product per residue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` does not cover `self`'s basis.
+    pub fn mul_scalar_assign(&mut self, ctx: &CkksContext, s: &RnsScalar) {
+        s.check_covers(self);
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, self.level, idx);
+            let (w, w_shoup) = s.residues[idx];
+            for a in limb.iter_mut() {
+                *a = m.mul_shoup(*a, w, w_shoup);
+            }
+        }
+    }
+
+    /// `self += s` for a scalar over `self`'s basis, in NTT domain, where
+    /// the constant polynomial is the constant in every slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is in coefficient domain or `s` does not cover its
+    /// basis.
+    pub fn add_scalar_assign(&mut self, ctx: &CkksContext, s: &RnsScalar) {
+        assert!(self.ntt, "a constant fills every slot in NTT domain only");
+        s.check_covers(self);
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, self.level, idx);
+            let w = s.residues[idx].0;
+            for a in limb.iter_mut() {
+                *a = m.add(*a, w);
+            }
+        }
+    }
+
+    /// `acc += self · s`, fused into one pass per limb — the scalar twin of
+    /// [`RnsPoly::mul_acc`]. `s` may extend past `self`'s basis (a scalar
+    /// over `Q_l·P` also multiplies a polynomial over `Q_l`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is not over `self`'s basis and domain, or `s` does
+    /// not cover it.
+    pub fn mul_scalar_acc(&self, ctx: &CkksContext, s: &RnsScalar, acc: &mut RnsPoly) {
+        self.check_compatible(acc);
+        s.check_covers(self);
+        for (idx, limb) in acc.limbs.iter_mut().enumerate() {
+            let m = Self::modulus_at(ctx, acc.level, idx);
+            let (w, w_shoup) = s.residues[idx];
+            for (a, &x) in limb.iter_mut().zip(&self.limbs[idx]) {
+                *a = m.add(*a, m.mul_shoup(x, w, w_shoup));
             }
         }
     }
@@ -874,8 +993,9 @@ mod tests {
     fn mul_scalar_matches_per_coefficient_multiply() {
         let ctx = tiny_ctx();
         let coeffs: Vec<i64> = (0..64).map(|i| (i as i64 % 17) - 8).collect();
+        let s = RnsScalar::from_real(&ctx, 2, false, 12345.0);
         let mut p = RnsPoly::from_signed_coeffs(&ctx, 2, false, &coeffs);
-        p.mul_scalar_assign(&ctx, 12345);
+        p.mul_scalar_assign(&ctx, &s);
         for (i, &c) in coeffs.iter().enumerate() {
             for limb in 0..2 {
                 let m = ctx.moduli()[limb];
@@ -890,9 +1010,41 @@ mod tests {
         // then returning to coefficients gives the same polynomial.
         let mut q = RnsPoly::from_signed_coeffs(&ctx, 2, false, &coeffs);
         q.to_ntt(&ctx);
-        q.mul_scalar_assign(&ctx, 12345);
+        q.mul_scalar_assign(&ctx, &s);
         q.to_coeff(&ctx);
         assert_eq!(q, p);
+    }
+
+    #[test]
+    fn scalar_kernels_match_the_constant_polynomial() {
+        // Every scalar kernel agrees with the pointwise kernel on the NTT of
+        // the constant polynomial, over Q_l and Q_l·P, for a negative and a
+        // ≥ 2^64 integer.
+        let ctx = tiny_ctx();
+        let mut rng = StdRng::seed_from_u64(0x5CA1);
+        for special in [false, true] {
+            for x in [-77.0, 3.0 * 2f64.powi(70)] {
+                let s = RnsScalar::from_real(&ctx, 2, special, x);
+                let mut constant = vec![0.0; ctx.degree()];
+                constant[0] = x;
+                let mut c = RnsPoly::from_real_coeffs(&ctx, 2, special, &constant);
+                c.to_ntt(&ctx);
+                let a = RnsPoly::uniform(&ctx, 2, special, &mut rng);
+                let mut got = a.clone();
+                got.mul_scalar_assign(&ctx, &s);
+                assert_eq!(got, a.mul(&ctx, &c));
+                let mut got = a.clone();
+                got.add_scalar_assign(&ctx, &s);
+                let mut want = a.clone();
+                want.add_assign(&ctx, &c);
+                assert_eq!(got, want);
+                let acc = RnsPoly::uniform(&ctx, 2, special, &mut rng);
+                let (mut got, mut want) = (acc.clone(), acc);
+                a.mul_scalar_acc(&ctx, &s, &mut got);
+                a.mul_acc(&ctx, &c, &mut want);
+                assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

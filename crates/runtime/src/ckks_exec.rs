@@ -19,11 +19,11 @@ use rand::SeedableRng;
 use fhe_ckks::{
     decrypt, encrypt_symmetric_in, rotation_to_galois, Ciphertext, CkksContext, CkksParams,
     Decomposition, Evaluator, GaloisKeys, KeyCache, KeyGenerator, LinearAccumulator,
-    MissingKeyError, PolyPool, RelinKey, SecretKey,
+    MissingKeyError, PlainFactor, Plaintext, PolyPool, RelinKey, ScalarPlaintext, SecretKey,
 };
 use fhe_ir::semantics::{self, rotation_class};
 use fhe_ir::{
-    key_levels, CostModel, DepGraph, FusionPlan, KeyLevels, Op, OpClass, ScheduleError,
+    key_levels, ConstValue, CostModel, DepGraph, FusionPlan, KeyLevels, Op, OpClass, ScheduleError,
     ScheduledProgram, ValueId,
 };
 
@@ -719,10 +719,10 @@ pub fn execute_parallel_with_keys(
     }
 
     // Prologue: plaintext sub-values are evaluated in the clear by the one
-    // interpreter (and encoded on demand by the ops that use them) — a plain
-    // op has only plain operands and inputs are cipher, so the bindings are
-    // not read here — and every live input is encrypted, consuming the
-    // seeded RNG in schedule order.
+    // interpreter (and encoded on demand by the ops that use them, a scalar
+    // without the encoder) — a plain op has only plain operands and inputs
+    // are cipher, so the bindings are not read here — and every live input
+    // is encrypted, consuming the seeded RNG in schedule order.
     let slots = program.slots();
     let mut rng = StdRng::seed_from_u64(enc_seed);
     let mut cipher_slots: Vec<RwLock<Option<Ciphertext>>> =
@@ -734,6 +734,7 @@ pub fn execute_parallel_with_keys(
         |id| live(id) && program.is_plain(id),
         |_, _| {},
     );
+    let scalar = scalar_values(program, live);
     // `validate` checked there is one spec per declared input.
     let mut bound = Vec::new();
     let mut invalid = Vec::new();
@@ -766,9 +767,11 @@ pub fn execute_parallel_with_keys(
     let pool = ev.pool();
     for (id, spec, data) in bound {
         let scale = 2f64.powf(spec.scale_bits.to_f64());
+        // In coefficient form: the error joins it there, and the sum takes
+        // one forward NTT per limb.
         let pt = ev
             .encoder()
-            .encode_in(pool, data, scale, spec.level as usize);
+            .encode_coeffs_in(pool, data, scale, spec.level as usize);
         let ct = encrypt_symmetric_in(pool, ctx, &keys.sk, pt, &mut rng);
         *cipher_slots[id.index()].get_mut().expect(SLOT_LOCK) = Some(ct);
     }
@@ -784,6 +787,7 @@ pub fn execute_parallel_with_keys(
         graph: &graph,
         ev,
         plain_vals: &plain_vals,
+        scalar: &scalar,
         cipher_slots: &cipher_slots,
         hoist_groups: &hoist_groups,
         linear: &linear,
@@ -890,6 +894,8 @@ struct RunCx<'a, 'c> {
     graph: &'a DepGraph,
     ev: &'a Evaluator<'c>,
     plain_vals: &'a [Option<Vec<f64>>],
+    /// Which plain values hold one value in every slot ([`scalar_values`]).
+    scalar: &'a [bool],
     cipher_slots: &'a [RwLock<Option<Ciphertext>>],
     hoist_groups: &'a HashMap<ValueId, HoistGroup>,
     linear: &'a LinearPlan,
@@ -1011,6 +1017,26 @@ impl RunCx<'_, '_> {
         Operand(self.cipher_slots[id.index()].read().expect(SLOT_LOCK))
     }
 
+    /// The value in every slot of a plain operand that holds one value in
+    /// every slot: the interpreter's slot 0.
+    fn scalar_of(&self, id: ValueId) -> Option<f64> {
+        self.scalar[id.index()].then(|| get(self.plain_vals, id)[0])
+    }
+
+    /// `ct + plain`, or `ct − plain` when `negate`: a scalar without the
+    /// encoder, a vector encoded at `ct`'s scale and level.
+    fn add_plain(&self, ct: &Ciphertext, plain: ValueId, negate: bool) -> Ciphertext {
+        let ev = self.ev;
+        match self.scalar_of(plain) {
+            Some(v) => ev.add_scalar(ct, if negate { -v } else { v }),
+            None if negate => {
+                let neg = semantics::neg(get(self.plain_vals, plain));
+                ev.add_plain_values(ct, &neg)
+            }
+            None => ev.add_plain_values(ct, get(self.plain_vals, plain)),
+        }
+    }
+
     fn store(&self, id: ValueId, ct: Ciphertext) {
         debug_assert_eq!(
             ct.level as u32,
@@ -1108,42 +1134,68 @@ impl RunCx<'_, '_> {
         steps: i64,
         terms: &[(usize, Vec<ValueId>)],
     ) -> Result<(), MissingKeyError> {
-        let (ctx, ev) = (self.ev.context(), self.ev);
         let source = self.cipher(source_id);
-        // A group's products all carry the source's scale times the
-        // waterline, so a member's plaintexts for one group sum exactly.
-        let plaintexts: Vec<_> = (terms.iter())
-            .map(|(_, plains)| {
-                let encode = |p: &ValueId| {
-                    let values = get(self.plain_vals, *p);
-                    (ev.encoder()).encode_extended_in(
-                        ev.pool(),
-                        values,
-                        self.waterline,
-                        source.level,
-                    )
-                };
-                let mut sum = encode(&plains[0]);
-                for p in &plains[1..] {
-                    let more = encode(p);
-                    sum.poly.add_assign(ctx, &more.poly);
-                    more.poly.recycle(ev.pool());
-                }
-                sum
-            })
+        let factors: Vec<_> = (terms.iter())
+            .map(|(_, plains)| self.member_factor(plains, source.level))
             .collect();
         let mut partials: Vec<_> = terms.iter().map(|&(g, _)| self.partial(g)).collect();
         let out = self.with_group_digits(source_id, id, &source, |digits| {
-            let mut pairs: Vec<_> = partials.iter_mut().zip(&plaintexts).collect();
-            ev.try_accumulate_rotation(&source, digits, steps, &mut pairs)
+            let mut pairs: Vec<_> = (partials.iter_mut())
+                .zip(&factors)
+                .map(|(acc, factor)| (acc, factor.as_plain()))
+                .collect();
+            self.ev
+                .try_accumulate_rotation(&source, digits, steps, &mut pairs)
         });
         for (&(g, _), acc) in terms.iter().zip(partials) {
             self.put_partial(g, acc);
         }
-        for p in plaintexts {
-            p.poly.recycle(ev.pool());
+        for factor in factors {
+            if let Factor::Encoded(p) = factor {
+                p.poly.recycle(self.ev.pool());
+            }
         }
         out
+    }
+
+    /// The sum of a member's plain operands for one group, over `Q_l·P` at
+    /// the waterline. A group's products all carry the source's scale times
+    /// the waterline, so the operands sum exactly: scalars as residues,
+    /// vectors as encoded polynomials, and a scalar sum beside vectors is
+    /// added into their polynomial — all exact mod each prime, where a sum
+    /// of the values before rounding would not be.
+    fn member_factor(&self, plains: &[ValueId], level: usize) -> Factor {
+        let (ctx, ev) = (self.ev.context(), self.ev);
+        let mut encoded: Option<Plaintext> = None;
+        let mut scalar: Option<ScalarPlaintext> = None;
+        for &p in plains {
+            if let Some(v) = self.scalar_of(p) {
+                let s = (ev.encoder()).encode_scalar_extended(v, self.waterline, level);
+                match &mut scalar {
+                    Some(sum) => sum.scalar.add_assign(ctx, &s.scalar),
+                    None => scalar = Some(s),
+                }
+                continue;
+            }
+            let values = get(self.plain_vals, p);
+            let e = (ev.encoder()).encode_extended_in(ev.pool(), values, self.waterline, level);
+            match &mut encoded {
+                Some(sum) => {
+                    sum.poly.add_assign(ctx, &e.poly);
+                    e.poly.recycle(ev.pool());
+                }
+                None => encoded = Some(e),
+            }
+        }
+        match (encoded, scalar) {
+            (Some(mut e), Some(s)) => {
+                e.poly.add_scalar_assign(ctx, &s.scalar);
+                Factor::Encoded(e)
+            }
+            (Some(e), None) => Factor::Encoded(e),
+            (None, Some(s)) => Factor::Scalar(s),
+            (None, None) => unreachable!("a member has a plain operand per group"),
+        }
     }
 
     /// An add of a linear-combination group: adds its direct operands to a
@@ -1246,8 +1298,11 @@ impl RunCx<'_, '_> {
                     (*b, *a)
                 };
                 let cc = self.cipher(c);
-                let pv = get(self.plain_vals, p);
-                (id, ev.mul_plain_values(&cc, pv, self.waterline))
+                let out = match self.scalar_of(p) {
+                    Some(v) => ev.mul_scalar(&cc, v, self.waterline),
+                    None => ev.mul_plain_values(&cc, get(self.plain_vals, p), self.waterline),
+                };
+                (id, out)
             }
             Op::Add(a, b) | Op::Sub(a, b) => {
                 let sub = matches!(program.op(id), Op::Sub(..));
@@ -1260,27 +1315,18 @@ impl RunCx<'_, '_> {
                             ev.add(&ca, &cb)
                         }
                     }
-                    (true, false) => {
-                        let ca = self.cipher(*a);
-                        let pv = get(self.plain_vals, *b);
-                        if sub {
-                            ev.add_plain_values(&ca, &semantics::neg(pv))
-                        } else {
-                            ev.add_plain_values(&ca, pv)
-                        }
-                    }
+                    (true, false) => self.add_plain(&self.cipher(*a), *b, sub),
                     (false, true) => {
                         // plain ± cipher: a + b, or a − b = (−b) + a. The
                         // negated temporary goes straight back to the pool.
                         let cb = self.cipher(*b);
-                        let pv = get(self.plain_vals, *a);
                         if sub {
                             let neg = ev.neg(&cb);
-                            let out = ev.add_plain_values(&neg, pv);
+                            let out = self.add_plain(&neg, *a, false);
                             ev.recycle_ct(neg);
                             out
                         } else {
-                            ev.add_plain_values(&cb, pv)
+                            self.add_plain(&cb, *a, false)
                         }
                     }
                     (false, false) => unreachable!("a cipher op has a cipher operand"),
@@ -1308,6 +1354,37 @@ impl RunCx<'_, '_> {
         self.store(store_id, ct);
         self.recycle_operands(id);
         Ok(elapsed)
+    }
+}
+
+/// Which live plain values hold one value in every slot, read off the IR
+/// once per execution: a scalar constant, and a plain op whose operands are
+/// all such values (a slot-wise op of splats is a splat). Their ops take
+/// the scalar path ([`Evaluator::mul_scalar`], [`Evaluator::add_scalar`],
+/// scalar linear-combination factors), byte for byte the encoder's.
+fn scalar_values(program: &fhe_ir::Program, live: impl Fn(ValueId) -> bool) -> Vec<bool> {
+    let mut scalar = vec![false; program.num_ops()];
+    for id in program.ids().filter(|&id| live(id) && program.is_plain(id)) {
+        scalar[id.index()] = match program.op(id) {
+            Op::Const { value } => matches!(value, ConstValue::Scalar(_)),
+            op => op.operands().all(|a| scalar[a.index()]),
+        };
+    }
+    scalar
+}
+
+/// A member's plain factor for one group, owned while the member runs.
+enum Factor {
+    Encoded(Plaintext),
+    Scalar(ScalarPlaintext),
+}
+
+impl Factor {
+    fn as_plain(&self) -> PlainFactor<'_> {
+        match self {
+            Factor::Encoded(p) => PlainFactor::Encoded(p),
+            Factor::Scalar(p) => PlainFactor::Scalar(p),
+        }
     }
 }
 

@@ -131,7 +131,17 @@ mod tests {
             error_std: 3.2,
             threads: 1,
         };
-        let rows = measure(params, 3, 2, 42);
+        // Each cell is the minimum of five one-rep measurements: load on a
+        // shared host only ever adds time, so the minimum keeps the order
+        // the kernels' work sets.
+        let mut rows = measure(params, 3, 1, 42);
+        for _ in 1..5 {
+            for ((_, best), (_, row)) in rows.iter_mut().zip(measure(params, 3, 1, 42)) {
+                for (b, us) in best.iter_mut().zip(row) {
+                    *b = b.min(us);
+                }
+            }
+        }
         let get = |c: OpClass| -> &Vec<f64> {
             &rows.iter().find(|(cl, _)| *cl == c).expect("row present").1
         };

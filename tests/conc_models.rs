@@ -341,7 +341,7 @@ fn cold_key_compiles_exactly_once_in_every_interleaving() {
         let program = Arc::new(tiny_program("sf"));
         let params = CompileParams::new(30);
         let t = {
-            let (cache, program, params) = (cache.clone(), program.clone(), params.clone());
+            let (cache, program) = (cache.clone(), program.clone());
             thread::spawn(move || {
                 let compiler = ReserveCompiler::full();
                 cache
