@@ -11,7 +11,6 @@
 //! | `F006` | warning | over-provisioned keys: rotation keys were requested for steps the schedule never rotates by |
 //! | `F007` | warning | serialized critical path: an associative add/mul chain whose balanced reassociation provably cuts the span by ≥ 2× |
 //! | `F008` | error   | premature free: the last-use table frees a value a later scheduled op still reads — a static use-after-free |
-//! | `F009` | warning | unfusable mul chain: a cipher×cipher product escapes its rescale (extra consumer or intervening op), forfeiting the fused mul·relin·rescale kernel |
 //!
 //! `F001` is the static form of the fuzz oracle's `schedule_fits_backend`
 //! gate: a lint-clean schedule under true input ranges cannot wrap in the
@@ -27,11 +26,7 @@
 //! depth `⌈log₂(n+1)⌉`. `F008` is the static form of a use-after-free: the
 //! runtime recycles a ciphertext's buffer at its last *live* use, so a
 //! later scheduled reader (necessarily dead code) would observe a recycled
-//! buffer if executed. `F009` reads the schedule through the fusion
-//! planner's lens (`fhe_ir::fusion`): a mul→rescale pair fuses into one
-//! pass over the limbs only when the rescale is the product's sole
-//! consumer; every blocked pair materializes a full-level intermediate the
-//! fused kernel would have skipped.
+//! buffer if executed.
 //!
 //! The machine-readable face of the table above is [`registry`]; the `lint`
 //! CLI's `--explain` flag is backed by it, and a test asserts the two stay
@@ -56,7 +51,7 @@ use crate::interval::IntervalDomain;
 /// a lint code.
 #[derive(Debug, Clone, Copy)]
 pub struct LintInfo {
-    /// The lint code (`"F001"` … `"F009"`).
+    /// The lint code (`"F001"` … `"F008"`).
     pub code: &'static str,
     /// The severity the lint fires at.
     pub severity: Severity,
@@ -167,28 +162,10 @@ pub fn registry() -> &'static [LintInfo] {
                           delete the dead reader, or add its result to the outputs so \
                           liveness keeps the operand alive.",
         },
-        LintInfo {
-            code: "F009",
-            severity: Severity::Warning,
-            summary: "unfusable mul chain: a cipher×cipher product escapes its rescale (extra \
-                      consumer or intervening op), forfeiting the fused mul·relin·rescale \
-                      kernel",
-            explanation: "The parallel runtime executes a cipher×cipher multiply whose rescale \
-                          is the product's *sole* consumer as one fused mul·relin·rescale pass \
-                          over the limbs, never materializing the full-level relinearized \
-                          intermediate. A product that is also read by another op (or is \
-                          itself a program output), or whose rescale applies only after an \
-                          intervening unary op, blocks the fusion: the intermediate must be \
-                          materialized and the rescale runs as a separate level-N pass. Fix: \
-                          re-point the extra consumers at the rescaled value (dividing their \
-                          plaintext operands by the rescale factor if scales must match), or \
-                          move the intervening op below the rescale — neg, modswitch and \
-                          upscale all commute with it.",
-        },
     ]
 }
 
-/// Looks up a lint code (`"F001"` … `"F009"`) in the [`registry`].
+/// Looks up a lint code (`"F001"` … `"F008"`) in the [`registry`].
 pub fn explain(code: &str) -> Option<&'static LintInfo> {
     registry().iter().find(|info| info.code == code)
 }
@@ -560,44 +537,6 @@ pub fn lint_validated(
         }
     }
 
-    // F009: mul→rescale pairs the fusion planner had to reject. Each
-    // blocked pair materializes the full-level relinearized product the
-    // fused mul·relin·rescale kernel would have skipped, plus a separate
-    // level-N rescale pass.
-    for b in fhe_ir::fusion::FusionPlan::plan_read(program, &live, &readers).blocked() {
-        let message = match &b.blocker {
-            fhe_ir::Blocker::ExtraConsumers { others, is_output } => {
-                let mut pins = others
-                    .iter()
-                    .map(|o| o.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                if *is_output {
-                    if !pins.is_empty() {
-                        pins.push_str(" and ");
-                    }
-                    pins.push_str("the program outputs");
-                }
-                format!(
-                    "unfusable mul chain: the product {} is rescaled at {} but also read by \
-                     {pins}, so the full-level intermediate must be materialized instead of \
-                     executing the fused mul·relin·rescale kernel — re-point the extra \
-                     consumers at the rescaled value",
-                    b.mul, b.rescale
-                )
-            }
-            fhe_ir::Blocker::Intervening { via } => format!(
-                "unfusable mul chain: {via} ({}) sits between the product {} and its rescale \
-                 {}, blocking the fused mul·relin·rescale kernel — rescale the product \
-                 directly and apply {via} afterwards (it commutes with the rescale)",
-                scheduled.program.op(*via).mnemonic(),
-                b.mul,
-                b.rescale
-            ),
-        };
-        findings.push(Finding::new("F009", Severity::Warning, message).at(b.mul));
-    }
-
     findings.sort_by_key(|f| (f.op, std::cmp::Reverse(f.severity)));
     findings
 }
@@ -904,66 +843,6 @@ mod tests {
             program: p,
             params: CompileParams::new(35),
             inputs: vec![spec(35, 1), spec(35, 1)],
-        };
-        assert!(lint(&s).is_empty(), "{:?}", lint(&s));
-    }
-
-    #[test]
-    fn escaping_product_fires_f009() {
-        // The product %2 is rescaled at %3 but also read by %4: the
-        // fusion planner must reject the pair and the lint must say why.
-        let mut p = Program::new("escape", 4);
-        let x = p.push(Op::Input { name: "x".into() });
-        let y = p.push(Op::Input { name: "y".into() });
-        let m = p.push(Op::Mul(x, y));
-        let r = p.push(Op::Rescale(m));
-        let extra = p.push(Op::Add(m, m));
-        p.set_outputs(vec![r, extra]);
-        let s = ScheduledProgram {
-            program: p,
-            params: CompileParams::new(35),
-            inputs: vec![spec(50, 2), spec(50, 2)],
-        };
-        let f = lint(&s);
-        assert_eq!(codes(&f), vec!["F009"]);
-        assert_eq!(f[0].op, Some(m));
-        assert!(
-            f[0].message.contains(&extra.to_string()),
-            "{}",
-            f[0].message
-        );
-    }
-
-    #[test]
-    fn intervening_op_fires_f009_and_fusable_pairs_stay_quiet() {
-        // mul → neg → rescale: the rescale exists but an op intervenes.
-        let mut p = Program::new("between", 4);
-        let x = p.push(Op::Input { name: "x".into() });
-        let m = p.push(Op::Mul(x, x));
-        let n = p.push(Op::Neg(m));
-        let r = p.push(Op::Rescale(n));
-        p.set_outputs(vec![r]);
-        let s = ScheduledProgram {
-            program: p,
-            params: CompileParams::new(35),
-            inputs: vec![spec(50, 2)],
-        };
-        let f = lint(&s);
-        assert_eq!(codes(&f), vec!["F009"]);
-        assert_eq!(f[0].op, Some(m));
-        assert!(f[0].message.contains("neg"), "{}", f[0].message);
-
-        // The canonical fusable shape — the rescale is the product's sole
-        // consumer — must not warn.
-        let mut p = Program::new("fused", 4);
-        let x = p.push(Op::Input { name: "x".into() });
-        let m = p.push(Op::Mul(x, x));
-        let r = p.push(Op::Rescale(m));
-        p.set_outputs(vec![r]);
-        let s = ScheduledProgram {
-            program: p,
-            params: CompileParams::new(35),
-            inputs: vec![spec(50, 2)],
         };
         assert!(lint(&s).is_empty(), "{:?}", lint(&s));
     }

@@ -331,16 +331,13 @@ impl<'c> Evaluator<'c> {
         }
     }
 
-    /// Squares a ciphertext (same as `mul(a, a)`).
-    pub fn square(&self, a: &Ciphertext) -> Ciphertext {
-        self.mul(a, a)
-    }
-
     /// Fused cipher × cipher + relinearize + rescale: one pass over the
     /// product limbs with the rescale applied to the relinearized pair in
     /// place. Bit-identical to `rescale(&mul(a, b))` — the fusion skips
     /// the full-level intermediate that `rescale`'s ciphertext clone
     /// would materialize (two level-`l` polynomials), not any arithmetic.
+    /// The executor does not call it (it runs the two ops as two kernel
+    /// calls); it stays only because the benchmark harness times it.
     ///
     /// # Panics
     ///
@@ -1092,8 +1089,8 @@ mod tests {
         let a = vals(&f.ctx, |i| ((i % 11) as f64 - 5.0) * 0.2);
         let scale = 2f64.powi(40);
         let ca = encrypt_symmetric(&f.ctx, &sk, &ev.encoder().encode(&a, scale, 3), &mut rng);
-        let sq = ev.rescale(&ev.square(&ca));
-        let quad = ev.rescale(&ev.square(&sq));
+        let sq = ev.rescale(&ev.mul(&ca, &ca));
+        let quad = ev.rescale(&ev.mul(&sq, &sq));
         assert_eq!(quad.level, 1);
         let d = ev.encoder().decode(&decrypt(&f.ctx, &sk, &quad));
         for i in 0..8 {

@@ -38,7 +38,7 @@
 //! let ev = Evaluator::new(&ctx, Some(kg.relin_key(&mut rng)), GaloisKeys::default());
 //! let pt = ev.encoder().encode(&[1.5, -2.0], 2f64.powi(40), 2);
 //! let ct = encrypt_symmetric(&ctx, &sk, &pt, &mut rng);
-//! let sq = ev.rescale(&ev.square(&ct));
+//! let sq = ev.rescale(&ev.mul(&ct, &ct));
 //! let out = ev.encoder().decode(&decrypt(&ctx, &sk, &sq));
 //! assert!((out[0] - 2.25).abs() < 1e-3);
 //! ```

@@ -556,17 +556,8 @@ impl RnsPoly {
     }
 
     /// Drops the basis down to `new_level` chain limbs (and drops the
-    /// special limbs if present) **without** scaling — this is `modswitch`'s
-    /// core, and is also used to align key limbs with a ciphertext's basis.
-    pub fn drop_to_level(&mut self, new_level: usize) {
-        assert!(new_level >= 1 && new_level <= self.level);
-        self.limbs.truncate(new_level);
-        self.level = new_level;
-        self.special = false;
-    }
-
-    /// [`RnsPoly::drop_to_level`] with the truncated limb buffers returned
-    /// to `pool` instead of freed.
+    /// special limbs if present) **without** scaling — `modswitch`'s core —
+    /// returning the truncated limb buffers to `pool`.
     pub fn drop_to_level_in(&mut self, new_level: usize, pool: &PolyPool) {
         assert!(new_level >= 1 && new_level <= self.level);
         pool.put(self.limbs.drain(new_level..));
@@ -1229,7 +1220,7 @@ mod tests {
                     "L = {big_l}, {level}"
                 );
                 let mut mask = full.restrict_for_keyswitch(level);
-                mask.drop_to_level(level);
+                mask.drop_to_level_in(level, &PolyPool::new(ctx.degree()));
                 let plain = RnsPoly::expand_uniform_in(None, &ctx, level, false, 0xA5);
                 assert_eq!(plain, mask, "L = {big_l}, level {level} without P");
             }

@@ -27,11 +27,11 @@
 //!    management is semantically transparent); the noise simulator and the
 //!    encrypted executor must agree with the reference — and pairwise with
 //!    each other — within a tolerance scaled to the program's dynamic
-//!    range; and the encrypted executor with four runners and fusion on
-//!    must reproduce the decrypted outputs of its own plain walk (one
-//!    runner on the calling thread, no fusion — the run the static memory,
-//!    span and noise bounds are checked on) *bit-for-bit*: walk width and
-//!    fusion are byte-transparent by design.
+//!    range; and the encrypted executor with four runners must reproduce
+//!    the decrypted outputs of its own plain walk (one runner on the
+//!    calling thread — the run the static memory, span and noise bounds
+//!    are checked on) *bit-for-bit*: walk width is byte-transparent by
+//!    design.
 //!
 //! Anything that trips becomes a [`Divergence`] with a stable
 //! [`Divergence::label`] the shrinker uses to preserve failure identity
@@ -685,13 +685,13 @@ fn check_executors(
                 });
             }
         }
-        // The same executor gone wide and fused: checked against the
-        // reference like the others, and bit-for-bit against the plain
-        // walk — walk width and fusion must be byte-transparent.
+        // The same executor gone wide: checked against the reference like
+        // the others, and bit-for-bit against the plain walk — walk width
+        // must be byte-transparent.
         let wide = ParOptions {
             exec: backend,
             workers: 4,
-            fusion: true,
+            ..ParOptions::default()
         };
         let wide = run_column(stage("ckks-par"), tol, reference, divs, ckks(wide), |r| {
             &r.outputs
@@ -706,7 +706,7 @@ fn check_executors(
                 divs.push(Divergence {
                     kind: DivergenceKind::OutputMismatch,
                     stage: stage("ckks~ckks-par:bits"),
-                    detail: "four fused runners diverge bitwise from the plain walk".into(),
+                    detail: "four runners diverge bitwise from the plain walk".into(),
                 });
             }
         }

@@ -3,11 +3,12 @@
 //! the three rules of the runtime's buffer discipline — where a value is
 //! freed, which rotations share a hoisted decomposition and which rotated
 //! products are summed before the division by `P` — which the dependence
-//! graph applies once per schedule for every consumer ([`crate::DepGraph`]).
+//! graph applies once per schedule for every consumer ([`crate::DepGraph`]),
+//! and which plain values the runtime handles as scalars ([`scalar_values`]).
 
 use std::collections::HashMap;
 
-use crate::op::{Op, ValueId};
+use crate::op::{ConstValue, Op, ValueId};
 use crate::program::Program;
 use crate::semantics::rotation_class;
 use crate::{CompileParams, Frac};
@@ -50,6 +51,21 @@ pub fn live(program: &Program) -> Vec<bool> {
         }
     }
     live
+}
+
+/// Which plain values hold one value in every slot: a scalar constant, and
+/// a plain op whose operands are all such values (a slot-wise op of splats
+/// is a splat). The runtime's ops on them skip the encoder, so they check
+/// out no plaintext limbs; the static memory bound charges them none.
+pub fn scalar_values(program: &Program) -> Vec<bool> {
+    let mut scalar = vec![false; program.num_ops()];
+    for id in program.ids().filter(|&id| program.is_plain(id)) {
+        scalar[id.index()] = match program.op(id) {
+            Op::Const { value } => matches!(value, ConstValue::Scalar(_)),
+            op => op.operands().all(|a| scalar[a.index()]),
+        };
+    }
+    scalar
 }
 
 /// The op whose completion frees each value under the runtime's last-use

@@ -48,7 +48,6 @@ pub mod cost;
 pub mod depgraph;
 pub mod diag;
 mod frac;
-pub mod fusion;
 pub mod hash;
 pub mod json;
 pub mod memory;
@@ -66,7 +65,6 @@ pub use cost::{CostModel, OpClass};
 pub use depgraph::{DepConsumer, DepGraph, DepKind, DepNode, ParallelismEstimate};
 pub use diag::{Finding, Severity, TvVerdict};
 pub use frac::Frac;
-pub use fusion::{BlockedFusion, Blocker, FusionPlan};
 pub use memory::{estimate_memory, key_levels, KeyLevels, MemoryEstimate};
 pub use op::{ConstValue, Op, OperandIter, SlotVector, ValueId};
 pub use params::CompileParams;

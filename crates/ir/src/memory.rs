@@ -117,8 +117,9 @@ pub struct MemoryEstimate {
 /// The walk starts with every live input encrypted, visits ops in schedule
 /// order, materializes each result into a live set, adds a per-op
 /// transient bound for the pooled temporaries the backend checks out
-/// (key-switch digit decompositions dominate; a plain operand's on-demand
-/// plaintext counts), records the high-water
+/// (key-switch digit decompositions dominate; a vector plain operand's
+/// on-demand plaintext counts, a [scalar](crate::analysis::scalar_values)
+/// one takes none), records the high-water
 /// mark, and frees each ciphertext after its last use — exactly the
 /// discipline of the encrypted executor. `poly_degree` is the
 /// backend's `N` (the runtime requires `N = 2 × slots`). `graph` is the
@@ -144,6 +145,8 @@ pub fn estimate_memory(
     let alpha = special_primes(big_l);
 
     let n = program.num_ops();
+    let scalar = crate::analysis::scalar_values(program);
+    let vector = |a: ValueId| program.is_plain(a) && !scalar[a.index()];
     // Per hoisted rotation group: the member that checks its digits out,
     // the one that returns them, and every member's place in one. (The
     // walks index slices: DESIGN.md §5, "Debug builds".)
@@ -235,13 +238,14 @@ pub fn estimate_memory(
             Op::Rotate(..) if grouped => (2 * l, l + 2 * alpha),
             Op::Rotate(..) => (2 * l, ksw),
             Op::Rescale(_) | Op::ModSwitch(_) => (2 * l, 4),
-            // plain − cipher: the negated copy beside the plaintext.
-            Op::Sub(a, _) if program.is_plain(*a) => (2 * l, 3 * l),
-            // One pooled result, no key switch; a plain operand is encoded
-            // on demand into `l` pooled limbs (so is the identity an upscale
-            // by 2^53 or more multiplies by) and returned when the op ends.
-            Op::Upscale(_, delta) if delta.to_f64() >= 53.0 => (2 * l, l),
-            op if op.operands().any(|a| program.is_plain(a)) => (2 * l, l),
+            // plain − cipher: the negated copy (beside a vector's plaintext).
+            Op::Sub(a, _) if vector(*a) => (2 * l, 3 * l),
+            Op::Sub(a, _) if program.is_plain(*a) => (2 * l, 2 * l),
+            // One pooled result, no key switch; a vector plain operand is
+            // encoded on demand into `l` pooled limbs and returned when the
+            // op ends (a scalar operand, like an upscale's factor, is a few
+            // residues).
+            op if op.operands().any(vector) => (2 * l, l),
             _ => (2 * l, 0),
         };
         live_limbs += result_limbs;
@@ -365,6 +369,23 @@ mod tests {
         let (big_l, limb) = (3, 16 * 8);
         let want = (big_l + 1) + ksw_key_limbs(2, big_l) * 2 + ksw_key_limbs(3, big_l);
         assert_eq!(est.key_bytes, want * limb);
+    }
+
+    #[test]
+    fn a_scalar_operand_charges_no_plaintext_and_a_vector_constant_does() {
+        // x · c at level 1, N = 16: the peak is at the product, where a
+        // vector constant's on-demand plaintext is one limb more.
+        let peak = |c: crate::op::ConstValue| {
+            let b = Builder::new("mulc", 8);
+            let x = b.input("x");
+            let e = x * b.constant(c);
+            let s = scheduled(b.finish(vec![e]));
+            let map = s.validate().expect("valid");
+            estimate(&s, &map, 16, true).poly_peak_bytes
+        };
+        let scalar = peak(crate::op::ConstValue::Scalar(0.5));
+        let vector = peak(vec![0.5, 0.25, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25].into());
+        assert_eq!(vector, scalar + 16 * 8, "one limb of N = 16");
     }
 
     #[test]

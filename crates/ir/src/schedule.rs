@@ -156,6 +156,18 @@ pub enum ScheduleError {
         /// Its operands' level.
         level: u32,
     },
+    /// The schedule does not fit the session whose keys run it: its slot
+    /// count is not the context's `N/2`, it needs a level beyond the
+    /// context's `L`, or its rescale bits are not the chain primes' bits.
+    /// Found by the encrypted executor before anything is encrypted.
+    SessionMismatch {
+        /// What differs: `"slots"`, `"level"` or `"rescale bits"`.
+        what: &'static str,
+        /// The schedule's figure.
+        schedule: usize,
+        /// The session's figure.
+        session: usize,
+    },
     /// An input binding the backend cannot encode: slot `slot` holds a NaN
     /// or an infinity, or lies past the program's slot count. Found by the
     /// encrypted executor before anything is encrypted.
@@ -215,6 +227,16 @@ impl fmt::Display for ScheduleError {
                 write!(
                     f,
                     "no relinearization key reaches level {level} (cipher × cipher mul at {op})"
+                )
+            }
+            ScheduleError::SessionMismatch {
+                what,
+                schedule,
+                session,
+            } => {
+                write!(
+                    f,
+                    "the schedule's {what} is {schedule}, the session's {session}"
                 )
             }
             ScheduleError::InvalidInput { name, slot } => {

@@ -23,8 +23,8 @@ use fhe_ckks::{
 };
 use fhe_ir::semantics::{self, rotation_class};
 use fhe_ir::{
-    key_levels, ConstValue, CostModel, DepGraph, FusionPlan, KeyLevels, Op, OpClass, ScheduleError,
-    ScheduledProgram, ValueId,
+    key_levels, CostModel, DepGraph, KeyLevels, Op, OpClass, ScheduleError, ScheduledProgram,
+    ValueId,
 };
 
 use crate::plain;
@@ -319,7 +319,7 @@ pub fn rotation_steps(program: &fhe_ir::Program) -> Vec<i64> {
 
 /// Options for encrypted execution: the backend configuration plus how the
 /// schedule's dependence DAG is walked.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ParOptions {
     /// Backend configuration (degree, seed, key policy, rotation hoisting).
     pub exec: ExecOptions,
@@ -329,32 +329,21 @@ pub struct ParOptions {
     /// the process-wide [`RunnerBudget`](crate::walk::RunnerBudget), so concurrent walks may get fewer.
     /// Results are bit-identical for every value.
     pub workers: usize,
-    /// Execute fusible mul→rescale pairs as one fused mul·relin·rescale
-    /// kernel. Bit-identical either way; fusion skips materializing the
-    /// full-level product.
+    /// Ignored: every op runs as its own kernel call. The field stays
+    /// only because existing struct literals name it, and goes once they
+    /// no longer do.
     pub fusion: bool,
-}
-
-impl Default for ParOptions {
-    fn default() -> Self {
-        ParOptions {
-            exec: ExecOptions::default(),
-            workers: 0,
-            fusion: true,
-        }
-    }
 }
 
 impl ParOptions {
     /// The plain walk every per-op measurement assumes: one runner on the
-    /// calling thread retiring ops in schedule order, one kernel call per
-    /// op (no fusion). This is what [`execute`] and [`execute_with_keys`]
-    /// run.
+    /// calling thread retiring ops in schedule order. This is what
+    /// [`execute`] and [`execute_with_keys`] run.
     pub fn plain_walk(exec: ExecOptions) -> Self {
         ParOptions {
             exec,
             workers: 1,
-            fusion: false,
+            ..ParOptions::default()
         }
     }
 }
@@ -443,14 +432,13 @@ pub struct ExecReport {
     pub ops_executed: usize,
     /// Wall time and op count per Table 3 op class, summed across runners
     /// (with several runners the durations sum past `op_time`; fresh
-    /// encryptions have no class). A fused mul·relin·rescale charges its
-    /// whole latency to the mul's class and counts the rescale with zero
-    /// duration; every member of a hoisted rotation group reports its own
-    /// step, the leader's including the shared decomposition. A member of
-    /// a linear-combination group also includes its consumers' encodes and
-    /// multiplies: those products and the adds up to the root count with
-    /// zero duration (an add with a direct operand with the time to add it),
-    /// and the root includes the group's one division by `P`.
+    /// encryptions have no class). Every member of a hoisted rotation group
+    /// reports its own step, the leader's including the shared
+    /// decomposition. A member of a linear-combination group also includes
+    /// its consumers' encodes and multiplies: those products and the adds
+    /// up to the root count with zero duration (an add with a direct
+    /// operand with the time to add it), and the root includes the group's
+    /// one division by `P`.
     pub per_class: Vec<(OpClass, Duration, usize)>,
     /// Whole-run memory counters (pool + key material); exact under
     /// contention thanks to the pool's atomic accounting.
@@ -458,7 +446,8 @@ pub struct ExecReport {
     /// Runners that walked the DAG: the caller plus the helpers the
     /// [`RunnerBudget`](crate::walk::RunnerBudget) granted, at most `workers` (after resolving `0`).
     pub workers: usize,
-    /// mul→rescale pairs executed fused.
+    /// Always 0: no op pair runs fused. The field stays only because
+    /// existing readers name it, and goes once they no longer do.
     pub fused: usize,
     /// Hoisted rotation groups: sets of rotations that shared one
     /// decomposition.
@@ -518,20 +507,21 @@ pub fn execute_with_keys(
 /// `options.workers` runners: generates keys sized for the schedule
 /// ([`SessionKeys::for_schedule`]), then runs
 /// [`execute_parallel_with_keys`] with an encryption seed derived from
-/// `options.exec.seed`. Outputs are byte-identical for every worker count,
-/// fusion setting and `rotation_hoisting` setting.
+/// `options.exec.seed`. Outputs are byte-identical for every worker count
+/// and `rotation_hoisting` setting.
 ///
 /// # Errors
 ///
 /// Returns the schedule's validation errors if it is illegal, a
-/// [`ScheduleError::InvalidInput`] per input binding that cannot be encoded,
-/// or a [`ScheduleError::MissingKey`] if a rotation lacks its Galois key
-/// under an explicit key set.
+/// [`ScheduleError::SessionMismatch`] if the program's slot count differs
+/// from `poly_degree / 2`, a [`ScheduleError::InvalidInput`] per input
+/// binding that cannot be encoded, or a [`ScheduleError::MissingKey`] if a
+/// rotation lacks its Galois key under an explicit key set.
 ///
 /// # Panics
 ///
-/// Panics if the program's slot count differs from `poly_degree / 2`, an
-/// input binding is missing, or the parallel-safety proof fails.
+/// Panics if an input binding is missing or the parallel-safety proof
+/// fails.
 pub fn execute_parallel(
     scheduled: &ScheduledProgram,
     inputs: &HashMap<String, Vec<f64>>,
@@ -558,8 +548,8 @@ pub fn execute_parallel(
 /// Each pops the ready op earliest in the schedule from the shared
 /// frontier, runs it against one shared [`Evaluator`] and retires it,
 /// unlocking its successors. One runner therefore walks the schedule in
-/// order on the calling thread. Five invariants make any width sound and
-/// bit-exact:
+/// order on the calling thread, one kernel call per cipher node. Four
+/// invariants make any width sound and bit-exact:
 ///
 /// 1. **Safety is proven, not assumed.** [`fhe_analysis::parallel::check`]
 ///    runs over the very DAG about to be consumed; the DAG's anti/output
@@ -573,12 +563,7 @@ pub fn execute_parallel(
 ///    a request's output bytes are a pure function of `(schedule, inputs,
 ///    keys, enc_seed)` — identical at every width, and whether requests run
 ///    serially or interleaved with other sessions.
-/// 3. **Fusion never changes bytes.** A cipher×cipher mul whose sole
-///    consumer is its rescale runs as one [`Evaluator::mul_rescale`]
-///    kernel, bit-identical to the mul→rescale sequence; fusion only
-///    deletes the intermediate ciphertext and one scheduling round-trip.
-///
-/// 4. **Hoisting never changes bytes.** The leader of a hoisted rotation
+/// 3. **Hoisting never changes bytes.** The leader of a hoisted rotation
 ///    group (`options.exec.rotation_hoisting`) decomposes the source once
 ///    and publishes the digits; every member — the leader included — is its
 ///    own DAG node and applies its own step to them wherever a runner picks
@@ -586,7 +571,7 @@ pub fn execute_parallel(
 ///    pool. A lone rotation runs the same arithmetic on a decomposition of
 ///    its own, so hoisting on and off are byte-identical.
 ///
-/// 5. **Accumulation never changes bytes across widths or hoisting.** Every
+/// 4. **Accumulation never changes bytes across widths or hoisting.** Every
 ///    linear-combination group (as the safety proof returns it,
 ///    [`fhe_analysis::SafetyReport::linear_groups`]) runs as one
 ///    accumulation over `Q_l·P`: each member adds its rotation times
@@ -618,10 +603,14 @@ pub fn execute_parallel(
 /// # Errors
 ///
 /// Returns the schedule's validation errors if it is illegal; a
-/// [`ScheduleError::InvalidInput`] for every input binding with a NaN or
-/// infinite slot or more values than the program has slots — checked before
-/// anything is encrypted, so a client's bad data is its own error and not a
-/// backend assertion; or, also before anything is encrypted, a
+/// [`ScheduleError::SessionMismatch`] if the schedule does not fit the
+/// session's context (its slot count is not `N/2`, it needs more levels
+/// than the context provides, or its rescale bits are not the chain
+/// primes'); a [`ScheduleError::InvalidInput`] for every input binding
+/// with a NaN or infinite slot or more values than the program has slots —
+/// checked before anything is encrypted, so a client's bad data is its own
+/// error and not a backend assertion; or, also before anything is
+/// encrypted, a
 /// [`ScheduleError::MissingKey`] per rotation whose static Galois key is
 /// absent or shallower than the rotation (keys from another schedule, under
 /// an eager key policy) and a [`ScheduleError::MissingRelinKey`] per
@@ -629,14 +618,11 @@ pub fn execute_parallel(
 ///
 /// # Panics
 ///
-/// Panics if the program's slot count differs from the session context's
-/// `N/2`, the schedule needs more levels than the context provides, its
-/// rescaling factor differs from the context's chain-prime size, an input
-/// binding is missing, or the parallel-safety proof finds an unordered
-/// hazard in the DAG; a backend assertion inside an op (operand scales the
-/// validator equates but an inexact upscale drifts apart) propagates at
-/// every width. Every other `expect` below states the dependence edge that
-/// makes it unreachable.
+/// Panics if an input binding is missing, or the parallel-safety proof
+/// finds an unordered hazard in the DAG; a backend assertion inside an op
+/// (operand scales the validator equates but an inexact upscale drifts
+/// apart) propagates at every width. Every other `expect` below states the
+/// dependence edge that makes it unreachable.
 pub fn execute_parallel_with_keys(
     scheduled: &ScheduledProgram,
     inputs: &HashMap<String, Vec<f64>>,
@@ -648,22 +634,30 @@ pub fn execute_parallel_with_keys(
     let map = scheduled.validate()?;
     let program = &scheduled.program;
     let ctx = &*keys.ctx;
-    assert_eq!(
-        program.slots(),
-        ctx.degree() / 2,
-        "program slots must match the session context's N/2"
-    );
-    assert!(
-        map.max_level() as usize <= ctx.max_level(),
-        "schedule needs level {} but the session context provides {}",
-        map.max_level(),
-        ctx.max_level()
-    );
-    assert_eq!(
-        scheduled.params.rescale_bits,
-        ctx.params().modulus_bits,
-        "schedule rescale bits must match the session context's chain primes"
-    );
+    // Keys from another session shape are the request's error, found
+    // before anything is encrypted.
+    let (slots, level) = (ctx.degree() / 2, map.max_level() as usize);
+    let bits = scheduled.params.rescale_bits as usize;
+    let session_bits = ctx.params().modulus_bits as usize;
+    let mismatch = |what, fits: bool, schedule, session| {
+        let error = ScheduleError::SessionMismatch {
+            what,
+            schedule,
+            session,
+        };
+        (!fits).then_some(error)
+    };
+    let mismatches: Vec<_> = [
+        mismatch("slots", program.slots() == slots, program.slots(), slots),
+        mismatch("level", level <= ctx.max_level(), level, ctx.max_level()),
+        mismatch("rescale bits", bits == session_bits, bits, session_bits),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    if !mismatches.is_empty() {
+        return Err(mismatches);
+    }
 
     let t_total = Instant::now();
     let mut ev = Evaluator::new_shared(ctx, Some(keys.relin.clone()), keys.galois.clone());
@@ -699,31 +693,11 @@ pub fn execute_parallel_with_keys(
         .collect();
     let linear = LinearPlan::new(program, &map, &safety.linear_groups);
 
-    // Fusion plan, demoted per pair unless the DAG confirms the rescale
-    // depends on nothing but its mul (so completing the mul is the only
-    // event that can make it ready, and the fused result is in place by
-    // then). A full DAG always confirms a planned pair; the check guards
-    // against the graph builder growing new edge kinds.
-    let mut rescale_of: Vec<Option<ValueId>> = vec![None; program.num_ops()];
-    let mut fused = 0usize;
-    if options.fusion {
-        for &(m, r) in FusionPlan::plan(scheduled).pairs() {
-            let (Some(mn), Some(rn)) = (graph.node(m), graph.node(r)) else {
-                continue;
-            };
-            if graph.preds(rn).iter().all(|&(p, _)| p == mn) {
-                rescale_of[m.index()] = Some(r);
-                fused += 1;
-            }
-        }
-    }
-
     // Prologue: plaintext sub-values are evaluated in the clear by the one
     // interpreter (and encoded on demand by the ops that use them, a scalar
     // without the encoder) — a plain op has only plain operands and inputs
     // are cipher, so the bindings are not read here — and every live input
     // is encrypted, consuming the seeded RNG in schedule order.
-    let slots = program.slots();
     let mut rng = StdRng::seed_from_u64(enc_seed);
     let mut cipher_slots: Vec<RwLock<Option<Ciphertext>>> =
         (0..program.num_ops()).map(|_| RwLock::new(None)).collect();
@@ -734,7 +708,7 @@ pub fn execute_parallel_with_keys(
         |id| live(id) && program.is_plain(id),
         |_, _| {},
     );
-    let scalar = scalar_values(program, live);
+    let scalar = fhe_ir::analysis::scalar_values(program);
     // `validate` checked there is one spec per declared input.
     let mut bound = Vec::new();
     let mut invalid = Vec::new();
@@ -791,7 +765,6 @@ pub fn execute_parallel_with_keys(
         cipher_slots: &cipher_slots,
         hoist_groups: &hoist_groups,
         linear: &linear,
-        rescale_of: &rescale_of,
         waterline: 2f64.powi(scheduled.params.waterline_bits as i32),
     };
     let walk = Walk::new(&graph);
@@ -865,7 +838,7 @@ pub fn execute_parallel_with_keys(
         per_class,
         mem: keys.mem_snapshot(ev).delta_since(&start_mem),
         workers: runners,
-        fused,
+        fused: 0,
         hoisted_groups: hoist_groups.len(),
         linear_groups: linear.groups.len(),
         safety_obligations: safety.obligations,
@@ -894,12 +867,14 @@ struct RunCx<'a, 'c> {
     graph: &'a DepGraph,
     ev: &'a Evaluator<'c>,
     plain_vals: &'a [Option<Vec<f64>>],
-    /// Which plain values hold one value in every slot ([`scalar_values`]).
+    /// Which plain values hold one value in every slot
+    /// ([`fhe_ir::analysis::scalar_values`]): their ops take the scalar path
+    /// ([`Evaluator::mul_scalar`], [`Evaluator::add_scalar`], scalar
+    /// linear-combination factors), byte for byte the encoder's.
     scalar: &'a [bool],
     cipher_slots: &'a [RwLock<Option<Ciphertext>>],
     hoist_groups: &'a HashMap<ValueId, HoistGroup>,
     linear: &'a LinearPlan,
-    rescale_of: &'a [Option<ValueId>],
     waterline: f64,
 }
 
@@ -1049,8 +1024,8 @@ impl RunCx<'_, '_> {
     /// Recycles the operands `id` is the free point of into the pool.
     /// Sound at any width because the anti edges order every other reader
     /// of such an operand before `id`. (An operand with no ciphertext in
-    /// its slot — a plain value, a fused mul's product — has nothing to
-    /// recycle.)
+    /// its slot — a plain value, a linear-combination member — has nothing
+    /// to recycle.)
     fn recycle_operands(&self, id: ValueId) {
         let mut seen = None;
         for a in self.program.op(id).operands() {
@@ -1230,8 +1205,7 @@ impl RunCx<'_, '_> {
     /// Executes the op behind one DAG node — the only place cipher ops are
     /// dispatched to the [`Evaluator`] — and returns its wall latency.
     /// Plain ops and inputs were evaluated in the prologue and retire for
-    /// free (`None`); a rescale fused into its mul finds its value already
-    /// stored and retires with zero latency. In a linear-combination group
+    /// free (`None`). In a linear-combination group
     /// a member's latency includes its products' encodes and multiplies,
     /// the products retire with zero latency, and the group's adds add
     /// their direct operands; the root's includes the one division by `P`.
@@ -1239,17 +1213,6 @@ impl RunCx<'_, '_> {
         let program = self.program;
         if program.is_plain(id) || matches!(program.op(id), Op::Input { .. }) {
             return Ok(None);
-        }
-        // INVARIANT: only a node's own execution or its fusing mul (its one
-        // predecessor) stores its value, so a value in place means the work
-        // is done.
-        if self.cipher_slots[id.index()]
-            .read()
-            .expect(SLOT_LOCK)
-            .is_some()
-        {
-            self.recycle_operands(id);
-            return Ok(Some(Duration::ZERO));
         }
         let t0 = Instant::now();
         match (&self.linear.roles[id.index()], program.op(id)) {
@@ -1280,16 +1243,9 @@ impl RunCx<'_, '_> {
     fn run_op(&self, id: ValueId, t0: Instant) -> Result<Duration, Vec<ScheduleError>> {
         let (program, ev) = (self.program, self.ev);
         let missing_key = |steps| vec![ScheduleError::MissingKey { op: id, steps }];
-        let (store_id, ct) = match program.op(id) {
+        let ct = match program.op(id) {
             Op::Mul(a, b) if program.is_cipher(*a) && program.is_cipher(*b) => {
-                let (ca, cb) = (self.cipher(*a), self.cipher(*b));
-                match self.rescale_of[id.index()] {
-                    // Fused mul·relin·rescale: the result lands under the
-                    // rescale's id; the mul's full-level product never
-                    // exists.
-                    Some(r) => (r, ev.mul_rescale(&ca, &cb)),
-                    None => (id, ev.mul(&ca, &cb)),
-                }
+                ev.mul(&self.cipher(*a), &self.cipher(*b))
             }
             Op::Mul(a, b) => {
                 let (c, p) = if program.is_cipher(*a) {
@@ -1298,15 +1254,14 @@ impl RunCx<'_, '_> {
                     (*b, *a)
                 };
                 let cc = self.cipher(c);
-                let out = match self.scalar_of(p) {
+                match self.scalar_of(p) {
                     Some(v) => ev.mul_scalar(&cc, v, self.waterline),
                     None => ev.mul_plain_values(&cc, get(self.plain_vals, p), self.waterline),
-                };
-                (id, out)
+                }
             }
             Op::Add(a, b) | Op::Sub(a, b) => {
                 let sub = matches!(program.op(id), Op::Sub(..));
-                let out = match (program.is_cipher(*a), program.is_cipher(*b)) {
+                match (program.is_cipher(*a), program.is_cipher(*b)) {
                     (true, true) => {
                         let (ca, cb) = (self.cipher(*a), self.cipher(*b));
                         if sub {
@@ -1330,10 +1285,9 @@ impl RunCx<'_, '_> {
                         }
                     }
                     (false, false) => unreachable!("a cipher op has a cipher operand"),
-                };
-                (id, out)
+                }
             }
-            Op::Neg(a) => (id, ev.neg(&self.cipher(*a))),
+            Op::Neg(a) => ev.neg(&self.cipher(*a)),
             Op::Rotate(a, k) => {
                 let ca = self.cipher(*a);
                 // An identity rotation of a grouped source is no member.
@@ -1343,34 +1297,18 @@ impl RunCx<'_, '_> {
                     }),
                     None => ev.try_rotate(&ca, *k),
                 };
-                (id, out.map_err(|_| missing_key(*k))?)
+                out.map_err(|_| missing_key(*k))?
             }
-            Op::Rescale(a) => (id, ev.rescale(&self.cipher(*a))),
-            Op::ModSwitch(a) => (id, ev.mod_switch(&self.cipher(*a))),
-            Op::Upscale(a, delta) => (id, ev.upscale(&self.cipher(*a), 2f64.powf(delta.to_f64()))),
+            Op::Rescale(a) => ev.rescale(&self.cipher(*a)),
+            Op::ModSwitch(a) => ev.mod_switch(&self.cipher(*a)),
+            Op::Upscale(a, delta) => ev.upscale(&self.cipher(*a), 2f64.powf(delta.to_f64())),
             Op::Const { .. } | Op::Input { .. } => unreachable!("retired above"),
         };
         let elapsed = t0.elapsed();
-        self.store(store_id, ct);
+        self.store(id, ct);
         self.recycle_operands(id);
         Ok(elapsed)
     }
-}
-
-/// Which live plain values hold one value in every slot, read off the IR
-/// once per execution: a scalar constant, and a plain op whose operands are
-/// all such values (a slot-wise op of splats is a splat). Their ops take
-/// the scalar path ([`Evaluator::mul_scalar`], [`Evaluator::add_scalar`],
-/// scalar linear-combination factors), byte for byte the encoder's.
-fn scalar_values(program: &fhe_ir::Program, live: impl Fn(ValueId) -> bool) -> Vec<bool> {
-    let mut scalar = vec![false; program.num_ops()];
-    for id in program.ids().filter(|&id| live(id) && program.is_plain(id)) {
-        scalar[id.index()] = match program.op(id) {
-            Op::Const { value } => matches!(value, ConstValue::Scalar(_)),
-            op => op.operands().all(|a| scalar[a.index()]),
-        };
-    }
-    scalar
 }
 
 /// A member's plain factor for one group, owned while the member runs.
@@ -1623,7 +1561,7 @@ mod tests {
                 &ParOptions {
                     exec: opts(),
                     workers,
-                    fusion: true,
+                    ..ParOptions::default()
                 },
             )
             .unwrap();
@@ -1633,25 +1571,8 @@ mod tests {
                 "workers = {workers}"
             );
             assert_eq!(par.ops_executed, serial.ops_executed);
-            assert!(par.fused > 0, "fig2a has fusible mul→rescale chains");
             assert!(par.safety_obligations > 0);
         }
-    }
-
-    #[test]
-    fn fusion_toggle_does_not_change_bytes() {
-        let s = fig2a();
-        let binds = inputs(&[("x", vec![0.5; 128]), ("y", vec![0.25; 128])]);
-        let mk = |fusion| ParOptions {
-            exec: opts(),
-            workers: 2,
-            fusion,
-        };
-        let on = execute_parallel(&s, &binds, &mk(true)).unwrap();
-        let off = execute_parallel(&s, &binds, &mk(false)).unwrap();
-        assert!(on.fused > 0);
-        assert_eq!(off.fused, 0);
-        assert_eq!(bits(&on.outputs), bits(&off.outputs));
     }
 
     /// `x` rotated by each of `steps`, summed with `x`: one hoist group.
@@ -1689,7 +1610,7 @@ mod tests {
                     ..opts()
                 },
                 workers,
-                fusion: true,
+                ..ParOptions::default()
             };
             let pool = Some(pool.clone());
             execute_parallel_with_keys(&s, &binds, &options, &keys, pool, 7).unwrap()
@@ -1758,7 +1679,7 @@ mod tests {
                     ..exec.clone()
                 },
                 workers,
-                fusion: true,
+                ..ParOptions::default()
             };
             let pool_handle = Some(pool.clone());
             let err = execute_parallel_with_keys(&s, &binds, &options, &keys, pool_handle, 7)
@@ -1801,7 +1722,7 @@ mod tests {
         let options = ParOptions {
             exec: opts(),
             workers: 2,
-            fusion: true,
+            ..ParOptions::default()
         };
         let _ = execute_parallel(&s, &binds, &options);
     }
@@ -1823,14 +1744,14 @@ mod tests {
         let par_opts = ParOptions {
             exec: opts.clone(),
             workers: 3,
-            fusion: true,
+            ..ParOptions::default()
         };
         let c = execute_parallel_with_keys(&s, &binds, &par_opts, &keys, Some(pool.clone()), 7)
             .unwrap();
         assert_eq!(
             bits(&a.outputs),
             bits(&c.outputs),
-            "three fused runners match the plain walk"
+            "three runners match the plain walk"
         );
         assert!(error(&s, &binds, &a) < 1e-2);
 
@@ -1856,7 +1777,7 @@ mod tests {
             &ParOptions {
                 exec: opts(),
                 workers: 2,
-                fusion: true,
+                ..ParOptions::default()
             },
         )
         .unwrap();

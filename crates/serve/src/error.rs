@@ -48,8 +48,9 @@ pub enum ServeError {
     /// The compiler rejected the program.
     Compile(CompileError),
     /// The executor refused the request before running it: the schedule
-    /// failed validation, or an input binding cannot be encoded — a NaN or
-    /// infinite slot, or more values than slots
+    /// failed validation, its slot count does not fit the session's ring
+    /// ([`ScheduleError::SessionMismatch`]), or an input binding cannot be
+    /// encoded — a NaN or infinite slot, or more values than slots
     /// ([`ScheduleError::InvalidInput`]). The request's own fault and
     /// nothing else's: the session is not quarantined.
     Schedule(Vec<ScheduleError>),

@@ -795,7 +795,7 @@ mod tests {
                 ..ExecOptions::default()
             },
             workers: 1,
-            fusion: true,
+            ..ParOptions::default()
         }
     }
 

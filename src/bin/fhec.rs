@@ -12,12 +12,11 @@
 //!
 //! `--run` executes the compiled schedule on the encrypted backend
 //! (deterministic inputs derived from the input names, the fuzz harness's
-//! convention) and reports walk telemetry: runners, fused
-//! mul·relin·rescale pairs, hoisted rotation groups, linear-combination
-//! groups, and the walk time.
+//! convention) and reports walk telemetry: runners, hoisted rotation
+//! groups, linear-combination groups, and the walk time.
 //! `--workers 0` (the default) sizes the walk to the host; `--workers 1`
-//! is the serial executor; `--no-fusion` disables the fused kernel. Outputs are bit-identical for every worker
-//! count and fusion setting. It also prints the backend's total modulus
+//! is the serial executor. Outputs are bit-identical for every worker
+//! count. It also prints the backend's total modulus
 //! `log₂(Q·P)` — the chain plus the key-switching special primes — and the
 //! security level it meets under the HE standard's table, if any, and the
 //! session's key bytes beside the compile report's static `key_bytes`.
@@ -40,7 +39,6 @@ struct Cli {
     emit: String,
     run: bool,
     workers: usize,
-    fusion: bool,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -51,7 +49,6 @@ fn parse_args() -> Result<Cli, String> {
     let mut emit = "stats".to_string();
     let mut run = false;
     let mut workers = 0usize;
-    let mut fusion = true;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -84,11 +81,10 @@ fn parse_args() -> Result<Cli, String> {
                     .parse()
                     .map_err(|e| format!("bad worker count: {e}"))?;
             }
-            "--no-fusion" => fusion = false,
             "--help" | "-h" => {
                 return Err("usage: fhec <program.fhe> [--waterline N] \
                             [--compiler eva|hecate|reserve] [--mode ba|ra|full] \
-                            [--emit text|stats|both] [--run] [--workers N] [--no-fusion]"
+                            [--emit text|stats|both] [--run] [--workers N]"
                     .to_string())
             }
             other if !other.starts_with('-') && input.is_none() => {
@@ -110,7 +106,6 @@ fn parse_args() -> Result<Cli, String> {
         emit,
         run,
         workers,
-        fusion,
     })
 }
 
@@ -213,7 +208,7 @@ fn main() -> ExitCode {
                 ..ExecOptions::default()
             },
             workers: cli.workers,
-            fusion: cli.fusion,
+            ..ParOptions::default()
         };
         eprintln!(
             "{}",
@@ -234,11 +229,10 @@ fn main() -> ExitCode {
             }
         };
         eprintln!(
-            "run: {} runners, {} ops, {} fused mul·relin·rescale, {} hoisted rotation \
-             groups, {} linear-combination groups, {} safety obligations discharged",
+            "run: {} runners, {} ops, {} hoisted rotation groups, {} linear-combination \
+             groups, {} safety obligations discharged",
             report.workers,
             report.ops_executed,
-            report.fused,
             report.hoisted_groups,
             report.linear_groups,
             report.safety_obligations,

@@ -2,7 +2,7 @@
 //! files.
 //!
 //! Collects `.fhe` files and makes one pass over each schedule they yield:
-//! the `F001`…`F009` lints (and, for compiled-mode files, translation
+//! the `F001`…`F008` lints (and, for compiled-mode files, translation
 //! validation against each compiler's schedule, whose mismatches are
 //! `F000`), rendered as rustc-style diagnostics, and one profile line with
 //! the schedule's work, critical path (span), asymptotic parallelism and

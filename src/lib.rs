@@ -12,7 +12,7 @@
 //! - [`ir`] (`fhe-ir`) — programs, the builder DSL, passes, validator, cost
 //!   model;
 //! - [`analysis`] (`fhe-analysis`) — abstract interpretation, the `F001`…
-//!   `F009` lints, translation validation (its mismatches are `F000`; see
+//!   `F008` lints, translation validation (its mismatches are `F000`; see
 //!   also the `lint` binary) and the static error bound with waterline
 //!   selection;
 //! - [`ckks`] (`fhe-ckks`) — the RNS-CKKS scheme;

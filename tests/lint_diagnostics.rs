@@ -74,25 +74,6 @@ fn serialized_reduction_diagnostic_matches_golden() {
 }
 
 #[test]
-fn unfusable_mul_chain_diagnostic_matches_golden() {
-    const FUSION_CASE: &str = "tests/corpus/lint/unfusable_mul_chain.fhe";
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FUSION_CASE);
-    let content = std::fs::read_to_string(path).expect("demo corpus case exists");
-    let report = lint_file(FUSION_CASE, &content, &LintRun::default());
-    assert!(report.error.is_none(), "{:?}", report.error);
-    assert_eq!(report.targets.len(), 1);
-    let target = &report.targets[0];
-    assert!(target.error.is_none(), "{:?}", target.error);
-    assert_eq!(target.findings.len(), 1, "{:?}", target.findings);
-    assert_eq!(target.findings[0].code, "F009");
-    assert_eq!(
-        target.findings[0].severity,
-        fhe_reserve::ir::diag::Severity::Warning
-    );
-    check("lint_unfusable_mul_chain.txt", &target.rendered);
-}
-
-#[test]
 fn premature_free_diagnostic_matches_golden() {
     // Error severity, so the case lives outside tests/corpus — CI's
     // `--deny error` sweep over the shipped corpus must stay clean.

@@ -199,3 +199,57 @@ fn keys_sized_for_a_shallower_schedule_are_a_typed_error_and_leak_nothing() {
     let cache = lazy_keys.key_cache().expect("a lazy policy").stats();
     assert_eq!(cache.misses, 1, "generated once, at the rotation's level");
 }
+
+#[test]
+fn keys_from_another_session_shape_are_a_typed_error_and_leak_nothing() {
+    use std::sync::Arc;
+
+    use fhe_reserve::ckks::PolyPool;
+    use fhe_reserve::ir::{Builder, KeyLevels, ScheduleError};
+    use fhe_reserve::runtime::{execute_with_keys, SessionKeys};
+
+    let slots = 64;
+    let b = Builder::new("cube", slots);
+    let x = b.input("x");
+    let program = b.finish(vec![x.clone() * x.clone() * x]);
+    let s = ReserveCompiler::full()
+        .compile(&program, &CompileParams::new(30))
+        .expect("compiles")
+        .scheduled;
+    let map = s.validate().expect("valid");
+    let (level, bits) = (map.max_level() as usize, s.params.rescale_bits);
+    let inputs = [("x".to_string(), vec![0.5; slots])].into_iter().collect();
+    let opts = |poly_degree| ExecOptions {
+        poly_degree,
+        seed: 0x5E55,
+        ..ExecOptions::default()
+    };
+    let session = |poly_degree, level: usize, bits| {
+        let levels = KeyLevels {
+            galois: Vec::new(),
+            relin: level as u32,
+        };
+        SessionKeys::generate(&opts(poly_degree), level, bits, &levels)
+    };
+    let pool = Arc::new(PolyPool::new(2 * slots));
+    let run = |keys: &SessionKeys| {
+        execute_with_keys(&s, &inputs, &opts(2 * slots), keys, Some(pool.clone()), 9)
+    };
+    run(&session(2 * slots, level, bits)).expect("the schedule's own session runs");
+    for (keys, mismatch) in [
+        (session(2 * slots, level - 1, bits), "level"),
+        (session(4 * slots, level, bits), "slots"),
+        (session(2 * slots, level, bits - 10), "rescale bits"),
+    ] {
+        let err = run(&keys).unwrap_err();
+        assert!(
+            matches!(err[..], [ScheduleError::SessionMismatch { what, .. }] if what == mismatch),
+            "{mismatch}: {err:?}"
+        );
+    }
+    assert_eq!(
+        pool.stats().live_bytes,
+        0,
+        "every request handed the pool back whole"
+    );
+}

@@ -266,6 +266,46 @@ fn a_non_finite_input_slot_is_a_typed_error_not_a_quarantine() {
 }
 
 #[test]
+fn a_program_of_another_slot_count_is_a_typed_error_not_a_quarantine() {
+    // The session's N = 16 holds 8 slots: a 4-slot program does not fit
+    // its context, which is the request's fault, found before anything is
+    // encrypted.
+    let server = FheServer::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let session = server.create_session(options(0x5107, 16));
+    let request = |slots: usize| Request {
+        session,
+        program: format!(
+            "program t(slots={slots}) {{\n  %0 = input \"x\"\n  %1 = const 0.5\n  \
+             %2 = mul %0, %1\n  return %2\n}}\n"
+        ),
+        params: fhe_ir::CompileParams::new(30),
+        compiler: "reserve".into(),
+        inputs: [("x".to_string(), vec![0.25; slots])].into_iter().collect(),
+        deadline: None,
+    };
+    match server.call(request(4)) {
+        Err(ServeError::Schedule(errs)) => assert_eq!(
+            errs,
+            [fhe_ir::ScheduleError::SessionMismatch {
+                what: "slots",
+                schedule: 4,
+                session: 8,
+            }]
+        ),
+        other => panic!("expected a schedule error, got {other:?}"),
+    }
+    let ok = server.call(request(8)).expect("session serves on");
+    outputs_close(&ok.outputs, &reference(&request(8)), 1e-2).expect("accurate");
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.failed), (2, 1));
+    assert!(!stats.sessions[0].quarantined);
+    assert_eq!(server.shared_pool(16).stats().live_bytes, 0);
+}
+
+#[test]
 fn an_overflowing_constant_is_a_parse_error_not_a_quarantine() {
     // `1e999` is a well-formed literal that `str::parse::<f64>` rounds to
     // +∞. The parser must refuse it: past the parser it compiles, and the
